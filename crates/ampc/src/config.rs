@@ -24,15 +24,6 @@ pub const DEFAULT_EPSILON: f64 = 0.5;
 /// clamped — see [`AmpcConfig::with_num_shards`].
 pub const MAX_SHARDS: usize = 1024;
 
-/// Hard ceiling on the number of cluster owner processes.
-///
-/// The cluster backend is monomorphised per owner count (the conformance
-/// suite holds `cluster(2)` and `cluster(4)` side by side as distinct
-/// types), so the runtime dispatch enumerates the supported counts; counts
-/// beyond the ceiling are rejected at the configuration boundary with
-/// [`AmpcError::InvalidEndpointList`] rather than deep inside a run.
-pub const MAX_CLUSTER_OWNERS: usize = 4;
-
 /// Which [`ampc_dds::DdsBackend`] implementation a runtime uses.
 ///
 /// Algorithms never branch on this: the runtime is generic over the backend
@@ -46,22 +37,25 @@ pub enum DdsBackendKind {
     /// lock-free frozen reads.  The default and the fastest.
     #[default]
     Local,
-    /// Message-passing store ([`ampc_dds::ChannelBackend`]): shard groups
-    /// owned by dedicated threads, write-side requests crossing in-process
-    /// channels as `ampc_dds::proto` messages, frozen epochs published
-    /// zero-copy.  Simulates a multi-process deployment.
+    /// The wire client over in-process channels
+    /// ([`ampc_dds::ChannelBackend`]): shard groups owned by dedicated
+    /// threads, write-side requests crossing as `ampc_dds::proto` messages,
+    /// frozen epochs published zero-copy.  Simulates a multi-process
+    /// deployment.
     Channel,
-    /// Socket-backed store ([`ampc_dds::TcpBackend`]): the identical owner
-    /// protocol spoken as length-prefixed `ampc_dds::proto` frames over
-    /// localhost TCP, frozen epochs fetched and rebuilt as local replicas.
-    /// The deployable shape of the store.
+    /// The same wire client over TCP ([`ampc_dds::TcpBackend`]), with
+    /// owners that hold an interleaved stride of the shards: threads of this
+    /// process, or one external serving process when
+    /// [`AmpcConfig::remote_endpoint`] is set.  Requests are
+    /// length-prefixed `ampc_dds::proto` frames, frozen epochs are fetched
+    /// and rebuilt as local replicas.  The deployable shape of the store.
     Remote,
-    /// Multi-owner-process store ([`ampc_dds::ClusterBackend`]): N
-    /// standalone serving processes each owning a contiguous shard range,
-    /// discovered through the shard map in every lease grant; epoch advance
-    /// is a client-coordinated two-phase freeze/publish barrier.  Spawns a
-    /// local cluster of [`AmpcConfig::cluster_owners`] owners, or connects
-    /// to [`AmpcConfig::cluster_endpoints`] when set.
+    /// The same [`ampc_dds::TcpBackend`] over N serving processes, each
+    /// owning a contiguous shard range discovered through the shard map in
+    /// every lease grant; epoch advance is the client-coordinated two-phase
+    /// freeze/publish barrier.  N is a run-time number: spawns a local
+    /// cluster of [`AmpcConfig::cluster_owners`] owners, or connects to
+    /// [`AmpcConfig::cluster_endpoints`] when set.
     Cluster,
 }
 
@@ -238,12 +232,12 @@ impl AmpcConfig {
     ///
     /// # Errors
     /// [`AmpcError::InvalidEndpointList`] if `owners` is zero or exceeds
-    /// [`MAX_CLUSTER_OWNERS`].
+    /// [`MAX_SHARDS`] (an owner beyond the shard count could hold nothing).
     pub fn with_cluster_owners(mut self, owners: usize) -> Result<Self, AmpcError> {
-        if owners == 0 || owners > MAX_CLUSTER_OWNERS {
+        if owners == 0 || owners > MAX_SHARDS {
             return Err(AmpcError::InvalidEndpointList {
                 requested: owners.to_string(),
-                reason: format!("cluster owner counts must lie in 1..={MAX_CLUSTER_OWNERS}"),
+                reason: format!("cluster owner counts must lie in 1..={MAX_SHARDS}"),
             });
         }
         self.cluster_owners = owners;
@@ -259,7 +253,7 @@ impl AmpcConfig {
     ///
     /// # Errors
     /// [`AmpcError::InvalidEndpointList`] if the list is empty, longer than
-    /// [`MAX_CLUSTER_OWNERS`], or any endpoint is malformed (see
+    /// [`MAX_SHARDS`], or any endpoint is malformed (see
     /// [`parse_endpoint_list`] for the accepted shape).
     pub fn with_cluster_endpoints(mut self, endpoints: Vec<String>) -> Result<Self, AmpcError> {
         let endpoints = parse_endpoint_list(&endpoints.join(","))?;
@@ -338,7 +332,7 @@ impl AmpcConfig {
 /// Parse a comma-separated cluster endpoint list (the `--connect-cluster`
 /// CLI argument and the `AMPC_ENDPOINTS` environment variable).
 ///
-/// Accepted shape: 1 to [`MAX_CLUSTER_OWNERS`] comma-separated
+/// Accepted shape: 1 to [`MAX_SHARDS`] comma-separated
 /// `host:port` entries, whitespace around entries ignored.  Each entry
 /// must have a non-empty host and a numeric port in `1..=65535` after its
 /// *last* colon (so bracketed IPv6 literals like `[::1]:7471` pass).
@@ -358,11 +352,11 @@ pub fn parse_endpoint_list(list: &str) -> Result<Vec<String>, AmpcError> {
         return reject(list, "expected at least one host:port endpoint".into());
     }
     let entries: Vec<&str> = list.split(',').map(str::trim).collect();
-    if entries.len() > MAX_CLUSTER_OWNERS {
+    if entries.len() > MAX_SHARDS {
         return reject(
             list,
             format!(
-                "{} endpoints exceed the supported 1..={MAX_CLUSTER_OWNERS} owners",
+                "{} endpoints exceed the supported 1..={MAX_SHARDS} owners",
                 entries.len()
             ),
         );
@@ -516,8 +510,13 @@ mod tests {
             Some(&["127.0.0.1:7471".to_string(), "127.0.0.1:7472".to_string()][..])
         );
 
-        // Out-of-range owner counts are configuration errors, not panics.
-        for owners in [0, MAX_CLUSTER_OWNERS + 1] {
+        // Both edges of the owner-count range are accepted; counts outside
+        // it are configuration errors, not panics.
+        for owners in [1, MAX_SHARDS] {
+            let cfg = AmpcConfig::for_graph(100, 100, 0.5).with_cluster_owners(owners);
+            assert_eq!(cfg.map(|cfg| cfg.cluster_owners), Ok(owners));
+        }
+        for owners in [0, MAX_SHARDS + 1] {
             assert!(matches!(
                 AmpcConfig::for_graph(100, 100, 0.5).with_cluster_owners(owners),
                 Err(AmpcError::InvalidEndpointList { .. })
@@ -534,19 +533,25 @@ mod tests {
         );
         // Both edges of the owner-count range are accepted…
         assert_eq!(parse_endpoint_list("a:1").unwrap().len(), 1);
-        let max = (0..MAX_CLUSTER_OWNERS)
-            .map(|i| format!("host{i}:{}", 7000 + i))
-            .collect::<Vec<_>>()
-            .join(",");
-        assert_eq!(parse_endpoint_list(&max).unwrap().len(), MAX_CLUSTER_OWNERS);
+        let list = |owners: usize| {
+            (0..owners)
+                .map(|i| format!("host{i}:{}", 7000 + i))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        assert_eq!(
+            parse_endpoint_list(&list(MAX_SHARDS)).unwrap().len(),
+            MAX_SHARDS
+        );
         // …and both edges of the port range.
         assert!(parse_endpoint_list("a:1,b:65535").is_ok());
 
         // Malformed lists are typed errors naming the offender, never panics.
+        let too_many = list(MAX_SHARDS + 1);
         let cases = [
             ("", "at least one"),
             ("   ", "at least one"),
-            ("a:1,b:2,c:3,d:4,e:5", "exceed"),
+            (too_many.as_str(), "exceed"),
             ("hostonly", "missing the :port"),
             (":7471", "missing the host"),
             ("a:0", "not in 1..=65535"),

@@ -13,7 +13,8 @@
 //!   is generic over the [`DdsBackend`] serving the stores; the
 //!   [`with_dds_backend!`] macro instantiates it from
 //!   [`AmpcConfig::backend`](config::AmpcConfig), so the backend (in-process
-//!   [`LocalBackend`], message-passing [`ChannelBackend`], or socket-backed
+//!   [`LocalBackend`], or the one wire client over channels —
+//!   [`ChannelBackend`] — or over sockets to any number of owners —
 //!   [`TcpBackend`]) is purely a configuration choice — and parseable from
 //!   CLI/env strings via `DdsBackendKind::from_str`.
 //! * [`RunStats`] / [`RoundStats`] record the quantities the paper's theorems
@@ -76,8 +77,7 @@ pub mod slackness;
 pub mod stats;
 
 pub use config::{
-    parse_endpoint_list, AmpcConfig, BudgetMode, DdsBackendKind, DEFAULT_EPSILON,
-    MAX_CLUSTER_OWNERS, MAX_SHARDS,
+    parse_endpoint_list, AmpcConfig, BudgetMode, DdsBackendKind, DEFAULT_EPSILON, MAX_SHARDS,
 };
 pub use context::{MachineContext, ReadTicket};
 pub use error::AmpcError;
@@ -88,6 +88,5 @@ pub use stats::{RoundStats, RunStats};
 // Backend surface, re-exported so the `with_dds_backend!` macro (and
 // algorithm crates) can name everything through `ampc_runtime`.
 pub use ampc_dds::{
-    ChannelBackend, ClusterBackend, DdsBackend, LocalBackend, RemoteBackend, SnapshotView,
-    TcpBackend,
+    ChannelBackend, DdsBackend, LocalBackend, RemoteBackend, SnapshotView, TcpBackend,
 };

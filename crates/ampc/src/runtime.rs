@@ -12,12 +12,12 @@
 //! maxima per machine, budget violations, fault restarts, wall time), which
 //! is the data every test and benchmark in this workspace asserts on.
 
-use crate::config::{AmpcConfig, BudgetMode};
+use crate::config::{AmpcConfig, BudgetMode, DdsBackendKind};
 use crate::context::MachineContext;
 use crate::error::AmpcError;
 use crate::fault::FaultPlan;
 use crate::stats::{RoundStats, RunStats};
-use ampc_dds::{DdsBackend, Key, LocalBackend, Value};
+use ampc_dds::{DdsBackend, Key, LocalBackend, TcpBackend, Value};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -381,6 +381,37 @@ impl<B: DdsBackend> std::fmt::Debug for AmpcRuntime<B> {
     }
 }
 
+/// The [`TcpBackend`] a config selects: in-process owner threads, one
+/// external serving process ([`AmpcConfig::remote_endpoint`]), running
+/// cluster owners ([`AmpcConfig::cluster_endpoints`]) or a locally spawned
+/// cluster of [`AmpcConfig::cluster_owners`] serving processes.
+///
+/// An implementation detail of [`crate::with_dds_backend!`] — not part of
+/// the public surface.
+///
+/// # Panics
+/// If the owners cannot be reached: a connection failure here has no round
+/// boundary to surface through yet, so it is a loud construction panic
+/// carrying the typed transport error.
+#[doc(hidden)]
+pub fn tcp_backend(config: &AmpcConfig) -> TcpBackend {
+    let shards = config.num_shards();
+    let connected = match (config.backend, &config.cluster_endpoints) {
+        (DdsBackendKind::Cluster, Some(endpoints)) => {
+            TcpBackend::connect_cluster(endpoints, shards)
+        }
+        (DdsBackendKind::Cluster, None) => TcpBackend::spawn_local(config.cluster_owners, shards),
+        _ => match &config.remote_endpoint {
+            Some(endpoint) => {
+                TcpBackend::connect_remote(endpoint.as_str(), shards, config.effective_threads())
+            }
+            None => Ok(TcpBackend::new(shards, config.effective_threads())),
+        },
+    };
+    // lint: allow(panic) — construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing store as fatal
+    connected.unwrap_or_else(|err| panic!("DDS transport failure: {err}"))
+}
+
 /// Instantiate an [`AmpcRuntime`] on the backend selected by a config and
 /// run a block against it.
 ///
@@ -395,9 +426,11 @@ impl<B: DdsBackend> std::fmt::Debug for AmpcRuntime<B> {
 /// assert_eq!(rounds, 0);
 /// ```
 ///
-/// The block is monomorphised once per backend, so algorithm drivers stay
-/// free of per-backend code paths: they write one generic body and let the
-/// configuration pick the instantiation.
+/// The block is monomorphised once per runtime type — local, channel, TCP —
+/// so algorithm drivers stay free of per-backend code paths: they write one
+/// generic body and let the configuration pick the instantiation.  How many
+/// owners serve a TCP store, and where, is decided when the backend is
+/// built, not by a type.
 #[macro_export]
 macro_rules! with_dds_backend {
     ($config:expr, |$runtime:ident| $body:expr) => {{
@@ -415,83 +448,21 @@ macro_rules! with_dds_backend {
                     $crate::AmpcRuntime::<$crate::ChannelBackend>::with_backend(__config);
                 $body
             }
-            $crate::DdsBackendKind::Remote => match __config.remote_endpoint.clone() {
-                // An external owner process serves the DDS: open a fresh
-                // leased session against it.  A connection failure here has
-                // no round boundary to surface through yet, so it is a loud
-                // construction panic carrying the typed transport error.
-                Some(endpoint) => {
-                    let __backend = $crate::TcpBackend::connect_remote(
-                        endpoint.as_str(),
-                        __config.num_shards(),
-                        __config.effective_threads(),
-                    )
-                    // lint: allow(panic) — construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing cluster as fatal
-                    .unwrap_or_else(|err| panic!("DDS transport failure: {err}"));
-                    #[allow(unused_mut)]
-                    let mut $runtime = $crate::AmpcRuntime::<$crate::TcpBackend>::from_backend(
-                        __config, __backend,
-                    );
-                    $body
-                }
-                None => {
-                    #[allow(unused_mut)]
-                    let mut $runtime =
-                        $crate::AmpcRuntime::<$crate::TcpBackend>::with_backend(__config);
-                    $body
-                }
-            },
-            // The cluster backend is monomorphised per owner count, so the
-            // runtime dispatch enumerates the supported counts
-            // (`config::MAX_CLUSTER_OWNERS`); `with_cluster_owners` /
-            // `with_cluster_endpoints` validated the range at the
-            // configuration boundary.
-            $crate::DdsBackendKind::Cluster => {
-                let __endpoints = __config.cluster_endpoints.clone();
-                let __owners = __endpoints
-                    .as_ref()
-                    .map_or(__config.cluster_owners, Vec::len);
-                match __owners {
-                    1 => $crate::cluster_backend_arm!(1, __config, __endpoints, $runtime, $body),
-                    2 => $crate::cluster_backend_arm!(2, __config, __endpoints, $runtime, $body),
-                    3 => $crate::cluster_backend_arm!(3, __config, __endpoints, $runtime, $body),
-                    4 => $crate::cluster_backend_arm!(4, __config, __endpoints, $runtime, $body),
-                    // lint: allow(panic) — unreachable: with_cluster_owners/with_cluster_endpoints validate against MAX_CLUSTER_OWNERS at the config boundary
-                    n => panic!("cluster runs support 1..=4 owners, got {n}"),
-                }
+            $crate::DdsBackendKind::Remote | $crate::DdsBackendKind::Cluster => {
+                let __backend = $crate::runtime::tcp_backend(&__config);
+                #[allow(unused_mut)]
+                let mut $runtime =
+                    $crate::AmpcRuntime::<$crate::TcpBackend>::from_backend(__config, __backend);
+                $body
             }
         }
-    }};
-}
-
-/// One owner-count instantiation of the [`with_dds_backend!`] cluster arm:
-/// connect to the configured endpoints, or spawn a local cluster of
-/// `$owners` serving processes.  An implementation detail of that macro —
-/// not part of the public surface.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! cluster_backend_arm {
-    ($owners:literal, $config:ident, $endpoints:ident, $runtime:ident, $body:expr) => {{
-        let __backend = match &$endpoints {
-            Some(endpoints) => {
-                $crate::ClusterBackend::<$owners>::connect_cluster(endpoints, $config.num_shards())
-            }
-            None => $crate::ClusterBackend::<$owners>::spawn_local($config.num_shards()),
-        }
-        // lint: allow(panic) — construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing cluster as fatal
-        .unwrap_or_else(|err| panic!("DDS transport failure: {err}"));
-        #[allow(unused_mut)]
-        let mut $runtime = $crate::AmpcRuntime::<$crate::ClusterBackend<$owners>>::from_backend(
-            $config, __backend,
-        );
-        $body
     }};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_dds::KeyTag;
+    use ampc_dds::{KeyTag, SnapshotView};
 
     fn key(v: u64) -> Key {
         Key::of(KeyTag::Scalar, v)

@@ -20,7 +20,7 @@
 //! future PRs have a trajectory to compare against.
 
 use ampc_dds::legacy::LegacyStore;
-use ampc_dds::{Key, KeyTag, ShardedStore, Value};
+use ampc_dds::{Key, KeyTag, ShardedStore, SnapshotView, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;

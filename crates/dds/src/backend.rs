@@ -16,23 +16,24 @@
 //!   ordered write batches of a round, advance the epoch, hand out the new
 //!   epoch's view.
 //!
-//! Three implementations ship in-tree:
+//! One view, one wire client, N owners.  [`crate::Snapshot`] is the only
+//! [`SnapshotView`] — whatever backend froze the epoch, machines read the
+//! same type through the same code — and two [`DdsBackend`]s produce it:
 //!
-//! * [`LocalBackend`] — the compact sharded store ([`crate::ShardedStore`] /
-//!   [`crate::Snapshot`] behind a [`crate::DdsChain`]), shared-memory and
-//!   lock-free on the read path.  This is the default and the fastest.
-//! * [`crate::ChannelBackend`] — the message-passing
-//!   [`crate::RemoteBackend`] over in-process channels
-//!   ([`crate::MpscTransport`]): shard groups are owned by dedicated worker
-//!   threads; commits and epoch advances cross the transport as
-//!   [`crate::proto`] messages, while each frozen epoch is `Arc`-published
-//!   at advance time so reads resolve lock-free against the shared
-//!   immutable maps with zero channel traffic.
-//! * [`crate::TcpBackend`] — the same [`crate::RemoteBackend`] over
-//!   localhost sockets ([`crate::TcpTransport`]): every request and reply
-//!   round-trips through the byte codec as length-prefixed frames, and
-//!   frozen epochs are fetched as [`crate::proto::EpochFrame`]s and
-//!   rebuilt into local replicas — the deployable shape of the store.
+//! * [`LocalBackend`] — the compact sharded store ([`crate::ShardedStore`]
+//!   behind a [`crate::DdsChain`]), shared-memory and lock-free on the read
+//!   path.  This is the default and the fastest.
+//! * [`crate::RemoteBackend`] — the message-passing client: shard groups
+//!   are owned by dedicated owners; commits and epoch advances cross a
+//!   transport as [`crate::proto`] messages.  Over in-process channels
+//!   ([`crate::ChannelBackend`]) each frozen epoch is `Arc`-published at
+//!   advance time, so reads resolve against the owners' own immutable maps
+//!   with zero channel traffic.  Over sockets ([`crate::TcpBackend`]) every
+//!   request and reply round-trips through the byte codec as
+//!   length-prefixed frames, and frozen epochs are fetched as
+//!   [`crate::proto::EpochFrame`]s and rebuilt into local replicas — the
+//!   deployable shape of the store, whether the owners are threads of this
+//!   process, one serving process, or a cluster of N.
 //!
 //! Backend selection is a *configuration* concern: the runtime is generic
 //! over `B: DdsBackend` and `ampc_runtime::AmpcConfig` picks the
@@ -181,66 +182,6 @@ pub trait DdsBackend: Send + 'static {
     /// ([`crate::TcpBackend`]) ever report non-zero.
     fn severed_connections(&self) -> u64 {
         0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot as a SnapshotView
-// ---------------------------------------------------------------------------
-
-impl SnapshotView for Snapshot {
-    fn num_shards(&self) -> usize {
-        Snapshot::num_shards(self)
-    }
-
-    fn get(&self, key: &Key) -> Option<Value> {
-        Snapshot::get(self, key)
-    }
-
-    fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
-        Snapshot::get_indexed(self, key, index)
-    }
-
-    fn get_all(&self, key: &Key) -> Vec<Value> {
-        Snapshot::get_all(self, key)
-    }
-
-    fn multiplicity(&self, key: &Key) -> usize {
-        Snapshot::multiplicity(self, key)
-    }
-
-    fn len(&self) -> usize {
-        Snapshot::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        Snapshot::is_empty(self)
-    }
-
-    fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
-        Snapshot::get_many_slice(self, keys, out)
-    }
-
-    fn get_many(&self, keys: &[Key], out: &mut Vec<Option<Value>>) {
-        Snapshot::get_many(self, keys, out)
-    }
-
-    fn total_reads(&self) -> u64 {
-        Snapshot::total_reads(self)
-    }
-
-    fn shard_loads(&self) -> Vec<ShardLoad> {
-        Snapshot::shard_loads(self)
-    }
-
-    fn stats(&self) -> StoreStats {
-        Snapshot::stats(self)
-    }
-
-    fn entries(&self) -> Vec<(Key, Vec<Value>)> {
-        self.iter()
-            .map(|(key, values)| (*key, values.to_vec()))
-            .collect()
     }
 }
 

@@ -1,28 +1,29 @@
-//! The multi-owner-process backend: [`ClusterBackend`].
+//! Owners as processes: connecting [`TcpBackend`] to one serving process or
+//! to a cluster of them.
 //!
 //! [`crate::serve`] scales one owner *process* to many concurrent clients;
-//! this module scales the store itself to many owner processes.  A cluster
-//! is `N` standalone [`crate::DdsServer`] processes (started with
+//! a cluster scales the store itself to many owner processes.  It is `N`
+//! standalone [`crate::DdsServer`] processes (started with
 //! [`crate::serve::serve_cluster`]), each owning one **contiguous range**
-//! of the shard space, plus a client that routes every request to the
-//! owner of its shards:
+//! of the shard space, and the ordinary wire client
+//! ([`crate::RemoteBackend`]) with one connection per owner — `N = 1` is
+//! simply a store served by one process.  What this module adds to the
+//! client is how it gets there:
 //!
-//! * **Topology discovery** — every lease grant carries the cluster's
-//!   [`ShardMap`] (owner endpoints × shard ranges, epoch-stamped).  The
-//!   client connects to each configured endpoint, validates that every
-//!   owner advertises the *same* contiguous map for the requested shard
-//!   count, and routes by range lookup from then on.
-//! * **Commits** — partitioned per owner by shard range and pipelined, one
-//!   `Commit` per owning endpoint, exactly like [`RemoteBackend`] does per
-//!   worker connection.
-//! * **Reads** — unchanged from [`RemoteBackend`]: each advance rebuilds a
-//!   local replica of every owner's frozen shard group, so the view is a
-//!   plain [`RemoteSnapshot`] (with ranged routing) and reads never touch
-//!   the wire.
-//! * **Advance** — the one genuinely distributed step.  With one owner,
-//!   `Advance` freezes and publishes atomically inside the owner; with
-//!   many owners that atomicity has to be built, and this module builds it
-//!   as a client-coordinated **two-phase barrier** — see below.
+//! * **Topology discovery** — every lease grant of a cluster owner carries
+//!   the cluster's [`ShardMap`] (owner endpoints × shard ranges,
+//!   epoch-stamped).  The client connects to each configured endpoint,
+//!   settles every handshake, and validates that every owner advertises
+//!   the *same* contiguous map for the requested shard count with one
+//!   slice per connection.  The owner count is bounded by that map, not by
+//!   a compile-time constant.
+//! * **Routing and advance follow the map** — owners that advertised a map
+//!   are routed by range and advanced through the two-phase barrier below;
+//!   owners that advertised none (one plain [`crate::serve()`] process
+//!   reached through [`TcpBackend::connect_remote`]) are routed by stride
+//!   and take the one-shot `Advance`.  Commits, reads, `Loads` /
+//!   `TotalWrites` / `Dump` fan-out and failure harvesting are the client's
+//!   one code path either way.
 //!
 //! # The two-phase advance barrier
 //!
@@ -34,8 +35,10 @@
 //!                 owner: prepared → published, reply with the epoch frame
 //! ```
 //!
-//! No `PublishEpoch` is sent until **every** owner has acked its freeze, so
-//! a client can never observe a mixed epoch: either no owner has published
+//! With one owner, `Advance` freezes and publishes atomically inside the
+//! owner; across processes that atomicity has to be built.  No
+//! `PublishEpoch` is sent until **every** owner has acked its freeze, so a
+//! client can never observe a mixed epoch: either no owner has published
 //! `e` (any failure before the last freeze ack aborts the advance with a
 //! typed error and nothing published), or every owner is guaranteed to
 //! publish `e` eventually — `FreezeEpoch` and `PublishEpoch` are both
@@ -44,97 +47,58 @@
 //! prepared-but-unpublished epoch survives reconnection inside the owner's
 //! session state and is re-publishable exactly once-semantically, however
 //! many times the publish is retransmitted.
-//!
-//! Epoch frames are fetched **in parallel** (one thread per owner) during
-//! phase 2: frame decode and replica rebuild dominate advance latency, and
-//! they are per-owner independent.
 
-use crate::backend::DdsBackend;
-use crate::key::{Key, Value};
-use crate::proto::{Reply, Request, ShardMap};
-use crate::remote::{expect_transport, FrozenEpoch, RemoteSnapshot, Routing};
-use crate::serve::{serve_cluster_listener, DdsServer};
-use crate::stats::ShardLoad;
-use crate::transport::{
-    panic_message, ClientReply, RequestFaults, TcpOptions, TcpTransport, Transport, TransportError,
-};
-use crate::FxHashMap;
-use std::net::TcpListener;
-use std::sync::Arc;
+use crate::proto::ShardMap;
+use crate::remote::{Routing, TcpBackend};
+use crate::serve::serve_cluster_listener;
+use crate::transport::{TcpOptions, TcpTransport, TransportError};
+use std::net::{TcpListener, ToSocketAddrs};
 
-/// A DDS backend over `OWNERS` standalone owner processes, each owning a
-/// contiguous shard range.
-///
-/// Connect to running owners with [`ClusterBackend::connect_cluster`], or
-/// spawn a self-contained local cluster with
-/// [`ClusterBackend::spawn_local`] (which the `DdsBackend::with_shards`
-/// surface uses, making `cluster(n)` a drop-in leg of the conformance and
-/// determinism suites).  `OWNERS` is a const parameter so a test suite can
-/// hold `cluster(2)` and `cluster(4)` side by side as distinct backends.
-pub struct ClusterBackend<const OWNERS: usize = 2> {
-    /// One leased connection per owner, in node order.  Declared before
-    /// `servers` so goodbyes release every lease before the servers (if
-    /// locally spawned) stop accepting.
-    owners: Vec<TcpTransport>,
-    /// Locally spawned owner processes (empty when connected to external
-    /// endpoints); held for their lifetime, shut down on drop.
-    servers: Vec<DdsServer>,
-    /// Ranged routing derived from the validated shard map.
-    routing: Routing,
-    /// The topology every owner advertised.
-    map: ShardMap,
-    completed: usize,
-    faults: RequestFaults,
-    next_seq: u64,
-}
-
-impl<const OWNERS: usize> ClusterBackend<OWNERS> {
-    /// Spawn a self-contained local cluster: `OWNERS` serving processes on
-    /// ephemeral localhost ports, plus a client connected to all of them.
-    ///
-    /// Listeners are bound *before* any server starts, so every owner can
-    /// be told the full peer list — the chicken-and-egg every ephemeral
-    ///-port cluster spawner has to break.
-    pub fn spawn_local(num_shards: usize) -> Result<Self, TransportError> {
-        let num_shards = num_shards.max(1);
-        let mut listeners = Vec::with_capacity(OWNERS);
-        let mut peers = Vec::with_capacity(OWNERS);
-        for node in 0..OWNERS {
-            let listener =
-                TcpListener::bind(("127.0.0.1", 0)).map_err(|err| TransportError::Io {
-                    worker: node,
-                    message: format!("binding cluster owner {node}: {err}"),
-                })?;
-            peers.push(
-                listener
-                    .local_addr()
-                    .map_err(|err| TransportError::Io {
-                        worker: node,
-                        message: format!("reading cluster owner {node}'s address: {err}"),
-                    })?
-                    .to_string(),
-            );
-            listeners.push(listener);
+impl TcpBackend {
+    /// Open one leased connection per entry of `owners` (connection `i`
+    /// leases as owner `i` of `owners.len()`, under one fresh session id),
+    /// settle every handshake, and route by what the grants advertised.
+    fn connect_owners(
+        owners: &[impl ToSocketAddrs],
+        num_shards: usize,
+    ) -> Result<Self, TransportError> {
+        let options = TcpOptions::fresh().with_topology(num_shards, owners.len());
+        let mut clients = Vec::with_capacity(owners.len());
+        for (owner, endpoint) in owners.iter().enumerate() {
+            clients.push(TcpTransport::connect_to(endpoint, owner, options.clone())?);
         }
-        let mut servers = Vec::with_capacity(OWNERS);
-        for (node, listener) in listeners.into_iter().enumerate() {
-            servers.push(
-                serve_cluster_listener(listener, node, peers.clone()).map_err(|err| {
-                    TransportError::Io {
-                        worker: node,
-                        message: format!("starting cluster owner {node}: {err}"),
-                    }
-                })?,
-            );
+        for client in &mut clients {
+            client.finish_handshake()?;
         }
-        let mut backend = Self::connect_cluster(&peers, num_shards)?;
-        backend.servers = servers;
-        Ok(backend)
+        let map = validated_shard_map(&clients, num_shards)?;
+        let routing = match &map {
+            Some(map) => Routing::ranged(map),
+            None => Routing::interleaved(num_shards, clients.len()),
+        };
+        Ok(TcpBackend::over(clients, Vec::new(), routing, map))
     }
 
-    /// Connect to `OWNERS` already-running cluster owners, one endpoint per
-    /// node in node order (each started with [`crate::serve::serve_cluster`]
-    /// over the identical peer list).
+    /// Connect to an already-running owner process (`ampc_dds::serve`) at
+    /// `endpoint` instead of spawning in-process owner threads.
+    ///
+    /// The backend opens `workers` leased connections (clamped to
+    /// `[1, num_shards]`) under a fresh session id; the serving process
+    /// derives each owner's shard group from the topology announced in the
+    /// lease and keeps per-session state, so any number of concurrent
+    /// clients can share one owner process.  Dropping the backend says
+    /// goodbye on every connection, releasing the session immediately.
+    pub fn connect_remote(
+        endpoint: impl ToSocketAddrs,
+        num_shards: usize,
+        workers: usize,
+    ) -> Result<Self, TransportError> {
+        let num_shards = num_shards.max(1);
+        Self::connect_owners(&vec![&endpoint; workers.clamp(1, num_shards)], num_shards)
+    }
+
+    /// Connect to already-running cluster owners, one endpoint per node in
+    /// node order (each started with [`crate::serve::serve_cluster`] over
+    /// the identical peer list).
     ///
     /// Validates the topology before accepting it: every owner must
     /// advertise a shard map, all maps must be identical, contiguous, and
@@ -143,368 +107,115 @@ impl<const OWNERS: usize> ClusterBackend<OWNERS> {
         endpoints: &[String],
         num_shards: usize,
     ) -> Result<Self, TransportError> {
-        let num_shards = num_shards.max(1);
-        if endpoints.len() != OWNERS {
+        let backend = Self::connect_owners(endpoints, num_shards.max(1))?;
+        if backend.shard_map().is_none() {
             return Err(TransportError::Protocol {
                 worker: 0,
-                message: format!(
-                    "cluster backend compiled for {OWNERS} owners got {} endpoints",
-                    endpoints.len()
-                ),
+                message: "owner granted a lease without a cluster shard map".to_string(),
             });
         }
-        let options = TcpOptions::fresh().with_topology(num_shards, OWNERS);
-        let mut owners = Vec::with_capacity(OWNERS);
-        for (node, endpoint) in endpoints.iter().enumerate() {
-            use std::net::ToSocketAddrs;
-            let addr = endpoint
-                .to_socket_addrs()
-                .map_err(|err| TransportError::Io {
-                    worker: node,
-                    message: format!("resolving cluster owner endpoint {endpoint:?}: {err}"),
-                })?
-                .next()
-                .ok_or_else(|| TransportError::Io {
-                    worker: node,
-                    message: format!("cluster owner endpoint {endpoint:?} resolved to nothing"),
-                })?;
-            owners.push(TcpTransport::connect_to(addr, node, options.clone())?);
-        }
-        // Settle every handshake, then hold the advertised maps to one
-        // validated truth.
-        for owner in &mut owners {
-            owner.finish_handshake()?;
-        }
-        let map = validated_shard_map(&owners, num_shards)?;
-        let starts = map
-            .owners
-            .iter()
-            .map(|slice| slice.start as usize)
-            .collect();
-        Ok(ClusterBackend {
-            owners,
-            servers: Vec::new(),
-            routing: Routing::ranged(num_shards, starts),
-            map,
-            completed: 0,
-            faults: RequestFaults::none(),
-            next_seq: 0,
-        })
+        Ok(backend)
     }
 
-    /// The validated cluster topology.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Fallible [`DdsBackend::commit_round`]: partition the ordered batches
-    /// by owning range, pipeline one `Commit` per owner, collect the acks.
-    pub fn try_commit_round(
-        &mut self,
-        batches: Vec<Vec<(Key, Value)>>,
-    ) -> Result<u64, TransportError> {
-        type OwnerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
-        let mut buckets: Vec<OwnerBuckets> = vec![Vec::new(); OWNERS];
-        let mut bucket_index: FxHashMap<(usize, usize), usize> = FxHashMap::default();
-        for batch in batches {
-            for (key, value) in batch {
-                let (owner, local) = self.routing.route(&key);
-                let slot = *bucket_index.entry((owner, local)).or_insert_with(|| {
-                    buckets[owner].push((local, Vec::new()));
-                    buckets[owner].len() - 1
-                });
-                buckets[owner][slot].1.push((key, value));
-            }
+    /// Spawn a self-contained local cluster: `owners` serving processes on
+    /// ephemeral localhost ports, plus a client connected to all of them.
+    ///
+    /// Listeners are bound *before* any server starts, so every owner can
+    /// be told the full peer list — the chicken-and-egg every
+    /// ephemeral-port cluster spawner has to break.
+    pub fn spawn_local(owners: usize, num_shards: usize) -> Result<Self, TransportError> {
+        let io_err = |node: usize, what: &str, err: std::io::Error| TransportError::Io {
+            worker: node,
+            message: format!("{what} cluster owner {node}: {err}"),
+        };
+        let mut listeners = Vec::with_capacity(owners);
+        let mut peers = Vec::with_capacity(owners);
+        for node in 0..owners {
+            let listener =
+                TcpListener::bind(("127.0.0.1", 0)).map_err(|err| io_err(node, "binding", err))?;
+            let addr = listener
+                .local_addr()
+                .map_err(|err| io_err(node, "reading the address of", err))?;
+            peers.push(addr.to_string());
+            listeners.push(listener);
         }
-        let epoch = self.completed;
-        let mut pending = Vec::with_capacity(OWNERS);
-        for (owner, batches) in buckets.into_iter().enumerate() {
-            if !batches.is_empty() {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.owners[owner].send(Request::Commit {
-                    epoch,
-                    seq,
-                    batches,
-                })?;
-                pending.push(owner);
-            }
+        let mut servers = Vec::with_capacity(owners);
+        for (node, listener) in listeners.into_iter().enumerate() {
+            servers.push(
+                serve_cluster_listener(listener, node, peers.clone())
+                    .map_err(|err| io_err(node, "starting", err))?,
+            );
         }
-        let mut accepted = 0u64;
-        for owner in pending {
-            match self.recv_wire(owner)? {
-                Reply::Committed { accepted: n, .. } => accepted += n,
-                other => return Err(protocol(owner, "a commit ack", &other)),
-            }
-        }
-        Ok(accepted)
-    }
-
-    /// Fallible [`DdsBackend::advance`]: the two-phase barrier of the
-    /// [module docs](self).  Phase 1 freezes the writable epoch on every
-    /// owner and waits for **all** acks; phase 2 publishes and fetches each
-    /// owner's epoch frame on its own thread.
-    pub fn try_advance(&mut self) -> Result<RemoteSnapshot, TransportError> {
-        let epoch = self.completed;
-        // Phase 1 — freeze everywhere.  Pipelined sends, then the ack
-        // barrier: no owner is asked to publish until every owner holds
-        // epoch `epoch` prepared, so a failure here aborts the advance with
-        // nothing published anywhere.
-        for owner in &mut self.owners {
-            owner.send(Request::FreezeEpoch { epoch })?;
-        }
-        for owner in 0..OWNERS {
-            match self.recv_wire(owner)? {
-                Reply::EpochFrozen { epoch: acked } if acked == epoch => {}
-                Reply::EpochFrozen { epoch: acked } => {
-                    return Err(TransportError::Protocol {
-                        worker: owner,
-                        message: format!("froze epoch {acked}, expected {epoch}"),
-                    })
-                }
-                other => return Err(protocol(owner, "a freeze ack", &other)),
-            }
-        }
-        // Phase 2 — publish everywhere, fetching and rebuilding the frames
-        // in parallel (replica rebuild dominates advance latency).
-        let groups: Result<Vec<Arc<FrozenEpoch>>, TransportError> = std::thread::scope(|scope| {
-            let fetchers: Vec<_> = self
-                .owners
-                .iter_mut()
-                .enumerate()
-                .map(|(node, owner)| {
-                    scope.spawn(move || -> Result<Arc<FrozenEpoch>, TransportError> {
-                        owner.send(Request::PublishEpoch { epoch })?;
-                        match owner.recv()? {
-                            ClientReply::Wire(Reply::Epoch(frame)) => {
-                                Ok(Arc::new(FrozenEpoch::from_frame(frame)))
-                            }
-                            ClientReply::Wire(other) => {
-                                Err(protocol(node, "a published epoch", &other))
-                            }
-                            ClientReply::SharedEpoch(shared) => Ok(shared),
-                        }
-                    })
-                })
-                .collect();
-            fetchers
-                .into_iter()
-                .enumerate()
-                .map(|(node, fetcher)| {
-                    fetcher.join().unwrap_or_else(|payload| {
-                        // A panicked fetcher is a dead owner connection,
-                        // not a dead coordinator: surface it as the same
-                        // typed error an owner crash produces elsewhere.
-                        Err(TransportError::PeerClosed {
-                            worker: node,
-                            panic: panic_message(payload.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        });
-        self.completed += 1;
-        Ok(RemoteSnapshot::published(
-            self.routing.clone(),
-            epoch,
-            groups?,
-        ))
-    }
-
-    /// Fallible [`DdsBackend::total_writes`]: fan out, sum the replies.
-    pub fn try_total_writes(&mut self) -> Result<u64, TransportError> {
-        for owner in &mut self.owners {
-            owner.send(Request::TotalWrites)?;
-        }
-        let mut total = 0;
-        for owner in 0..OWNERS {
-            match self.recv_wire(owner)? {
-                Reply::TotalWrites(writes) => total += writes,
-                other => return Err(protocol(owner, "a total-writes reply", &other)),
-            }
-        }
-        Ok(total)
-    }
-
-    /// Owner-served per-shard loads of completed epoch `epoch`, fanned out
-    /// and merged in global shard order.
-    pub fn epoch_loads(&mut self, epoch: usize) -> Result<Vec<ShardLoad>, TransportError> {
-        for owner in &mut self.owners {
-            owner.send(Request::Loads { epoch })?;
-        }
-        let mut loads = Vec::new();
-        for owner in 0..OWNERS {
-            match self.recv_wire(owner)? {
-                Reply::Loads(owner_loads) => loads.extend(owner_loads),
-                other => return Err(protocol(owner, "a loads reply", &other)),
-            }
-        }
-        loads.sort_by_key(|load| load.shard);
-        Ok(loads)
-    }
-
-    /// Owner-served dump of completed epoch `epoch` (no particular order).
-    pub fn epoch_entries(
-        &mut self,
-        epoch: usize,
-    ) -> Result<Vec<(Key, Vec<Value>)>, TransportError> {
-        for owner in &mut self.owners {
-            owner.send(Request::Dump { epoch })?;
-        }
-        let mut entries = Vec::new();
-        for owner in 0..OWNERS {
-            match self.recv_wire(owner)? {
-                Reply::Dump(owner_entries) => entries.extend(owner_entries),
-                other => return Err(protocol(owner, "a dump reply", &other)),
-            }
-        }
-        Ok(entries)
-    }
-
-    fn recv_wire(&mut self, owner: usize) -> Result<Reply, TransportError> {
-        match self.owners[owner].recv()? {
-            ClientReply::Wire(reply) => Ok(reply),
-            ClientReply::SharedEpoch(_) => Err(TransportError::Protocol {
-                worker: owner,
-                message: "unsolicited epoch publication".to_string(),
-            }),
-        }
+        Ok(Self::connect_cluster(&peers, num_shards)?.with_servers(servers))
     }
 }
 
-fn protocol(owner: usize, expected: &str, got: &Reply) -> TransportError {
-    TransportError::Protocol {
-        worker: owner,
-        message: format!("expected {expected}, got {got:?}"),
-    }
-}
-
-/// Settle on the one shard map every owner must advertise, or say exactly
-/// which owner disagrees and how.
+/// Settle on the one shard map every owner must advertise — `None` when no
+/// owner advertises one (plain serving processes) — or say exactly which
+/// owner disagrees and how.
 fn validated_shard_map(
     owners: &[TcpTransport],
     num_shards: usize,
-) -> Result<ShardMap, TransportError> {
-    let mut settled: Option<ShardMap> = None;
+) -> Result<Option<ShardMap>, TransportError> {
+    let Some(first) = owners.first() else {
+        return Err(TransportError::Protocol {
+            worker: 0,
+            message: "a cluster needs at least one owner".to_string(),
+        });
+    };
+    let settled = first.shard_map();
     for (node, owner) in owners.iter().enumerate() {
-        let map = owner.shard_map().ok_or_else(|| TransportError::Protocol {
-            worker: node,
-            message: "owner granted a lease without a cluster shard map".to_string(),
-        })?;
-        if map.owners.len() != owners.len() {
+        let map = owner.shard_map();
+        if map != settled {
             return Err(TransportError::Protocol {
                 worker: node,
                 message: format!(
-                    "owner advertises {} owners, client connected to {}",
-                    map.owners.len(),
-                    owners.len()
+                    "owners disagree on the topology: node 0 advertises {settled:?}, \
+                     node {node} advertises {map:?}"
                 ),
             });
         }
-        if map.num_shards() != num_shards || !map.is_contiguous() {
-            return Err(TransportError::Protocol {
-                worker: node,
-                message: format!(
-                    "owner's shard map does not tile [0, {num_shards}) contiguously: {:?}",
-                    map.owners
-                ),
-            });
-        }
-        match &settled {
-            None => settled = Some(map.clone()),
-            Some(first) if first == map => {}
-            Some(first) => {
-                return Err(TransportError::Protocol {
-                    worker: node,
-                    message: format!(
-                        "owners disagree on the topology: node 0 advertises {first:?}, \
-                         node {node} advertises {map:?}"
-                    ),
-                })
-            }
-        }
     }
-    settled.ok_or_else(|| TransportError::Protocol {
-        worker: 0,
-        message: "a cluster needs at least one owner".to_string(),
-    })
-}
-
-impl<const OWNERS: usize> DdsBackend for ClusterBackend<OWNERS> {
-    type View = RemoteSnapshot;
-
-    fn with_shards(num_shards: usize, _threads: usize) -> Self {
-        expect_transport(Self::spawn_local(num_shards))
+    let Some(map) = settled else {
+        return Ok(None);
+    };
+    if map.owners.len() != owners.len() {
+        return Err(TransportError::Protocol {
+            worker: 0,
+            message: format!(
+                "owners advertise {} owners, client connected to {}",
+                map.owners.len(),
+                owners.len()
+            ),
+        });
     }
-
-    fn num_shards(&self) -> usize {
-        self.routing.num_shards()
+    if map.num_shards() != num_shards || !map.is_contiguous() {
+        return Err(TransportError::Protocol {
+            worker: 0,
+            message: format!(
+                "the owners' shard map does not tile [0, {num_shards}) contiguously: {:?}",
+                map.owners
+            ),
+        });
     }
-
-    fn empty_view(&self) -> RemoteSnapshot {
-        RemoteSnapshot::empty(self.routing.clone())
-    }
-
-    fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, _threads: usize) {
-        expect_transport(self.try_commit_round(batches));
-    }
-
-    fn advance(&mut self, _threads: usize) -> RemoteSnapshot {
-        expect_transport(self.try_advance())
-    }
-
-    fn completed_epochs(&self) -> usize {
-        self.completed
-    }
-
-    fn total_writes(&mut self) -> u64 {
-        expect_transport(self.try_total_writes())
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn install_request_faults(&mut self, faults: RequestFaults) {
-        self.faults = faults.clone();
-        for owner in &mut self.owners {
-            owner.install_faults(faults.clone());
-        }
-    }
-
-    fn dropped_requests(&self) -> u64 {
-        self.faults.dropped()
-    }
-
-    fn severed_connections(&self) -> u64 {
-        self.faults.severed()
-    }
-}
-
-impl<const OWNERS: usize> std::fmt::Debug for ClusterBackend<OWNERS> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterBackend")
-            .field("owners", &OWNERS)
-            .field("num_shards", &self.routing.num_shards())
-            .field("local_servers", &self.servers.len())
-            .field("completed_epochs", &self.completed)
-            .finish()
-    }
+    Ok(Some(map.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SnapshotView;
-    use crate::key::KeyTag;
+    use crate::backend::{DdsBackend, SnapshotView};
+    use crate::key::{Key, KeyTag, Value};
     use crate::proto::RequestKind;
     use crate::serve::serve_cluster;
+    use crate::snapshot::Snapshot;
+    use crate::transport::RequestFaults;
 
     fn k(a: u64) -> Key {
         Key::of(KeyTag::Scalar, a)
     }
 
-    fn full_round<const N: usize>(backend: &mut ClusterBackend<N>) -> RemoteSnapshot {
+    fn full_round(backend: &mut TcpBackend) -> Snapshot {
         backend.commit_round(
             vec![
                 (0..64u64).map(|i| (k(i % 24), Value::scalar(i))).collect(),
@@ -517,8 +228,11 @@ mod tests {
 
     #[test]
     fn a_local_cluster_serves_commits_and_advances() {
-        let mut cluster = ClusterBackend::<3>::spawn_local(8).unwrap();
-        let map = cluster.shard_map().clone();
+        let mut cluster = TcpBackend::spawn_local(3, 8).unwrap();
+        let map = cluster
+            .shard_map()
+            .expect("cluster owners advertise a map")
+            .clone();
         assert_eq!(map.owners.len(), 3);
         assert!(map.is_contiguous());
         assert_eq!(map.num_shards(), 8);
@@ -546,8 +260,8 @@ mod tests {
 
     #[test]
     fn cluster_results_match_a_single_owner_byte_for_byte() {
-        let mut single = ClusterBackend::<1>::spawn_local(8).unwrap();
-        let mut multi = ClusterBackend::<4>::spawn_local(8).unwrap();
+        let mut single = TcpBackend::spawn_local(1, 8).unwrap();
+        let mut multi = TcpBackend::spawn_local(4, 8).unwrap();
         let single_view = full_round(&mut single);
         let multi_view = full_round(&mut multi);
         let mut lhs = single_view.entries();
@@ -568,7 +282,7 @@ mod tests {
     #[test]
     fn owners_severed_mid_barrier_heal_without_a_mixed_epoch() {
         let run = |faulted: bool| {
-            let mut cluster = ClusterBackend::<2>::spawn_local(8).unwrap();
+            let mut cluster = TcpBackend::spawn_local(2, 8).unwrap();
             let faults = RequestFaults::none();
             if faulted {
                 // Epoch 0's freeze on owner 0, epoch 1's publish on owner 1:
@@ -605,7 +319,7 @@ mod tests {
         let a = serve_cluster(("127.0.0.1", 0), 0, vec!["a:1".into(), "b:2".into()]).unwrap();
         let b = serve_cluster(("127.0.0.1", 0), 0, vec!["c:3".into(), "d:4".into()]).unwrap();
         let endpoints = vec![a.local_addr().to_string(), b.local_addr().to_string()];
-        let err = ClusterBackend::<2>::connect_cluster(&endpoints, 8).unwrap_err();
+        let err = TcpBackend::connect_cluster(&endpoints, 8).unwrap_err();
         match err {
             TransportError::Protocol { worker, message } => {
                 assert_eq!(worker, 1);
@@ -617,12 +331,15 @@ mod tests {
         // A plain (non-cluster) server advertises no map at all.
         let plain = crate::serve::serve(("127.0.0.1", 0)).unwrap();
         let endpoints = vec![plain.local_addr().to_string()];
-        let err = ClusterBackend::<1>::connect_cluster(&endpoints, 8).unwrap_err();
+        let err = TcpBackend::connect_cluster(&endpoints, 8).unwrap_err();
         match err {
             TransportError::Protocol { message, .. } => {
                 assert!(message.contains("without a cluster shard map"), "{message}");
             }
             other => panic!("expected a missing-map error, got {other:?}"),
         }
+
+        // And no owners at all are no store.
+        assert!(TcpBackend::spawn_local(0, 8).is_err());
     }
 }

@@ -6,6 +6,7 @@
 //! enforces the read-previous / write-current discipline by construction:
 //! callers can only obtain a [`Snapshot`] for a *completed* epoch.
 
+use crate::backend::SnapshotView;
 use crate::key::{Key, Value};
 use crate::snapshot::Snapshot;
 use crate::stats::StoreStats;

@@ -125,6 +125,14 @@ impl Key {
     pub fn with_index(tag: KeyTag, a: u64, b: u64) -> Self {
         Key { tag, a, b }
     }
+
+    /// The shard ("DDS machine") of `num_shards` responsible for this key —
+    /// a pure function of the key, as the model's contention analysis
+    /// requires, and the one placement every store and view agrees on.
+    #[inline]
+    pub(crate) fn shard(&self, num_shards: usize) -> usize {
+        (crate::hashing::hash_words(self.tag.code(), self.a, self.b) % num_shards as u64) as usize
+    }
 }
 
 impl fmt::Display for Key {

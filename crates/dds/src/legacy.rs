@@ -11,7 +11,7 @@
 //!
 //! Not used on any hot path; do not add features here.
 
-use crate::hashing::{hash_words, FxHashMap};
+use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
 
 /// The old `Vec<Value>`-per-key sharded layout, single-threaded.
@@ -30,7 +30,7 @@ impl LegacyStore {
 
     #[inline]
     fn shard_of(&self, key: &Key) -> usize {
-        (hash_words(key.tag.code(), key.a, key.b) % self.shards.len() as u64) as usize
+        key.shard(self.shards.len())
     }
 
     /// Append `value` under `key` (the old one-lock-per-pair write path,

@@ -15,15 +15,20 @@
 //!   are hashed to one of `P` shards; every shard tracks how many reads and
 //!   writes it served so that the contention analysis of the paper
 //!   (Lemma 2.1) can be validated empirically.
-//! * [`Snapshot`] — an immutable, read-only view of a completed round.
-//!   Machines in round *i* read from the snapshot of `D_{i-1}`; the snapshot
-//!   never changes while a round is in flight, which is exactly the property
-//!   the paper's fault-tolerance argument relies on.
+//! * [`Snapshot`] — an immutable, read-only view of a completed round, and
+//!   the **one view type** every backend serves: a cheap-clone handle over
+//!   one [`FrozenEpoch`] per owner group.  Machines in round *i* read from
+//!   the snapshot of `D_{i-1}`; the snapshot never changes while a round is
+//!   in flight, which is exactly the property the paper's fault-tolerance
+//!   argument relies on.
 //! * [`DdsChain`] — the sequence `D_0, D_1, …` of stores produced by a run.
 //! * [`backend`] — the [`SnapshotView`] / [`DdsBackend`] trait pair that
-//!   makes the store surface pluggable: [`LocalBackend`] wraps the chain
-//!   above, while [`ChannelBackend`] and [`TcpBackend`] serve the same
-//!   surface over the message-passing wire protocol (see below).
+//!   makes the store surface pluggable.  There is one view, one wire
+//!   client, and any number of owners: [`LocalBackend`] wraps the chain
+//!   above (one group, frozen in place), and [`RemoteBackend`] is the only
+//!   client of the message-passing wire protocol (see below) —
+//!   [`ChannelBackend`] over in-process channels, [`TcpBackend`] over
+//!   sockets to owner threads, one serving process, or a cluster of N.
 //! * [`contention`] — the weighted balls-into-bins experiment behind
 //!   Lemma 2.1 of the paper.
 //!
@@ -44,15 +49,17 @@
 //!    extra width — the discriminant hides in the `Vec` pointer niche).
 //!    Shards are shrunk in parallel for large epochs.
 //! 3. **Publish & serve** — the frozen maps are immutable from here on, so
-//!    they are published behind one `Arc` per epoch and served lock-free.
-//!    On [`LocalBackend`] that `Arc` is the [`Snapshot`] itself (cloned to
-//!    every machine thread); on [`ChannelBackend`] each owner thread hands
-//!    its frozen shard group's `Arc` to the backend in its `Advance` reply,
-//!    so point and batched reads resolve against the shared maps with
-//!    **zero channel traffic** — only commits, advances, and driver-side
-//!    loads/dumps remain message-passing.  Reads are counted in per-shard
-//!    atomics inside the published epoch, keeping the Lemma 2.1 contention
-//!    accounting observable from both sides.
+//!    they are published as [`FrozenEpoch`]s behind `Arc`s and served
+//!    lock-free through a [`Snapshot`] (cloned to every machine thread).
+//!    On [`LocalBackend`] the snapshot holds the store's single group; on
+//!    [`ChannelBackend`] each owner thread hands its frozen shard group's
+//!    `Arc` to the backend in its `Advance` reply, so point and batched
+//!    reads resolve against the shared maps with **zero channel traffic** —
+//!    only commits, advances, and driver-side loads/dumps remain
+//!    message-passing; on [`TcpBackend`] the groups are replicas rebuilt
+//!    from validated [`proto::EpochFrame`]s.  Reads are counted in
+//!    per-shard atomics inside the published epoch, keeping the Lemma 2.1
+//!    contention accounting observable from both sides.
 //!
 //! Views hand-for-hand outlive the stores that made them: a snapshot taken
 //! at epoch `i` stays valid and byte-identical across later epochs and
@@ -88,16 +95,19 @@
 //!   fault injection ([`RequestFaults`]: scheduled drop-then-retry and
 //!   connection severs) and turn dead peers into typed [`TransportError`]s
 //!   instead of hangs.
-//! * [`remote`] — the client and server of the protocol:
-//!   [`RemoteBackend`]`<T>` drives any transport behind the [`DdsBackend`]
-//!   surface; the owner loop is transport-generic.  [`ChannelBackend`] is
-//!   `RemoteBackend<MpscTransport>`, [`TcpBackend`] is
+//! * [`remote`] — the one client of the protocol: [`RemoteBackend`]`<T>`
+//!   drives any transport, and any number of owners, behind the
+//!   [`DdsBackend`] surface; the owner loop is transport-generic.
+//!   [`ChannelBackend`] is `RemoteBackend<MpscTransport>`, [`TcpBackend`] is
 //!   `RemoteBackend<TcpTransport>`, and the conformance + determinism
 //!   suites hold both (and [`LocalBackend`]) to byte-identical behaviour.
 //! * [`serve`] — the standalone owner *process*: [`DdsServer`] accepts any
 //!   number of concurrent leased [`TcpBackend`] clients, each
 //!   `(session, worker)` pair served by its own isolated owner
 //!   (`quickstart --serve` / `--connect` runs it end to end).
+//! * [`cluster`] — how [`TcpBackend`] reaches owner processes: one
+//!   ([`RemoteBackend::connect_remote`]) or a cluster of N
+//!   ([`RemoteBackend::connect_cluster`], [`RemoteBackend::spawn_local`]).
 //!
 //! Reads never touch the wire: every view holds the frozen epoch locally
 //! (shared `Arc` or fetched replica) and probes it lock-free, so the
@@ -132,16 +142,22 @@
 //!
 //! # Cluster topology
 //!
-//! One serving process scales to many clients; [`cluster`] scales the
-//! store itself to many serving processes.  A cluster is `N` owner
-//! processes started with [`serve_cluster`], each owning a **contiguous
-//! shard range** (`[i·S/N, (i+1)·S/N)` for owner `i` of `N` over `S`
-//! shards), discovered through the **shard-map handshake**: every lease
+//! One serving process scales to many clients; a cluster scales the store
+//! itself to many serving processes.  A cluster is `N` owner processes
+//! started with [`serve_cluster`], each owning a **contiguous shard range**
+//! (`[i·S/N, (i+1)·S/N)` for owner `i` of `N` over `S` shards — empty when
+//! `N > S`), discovered through the **shard-map handshake**: every lease
 //! grant carries the cluster's epoch-stamped [`proto::ShardMap`] (owner
-//! endpoints × shard ranges), and [`ClusterBackend`] validates that all
-//! owners advertise the identical contiguous map before routing a single
-//! request.  Commits route to the owning endpoint by range lookup;
-//! `Loads` / `TotalWrites` / `Dump` fan out and aggregate.
+//! endpoints × shard ranges), and [`TcpBackend::connect_cluster`] validates
+//! that all owners advertise the identical contiguous map before routing a
+//! single request.  `N` is a run-time number bounded only by that map;
+//! `N = 1` is the remote backend.  The client is the same
+//! [`RemoteBackend`] that talks to owner threads: commits route through one
+//! shard → (owner, local shard) table, `Loads` / `TotalWrites` / `Dump` fan
+//! out and aggregate, and what the grants carried decides the rest — owners
+//! that advertised a map are placed by range and advanced through the
+//! barrier below, owners that advertised none are placed by stride and
+//! take the one-shot `Advance`.
 //!
 //! Epoch advance is the one step that must be atomic *across* processes,
 //! and becomes a client-coordinated **two-phase barrier**: phase 1 sends
@@ -188,10 +204,11 @@
 //!   line; an allow without a reason is itself a finding.
 //! * **const-consistency** — the numeric relationships the replay design
 //!   depends on: the commit dedup window covers at least two full
-//!   pipelines (`COMMIT_REPLAY_WINDOW ≥ 2 × PIPELINE_DEPTH`), the frame
-//!   cap in [`proto`] equals the pool-retention cap in `transport::codec`,
-//!   and `MAX_CLUSTER_OWNERS` matches the owner-count arms the `ampc`
-//!   runtime monomorphizes.
+//!   pipelines (`COMMIT_REPLAY_WINDOW ≥ 2 × PIPELINE_DEPTH`, and at least
+//!   the client's `MAX_PIPELINE`), and the frame cap in [`proto`] equals
+//!   the pool-retention cap in `transport::codec`.  (The cluster owner
+//!   count needs no rule: it is a run-time number validated against the
+//!   advertised shard map.)
 //! * **blocking-discipline** — no `thread::sleep` or unbounded reads on
 //!   the dispatch/session/serve hot paths outside annotated backoff
 //!   (`// lint: allow(blocking) — <reason>`); `clippy.toml` bans
@@ -200,7 +217,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod channel;
 pub mod cluster;
 pub mod codec;
 pub mod contention;
@@ -218,16 +234,14 @@ pub mod store;
 pub mod transport;
 
 pub use backend::{DdsBackend, LocalBackend, SnapshotView};
-pub use channel::{ChannelBackend, ChannelSnapshot};
-pub use cluster::ClusterBackend;
 pub use codec::{decode_value, encode_value};
 pub use contention::{simulate_balls_into_bins, BallsInBinsReport};
 pub use epoch::DdsChain;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use key::{Key, KeyTag, Value};
-pub use remote::{FrozenEpoch, RemoteBackend, RemoteSnapshot, TcpBackend};
+pub use remote::{ChannelBackend, RemoteBackend, TcpBackend};
 pub use serve::{serve, serve_cluster, ClusterRole, DdsServer};
-pub use snapshot::Snapshot;
+pub use snapshot::{FrozenEpoch, Snapshot};
 pub use stats::{ShardLoad, StoreStats};
 pub use store::{default_parallelism, ShardedStore};
 pub use transport::{

@@ -1,203 +1,131 @@
-//! The transport-generic message-passing backend: [`RemoteBackend`].
+//! The one wire client: [`RemoteBackend`], over any transport and any
+//! number of owners.
 //!
-//! This is the client ("backend") and server ("owner") realization of the
-//! [`crate::proto`] wire protocol.  Shards are partitioned into groups, each
-//! group is owned by a dedicated worker, and the backend talks to each owner
-//! over one [`crate::transport::Transport`] connection:
+//! The model's machines reach `D_{i-1}` through *one* abstract store; how
+//! many threads or processes serve it is a deployment detail.  This module
+//! is the client of the [`crate::proto`] wire protocol for every such
+//! deployment — shards are partitioned into groups, each group is owned by
+//! one owner, and the backend talks to each owner over one
+//! [`crate::transport::Transport`] connection:
 //!
-//! * `RemoteBackend<MpscTransport>` is the in-process
-//!   [`crate::ChannelBackend`] — typed messages over channels, frozen epochs
-//!   published zero-copy as shared `Arc`s;
-//! * `RemoteBackend<TcpTransport>` ([`TcpBackend`]) runs the identical owner
-//!   loop behind localhost sockets — every request and reply round-trips
-//!   through the byte codec, and frozen epochs are fetched as
-//!   [`crate::proto::EpochFrame`]s and rebuilt into local replicas.
+//! * [`ChannelBackend`] (`RemoteBackend<MpscTransport>`) — owner threads
+//!   behind in-process channels: requests travel as typed values, frozen
+//!   epochs are published zero-copy as shared `Arc`s;
+//! * [`TcpBackend`] (`RemoteBackend<TcpTransport>`) — the identical owner
+//!   loop behind sockets: in-process owner threads ([`RemoteBackend::new`]),
+//!   one external serving process ([`RemoteBackend::connect_remote`]), or a
+//!   cluster of N serving processes ([`RemoteBackend::connect_cluster`] /
+//!   [`RemoteBackend::spawn_local`], see [`crate::cluster`]).  Every request
+//!   and reply round-trips through the byte codec, and frozen epochs are
+//!   fetched as [`crate::proto::EpochFrame`]s and rebuilt into replicas.
 //!
-//! Either way, a round's reads resolve **locally and lock-free**: the view
-//! holds one [`FrozenEpoch`] per owner (shared or replicated — machine code
-//! cannot tell) and probes its immutable maps directly.  Only the
-//! write-side protocol (`Commit`, `Advance`) and the driver-side requests
-//! (`Loads`, `Dump`, `TotalWrites`) cross the transport.
+//! The client decides two things from what the owners tell it, never from
+//! an option: owners whose lease grants carried a [`ShardMap`] hold
+//! **contiguous shard ranges** and advance through the **two-phase
+//! `FreezeEpoch` / `PublishEpoch` barrier**; owners without one hold an
+//! **interleaved** stride of the shard space and advance with the one-shot
+//! `Advance`.  Everything else — commit partitioning, fan-out, reply
+//! collection, failure harvesting — is one code path.
 //!
-//! Owner failures surface as typed [`TransportError`]s: when a connection
-//! drops because the owner thread panicked, the backend joins the thread
-//! and attaches the panic payload to the error instead of hanging or dying
-//! on an opaque broken channel.
+//! Either way, a round's reads resolve **locally and lock-free**: every
+//! advance returns a plain [`Snapshot`] holding one [`FrozenEpoch`] per
+//! owner (shared or replicated — machine code cannot tell).  Only the
+//! write-side protocol (`Commit`, `Advance` or the barrier pair) and the
+//! driver-side requests (`Loads`, `Dump`, `TotalWrites`) cross the
+//! transport.
+//!
+//! Owner failures surface as typed [`TransportError`]s: every send and
+//! receive goes through one harvest, which joins a dead in-process owner
+//! thread — or asks the locally spawned serving process that hosted the
+//! owner — and attaches the panic message to the error instead of hanging
+//! or dying on an opaque broken connection.
 
-use crate::backend::{DdsBackend, SnapshotView};
-use crate::hashing::{hash_words, FxHashMap};
+use crate::backend::DdsBackend;
+use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
-use crate::proto::{EpochFrame, Reply, Request, ShardFrame};
-use crate::slot::Slot;
-use crate::stats::{ShardLoad, StoreStats};
+use crate::proto::{Reply, Request, ShardMap};
+use crate::serve::DdsServer;
+use crate::snapshot::{FrozenEpoch, Snapshot};
+use crate::stats::ShardLoad;
 use crate::transport::dispatch::Worker;
 use crate::transport::{
-    ClientReply, RequestFaults, TcpOptions, TcpTransport, Transport, TransportError,
+    ClientReply, MpscTransport, RequestFaults, TcpTransport, Transport, TransportError,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// [`RemoteBackend`] over localhost TCP sockets — the deployable backend.
+/// [`RemoteBackend`] over in-process channels: owner threads, typed
+/// messages, zero-copy epoch publication.
 ///
-/// Select it through `ampc_runtime::AmpcConfig` (`DdsBackendKind::Remote`)
+/// Select it through `ampc_runtime::AmpcConfig` (`DdsBackendKind::Channel`)
 /// rather than constructing it directly.
-pub type TcpBackend = RemoteBackend<TcpTransport>;
+pub type ChannelBackend = RemoteBackend<MpscTransport>;
 
-// ---------------------------------------------------------------------------
-// FrozenEpoch — one owner's published epoch
-// ---------------------------------------------------------------------------
-
-/// One frozen epoch of one owner's shard group.
+/// [`RemoteBackend`] over TCP sockets — the deployable backend, whether its
+/// owners are threads of this process, one serving process or a cluster.
 ///
-/// On shared-memory transports the owner and every view hold the *same*
-/// allocation (the zero-copy publication); on wire transports each view
-/// holds a replica rebuilt from the fetched [`EpochFrame`].  The maps are
-/// immutable once published; the read counters are atomics so concurrent
-/// machine threads and the accounting agree without locks.
-pub struct FrozenEpoch {
-    /// `shards[local]` — frozen map of the group's `local`-th shard.
-    pub(crate) shards: Vec<FxHashMap<Key, Slot>>,
-    /// Writes that built each shard.
-    pub(crate) writes: Vec<u64>,
-    /// Reads served per shard since the epoch froze.
-    pub(crate) reads: Vec<AtomicU64>,
-}
-
-impl FrozenEpoch {
-    /// Serialize for the wire ([`Reply::Epoch`]).
-    pub(crate) fn to_frame(&self) -> EpochFrame {
-        EpochFrame {
-            shards: self
-                .shards
-                .iter()
-                .zip(&self.writes)
-                .map(|(map, &writes)| ShardFrame {
-                    writes,
-                    entries: map
-                        .iter()
-                        .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild a local replica from a fetched frame.
-    pub(crate) fn from_frame(frame: EpochFrame) -> FrozenEpoch {
-        let mut shards = Vec::with_capacity(frame.shards.len());
-        let mut writes = Vec::with_capacity(frame.shards.len());
-        for shard in frame.shards {
-            let mut map = FxHashMap::default();
-            map.reserve(shard.entries.len());
-            for (key, mut values) in shard.entries {
-                let slot = if values.len() == 1 {
-                    Slot::One(values[0])
-                } else if values.is_empty() {
-                    // Owners never emit empty entries; skip defensively.
-                    continue;
-                } else {
-                    values.shrink_to_fit();
-                    Slot::Many(values)
-                };
-                map.insert(key, slot);
-            }
-            shards.push(map);
-            writes.push(shard.writes);
-        }
-        let reads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
-        FrozenEpoch {
-            shards,
-            writes,
-            reads,
-        }
-    }
-}
+/// Select it through `ampc_runtime::AmpcConfig` (`DdsBackendKind::Remote` /
+/// `DdsBackendKind::Cluster`) rather than constructing it directly.
+pub type TcpBackend = RemoteBackend<TcpTransport>;
 
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
 
-/// Key → (owner, local shard) routing, shared by backend and views.
+/// Key → (owner, local shard) routing: the table every [`Snapshot`] of the
+/// backend is placed by.
 #[derive(Clone, Debug)]
 pub(crate) struct Routing {
-    num_shards: usize,
-    placement: Placement,
-}
-
-/// How global shards map onto owner groups.
-#[derive(Clone, Debug)]
-enum Placement {
-    /// `shard → (shard % workers, shard / workers)` — the in-process and
-    /// single-owner-process split, where every owner serves a stride of the
-    /// shard space.
-    Interleaved { workers: usize },
-    /// Contiguous ranges in owner order: owner `i` holds global shards
-    /// `[starts[i], starts[i+1])` (with `starts[owners]` an implicit
-    /// `num_shards` sentinel appended at construction) — the cluster split,
-    /// matching the ranges in an advertised [`crate::proto::ShardMap`].
-    Ranged { starts: Vec<usize> },
+    /// `table[shard]` — (owner, local shard index) of global `shard`.
+    table: Vec<(u32, u32)>,
+    /// Shards each owner holds: what its epoch frames must carry.
+    owner_shards: Vec<usize>,
 }
 
 impl Routing {
-    /// Interleaved routing over `workers` owner groups.
-    pub(crate) fn interleaved(num_shards: usize, workers: usize) -> Routing {
+    /// `shard → (shard % owners, shard / owners)` — the split of in-process
+    /// owners and of one serving process, where every owner serves a stride
+    /// of the shard space.
+    pub(crate) fn interleaved(num_shards: usize, owners: usize) -> Routing {
         Routing {
-            num_shards,
-            placement: Placement::Interleaved { workers },
+            table: (0..num_shards)
+                .map(|shard| ((shard % owners) as u32, (shard / owners) as u32))
+                .collect(),
+            owner_shards: (0..owners)
+                .map(|owner| (owner..num_shards).step_by(owners).len())
+                .collect(),
         }
     }
 
-    /// Ranged routing: `starts[i]` is the first global shard of owner `i`.
-    /// Starts must be non-decreasing from 0; the final range ends at
-    /// `num_shards`.
-    pub(crate) fn ranged(num_shards: usize, mut starts: Vec<usize>) -> Routing {
-        assert!(
-            !starts.is_empty(),
-            "ranged routing needs at least one owner"
-        );
-        assert_eq!(starts[0], 0, "owner 0's range must start at shard 0");
-        assert!(
-            starts.windows(2).all(|pair| pair[0] <= pair[1])
-                && starts.last().is_some_and(|&last| last <= num_shards),
-            "owner ranges must tile the shard space in order"
-        );
-        starts.push(num_shards);
+    /// Contiguous ranges in owner order — the cluster split.  `map` must be
+    /// contiguous (validated at connect); owners with empty ranges simply
+    /// hold no table entry.
+    pub(crate) fn ranged(map: &ShardMap) -> Routing {
+        debug_assert!(map.is_contiguous());
+        let owner_shards: Vec<usize> = map
+            .owners
+            .iter()
+            .map(|slice| (slice.end - slice.start) as usize)
+            .collect();
         Routing {
-            num_shards,
-            placement: Placement::Ranged { starts },
+            table: owner_shards
+                .iter()
+                .enumerate()
+                .flat_map(|(owner, &held)| (0..held as u32).map(move |local| (owner as u32, local)))
+                .collect(),
+            owner_shards,
         }
     }
 
     pub(crate) fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    #[inline]
-    fn shard_of(&self, key: &Key) -> usize {
-        (hash_words(key.tag.code(), key.a, key.b) % self.num_shards as u64) as usize
+        self.table.len()
     }
 
     /// (owner, local shard index) owning `key`.
     #[inline]
-    pub(crate) fn route(&self, key: &Key) -> (usize, usize) {
-        self.placement(self.shard_of(key))
-    }
-
-    /// (owner, local shard index) of global shard `shard`.
-    #[inline]
-    pub(crate) fn placement(&self, shard: usize) -> (usize, usize) {
-        match &self.placement {
-            Placement::Interleaved { workers } => (shard % workers, shard / workers),
-            Placement::Ranged { starts } => {
-                // partition_point finds the first start beyond `shard`; the
-                // owner is the range before it.  Empty ranges are skipped by
-                // construction — their start equals the next start, and
-                // partition_point lands past both.
-                let owner = starts.partition_point(|&start| start <= shard) - 1;
-                (owner, shard - starts[owner])
-            }
-        }
+    fn route(&self, key: &Key) -> (usize, usize) {
+        let (owner, local) = self.table[key.shard(self.table.len())];
+        (owner as usize, local as usize)
     }
 }
 
@@ -205,20 +133,49 @@ impl Routing {
 // RemoteBackend
 // ---------------------------------------------------------------------------
 
-/// A multi-owner, message-passing DDS backend, generic over the
-/// [`Transport`] carrying the [`crate::proto`] protocol.
+/// The message-passing DDS backend: one client for any number of owners,
+/// generic over the [`Transport`] carrying the [`crate::proto`] protocol.
 ///
 /// See the [module docs](self) for the design; select it through
 /// `ampc_runtime::AmpcConfig` rather than constructing it directly.
 pub struct RemoteBackend<T: Transport> {
+    /// One connection per owner, in owner order.
     clients: Vec<T>,
+    /// Owner threads this backend spawned, by owner (empty when processes
+    /// serve the owners; `None` once joined).
     handles: Vec<Option<JoinHandle<()>>>,
+    /// Owner processes this backend spawned, in owner order (empty unless
+    /// built by [`RemoteBackend::spawn_local`]); shut down after the
+    /// connections said goodbye.
+    servers: Vec<DdsServer>,
     routing: Routing,
+    /// The topology every owner advertised in its lease grant, if any.
+    /// Owners that advertise one advance through the two-phase barrier.
+    map: Option<ShardMap>,
     completed: usize,
     faults: RequestFaults,
     /// Monotone sequence numbers for `Commit` requests (owners use them to
     /// deduplicate retransmissions).
     next_seq: u64,
+}
+
+fn unexpected(owner: usize, expected: &str, got: &Reply) -> TransportError {
+    TransportError::Protocol {
+        worker: owner,
+        message: format!("expected {expected}, got {got:?}"),
+    }
+}
+
+/// The wire reply inside `reply`; only an advance may be answered with a
+/// shared epoch.
+fn wire(owner: usize, reply: ClientReply) -> Result<Reply, TransportError> {
+    match reply {
+        ClientReply::Wire(reply) => Ok(reply),
+        ClientReply::SharedEpoch(_) => Err(TransportError::Protocol {
+            worker: owner,
+            message: "unsolicited epoch publication".to_string(),
+        }),
+    }
 }
 
 impl<T: Transport> RemoteBackend<T> {
@@ -231,77 +188,154 @@ impl<T: Transport> RemoteBackend<T> {
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
             let shard_ids: Vec<usize> = (worker..num_shards).step_by(workers).collect();
-            let (client, server) = T::connect(worker);
+            let (client, mut server) = T::connect(worker);
             let state = Worker::new(shard_ids);
             let handle = std::thread::Builder::new()
                 .name(format!("dds-owner-{worker}"))
-                .spawn(move || state.serve(server))
+                .spawn(move || state.serve(&mut server))
                 // lint: allow(panic) — thread-spawn failure at backend construction has no round boundary to report through; dying loudly beats serving without owners
                 .expect("spawning DDS owner thread");
             clients.push(client);
             handles.push(Some(handle));
         }
+        RemoteBackend::over(
+            clients,
+            handles,
+            Routing::interleaved(num_shards, workers),
+            None,
+        )
+    }
+
+    /// A backend over established connections, before its first epoch.
+    pub(crate) fn over(
+        clients: Vec<T>,
+        handles: Vec<Option<JoinHandle<()>>>,
+        routing: Routing,
+        map: Option<ShardMap>,
+    ) -> Self {
         RemoteBackend {
             clients,
             handles,
-            routing: Routing::interleaved(num_shards, workers),
+            servers: Vec::new(),
+            routing,
+            map,
             completed: 0,
             faults: RequestFaults::none(),
             next_seq: 0,
         }
     }
 
-    /// Number of owner threads serving the shards.
+    /// Keep the owner processes this backend talks to alive for as long as
+    /// it lives (`servers[i]` hosts owner `i`).
+    pub(crate) fn with_servers(mut self, servers: Vec<DdsServer>) -> Self {
+        self.servers = servers;
+        self
+    }
+
+    /// Number of owners serving the shards.
     pub fn num_workers(&self) -> usize {
         self.clients.len()
     }
 
-    /// When a connection died without a panic payload, join the owner and
-    /// harvest its panic message so the caller sees *why*, not just that the
-    /// channel broke.
+    /// The topology the owners advertised, if they form a cluster.
+    pub fn shard_map(&self) -> Option<&ShardMap> {
+        self.map.as_ref()
+    }
+
+    /// When a connection died without saying why, find out from whoever
+    /// hosted the owner — join its thread, or ask the serving process this
+    /// backend spawned — so the caller sees the owner's panic message, not
+    /// just a broken connection.  (A serving process replaces a panicked
+    /// owner with a fresh session, so there the reconnect may also report a
+    /// lost lease.)
     fn harvest(&mut self, err: TransportError) -> TransportError {
-        let TransportError::PeerClosed {
-            worker,
-            panic: None,
-        } = &err
-        else {
-            return err;
-        };
-        let worker = *worker;
-        let Some(handle) = self.handles.get_mut(worker).and_then(Option::take) else {
-            return err;
-        };
-        match handle.join() {
-            Ok(()) => err,
-            Err(payload) => {
-                let message = crate::transport::panic_message(payload.as_ref())
-                    .unwrap_or_else(|| "owner panicked with a non-string payload".to_string());
-                TransportError::PeerClosed {
-                    worker,
-                    panic: Some(message),
-                }
-            }
-        }
-    }
-
-    fn send(&mut self, worker: usize, request: Request) -> Result<(), TransportError> {
-        let result = self.clients[worker].send(request);
-        result.map_err(|err| self.harvest(err))
-    }
-
-    fn recv(&mut self, worker: usize) -> Result<ClientReply, TransportError> {
-        let result = self.clients[worker].recv();
-        result.map_err(|err| self.harvest(err))
-    }
-
-    fn recv_wire(&mut self, worker: usize) -> Result<Reply, TransportError> {
-        match self.recv(worker)? {
-            ClientReply::Wire(reply) => Ok(reply),
-            ClientReply::SharedEpoch(_) => Err(TransportError::Protocol {
+        let worker = match err {
+            TransportError::PeerClosed {
                 worker,
-                message: "unsolicited epoch publication".to_string(),
-            }),
+                panic: None,
+            }
+            | TransportError::LeaseLost { worker, .. } => worker,
+            _ => return err,
+        };
+        let message = match self.handles.get_mut(worker).and_then(Option::take) {
+            Some(handle) => handle
+                .join()
+                .err()
+                .map(|payload| crate::transport::owner_panic_message(payload.as_ref())),
+            None => self
+                .servers
+                .get(worker)
+                .zip(self.clients.get(worker))
+                .and_then(|(server, client)| server.take_panic(client.session(), worker as u64)),
+        };
+        match message {
+            Some(message) => TransportError::PeerClosed {
+                worker,
+                panic: Some(message),
+            },
+            None => err,
         }
+    }
+
+    /// The one request/reply pattern of the client: pipeline `requests`
+    /// (owner, request — ascending by owner) to their owners, then collect
+    /// one reply per request in the same order through `accept`.  Every
+    /// failure is harvested.
+    ///
+    /// Replies are collected concurrently, one owner per thread (the last
+    /// on the calling thread): receiving an epoch means decoding its frame
+    /// and rebuilding the replica, which dominates advance latency and is
+    /// independent per owner.
+    fn fan_out<R: Send>(
+        &mut self,
+        requests: impl IntoIterator<Item = (usize, Request)>,
+        accept: impl Fn(usize, ClientReply) -> Result<R, TransportError> + Sync,
+    ) -> Result<Vec<R>, TransportError> {
+        let mut asked = vec![false; self.clients.len()];
+        for (owner, request) in requests {
+            let sent = self.clients[owner].send(request);
+            sent.map_err(|err| self.harvest(err))?;
+            asked[owner] = true;
+        }
+        let fetch =
+            |(owner, client): (usize, &mut T)| client.recv().and_then(|reply| accept(owner, reply));
+        let replies: Vec<Result<R, TransportError>> = std::thread::scope(|scope| {
+            let mut pending = self
+                .clients
+                .iter_mut()
+                .enumerate()
+                .filter(|(owner, _)| asked[*owner]);
+            let last = pending.next_back();
+            let fetchers: Vec<_> = pending
+                .map(|link| scope.spawn(move || fetch(link)))
+                .collect();
+            let last = last.map(fetch);
+            fetchers
+                .into_iter()
+                // A fetcher only panics on a bug in this client; let it
+                // surface as one.
+                .map(|fetcher| {
+                    fetcher
+                        .join()
+                        .unwrap_or_else(|bug| std::panic::resume_unwind(bug))
+                })
+                .chain(last)
+                .collect()
+        });
+        replies
+            .into_iter()
+            .map(|reply| reply.map_err(|err| self.harvest(err)))
+            .collect()
+    }
+
+    /// [`Self::fan_out`] of the same `request` to every owner.
+    fn broadcast<R: Send>(
+        &mut self,
+        request: Request,
+        accept: impl Fn(usize, ClientReply) -> Result<R, TransportError> + Sync,
+    ) -> Result<Vec<R>, TransportError> {
+        let owners = 0..self.clients.len();
+        self.fan_out(owners.map(|owner| (owner, request.clone())), accept)
     }
 
     /// Fallible [`DdsBackend::commit_round`]: partition the ordered batches
@@ -311,104 +345,100 @@ impl<T: Transport> RemoteBackend<T> {
         &mut self,
         batches: Vec<Vec<(Key, Value)>>,
     ) -> Result<u64, TransportError> {
-        // Partition into per-(worker, local shard) buckets.  Concatenation
+        // Partition into per-(owner, local shard) buckets.  Concatenation
         // order is preserved bucket-wise, which — keys living on exactly one
         // shard — preserves every key's multi-value index order.
-        let workers = self.clients.len();
-        type WorkerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
-        let mut buckets: Vec<WorkerBuckets> = vec![Vec::new(); workers];
+        type OwnerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
+        let mut buckets: Vec<OwnerBuckets> = vec![Vec::new(); self.clients.len()];
         let mut bucket_index: FxHashMap<(usize, usize), usize> = FxHashMap::default();
         for batch in batches {
             for (key, value) in batch {
-                let (worker, local) = self.routing.route(&key);
-                let slot = *bucket_index.entry((worker, local)).or_insert_with(|| {
-                    buckets[worker].push((local, Vec::new()));
-                    buckets[worker].len() - 1
+                let (owner, local) = self.routing.route(&key);
+                let slot = *bucket_index.entry((owner, local)).or_insert_with(|| {
+                    buckets[owner].push((local, Vec::new()));
+                    buckets[owner].len() - 1
                 });
-                buckets[worker][slot].1.push((key, value));
+                buckets[owner][slot].1.push((key, value));
             }
         }
         let epoch = self.completed;
-        let mut pending = Vec::with_capacity(workers);
-        for (worker, batches) in buckets.into_iter().enumerate() {
+        let mut commits = Vec::with_capacity(buckets.len());
+        for (owner, batches) in buckets.into_iter().enumerate() {
             if !batches.is_empty() {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.send(
-                    worker,
+                commits.push((
+                    owner,
                     Request::Commit {
                         epoch,
                         seq,
                         batches,
                     },
-                )?;
-                pending.push(worker);
+                ));
             }
         }
-        let mut accepted = 0u64;
-        for worker in pending {
-            match self.recv_wire(worker)? {
-                Reply::Committed { accepted: n, .. } => accepted += n,
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a commit ack, got {other:?}"),
-                    })
-                }
-            }
-        }
-        Ok(accepted)
+        let accepted = self.fan_out(commits, |owner, reply| match wire(owner, reply)? {
+            Reply::Committed { accepted, .. } => Ok(accepted),
+            other => Err(unexpected(owner, "a commit ack", &other)),
+        })?;
+        Ok(accepted.into_iter().sum())
     }
 
-    /// Fallible [`DdsBackend::advance`]: pipeline one `Advance` per owner,
-    /// then collect each frozen epoch — shared when the transport can, a
-    /// replica rebuilt from the fetched frame when it cannot.
-    pub fn try_advance(&mut self) -> Result<RemoteSnapshot, TransportError> {
+    /// Fallible [`DdsBackend::advance`]: freeze the writable epoch on every
+    /// owner and collect each frozen group — shared when the transport can,
+    /// a replica rebuilt from the fetched (and validated) frame when it
+    /// cannot.
+    ///
+    /// Owners that advertised a shard map are separate processes, so the
+    /// freeze must be made atomic *across* them: phase 1 sends
+    /// `FreezeEpoch` everywhere and waits for **all** acks, and only then
+    /// does phase 2 send `PublishEpoch` — a failure before the last ack
+    /// aborts with nothing published anywhere, so no mixed epoch is ever
+    /// observable (see [`crate::cluster`]).  Owners without a map take the
+    /// one-shot `Advance`, which is the same two steps inside one owner.
+    pub fn try_advance(&mut self) -> Result<Snapshot, TransportError> {
         let epoch = self.completed;
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::Advance { epoch })?;
-        }
-        let mut groups = Vec::with_capacity(self.clients.len());
-        for worker in 0..self.clients.len() {
-            match self.recv(worker)? {
-                ClientReply::SharedEpoch(shared) => groups.push(shared),
-                ClientReply::Wire(Reply::Epoch(frame)) => {
-                    groups.push(Arc::new(FrozenEpoch::from_frame(frame)))
+        let publish = if self.map.is_some() {
+            self.broadcast(Request::FreezeEpoch { epoch }, |owner, reply| {
+                match wire(owner, reply)? {
+                    Reply::EpochFrozen { epoch: acked } if acked == epoch => Ok(()),
+                    Reply::EpochFrozen { epoch: acked } => Err(TransportError::Protocol {
+                        worker: owner,
+                        message: format!("froze epoch {acked}, expected {epoch}"),
+                    }),
+                    other => Err(unexpected(owner, "a freeze ack", &other)),
                 }
-                ClientReply::Wire(other) => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a frozen epoch, got {other:?}"),
+            })?;
+            Request::PublishEpoch { epoch }
+        } else {
+            Request::Advance { epoch }
+        };
+        let owner_shards = self.routing.owner_shards.clone();
+        let groups = self.broadcast(publish, |owner, reply| match reply {
+            ClientReply::SharedEpoch(shared) => Ok(shared),
+            ClientReply::Wire(Reply::Epoch(frame)) => {
+                FrozenEpoch::from_frame(frame, owner_shards[owner])
+                    .map(Arc::new)
+                    .map_err(|message| TransportError::Protocol {
+                        worker: owner,
+                        message,
                     })
-                }
             }
-        }
+            ClientReply::Wire(other) => Err(unexpected(owner, "a frozen epoch", &other)),
+        })?;
         self.completed += 1;
-        Ok(RemoteSnapshot::published(
-            self.routing.clone(),
-            epoch,
-            groups,
-        ))
+        Ok(Snapshot::new(groups, self.routing.table.clone()))
     }
 
-    /// Fallible [`DdsBackend::total_writes`].
+    /// Fallible [`DdsBackend::total_writes`]: fan out, sum the replies.
     pub fn try_total_writes(&mut self) -> Result<u64, TransportError> {
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::TotalWrites)?;
-        }
-        let mut total = 0;
-        for worker in 0..self.clients.len() {
-            match self.recv_wire(worker)? {
-                Reply::TotalWrites(writes) => total += writes,
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a total-writes reply, got {other:?}"),
-                    })
-                }
+        let writes = self.broadcast(Request::TotalWrites, |owner, reply| {
+            match wire(owner, reply)? {
+                Reply::TotalWrites(writes) => Ok(writes),
+                other => Err(unexpected(owner, "a total-writes reply", &other)),
             }
-        }
-        Ok(total)
+        })?;
+        Ok(writes.into_iter().sum())
     }
 
     /// Owner-served per-shard loads of completed epoch `epoch`, sorted by
@@ -417,25 +447,17 @@ impl<T: Transport> RemoteBackend<T> {
     /// Note the accounting asymmetry on wire transports: reads resolve
     /// against client-side replicas, so the owner's read counters stay at
     /// zero there; on shared-memory transports owner and views count in the
-    /// same atomics.  Views therefore serve [`SnapshotView::shard_loads`]
-    /// from their own epoch data; this request exists for drivers and tests
-    /// that audit the owner side.
+    /// same atomics.  Views therefore serve
+    /// [`crate::SnapshotView::shard_loads`] from their own epoch data; this
+    /// request exists for drivers and tests that audit the owner side.
     pub fn epoch_loads(&mut self, epoch: usize) -> Result<Vec<ShardLoad>, TransportError> {
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::Loads { epoch })?;
-        }
-        let mut loads = Vec::new();
-        for worker in 0..self.clients.len() {
-            match self.recv_wire(worker)? {
-                Reply::Loads(worker_loads) => loads.extend(worker_loads),
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a loads reply, got {other:?}"),
-                    })
-                }
+        let per_owner = self.broadcast(Request::Loads { epoch }, |owner, reply| {
+            match wire(owner, reply)? {
+                Reply::Loads(loads) => Ok(loads),
+                other => Err(unexpected(owner, "a loads reply", &other)),
             }
-        }
+        })?;
+        let mut loads: Vec<ShardLoad> = per_owner.into_iter().flatten().collect();
         loads.sort_by_key(|load| load.shard);
         Ok(loads)
     }
@@ -445,66 +467,13 @@ impl<T: Transport> RemoteBackend<T> {
         &mut self,
         epoch: usize,
     ) -> Result<Vec<(Key, Vec<Value>)>, TransportError> {
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::Dump { epoch })?;
-        }
-        let mut entries = Vec::new();
-        for worker in 0..self.clients.len() {
-            match self.recv_wire(worker)? {
-                Reply::Dump(worker_entries) => entries.extend(worker_entries),
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a dump reply, got {other:?}"),
-                    })
-                }
+        let per_owner = self.broadcast(Request::Dump { epoch }, |owner, reply| {
+            match wire(owner, reply)? {
+                Reply::Dump(entries) => Ok(entries),
+                other => Err(unexpected(owner, "a dump reply", &other)),
             }
-        }
-        Ok(entries)
-    }
-}
-
-impl RemoteBackend<TcpTransport> {
-    /// Connect to an already-running owner process (`ampc_dds::serve`) at
-    /// `endpoint` instead of spawning in-process owner threads.
-    ///
-    /// The backend opens one leased connection per owner under a fresh
-    /// session id; the serving process derives each owner's shard group
-    /// from the topology announced in the lease and keeps per-session
-    /// state, so any number of concurrent clients can share one owner
-    /// process.  Dropping the backend says goodbye on every connection,
-    /// releasing the session immediately.
-    pub fn connect_remote(
-        endpoint: impl std::net::ToSocketAddrs,
-        num_shards: usize,
-        workers: usize,
-    ) -> Result<Self, TransportError> {
-        let num_shards = num_shards.max(1);
-        let workers = workers.clamp(1, num_shards);
-        let endpoint = endpoint
-            .to_socket_addrs()
-            .map_err(|err| TransportError::Io {
-                worker: 0,
-                message: format!("resolving the DDS serve address: {err}"),
-            })?
-            .next()
-            .ok_or_else(|| TransportError::Io {
-                worker: 0,
-                message: "the DDS serve address resolved to nothing".to_string(),
-            })?;
-        let options = TcpOptions::fresh().with_topology(num_shards, workers);
-        let mut clients = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            clients.push(TcpTransport::connect_to(endpoint, worker, options.clone())?);
-        }
-        Ok(RemoteBackend {
-            clients,
-            handles: (0..workers).map(|_| None).collect(),
-            routing: Routing::interleaved(num_shards, workers),
-            completed: 0,
-            faults: RequestFaults::none(),
-            next_seq: 0,
-        })
+        })?;
+        Ok(per_owner.into_iter().flatten().collect())
     }
 }
 
@@ -522,7 +491,7 @@ pub(crate) fn expect_transport<V>(result: Result<V, TransportError>) -> V {
 }
 
 impl<T: Transport> DdsBackend for RemoteBackend<T> {
-    type View = RemoteSnapshot;
+    type View = Snapshot;
 
     fn with_shards(num_shards: usize, threads: usize) -> Self {
         RemoteBackend::new(num_shards, threads)
@@ -532,15 +501,15 @@ impl<T: Transport> DdsBackend for RemoteBackend<T> {
         self.routing.num_shards()
     }
 
-    fn empty_view(&self) -> RemoteSnapshot {
-        RemoteSnapshot::empty(self.routing.clone())
+    fn empty_view(&self) -> Snapshot {
+        Snapshot::empty(self.routing.num_shards())
     }
 
     fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, _threads: usize) {
         expect_transport(self.try_commit_round(batches));
     }
 
-    fn advance(&mut self, _threads: usize) -> RemoteSnapshot {
+    fn advance(&mut self, _threads: usize) -> Snapshot {
         expect_transport(self.try_advance())
     }
 
@@ -553,7 +522,11 @@ impl<T: Transport> DdsBackend for RemoteBackend<T> {
     }
 
     fn backend_name(&self) -> &'static str {
-        T::NAME
+        if self.map.is_some() {
+            "cluster"
+        } else {
+            T::NAME
+        }
     }
 
     fn install_request_faults(&mut self, faults: RequestFaults) {
@@ -574,10 +547,12 @@ impl<T: Transport> DdsBackend for RemoteBackend<T> {
 
 impl<T: Transport> Drop for RemoteBackend<T> {
     fn drop(&mut self) {
-        // Disconnect every owner (their serve loops exit on a gone client),
-        // then reap the threads so nothing is left detached.  Panic payloads
-        // were either harvested during operation or are deliberately
-        // swallowed here — propagating from `drop` would abort.
+        // Disconnect every owner (their serve loops exit on a gone client;
+        // leased connections say goodbye), then reap the threads so nothing
+        // is left detached.  Panic payloads were either harvested during
+        // operation or are deliberately swallowed here — propagating from
+        // `drop` would abort.  Spawned owner processes stop after this, as
+        // the `servers` field drops.
         self.clients.clear();
         for handle in self.handles.iter_mut().filter_map(Option::take) {
             let _ = handle.join();
@@ -590,232 +565,9 @@ impl<T: Transport> std::fmt::Debug for RemoteBackend<T> {
         f.debug_struct("RemoteBackend")
             .field("transport", &T::NAME)
             .field("num_shards", &self.routing.num_shards())
-            .field("workers", &self.clients.len())
+            .field("owners", &self.clients.len())
+            .field("local_servers", &self.servers.len())
             .field("completed_epochs", &self.completed)
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RemoteSnapshot
-// ---------------------------------------------------------------------------
-
-/// State shared by every clone of a [`RemoteSnapshot`].
-struct ViewInner {
-    routing: Routing,
-    /// Completed epoch served, or `None` for the pre-input empty view.
-    epoch: Option<usize>,
-    /// The epoch's frozen data, one entry per owner (`groups[w]` is owner
-    /// `w`'s shard group) — shared with the owner on in-process transports,
-    /// a local replica on wire transports.  Empty for the empty view.
-    groups: Vec<Arc<FrozenEpoch>>,
-    /// Read accounting of the empty view (per shard); published epochs
-    /// count inside their [`FrozenEpoch`] instead.
-    empty_reads: Vec<AtomicU64>,
-}
-
-/// Read view of one completed [`RemoteBackend`] epoch.
-///
-/// Cloning is an `Arc` bump; clones share the epoch data and therefore the
-/// read accounting.  Every operation — lookups *and* the driver-side
-/// `shard_loads` / `entries` / `len` — resolves locally against the frozen
-/// epoch, with no transport traffic; views therefore stay valid, and their
-/// reads byte-identical, for as long as the caller keeps them, even after
-/// the backend (and its owner threads) are gone.
-#[derive(Clone)]
-pub struct RemoteSnapshot {
-    inner: Arc<ViewInner>,
-}
-
-impl RemoteSnapshot {
-    /// View of completed epoch `epoch`, with `groups[i]` owner `i`'s frozen
-    /// shard group under `routing`.
-    pub(crate) fn published(
-        routing: Routing,
-        epoch: usize,
-        groups: Vec<Arc<FrozenEpoch>>,
-    ) -> RemoteSnapshot {
-        RemoteSnapshot {
-            inner: Arc::new(ViewInner {
-                epoch: Some(epoch),
-                groups,
-                empty_reads: Vec::new(),
-                routing,
-            }),
-        }
-    }
-
-    /// The pre-input empty view under `routing`.
-    pub(crate) fn empty(routing: Routing) -> RemoteSnapshot {
-        RemoteSnapshot {
-            inner: Arc::new(ViewInner {
-                epoch: None,
-                groups: Vec::new(),
-                empty_reads: (0..routing.num_shards())
-                    .map(|_| AtomicU64::new(0))
-                    .collect(),
-                routing,
-            }),
-        }
-    }
-
-    /// The frozen group data owning `key`, with the key's local shard index
-    /// inside it, or `None` on the empty view (which counts the miss).
-    #[inline]
-    fn probe(&self, key: &Key) -> Option<(&FrozenEpoch, usize)> {
-        if self.inner.epoch.is_none() {
-            let shard = self.inner.routing.shard_of(key);
-            self.inner.empty_reads[shard].fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let (worker, local) = self.inner.routing.route(key);
-        Some((&self.inner.groups[worker], local))
-    }
-
-    fn loads(&self) -> Vec<ShardLoad> {
-        if self.inner.epoch.is_none() {
-            return self
-                .inner
-                .empty_reads
-                .iter()
-                .enumerate()
-                .map(|(shard, reads)| ShardLoad {
-                    shard,
-                    keys: 0,
-                    writes: 0,
-                    reads: reads.load(Ordering::Relaxed),
-                })
-                .collect();
-        }
-        (0..self.inner.routing.num_shards())
-            .map(|shard| {
-                let (worker, local) = self.inner.routing.placement(shard);
-                let group = &self.inner.groups[worker];
-                ShardLoad {
-                    shard,
-                    keys: group.shards[local].len() as u64,
-                    writes: group.writes[local],
-                    reads: group.reads[local].load(Ordering::Relaxed),
-                }
-            })
-            .collect()
-    }
-}
-
-impl SnapshotView for RemoteSnapshot {
-    fn num_shards(&self) -> usize {
-        self.inner.routing.num_shards()
-    }
-
-    fn get(&self, key: &Key) -> Option<Value> {
-        let (epoch, local) = self.probe(key)?;
-        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
-        epoch.shards[local].get(key).map(Slot::first)
-    }
-
-    fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
-        let (epoch, local) = self.probe(key)?;
-        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
-        epoch.shards[local]
-            .get(key)
-            .and_then(|slot| slot.get(index))
-    }
-
-    fn get_all(&self, key: &Key) -> Vec<Value> {
-        let Some((epoch, local)) = self.probe(key) else {
-            return Vec::new();
-        };
-        let values = epoch.shards[local]
-            .get(key)
-            .map(|slot| slot.as_slice().to_vec())
-            .unwrap_or_default();
-        epoch.reads[local].fetch_add(values.len().max(1) as u64, Ordering::Relaxed);
-        values
-    }
-
-    fn multiplicity(&self, key: &Key) -> usize {
-        let Some((epoch, local)) = self.probe(key) else {
-            return 0;
-        };
-        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
-        epoch.shards[local].get(key).map_or(0, Slot::len)
-    }
-
-    fn len(&self) -> usize {
-        self.inner
-            .groups
-            .iter()
-            .map(|group| group.shards.iter().map(FxHashMap::len).sum::<usize>())
-            .sum()
-    }
-
-    fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
-        assert!(
-            out.len() >= keys.len(),
-            "output slice shorter than key batch"
-        );
-        if self.inner.epoch.is_none() {
-            for (key, slot) in keys.iter().zip(out.iter_mut()) {
-                let shard = self.inner.routing.shard_of(key);
-                self.inner.empty_reads[shard].fetch_add(1, Ordering::Relaxed);
-                *slot = None;
-            }
-            return;
-        }
-        // Every key resolves against the frozen maps directly; coalesce
-        // read-counter updates over runs of same-shard keys (totals are
-        // identical to per-key counting), mirroring `Snapshot`.
-        let mut run: Option<(usize, usize)> = None;
-        let mut run_len = 0u64;
-        for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            let (worker, local) = self.inner.routing.route(key);
-            if run != Some((worker, local)) {
-                if let Some((w, l)) = run {
-                    self.inner.groups[w].reads[l].fetch_add(run_len, Ordering::Relaxed);
-                }
-                run = Some((worker, local));
-                run_len = 0;
-            }
-            run_len += 1;
-            *slot = self.inner.groups[worker].shards[local]
-                .get(key)
-                .map(Slot::first);
-        }
-        if let Some((w, l)) = run {
-            self.inner.groups[w].reads[l].fetch_add(run_len, Ordering::Relaxed);
-        }
-    }
-
-    fn total_reads(&self) -> u64 {
-        self.loads().iter().map(|load| load.reads).sum()
-    }
-
-    fn shard_loads(&self) -> Vec<ShardLoad> {
-        self.loads()
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats::from_loads(self.loads())
-    }
-
-    fn entries(&self) -> Vec<(Key, Vec<Value>)> {
-        let mut entries = Vec::new();
-        for group in &self.inner.groups {
-            for shard in &group.shards {
-                for (key, slot) in shard {
-                    entries.push((*key, slot.as_slice().to_vec()));
-                }
-            }
-        }
-        entries
-    }
-}
-
-impl std::fmt::Debug for RemoteSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteSnapshot")
-            .field("num_shards", &self.inner.routing.num_shards())
-            .field("epoch", &self.inner.epoch)
             .finish()
     }
 }
@@ -823,11 +575,181 @@ impl std::fmt::Debug for RemoteSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SnapshotView;
     use crate::key::KeyTag;
-    use crate::transport::MpscTransport;
 
     fn k(a: u64) -> Key {
         Key::of(KeyTag::Scalar, a)
+    }
+
+    fn channel_with(pairs: &[(u64, u64)], shards: usize, workers: usize) -> ChannelBackend {
+        let mut backend = ChannelBackend::new(shards, workers);
+        let batch: Vec<(Key, Value)> = pairs
+            .iter()
+            .map(|&(key, value)| (k(key), Value::scalar(value)))
+            .collect();
+        backend.commit_round(vec![batch], 1);
+        backend
+    }
+
+    #[test]
+    fn reads_resolve_against_the_published_epoch() {
+        let mut backend = channel_with(&[(1, 10), (2, 20), (3, 30)], 8, 3);
+        let view = backend.advance(1);
+        assert_eq!(view.get(&k(1)), Some(Value::scalar(10)));
+        assert_eq!(view.get(&k(4)), None);
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.total_reads(), 2);
+    }
+
+    #[test]
+    fn shared_view_reads_are_visible_to_owner_served_loads() {
+        // Reads land in the shared epoch's atomics; the owner-served Loads
+        // protocol must observe them without any extra synchronisation —
+        // the shared-memory capability wire transports do not have.
+        let mut backend = channel_with(&[(1, 1), (2, 2), (3, 3), (4, 4)], 8, 2);
+        let view = backend.advance(1);
+        for i in 1..=4u64 {
+            let _ = view.get(&k(i));
+            let _ = view.multiplicity(&k(i));
+        }
+        let owner_loads = backend.epoch_loads(0).unwrap();
+        assert_eq!(owner_loads.iter().map(|l| l.reads).sum::<u64>(), 8);
+        assert_eq!(owner_loads.iter().map(|l| l.writes).sum::<u64>(), 4);
+        // The view computes the same loads locally from the shared epoch.
+        assert_eq!(view.shard_loads(), owner_loads);
+    }
+
+    #[test]
+    fn multi_value_order_is_commit_order_across_machine_batches() {
+        let mut backend = ChannelBackend::new(4, 2);
+        backend.commit_round(
+            vec![
+                vec![(k(9), Value::scalar(0)), (k(9), Value::scalar(1))],
+                vec![(k(9), Value::scalar(2))],
+            ],
+            1,
+        );
+        let view = backend.advance(1);
+        assert_eq!(view.multiplicity(&k(9)), 3);
+        for i in 0..3usize {
+            assert_eq!(view.get_indexed(&k(9), i), Some(Value::scalar(i as u64)));
+        }
+        assert_eq!(view.get_indexed(&k(9), 3), None);
+        assert_eq!(
+            view.get_all(&k(9)),
+            vec![Value::scalar(0), Value::scalar(1), Value::scalar(2)]
+        );
+    }
+
+    #[test]
+    fn epochs_are_isolated() {
+        let mut backend = channel_with(&[(1, 1)], 4, 2);
+        let d0 = backend.advance(1);
+        backend.commit_round(vec![vec![(k(2), Value::scalar(2))]], 1);
+        let d1 = backend.advance(1);
+        assert_eq!(d0.get(&k(1)), Some(Value::scalar(1)));
+        assert_eq!(d0.get(&k(2)), None);
+        assert_eq!(d1.get(&k(1)), None);
+        assert_eq!(d1.get(&k(2)), Some(Value::scalar(2)));
+        assert_eq!(backend.completed_epochs(), 2);
+        assert_eq!(backend.total_writes(), 2);
+    }
+
+    #[test]
+    fn batched_reads_resolve_locally_and_count_per_key() {
+        let pairs: Vec<(u64, u64)> = (0..200).map(|i| (i, i * 7)).collect();
+        let mut backend = channel_with(&pairs, 16, 4);
+        let view = backend.advance(1);
+        let keys: Vec<Key> = (0..300u64).map(k).collect();
+        let mut out = Vec::new();
+        view.get_many(&keys, &mut out);
+        for (i, slot) in out.iter().enumerate() {
+            let expected = if i < 200 {
+                Some(Value::scalar(i as u64 * 7))
+            } else {
+                None
+            };
+            assert_eq!(*slot, expected, "key {i}");
+        }
+        assert_eq!(view.total_reads(), 300);
+    }
+
+    #[test]
+    fn views_survive_the_backend() {
+        let view = {
+            let mut backend = channel_with(&[(5, 50)], 4, 2);
+            backend.advance(1)
+        };
+        // The backend (and its owner threads) are gone; the view holds the
+        // published epoch directly and serves everything locally.
+        assert_eq!(view.get(&k(5)), Some(Value::scalar(50)));
+        assert_eq!(view.len(), 1);
+        assert_eq!(view.total_reads(), 1);
+    }
+
+    #[test]
+    fn empty_view_misses_and_counts() {
+        let backend = ChannelBackend::new(4, 2);
+        let view = backend.empty_view();
+        assert!(view.is_empty());
+        assert_eq!(view.num_shards(), 4);
+        assert_eq!(view.get(&k(1)), None);
+        assert_eq!(view.multiplicity(&k(2)), 0);
+        assert_eq!(view.total_reads(), 2);
+    }
+
+    #[test]
+    fn concurrent_clones_share_the_published_epoch() {
+        let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i, i)).collect();
+        let mut backend = channel_with(&pairs, 8, 4);
+        let view = backend.advance(1);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let view = view.clone();
+                scope.spawn(move || {
+                    for i in 0..125u64 {
+                        let key = t * 125 + i;
+                        assert_eq!(view.get(&k(key)), Some(Value::scalar(key)));
+                    }
+                });
+            }
+        });
+        assert_eq!(view.total_reads(), 500);
+    }
+
+    #[test]
+    fn worker_counts_are_clamped() {
+        let backend = ChannelBackend::new(4, 64);
+        assert_eq!(backend.num_workers(), 4);
+        let backend = ChannelBackend::new(8, 0);
+        assert_eq!(backend.num_workers(), 1);
+    }
+
+    #[test]
+    fn routing_tables_place_every_shard_once() {
+        use crate::proto::OwnerSlice;
+        let interleaved = Routing::interleaved(7, 3);
+        assert_eq!(interleaved.table[5], (2, 1));
+        assert_eq!(interleaved.owner_shards, vec![3, 2, 2]);
+
+        // Five owners over four shards: the first range is empty and owns
+        // no table entry.
+        let ranges = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4)];
+        let map = ShardMap {
+            epoch: 1,
+            owners: ranges
+                .iter()
+                .map(|&(start, end)| OwnerSlice {
+                    endpoint: "x:1".to_owned(),
+                    start,
+                    end,
+                })
+                .collect(),
+        };
+        let ranged = Routing::ranged(&map);
+        assert_eq!(ranged.table, vec![(1, 0), (2, 0), (3, 0), (4, 0)]);
+        assert_eq!(ranged.owner_shards, vec![0, 1, 1, 1, 1]);
     }
 
     fn owner_served_requests_agree_with_the_view<T: Transport>() {
@@ -850,7 +772,8 @@ mod tests {
 
         // …and the owner-served loads agree on keys and writes (read
         // counters live client-side on wire transports, so they are
-        // excluded here; `channel.rs` pins the shared-memory case).
+        // excluded here; `shared_view_reads_are_visible_to_owner_served_loads`
+        // pins the shared-memory case).
         let served = backend.epoch_loads(0).unwrap();
         let local = view.shard_loads();
         assert_eq!(local.len(), served.len());
@@ -872,14 +795,13 @@ mod tests {
         owner_served_requests_agree_with_the_view::<TcpTransport>();
     }
 
-    fn owner_panics_surface_as_typed_errors<T: Transport>() {
-        let mut backend = RemoteBackend::<T>::new(4, 2);
+    fn owner_panics_surface_as_typed_errors<T: Transport>(mut backend: RemoteBackend<T>) {
         backend.commit_round(vec![vec![(k(1), Value::scalar(1))]], 1);
         let _ = backend.advance(1);
         // Asking for an epoch that does not exist is a protocol violation:
         // the owner panics, and the client must surface a typed error
         // carrying the harvested panic payload — not hang on a dead
-        // connection.
+        // connection — whoever hosted the owner.
         let err = backend.epoch_loads(7).unwrap_err();
         match err {
             TransportError::PeerClosed {
@@ -892,17 +814,23 @@ mod tests {
 
     #[test]
     fn mpsc_owner_panics_surface_as_typed_errors() {
-        owner_panics_surface_as_typed_errors::<MpscTransport>();
+        owner_panics_surface_as_typed_errors(ChannelBackend::new(4, 2));
     }
 
     #[test]
     fn tcp_owner_panics_surface_as_typed_errors() {
-        owner_panics_surface_as_typed_errors::<TcpTransport>();
+        owner_panics_surface_as_typed_errors(TcpBackend::new(4, 2));
+    }
+
+    #[test]
+    fn cluster_owner_panics_surface_as_typed_errors() {
+        // Owners hosted by serving processes this backend spawned: the
+        // process logs the panic and the same harvest finds it.
+        owner_panics_surface_as_typed_errors(TcpBackend::spawn_local(2, 4).unwrap());
     }
 
     fn retransmitted_requests_apply_exactly_once<T: Transport>() {
         use crate::proto::RequestKind;
-        use crate::transport::RequestFaults;
 
         let run = |faulted: bool| {
             let mut backend = RemoteBackend::<T>::new(8, 2);
@@ -950,33 +878,5 @@ mod tests {
     #[test]
     fn tcp_retransmitted_requests_apply_exactly_once() {
         retransmitted_requests_apply_exactly_once::<TcpTransport>();
-    }
-
-    #[test]
-    fn epoch_frames_rebuild_identical_replicas() {
-        let mut backend = RemoteBackend::<MpscTransport>::new(4, 1);
-        backend.commit_round(
-            vec![(0..30u64).map(|i| (k(i % 12), Value::scalar(i))).collect()],
-            1,
-        );
-        let view = backend.advance(1);
-        // Round-trip the frozen epoch through its wire frame and compare
-        // every entry of the rebuilt replica.
-        let mut original = view.entries();
-        let shared = &view.inner.groups[0];
-        let replica = FrozenEpoch::from_frame(shared.to_frame());
-        let mut rebuilt: Vec<(Key, Vec<Value>)> = replica
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .iter()
-                    .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
-            })
-            .collect();
-        original.sort_by_key(|&(key, _)| key);
-        rebuilt.sort_by_key(|&(key, _)| key);
-        assert_eq!(original, rebuilt);
-        assert_eq!(replica.writes, shared.writes);
     }
 }

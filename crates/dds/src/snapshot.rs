@@ -1,13 +1,24 @@
-//! Immutable, read-only view of a completed round.
+//! Immutable, read-only view of a completed round — the one view type every
+//! backend serves.
 //!
 //! The defining property of the AMPC model is that "the contents of `D_{i-1}`
-//! do not change within round `i`" (Section 2.1, fault tolerance).  A
-//! [`Snapshot`] enforces that property in the type system: once a
-//! [`crate::ShardedStore`] is frozen it can only be read.  Reads are lock-free
-//! (the underlying maps are never mutated) and still counted per shard so the
-//! query-contention behaviour of the model can be observed.
+//! do not change within round `i`" (Section 2.1, fault tolerance), and the
+//! model's machines read it from *one* abstract store — nothing depends on
+//! how many processes serve it.  A [`Snapshot`] enforces both in the type
+//! system: it can only be read, and it is the same type whether the epoch
+//! was frozen in place by [`crate::ShardedStore`], shared by in-process
+//! owner threads, or rebuilt from the frames of N owner processes.  Reads
+//! are lock-free (the underlying maps are never mutated) and still counted
+//! per shard so the query-contention behaviour of the model can be observed.
 //!
 //! # Layout
+//!
+//! A snapshot is a cheap-clone handle over one [`FrozenEpoch`] per owner
+//! group plus a `shard → (group, local shard)` table.  The local store is
+//! the one-group case (`table[s] = (0, s)`); the channel backend's groups
+//! are the owners' own `Arc`s (zero-copy publication); the TCP and cluster
+//! backends hold replicas rebuilt from [`EpochFrame`]s.  A lookup is one
+//! hash, one modulo and one table index, whatever produced the groups.
 //!
 //! The frozen maps store [`crate::slot::Slot`] entries: the ~99% of keys
 //! that hold a single value keep it **inline in the hash-map entry**, so a
@@ -19,187 +30,172 @@
 //! heap list per key) is kept reachable as [`crate::legacy::LegacyStore`]
 //! for the equivalence property tests.
 
-use crate::hashing::{hash_words, FxHashMap};
+use crate::backend::SnapshotView;
+use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
+use crate::proto::{EpochFrame, ShardFrame};
 use crate::slot::Slot;
-use crate::stats::{ShardLoad, StoreStats};
+use crate::stats::ShardLoad;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A frozen round of the DDS: `D_{i-1}` as seen by machines in round `i`.
+/// One frozen epoch of one owner's shard group — *the* frozen-epoch
+/// representation.
 ///
-/// Cloning a snapshot is cheap (it is an `Arc` around the shard data), which
-/// is how the runtime hands the same read-only view to every machine thread.
-#[derive(Clone)]
-pub struct Snapshot {
-    inner: Arc<SnapshotInner>,
+/// The maps are immutable once published; the read counters are atomics so
+/// concurrent machine threads and the accounting agree without locks.  On
+/// shared-memory transports the owner and every view hold the *same*
+/// allocation; on wire transports each view holds a replica rebuilt from the
+/// fetched [`EpochFrame`].
+pub struct FrozenEpoch {
+    /// `shards[local]` — frozen map of the group's `local`-th shard.
+    pub(crate) shards: Vec<FxHashMap<Key, Slot>>,
+    /// Writes that built each shard.
+    pub(crate) writes: Vec<u64>,
+    /// Reads served per shard since the epoch froze.
+    pub(crate) reads: Vec<AtomicU64>,
 }
 
-struct SnapshotInner {
-    shards: Vec<FxHashMap<Key, Slot>>,
-    writes: Vec<u64>,
-    reads: Vec<AtomicU64>,
+impl FrozenEpoch {
+    /// A freshly frozen group: `writes[local]` built `shards[local]`, no
+    /// reads served yet.
+    pub(crate) fn new(shards: Vec<FxHashMap<Key, Slot>>, writes: Vec<u64>) -> FrozenEpoch {
+        debug_assert_eq!(shards.len(), writes.len());
+        let reads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
+        FrozenEpoch {
+            shards,
+            writes,
+            reads,
+        }
+    }
+
+    /// Serialize for the wire ([`crate::proto::Reply::Epoch`]).
+    pub(crate) fn to_frame(&self) -> EpochFrame {
+        EpochFrame {
+            shards: self
+                .shards
+                .iter()
+                .zip(&self.writes)
+                .map(|(map, &writes)| ShardFrame {
+                    writes,
+                    entries: map
+                        .iter()
+                        .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Rebuild a local replica from a fetched frame, which must carry
+    /// exactly `expected_shards` shards (the sender's share of the routing
+    /// table), no entry without values and no key twice in a shard.
+    ///
+    /// A frame comes from outside the process; one that breaks these rules
+    /// is rejected here with a description, so a short or malformed frame
+    /// can never turn into an out-of-bounds index inside a machine thread.
+    pub(crate) fn from_frame(
+        frame: EpochFrame,
+        expected_shards: usize,
+    ) -> Result<FrozenEpoch, String> {
+        if frame.shards.len() != expected_shards {
+            return Err(format!(
+                "epoch frame carries {} shards, the routing expects {expected_shards}",
+                frame.shards.len()
+            ));
+        }
+        let mut shards = Vec::with_capacity(frame.shards.len());
+        let mut writes = Vec::with_capacity(frame.shards.len());
+        for (local, shard) in frame.shards.into_iter().enumerate() {
+            let mut map = FxHashMap::default();
+            map.reserve(shard.entries.len());
+            for (key, mut values) in shard.entries {
+                let slot = match values.len() {
+                    0 => {
+                        return Err(format!(
+                            "epoch frame shard {local} holds {key} with no values"
+                        ))
+                    }
+                    1 => Slot::One(values[0]),
+                    _ => {
+                        values.shrink_to_fit();
+                        Slot::Many(values)
+                    }
+                };
+                if map.insert(key, slot).is_some() {
+                    return Err(format!("epoch frame shard {local} holds {key} twice"));
+                }
+            }
+            shards.push(map);
+            writes.push(shard.writes);
+        }
+        Ok(FrozenEpoch::new(shards, writes))
+    }
+}
+
+/// A frozen round of the DDS: `D_{i-1}` as seen by machines in round `i`.
+///
+/// Cloning a snapshot is an `Arc` bump, which is how the runtime hands the
+/// same read-only view to every machine thread; clones share the epoch data
+/// and therefore the read accounting.  Every operation resolves locally
+/// against the frozen groups, with no transport traffic, so a snapshot stays
+/// valid — and its reads byte-identical — for as long as the caller keeps
+/// it, even after the backend (and its owners) are gone.
+#[derive(Clone)]
+pub struct Snapshot {
+    inner: Arc<Inner>,
+}
+
+struct Inner {
+    /// The epoch's frozen data, one entry per owner group.
+    groups: Vec<Arc<FrozenEpoch>>,
+    /// `table[shard]` — (group, local shard index) holding global `shard`.
+    table: Vec<(u32, u32)>,
 }
 
 impl Snapshot {
-    /// Build a snapshot from per-shard frozen maps and their historical
-    /// write counts.
-    pub(crate) fn from_parts(shards: Vec<FxHashMap<Key, Slot>>, writes: Vec<u64>) -> Self {
-        let reads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
+    /// View of one epoch: `table[shard] = (group, local)` places every
+    /// global shard inside `groups`.
+    pub(crate) fn new(groups: Vec<Arc<FrozenEpoch>>, table: Vec<(u32, u32)>) -> Snapshot {
+        assert!(!table.is_empty(), "a snapshot has at least one shard");
+        debug_assert!(table.iter().all(|&(group, local)| {
+            groups
+                .get(group as usize)
+                .is_some_and(|epoch| (local as usize) < epoch.shards.len())
+        }));
         Snapshot {
-            inner: Arc::new(SnapshotInner {
-                shards,
-                writes,
-                reads,
-            }),
+            inner: Arc::new(Inner { groups, table }),
         }
     }
 
-    /// An empty snapshot with `num_shards` shards (used as `D_{-1}` before
-    /// any input is loaded).
+    /// The one-group view: `epoch.shards[s]` is global shard `s`.
+    pub(crate) fn single(epoch: FrozenEpoch) -> Snapshot {
+        let table = (0..epoch.shards.len() as u32).map(|s| (0, s)).collect();
+        Snapshot::new(vec![Arc::new(epoch)], table)
+    }
+
+    /// An empty snapshot with `num_shards` shards (`D_{-1}`, before any
+    /// input is loaded): one group of empty maps, so every lookup misses
+    /// through the ordinary read path and is counted like any other.
     pub fn empty(num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
-        Snapshot::from_parts(vec![FxHashMap::default(); num_shards], vec![0; num_shards])
+        Snapshot::single(FrozenEpoch::new(
+            vec![FxHashMap::default(); num_shards],
+            vec![0; num_shards],
+        ))
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
+    /// The frozen group and local shard index holding global `shard`.
     #[inline]
-    fn shard_of(&self, key: &Key) -> usize {
-        (hash_words(key.tag.code(), key.a, key.b) % self.inner.shards.len() as u64) as usize
+    fn place(&self, shard: usize) -> (&FrozenEpoch, usize) {
+        let (group, local) = self.inner.table[shard];
+        (&self.inner.groups[group as usize], local as usize)
     }
 
+    /// The frozen group and local shard index responsible for `key`.
     #[inline]
-    fn record_read(&self, shard: usize) {
-        self.inner.reads[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// First value stored under `key`, if any.  Counts as one query.
-    pub fn get(&self, key: &Key) -> Option<Value> {
-        let shard = self.shard_of(key);
-        self.record_read(shard);
-        self.inner.shards[shard].get(key).map(Slot::first)
-    }
-
-    /// Look up a batch of keys in one call.  Counts as `keys.len()` queries,
-    /// exactly as if [`Snapshot::get`] had been called per key.
-    ///
-    /// `out` is **cleared first**, then filled with one entry per key, in
-    /// key order.
-    ///
-    /// This is the read path behind the runtime's batched adaptive reads: a
-    /// real deployment would pipeline the batch over the network, and the
-    /// simulation amortizes the per-query read accounting over the batch
-    /// (one counter update per shard run instead of one per key).
-    pub fn get_many(&self, keys: &[Key], out: &mut Vec<Option<Value>>) {
-        out.clear();
-        out.resize(keys.len(), None);
-        self.get_many_slice(keys, out);
-    }
-
-    /// [`Snapshot::get_many`] into a caller-provided slice, for hot loops
-    /// that batch into fixed-size stack buffers.  `out[i]` receives the
-    /// result for `keys[i]`.  Counts as `keys.len()` queries.
-    ///
-    /// # Panics
-    /// If `out` is shorter than `keys`.
-    pub fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
-        assert!(
-            out.len() >= keys.len(),
-            "output slice shorter than key batch"
-        );
-        // Coalesce read-counter updates over runs of same-shard keys; totals
-        // are identical to per-key counting.
-        let mut run_shard = usize::MAX;
-        let mut run_len = 0u64;
-        for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            let shard = self.shard_of(key);
-            if shard != run_shard {
-                if run_len > 0 {
-                    self.inner.reads[run_shard].fetch_add(run_len, Ordering::Relaxed);
-                }
-                run_shard = shard;
-                run_len = 0;
-            }
-            run_len += 1;
-            *slot = self.inner.shards[shard].get(key).map(Slot::first);
-        }
-        if run_len > 0 {
-            self.inner.reads[run_shard].fetch_add(run_len, Ordering::Relaxed);
-        }
-    }
-
-    /// The `index`-th value stored under `key` (zero-based).  Counts as one
-    /// query.
-    pub fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
-        let shard = self.shard_of(key);
-        self.record_read(shard);
-        self.inner.shards[shard]
-            .get(key)
-            .and_then(|slot| slot.get(index))
-    }
-
-    /// All values stored under `key` (empty slice semantics if absent).
-    ///
-    /// Counts as `multiplicity(key)` queries, mirroring the model where each
-    /// `(x, i)` lookup is a separate query.
-    pub fn get_all(&self, key: &Key) -> Vec<Value> {
-        let shard = self.shard_of(key);
-        let values = self.inner.shards[shard]
-            .get(key)
-            .map(|slot| slot.as_slice().to_vec())
-            .unwrap_or_default();
-        self.inner.reads[shard].fetch_add(values.len().max(1) as u64, Ordering::Relaxed);
-        values
-    }
-
-    /// Number of values stored under `key`.  Counts as one query.
-    pub fn multiplicity(&self, key: &Key) -> usize {
-        let shard = self.shard_of(key);
-        self.record_read(shard);
-        self.inner.shards[shard].get(key).map_or(0, Slot::len)
-    }
-
-    /// Number of distinct keys in the snapshot.
-    pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// `true` if the snapshot holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.inner.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Per-shard loads (keys held, historical writes, reads served so far).
-    pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        self.inner
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardLoad {
-                shard: i,
-                keys: s.len() as u64,
-                writes: self.inner.writes[i],
-                reads: self.inner.reads[i].load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Aggregate statistics over all shards.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats::from_loads(self.shard_loads())
-    }
-
-    /// Total reads served by this snapshot so far.
-    pub fn total_reads(&self) -> u64 {
-        self.inner
-            .reads
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .sum()
+    fn locate(&self, key: &Key) -> (&FrozenEpoch, usize) {
+        self.place(key.shard(self.inner.table.len()))
     }
 
     /// Iterate over every `(key, values)` pair in the snapshot.
@@ -209,9 +205,118 @@ impl Snapshot {
     /// paper implements "using standard MPC primitives" — and for tests.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &[Value])> {
         self.inner
-            .shards
+            .groups
             .iter()
-            .flat_map(|s| s.iter().map(|(k, slot)| (k, slot.as_slice())))
+            .flat_map(|group| &group.shards)
+            .flat_map(|shard| shard.iter().map(|(k, slot)| (k, slot.as_slice())))
+    }
+}
+
+/// The read surface, for every backend.  `get_many` and `stats` are the
+/// trait's provided methods.
+impl SnapshotView for Snapshot {
+    fn num_shards(&self) -> usize {
+        self.inner.table.len()
+    }
+
+    fn get(&self, key: &Key) -> Option<Value> {
+        let (epoch, local) = self.locate(key);
+        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
+        epoch.shards[local].get(key).map(Slot::first)
+    }
+
+    fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
+        let (epoch, local) = self.locate(key);
+        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
+        epoch.shards[local]
+            .get(key)
+            .and_then(|slot| slot.get(index))
+    }
+
+    fn get_all(&self, key: &Key) -> Vec<Value> {
+        let (epoch, local) = self.locate(key);
+        let values = epoch.shards[local]
+            .get(key)
+            .map(|slot| slot.as_slice().to_vec())
+            .unwrap_or_default();
+        epoch.reads[local].fetch_add(values.len().max(1) as u64, Ordering::Relaxed);
+        values
+    }
+
+    fn multiplicity(&self, key: &Key) -> usize {
+        let (epoch, local) = self.locate(key);
+        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
+        epoch.shards[local].get(key).map_or(0, Slot::len)
+    }
+
+    fn len(&self) -> usize {
+        self.inner
+            .groups
+            .iter()
+            .flat_map(|group| &group.shards)
+            .map(FxHashMap::len)
+            .sum()
+    }
+
+    /// This is the read path behind the runtime's batched adaptive reads: a
+    /// real deployment would pipeline the batch over the network, and the
+    /// simulation amortizes the per-query read accounting over the batch
+    /// (one counter update per shard run instead of one per key).
+    fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
+        assert!(
+            out.len() >= keys.len(),
+            "output slice shorter than key batch"
+        );
+        // Coalesce read-counter updates over runs of same-shard keys; totals
+        // are identical to per-key counting.
+        let mut run_shard = usize::MAX;
+        let mut run_len = 0u64;
+        let (mut epoch, mut local) = self.place(0);
+        for (key, slot) in keys.iter().zip(out.iter_mut()) {
+            let shard = key.shard(self.inner.table.len());
+            if shard != run_shard {
+                if run_len > 0 {
+                    epoch.reads[local].fetch_add(run_len, Ordering::Relaxed);
+                }
+                (epoch, local) = self.place(shard);
+                run_shard = shard;
+                run_len = 0;
+            }
+            run_len += 1;
+            *slot = epoch.shards[local].get(key).map(Slot::first);
+        }
+        if run_len > 0 {
+            epoch.reads[local].fetch_add(run_len, Ordering::Relaxed);
+        }
+    }
+
+    fn total_reads(&self) -> u64 {
+        self.inner
+            .groups
+            .iter()
+            .flat_map(|group| &group.reads)
+            .map(|reads| reads.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn shard_loads(&self) -> Vec<ShardLoad> {
+        (0..self.inner.table.len())
+            .map(|shard| {
+                let (epoch, local) = self.place(shard);
+                ShardLoad {
+                    shard,
+                    keys: epoch.shards[local].len() as u64,
+                    writes: epoch.writes[local],
+                    reads: epoch.reads[local].load(Ordering::Relaxed),
+                }
+            })
+            .collect()
+    }
+
+    fn entries(&self) -> Vec<(Key, Vec<Value>)> {
+        self.iter()
+            .map(|(key, values)| (*key, values.to_vec()))
+            .collect()
     }
 }
 
@@ -219,6 +324,7 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("num_shards", &self.num_shards())
+            .field("groups", &self.inner.groups.len())
             .field("keys", &self.len())
             .field("total_reads", &self.total_reads())
             .finish()
@@ -337,5 +443,92 @@ mod tests {
         assert_eq!(loads.iter().map(|l| l.writes).sum::<u64>(), 3);
         assert_eq!(loads.iter().map(|l| l.reads).sum::<u64>(), 1);
         assert_eq!(loads.iter().map(|l| l.keys).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn multi_group_views_read_like_one_store() {
+        // The same pairs as one group and split over three interleaved
+        // groups: every observable must agree.
+        let pairs: Vec<(u64, u64)> = (0..300).map(|i| (i % 90, i)).collect();
+        let whole = snapshot_with(&pairs);
+        let frozen = &whole.inner.groups[0];
+        let mut table = vec![(0, 0); frozen.shards.len()];
+        let groups = (0..3usize)
+            .map(|group| {
+                let held = (group..frozen.shards.len()).step_by(3);
+                for (local, shard) in held.clone().enumerate() {
+                    table[shard] = (group as u32, local as u32);
+                }
+                Arc::new(FrozenEpoch::new(
+                    held.clone().map(|s| frozen.shards[s].clone()).collect(),
+                    held.map(|s| frozen.writes[s]).collect(),
+                ))
+            })
+            .collect();
+        let split = Snapshot::new(groups, table);
+        assert_eq!(split.num_shards(), whole.num_shards());
+        assert_eq!(split.len(), whole.len());
+        let keys: Vec<Key> = (0..120u64).map(k).collect();
+        let (mut lhs, mut rhs) = (Vec::new(), Vec::new());
+        whole.get_many(&keys, &mut lhs);
+        split.get_many(&keys, &mut rhs);
+        assert_eq!(lhs, rhs);
+        for key in &keys {
+            assert_eq!(split.get_all(key), whole.get_all(key));
+        }
+        assert_eq!(split.shard_loads(), whole.shard_loads());
+    }
+
+    #[test]
+    fn epoch_frames_rebuild_identical_replicas() {
+        let snap = snapshot_with(&(0..30).map(|i| (i % 12, i)).collect::<Vec<_>>());
+        // Round-trip the frozen epoch through its wire frame and compare
+        // every entry of the rebuilt replica.
+        let frozen = &snap.inner.groups[0];
+        let replica = FrozenEpoch::from_frame(frozen.to_frame(), frozen.shards.len()).unwrap();
+        assert_eq!(replica.shards, frozen.shards);
+        assert_eq!(replica.writes, frozen.writes);
+    }
+
+    fn crafted_frame(shards: Vec<Vec<(Key, Vec<Value>)>>) -> EpochFrame {
+        EpochFrame {
+            shards: shards
+                .into_iter()
+                .map(|entries| ShardFrame {
+                    writes: entries.len() as u64,
+                    entries,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn frames_with_the_wrong_shard_count_are_rejected() {
+        let frame = || crafted_frame(vec![vec![(k(1), vec![Value::scalar(1)])]]);
+        assert!(FrozenEpoch::from_frame(frame(), 1).is_ok());
+        for expected in [0, 2] {
+            let err = FrozenEpoch::from_frame(frame(), expected).err().unwrap();
+            assert!(err.contains("carries 1 shards"), "{err}");
+        }
+    }
+
+    #[test]
+    fn frames_with_an_empty_entry_are_rejected() {
+        let frame = crafted_frame(vec![vec![(k(1), vec![Value::scalar(1)]), (k(2), vec![])]]);
+        let err = FrozenEpoch::from_frame(frame, 1).err().unwrap();
+        assert!(err.contains("no values"), "{err}");
+    }
+
+    #[test]
+    fn frames_with_a_repeated_key_are_rejected() {
+        let frame = crafted_frame(vec![
+            vec![],
+            vec![
+                (k(7), vec![Value::scalar(1)]),
+                (k(7), vec![Value::scalar(2), Value::scalar(3)]),
+            ],
+        ]);
+        let err = FrozenEpoch::from_frame(frame, 2).err().unwrap();
+        assert!(err.contains("shard 1") && err.contains("twice"), "{err}");
     }
 }

@@ -26,10 +26,10 @@
 //! because a key lives on exactly one shard, per-shard order fully
 //! determines the multi-value indices of Section 2 of the paper.
 
-use crate::hashing::{hash_words, FxHashMap};
+use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
 use crate::slot::Slot;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{FrozenEpoch, Snapshot};
 use crate::stats::{ShardLoad, StoreStats};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,7 +60,7 @@ impl Shard {
 /// Multi-value semantics follow Section 2 of the paper: if `k > 1` pairs are
 /// written under the same key `x`, the individual values are addressable as
 /// `(x, 1), …, (x, k)` — here via [`ShardedStore::get_indexed`] /
-/// [`Snapshot::get_indexed`] — with the indices assigned in commit order.
+/// [`crate::SnapshotView::get_indexed`] — with the indices assigned in commit order.
 pub struct ShardedStore {
     shards: Vec<Mutex<Shard>>,
     write_counts: Vec<AtomicU64>,
@@ -89,7 +89,7 @@ impl ShardedStore {
     /// the key, as the model's contention analysis requires.
     #[inline]
     pub fn shard_of(&self, key: &Key) -> usize {
-        (hash_words(key.tag.code(), key.a, key.b) % self.num_shards as u64) as usize
+        key.shard(self.num_shards)
     }
 
     /// Append `value` under `key`.
@@ -368,7 +368,7 @@ impl ShardedStore {
                 .map(|slot| slot.into_inner().expect("each shard frozen once"))
                 .collect()
         };
-        Snapshot::from_parts(frozen, writes)
+        Snapshot::single(FrozenEpoch::new(frozen, writes))
     }
 
     /// Snapshot-style statistics of the writable store (reads are always 0).
@@ -442,6 +442,7 @@ impl std::fmt::Debug for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SnapshotView;
     use crate::key::KeyTag;
 
     fn k(a: u64) -> Key {

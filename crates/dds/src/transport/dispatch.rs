@@ -29,12 +29,12 @@
 use crate::hashing::FxHashMap;
 use crate::key::Key;
 use crate::proto::{Reply, Request};
-use crate::remote::FrozenEpoch;
 use crate::slot::Slot;
+use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
 use crate::transport::{OwnerReply, ServerTransport};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Commit acknowledgements remembered for deduplication.  Must exceed the
@@ -91,8 +91,9 @@ impl Worker {
     /// the pipelined TCP server this loop *is* the dispatch stage — the
     /// reader stage decodes ahead and the writer stage flushes behind, so
     /// `recv_request` and `send_reply` only touch bounded in-process
-    /// queues.
-    pub(crate) fn serve<S: ServerTransport>(mut self, mut transport: S) {
+    /// queues.  The transport is borrowed, so a host that catches an owner
+    /// panic still holds the connection and decides when to close it.
+    pub(crate) fn serve<S: ServerTransport>(mut self, transport: &mut S) {
         while let Some(request) = transport.recv_request() {
             let session = transport.session();
             let reply = self.handle(session, request);
@@ -129,11 +130,7 @@ impl Worker {
             crate::slot::freeze_map_in_place(map);
         }
         let writes = std::mem::replace(&mut self.writable_writes, vec![0; shard_count]);
-        Arc::new(FrozenEpoch {
-            shards,
-            writes,
-            reads: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-        })
+        Arc::new(FrozenEpoch::new(shards, writes))
     }
 
     /// Index of the epoch commits currently build: the published count,

@@ -89,7 +89,10 @@
 //! reads.  A reconnect that lands on an owner which already reclaimed the
 //! session (lease expired) surfaces as the typed
 //! [`TransportError::LeaseLost`] — continuing silently would resurrect a
-//! session whose pending state is gone.
+//! session whose pending state is gone.  That is only demanded of a session
+//! that *was* granted: a connection severed before its first grant was read
+//! has no acknowledged state to lose, its handshake may reach the owner
+//! after the reconnect's, and the full replay makes either grant safe.
 //!
 //! # Fault injection
 //!
@@ -132,7 +135,7 @@ pub use session::{
 pub(crate) use session::{read_lease_frame, LeaseFrame, ServeHandoff};
 
 use crate::proto::{ProtoError, Reply, Request, RequestKind};
-use crate::remote::FrozenEpoch;
+use crate::snapshot::FrozenEpoch;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
@@ -332,6 +335,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
 }
 
+/// [`panic_message`] of a dead owner, for the `panic` of a
+/// [`TransportError::PeerClosed`].
+pub(crate) fn owner_panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    panic_message(payload).unwrap_or_else(|| "owner panicked with a non-string payload".to_string())
+}
+
 // ---------------------------------------------------------------------------
 // The transport traits
 // ---------------------------------------------------------------------------
@@ -380,6 +389,12 @@ pub trait Transport: Send + Sized + 'static {
 
     /// Receive the reply to the oldest unanswered request.
     fn recv(&mut self) -> Result<ClientReply, TransportError>;
+
+    /// Session id this connection leases under — the client half of
+    /// [`ServerTransport::session`].  Transports without leases report `0`.
+    fn session(&self) -> u64 {
+        0
+    }
 }
 
 /// Server (owner) half of one backend↔owner connection.

@@ -237,9 +237,14 @@ pub struct TcpTransport {
     /// A lease handshake is in flight: the next frame read must be the
     /// grant, consumed before ordinary replies.
     await_grant: bool,
-    /// Whether the pending grant must report `resumed` (reconnects) or
-    /// fresh state (first connection).
-    expect_resumed: bool,
+    /// The pending grant answers a reconnect handshake (`false`: the first
+    /// connection, whose grant must report fresh state).
+    reconnected: bool,
+    /// A grant was absorbed on an earlier connection, so the owner holds
+    /// acknowledged state of this session: from then on a reconnect grant
+    /// must report `resumed`.  Before that either answer is safe — nothing
+    /// was ever acknowledged, and the reconnect replays every request.
+    granted: bool,
     /// The cluster shard map carried by the most recent lease grant
     /// (`None` when the owner serves standalone).
     shard_map: Option<ShardMap>,
@@ -301,7 +306,8 @@ impl TcpTransport {
             encoder: FrameWriter::new(),
             pending: VecDeque::new(),
             await_grant: true,
-            expect_resumed: false,
+            reconnected: false,
+            granted: false,
             shard_map: None,
             faults: RequestFaults::none(),
         };
@@ -350,7 +356,7 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         self.stream = stream;
         self.await_grant = true;
-        self.expect_resumed = true;
+        self.reconnected = true;
         let lease = self.lease_request();
         self.encoder.send_request(&mut self.stream, &lease)?;
         for request in &self.pending {
@@ -482,13 +488,13 @@ impl TcpTransport {
                         ),
                     });
                 }
-                if self.expect_resumed && !resumed {
+                if self.granted && !resumed {
                     return Err(TransportError::LeaseLost {
                         worker: self.worker,
                         session,
                     });
                 }
-                if !self.expect_resumed && resumed {
+                if !self.reconnected && resumed {
                     return Err(TransportError::Protocol {
                         worker: self.worker,
                         message: format!("session {session:#x} collided with existing state"),
@@ -496,6 +502,7 @@ impl TcpTransport {
                 }
                 self.shard_map = shard_map;
                 self.await_grant = false;
+                self.granted = true;
                 if stop_after_grant {
                     return Ok(None);
                 }
@@ -558,6 +565,10 @@ impl Transport for TcpTransport {
         let reply = self.recv_reply()?;
         self.pending.pop_front();
         Ok(ClientReply::Wire(reply))
+    }
+
+    fn session(&self) -> u64 {
+        self.options.session
     }
 }
 
@@ -826,25 +837,18 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 impl TcpServer {
     /// A server accepting (re)connections from its own loopback listener.
     pub(crate) fn from_listener(listener: TcpListener, worker: usize) -> TcpServer {
-        TcpServer {
-            source: StreamSource::Listener(listener),
-            worker,
-            conn: None,
-            pool: FramePool::new(),
-            ttl: Duration::ZERO,
-            disconnected_at: None,
-            served_before: false,
-            session: 0,
-            shard_map: None,
-            finished: false,
-        }
+        TcpServer::new(StreamSource::Listener(listener), worker)
     }
 
     /// A server fed routed connections by a shared acceptor
     /// (`ampc_dds::serve`).
     pub(crate) fn from_mailbox(mailbox: Receiver<ServeHandoff>, worker: usize) -> TcpServer {
+        TcpServer::new(StreamSource::Mailbox(mailbox), worker)
+    }
+
+    fn new(source: StreamSource, worker: usize) -> TcpServer {
         TcpServer {
-            source: StreamSource::Mailbox(mailbox),
+            source,
             worker,
             conn: None,
             pool: FramePool::new(),

@@ -7,7 +7,7 @@
 
 use ampc_dds::codec::{decode_pair, encode_pair, ENCODED_PAIR_BYTES};
 use ampc_dds::legacy::LegacyStore;
-use ampc_dds::{DdsChain, Key, KeyTag, ShardedStore, Value};
+use ampc_dds::{DdsChain, Key, KeyTag, ShardedStore, SnapshotView, Value};
 use proptest::prelude::*;
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {

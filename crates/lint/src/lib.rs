@@ -3,8 +3,8 @@
 //! The correctness story of this workspace rests on invariants no compiler
 //! checks: every `proto::Request` variant needs a dispatch handler *and* a
 //! declared replay policy (the idempotent-replay guarantee), wire tags must
-//! stay bijective per direction, cluster constants must agree across
-//! crates, and production paths must not panic.  With no registry
+//! stay bijective per direction, transport constants must agree across
+//! files, and production paths must not panic.  With no registry
 //! available, the analyzer is built in-tree — a hand-rolled lexer and
 //! item-parser (no `syn`), the same philosophy as `crates/compat/` — and
 //! run as `cargo run -p ampc-lint` locally and in CI.
@@ -15,7 +15,7 @@
 //! |---|---|
 //! | [`passes::proto_conformance`] | protocol closure: variant ⇄ tag ⇄ dispatch arm ⇄ `REPLAY_POLICY` entry |
 //! | [`passes::panic_path`] | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` outside `#[cfg(test)]`, allowlist requires a reason |
-//! | [`passes::const_consistency`] | dedup window ≥ 2×pipeline depth, frame caps identical across files, cluster arms = `MAX_CLUSTER_OWNERS` |
+//! | [`passes::const_consistency`] | dedup window ≥ 2×pipeline depth, frame caps identical across files |
 //! | [`passes::blocking`] | no sleeps/unbounded reads in dispatch/serve loops outside annotated backoff |
 //!
 //! Findings print as `file:line: [pass] message`; any finding is a nonzero

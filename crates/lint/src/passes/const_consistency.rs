@@ -1,6 +1,6 @@
 //! **const-consistency** — numeric invariants that span files.
 //!
-//! Three relationships hold the transport together and nothing but
+//! Two relationships hold the transport together and nothing but
 //! convention kept them aligned:
 //!
 //! * `COMMIT_REPLAY_WINDOW` (dispatch) must be ≥ 2 × `PIPELINE_DEPTH` and
@@ -11,14 +11,9 @@
 //!   (`MAX_FRAME_BYTES`, rejects oversized frames) and
 //!   `transport/codec.rs` (`MAX_RETAINED_FRAME_BYTES`, stops the frame
 //!   pool from pinning buffers no legal frame can need).
-//! * `MAX_CLUSTER_OWNERS` (ampc config) must equal the monomorphized
-//!   `cluster_backend_arm!` arm count in `runtime.rs` — the arms are
-//!   written out by hand, so a bumped constant without new arms would
-//!   panic at run time on a count the config layer accepts.
 
 use crate::diag::Diagnostic;
 use crate::parse;
-use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
 pub const NAME: &str = "const-consistency";
@@ -27,8 +22,6 @@ const DISPATCH: &str = "crates/dds/src/transport/dispatch.rs";
 const SESSION: &str = "crates/dds/src/transport/session.rs";
 const PROTO: &str = "crates/dds/src/proto.rs";
 const TCODEC: &str = "crates/dds/src/transport/codec.rs";
-const CONFIG: &str = "crates/ampc/src/config.rs";
-const RUNTIME: &str = "crates/ampc/src/runtime.rs";
 
 pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -76,7 +69,6 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
 
-    check_cluster_arms(ws, &mut diags);
     diags
 }
 
@@ -105,97 +97,4 @@ fn anchor(
         ));
     }
     found
-}
-
-/// `MAX_CLUSTER_OWNERS` vs. the hand-written `N => cluster_backend_arm!(N, …)`
-/// arms: contiguous from 1, self-consistent, and exactly as many as the
-/// config layer admits.
-fn check_cluster_arms(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    let max_owners = anchor(ws, CONFIG, "MAX_CLUSTER_OWNERS", diags);
-    let Some(runtime) = ws.file(RUNTIME) else {
-        diags.push(Diagnostic::new(
-            NAME,
-            RUNTIME,
-            0,
-            "file not found — cluster_backend_arm! arms unreachable",
-        ));
-        return;
-    };
-    let arms = cluster_arms(runtime);
-    for arm in &arms {
-        if arm.pattern != arm.argument {
-            diags.push(Diagnostic::new(
-                NAME,
-                RUNTIME,
-                arm.line,
-                format!(
-                    "cluster arm pattern {} instantiates cluster_backend_arm!({}) — owner counts disagree",
-                    arm.pattern, arm.argument
-                ),
-            ));
-        }
-    }
-    let Some((max_owners, max_line)) = max_owners else {
-        return;
-    };
-    let mut patterns: Vec<u128> = arms.iter().map(|a| a.pattern).collect();
-    patterns.sort_unstable();
-    patterns.dedup();
-    let expected: Vec<u128> = (1..=max_owners).collect();
-    if patterns != expected {
-        let line = arms.first().map_or(0, |a| a.line);
-        diags.push(Diagnostic::new(
-            NAME,
-            RUNTIME,
-            line,
-            format!(
-                "cluster_backend_arm! arms cover owner counts {patterns:?} but MAX_CLUSTER_OWNERS at {CONFIG}:{max_line} is {max_owners} (need exactly 1..={max_owners})"
-            ),
-        ));
-    }
-}
-
-struct ClusterArm {
-    pattern: u128,
-    argument: u128,
-    line: usize,
-}
-
-/// Match-arm lines of the form `N => …cluster_backend_arm!(M, …)`.  The
-/// macro definition itself has no integer-literal pattern prefix, so only
-/// the dispatch arms match.
-fn cluster_arms(sf: &SourceFile) -> Vec<ClusterArm> {
-    let mut arms = Vec::new();
-    for line in 1..=sf.line_count() {
-        let text = sf.code_line(line);
-        let Some(mac) = text.find("cluster_backend_arm!") else {
-            continue;
-        };
-        let trimmed = text.trim_start();
-        let digits: String = trimmed.chars().take_while(char::is_ascii_digit).collect();
-        if digits.is_empty() || !trimmed[digits.len()..].trim_start().starts_with("=>") {
-            continue;
-        }
-        let Ok(pattern) = digits.parse::<u128>() else {
-            continue;
-        };
-        let after = &text[mac + "cluster_backend_arm!".len()..];
-        let Some(open) = after.find('(') else {
-            continue;
-        };
-        let arg_digits: String = after[open + 1..]
-            .trim_start()
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        let Ok(argument) = arg_digits.parse::<u128>() else {
-            continue;
-        };
-        arms.push(ClusterArm {
-            pattern,
-            argument,
-            line,
-        });
-    }
-    arms
 }

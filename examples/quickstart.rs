@@ -8,9 +8,10 @@
 //! Run with: `cargo run --release --example quickstart [-- <backend>]`
 //!
 //! The DDS backend serving the AMPC runs is selectable without touching
-//! code: pass `local`, `channel` or `remote` as the first argument (or set
-//! `AMPC_BACKEND`).  `remote` runs every round over localhost TCP sockets
-//! speaking the `ampc_dds::proto` wire format — same answers, same round
+//! code: pass `local`, `channel`, `remote` or `cluster` as the first argument
+//! (or set `AMPC_BACKEND`).  `remote` runs every round over localhost TCP
+//! sockets speaking the `ampc_dds::proto` wire format, and `cluster` is the
+//! same client over two serving processes — same answers, same round
 //! counts, per the cross-backend determinism suite.
 //!
 //! # Two-process mode
@@ -39,7 +40,9 @@
 //! ```
 //!
 //! spawns 3 cluster owners on ephemeral ports inside this process and runs
-//! the quickstart against them.  To split the owners into their own
+//! the quickstart against them.  The owner count is a run-time number — any
+//! count up to the shard ceiling works, and owners beyond a stage's shard
+//! count simply hold an empty range.  To split the owners into their own
 //! processes, give every owner the same peer list plus its own index, then
 //! point a client at the list (or set `AMPC_ENDPOINTS`):
 //!
@@ -50,14 +53,14 @@
 //! ```
 
 use ampc_suite::prelude::*;
-use ampc_suite::runtime::{parse_endpoint_list, MAX_CLUSTER_OWNERS};
+use ampc_suite::runtime::{parse_endpoint_list, MAX_SHARDS};
 
 fn usage() -> ! {
     eprintln!(
         "usage: quickstart [local|channel|remote|cluster]\n       \
          quickstart --serve <addr>\n       \
          quickstart --connect <addr>\n       \
-         quickstart --cluster <owners>\n       \
+         quickstart --cluster <owners>   (any count in 1..={MAX_SHARDS})\n       \
          quickstart --serve-cluster <node> <addr,addr,...>\n       \
          quickstart --connect-cluster <addr,addr,...>\n\n\
          AMPC_ENDPOINTS=<addr,addr,...> selects cluster mode without flags."
@@ -100,8 +103,8 @@ fn main() {
                 .get(1)
                 .and_then(|raw| raw.parse().ok())
                 .unwrap_or_else(|| usage());
-            if owners == 0 || owners > MAX_CLUSTER_OWNERS {
-                eprintln!("--cluster takes 1..={MAX_CLUSTER_OWNERS} owners, got {owners}");
+            if owners == 0 || owners > MAX_SHARDS {
+                eprintln!("--cluster takes 1..={MAX_SHARDS} owners, got {owners}");
                 std::process::exit(2);
             }
             // Spawn the owners on ephemeral ports: bind every listener first

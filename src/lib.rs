@@ -34,6 +34,7 @@ pub mod prelude {
         spanning_forest, subtree_sizes, two_cycle, two_cycle_with, two_edge_connectivity,
         AlgorithmResult, TwoCycleAnswer,
     };
+    pub use ampc_dds::SnapshotView;
     pub use ampc_graph::{generators, sequential, Edge, EdgeList, Graph};
     pub use ampc_runtime::{
         AmpcConfig, AmpcRuntime, BudgetMode, DdsBackendKind, FaultPlan, RunStats,

@@ -2,17 +2,18 @@
 //!
 //! One parameterized battery drives `LocalBackend`, `ChannelBackend`,
 //! `TcpBackend` (the socket-backed `RemoteBackend` speaking the
-//! `ampc_dds::proto` wire format) and the executable specification
-//! `legacy::LegacyStore` through the same write scripts and holds every
-//! observable — `get`, `get_indexed`, `multiplicity`, `len`, `read_many`
-//! (order and content), multi-value index order, and the per-query read
-//! accounting — to identical results.  The property tests at the bottom
-//! extend the battery to arbitrary write interleavings.
+//! `ampc_dds::proto` wire format — over in-process owners and over
+//! `cluster(n)` serving processes for n = 1..=5) and the executable
+//! specification `legacy::LegacyStore` through the same write scripts and
+//! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
+//! `read_many` (order and content), multi-value index order, and the
+//! per-query read accounting — to identical results.  The property tests at
+//! the bottom extend the battery to arbitrary write interleavings.
 
 use ampc_dds::legacy::LegacyStore;
 use ampc_dds::{
-    ChannelBackend, ClusterBackend, DdsBackend, Key, KeyTag, LocalBackend, SnapshotView,
-    TcpBackend, Value,
+    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, Snapshot, SnapshotView, TcpBackend,
+    Value,
 };
 use ampc_runtime::{AmpcConfig, AmpcRuntime, DdsBackendKind};
 use proptest::prelude::*;
@@ -32,9 +33,14 @@ fn k(a: u64) -> Key {
     Key::of(KeyTag::Scalar, a)
 }
 
+/// `cluster(owners)`: the TCP client over `owners` locally spawned serving
+/// processes.
+fn cluster(owners: usize, shards: usize) -> TcpBackend {
+    TcpBackend::spawn_local(owners, shards).expect("spawning a local cluster on loopback")
+}
+
 /// Apply every epoch of `script` to a backend, returning one view per epoch.
-fn run_script<B: DdsBackend>(script: &Script, shards: usize, threads: usize) -> Vec<B::View> {
-    let mut backend = B::with_shards(shards, threads);
+fn run_script<B: DdsBackend>(mut backend: B, script: &Script, threads: usize) -> Vec<B::View> {
     script
         .iter()
         .map(|batches| {
@@ -104,7 +110,7 @@ fn assert_view_matches_legacy<V: SnapshotView>(view: &V, legacy: &LegacyStore, p
     );
 }
 
-/// Run the full battery for one script on all four backends.
+/// Run the full battery for one script on every backend shape.
 fn conformance_battery(script: Script, shards: usize, threads: usize) {
     // Probe keys: everything ever written plus guaranteed misses.
     let mut probe: Vec<Key> = script
@@ -116,48 +122,50 @@ fn conformance_battery(script: Script, shards: usize, threads: usize) {
     probe.push(Key::of(KeyTag::Custom(999), u64::MAX));
     probe.push(k(u64::MAX - 1));
 
-    let local = run_script::<LocalBackend>(&script, shards, threads);
-    let channel = run_script::<ChannelBackend>(&script, shards, threads);
-    let remote = run_script::<TcpBackend>(&script, shards, threads);
-    let cluster2 = run_script::<ClusterBackend<2>>(&script, shards, threads);
-    let cluster4 = run_script::<ClusterBackend<4>>(&script, shards, threads);
+    let mut legs: Vec<(String, Vec<Snapshot>)> = vec![
+        (
+            "local".into(),
+            run_script(LocalBackend::with_shards(shards, threads), &script, threads),
+        ),
+        (
+            "channel".into(),
+            run_script(
+                ChannelBackend::with_shards(shards, threads),
+                &script,
+                threads,
+            ),
+        ),
+        (
+            "remote".into(),
+            run_script(TcpBackend::with_shards(shards, threads), &script, threads),
+        ),
+    ];
+    // Owner counts are run-time numbers: one owner, counts that do not
+    // divide the shards, and (for few shards) more owners than shards.
+    for owners in 1..=5 {
+        legs.push((
+            format!("cluster({owners})"),
+            run_script(cluster(owners, shards), &script, threads),
+        ));
+    }
     let legacy = legacy_epochs(&script, shards);
 
-    assert_eq!(local.len(), legacy.len());
-    assert_eq!(channel.len(), legacy.len());
-    assert_eq!(remote.len(), legacy.len());
-    assert_eq!(cluster2.len(), legacy.len());
-    assert_eq!(cluster4.len(), legacy.len());
-    for epoch in 0..legacy.len() {
-        assert_view_matches_legacy(&local[epoch], &legacy[epoch], &probe);
-        assert_view_matches_legacy(&channel[epoch], &legacy[epoch], &probe);
-        assert_view_matches_legacy(&remote[epoch], &legacy[epoch], &probe);
-        assert_view_matches_legacy(&cluster2[epoch], &legacy[epoch], &probe);
-        assert_view_matches_legacy(&cluster4[epoch], &legacy[epoch], &probe);
-        // The trait backends also agree on the unordered entry dump.
-        let mut local_entries = local[epoch].entries();
-        let mut channel_entries = channel[epoch].entries();
-        let mut remote_entries = remote[epoch].entries();
-        let mut cluster2_entries = cluster2[epoch].entries();
-        let mut cluster4_entries = cluster4[epoch].entries();
-        local_entries.sort_by_key(|&(key, _)| key);
-        channel_entries.sort_by_key(|&(key, _)| key);
-        remote_entries.sort_by_key(|&(key, _)| key);
-        cluster2_entries.sort_by_key(|&(key, _)| key);
-        cluster4_entries.sort_by_key(|&(key, _)| key);
-        assert_eq!(local_entries, channel_entries, "epoch {epoch} entries");
-        assert_eq!(
-            local_entries, remote_entries,
-            "epoch {epoch} remote entries"
-        );
-        assert_eq!(
-            local_entries, cluster2_entries,
-            "epoch {epoch} cluster(2) entries"
-        );
-        assert_eq!(
-            local_entries, cluster4_entries,
-            "epoch {epoch} cluster(4) entries"
-        );
+    let sorted_entries = |view: &Snapshot| {
+        let mut entries = view.entries();
+        entries.sort_by_key(|&(key, _)| key);
+        entries
+    };
+    for (label, views) in &legs {
+        assert_eq!(views.len(), legacy.len(), "{label} epochs");
+        for epoch in 0..legacy.len() {
+            assert_view_matches_legacy(&views[epoch], &legacy[epoch], &probe);
+            // The trait backends also agree on the unordered entry dump.
+            assert_eq!(
+                sorted_entries(&legs[0].1[epoch]),
+                sorted_entries(&views[epoch]),
+                "epoch {epoch} {label} entries"
+            );
+        }
     }
 }
 
@@ -281,11 +289,76 @@ fn explicit_shard_override_flows_to_every_backend() {
     }
 }
 
+type EntriesAndStats = (Vec<(Key, Vec<Value>)>, Vec<[u64; 7]>);
+
+/// A two-round program with multi-value keys; returns the final view's
+/// `entries()` exactly as the view yields them, and the run's statistics
+/// (minus wall time, the one field that is not a function of the program).
+fn entries_and_stats(config: AmpcConfig) -> EntriesAndStats {
+    ampc_runtime::with_dds_backend!(config, |rt| {
+        rt.load_input((0..64u64).map(|i| (k(i), Value::scalar(i))));
+        rt.run_round(8, |ctx| {
+            let id = ctx.machine_id() as u64;
+            for i in 0..8u64 {
+                let x = ctx.read(k(id * 8 + i)).map_or(0, |v| v.x);
+                ctx.write(k(x % 12), Value::pair(id, x));
+            }
+        })
+        .unwrap();
+        rt.scatter((0..20u64).map(|i| (k(i % 5), Value::scalar(i))).collect());
+        let stats = rt.stats().rounds.iter().map(|r| {
+            [
+                r.round as u64,
+                r.machines as u64,
+                r.total_queries,
+                r.max_queries_per_machine,
+                r.total_writes,
+                r.max_writes_per_machine,
+                r.budget_violations,
+            ]
+        });
+        (rt.snapshot().entries(), stats.collect())
+    })
+}
+
+#[test]
+fn a_one_owner_cluster_is_indistinguishable_from_the_remote_backend() {
+    // One owner holds every shard in order under either placement, and the
+    // owner loop is the same code, so even the *unsorted* entry dump of the
+    // rebuilt replica must be identical — N = 1 is the remote backend.
+    let config = || AmpcConfig::for_graph(400, 400, 0.5).with_threads(1);
+    let remote = entries_and_stats(config().with_backend(DdsBackendKind::Remote));
+    let cluster = entries_and_stats(config().with_cluster_owners(1).unwrap());
+    assert_eq!(remote, cluster);
+}
+
+#[test]
+fn more_cluster_owners_than_shards_run_like_local() {
+    // Five owners over four shards: the shard map tiles with an empty
+    // range, and the run must be byte-identical to the in-process store.
+    let config = || {
+        AmpcConfig::for_graph(400, 400, 0.5)
+            .with_threads(2)
+            .with_num_shards(4)
+            .unwrap()
+    };
+    let sorted = |(mut entries, stats): EntriesAndStats| {
+        entries.sort_by_key(|&(key, _)| key);
+        (entries, stats)
+    };
+    let local = sorted(entries_and_stats(config()));
+    let wide = sorted(entries_and_stats(config().with_cluster_owners(5).unwrap()));
+    assert_eq!(local, wide);
+}
+
 /// End-to-end smoke through `AmpcRuntime<B>` directly (not via the macro):
 /// adaptive pointer chasing, exactly as the model demands.
 fn runtime_program_smoke<B: DdsBackend>() {
     let config = AmpcConfig::for_graph(10_000, 0, 0.5).with_threads(3);
-    let mut runtime = AmpcRuntime::<B>::with_backend(config);
+    runtime_program_smoke_on(AmpcRuntime::<B>::with_backend(config));
+}
+
+fn runtime_program_smoke_on<B: DdsBackend>(mut runtime: AmpcRuntime<B>) {
     runtime.load_input((0..100u64).map(|x| (Key::of(KeyTag::Successor, x), Value::scalar(x + 1))));
     let reached = runtime
         .run_round(1, |ctx| {
@@ -312,7 +385,9 @@ fn tcp_backend_runs_a_full_runtime_program() {
 
 #[test]
 fn cluster_backend_runs_a_full_runtime_program() {
-    runtime_program_smoke::<ClusterBackend<2>>();
+    let config = AmpcConfig::for_graph(10_000, 0, 0.5).with_threads(3);
+    let backend = cluster(2, config.num_shards());
+    runtime_program_smoke_on(AmpcRuntime::from_backend(config, backend));
 }
 
 /// Everything a view can tell us about an epoch: key count, sorted entry
@@ -343,7 +418,10 @@ fn observe<V: SnapshotView>(view: &V, probe: &[Key]) -> EpochObservation {
 /// byte-identical — while later epochs commit and advance, and after the
 /// backend itself is dropped.
 fn snapshot_lifetime_battery<B: DdsBackend>(shards: usize, threads: usize) {
-    let mut backend = B::with_shards(shards, threads);
+    snapshot_lifetime_battery_on(B::with_shards(shards, threads), threads);
+}
+
+fn snapshot_lifetime_battery_on<B: DdsBackend>(mut backend: B, threads: usize) {
     backend.commit_round(
         vec![
             (0..120u64).map(|i| (k(i % 40), Value::scalar(i))).collect(),
@@ -403,8 +481,8 @@ fn tcp_views_stay_valid_across_epochs_and_backend_drop() {
 
 #[test]
 fn cluster_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<ClusterBackend<2>>(8, 3);
-    snapshot_lifetime_battery::<ClusterBackend<4>>(16, 1);
+    snapshot_lifetime_battery_on(cluster(2, 8), 3);
+    snapshot_lifetime_battery_on(cluster(4, 16), 1);
 }
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {

@@ -17,8 +17,10 @@ use ampc_runtime::{AmpcConfig, DdsBackendKind};
 /// down.  `Remote` runs the full algorithm suite over localhost TCP sockets
 /// speaking the `ampc_dds::proto` wire format — the acceptance test the
 /// ROADMAP set for the networked backend.  `Cluster` shards the same suite
-/// across 2 and then 4 standalone owner processes behind the two-phase
-/// advance barrier; the owners column is ignored by every other backend.
+/// across 2, 4 and 5 standalone owner processes behind the two-phase
+/// advance barrier (5 does not divide the shard counts, and exceeds them in
+/// the small late stages); the owners column is ignored by every other
+/// backend.
 const SHAPES: &[(DdsBackendKind, usize, usize)] = &[
     (DdsBackendKind::Local, 1, 0),
     (DdsBackendKind::Local, 2, 0),
@@ -35,6 +37,7 @@ const SHAPES: &[(DdsBackendKind, usize, usize)] = &[
     (DdsBackendKind::Cluster, 1, 4),
     (DdsBackendKind::Cluster, 2, 4),
     (DdsBackendKind::Cluster, 8, 4),
+    (DdsBackendKind::Cluster, 2, 5),
 ];
 
 fn config_for(
