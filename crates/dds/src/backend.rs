@@ -30,8 +30,8 @@
 //!   advance time, so reads resolve against the owners' own immutable maps
 //!   with zero channel traffic.  Over sockets ([`crate::TcpBackend`]) every
 //!   request and reply round-trips through the byte codec as
-//!   length-prefixed frames, and frozen epochs are fetched as
-//!   [`crate::proto::EpochFrame`]s and rebuilt into local replicas — the
+//!   length-prefixed frames, and a frozen epoch is encoded from the
+//!   owner's maps and decoded into the maps of a local replica — the
 //!   deployable shape of the store, whether the owners are threads of this
 //!   process, one serving process, or a cluster of N.
 //!

@@ -56,8 +56,13 @@
 //!    `Arc` to the backend in its `Advance` reply, so point and batched
 //!    reads resolve against the shared maps with **zero channel traffic** —
 //!    only commits, advances, and driver-side loads/dumps remain
-//!    message-passing; on [`TcpBackend`] the groups are replicas rebuilt
-//!    from validated [`proto::EpochFrame`]s.  Reads are counted in
+//!    message-passing; on [`TcpBackend`] the epoch crosses the wire in one
+//!    pass each way — the owner encodes the payload straight from its
+//!    frozen maps, the client decodes it straight into the maps of a
+//!    replica (validated as it goes: every count against the bytes
+//!    present, no entry without values, no key twice in a shard, the
+//!    owner's share of shards) — so every transport answers an advance
+//!    with a ready-to-read [`FrozenEpoch`].  Reads are counted in
 //!    per-shard atomics inside the published epoch, keeping the Lemma 2.1
 //!    contention accounting observable from both sides.
 //!
@@ -74,9 +79,13 @@
 //! * [`proto`] — the protocol as data: serializable [`proto::Request`] /
 //!   [`proto::Reply`] types (`Commit` / `Advance` / `Loads` / `Dump` /
 //!   `TotalWrites`), a byte codec built on the constant-size pair encoding
-//!   of [`codec`], a framed epoch-snapshot payload ([`proto::EpochFrame`])
-//!   for fetching frozen maps across a process boundary, and
-//!   length-prefixed framing with a hard size cap.
+//!   of [`codec`], the epoch payload that carries frozen maps across a
+//!   process boundary — one writer and one parser, each with a map-backed
+//!   end (the serving path: hash maps to bytes to hash maps, nothing
+//!   allocated per key) and a typed end ([`proto::EpochFrame`], the same
+//!   bytes as plain data for tools and tests) — and length-prefixed
+//!   framing with a hard size cap that refuses typed, on the side that
+//!   would have produced the frame.
 //! * [`transport`] — one connection between a backend and one shard-group
 //!   owner, itself split into three layers: `transport::codec` (framing
 //!   over pooled, reused buffers — zero steady-state allocations, one
@@ -195,7 +204,9 @@
 //!   both encode and decode, a dispatch arm, and a declared replay policy
 //!   ([`proto::ReplayPolicy`]).  Deleting any one of those is a lint
 //!   failure, so "every request is idempotent at the owner" is a checked
-//!   claim, not a comment.
+//!   claim, not a comment.  Each tag is also pushed at exactly one site and
+//!   matched at exactly one site, so a payload with two in-memory forms
+//!   (the frozen epoch) cannot grow a second, hand-rolled layout.
 //! * **panic-path** — non-test code in `dds` and `ampc` may not call
 //!   `unwrap()` / `expect(` / `panic!` / `unimplemented!` / `todo!`
 //!   unannotated.  Intentional panics (owner-side protocol violations

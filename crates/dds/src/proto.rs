@@ -16,10 +16,17 @@
 //!   integer is little-endian; every collection is a `u32` count followed by
 //!   its elements.  Decoders reject truncated buffers, unknown tags and
 //!   trailing garbage with a typed [`ProtoError`].
-//! * [`EpochFrame`] — the framed payload of a frozen epoch: per-shard write
-//!   counts plus every `(key, values)` entry.  This is how a remote peer
-//!   fetches the frozen maps that the in-process transport hands over as an
-//!   `Arc` (see [`crate::transport`]).
+//! * The epoch payload ([`Reply::Epoch`]) — per-shard write counts plus
+//!   every `(key, values)` entry: how a remote peer fetches the frozen maps
+//!   that the in-process transport hands over as an `Arc` (see
+//!   [`crate::transport`]).  Its layout is written by one walker and parsed
+//!   by one walker, each with two ends.  The serving path never leaves the
+//!   hash maps: an owner encodes a [`FrozenEpoch`] straight from its shard
+//!   maps ([`encode_epoch_into`]) and a client decodes the bytes straight
+//!   into shard maps ([`decode_reply_as`]) — one pass each way, no
+//!   allocation per key.  [`EpochFrame`] is the *typed* form of the same
+//!   bytes, for tools and tests that want to look at an epoch as plain data
+//!   ([`encode_reply_into`] / [`decode_reply`]).
 //! * [`write_frame`] / [`read_frame`] — length-prefixed framing over any
 //!   `Write`/`Read`, with a hard [`MAX_FRAME_BYTES`] cap so a corrupt or
 //!   hostile length prefix can never trigger an unbounded allocation.
@@ -30,10 +37,9 @@
 //! `tests/backend_determinism.rs`), and `crates/dds/tests/proto_roundtrip.rs`
 //! pins the codec itself with property tests.
 
-use crate::codec::{
-    decode_key, decode_value, ENCODED_KEY_BYTES, ENCODED_PAIR_BYTES, ENCODED_VALUE_BYTES,
-};
+use crate::codec::{decode_key, ENCODED_KEY_BYTES, ENCODED_PAIR_BYTES, ENCODED_VALUE_BYTES};
 use crate::key::{Key, Value};
+use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
@@ -111,8 +117,8 @@ pub enum Request {
         batches: Vec<(usize, Vec<(Key, Value)>)>,
     },
     /// Freeze the writable epoch in place, open the next one, and publish
-    /// the frozen epoch (as a shared `Arc` in-process, as an
-    /// [`EpochFrame`] over the wire).
+    /// the frozen epoch (as a shared `Arc` in-process, as a
+    /// [`Reply::Epoch`] payload over the wire).
     Advance {
         /// Index of the epoch being frozen.
         epoch: usize,
@@ -130,9 +136,9 @@ pub enum Request {
         epoch: usize,
     },
     /// Phase 2 of the two-phase barrier: publish the epoch prepared by
-    /// [`Request::FreezeEpoch`] and answer with its [`EpochFrame`].
+    /// [`Request::FreezeEpoch`] and answer with its [`Reply::Epoch`].
     /// Idempotent: a replayed publish of an already-published epoch
-    /// re-sends the same frame, which is what makes a sever between
+    /// re-encodes the same frozen maps, which is what makes a sever between
     /// freeze and publish recoverable.
     PublishEpoch {
         /// Index of the prepared epoch being published.
@@ -262,9 +268,12 @@ pub enum Reply {
         /// Number of pairs accepted by this owner.
         accepted: u64,
     },
-    /// [`Request::Advance`] answered with the frozen epoch's serialized
-    /// contents (wire transports only; in-process transports publish the
-    /// epoch as a shared `Arc` instead and never materialize this variant).
+    /// [`Request::Advance`] / [`Request::PublishEpoch`] answered with the
+    /// frozen epoch's contents.  This is the *typed* form of the payload,
+    /// for tools and tests: owners encode it from their frozen maps and
+    /// clients decode it into maps ([`crate::transport::ClientReply::SharedEpoch`])
+    /// without ever materializing this variant, and in-process transports
+    /// hand the `Arc` over as it is.
     Epoch(EpochFrame),
     /// [`Request::Loads`] answered.
     Loads(Vec<ShardLoad>),
@@ -352,8 +361,10 @@ impl ShardMap {
     }
 }
 
-/// Serialized frozen epoch of one owner's shard group: the payload a remote
-/// peer fetches in place of the in-process `Arc` hand-off.
+/// A frozen epoch of one owner's shard group as plain data: the typed form
+/// of the payload a remote peer fetches in place of the in-process `Arc`
+/// hand-off.  The serving path goes from hash maps to bytes to hash maps
+/// without it; it exists for tools and tests.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct EpochFrame {
     /// `shards[local]` — the owner's `local`-th shard.
@@ -474,7 +485,10 @@ fn put_value(buf: &mut Vec<u8>, value: &Value) {
     put_u64(buf, value.y);
 }
 
-fn put_entries(buf: &mut Vec<u8>, entries: &[(Key, Vec<Value>)]) {
+fn put_entries<'a>(
+    buf: &mut Vec<u8>,
+    entries: impl ExactSizeIterator<Item = (&'a Key, &'a [Value])>,
+) {
     put_u32(buf, entries.len() as u32);
     for (key, values) in entries {
         put_key(buf, key);
@@ -483,6 +497,68 @@ fn put_entries(buf: &mut Vec<u8>, entries: &[(Key, Vec<Value>)]) {
             put_value(buf, value);
         }
     }
+}
+
+/// The one writer of the epoch payload: the tag, the shard count, then per
+/// shard its write count and its entries.  `shards` is whatever holds the
+/// epoch, walked in place — [`EpochFrame::walk`] for the typed form,
+/// [`FrozenEpoch::walk`] for an owner's frozen maps — so the two cannot
+/// disagree on the layout.
+fn put_epoch<'a, E>(buf: &mut Vec<u8>, shards: impl ExactSizeIterator<Item = (u64, E)>)
+where
+    E: ExactSizeIterator<Item = (&'a Key, &'a [Value])>,
+{
+    buf.push(TAG_EPOCH);
+    put_u32(buf, shards.len() as u32);
+    for (writes, entries) in shards {
+        put_u64(buf, writes);
+        put_entries(buf, entries);
+    }
+}
+
+/// Exact number of bytes [`put_epoch`] writes for `shards`.
+fn epoch_len<'a, E>(shards: impl Iterator<Item = (u64, E)>) -> usize
+where
+    E: Iterator<Item = (&'a Key, &'a [Value])>,
+{
+    let entry_len =
+        |(_, values): (&Key, &[Value])| ENCODED_KEY_BYTES + 4 + values.len() * ENCODED_VALUE_BYTES;
+    let shard_len = |(_, entries): (u64, E)| 8 + 4 + entries.map(entry_len).sum::<usize>();
+    1 + 4 + shards.map(shard_len).sum::<usize>()
+}
+
+impl EpochFrame {
+    /// The frame as [`put_epoch`] walks it.
+    fn walk(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = (&Key, &[Value])>)> {
+        self.shards.iter().map(|shard| {
+            let entries = shard.entries.iter();
+            (
+                shard.writes,
+                entries.map(|(key, values)| (key, values.as_slice())),
+            )
+        })
+    }
+}
+
+/// Encode a frozen epoch **straight from its shard maps** as the
+/// [`Reply::Epoch`] payload it is on the wire — the owner's half of "one
+/// pass each way": the exact size is computed first, the buffer (cleared
+/// first, capacity retained) is reserved once, and nothing is allocated per
+/// key.  A retransmitted advance re-encodes from the retained epoch.
+///
+/// # Errors
+/// [`ProtoError::Oversized`] — before a byte is written — if the payload
+/// would exceed [`MAX_FRAME_BYTES`].
+pub(crate) fn encode_epoch_into(buf: &mut Vec<u8>, epoch: &FrozenEpoch) -> Result<(), ProtoError> {
+    let len = epoch_len(epoch.walk());
+    frame_fits(len)?;
+    buf.clear();
+    buf.reserve(len);
+    put_epoch(buf, epoch.walk());
+    debug_assert_eq!(buf.len(), len);
+    Ok(())
 }
 
 /// Encode a [`Request`] into its wire payload (no length prefix).
@@ -573,14 +649,7 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
             put_u64(buf, *epoch as u64);
             put_u64(buf, *accepted);
         }
-        Reply::Epoch(frame) => {
-            buf.push(TAG_EPOCH);
-            put_u32(buf, frame.shards.len() as u32);
-            for shard in &frame.shards {
-                put_u64(buf, shard.writes);
-                put_entries(buf, &shard.entries);
-            }
-        }
+        Reply::Epoch(frame) => put_epoch(buf, frame.walk()),
         Reply::Loads(loads) => {
             buf.push(TAG_LOADS_REPLY);
             put_u32(buf, loads.len() as u32);
@@ -593,7 +662,10 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
         }
         Reply::Dump(entries) => {
             buf.push(TAG_DUMP_REPLY);
-            put_entries(buf, entries);
+            put_entries(
+                buf,
+                entries.iter().map(|(key, values)| (key, values.as_slice())),
+            );
         }
         Reply::TotalWrites(total) => {
             buf.push(TAG_TOTAL_WRITES_REPLY);
@@ -678,8 +750,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn value(&mut self) -> Result<Value, ProtoError> {
-        let bytes = self.take(ENCODED_VALUE_BYTES, "value")?;
-        decode_value(bytes).ok_or(ProtoError::Truncated { context: "value" })
+        Ok(value_at(self.take(ENCODED_VALUE_BYTES, "value")?))
     }
 
     /// A `u32` element count, validated against the bytes actually left
@@ -708,23 +779,101 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn get_values(cursor: &mut Cursor<'_>) -> Result<Vec<Value>, ProtoError> {
-    let count = cursor.count(ENCODED_VALUE_BYTES, "values")?;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(cursor.value()?);
-    }
-    Ok(values)
+/// Where the one parser of the epoch payload ([`get_epoch`]) puts what it
+/// reads: the typed [`EpochFrame`] (tools, tests) or the shard maps of a
+/// [`FrozenEpoch`] (a client's replica).  Two sinks of one walker, so the
+/// two cannot disagree on the layout; what a sink *accepts* is its own
+/// business — a frame is plain data and takes any entry, a replica refuses
+/// an entry without values and a key it already holds.
+pub(crate) trait EpochSink: Sized {
+    /// One shard under construction.
+    type Shard;
+
+    /// Start a shard built by `writes` writes that is about to receive
+    /// `entries` entries — a count already checked against the bytes
+    /// actually present, so it is safe to reserve for.
+    fn shard(writes: u64, entries: usize) -> Self::Shard;
+
+    /// Add one entry, its values in commit order.
+    fn entry(
+        shard: &mut Self::Shard,
+        key: Key,
+        values: impl ExactSizeIterator<Item = Value>,
+    ) -> Result<(), ProtoError>;
+
+    /// The epoch made of `shards`, in owner-local order.
+    fn finish(shards: Vec<Self::Shard>) -> Self;
 }
 
-fn get_entries(cursor: &mut Cursor<'_>) -> Result<Vec<(Key, Vec<Value>)>, ProtoError> {
+impl EpochSink for EpochFrame {
+    type Shard = ShardFrame;
+
+    fn shard(writes: u64, entries: usize) -> ShardFrame {
+        ShardFrame {
+            writes,
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
+    fn entry(
+        shard: &mut ShardFrame,
+        key: Key,
+        values: impl ExactSizeIterator<Item = Value>,
+    ) -> Result<(), ProtoError> {
+        shard.entries.push((key, values.collect()));
+        Ok(())
+    }
+
+    fn finish(shards: Vec<ShardFrame>) -> EpochFrame {
+        EpochFrame { shards }
+    }
+}
+
+/// One encoded value, read in place (the layout of
+/// [`crate::codec::decode_value`]); `chunk` is exactly
+/// [`ENCODED_VALUE_BYTES`] long.
+fn value_at(chunk: &[u8]) -> Value {
+    let word = |at: usize| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&chunk[at..at + 8]);
+        u64::from_le_bytes(word)
+    };
+    Value {
+        x: word(0),
+        y: word(8),
+    }
+}
+
+/// One counted list of `(key, values)` entries into a shard of `S`.  Every
+/// count is validated against the bytes left before anything is reserved
+/// for it, and a value run is handed to the sink as an iterator over the
+/// payload, so nothing is allocated per key unless the sink does.
+fn get_entries<S: EpochSink>(cursor: &mut Cursor<'_>, writes: u64) -> Result<S::Shard, ProtoError> {
     let count = cursor.count(ENCODED_KEY_BYTES + 4, "entries")?;
-    let mut entries = Vec::with_capacity(count);
+    let mut shard = S::shard(writes, count);
     for _ in 0..count {
         let key = cursor.key()?;
-        entries.push((key, get_values(cursor)?));
+        let values = cursor.count(ENCODED_VALUE_BYTES, "values")?;
+        let run = cursor.take(values * ENCODED_VALUE_BYTES, "values")?;
+        S::entry(
+            &mut shard,
+            key,
+            run.chunks_exact(ENCODED_VALUE_BYTES).map(value_at),
+        )?;
     }
-    Ok(entries)
+    Ok(shard)
+}
+
+/// The one parser of the epoch payload (what [`put_epoch`] wrote after the
+/// tag), into whichever sink the caller reads epochs as.
+fn get_epoch<S: EpochSink>(cursor: &mut Cursor<'_>) -> Result<S, ProtoError> {
+    let shard_count = cursor.count(12, "epoch shards")?;
+    let mut shards = Vec::with_capacity(shard_count);
+    for _ in 0..shard_count {
+        let writes = cursor.u64("shard writes")?;
+        shards.push(get_entries::<S>(cursor, writes)?);
+    }
+    Ok(S::finish(shards))
 }
 
 /// Decode a [`Request`] from its wire payload.
@@ -792,24 +941,39 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
 }
 
 /// Decode a [`Reply`] from its wire payload (same contract as
-/// [`decode_request`]).
+/// [`decode_request`]).  An epoch payload comes back typed, as an
+/// [`EpochFrame`]; clients that read from it take [`decode_reply_as`].
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
+    Ok(match decode_reply_as::<EpochFrame>(bytes)? {
+        Decoded::Wire(reply) => reply,
+        Decoded::Epoch(frame) => Reply::Epoch(frame),
+    })
+}
+
+/// A decoded reply whose epoch payload, if it is one, went into sink `S`.
+pub(crate) enum Decoded<S> {
+    /// Any reply but an epoch.
+    Wire(Reply),
+    /// An epoch payload, read into `S`.
+    Epoch(S),
+}
+
+/// Decode a reply, reading an epoch payload **straight into** `S` — with
+/// `S =` [`FrozenEpoch`], the client's half of "one pass each way": bytes to
+/// shard maps with no [`EpochFrame`] in between.  The one place reply tags
+/// are matched; same contract as [`decode_request`].
+pub(crate) fn decode_reply_as<S: EpochSink>(bytes: &[u8]) -> Result<Decoded<S>, ProtoError> {
     let mut cursor = Cursor::new(bytes);
     let reply = match cursor.u8("reply tag")? {
+        TAG_EPOCH => {
+            let epoch = get_epoch::<S>(&mut cursor)?;
+            cursor.finish()?;
+            return Ok(Decoded::Epoch(epoch));
+        }
         TAG_COMMITTED => Reply::Committed {
             epoch: cursor.u64("committed epoch")? as usize,
             accepted: cursor.u64("committed count")?,
         },
-        TAG_EPOCH => {
-            let shard_count = cursor.count(12, "epoch shards")?;
-            let mut shards = Vec::with_capacity(shard_count);
-            for _ in 0..shard_count {
-                let writes = cursor.u64("shard writes")?;
-                let entries = get_entries(&mut cursor)?;
-                shards.push(ShardFrame { writes, entries });
-            }
-            Reply::Epoch(EpochFrame { shards })
-        }
         TAG_LOADS_REPLY => {
             let count = cursor.count(32, "loads")?;
             let mut loads = Vec::with_capacity(count);
@@ -823,7 +987,8 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
             }
             Reply::Loads(loads)
         }
-        TAG_DUMP_REPLY => Reply::Dump(get_entries(&mut cursor)?),
+        // A dump is one shard's entry list without the write count.
+        TAG_DUMP_REPLY => Reply::Dump(get_entries::<EpochFrame>(&mut cursor, 0)?.entries),
         TAG_TOTAL_WRITES_REPLY => Reply::TotalWrites(cursor.u64("total writes")?),
         TAG_LEASE_GRANTED => Reply::LeaseGranted {
             session: cursor.u64("lease session")?,
@@ -864,12 +1029,36 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
         tag => return Err(ProtoError::UnknownTag { kind: "reply", tag }),
     };
     cursor.finish()?;
-    Ok(reply)
+    Ok(Decoded::Wire(reply))
 }
 
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
+
+/// `Ok` if a payload of `len` bytes fits one frame, else the typed refusal.
+pub(crate) fn frame_fits(len: usize) -> Result<(), ProtoError> {
+    if len > MAX_FRAME_BYTES {
+        return Err(ProtoError::Oversized {
+            len,
+            max: MAX_FRAME_BYTES,
+        });
+    }
+    Ok(())
+}
+
+/// The framing layer's refusal as an I/O error: `InvalidData`, carrying
+/// the typed [`ProtoError::Oversized`] for [`frame_refusal`] to find.
+fn refused(refusal: ProtoError) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, refusal)
+}
+
+/// The typed refusal inside a framing error, if that is what `err` is.  A
+/// refused frame never reached (or never left) the socket, so callers must
+/// not treat it as a dead connection — reconnecting cannot make it fit.
+pub(crate) fn frame_refusal(err: &std::io::Error) -> Option<ProtoError> {
+    err.get_ref()?.downcast_ref::<ProtoError>().cloned()
+}
 
 /// Write one length-prefixed frame (`u32` little-endian payload length, then
 /// the payload).
@@ -886,16 +1075,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
 /// the writer stops accepting bytes mid-frame; otherwise any I/O error of
 /// the underlying writer.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            ProtoError::Oversized {
-                len: payload.len(),
-                max: MAX_FRAME_BYTES,
-            }
-            .to_string(),
-        ));
-    }
+    frame_fits(payload.len()).map_err(refused)?;
     let header = (payload.len() as u32).to_le_bytes();
     let total = header.len() + payload.len();
     let mut written = 0usize;
@@ -937,16 +1117,7 @@ pub fn read_frame<R: Read>(reader: &mut R, payload: &mut Vec<u8>) -> std::io::Re
     let mut prefix = [0u8; 4];
     reader.read_exact(&mut prefix)?;
     let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            ProtoError::Oversized {
-                len,
-                max: MAX_FRAME_BYTES,
-            }
-            .to_string(),
-        ));
-    }
+    frame_fits(len).map_err(refused)?;
     payload.clear();
     payload.resize(len, 0);
     reader.read_exact(payload)?;
@@ -1288,6 +1459,226 @@ mod tests {
             decode_reply(&bytes),
             Err(ProtoError::Truncated { context: "entries" })
         );
+    }
+
+    // -----------------------------------------------------------------
+    // One epoch layout, four code paths: typed-frame and map-backed
+    // encoders, typed-frame and map-backed decoders.
+    // -----------------------------------------------------------------
+
+    use crate::hashing::FxHashMap;
+    use crate::slot::Slot;
+    use proptest::prelude::*;
+
+    /// An owner's frozen epoch holding `shards` (a repeated key keeps its
+    /// last values, as any map would).
+    fn frozen(shards: Vec<ShardFrame>) -> FrozenEpoch {
+        let slot = |values: Vec<Value>| match values.as_slice() {
+            [value] => Slot::One(*value),
+            _ => Slot::Many(values),
+        };
+        let (writes, maps): (Vec<u64>, Vec<FxHashMap<Key, Slot>>) = shards
+            .into_iter()
+            .map(|shard| {
+                let entries = shard.entries.into_iter();
+                let map = entries.map(|(key, values)| (key, slot(values))).collect();
+                (shard.writes, map)
+            })
+            .unzip();
+        FrozenEpoch::new(maps, writes)
+    }
+
+    /// The typed form of `epoch`, entries in the maps' iteration order.
+    fn frame_of(epoch: &FrozenEpoch) -> EpochFrame {
+        EpochFrame {
+            shards: epoch
+                .walk()
+                .map(|(writes, entries)| ShardFrame {
+                    writes,
+                    entries: entries
+                        .map(|(key, values)| (*key, values.to_vec()))
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
+    fn encode_maps(epoch: &FrozenEpoch) -> Vec<u8> {
+        let mut bytes = vec![0xEE; 7]; // stale contents must be cleared
+        encode_epoch_into(&mut bytes, epoch).expect("a small epoch fits a frame");
+        bytes
+    }
+
+    fn decode_maps(bytes: &[u8]) -> Result<FrozenEpoch, ProtoError> {
+        match decode_reply_as::<FrozenEpoch>(bytes)? {
+            Decoded::Epoch(epoch) => Ok(epoch),
+            Decoded::Wire(reply) => panic!("an epoch payload decoded as {reply:?}"),
+        }
+    }
+
+    fn arbitrary_shards() -> impl Strategy<Value = Vec<ShardFrame>> {
+        let key = (0u32..8, any::<u64>(), 0u64..4).prop_map(|(tag, a, b)| Key {
+            tag: KeyTag::from_code(tag),
+            a: a % 24, // few enough keys that shards repeat some
+            b,
+        });
+        let value = (any::<u64>(), any::<u64>()).prop_map(|(x, y)| Value { x, y });
+        let values = proptest::collection::vec(value, 1..5);
+        let entries = proptest::collection::vec((key, values), 0..12);
+        let shard = (any::<u64>(), entries);
+        proptest::collection::vec(
+            shard.prop_map(|(writes, entries)| ShardFrame { writes, entries }),
+            0..6,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        /// Shard counts 0..=5, empty shards, single- and multi-value keys:
+        /// whichever encoder wrote an epoch and whichever decoder reads it,
+        /// the contents are the same — and so are the bytes.
+        #[test]
+        fn every_encoder_and_decoder_of_an_epoch_agrees(shards in arbitrary_shards()) {
+            let epoch = frozen(shards);
+            let frame = frame_of(&epoch);
+
+            // (a) maps → bytes → typed frame.
+            let from_maps = encode_maps(&epoch);
+            prop_assert_eq!(decode_reply(&from_maps), Ok(Reply::Epoch(frame.clone())));
+
+            // (b) typed frame → bytes → maps.
+            let from_frame = encode_reply(&Reply::Epoch(frame));
+            let replica = decode_maps(&from_frame).expect("a well-formed epoch decodes");
+            prop_assert_eq!(&replica.shards, &epoch.shards);
+            prop_assert_eq!(&replica.writes, &epoch.writes);
+
+            // (c) one layout: same iteration order, same bytes.
+            prop_assert_eq!(from_maps, from_frame);
+        }
+
+        /// No prefix of an epoch payload decodes, into either sink.
+        #[test]
+        fn truncated_epochs_are_rejected_at_every_length(shards in arbitrary_shards()) {
+            let bytes = encode_maps(&frozen(shards));
+            for len in 0..bytes.len() {
+                prop_assert!(decode_maps(&bytes[..len]).is_err(), "map prefix of {len} bytes");
+                prop_assert!(decode_reply(&bytes[..len]).is_err(), "frame prefix of {len} bytes");
+            }
+        }
+    }
+
+    fn k(a: u64) -> Key {
+        Key::of(KeyTag::Scalar, a)
+    }
+
+    /// The payload of `shards` as the typed encoder writes it — which takes
+    /// anything, including what no owner's map can hold.
+    fn crafted(shards: Vec<Vec<(Key, Vec<Value>)>>) -> Vec<u8> {
+        encode_reply(&Reply::Epoch(EpochFrame {
+            shards: shards
+                .into_iter()
+                .map(|entries| ShardFrame {
+                    writes: entries.len() as u64,
+                    entries,
+                })
+                .collect(),
+        }))
+    }
+
+    #[test]
+    fn epoch_entries_without_values_are_rejected_by_replicas() {
+        let bytes = crafted(vec![vec![(k(1), vec![Value::scalar(1)]), (k(2), vec![])]]);
+        assert_eq!(
+            decode_maps(&bytes).err(),
+            Some(ProtoError::Malformed {
+                context: "epoch entry without values"
+            })
+        );
+        // The typed form is plain data and holds it as it came.
+        assert!(decode_reply(&bytes).is_ok());
+    }
+
+    #[test]
+    fn epoch_keys_repeated_within_a_shard_are_rejected_by_replicas() {
+        let twice = vec![
+            (k(7), vec![Value::scalar(1)]),
+            (k(7), vec![Value::scalar(2), Value::scalar(3)]),
+        ];
+        assert_eq!(
+            decode_maps(&crafted(vec![vec![], twice.clone()])).err(),
+            Some(ProtoError::Malformed {
+                context: "epoch key repeated within a shard"
+            })
+        );
+        // The same key in two *different* shards is two entries.
+        let apart = crafted(twice.into_iter().map(|entry| vec![entry]).collect());
+        assert_eq!(decode_maps(&apart).map(|epoch| epoch.shards.len()), Ok(2));
+    }
+
+    #[test]
+    fn inflated_epoch_counts_fail_before_anything_is_reserved() {
+        // [tag][shards u32][writes u64][entries u32][key 20][values u32][value 16]
+        let bytes = crafted(vec![vec![(k(1), vec![Value::scalar(1)])]]);
+        let (shards_at, entries_at, values_at) = (1, 13, 37);
+        assert_eq!(bytes.len(), values_at + 4 + ENCODED_VALUE_BYTES);
+        for (at, context) in [
+            (shards_at, "epoch shards"),
+            (entries_at, "entries"),
+            (values_at, "values"),
+        ] {
+            for count in [1u32 << 20, u32::MAX] {
+                let mut bytes = bytes.clone();
+                bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+                // The count is checked against the bytes actually present
+                // before a map, a `Vec` or a value list is sized by it.
+                let expected = Some(ProtoError::Truncated { context });
+                assert_eq!(decode_maps(&bytes).err(), expected, "{context} × {count}");
+                assert_eq!(decode_reply(&bytes).err(), expected, "{context} × {count}");
+            }
+            // Off by one: the bytes run out somewhere further in.
+            let mut bytes = bytes.clone();
+            bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+            for err in [decode_maps(&bytes).err(), decode_reply(&bytes).err()] {
+                assert!(matches!(err, Some(ProtoError::Truncated { .. })), "{err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn epochs_with_trailing_bytes_or_unassigned_key_tags_are_rejected() {
+        let bytes = crafted(vec![vec![(k(1), vec![Value::scalar(1)])], vec![]]);
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(&[0, 0, 0]);
+        let expected = Some(ProtoError::Trailing { remaining: 3 });
+        assert_eq!(decode_maps(&trailing).err(), expected);
+        assert_eq!(decode_reply(&trailing).err(), expected);
+
+        // The key's 4-byte tag code follows the first shard's header; 999
+        // sits in the unassigned gap (11..0x1_0000).
+        let mut corrupt = bytes;
+        corrupt[17..21].copy_from_slice(&999u32.to_le_bytes());
+        let expected = Some(ProtoError::Malformed { context: "key tag" });
+        assert_eq!(decode_maps(&corrupt).err(), expected);
+        assert_eq!(decode_reply(&corrupt).err(), expected);
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_with_the_typed_error_inside() {
+        // Lazily zeroed and never read: the cap is checked on the length.
+        let oversized = vec![0u8; MAX_FRAME_BYTES + 1];
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, &oversized).unwrap_err();
+        let refusal = ProtoError::Oversized {
+            len: MAX_FRAME_BYTES + 1,
+            max: MAX_FRAME_BYTES,
+        };
+        assert_eq!(frame_refusal(&err), Some(refusal.clone()));
+        assert_eq!(err.to_string(), refusal.to_string());
+        assert!(sink.is_empty(), "nothing may hit the wire");
+        // A dead socket is not a refusal.
+        let dead = std::io::Error::from(std::io::ErrorKind::BrokenPipe);
+        assert_eq!(frame_refusal(&dead), None);
     }
 
     #[test]

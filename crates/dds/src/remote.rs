@@ -16,8 +16,9 @@
 //!   one external serving process ([`RemoteBackend::connect_remote`]), or a
 //!   cluster of N serving processes ([`RemoteBackend::connect_cluster`] /
 //!   [`RemoteBackend::spawn_local`], see [`crate::cluster`]).  Every request
-//!   and reply round-trips through the byte codec, and frozen epochs are
-//!   fetched as [`crate::proto::EpochFrame`]s and rebuilt into replicas.
+//!   and reply round-trips through the byte codec; a frozen epoch is
+//!   encoded from the owner's maps and decoded into the maps of a replica,
+//!   one pass each way.
 //!
 //! The client decides two things from what the owners tell it, never from
 //! an option: owners whose lease grants carried a [`ShardMap`] hold
@@ -28,8 +29,9 @@
 //! collection, failure harvesting — is one code path.
 //!
 //! Either way, a round's reads resolve **locally and lock-free**: every
-//! advance returns a plain [`Snapshot`] holding one [`FrozenEpoch`] per
-//! owner (shared or replicated — machine code cannot tell).  Only the
+//! transport answers an advance with a ready-to-read [`FrozenEpoch`], and
+//! every advance returns a plain [`Snapshot`] holding one per owner (shared
+//! or replicated — neither this client nor machine code can tell).  Only the
 //! write-side protocol (`Commit`, `Advance` or the barrier pair) and the
 //! driver-side requests (`Loads`, `Dump`, `TotalWrites`) cross the
 //! transport.
@@ -41,17 +43,16 @@
 //! or dying on an opaque broken connection.
 
 use crate::backend::DdsBackend;
-use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
 use crate::proto::{Reply, Request, ShardMap};
 use crate::serve::DdsServer;
-use crate::snapshot::{FrozenEpoch, Snapshot};
+use crate::snapshot::Snapshot;
 use crate::stats::ShardLoad;
+use crate::store::partition_by_shard;
 use crate::transport::dispatch::Worker;
 use crate::transport::{
     ClientReply, MpscTransport, RequestFaults, TcpTransport, Transport, TransportError,
 };
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// [`RemoteBackend`] over in-process channels: owner threads, typed
@@ -72,13 +73,13 @@ pub type TcpBackend = RemoteBackend<TcpTransport>;
 // Routing
 // ---------------------------------------------------------------------------
 
-/// Key → (owner, local shard) routing: the table every [`Snapshot`] of the
-/// backend is placed by.
+/// Shard → (owner, local shard) routing: the table commits are routed by
+/// and every [`Snapshot`] of the backend is placed by.
 #[derive(Clone, Debug)]
 pub(crate) struct Routing {
     /// `table[shard]` — (owner, local shard index) of global `shard`.
     table: Vec<(u32, u32)>,
-    /// Shards each owner holds: what its epoch frames must carry.
+    /// Shards each owner holds: what its frozen epochs must carry.
     owner_shards: Vec<usize>,
 }
 
@@ -119,13 +120,6 @@ impl Routing {
 
     pub(crate) fn num_shards(&self) -> usize {
         self.table.len()
-    }
-
-    /// (owner, local shard index) owning `key`.
-    #[inline]
-    fn route(&self, key: &Key) -> (usize, usize) {
-        let (owner, local) = self.table[key.shard(self.table.len())];
-        (owner as usize, local as usize)
     }
 }
 
@@ -339,26 +333,22 @@ impl<T: Transport> RemoteBackend<T> {
     }
 
     /// Fallible [`DdsBackend::commit_round`]: partition the ordered batches
-    /// by owner, pipeline one `Commit` per owner, then collect the acks.
-    /// Returns the number of pairs accepted.
+    /// by shard, hand each owner the buckets of its shards in one pipelined
+    /// `Commit`, then collect the acks.  Returns the number of pairs
+    /// accepted.
     pub fn try_commit_round(
         &mut self,
         batches: Vec<Vec<(Key, Value)>>,
     ) -> Result<u64, TransportError> {
-        // Partition into per-(owner, local shard) buckets.  Concatenation
-        // order is preserved bucket-wise, which — keys living on exactly one
-        // shard — preserves every key's multi-value index order.
+        // The store's own partition pass: one flat bucket per global shard,
+        // order preserved within each.  Routing is then per bucket, not per
+        // pair.
         type OwnerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
         let mut buckets: Vec<OwnerBuckets> = vec![Vec::new(); self.clients.len()];
-        let mut bucket_index: FxHashMap<(usize, usize), usize> = FxHashMap::default();
-        for batch in batches {
-            for (key, value) in batch {
-                let (owner, local) = self.routing.route(&key);
-                let slot = *bucket_index.entry((owner, local)).or_insert_with(|| {
-                    buckets[owner].push((local, Vec::new()));
-                    buckets[owner].len() - 1
-                });
-                buckets[owner][slot].1.push((key, value));
+        let per_shard = partition_by_shard(self.routing.num_shards(), batches);
+        for (pairs, &(owner, local)) in per_shard.into_iter().zip(&self.routing.table) {
+            if !pairs.is_empty() {
+                buckets[owner as usize].push((local as usize, pairs));
             }
         }
         let epoch = self.completed;
@@ -385,9 +375,10 @@ impl<T: Transport> RemoteBackend<T> {
     }
 
     /// Fallible [`DdsBackend::advance`]: freeze the writable epoch on every
-    /// owner and collect each frozen group — shared when the transport can,
-    /// a replica rebuilt from the fetched (and validated) frame when it
-    /// cannot.
+    /// owner and collect each frozen group — the owner's own allocation or
+    /// a replica decoded from its payload, as the transport delivers it —
+    /// checked to hold exactly the owner's share of the routing table, so a
+    /// short epoch fails the advance instead of a machine's lookup.
     ///
     /// Owners that advertised a shard map are separate processes, so the
     /// freeze must be made atomic *across* them: phase 1 sends
@@ -415,15 +406,17 @@ impl<T: Transport> RemoteBackend<T> {
         };
         let owner_shards = self.routing.owner_shards.clone();
         let groups = self.broadcast(publish, |owner, reply| match reply {
-            ClientReply::SharedEpoch(shared) => Ok(shared),
-            ClientReply::Wire(Reply::Epoch(frame)) => {
-                FrozenEpoch::from_frame(frame, owner_shards[owner])
-                    .map(Arc::new)
-                    .map_err(|message| TransportError::Protocol {
-                        worker: owner,
-                        message,
-                    })
+            ClientReply::SharedEpoch(epoch) if epoch.shards.len() == owner_shards[owner] => {
+                Ok(epoch)
             }
+            ClientReply::SharedEpoch(epoch) => Err(TransportError::Protocol {
+                worker: owner,
+                message: format!(
+                    "frozen epoch carries {} shards, the routing expects {}",
+                    epoch.shards.len(),
+                    owner_shards[owner]
+                ),
+            }),
             ClientReply::Wire(other) => Err(unexpected(owner, "a frozen epoch", &other)),
         })?;
         self.completed += 1;

@@ -17,8 +17,16 @@
 //! group plus a `shard → (group, local shard)` table.  The local store is
 //! the one-group case (`table[s] = (0, s)`); the channel backend's groups
 //! are the owners' own `Arc`s (zero-copy publication); the TCP and cluster
-//! backends hold replicas rebuilt from [`EpochFrame`]s.  A lookup is one
-//! hash, one modulo and one table index, whatever produced the groups.
+//! backends hold replicas decoded from the owners' epoch payloads.  A
+//! lookup is one hash, one modulo and one table index, whatever produced
+//! the groups.
+//!
+//! A [`FrozenEpoch`] crosses a wire in one pass each way: the owner's
+//! frozen maps are walked in place into bytes ([`FrozenEpoch::walk`] feeds
+//! the writer in [`crate::proto`]), and the client fills shard maps
+//! directly from those bytes (the [`EpochSink`] impl below) — singletons
+//! inline, a heap list only for a multi-value key, nothing allocated per
+//! key in between.
 //!
 //! The frozen maps store [`crate::slot::Slot`] entries: the ~99% of keys
 //! that hold a single value keep it **inline in the hash-map entry**, so a
@@ -33,7 +41,7 @@
 use crate::backend::SnapshotView;
 use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
-use crate::proto::{EpochFrame, ShardFrame};
+use crate::proto::{EpochSink, ProtoError};
 use crate::slot::Slot;
 use crate::stats::ShardLoad;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,8 +53,8 @@ use std::sync::Arc;
 /// The maps are immutable once published; the read counters are atomics so
 /// concurrent machine threads and the accounting agree without locks.  On
 /// shared-memory transports the owner and every view hold the *same*
-/// allocation; on wire transports each view holds a replica rebuilt from the
-/// fetched [`EpochFrame`].
+/// allocation; on wire transports each view holds a replica decoded from
+/// the owner's epoch payload.
 pub struct FrozenEpoch {
     /// `shards[local]` — frozen map of the group's `local`-th shard.
     pub(crate) shards: Vec<FxHashMap<Key, Slot>>,
@@ -69,67 +77,56 @@ impl FrozenEpoch {
         }
     }
 
-    /// Serialize for the wire ([`crate::proto::Reply::Epoch`]).
-    pub(crate) fn to_frame(&self) -> EpochFrame {
-        EpochFrame {
-            shards: self
-                .shards
-                .iter()
-                .zip(&self.writes)
-                .map(|(map, &writes)| ShardFrame {
-                    writes,
-                    entries: map
-                        .iter()
-                        .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
-                        .collect(),
+    /// The epoch as the wire encoder walks it, in place: per shard, the
+    /// writes that built it and every `(key, values)` entry of its map.
+    pub(crate) fn walk(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = (&Key, &[Value])>)> {
+        self.shards.iter().zip(&self.writes).map(|(map, &writes)| {
+            let entries = map.iter();
+            (writes, entries.map(|(key, slot)| (key, slot.as_slice())))
+        })
+    }
+}
+
+/// A replica filled straight from an owner's epoch payload.  The bytes come
+/// from outside the process, so a shard refuses what no owner's map can
+/// hold — an entry without values, a key twice — as a typed decode error
+/// instead of letting it turn into a wrong read inside a machine thread.
+impl EpochSink for FrozenEpoch {
+    type Shard = (u64, FxHashMap<Key, Slot>);
+
+    fn shard(writes: u64, entries: usize) -> Self::Shard {
+        let mut map = FxHashMap::default();
+        map.reserve(entries);
+        (writes, map)
+    }
+
+    fn entry(
+        (_, map): &mut Self::Shard,
+        key: Key,
+        mut values: impl ExactSizeIterator<Item = Value>,
+    ) -> Result<(), ProtoError> {
+        let slot = match (values.len(), values.next()) {
+            (1, Some(value)) => Slot::One(value),
+            (_, Some(first)) => Slot::Many(std::iter::once(first).chain(values).collect()),
+            (_, None) => {
+                return Err(ProtoError::Malformed {
+                    context: "epoch entry without values",
                 })
-                .collect(),
+            }
+        };
+        match map.insert(key, slot) {
+            None => Ok(()),
+            Some(_) => Err(ProtoError::Malformed {
+                context: "epoch key repeated within a shard",
+            }),
         }
     }
 
-    /// Rebuild a local replica from a fetched frame, which must carry
-    /// exactly `expected_shards` shards (the sender's share of the routing
-    /// table), no entry without values and no key twice in a shard.
-    ///
-    /// A frame comes from outside the process; one that breaks these rules
-    /// is rejected here with a description, so a short or malformed frame
-    /// can never turn into an out-of-bounds index inside a machine thread.
-    pub(crate) fn from_frame(
-        frame: EpochFrame,
-        expected_shards: usize,
-    ) -> Result<FrozenEpoch, String> {
-        if frame.shards.len() != expected_shards {
-            return Err(format!(
-                "epoch frame carries {} shards, the routing expects {expected_shards}",
-                frame.shards.len()
-            ));
-        }
-        let mut shards = Vec::with_capacity(frame.shards.len());
-        let mut writes = Vec::with_capacity(frame.shards.len());
-        for (local, shard) in frame.shards.into_iter().enumerate() {
-            let mut map = FxHashMap::default();
-            map.reserve(shard.entries.len());
-            for (key, mut values) in shard.entries {
-                let slot = match values.len() {
-                    0 => {
-                        return Err(format!(
-                            "epoch frame shard {local} holds {key} with no values"
-                        ))
-                    }
-                    1 => Slot::One(values[0]),
-                    _ => {
-                        values.shrink_to_fit();
-                        Slot::Many(values)
-                    }
-                };
-                if map.insert(key, slot).is_some() {
-                    return Err(format!("epoch frame shard {local} holds {key} twice"));
-                }
-            }
-            shards.push(map);
-            writes.push(shard.writes);
-        }
-        Ok(FrozenEpoch::new(shards, writes))
+    fn finish(shards: Vec<Self::Shard>) -> FrozenEpoch {
+        let (writes, maps) = shards.into_iter().unzip();
+        FrozenEpoch::new(maps, writes)
     }
 }
 
@@ -477,58 +474,5 @@ mod tests {
             assert_eq!(split.get_all(key), whole.get_all(key));
         }
         assert_eq!(split.shard_loads(), whole.shard_loads());
-    }
-
-    #[test]
-    fn epoch_frames_rebuild_identical_replicas() {
-        let snap = snapshot_with(&(0..30).map(|i| (i % 12, i)).collect::<Vec<_>>());
-        // Round-trip the frozen epoch through its wire frame and compare
-        // every entry of the rebuilt replica.
-        let frozen = &snap.inner.groups[0];
-        let replica = FrozenEpoch::from_frame(frozen.to_frame(), frozen.shards.len()).unwrap();
-        assert_eq!(replica.shards, frozen.shards);
-        assert_eq!(replica.writes, frozen.writes);
-    }
-
-    fn crafted_frame(shards: Vec<Vec<(Key, Vec<Value>)>>) -> EpochFrame {
-        EpochFrame {
-            shards: shards
-                .into_iter()
-                .map(|entries| ShardFrame {
-                    writes: entries.len() as u64,
-                    entries,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn frames_with_the_wrong_shard_count_are_rejected() {
-        let frame = || crafted_frame(vec![vec![(k(1), vec![Value::scalar(1)])]]);
-        assert!(FrozenEpoch::from_frame(frame(), 1).is_ok());
-        for expected in [0, 2] {
-            let err = FrozenEpoch::from_frame(frame(), expected).err().unwrap();
-            assert!(err.contains("carries 1 shards"), "{err}");
-        }
-    }
-
-    #[test]
-    fn frames_with_an_empty_entry_are_rejected() {
-        let frame = crafted_frame(vec![vec![(k(1), vec![Value::scalar(1)]), (k(2), vec![])]]);
-        let err = FrozenEpoch::from_frame(frame, 1).err().unwrap();
-        assert!(err.contains("no values"), "{err}");
-    }
-
-    #[test]
-    fn frames_with_a_repeated_key_are_rejected() {
-        let frame = crafted_frame(vec![
-            vec![],
-            vec![
-                (k(7), vec![Value::scalar(1)]),
-                (k(7), vec![Value::scalar(2), Value::scalar(3)]),
-            ],
-        ]);
-        let err = FrozenEpoch::from_frame(frame, 2).err().unwrap();
-        assert!(err.contains("shard 1") && err.contains("twice"), "{err}");
     }
 }

@@ -111,24 +111,13 @@ impl ShardedStore {
         self.commit_partitioned(self.partition_writes(std::iter::once(pairs)), 1);
     }
 
-    /// Partition write batches by destination shard, preserving order.
-    ///
-    /// Batches are consumed in order and each batch's pairs in their order,
-    /// so the concatenation order (for the runtime: machine id, then write
-    /// order) is preserved within every shard — which, keys living on
-    /// exactly one shard, preserves every key's multi-value index order.
+    /// Partition write batches by destination shard, preserving order
+    /// ([`partition_by_shard`] at this store's shard count).
     pub fn partition_writes(
         &self,
         batches: impl IntoIterator<Item = impl IntoIterator<Item = (Key, Value)>>,
     ) -> Vec<Vec<(Key, Value)>> {
-        let mut per_shard: Vec<Vec<(Key, Value)>> =
-            (0..self.num_shards).map(|_| Vec::new()).collect();
-        for batch in batches {
-            for (key, value) in batch {
-                per_shard[self.shard_of(&key)].push((key, value));
-            }
-        }
-        per_shard
+        partition_by_shard(self.num_shards, batches)
     }
 
     /// Partition write batches by destination shard **in parallel**: the
@@ -375,6 +364,27 @@ impl ShardedStore {
     pub fn stats(&self) -> StoreStats {
         StoreStats::from_loads(self.shard_loads())
     }
+}
+
+/// Partition write batches into one bucket per shard of a
+/// `num_shards`-shard store — the one partition function of every commit
+/// path, in-process store and wire client alike.
+///
+/// Batches are consumed in order and each batch's pairs in their order, so
+/// the concatenation order (for the runtime: machine id, then write order)
+/// is preserved within every shard — which, keys living on exactly one
+/// shard, preserves every key's multi-value index order.
+pub(crate) fn partition_by_shard(
+    num_shards: usize,
+    batches: impl IntoIterator<Item = impl IntoIterator<Item = (Key, Value)>>,
+) -> Vec<Vec<(Key, Value)>> {
+    let mut per_shard: Vec<Vec<(Key, Value)>> = (0..num_shards).map(|_| Vec::new()).collect();
+    for batch in batches {
+        for (key, value) in batch {
+            per_shard[key.shard(num_shards)].push((key, value));
+        }
+    }
+    per_shard
 }
 
 /// Run `work(i)` for every index in `0..count`, on up to `threads` scoped

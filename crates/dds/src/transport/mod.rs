@@ -53,9 +53,11 @@
 //!   [`crate::ChannelBackend`] has always had.
 //! * [`TcpTransport`] — sockets speaking length-prefixed [`crate::proto`]
 //!   frames (`std::net`, no external dependencies).  Every message
-//!   round-trips through the byte codec; `Advance` replies carry the full
-//!   [`crate::proto::EpochFrame`] so the client can rebuild a local replica
-//!   of the frozen maps.
+//!   round-trips through the byte codec; an `Advance` reply is encoded
+//!   straight from the owner's frozen maps and decoded straight into the
+//!   client's, so it reaches the caller as the same
+//!   [`ClientReply::SharedEpoch`] — a replica instead of the owner's own
+//!   allocation.
 //!
 //! # Connection lifecycle: lease → serve → reconnect → expire
 //!
@@ -118,7 +120,12 @@
 //!
 //! Every client operation returns a typed [`TransportError`] instead of
 //! hanging, panicking inside the transport thread, or dying on a broken
-//! channel.  Socket errors are classified (`PeerClosed` vs `Io`),
+//! channel.  Socket errors are classified (`PeerClosed` vs `Io`), a frame
+//! over [`crate::proto::MAX_FRAME_BYTES`] is refused typed and at once on
+//! the side that would have produced it (a client's request as
+//! [`TransportError::Proto`] with no reconnect, an owner's reply through
+//! the owner's panic surface, and a writer stage that cannot write ends
+//! the connection instead of leaving the peer waiting),
 //! `set_nodelay` failures are propagated on the client and logged once on
 //! the server (never silently discarded), and when an owner thread panics,
 //! the backend joins it and attaches the panic payload to the
@@ -347,21 +354,36 @@ pub(crate) fn owner_panic_message(payload: &(dyn std::any::Any + Send)) -> Strin
 
 /// What a client receives for one request.
 pub enum ClientReply {
-    /// A decoded wire reply.
+    /// Any reply but a frozen epoch.  (A transport never delivers
+    /// [`Reply::Epoch`] here: that is the typed form of an epoch payload,
+    /// for tools and tests that decode frames themselves.)
     Wire(Reply),
-    /// The frozen epoch published as shared memory — the zero-copy fast
-    /// path of in-process transports ([`MpscTransport`]).  Wire transports
-    /// deliver [`Reply::Epoch`] instead.
+    /// The frozen epoch an advance published, ready to read from — on every
+    /// transport.  In-process transports ([`MpscTransport`]) hand over the
+    /// owner's own `Arc`, zero-copy; wire transports ([`TcpTransport`])
+    /// decode the epoch payload straight into the maps of a replica.
     SharedEpoch(Arc<FrozenEpoch>),
+}
+
+impl fmt::Debug for ClientReply {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClientReply::Wire(reply) => reply.fmt(f),
+            ClientReply::SharedEpoch(epoch) => {
+                write!(f, "a frozen epoch of {} shards", epoch.shards.len())
+            }
+        }
+    }
 }
 
 /// What an owner hands its transport to answer one request.
 pub enum OwnerReply {
     /// An ordinary wire reply.
     Wire(Reply),
-    /// A freshly frozen epoch.  Shared-memory transports forward the `Arc`
-    /// as-is ([`ClientReply::SharedEpoch`]); wire transports serialize it
-    /// into a [`Reply::Epoch`] frame.
+    /// A frozen epoch (freshly frozen, or retained and asked for again).
+    /// Shared-memory transports forward the `Arc` as-is; wire transports
+    /// encode the epoch payload straight from its maps.  Either way the
+    /// client receives a [`ClientReply::SharedEpoch`].
     Epoch(Arc<FrozenEpoch>),
 }
 

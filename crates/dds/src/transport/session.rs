@@ -13,13 +13,15 @@ use super::{
     TransportError,
 };
 use crate::proto::{
-    decode_reply, decode_request, encode_reply_into, read_frame, write_frame, ProtoError, Reply,
-    Request, ShardMap,
+    decode_reply_as, decode_request, encode_epoch_into, encode_reply_into, frame_fits,
+    frame_refusal, read_frame, write_frame, Decoded, ProtoError, Reply, Request, ShardMap,
 };
+use crate::snapshot::FrozenEpoch;
 use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -212,9 +214,9 @@ impl TcpOptions {
 ///
 /// Every message round-trips through the byte codec, so running the
 /// conformance suites over this transport is an end-to-end proof of the wire
-/// format.  `Advance` replies carry the serialized
-/// [`crate::proto::EpochFrame`]; the client rebuilds a local replica of the
-/// frozen maps from it.
+/// format.  An `Advance` reply is the owner's frozen maps encoded in place;
+/// the client decodes the payload straight into the maps of a local replica
+/// and delivers it as [`ClientReply::SharedEpoch`].
 ///
 /// The transport owns the connection lifecycle: the lease handshake on
 /// every (re)connect, capped-exponential-backoff reconnection on any socket
@@ -349,6 +351,16 @@ impl TcpTransport {
         }
     }
 
+    /// The typed error for a frame the codec refused (over the cap), if that
+    /// is what `err` is — never a reason to reconnect: the frame is no
+    /// smaller on a fresh socket.
+    fn refusal(&self, err: &std::io::Error) -> Option<TransportError> {
+        frame_refusal(err).map(|error| TransportError::Proto {
+            worker: self.worker,
+            error,
+        })
+    }
+
     /// One reconnection attempt: dial, handshake the lease, replay every
     /// outstanding request in order.
     fn try_reestablish(&mut self) -> std::io::Result<()> {
@@ -384,9 +396,7 @@ impl TcpTransport {
         Err(cause)
     }
 
-    /// Transmit one request, recording it as outstanding; any write failure
-    /// triggers the reconnect-and-replay path (which retransmits this
-    /// request too).
+    /// Transmit one request, recording it as outstanding.
     fn transmit(&mut self, request: Request) -> Result<(), TransportError> {
         assert!(
             self.pending.len() < MAX_PIPELINE,
@@ -396,17 +406,39 @@ impl TcpTransport {
         self.pending.push_back(request);
         // lint: allow(panic) — infallible: the request was pushed on the line above
         let request = self.pending.back().expect("just pushed");
-        if let Err(err) = self.encoder.send_request(&mut self.stream, request) {
-            let cause = self.classify(&err);
-            self.recover(cause)?;
-        }
-        Ok(())
+        let written = self.encoder.send_request(&mut self.stream, request);
+        self.settle_write(written)
     }
 
-    /// Read and decode the next frame (I/O error outer, decode error inner).
-    fn next_reply(&mut self) -> std::io::Result<Result<Reply, ProtoError>> {
+    /// Settle the write of the newest outstanding request.  A frame the
+    /// codec refused to produce (over the cap) fails typed and at once: the
+    /// request never left, so it is withdrawn and nothing is dialled —
+    /// reconnecting would only replay the same refusal.  Any other failure
+    /// is a dead socket and goes through reconnect-and-replay (which
+    /// retransmits this request too).
+    fn settle_write(&mut self, written: std::io::Result<()>) -> Result<(), TransportError> {
+        let Err(err) = written else {
+            return Ok(());
+        };
+        if let Some(refusal) = self.refusal(&err) {
+            self.pending.pop_back();
+            return Err(refusal);
+        }
+        let cause = self.classify(&err);
+        self.recover(cause)
+    }
+
+    /// Read and decode the next frame (I/O error outer, decode error
+    /// inner).  An epoch payload goes straight into the shard maps of a
+    /// replica — one pass over the bytes, no typed frame in between.
+    fn next_reply(&mut self) -> std::io::Result<Result<ClientReply, ProtoError>> {
         let payload = self.frames.read(&mut self.stream)?;
-        Ok(decode_reply(payload))
+        Ok(
+            decode_reply_as::<FrozenEpoch>(payload).map(|decoded| match decoded {
+                Decoded::Wire(reply) => ClientReply::Wire(reply),
+                Decoded::Epoch(epoch) => ClientReply::SharedEpoch(Arc::new(epoch)),
+            }),
+        )
     }
 
     /// Drive the handshake to completion: read (and verify) the pending
@@ -429,7 +461,7 @@ impl TcpTransport {
 
     /// Read the next ordinary reply, consuming (and verifying) any pending
     /// lease grant first and reconnecting through socket failures.
-    fn recv_reply(&mut self) -> Result<Reply, TransportError> {
+    fn recv_reply(&mut self) -> Result<ClientReply, TransportError> {
         let reply = self.pump(false)?;
         // lint: allow(panic) — infallible: pump(false) only returns Ok(None) when drain_only is set
         Ok(reply.expect("pump only stops early when asked to"))
@@ -440,7 +472,7 @@ impl TcpTransport {
     /// verify and absorb lease grants, and either stop once the grant is
     /// in (`stop_after_grant`, returning `None`) or keep reading until an
     /// ordinary reply arrives.
-    fn pump(&mut self, stop_after_grant: bool) -> Result<Option<Reply>, TransportError> {
+    fn pump(&mut self, stop_after_grant: bool) -> Result<Option<ClientReply>, TransportError> {
         // Loop guard, not retry policy: [`TcpOptions::reconnect_attempts`]
         // bounds the dials within one recovery; this bounds how many
         // *successful* recoveries one receive may burn through, so a
@@ -453,6 +485,12 @@ impl TcpTransport {
             let decoded = match self.next_reply() {
                 Ok(decoded) => decoded,
                 Err(err) => {
+                    // A length prefix over the cap is garbage on the
+                    // stream, not a dead socket: a reconnect would only
+                    // have the owner replay it.
+                    if let Some(refusal) = self.refusal(&err) {
+                        return Err(refusal);
+                    }
                     let cause = self.classify(&err);
                     recoveries += 1;
                     if recoveries > MAX_RECOVERY_CYCLES {
@@ -467,12 +505,12 @@ impl TcpTransport {
                 error,
             })?;
             if self.await_grant {
-                let Reply::LeaseGranted {
+                let ClientReply::Wire(Reply::LeaseGranted {
                     session,
                     resumed,
                     shard_map,
                     ..
-                } = reply
+                }) = reply
                 else {
                     return Err(TransportError::Protocol {
                         worker: self.worker,
@@ -564,7 +602,7 @@ impl Transport for TcpTransport {
     fn recv(&mut self) -> Result<ClientReply, TransportError> {
         let reply = self.recv_reply()?;
         self.pending.pop_front();
-        Ok(ClientReply::Wire(reply))
+        Ok(reply)
     }
 
     fn session(&self) -> u64 {
@@ -582,7 +620,7 @@ impl Drop for TcpTransport {
         // pending request and are skipped.
         while !self.pending.is_empty() {
             match self.next_reply() {
-                Ok(Ok(Reply::LeaseGranted { .. })) => {}
+                Ok(Ok(ClientReply::Wire(Reply::LeaseGranted { .. }))) => {}
                 Ok(Ok(_)) => {
                     self.pending.pop_front();
                 }
@@ -732,11 +770,17 @@ impl Conn {
                 let mut stream = write_half;
                 let mut broken = false;
                 while let Ok(payload) = reply_rx.recv() {
-                    // A write failure is a disconnect the reader stage also
-                    // sees; keep draining (the client replays unanswered
+                    // A frame that cannot be written ends the connection,
+                    // whatever the reason: a peer that is gone has closed
+                    // it already, and after any other failure (a refused
+                    // frame, a half-written one) the stream has nothing
+                    // more to say that the client could pair with a
+                    // request — left open, it would block in `recv` for
+                    // good.  Keep draining (the client replays unanswered
                     // requests after reconnecting) and recycle the buffers.
                     if !broken && write_frame(&mut stream, &payload).is_err() {
                         broken = true;
+                        let _ = stream.shutdown(Shutdown::Both);
                     }
                     pool.put(payload);
                 }
@@ -908,20 +952,38 @@ impl TcpServer {
             resumed,
             shard_map: self.shard_map.clone(),
         };
-        self.queue_reply(&reply);
+        self.queue_reply(&OwnerReply::Wire(reply));
     }
 
-    /// Encode `reply` into a pooled buffer and hand it to the writer stage.
-    /// Blocks when [`PIPELINE_DEPTH`] replies are already queued — the
-    /// dispatch stage's backpressure.
-    fn queue_reply(&mut self, reply: &Reply) {
+    /// Encode `reply` into a pooled buffer — a frozen epoch straight from
+    /// its maps — and hand it to the writer stage.  Blocks when
+    /// [`PIPELINE_DEPTH`] replies are already queued — the dispatch stage's
+    /// backpressure.
+    ///
+    /// # Panics
+    /// If the reply does not fit a frame.  No retry can make it fit, so it
+    /// is refused here, on the owner's thread and (for an epoch) before a
+    /// byte is encoded, through the owner's normal error surface — the
+    /// client sees the connection close and harvests this message — rather
+    /// than dropped by the writer stage with the client left waiting.
+    fn queue_reply(&mut self, reply: &OwnerReply) {
         if self.conn.is_none() {
             // Already disconnected: the reply is lost, but the client will
             // replay its request after reconnecting — keep serving.
             return;
         }
         let mut payload = self.pool.take();
-        encode_reply_into(&mut payload, reply);
+        let fits = match reply {
+            OwnerReply::Epoch(epoch) => encode_epoch_into(&mut payload, epoch),
+            OwnerReply::Wire(reply) => {
+                encode_reply_into(&mut payload, reply);
+                frame_fits(payload.len())
+            }
+        };
+        if let Err(error) = fits {
+            // lint: allow(panic) — owner-side refusal: the panic is the owner's error surface, harvested into TransportError::PeerClosed by whoever hosts the owner
+            panic!("reply to the backend refused: {error}")
+        }
         let failed = self
             .conn
             .as_ref()
@@ -1060,11 +1122,6 @@ impl ServerTransport for TcpServer {
     }
 
     fn send_reply(&mut self, reply: OwnerReply) -> bool {
-        let reply = match reply {
-            OwnerReply::Wire(reply) => reply,
-            // The wire has no shared memory: serialize the frozen epoch.
-            OwnerReply::Epoch(epoch) => Reply::Epoch(epoch.to_frame()),
-        };
         // A lost reply (disconnect) is not the end of the session: the
         // reconnect replay re-asks and the owner re-answers idempotently.
         self.queue_reply(&reply);
@@ -1091,7 +1148,7 @@ impl Drop for TcpServer {
 mod tests {
     use super::*;
     use crate::key::{Key, KeyTag, Value};
-    use crate::proto::RequestKind;
+    use crate::proto::{RequestKind, MAX_FRAME_BYTES};
 
     fn echo_server<S: ServerTransport>(mut server: S) -> std::thread::JoinHandle<usize> {
         std::thread::spawn(move || {
@@ -1258,13 +1315,7 @@ mod tests {
         client.send(commit_request(1)).unwrap();
         match client.recv().unwrap() {
             ClientReply::Wire(Reply::Committed { epoch, .. }) => assert_eq!(epoch, 1),
-            other => panic!(
-                "replayed commit must be acknowledged, got {:?}",
-                match other {
-                    ClientReply::Wire(reply) => format!("{reply:?}"),
-                    ClientReply::SharedEpoch(_) => "shared epoch".to_string(),
-                }
-            ),
+            other => panic!("replayed commit must be acknowledged, got {other:?}"),
         }
         assert_eq!(faults.severed(), 1);
 
@@ -1404,6 +1455,79 @@ mod tests {
         // No lease wait: the goodbye ends serving at once (well under the
         // 30 s default ttl).
         assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_reply_the_writer_stage_cannot_write_ends_the_connection() {
+        use std::io::Read;
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conn = Conn::start(stream, FramePool::new()).unwrap();
+
+        // A reply over the frame cap reaches the writer stage (lazily
+        // zeroed, never read: `write_frame` refuses it by its length).
+        // Dropping it and carrying on would leave the peer waiting for a
+        // reply that never comes; the stage must end the connection.
+        conn.replies.send(vec![0u8; MAX_FRAME_BYTES + 1]).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        match peer.read(&mut byte) {
+            Ok(0) => {}
+            Ok(_) => panic!("no byte of a refused frame may reach the peer"),
+            // Timed out: the socket was left open (`WouldBlock` / `TimedOut`).
+            Err(err) => panic!("the peer's read must end, not wait: {err}"),
+        }
+        // The reader stage saw the same shutdown.
+        assert!(matches!(
+            conn.events.recv_timeout(Duration::from_secs(10)),
+            Ok(ConnEvent::Disconnected)
+        ));
+        conn.teardown(false);
+    }
+
+    #[test]
+    fn over_cap_requests_fail_typed_and_at_once_without_reconnecting() {
+        // A scripted owner that counts connections: every reconnect would
+        // be one more accept.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpTransport::connect_to(addr, 3, TcpOptions::fresh()).unwrap();
+        let (_owner_side, _) = listener.accept().unwrap();
+
+        // What `transmit` does for a request whose encoding is over the
+        // cap, without building 256 MiB of pairs: the request is recorded
+        // as outstanding, then the codec refuses to frame its payload.
+        client.pending.push_back(Request::TotalWrites);
+        let refused = write_frame(&mut client.stream, &vec![0u8; MAX_FRAME_BYTES + 1]);
+        assert_eq!(
+            client.settle_write(refused),
+            Err(TransportError::Proto {
+                worker: 3,
+                error: ProtoError::Oversized {
+                    len: MAX_FRAME_BYTES + 1,
+                    max: MAX_FRAME_BYTES,
+                },
+            })
+        );
+        // The refused request is withdrawn — it never left, so no later
+        // reconnect may replay it — and not one connection was dialled.
+        assert!(client.pending.is_empty());
+        assert_eq!(
+            listener.accept().err().map(|err| err.kind()),
+            Some(std::io::ErrorKind::WouldBlock),
+            "no reconnect may have been dialled"
+        );
+        // A dead socket still takes the reconnect path: the same call with
+        // a real I/O failure dials the owner again.
+        client.pending.push_back(Request::TotalWrites);
+        let dead = Err(std::io::Error::from(std::io::ErrorKind::BrokenPipe));
+        assert_eq!(client.settle_write(dead), Ok(()));
+        assert!(listener.accept().is_ok(), "a dead socket reconnects");
+        client.pending.clear(); // no goodbye drain against a mute owner
     }
 
     #[test]

@@ -1,13 +1,24 @@
-//! Pins the zero-allocation property of the framing codec: once the
-//! scratch buffers have grown to the connection's working frame size,
-//! encoding and framing a request — and reading it back — must not touch
-//! the allocator at all.  A counting `#[global_allocator]` shim makes the
-//! property checkable without external tooling.
+//! Pins the allocation behaviour of the wire path with a counting
+//! `#[global_allocator]` shim (checkable without external tooling):
+//!
+//! * once the scratch buffers have grown to the connection's working frame
+//!   size, encoding and framing a request — and reading it back — must not
+//!   touch the allocator at all;
+//! * a frozen epoch crosses the wire from hash maps to bytes to hash maps:
+//!   the owner encodes it into a warm pooled buffer with no allocation, and
+//!   the client decodes it with a handful of allocations per *shard*, never
+//!   one per key — a change that reintroduces a `Vec` per key fails here
+//!   rather than in a benchmark run.
 
-use ampc_dds::proto::{encode_request_into, read_frame, write_frame, Request};
-use ampc_dds::{Key, KeyTag, Value};
+use ampc_dds::proto::{
+    decode_request, encode_reply, encode_request_into, read_frame, write_frame, EpochFrame, Reply,
+    Request, ShardFrame,
+};
+use ampc_dds::transport::{ClientReply, OwnerReply, ServerTransport};
+use ampc_dds::{Key, KeyTag, TcpOptions, TcpTransport, Transport, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::TcpListener;
 
 thread_local! {
     // Const-initialized so reading the counter never itself allocates
@@ -87,4 +98,107 @@ fn steady_state_framing_allocates_nothing() {
         "steady-state framing must not allocate"
     );
     assert_eq!(scratch, encoded, "steady-state passes still round-trip");
+}
+
+/// A scripted owner on its own thread (whose allocations the thread-local
+/// counter never sees): grant the lease, then answer every request with
+/// `payload` until the client leaves.
+fn epoch_owner(payload: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let owner = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut scratch = Vec::new();
+        read_frame(&mut stream, &mut scratch).unwrap();
+        let Ok(Request::Lease {
+            session, ttl_ms, ..
+        }) = decode_request(&scratch)
+        else {
+            panic!("a lease opens every connection");
+        };
+        let granted = Reply::LeaseGranted {
+            session,
+            ttl_ms,
+            resumed: false,
+            shard_map: None,
+        };
+        write_frame(&mut stream, &encode_reply(&granted)).unwrap();
+        while read_frame(&mut stream, &mut scratch).is_ok() {
+            if decode_request(&scratch) == Ok(Request::Goodbye) {
+                break;
+            }
+            write_frame(&mut stream, &payload).unwrap();
+        }
+    });
+    (addr, owner)
+}
+
+#[test]
+fn an_epoch_crosses_the_wire_without_an_allocation_per_key() {
+    const SHARDS: usize = 4;
+    const KEYS: u64 = 10_000;
+    // The epoch as a typed frame — scaffolding, free to allocate: 10 000
+    // single-value keys dealt over the shards.
+    let frame = EpochFrame {
+        shards: (0..SHARDS as u64)
+            .map(|shard| ShardFrame {
+                writes: KEYS / SHARDS as u64,
+                entries: (0..KEYS)
+                    .filter(|key| key % SHARDS as u64 == shard)
+                    .map(|key| (Key::of(KeyTag::Scalar, key), vec![Value::scalar(key)]))
+                    .collect(),
+            })
+            .collect(),
+    };
+    let (addr, owner) = epoch_owner(encode_reply(&Reply::Epoch(frame)));
+
+    // Decode, on this thread: the first advance grows the connection's
+    // read scratch to the frame; the second is the steady state.
+    let mut client = TcpTransport::connect_to(addr, 0, TcpOptions::fresh()).unwrap();
+    client.send(Request::Advance { epoch: 0 }).unwrap();
+    assert!(matches!(client.recv(), Ok(ClientReply::SharedEpoch(_))));
+    client.send(Request::Advance { epoch: 1 }).unwrap();
+    let before = allocations();
+    let reply = client.recv();
+    let decoding = allocations() - before;
+    let Ok(ClientReply::SharedEpoch(epoch)) = reply else {
+        panic!("an advance is answered with a frozen epoch");
+    };
+    // One map per shard plus the vectors and the `Arc` that hold them —
+    // not one list per key.
+    assert!(
+        decoding <= 2 * SHARDS as u64 + 8,
+        "decoding {KEYS} single-value keys over {SHARDS} shards allocated {decoding} times"
+    );
+    drop(client);
+    owner.join().unwrap();
+
+    // Encode, on this thread: play the owner's dispatch stage by hand and
+    // answer a lock-step peer with the epoch just decoded.  Early rounds
+    // grow the pooled reply buffers; from then on encoding must allocate
+    // nothing.  (The minimum over the rounds, because whether the writer
+    // stage has handed the last buffer back yet is its business; an
+    // encoder that allocates per key allocates on every round.)
+    const ROUNDS: usize = 8;
+    let (mut peer, mut server) = TcpTransport::connect_pair(0, TcpOptions::fresh()).unwrap();
+    let peer = std::thread::spawn(move || {
+        for epoch in 0..ROUNDS {
+            peer.send(Request::Advance { epoch }).unwrap();
+            assert!(matches!(peer.recv(), Ok(ClientReply::SharedEpoch(_))));
+        }
+    });
+    let mut encoding = Vec::new();
+    while let Some(request) = server.recv_request() {
+        assert!(matches!(request, Request::Advance { .. }));
+        let before = allocations();
+        server.send_reply(OwnerReply::Epoch(epoch.clone()));
+        encoding.push(allocations() - before);
+    }
+    peer.join().unwrap();
+    assert_eq!(encoding.len(), ROUNDS);
+    assert_eq!(
+        encoding[2..].iter().min(),
+        Some(&0),
+        "encoding into a warm pooled buffer must not allocate: {encoding:?}"
+    );
 }

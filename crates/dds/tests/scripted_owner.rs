@@ -1,13 +1,15 @@
 //! The client against a *scripted* owner: a bare `TcpListener` that speaks
 //! exactly the frames a test tells it to, so the rules a real owner never
-//! breaks on its own — which lease grant arrives when, what an epoch frame
-//! carries — are each pinned deterministically.
+//! breaks on its own — which lease grant arrives when, how many shards an
+//! epoch carries — are each pinned deterministically.
 
 use ampc_dds::proto::{
-    decode_request, encode_reply, read_frame, write_frame, EpochFrame, Reply, Request,
+    decode_request, encode_reply, read_frame, write_frame, EpochFrame, ProtoError, Reply, Request,
+    MAX_FRAME_BYTES,
 };
 use ampc_dds::transport::ClientReply;
 use ampc_dds::{TcpBackend, TcpOptions, TcpTransport, Transport, TransportError};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
@@ -107,31 +109,68 @@ fn a_granted_session_that_reconnects_to_fresh_state_lost_its_lease() {
 }
 
 #[test]
-fn short_epoch_frames_fail_the_advance_not_the_readers() {
-    // An owner that answers `Advance` with a frame of no shards at all: the
-    // advance must fail with a typed protocol error instead of handing
-    // machines a view that panics on its first lookup.
+fn a_length_prefix_over_the_cap_fails_typed_without_a_reconnect() {
+    // Garbage where a frame header should be: the client must report the
+    // typed refusal at once.  Treating it as a dead socket would dial the
+    // owner again (a second accept, which this owner never makes) and have
+    // it replay the same bytes.
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
     let owner = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         grant(&mut stream, false);
-        assert_eq!(
-            next_request(&mut stream),
-            Some(Request::Advance { epoch: 0 })
-        );
-        let short = Reply::Epoch(EpochFrame { shards: Vec::new() });
-        reply(&mut stream, &short);
-        // Hold the socket until the client has read the frame and left.
-        while next_request(&mut stream).is_some() {}
+        assert_eq!(next_request(&mut stream), Some(Request::TotalWrites));
+        let header = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+        stream.write_all(&header).unwrap();
     });
-    let mut backend = TcpBackend::connect_remote(addr, 4, 1).unwrap();
-    match backend.try_advance() {
-        Err(TransportError::Protocol { worker: 0, message }) => {
-            assert!(message.contains("carries 0 shards"), "{message}");
-        }
-        other => panic!("expected a rejected frame, got {other:?}"),
-    }
-    drop(backend);
+    let mut client = TcpTransport::connect_to(addr, 2, TcpOptions::fresh()).unwrap();
+    client.send(Request::TotalWrites).unwrap();
+    assert_eq!(
+        client.recv().err(),
+        Some(TransportError::Proto {
+            worker: 2,
+            error: ProtoError::Oversized {
+                len: MAX_FRAME_BYTES + 1,
+                max: MAX_FRAME_BYTES,
+            },
+        })
+    );
+    drop(client);
     owner.join().unwrap();
+}
+
+#[test]
+fn short_epoch_frames_fail_the_advance_not_the_readers() {
+    // An owner that answers `Advance` with a frame of no shards at all — or
+    // of any count but its share of the routing table (all four shards,
+    // here): the advance must fail with a typed protocol error instead of
+    // handing machines a view that panics on its first lookup.
+    for carried in [0usize, 3, 5] {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let owner = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            grant(&mut stream, false);
+            assert_eq!(
+                next_request(&mut stream),
+                Some(Request::Advance { epoch: 0 })
+            );
+            let short = Reply::Epoch(EpochFrame {
+                shards: vec![Default::default(); carried],
+            });
+            reply(&mut stream, &short);
+            // Hold the socket until the client has read the frame and left.
+            while next_request(&mut stream).is_some() {}
+        });
+        let mut backend = TcpBackend::connect_remote(addr, 4, 1).unwrap();
+        match backend.try_advance() {
+            Err(TransportError::Protocol { worker: 0, message }) => {
+                let expected = format!("carries {carried} shards");
+                assert!(message.contains(&expected), "{message}");
+            }
+            other => panic!("expected a rejected frame, got {other:?}"),
+        }
+        drop(backend);
+        owner.join().unwrap();
+    }
 }

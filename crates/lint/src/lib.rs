@@ -13,7 +13,7 @@
 //!
 //! | pass | invariant |
 //! |---|---|
-//! | [`passes::proto_conformance`] | protocol closure: variant ⇄ tag ⇄ dispatch arm ⇄ `REPLAY_POLICY` entry |
+//! | [`passes::proto_conformance`] | protocol closure: variant ⇄ tag ⇄ dispatch arm ⇄ `REPLAY_POLICY` entry; one writer and one parser per wire tag |
 //! | [`passes::panic_path`] | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` outside `#[cfg(test)]`, allowlist requires a reason |
 //! | [`passes::const_consistency`] | dedup window ≥ 2×pipeline depth, frame caps identical across files |
 //! | [`passes::blocking`] | no sleeps/unbounded reads in dispatch/serve loops outside annotated backoff |

@@ -5,7 +5,7 @@
 //! Everything here operates on [`SourceFile::code`] — comments and literal
 //! contents are already spaces, so plain substring scans are token scans.
 
-use crate::source::{find_word, is_ident_byte, match_delim, SourceFile};
+use crate::source::{contains_word, find_word, is_ident_byte, match_delim, SourceFile};
 
 /// Read the identifier starting at `b[at]`, if any.
 fn ident_at(b: &[u8], at: usize) -> Option<&str> {
@@ -290,35 +290,87 @@ fn parse_atom(toks: &[Tok], pos: &mut usize) -> Option<u128> {
 // Functions and path references
 // ---------------------------------------------------------------------------
 
-/// Byte span `(open, close)` of the body of `fn <name>` (braces included).
-pub fn fn_body_span(sf: &SourceFile, name: &str) -> Option<(usize, usize)> {
+/// Every `fn` of the file that has a body: `(name, (open, close))`, the span
+/// covering the body's braces.  Bodiless declarations (trait methods ending
+/// in `;`) are skipped.
+pub fn fn_bodies(sf: &SourceFile) -> Vec<(&str, (usize, usize))> {
     let code = &sf.code;
     let b = code.as_bytes();
+    let mut out = Vec::new();
     let mut at = 0usize;
-    loop {
-        let kw = find_word(code, "fn", at)?;
+    while let Some(kw) = find_word(code, "fn", at) {
         at = kw + 2;
         let ident_start = skip_ws(b, at);
-        if ident_at(b, ident_start) != Some(name) {
-            continue;
-        }
-        // First `{` at paren/bracket depth 0 after the signature.
+        let Some(name) = ident_at(b, ident_start) else {
+            continue; // `fn(usize) -> T` pointer types
+        };
+        // First `{` at paren/bracket depth 0 after the signature; a `;`
+        // there first means the declaration has no body.
         let mut i = ident_start + name.len();
         let mut depth = 0isize;
         while i < b.len() {
             match b[i] {
                 b'(' | b'[' => depth += 1,
                 b')' | b']' => depth -= 1,
+                b';' if depth == 0 => break,
                 b'{' if depth == 0 => {
-                    let close = match_delim(b, i, b'{', b'}')?;
-                    return Some((i, close));
+                    if let Some(close) = match_delim(b, i, b'{', b'}') {
+                        out.push((name, (i, close)));
+                    }
+                    break;
                 }
                 _ => {}
             }
             i += 1;
         }
+    }
+    out
+}
+
+/// Byte span `(open, close)` of the body of `fn <name>` (braces included).
+pub fn fn_body_span(sf: &SourceFile, name: &str) -> Option<(usize, usize)> {
+    fn_bodies(sf)
+        .into_iter()
+        .find(|(found, _)| *found == name)
+        .map(|(_, span)| span)
+}
+
+/// The body of `fn <entry>` plus the body of every fn of the same file it
+/// names, transitively — what a codec entry point *reaches* once its
+/// layout lives in helpers it shares with another entry point.  Matching
+/// is by word, so a fn sharing its name with a field or local is reached
+/// too: an over-approximation, harmless as long as only codec code names
+/// wire tags.  `None` when `entry` is absent.
+pub fn reachable_bodies(sf: &SourceFile, entry: &str) -> Option<Vec<(usize, usize)>> {
+    let bodies = fn_bodies(sf);
+    let mut reached = vec![false; bodies.len()];
+    let mut queue: Vec<usize> = (0..bodies.len())
+        .filter(|&i| bodies[i].0 == entry)
+        .collect();
+    if queue.is_empty() {
         return None;
     }
+    for &i in &queue {
+        reached[i] = true;
+    }
+    while let Some(from) = queue.pop() {
+        let (open, close) = bodies[from].1;
+        let body = &sf.code[open..close];
+        for (i, (name, _)) in bodies.iter().enumerate() {
+            if !reached[i] && contains_word(body, name) {
+                reached[i] = true;
+                queue.push(i);
+            }
+        }
+    }
+    Some(
+        bodies
+            .iter()
+            .zip(reached)
+            .filter(|(_, hit)| *hit)
+            .map(|((_, span), _)| *span)
+            .collect(),
+    )
 }
 
 /// `(variant, line)` for every `base::Variant` reference inside
@@ -441,6 +493,17 @@ mod tests {
         let refs = path_refs(&f, span, "Request");
         let names: Vec<&str> = refs.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["Commit", "Lease", "Goodbye"]);
+    }
+
+    #[test]
+    fn bodiless_fns_are_skipped_and_helpers_are_reached() {
+        let f = sf("trait Sink {\n  fn shard(n: usize) -> Self;\n  fn done(self);\n}\nfn entry() { helper(); }\nfn helper() { leaf([0u8; 4]) }\nfn leaf(_: [u8; 4]) { TAG_A; }\nfn stranger() { TAG_B; }\n");
+        let names: Vec<&str> = fn_bodies(&f).iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["entry", "helper", "leaf", "stranger"]);
+        let reached = reachable_bodies(&f, "entry").unwrap();
+        let text: String = reached.iter().map(|&(o, c)| &f.code[o..c]).collect();
+        assert!(text.contains("TAG_A") && !text.contains("TAG_B"), "{text}");
+        assert!(reachable_bodies(&f, "absent").is_none());
     }
 
     #[test]

@@ -9,18 +9,27 @@
 //!
 //! * a `Request` variant with no `Request::X` match arm in `Worker::handle`;
 //! * a wire tag duplicated within the request or reply codec, or declared
-//!   but not used by both the encoder and the decoder of its direction;
+//!   but not used by both the encoder and the decoder of its direction
+//!   (a codec function *uses* a tag when its body, or a helper of the same
+//!   file its body reaches, names it);
+//! * a wire tag pushed at more than one site, matched at more than one
+//!   site, or named anywhere else under `crates/dds/src` — a payload whose
+//!   layout two code paths share (the frozen epoch: typed frame and hash
+//!   maps) must share *one* writer and *one* parser, so a second
+//!   hand-rolled encoder or decoder of a tag is a finding;
 //! * a `Request` variant without exactly one `REPLAY_POLICY` entry, or an
 //!   entry naming an unknown variant or policy;
 //! * `RequestKind` drifting from `Request` (the fault-injection keyspace).
 
 use crate::diag::Diagnostic;
 use crate::parse;
+use crate::source::{contains_word, find_word, SourceFile};
 use crate::workspace::Workspace;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub const NAME: &str = "proto-conformance";
 
+const DDS_SRC: &str = "crates/dds/src/";
 const PROTO: &str = "crates/dds/src/proto.rs";
 const DISPATCH: &str = "crates/dds/src/transport/dispatch.rs";
 
@@ -48,7 +57,12 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     });
     let kind_variants = parse::enum_variants(proto, "RequestKind").unwrap_or_default();
 
-    check_tags(proto, &req_variants, &mut diags);
+    let tags: Vec<parse::ConstDecl> = parse::const_decls(proto)
+        .into_iter()
+        .filter(|c| c.name.starts_with("TAG_"))
+        .collect();
+    check_tags(proto, &tags, &req_variants, &mut diags);
+    check_tag_sites(ws, &tags, &mut diags);
     check_dispatch(ws, &req_variants, &mut diags);
     check_replay_policy(proto, &req_variants, &mut diags);
     check_kind_mirror(&req_variants, &kind_variants, &mut diags);
@@ -59,38 +73,25 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
 
 /// Wire-tag discipline: every `TAG_*` const must belong to exactly one
 /// direction (request or reply), be used by both that direction's encoder
-/// and decoder, and carry a value unique within its direction.  Request
+/// and decoder — directly or through the helpers they reach — and carry a
+/// value unique within its direction.  Request
 /// variants additionally map to their tag by naming convention
 /// (`FreezeEpoch` → `TAG_FREEZE_EPOCH`), so a new variant cannot ship
 /// without declaring a tag.
 fn check_tags(
-    proto: &crate::source::SourceFile,
+    proto: &SourceFile,
+    tags: &[parse::ConstDecl],
     req_variants: &[(String, usize)],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let tags: Vec<parse::ConstDecl> = parse::const_decls(proto)
-        .into_iter()
-        .filter(|c| c.name.starts_with("TAG_"))
-        .collect();
-
-    let spans = [
-        (
-            "encode_request_into",
-            parse::fn_body_span(proto, "encode_request_into"),
-        ),
-        (
-            "decode_request",
-            parse::fn_body_span(proto, "decode_request"),
-        ),
-        (
-            "encode_reply_into",
-            parse::fn_body_span(proto, "encode_reply_into"),
-        ),
-        ("decode_reply", parse::fn_body_span(proto, "decode_reply")),
-    ];
     let mut used: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    for (fn_name, span) in &spans {
-        let Some(span) = span else {
+    for fn_name in [
+        "encode_request_into",
+        "decode_request",
+        "encode_reply_into",
+        "decode_reply",
+    ] {
+        let Some(spans) = parse::reachable_bodies(proto, fn_name) else {
             diags.push(Diagnostic::new(
                 NAME,
                 PROTO,
@@ -99,13 +100,13 @@ fn check_tags(
             ));
             continue;
         };
-        let slice = &proto.code[span.0..span.1];
-        let set = tags
-            .iter()
-            .filter(|t| crate::source::contains_word(slice, &t.name))
-            .map(|t| t.name.clone())
-            .collect();
-        used.insert(*fn_name, set);
+        let names = |tag: &&parse::ConstDecl| {
+            spans
+                .iter()
+                .any(|&(open, close)| contains_word(&proto.code[open..close], &tag.name))
+        };
+        let set = tags.iter().filter(names).map(|t| t.name.clone()).collect();
+        used.insert(fn_name, set);
     }
     let empty = BTreeSet::new();
     let enc_req = used.get("encode_request_into").unwrap_or(&empty);
@@ -115,7 +116,7 @@ fn check_tags(
 
     let mut req_values: BTreeMap<u128, &str> = BTreeMap::new();
     let mut reply_values: BTreeMap<u128, &str> = BTreeMap::new();
-    for tag in &tags {
+    for tag in tags {
         let in_req = enc_req.contains(&tag.name) || dec_req.contains(&tag.name);
         let in_rep = enc_rep.contains(&tag.name) || dec_rep.contains(&tag.name);
         match (in_req, in_rep) {
@@ -180,6 +181,60 @@ fn check_tags(
                 *line,
                 format!("Request::{variant} has no wire tag const `{expected}`"),
             ));
+        }
+    }
+}
+
+/// One writer and one parser per tag: outside its declaration, a `TAG_*`
+/// const of `proto.rs` may be named in non-test code under `crates/dds/src`
+/// only where it is pushed (`push(TAG_X)`) and where it is matched (a
+/// `TAG_X =>` arm), once each.  A tag that is never pushed or never matched
+/// is [`check_tags`]'s to report.
+fn check_tag_sites(ws: &Workspace, tags: &[parse::ConstDecl], diags: &mut Vec<Diagnostic>) {
+    for tag in tags {
+        let (mut pushes, mut arms) = (Vec::new(), Vec::new());
+        for file in ws.files().filter(|f| f.rel.starts_with(DDS_SRC)) {
+            let mut from = 0usize;
+            while let Some(at) = find_word(&file.code, &tag.name, from) {
+                from = at + tag.name.len();
+                let line = file.line_of(at);
+                let before = file.code[..at].trim_end();
+                if file.is_test_line(line) || (file.rel == PROTO && before.ends_with("const")) {
+                    continue;
+                }
+                let site = format!("{}:{line}", file.rel);
+                let after = file.code[from..].trim_start();
+                if before.ends_with("push(") {
+                    pushes.push(site);
+                } else if after.starts_with("=>") {
+                    arms.push(site);
+                } else {
+                    diags.push(Diagnostic::new(
+                        NAME,
+                        &file.rel,
+                        line,
+                        format!(
+                            "wire tag `{}` named outside its one push and its one match arm — route this code path through the shared writer / parser in proto.rs instead of a second hand-rolled one",
+                            tag.name
+                        ),
+                    ));
+                }
+            }
+        }
+        for (what, sites) in [("pushed", pushes), ("matched", arms)] {
+            if sites.len() > 1 {
+                diags.push(Diagnostic::new(
+                    NAME,
+                    PROTO,
+                    tag.line,
+                    format!(
+                        "wire tag `{}` is {what} at {} sites ({}): its payload must have exactly one writer and one parser",
+                        tag.name,
+                        sites.len(),
+                        sites.join(", ")
+                    ),
+                ));
+            }
         }
     }
 }
@@ -258,7 +313,7 @@ fn check_dispatch(ws: &Workspace, req_variants: &[(String, usize)], diags: &mut 
 /// Every `Request` variant needs exactly one `REPLAY_POLICY` entry naming a
 /// valid policy; entries must not name unknown variants.
 fn check_replay_policy(
-    proto: &crate::source::SourceFile,
+    proto: &SourceFile,
     req_variants: &[(String, usize)],
     diags: &mut Vec<Diagnostic>,
 ) {

@@ -1,7 +1,7 @@
-//! Fixture-based coverage of the four passes, plus the two properties CI
+//! Fixture-based coverage of the four passes, plus the properties CI
 //! actually leans on: the real workspace lints clean, and removing a
-//! dispatch arm or a `REPLAY_POLICY` entry for a *real* request variant is
-//! detected.
+//! dispatch arm or a `REPLAY_POLICY` entry for a *real* request variant —
+//! or adding a second writer of the epoch payload — is detected.
 //!
 //! Each fixture under `tests/fixtures/` is a miniature workspace tree
 //! (same relative layout as the real one) seeded with exactly one class of
@@ -91,6 +91,41 @@ fn unclassified_request_fails_proto_conformance() {
         &["Request::Advance", "missing from REPLAY_POLICY"],
     );
     assert_eq!(diags.len(), 1, "exactly the seeded violation: {diags:?}");
+}
+
+#[test]
+fn a_forked_epoch_codec_fails_proto_conformance() {
+    let ws = fixture("forked_epoch_codec");
+    let diags = run(&ws, "proto-conformance");
+    assert_finding(
+        &diags,
+        "proto-conformance",
+        "proto.rs",
+        &[
+            "`TAG_EPOCH` is pushed at 2 sites",
+            "proto.rs:51",
+            "proto.rs:66",
+        ],
+    );
+    assert_finding(
+        &diags,
+        "proto-conformance",
+        "proto.rs",
+        &[
+            "`TAG_EPOCH` is matched at 2 sites",
+            "proto.rs:73",
+            "proto.rs:81",
+        ],
+    );
+    assert_finding(
+        &diags,
+        "proto-conformance",
+        "transport/session.rs",
+        &["`TAG_EPOCH` named outside its one push and its one match arm"],
+    );
+    // The shared writer behind `encode_reply_into` is *reached*, so the tag
+    // is not also reported as unpaired; the other three tags are clean.
+    assert_eq!(diags.len(), 3, "exactly the seeded violations: {diags:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -235,6 +270,34 @@ fn removing_a_real_dispatch_arm_is_detected() {
         "transport/dispatch.rs",
         &["Request::Loads", "no match arm"],
     );
+}
+
+/// A second hand-rolled writer of the epoch payload added to the *real*
+/// proto.rs is a finding: the typed frame and the frozen maps must keep
+/// sharing the one `put_epoch`.
+#[test]
+fn a_second_epoch_encoder_in_the_real_proto_is_detected() {
+    let (proto, dispatch) = real_sources();
+    assert_eq!(
+        proto.matches("buf.push(TAG_EPOCH)").count(),
+        1,
+        "one writer to fork"
+    );
+    let forked = format!(
+        "{proto}\npub(crate) fn encode_maps(buf: &mut Vec<u8>) {{\n    buf.push(TAG_EPOCH);\n}}\n"
+    );
+    let ws = Workspace::from_files([
+        ("crates/dds/src/proto.rs", forked.as_str()),
+        ("crates/dds/src/transport/dispatch.rs", dispatch.as_str()),
+    ]);
+    let diags = run(&ws, "proto-conformance");
+    assert_finding(
+        &diags,
+        "proto-conformance",
+        "proto.rs",
+        &["`TAG_EPOCH` is pushed at 2 sites"],
+    );
+    assert_eq!(diags.len(), 1, "exactly the fork: {diags:?}");
 }
 
 /// The binary's contract: nonzero exit plus file:line diagnostics on a

@@ -197,7 +197,7 @@ fn severed_pipelines_replay_byte_identically_across_client_counts() {
             }
         }
         client.send(Request::Advance { epoch: 0 }).unwrap();
-        let ClientReply::Wire(Reply::Epoch(_)) = client.recv().unwrap() else {
+        let ClientReply::SharedEpoch(_) = client.recv().unwrap() else {
             panic!("advance must publish the frozen epoch");
         };
         client.send(Request::TotalWrites).unwrap();
