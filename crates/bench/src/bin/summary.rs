@@ -9,15 +9,15 @@
 //!   4. the rounds-vs-diameter series (the log D term MPC pays);
 //!   5. the rounds-vs-ε ablation;
 //!   6. the Lemma 2.1 contention experiment;
-//!   7. the commit-throughput / read-latency series, also written to
-//!      `BENCH_commit.json` so future PRs have a perf trajectory.
+//!   7. the commit-throughput / read-latency / shard-sweep series, also
+//!      written to `BENCH_commit.json` so future PRs have a perf trajectory.
 //!
 //! The numbers printed by this binary are the source of EXPERIMENTS.md.
 
 use ampc_bench::{
     backend_read_latency, cluster_commit_scaling, commit_throughput, contention_experiment,
     density_series, diameter_series, epsilon_series, figure1_table, read_latency, scaling_series,
-    serve_throughput,
+    serve_throughput, shard_sweep,
 };
 use std::fmt::Write as _;
 
@@ -185,6 +185,20 @@ fn main() {
         latency.keys, latency.reads, latency.compact_ns_per_read, latency.legacy_ns_per_read
     );
 
+    let sweep_vertices = if quick { 32_768 } else { 65_536 };
+    let sweep_points = shard_sweep(sweep_vertices, &[61, 64, 509, 512, 1021, 1024], 5, seed);
+    println!("\n== Shard sweep: D₀ commit + shuffled reads, 2ᵏ shards vs the prime below ==\n");
+    println!(
+        "{:>8} {:>12} {:>12} {:>12}",
+        "shards", "pairs", "commit ms", "get ns"
+    );
+    for point in &sweep_points {
+        println!(
+            "{:>8} {:>12} {:>12.2} {:>12.1}",
+            point.shards, point.pairs, point.commit_ms, point.get_ns
+        );
+    }
+
     let backend_keys = if quick { 65_536 } else { 262_144 };
     let backend_reads = backend_keys * 2;
     let backend_points = backend_read_latency(backend_keys, backend_reads, 64, 0, seed);
@@ -244,6 +258,7 @@ fn main() {
     write_bench_commit_json(
         &commit_points,
         &latency,
+        &sweep_points,
         &backend_points,
         &serve_points,
         &cluster_points,
@@ -258,6 +273,7 @@ fn main() {
 fn write_bench_commit_json(
     commits: &[ampc_bench::CommitThroughputPoint],
     latency: &ampc_bench::ReadLatencyPoint,
+    sweep: &[ampc_bench::ShardSweepPoint],
     backend_reads: &[ampc_bench::BackendReadLatencyPoint],
     serve: &[ampc_bench::ServeThroughputPoint],
     cluster: &[ampc_bench::ClusterCommitPoint],
@@ -290,7 +306,19 @@ fn write_bench_commit_json(
          \"legacy_ns_per_read\": {:.3}}},",
         latency.keys, latency.reads, latency.compact_ns_per_read, latency.legacy_ns_per_read,
     );
-    let _ = writeln!(json, "  \"read_latency_backends\": [");
+    let _ = writeln!(json, "  \"shard_sweep\": [");
+    for (i, p) in sweep.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"shards\": {}, \"pairs\": {}, \"commit_ms\": {:.3}, \"get_ns\": {:.3}}}{}",
+            p.shards,
+            p.pairs,
+            p.commit_ms,
+            p.get_ns,
+            if i + 1 < sweep.len() { "," } else { "" },
+        );
+    }
+    let _ = writeln!(json, "  ],\n  \"read_latency_backends\": [");
     for (i, p) in backend_reads.iter().enumerate() {
         let _ = writeln!(
             json,

@@ -16,12 +16,23 @@
 //!   singleton values inline.  The pre-refactor layout survives as
 //!   [`ampc_dds::legacy::LegacyStore`] and is timed side by side.
 //!
-//! The `summary` binary serialises both series into `BENCH_commit.json` so
+//! * **Shard sweep** — the same commit → freeze → read pipeline at
+//!   power-of-two shard counts and at the primes just below them.  A key's
+//!   shard is `hash % shards` and its table slot comes from the same hash,
+//!   so at `2ᵏ` shards the two must read different bits or every key of a
+//!   shard starts its probe at one bucket; the neighbouring prime pins no
+//!   bits and is the control.  The ratio between the two, inside one
+//!   process, is what CI gates.
+//!
+//! The `summary` binary serialises the series into `BENCH_commit.json` so
 //! future PRs have a trajectory to compare against.
 
+use ampc_algorithms::common::adjacency_pairs;
 use ampc_dds::legacy::LegacyStore;
 use ampc_dds::{Key, KeyTag, ShardedStore, SnapshotView, Value};
+use ampc_graph::generators;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
@@ -233,9 +244,81 @@ pub fn read_latency(keys: usize, reads: usize, shards: usize, seed: u64) -> Read
     }
 }
 
+/// One shard-sweep measurement: the in-process epoch pipeline on D₀-shaped
+/// keys at a fixed shard count.
+#[derive(Clone, Debug)]
+pub struct ShardSweepPoint {
+    /// Number of shards ("DDS machines").
+    pub shards: usize,
+    /// Key-value pairs committed (`Degree(v)` plus `Adjacency(v, i)`).
+    pub pairs: usize,
+    /// Fastest `partition_writes` → `commit_partitioned` → `freeze`,
+    /// milliseconds.
+    pub commit_ms: f64,
+    /// Fastest pass of one `get` per key in shuffled order, nanoseconds per
+    /// read.
+    pub get_ns: f64,
+}
+
+/// Run the in-process epoch pipeline on the D₀ of a connected random graph
+/// (`vertices` vertices, `4·vertices − 1` edges) at each shard count,
+/// single-threaded, keeping the best of `repeats`.
+pub fn shard_sweep(
+    vertices: usize,
+    shard_counts: &[usize],
+    repeats: usize,
+    seed: u64,
+) -> Vec<ShardSweepPoint> {
+    // What connectivity and MIS first publish: `Degree(v)` and
+    // `Adjacency(v, i)`, every key a singleton, 9 pairs per vertex.
+    let pairs = adjacency_pairs(&generators::connected_gnm(vertices, 3 * vertices, seed));
+    let mut probes: Vec<Key> = pairs.iter().map(|&(key, _)| key).collect();
+    probes.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5eed));
+    shard_counts
+        .iter()
+        .map(|&shards| {
+            let (mut commit_ms, mut get_ns) = (f64::MAX, f64::MAX);
+            for _ in 0..repeats.max(1) {
+                let store = ShardedStore::new(shards);
+                let started = Instant::now();
+                let per_shard = store.partition_writes(std::iter::once(pairs.iter().copied()));
+                store.commit_partitioned(per_shard, 1);
+                let snapshot = store.freeze_with_threads(1);
+                commit_ms = commit_ms.min(started.elapsed().as_secs_f64() * 1e3);
+
+                let started = Instant::now();
+                let mut found = 0usize;
+                for key in &probes {
+                    found += usize::from(std::hint::black_box(snapshot.get(key)).is_some());
+                }
+                let elapsed = started.elapsed();
+                assert_eq!(found, probes.len(), "every committed key must be readable");
+                get_ns = get_ns.min(elapsed.as_nanos() as f64 / probes.len().max(1) as f64);
+            }
+            ShardSweepPoint {
+                shards,
+                pairs: pairs.len(),
+                commit_ms,
+                get_ns,
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_sweep_reads_back_every_pair_at_every_count() {
+        let points = shard_sweep(2_000, &[61, 64], 2, 5);
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0].pairs, points[1].pairs);
+        for point in &points {
+            assert!(point.pairs >= 2_000);
+            assert!(point.commit_ms > 0.0 && point.get_ns > 0.0);
+        }
+    }
 
     #[test]
     fn commit_paths_store_identical_contents() {

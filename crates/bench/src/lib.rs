@@ -14,8 +14,9 @@
 //!   (the ablation);
 //! * [`contention`] — the Lemma 2.1 balls-into-bins experiment;
 //! * [`commit`] — commit-path throughput (per-write locking vs shard-grouped
-//!   vs shard-parallel) and snapshot read latency (compact vs legacy
-//!   layout), the series behind `BENCH_commit.json`;
+//!   vs shard-parallel), snapshot read latency (compact vs legacy layout)
+//!   and the shard-count sweep (2ᵏ shards vs the prime below), the series
+//!   behind `BENCH_commit.json`;
 //! * [`cluster`] — commit-request throughput with the store split across
 //!   1 vs 2 cluster owners at the same total shard count, the
 //!   `cluster_commit_scaling` section of the same artifact;
@@ -42,7 +43,10 @@ pub mod series;
 pub mod serve_throughput;
 
 pub use cluster::{cluster_commit_scaling, ClusterCommitPoint};
-pub use commit::{commit_throughput, read_latency, CommitThroughputPoint, ReadLatencyPoint};
+pub use commit::{
+    commit_throughput, read_latency, shard_sweep, CommitThroughputPoint, ReadLatencyPoint,
+    ShardSweepPoint,
+};
 pub use contention::contention_experiment;
 pub use figure1::{figure1_table, Figure1Row};
 pub use read_backends::{backend_read_latency, BackendReadLatencyPoint};

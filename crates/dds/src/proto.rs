@@ -1466,8 +1466,7 @@ mod tests {
     // encoders, typed-frame and map-backed decoders.
     // -----------------------------------------------------------------
 
-    use crate::hashing::FxHashMap;
-    use crate::slot::Slot;
+    use crate::slot::{Slot, SlotMap};
     use proptest::prelude::*;
 
     /// An owner's frozen epoch holding `shards` (a repeated key keeps its
@@ -1477,7 +1476,7 @@ mod tests {
             [value] => Slot::One(*value),
             _ => Slot::Many(values),
         };
-        let (writes, maps): (Vec<u64>, Vec<FxHashMap<Key, Slot>>) = shards
+        let (writes, maps): (Vec<u64>, Vec<SlotMap>) = shards
             .into_iter()
             .map(|shard| {
                 let entries = shard.entries.into_iter();

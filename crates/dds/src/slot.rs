@@ -27,6 +27,24 @@
 
 use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
+use std::collections::hash_map::Entry;
+
+/// The hash table of one shard, writable or frozen — the one table type
+/// keyed by [`Key`], so every table indexes on `Key`'s in-table hash (bits
+/// the shard pick left free; see [`crate::hashing`]).
+pub(crate) type SlotMap = FxHashMap<Key, Slot>;
+
+/// Append `value` under `key`: the one insert of every write path, the
+/// in-process store's and the owners' alike.
+#[inline]
+pub(crate) fn push_pair(map: &mut SlotMap, key: Key, value: Value) {
+    match map.entry(key) {
+        Entry::Occupied(mut slot) => slot.get_mut().push(value),
+        Entry::Vacant(slot) => {
+            slot.insert(Slot::One(value));
+        }
+    }
+}
 
 /// Freeze one shard map **in place**: reuse the map allocation (and every
 /// inline singleton slot) as-is, dropping only the spare `Vec` capacity of
@@ -35,7 +53,7 @@ use crate::key::{Key, Value};
 /// The single freeze pass shared by [`crate::ShardedStore::freeze`] and the
 /// [`crate::ChannelBackend`] owner threads' `Advance`, so the two epoch
 /// pipelines cannot drift apart.
-pub(crate) fn freeze_map_in_place(map: &mut FxHashMap<Key, Slot>) {
+pub(crate) fn freeze_map_in_place(map: &mut SlotMap) {
     for slot in map.values_mut() {
         slot.shrink_to_fit();
     }

@@ -39,10 +39,9 @@
 //! for the equivalence property tests.
 
 use crate::backend::SnapshotView;
-use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
 use crate::proto::{EpochSink, ProtoError};
-use crate::slot::Slot;
+use crate::slot::{Slot, SlotMap};
 use crate::stats::ShardLoad;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +56,7 @@ use std::sync::Arc;
 /// the owner's epoch payload.
 pub struct FrozenEpoch {
     /// `shards[local]` — frozen map of the group's `local`-th shard.
-    pub(crate) shards: Vec<FxHashMap<Key, Slot>>,
+    pub(crate) shards: Vec<SlotMap>,
     /// Writes that built each shard.
     pub(crate) writes: Vec<u64>,
     /// Reads served per shard since the epoch froze.
@@ -67,7 +66,7 @@ pub struct FrozenEpoch {
 impl FrozenEpoch {
     /// A freshly frozen group: `writes[local]` built `shards[local]`, no
     /// reads served yet.
-    pub(crate) fn new(shards: Vec<FxHashMap<Key, Slot>>, writes: Vec<u64>) -> FrozenEpoch {
+    pub(crate) fn new(shards: Vec<SlotMap>, writes: Vec<u64>) -> FrozenEpoch {
         debug_assert_eq!(shards.len(), writes.len());
         let reads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         FrozenEpoch {
@@ -94,10 +93,10 @@ impl FrozenEpoch {
 /// hold — an entry without values, a key twice — as a typed decode error
 /// instead of letting it turn into a wrong read inside a machine thread.
 impl EpochSink for FrozenEpoch {
-    type Shard = (u64, FxHashMap<Key, Slot>);
+    type Shard = (u64, SlotMap);
 
     fn shard(writes: u64, entries: usize) -> Self::Shard {
-        let mut map = FxHashMap::default();
+        let mut map = SlotMap::default();
         map.reserve(entries);
         (writes, map)
     }
@@ -177,7 +176,7 @@ impl Snapshot {
     pub fn empty(num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
         Snapshot::single(FrozenEpoch::new(
-            vec![FxHashMap::default(); num_shards],
+            vec![SlotMap::default(); num_shards],
             vec![0; num_shards],
         ))
     }
@@ -251,7 +250,7 @@ impl SnapshotView for Snapshot {
             .groups
             .iter()
             .flat_map(|group| &group.shards)
-            .map(FxHashMap::len)
+            .map(SlotMap::len)
             .sum()
     }
 

@@ -26,34 +26,12 @@
 //! because a key lives on exactly one shard, per-shard order fully
 //! determines the multi-value indices of Section 2 of the paper.
 
-use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
-use crate::slot::Slot;
+use crate::slot::{push_pair, SlotMap};
 use crate::snapshot::{FrozenEpoch, Snapshot};
 use crate::stats::{ShardLoad, StoreStats};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// One shard of the distributed store: a map from keys to (multi-)values.
-///
-/// Singleton keys — the overwhelmingly common case — store their value
-/// inline in the map entry; only multi-value keys touch the heap.
-#[derive(Default)]
-struct Shard {
-    entries: FxHashMap<Key, Slot>,
-}
-
-impl Shard {
-    #[inline]
-    fn push(&mut self, key: Key, value: Value) {
-        match self.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => slot.get_mut().push(value),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Slot::One(value));
-            }
-        }
-    }
-}
 
 /// The writable key-value store backing one AMPC round.
 ///
@@ -62,7 +40,8 @@ impl Shard {
 /// `(x, 1), …, (x, k)` — here via [`ShardedStore::get_indexed`] /
 /// [`crate::SnapshotView::get_indexed`] — with the indices assigned in commit order.
 pub struct ShardedStore {
-    shards: Vec<Mutex<Shard>>,
+    /// One map from keys to (multi-)values per shard ([`crate::slot`]).
+    shards: Vec<Mutex<SlotMap>>,
     write_counts: Vec<AtomicU64>,
     num_shards: usize,
 }
@@ -73,7 +52,7 @@ impl ShardedStore {
         let num_shards = num_shards.max(1);
         ShardedStore {
             shards: (0..num_shards)
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|_| Mutex::new(SlotMap::default()))
                 .collect(),
             write_counts: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
             num_shards,
@@ -100,7 +79,7 @@ impl ShardedStore {
         let shard_idx = self.shard_of(&key);
         self.write_counts[shard_idx].fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shards[shard_idx].lock();
-        shard.push(key, value);
+        push_pair(&mut shard, key, value);
     }
 
     /// Write a batch of pairs, preserving their order.
@@ -204,11 +183,11 @@ impl ShardedStore {
             }
             self.write_counts[shard_idx].fetch_add(pairs as u64, Ordering::Relaxed);
             let mut shard = self.shards[shard_idx].lock();
-            shard.entries.reserve(pairs);
+            shard.reserve(pairs);
             for chunk in &chunks {
                 for &(key, value) in &chunk[shard_idx] {
                     debug_assert_eq!(self.shard_of(&key), shard_idx);
-                    shard.push(key, value);
+                    push_pair(&mut shard, key, value);
                 }
             }
         });
@@ -250,9 +229,9 @@ impl ShardedStore {
             debug_assert!(batch.iter().all(|(key, _)| self.shard_of(key) == shard_idx));
             self.write_counts[shard_idx].fetch_add(batch.len() as u64, Ordering::Relaxed);
             let mut shard = self.shards[shard_idx].lock();
-            shard.entries.reserve(batch.len());
+            shard.reserve(batch.len());
             for &(key, value) in batch {
-                shard.push(key, value);
+                push_pair(&mut shard, key, value);
             }
         });
     }
@@ -260,14 +239,13 @@ impl ShardedStore {
     /// First value stored under `key`, if any.
     pub fn get(&self, key: &Key) -> Option<Value> {
         let shard = self.shards[self.shard_of(key)].lock();
-        shard.entries.get(key).map(|slot| slot.as_slice()[0])
+        shard.get(key).map(|slot| slot.as_slice()[0])
     }
 
     /// The `index`-th value stored under `key` (zero-based), if present.
     pub fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
         let shard = self.shards[self.shard_of(key)].lock();
         shard
-            .entries
             .get(key)
             .and_then(|slot| slot.as_slice().get(index).copied())
     }
@@ -275,20 +253,17 @@ impl ShardedStore {
     /// How many values are stored under `key`.
     pub fn multiplicity(&self, key: &Key) -> usize {
         let shard = self.shards[self.shard_of(key)].lock();
-        shard
-            .entries
-            .get(key)
-            .map_or(0, |slot| slot.as_slice().len())
+        shard.get(key).map_or(0, |slot| slot.as_slice().len())
     }
 
     /// Total number of distinct keys across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// `true` if no key has been written.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().entries.is_empty())
+        self.shards.iter().all(|s| s.lock().is_empty())
     }
 
     /// Total number of writes accepted so far.
@@ -306,7 +281,7 @@ impl ShardedStore {
             .enumerate()
             .map(|(i, s)| ShardLoad {
                 shard: i,
-                keys: s.lock().entries.len() as u64,
+                keys: s.lock().len() as u64,
                 writes: self.write_counts[i].load(Ordering::Relaxed),
                 reads: 0,
             })
@@ -330,7 +305,7 @@ impl ShardedStore {
         let mut writes = Vec::with_capacity(num_shards);
         let mut maps = Vec::with_capacity(num_shards);
         for (shard, count) in self.shards.into_iter().zip(self.write_counts) {
-            maps.push(shard.into_inner().entries);
+            maps.push(shard.into_inner());
             writes.push(count.into_inner());
         }
 
@@ -342,9 +317,9 @@ impl ShardedStore {
         let frozen = if threads == 1 || total_keys < PARALLEL_FREEZE_THRESHOLD {
             maps.into_iter().map(freeze_shard).collect()
         } else {
-            let slots: Vec<Mutex<Option<FxHashMap<Key, Slot>>>> =
+            let slots: Vec<Mutex<Option<SlotMap>>> =
                 maps.into_iter().map(|m| Mutex::new(Some(m))).collect();
-            let outputs: Vec<Mutex<Option<FxHashMap<Key, Slot>>>> =
+            let outputs: Vec<Mutex<Option<SlotMap>>> =
                 (0..num_shards).map(|_| Mutex::new(None)).collect();
             for_each_index_parallel(num_shards, threads, |i| {
                 // lint: allow(panic) — for_each_index_parallel visits each index exactly once by construction
@@ -434,7 +409,7 @@ pub fn default_parallelism() -> usize {
 /// longer rebuilds the map: the allocation (and every inline singleton slot)
 /// is reused as-is, and the only work is dropping the spare `Vec` capacity
 /// of the rare multi-value slots ([`crate::slot::freeze_map_in_place`]).
-fn freeze_shard(mut map: FxHashMap<Key, Slot>) -> FxHashMap<Key, Slot> {
+fn freeze_shard(mut map: SlotMap) -> SlotMap {
     crate::slot::freeze_map_in_place(&mut map);
     map
 }

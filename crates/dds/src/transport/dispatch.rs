@@ -27,9 +27,8 @@
 //! by the session layer and never reach dispatch.
 
 use crate::hashing::FxHashMap;
-use crate::key::Key;
 use crate::proto::{Reply, Request};
-use crate::slot::Slot;
+use crate::slot::{push_pair, SlotMap};
 use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
 use crate::transport::{OwnerReply, ServerTransport};
@@ -49,7 +48,7 @@ pub(crate) struct Worker {
     /// Global shard ids owned by this worker (ascending).
     shard_ids: Vec<usize>,
     /// Writable maps of the current epoch, one per owned shard.
-    writable: Vec<FxHashMap<Key, Slot>>,
+    writable: Vec<SlotMap>,
     /// Writes accepted into the current epoch, per owned shard.
     writable_writes: Vec<u64>,
     /// Published epochs, in order; the owner keeps its own handle so it can
@@ -76,7 +75,7 @@ pub(crate) struct Worker {
 impl Worker {
     pub(crate) fn new(shard_ids: Vec<usize>) -> Worker {
         Worker {
-            writable: (0..shard_ids.len()).map(|_| FxHashMap::default()).collect(),
+            writable: vec![SlotMap::default(); shard_ids.len()],
             writable_writes: vec![0; shard_ids.len()],
             shard_ids,
             frozen: Vec::new(),
@@ -122,10 +121,8 @@ impl Worker {
         let shard_count = self.shard_ids.len();
         // In-place freeze: reuse the writable maps as the frozen maps,
         // only shrinking the rare multi-value slots.
-        let mut shards = std::mem::replace(
-            &mut self.writable,
-            (0..shard_count).map(|_| FxHashMap::default()).collect(),
-        );
+        let mut shards =
+            std::mem::replace(&mut self.writable, vec![SlotMap::default(); shard_count]);
         for map in &mut shards {
             crate::slot::freeze_map_in_place(map);
         }
@@ -167,14 +164,7 @@ impl Worker {
                     let map = &mut self.writable[local];
                     map.reserve(pairs.len());
                     for (key, value) in pairs {
-                        match map.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                                slot.get_mut().push(value)
-                            }
-                            std::collections::hash_map::Entry::Vacant(slot) => {
-                                slot.insert(Slot::One(value));
-                            }
-                        }
+                        push_pair(map, key, value);
                     }
                 }
                 let window = self
@@ -298,7 +288,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{KeyTag, Value};
+    use crate::key::{Key, KeyTag, Value};
 
     fn commit(seq: u64, epoch: usize, pairs: u64) -> Request {
         Request::Commit {

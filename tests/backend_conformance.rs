@@ -235,6 +235,35 @@ fn battery_covers_every_key_tag() {
 }
 
 #[test]
+fn battery_fills_the_shard_tables_at_power_of_two_shard_counts() {
+    // At 2ᵏ shards the shard pick fixes the low k bits of every key of a
+    // shard; the shard's table must index on other bits.  The batteries
+    // above run at most 64 shards with a few hundred keys — too few to fill
+    // any table — so run a D₀-shaped epoch (degrees, adjacency slots, one
+    // multi-value hot set) with ~27 keys per shard at the two counts the
+    // default configuration reaches (P ≥ 1024, and the one below).
+    for shards in [1024usize, 512] {
+        let vertices = shards as u64 * 8 / 3;
+        let script: Script = vec![(0..8u64)
+            .map(|machine| {
+                (machine * vertices / 8..(machine + 1) * vertices / 8)
+                    .flat_map(|v| {
+                        let adjacency = (0..8u64).map(move |i| {
+                            let key = Key::with_index(KeyTag::Adjacency, v, i);
+                            (key, Value::scalar(v ^ i))
+                        });
+                        let degree = (Key::of(KeyTag::Degree, v), Value::scalar(8));
+                        let hot = (Key::of(KeyTag::Custom(7), v % 5), Value::scalar(v));
+                        std::iter::once(degree).chain(adjacency).chain([hot])
+                    })
+                    .collect()
+            })
+            .collect()];
+        conformance_battery(script, shards, 2);
+    }
+}
+
+#[test]
 fn machine_context_budget_accounting_is_backend_independent() {
     // The runtime-level half of the query-budget battery: the same round
     // body must debit identical budgets (queries, violations) on every
