@@ -11,7 +11,7 @@
 //! * [`diameter_series`] — connectivity rounds vs diameter `D` (the `log D`
 //!   factor the MPC baseline pays and AMPC does not);
 //! * [`epsilon_series`] — rounds vs the space exponent ε (the `O(1/ε)`
-//!   trade-off, the ablation study of DESIGN.md).
+//!   trade-off; the ablation: ε is the one knob every theorem's bound has).
 
 use crate::figure1::EPSILON;
 use ampc_algorithms as ampc;

@@ -44,7 +44,12 @@ impl<T> AlgorithmResult<T> {
 /// same balanced, input-independent distribution while staying reproducible.
 pub fn round_robin_assign<T: Clone>(items: &[T], machines: usize) -> Vec<Vec<T>> {
     let machines = machines.max(1);
-    let mut buckets: Vec<Vec<T>> = vec![Vec::with_capacity(items.len() / machines + 1); machines];
+    // Not `vec![Vec::with_capacity(k); machines]`: cloning an empty vector
+    // drops its capacity, so all buckets but the last would start at zero.
+    let per_machine = items.len().div_ceil(machines);
+    let mut buckets: Vec<Vec<T>> = (0..machines)
+        .map(|_| Vec::with_capacity(per_machine))
+        .collect();
     for (i, item) in items.iter().enumerate() {
         buckets[i % machines].push(item.clone());
     }
@@ -111,6 +116,10 @@ mod tests {
         let sizes: Vec<usize> = buckets.iter().map(|b| b.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 103);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        // Every bucket was sized up front: one that regrew from empty would
+        // hold a doubled capacity (16), not the requested ⌈103 / 10⌉.
+        let sized = Vec::<u32>::with_capacity(11).capacity();
+        assert!(buckets.iter().all(|b| b.capacity() == sized));
         // Every item appears exactly once.
         let mut all: Vec<u32> = buckets.into_iter().flatten().collect();
         all.sort_unstable();

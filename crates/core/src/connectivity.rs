@@ -10,18 +10,27 @@
 //!
 //! Driver-side steps (leader sampling, contraction bookkeeping with a
 //! union-find, rebuilding the contracted edge list) correspond to the parts
-//! the paper implements "using standard MPC primitives".  Two documented
-//! substitutions (see DESIGN.md):
+//! the paper implements "using standard MPC primitives"; they run on the
+//! dense arrays of `contract.rs`.  Two substitutions:
 //!
 //! * the sparse-graph preprocessing of Lemma 6.2 (an external manuscript) is
 //!   replaced by capping the leader probability at 1/2 and hooking every
 //!   vertex onto the minimum id in its BFS ball when leaders are too dense
-//!   to help;
+//!   to help (the *min-hooking regime*);
 //! * the budget cap is `n^{ε/2}` so a vertex's `d²` BFS queries never exceed
 //!   its machine's `O(n^ε)` space, as prescribed in Section 6.
+//!
+//! After the first phase the contracted edge list is sorted, so a vertex's
+//! adjacency slots ascend by neighbour id.  That order is part of the cost,
+//! not a detail: a bounded BFS keeps the first `d` vertices it meets, and in
+//! the min-hooking regime a vertex hooks onto the minimum of that ball —
+//! meeting the smallest neighbours first lets more balls agree on their
+//! minimum, so the graph contracts in fewer rounds and queries than under an
+//! arbitrary slot order, and by the same amount on every run and backend.
 
 use crate::common::{adjacency_key, degree_key, round_robin_assign, AlgorithmResult};
-use ampc_dds::{FxHashMap, FxHashSet, Key, Value};
+use crate::contract::{phase_budgets, LiveSet};
+use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind};
 use ampc_runtime::{
     with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
@@ -29,48 +38,22 @@ use ampc_runtime::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A contracted graph kept by the driver between phases: live vertex ids
-/// (a subset of the original ids) and the edges between them.
-struct ContractedGraph {
-    vertices: Vec<u32>,
-    edges: Vec<(u32, u32)>,
-}
-
-impl ContractedGraph {
-    fn adjacency(&self) -> FxHashMap<u32, Vec<u32>> {
-        let mut adj: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for &v in &self.vertices {
-            adj.entry(v).or_default();
-        }
-        for &(u, v) in &self.edges {
-            adj.entry(u).or_default().push(v);
-            adj.entry(v).or_default().push(u);
-        }
-        adj
-    }
-}
-
-/// Publish the adjacency of a contracted graph to the DDS (one scatter round).
-fn publish_adjacency<B: DdsBackend>(
-    runtime: &mut AmpcRuntime<B>,
-    adjacency: &FxHashMap<u32, Vec<u32>>,
-) {
-    let mut pairs: Vec<(Key, Value)> = Vec::new();
-    for (&v, nbrs) in adjacency {
-        pairs.push((degree_key(v), Value::scalar(nbrs.len() as u64)));
-        for (i, &u) in nbrs.iter().enumerate() {
-            pairs.push((adjacency_key(v, i), Value::scalar(u as u64)));
-        }
-    }
-    runtime.scatter(pairs);
-}
-
 /// Adjacency entries fetched per batched adaptive read during the BFS.
 ///
 /// Large enough to amortize per-read accounting over a whole cache line of
 /// neighbour slots, small enough that an early exit (budget `d` reached
 /// mid-list) wastes at most a handful of prefetched entries.
 const BFS_READ_BATCH: usize = 32;
+
+/// Buffers of [`bounded_bfs`], owned by a machine for a whole round and
+/// cleared per start vertex.
+#[derive(Default)]
+struct BfsScratch {
+    visited: FxHashSet<u32>,
+    queue: std::collections::VecDeque<u32>,
+    keys: Vec<Key>,
+    entries: Vec<Option<Value>>,
+}
 
 /// Algorithm 6 (`IncreaseDegrees`) for a single vertex: a BFS from `v` by
 /// adaptive reads that stops after visiting `d` vertices (or the whole
@@ -87,20 +70,19 @@ const BFS_READ_BATCH: usize = 32;
 /// still acceptable, so the waste per BFS is less than one batch).
 fn bounded_bfs<V: SnapshotView>(
     ctx: &mut MachineContext<V>,
+    scratch: &mut BfsScratch,
     v: u32,
     d: usize,
     query_cap: u64,
 ) -> Vec<u32> {
-    let mut visited: FxHashSet<u32> = FxHashSet::default();
+    scratch.visited.clear();
+    scratch.queue.clear();
     let mut order: Vec<u32> = Vec::with_capacity(d);
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut keys: Vec<Key> = Vec::with_capacity(BFS_READ_BATCH);
-    let mut entries: Vec<Option<Value>> = Vec::with_capacity(BFS_READ_BATCH);
-    visited.insert(v);
+    scratch.visited.insert(v);
     order.push(v);
-    queue.push_back(v);
+    scratch.queue.push_back(v);
     let start_queries = ctx.queries_issued();
-    'outer: while let Some(x) = queue.pop_front() {
+    'outer: while let Some(x) = scratch.queue.pop_front() {
         if order.len() >= d {
             break;
         }
@@ -125,15 +107,17 @@ fn bounded_bfs<V: SnapshotView>(
                 .min(remaining_budget as usize)
                 .min(remaining_ball);
             let batch_end = deg.min(next_slot + batch_cap);
-            keys.clear();
-            keys.extend((next_slot..batch_end).map(|i| adjacency_key(x, i)));
-            ctx.read_many_into(&keys, &mut entries);
-            for entry in &entries {
+            scratch.keys.clear();
+            scratch
+                .keys
+                .extend((next_slot..batch_end).map(|i| adjacency_key(x, i)));
+            ctx.read_many_into(&scratch.keys, &mut scratch.entries);
+            for entry in &scratch.entries {
                 let Some(entry) = entry else { continue };
                 let u = entry.x as u32;
-                if visited.insert(u) {
+                if scratch.visited.insert(u) {
                     order.push(u);
-                    queue.push_back(u);
+                    scratch.queue.push_back(u);
                     if order.len() >= d {
                         break 'outer;
                     }
@@ -183,180 +167,89 @@ fn connectivity_impl<B: DdsBackend>(
     }
 
     // Current contracted graph and the original-vertex labelling.
-    let mut current = ContractedGraph {
-        vertices: (0..n as u32).collect(),
-        edges: graph.edges().iter().map(|e| (e.u, e.v)).collect(),
-    };
+    let mut live = LiveSet::all(n);
+    let mut edges: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.u, e.v)).collect();
     let mut labels: Vec<u32> = (0..n as u32).collect();
 
-    // Initial budget d = sqrt(T / n) = sqrt((n + m) / n), capped so that the
-    // d² BFS queries of one vertex fit inside one machine's space.
     let space = runtime.config().space_per_machine();
-    let d_cap = ((n.max(2) as f64).powf(epsilon / 2.0).ceil() as usize).max(2);
-    let mut d = (((n + m) as f64 / n as f64).sqrt().ceil() as usize).clamp(2, d_cap);
-
-    let max_phases =
-        4 * ((n.max(4) as f64).ln().ln().ceil() as usize + 2) + (4.0 / epsilon).ceil() as usize;
-    for _phase in 0..max_phases {
-        if current.edges.is_empty() {
+    for d in phase_budgets(n, m, epsilon) {
+        if edges.is_empty() {
             break;
         }
-        let adjacency = current.adjacency();
 
         // Round 1 of the phase: publish the current graph.
-        publish_adjacency(&mut runtime, &adjacency);
+        runtime
+            .scatter(live.adjacency_pairs(&edges, adjacency_key, |u, _| Value::scalar(u as u64)));
 
         // Round 2: IncreaseDegrees — bounded BFS from every live vertex.
         let machines = runtime.config().num_machines();
-        let assignments = round_robin_assign(&current.vertices, machines);
+        let assignments = round_robin_assign(live.vertices(), machines);
         let query_cap = (space as u64).max((d * d) as u64);
         let balls: Vec<Vec<(u32, Vec<u32>)>> = runtime
             .run_round(machines, |ctx| {
-                let mut out = Vec::new();
-                for &v in &assignments[ctx.machine_id()] {
-                    out.push((v, bounded_bfs(ctx, v, d, query_cap)));
-                }
-                out
+                let mut scratch = BfsScratch::default();
+                assignments[ctx.machine_id()]
+                    .iter()
+                    .map(|&v| (v, bounded_bfs(ctx, &mut scratch, v, d, query_cap)))
+                    .collect()
             })
             .expect("IncreaseDegrees round failed");
 
         // Driver: leader sampling and contraction (standard MPC primitives).
-        let live_count = current.vertices.len();
         let leader_probability = (2.0 * (n.max(2) as f64).ln() / d as f64).min(1.0);
         let use_leaders = leader_probability <= 0.5;
-        let mut is_leader: FxHashSet<u32> = FxHashSet::default();
-        if use_leaders {
-            for &v in &current.vertices {
-                if rng.gen_bool(leader_probability) {
-                    is_leader.insert(v);
-                }
-            }
-        }
+        let leaders: Vec<bool> = (0..if use_leaders { live.len() } else { 0 })
+            .map(|_| rng.gen_bool(leader_probability))
+            .collect();
+        let is_leader = |v: u32| leaders[live.index(v) as usize];
 
-        let mut uf_index: FxHashMap<u32, u32> = FxHashMap::default();
-        for (i, &v) in current.vertices.iter().enumerate() {
-            uf_index.insert(v, i as u32);
-        }
-        let mut uf = UnionFind::new(live_count);
-
-        for ball in balls.iter().flatten() {
-            let (v, visited) = (ball.0, &ball.1);
-            if visited.len() <= 1 {
+        let mut uf = UnionFind::new(live.len());
+        for (v, ball) in balls.iter().flatten() {
+            if ball.len() <= 1 {
                 continue; // isolated vertex
             }
+            let ball_min = || ball.iter().copied().min();
             let target = if use_leaders {
-                if is_leader.contains(&v) {
+                if is_leader(*v) {
                     continue; // leaders stay put
                 }
-                match visited
-                    .iter()
-                    .copied()
-                    .filter(|u| is_leader.contains(u))
-                    .min()
-                {
+                match ball.iter().copied().filter(|&u| is_leader(u)).min() {
                     Some(leader) => Some(leader),
                     // No leader in the ball: if the whole component was
                     // explored (|ball| < d) hook onto its minimum, otherwise
                     // stay put for this phase (w.h.p. rare).
-                    None if visited.len() < d => visited.iter().copied().min(),
+                    None if ball.len() < d => ball_min(),
                     None => None,
                 }
             } else {
                 // Dense-leader regime (small d): hook everything onto the
                 // minimum of its ball; vertex count at least halves.
-                visited.iter().copied().min()
+                ball_min()
             };
             if let Some(t) = target {
-                if t != v {
-                    uf.union(uf_index[&v], uf_index[&t]);
-                }
+                uf.union(live.index(*v), live.index(t));
             }
-        }
-
-        // New super-vertex of every live vertex = minimum original id in its
-        // union-find group.
-        let mut group_min: FxHashMap<u32, u32> = FxHashMap::default();
-        for &v in &current.vertices {
-            let root = uf.find(uf_index[&v]);
-            let entry = group_min.entry(root).or_insert(v);
-            if v < *entry {
-                *entry = v;
-            }
-        }
-        let mut super_of: FxHashMap<u32, u32> = FxHashMap::default();
-        for &v in &current.vertices {
-            super_of.insert(v, group_min[&uf.find(uf_index[&v])]);
         }
 
         // Contract the edge list (including the edges discovered by the BFS,
         // as the paper's step (a) adds them to G).
-        let mut new_edges: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for &(u, v) in &current.edges {
-            let (su, sv) = (super_of[&u], super_of[&v]);
-            if su != sv {
-                new_edges.insert((su.min(sv), su.max(sv)));
-            }
-        }
-        for ball in balls.iter().flatten() {
-            let sv = super_of[&ball.0];
-            for &u in &ball.1 {
-                let su = super_of[&u];
-                if su != sv {
-                    new_edges.insert((su.min(sv), su.max(sv)));
-                }
-            }
-        }
-
-        let mut new_vertices: Vec<u32> = super_of
-            .values()
-            .copied()
-            .collect::<FxHashSet<_>>()
-            .into_iter()
-            .collect();
-        new_vertices.sort_unstable();
-
-        // Update the original-vertex labels through this contraction.
-        for label in labels.iter_mut() {
-            if let Some(&s) = super_of.get(label) {
-                *label = s;
-            }
-        }
-
-        current = ContractedGraph {
-            vertices: new_vertices,
-            edges: new_edges.into_iter().collect(),
-        };
-
-        // Grow the budget double-exponentially, capped at n^{ε/2}.
-        d = ((d as f64).powf(1.4).ceil() as usize).clamp(2, d_cap);
+        let discovered = balls
+            .iter()
+            .flatten()
+            .flat_map(|(v, ball)| ball.iter().map(move |&u| (*v, u)));
+        let all = edges.iter().copied().chain(discovered);
+        edges = live.contract(&mut uf, &mut labels, all);
     }
 
     // Anything still carrying edges at this point (only possible if the
     // phase cap was hit) is finished off on the driver, mirroring the final
     // "fits in one machine" step of the paper.
-    if !current.edges.is_empty() {
-        let mut uf_index: FxHashMap<u32, u32> = FxHashMap::default();
-        for (i, &v) in current.vertices.iter().enumerate() {
-            uf_index.insert(v, i as u32);
+    if !edges.is_empty() {
+        let mut uf = UnionFind::new(live.len());
+        for &(u, v) in &edges {
+            uf.union(live.index(u), live.index(v));
         }
-        let mut uf = UnionFind::new(current.vertices.len());
-        for &(u, v) in &current.edges {
-            uf.union(uf_index[&u], uf_index[&v]);
-        }
-        let mut group_min: FxHashMap<u32, u32> = FxHashMap::default();
-        for &v in &current.vertices {
-            let root = uf.find(uf_index[&v]);
-            let entry = group_min.entry(root).or_insert(v);
-            if v < *entry {
-                *entry = v;
-            }
-        }
-        for label in labels.iter_mut() {
-            if let Some(&idx) = uf_index.get(label) {
-                let root = uf.find(idx);
-                *label = group_min[&root];
-            }
-        }
+        live.contract(&mut uf, &mut labels, edges);
     }
 
     AlgorithmResult::new(canonicalize_labels(&labels), runtime.into_stats())

@@ -43,6 +43,7 @@
 
 pub mod common;
 pub mod connectivity;
+mod contract;
 pub mod euler;
 pub mod forest;
 pub mod listrank;

@@ -8,17 +8,20 @@
 //! The committed edges are then contracted, the per-vertex budget grows to
 //! `d^{1.4}`, and the phase repeats until no edges remain.
 //!
-//! Documented deviation (DESIGN.md): contraction is performed along the MSF
+//! One deviation from the paper: contraction is performed along the MSF
 //! edges committed in the phase (their connected components become the new
 //! super-vertices) rather than by a separate leader-sampling pass.  This is
 //! always a contraction along MSF edges — exactly what the paper's
-//! leader-based contraction produces — and shrinks at least as fast.
+//! leader-based contraction produces — and shrinks at least as fast.  The
+//! driver-side steps run on the dense arrays of `contract.rs`; a phase keeps
+//! the `(weight, id)`-least edge of every parallel bundle (cycle property).
 
 use crate::common::{
     decode_weighted_neighbor, degree_key, encode_weighted_neighbor, round_robin_assign,
     weighted_adjacency_key, AlgorithmResult,
 };
-use ampc_dds::{FxHashMap, FxHashSet, Key, Value};
+use crate::contract::{phase_budgets, ContractEdge, LiveSet};
+use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind, WeightedEdge};
 use ampc_runtime::{
     with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
@@ -38,46 +41,31 @@ pub struct MsfOutput {
 }
 
 /// One edge of the contracted graph kept by the driver between phases.
-#[derive(Clone, Copy, Debug)]
+/// Field order is the derived `Ord`: endpoints, then `(weight, original)`,
+/// so the lightest edge of a parallel bundle sorts first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct ContractedEdge {
     u: u32,
     v: u32,
     weight: u64,
-    /// Id of the originating edge in the input graph.
+    /// Position of the originating edge in the input edge list.
     original: u32,
 }
 
-/// Publish the weighted adjacency of the contracted graph (one scatter).
-fn publish_weighted_adjacency<B: DdsBackend>(
-    runtime: &mut AmpcRuntime<B>,
-    vertices: &[u32],
-    edges: &[ContractedEdge],
-) {
-    let mut adjacency: FxHashMap<u32, Vec<(u32, u32, u64)>> = FxHashMap::default();
-    for &v in vertices {
-        adjacency.entry(v).or_default();
+impl ContractEdge for ContractedEdge {
+    fn ends(&self) -> (u32, u32) {
+        (self.u, self.v)
     }
-    for e in edges {
-        adjacency
-            .entry(e.u)
-            .or_default()
-            .push((e.v, e.original, e.weight));
-        adjacency
-            .entry(e.v)
-            .or_default()
-            .push((e.u, e.original, e.weight));
+    fn with_ends(self, u: u32, v: u32) -> Self {
+        ContractedEdge { u, v, ..self }
     }
-    let mut pairs: Vec<(Key, Value)> = Vec::new();
-    for (&v, nbrs) in &adjacency {
-        pairs.push((degree_key(v), Value::scalar(nbrs.len() as u64)));
-        for (i, &(u, id, w)) in nbrs.iter().enumerate() {
-            pairs.push((
-                weighted_adjacency_key(v, i),
-                encode_weighted_neighbor(u, id, w),
-            ));
-        }
-    }
-    runtime.scatter(pairs);
+}
+
+/// The scatter publishing the weighted adjacency of the contracted graph.
+fn weighted_adjacency_pairs(live: &LiveSet, edges: &[ContractedEdge]) -> Vec<(Key, Value)> {
+    live.adjacency_pairs(edges, weighted_adjacency_key, |neighbour, e| {
+        encode_weighted_neighbor(neighbour, e.original, e.weight)
+    })
 }
 
 /// Weighted-adjacency slots fetched per batched adaptive read while the
@@ -91,6 +79,18 @@ fn publish_weighted_adjacency<B: DdsBackend>(
 /// `batched_local_prim_debits_budget_like_single_reads`).
 const PRIM_READ_BATCH: usize = 16;
 
+/// Min-heap of candidate edges leaving a local tree:
+/// `Reverse((weight, inside, outside, original id))`.
+type CandidateHeap = BinaryHeap<std::cmp::Reverse<(u64, u32, u32, u32)>>;
+
+/// Buffers of [`local_prim`], owned by a machine for a whole round and
+/// cleared per start vertex.
+#[derive(Default)]
+struct PrimScratch {
+    heap: CandidateHeap,
+    in_tree: FxHashSet<u32>,
+}
+
 /// Algorithm 8 (`MSFIncreaseDegree`) for one vertex: run Prim's algorithm
 /// from `v` through adaptive reads until the local tree `F_v` holds `d`
 /// vertices, the component is exhausted, or the query cap is reached.
@@ -98,18 +98,18 @@ const PRIM_READ_BATCH: usize = 16;
 /// the cut property).
 fn local_prim<V: SnapshotView>(
     ctx: &mut MachineContext<V>,
+    scratch: &mut PrimScratch,
     v: u32,
     d: usize,
     query_cap: u64,
 ) -> Vec<(u32, u32, u32)> {
-    // Min-heap of candidate edges leaving the local tree:
-    // (Reverse(weight), inside, outside, original id).
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32, u32, u32)>> = BinaryHeap::new();
-    let mut in_tree: FxHashSet<u32> = FxHashSet::default();
+    let PrimScratch { heap, in_tree } = scratch;
+    heap.clear();
+    in_tree.clear();
     let mut selected: Vec<(u32, u32, u32)> = Vec::new();
     let start_queries = ctx.queries_issued();
 
-    let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut BinaryHeap<_>| {
+    let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
         let Some(deg) = ctx.read(degree_key(x)).map(|d| d.x as usize) else {
             return;
         };
@@ -140,7 +140,7 @@ fn local_prim<V: SnapshotView>(
     };
 
     in_tree.insert(v);
-    expand(v, ctx, &mut heap);
+    expand(v, ctx, heap);
 
     while in_tree.len() < d {
         if ctx.queries_issued() - start_queries >= query_cap {
@@ -149,12 +149,11 @@ fn local_prim<V: SnapshotView>(
         let Some(std::cmp::Reverse((_, from, to, id))) = heap.pop() else {
             break;
         };
-        if in_tree.contains(&to) {
+        if !in_tree.insert(to) {
             continue;
         }
-        in_tree.insert(to);
         selected.push((from, to, id));
-        expand(to, ctx, &mut heap);
+        expand(to, ctx, heap);
     }
     selected
 }
@@ -250,154 +249,80 @@ fn msf_impl<B: DdsBackend>(
         return AlgorithmResult::new(output, runtime.into_stats());
     }
 
-    let mut vertices: Vec<u32> = (0..n as u32).collect();
+    assert!(u32::try_from(m).is_ok(), "edge positions are u32");
+    let mut live = LiveSet::all(n);
+    // `original` is the edge's position in `all_edges` (its `id` too, for
+    // both callers, but nothing below relies on that).
     let mut edges: Vec<ContractedEdge> = all_edges
         .iter()
-        .map(|e| ContractedEdge {
+        .zip(0u32..)
+        .map(|(e, original)| ContractedEdge {
             u: e.u,
             v: e.v,
             weight: e.weight,
-            original: e.id,
+            original,
         })
         .collect();
     let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut committed: FxHashSet<u32> = FxHashSet::default();
+    let mut committed = vec![false; m];
 
     let space = runtime.config().space_per_machine();
-    let d_cap = ((n.max(2) as f64).powf(epsilon / 2.0).ceil() as usize).max(2);
-    let mut d = (((n + m) as f64 / n as f64).sqrt().ceil() as usize).clamp(2, d_cap);
-
-    let max_phases =
-        4 * ((n.max(4) as f64).ln().ln().ceil() as usize + 2) + (4.0 / epsilon).ceil() as usize;
-    for _phase in 0..max_phases {
+    for d in phase_budgets(n, m, epsilon) {
         if edges.is_empty() {
             break;
         }
 
         // Round 1: publish the contracted weighted graph.
-        publish_weighted_adjacency(&mut runtime, &vertices, &edges);
+        runtime.scatter(weighted_adjacency_pairs(&live, &edges));
 
         // Round 2: local Prim from every live vertex.
         let machines = runtime.config().num_machines();
-        let assignments = round_robin_assign(&vertices, machines);
+        let assignments = round_robin_assign(live.vertices(), machines);
         let query_cap = (space as u64).max((d * d) as u64);
         let found: Vec<Vec<(u32, u32, u32)>> = runtime
             .run_round(machines, |ctx| {
+                let mut scratch = PrimScratch::default();
                 let mut out = Vec::new();
                 for &v in &assignments[ctx.machine_id()] {
-                    out.extend(local_prim(ctx, v, d, query_cap));
+                    out.extend(local_prim(ctx, &mut scratch, v, d, query_cap));
                 }
                 out
             })
             .expect("MSFIncreaseDegree round failed");
 
         // Driver: commit the discovered MSF edges and contract along them.
-        let mut uf_index: FxHashMap<u32, u32> = FxHashMap::default();
-        for (i, &v) in vertices.iter().enumerate() {
-            uf_index.insert(v, i as u32);
-        }
-        let mut uf = UnionFind::new(vertices.len());
+        let mut uf = UnionFind::new(live.len());
         let mut progressed = false;
         for &(from, to, original) in found.iter().flatten() {
-            committed.insert(original);
-            if uf.union(uf_index[&from], uf_index[&to]) {
-                progressed = true;
-            }
+            committed[original as usize] = true;
+            progressed |= uf.union(live.index(from), live.index(to));
         }
         if !progressed {
             // No vertex found an outgoing edge (only possible when every
             // remaining edge is a self-loop of the contraction) — done.
             break;
         }
-
-        let mut group_min: FxHashMap<u32, u32> = FxHashMap::default();
-        for &v in &vertices {
-            let root = uf.find(uf_index[&v]);
-            let entry = group_min.entry(root).or_insert(v);
-            if v < *entry {
-                *entry = v;
-            }
-        }
-        let mut super_of: FxHashMap<u32, u32> = FxHashMap::default();
-        for &v in &vertices {
-            super_of.insert(v, group_min[&uf.find(uf_index[&v])]);
-        }
-
-        // Contract the edge list: drop self-loops and keep only the lightest
-        // parallel edge between each super-vertex pair (cycle property).
-        let mut best: FxHashMap<(u32, u32), ContractedEdge> = FxHashMap::default();
-        for e in &edges {
-            let (su, sv) = (super_of[&e.u], super_of[&e.v]);
-            if su == sv {
-                continue;
-            }
-            let key = (su.min(sv), su.max(sv));
-            let candidate = ContractedEdge {
-                u: key.0,
-                v: key.1,
-                weight: e.weight,
-                original: e.original,
-            };
-            match best.get(&key) {
-                Some(cur)
-                    if (cur.weight, cur.original) <= (candidate.weight, candidate.original) => {}
-                _ => {
-                    best.insert(key, candidate);
-                }
-            }
-        }
-        edges = best.into_values().collect();
-        let mut new_vertices: Vec<u32> = super_of
-            .values()
-            .copied()
-            .collect::<FxHashSet<_>>()
-            .into_iter()
-            .collect();
-        new_vertices.sort_unstable();
-        vertices = new_vertices;
-
-        for label in labels.iter_mut() {
-            if let Some(&s) = super_of.get(label) {
-                *label = s;
-            }
-        }
-
-        d = ((d as f64).powf(1.4).ceil() as usize).clamp(2, d_cap);
+        edges = live.contract(&mut uf, &mut labels, edges);
     }
 
     // Phase-cap fallback (mirrors the final single-machine step): finish any
     // remaining contracted edges with Kruskal on the driver.
     if !edges.is_empty() {
-        let mut uf_index: FxHashMap<u32, u32> = FxHashMap::default();
-        for (i, &v) in vertices.iter().enumerate() {
-            uf_index.insert(v, i as u32);
-        }
-        let mut uf = UnionFind::new(vertices.len());
-        let mut remaining = edges.clone();
-        remaining.sort_unstable_by_key(|e| (e.weight, e.original));
-        for e in remaining {
-            if uf.union(uf_index[&e.u], uf_index[&e.v]) {
-                committed.insert(e.original);
+        let mut uf = UnionFind::new(live.len());
+        edges.sort_unstable_by_key(|e| (e.weight, e.original));
+        for e in &edges {
+            if uf.union(live.index(e.u), live.index(e.v)) {
+                committed[e.original as usize] = true;
             }
         }
-        let mut group_min: FxHashMap<u32, u32> = FxHashMap::default();
-        for &v in &vertices {
-            let root = uf.find(uf_index[&v]);
-            let entry = group_min.entry(root).or_insert(v);
-            if v < *entry {
-                *entry = v;
-            }
-        }
-        for label in labels.iter_mut() {
-            if let Some(&idx) = uf_index.get(label) {
-                *label = group_min[&uf.find(idx)];
-            }
-        }
+        live.contract(&mut uf, &mut labels, edges);
     }
 
-    let by_id: FxHashMap<u32, &WeightedEdge> = all_edges.iter().map(|e| (e.id, e)).collect();
-    let mut msf_edges: Vec<WeightedEdge> = committed.iter().map(|id| *by_id[id]).collect();
-    msf_edges.sort_unstable_by_key(|e| e.id);
+    let msf_edges: Vec<WeightedEdge> = all_edges
+        .iter()
+        .zip(&committed)
+        .filter_map(|(e, &keep)| keep.then_some(*e))
+        .collect();
     let total_weight = msf_edges.iter().map(|e| e.weight).sum();
     let output = MsfOutput {
         edges: msf_edges,
@@ -543,7 +468,6 @@ mod tests {
         // loop, including at caps that truncate mid-list.
         let n = 120u32;
         let g = weighted(n as usize, 360, 17);
-        let vertices: Vec<u32> = (0..n).collect();
         let edges: Vec<ContractedEdge> = g
             .weighted_edges()
             .iter()
@@ -558,14 +482,15 @@ mod tests {
             let run = |batched: bool| {
                 let config = AmpcConfig::for_graph(n as usize, 360, 0.5).with_seed(5);
                 let mut runtime = AmpcRuntime::new(config);
-                publish_weighted_adjacency(&mut runtime, &vertices, &edges);
+                runtime.scatter(weighted_adjacency_pairs(&LiveSet::all(n as usize), &edges));
                 runtime
                     .run_round(1, |ctx| {
+                        let mut scratch = PrimScratch::default();
                         let mut out = Vec::new();
                         for v in 0..n {
                             let before = ctx.queries_issued();
                             let selected = if batched {
-                                local_prim(ctx, v, 6, query_cap)
+                                local_prim(ctx, &mut scratch, v, 6, query_cap)
                             } else {
                                 reference_prim(ctx, v, 6, query_cap)
                             };

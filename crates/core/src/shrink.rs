@@ -14,7 +14,7 @@
 //! final count with one more adaptive round that elects the minimum-priority
 //! vertex of each surviving cycle as its representative.
 //!
-//! One practical deviation, documented in DESIGN.md: a cycle that receives
+//! One practical deviation from the paper: a cycle that receives
 //! no sample in an iteration is passed through to the next iteration
 //! unchanged instead of being lost.  The paper's analysis makes this a
 //! w.h.p. non-event for the Θ(n)-length cycles of the 2-Cycle problem; the

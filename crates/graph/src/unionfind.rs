@@ -100,23 +100,49 @@ impl UnionFind {
 
 /// Normalise an arbitrary component labelling to "label = smallest vertex id
 /// in the component", so two labellings can be compared directly.
+///
+/// Vertices are visited in ascending order, so the first vertex seen with a
+/// label is the smallest of its class.  When every label is below
+/// `labels.len()` (labels that are themselves vertex ids — every caller in
+/// the workspace) that first vertex is kept in a table indexed by label;
+/// otherwise the `(label, vertex)` pairs are sorted and each run of equal
+/// labels starts with it.
 pub fn canonicalize_labels(labels: &[u32]) -> Vec<u32> {
     let n = labels.len();
-    let mut uf = UnionFind::new(n);
-    // Group vertices by label, then union each group to its first member.
-    let mut first_with_label: std::collections::HashMap<u32, u32> =
-        std::collections::HashMap::new();
-    for (v, &l) in labels.iter().enumerate() {
-        match first_with_label.get(&l) {
-            Some(&first) => {
-                uf.union(first, v as u32);
-            }
-            None => {
-                first_with_label.insert(l, v as u32);
-            }
+    assert!(u32::try_from(n).is_ok(), "vertex ids are u32");
+    if labels.iter().all(|&l| (l as usize) < n) {
+        let mut first_with_label = vec![u32::MAX; n];
+        labels
+            .iter()
+            .enumerate()
+            .map(|(v, &l)| {
+                let first = &mut first_with_label[l as usize];
+                if *first == u32::MAX {
+                    *first = v as u32;
+                }
+                *first
+            })
+            .collect()
+    } else {
+        canonicalize_by_sorting(labels)
+    }
+}
+
+/// [`canonicalize_labels`] for labels of any size.
+fn canonicalize_by_sorting(labels: &[u32]) -> Vec<u32> {
+    let mut by_label: Vec<(u32, u32)> = labels
+        .iter()
+        .enumerate()
+        .map(|(v, &l)| (l, v as u32))
+        .collect();
+    by_label.sort_unstable();
+    let mut canonical = vec![0u32; labels.len()];
+    for class in by_label.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, v) in class {
+            canonical[v as usize] = class[0].1;
         }
     }
-    uf.canonical_labels()
+    canonical
 }
 
 #[cfg(test)]
@@ -164,6 +190,39 @@ mod tests {
         let b = vec![100, 100, 2, 2, 50];
         assert_eq!(canonicalize_labels(&a), canonicalize_labels(&b));
         assert_eq!(canonicalize_labels(&a), vec![0, 0, 2, 2, 4]);
+    }
+
+    #[test]
+    fn canonicalize_labels_at_or_above_n() {
+        // Labels that are not vertex ids take the sorting path.
+        let labels = vec![u32::MAX, 5, u32::MAX, 5, 0, 1_000_000];
+        assert_eq!(canonicalize_labels(&labels), vec![0, 1, 0, 1, 4, 5]);
+        assert_eq!(canonicalize_labels(&[3]), vec![0]);
+        assert!(canonicalize_labels(&[]).is_empty());
+    }
+
+    #[test]
+    fn both_canonicalize_paths_agree_on_random_labellings() {
+        // xorshift; labels below n, so both paths accept every labelling.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..200 {
+            let n = 1 + next(64) as usize;
+            let classes = 1 + next(n as u64);
+            let labels: Vec<u32> = (0..n).map(|_| next(classes) as u32).collect();
+            let table = canonicalize_labels(&labels);
+            assert_eq!(table, canonicalize_by_sorting(&labels), "round {round}");
+            // The definition: smallest vertex carrying the same label.
+            for (v, &c) in table.iter().enumerate() {
+                let smallest = labels.iter().position(|&l| l == labels[v]).unwrap();
+                assert_eq!(c as usize, smallest, "round {round}, vertex {v}");
+            }
+        }
     }
 
     #[test]
