@@ -249,11 +249,16 @@ impl<V: SnapshotView> MachineContext<V> {
         if ticket.0 >= self.prev_base && lag < self.resolved_prev.len() {
             return self.resolved_prev[lag];
         }
-        // lint: allow(panic) — documented contract: an expired ticket is a caller bug (use-after-window), and returning stale data would corrupt the round silently
-        panic!(
-            "read ticket {} expired: the window retains only the current and previous flights (redeem tickets promptly)",
-            ticket.0
-        );
+        #[allow(
+            clippy::panic,
+            reason = "documented contract: an expired ticket is a caller bug (use-after-window), and returning stale data would corrupt the round silently"
+        )]
+        {
+            panic!(
+                "read ticket {} expired: the window retains only the current and previous flights (redeem tickets promptly)",
+                ticket.0
+            )
+        }
     }
 
     /// Fly every read still pending in the auto-batching window as one

@@ -67,13 +67,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod config;
 pub mod context;
 pub mod error;
 pub mod fault;
 pub mod runtime;
-pub mod slackness;
 pub mod stats;
 
 pub use config::{

@@ -408,7 +408,10 @@ pub fn tcp_backend(config: &AmpcConfig) -> TcpBackend {
             None => Ok(TcpBackend::new(shards, config.effective_threads())),
         },
     };
-    // lint: allow(panic) — construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing store as fatal
+    #[allow(
+        clippy::panic,
+        reason = "construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing store as fatal"
+    )]
     connected.unwrap_or_else(|err| panic!("DDS transport failure: {err}"))
 }
 
@@ -437,20 +440,29 @@ macro_rules! with_dds_backend {
         let __config: $crate::AmpcConfig = $config;
         match __config.backend {
             $crate::DdsBackendKind::Local => {
-                #[allow(unused_mut)]
+                #[allow(
+                    unused_mut,
+                    reason = "whether the body mutates the runtime is the caller's business"
+                )]
                 let mut $runtime =
                     $crate::AmpcRuntime::<$crate::LocalBackend>::with_backend(__config);
                 $body
             }
             $crate::DdsBackendKind::Channel => {
-                #[allow(unused_mut)]
+                #[allow(
+                    unused_mut,
+                    reason = "whether the body mutates the runtime is the caller's business"
+                )]
                 let mut $runtime =
                     $crate::AmpcRuntime::<$crate::ChannelBackend>::with_backend(__config);
                 $body
             }
             $crate::DdsBackendKind::Remote | $crate::DdsBackendKind::Cluster => {
                 let __backend = $crate::runtime::tcp_backend(&__config);
-                #[allow(unused_mut)]
+                #[allow(
+                    unused_mut,
+                    reason = "whether the body mutates the runtime is the caller's business"
+                )]
                 let mut $runtime =
                     $crate::AmpcRuntime::<$crate::TcpBackend>::from_backend(__config, __backend);
                 $body

@@ -11,8 +11,6 @@
 //!   6. the Lemma 2.1 contention experiment;
 //!   7. the commit-throughput / read-latency / shard-sweep series, also
 //!      written to `BENCH_commit.json` so future PRs have a perf trajectory.
-//!
-//! The numbers printed by this binary are the source of EXPERIMENTS.md.
 
 use ampc_bench::{
     backend_read_latency, cluster_commit_scaling, commit_throughput, contention_experiment,

@@ -26,12 +26,10 @@
 //! * [`serve_throughput`] — many-client throughput against the standalone
 //!   owner process, pipelined vs one-in-flight, the `serve_throughput`
 //!   section of the same artifact;
-//! * the Criterion benches under `benches/` measure wall-clock time of the
-//!   same code paths, one bench file per experiment (a Figure 1 row, a
-//!   series, or a `BENCH_commit.json` section);
 //! * the `summary` binary (`cargo run -p ampc-bench --bin summary --release`)
-//!   prints the whole reproduction as text tables and records them for
-//!   EXPERIMENTS.md.
+//!   prints the whole reproduction as text tables;
+//! * the `e2e` binary (`src/bin/e2e/`, the repo's benchmark: see its README)
+//!   times the same algorithms end to end on every backend.
 
 #![warn(missing_docs)]
 

@@ -74,8 +74,9 @@ impl KeyTag {
 
     /// Inverse of [`KeyTag::code`] for codes a well-formed encoder can
     /// produce; `None` for the gap between the named tags and the
-    /// `Custom` namespace.  Wire decoders use this so a corrupt frame
-    /// surfaces as a decode error instead of a panic.
+    /// `Custom` namespace and for everything past it, so no two codes name
+    /// one tag.  Wire decoders use this so a corrupt frame surfaces as a
+    /// decode error instead of a panic — or of a different, valid key.
     #[inline]
     pub fn try_from_code(code: u32) -> Option<Self> {
         Some(match code {
@@ -90,7 +91,7 @@ impl KeyTag {
             8 => KeyTag::Label,
             9 => KeyTag::WeightedAdjacency,
             10 => KeyTag::Scalar,
-            c if c >= 0x1_0000 => KeyTag::Custom((c - 0x1_0000) as u16),
+            c @ 0x1_0000..=0x1_FFFF => KeyTag::Custom((c - 0x1_0000) as u16),
             _ => return None,
         })
     }
@@ -100,7 +101,10 @@ impl KeyTag {
     /// [`KeyTag::try_from_code`].
     #[inline]
     pub fn from_code(code: u32) -> Self {
-        // lint: allow(panic) — trusted-input inverse; wire decoding uses try_from_code
+        #[allow(
+            clippy::panic,
+            reason = "trusted-input inverse; wire decoding uses try_from_code"
+        )]
         Self::try_from_code(code).unwrap_or_else(|| panic!("invalid KeyTag code {code}"))
     }
 }
@@ -253,6 +257,11 @@ mod tests {
     fn key_tag_codes_round_trip() {
         for tag in TAGS {
             assert_eq!(KeyTag::from_code(tag.code()), tag);
+        }
+        // No second spelling: codes in the gap or past the `Custom`
+        // namespace name nothing (they once wrapped onto `Custom(c as u16)`).
+        for code in [11, 0xFFFF, 0x2_0000, 0x2_000A, u32::MAX] {
+            assert_eq!(KeyTag::try_from_code(code), None, "{code:#x}");
         }
     }
 

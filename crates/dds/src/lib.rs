@@ -191,46 +191,43 @@
 //!
 //! # Machine-checked invariants
 //!
-//! Several of the guarantees above are *cross-file* properties that no
-//! single `#[test]` or compiler lint can see whole.  They are enforced by
-//! `ampc-lint` (`cargo run -p ampc-lint`, wired into CI), a
-//! workspace-native static analyzer that parses this crate and `ampc`
-//! directly and fails the build with `file:line` diagnostics:
+//! Several of the guarantees above span files.  Each is held by the
+//! strongest checker the toolchain already has, beside the code it
+//! constrains, on every `cargo build` / `cargo clippy` — there is no linter
+//! of our own to run or to keep in step:
 //!
-//! * **proto-conformance** — the [`proto::Request`] / [`proto::Reply`]
-//!   enums, their `TAG_*` wire constants, the `fn handle` match in
-//!   `transport::dispatch`, and the [`proto::REPLAY_POLICY`] table must
-//!   stay mutually total: every request variant has a unique tag used by
-//!   both encode and decode, a dispatch arm, and a declared replay policy
-//!   ([`proto::ReplayPolicy`]).  Deleting any one of those is a lint
-//!   failure, so "every request is idempotent at the owner" is a checked
-//!   claim, not a comment.  Each tag is also pushed at exactly one site and
-//!   matched at exactly one site, so a payload with two in-memory forms
-//!   (the frozen epoch) cannot grow a second, hand-rolled layout.
-//! * **panic-path** — non-test code in `dds` and `ampc` may not call
-//!   `unwrap()` / `expect(` / `panic!` / `unimplemented!` / `todo!`
-//!   unannotated.  Intentional panics (owner-side protocol violations
-//!   harvested into [`TransportError::PeerClosed`], provably-infallible
-//!   decodes) carry a `// lint: allow(panic) — <reason>` on the preceding
-//!   line; an allow without a reason is itself a finding.
-//! * **const-consistency** — the numeric relationships the replay design
-//!   depends on: the commit dedup window covers at least two full
-//!   pipelines (`COMMIT_REPLAY_WINDOW ≥ 2 × PIPELINE_DEPTH`, and at least
-//!   the client's `MAX_PIPELINE`), and the frame cap in [`proto`] equals
-//!   the pool-retention cap in `transport::codec`.  (The cluster owner
-//!   count needs no rule: it is a run-time number validated against the
-//!   advertised shard map.)
-//! * **blocking-discipline** — no `thread::sleep` or unbounded reads on
-//!   the dispatch/session/serve hot paths outside annotated backoff
-//!   (`// lint: allow(blocking) — <reason>`); `clippy.toml` bans
-//!   `thread::sleep` workspace-wide as the compiler-visible half.
+//! | invariant | checker |
+//! |---|---|
+//! | every [`proto::Request`] has a dispatch arm, a kind, a declared [`proto::ReplayPolicy`], an encoder arm, a decoder arm, and says whether the fault schedule can address it | **E0004** (non-exhaustive patterns): `Worker::handle`, `Request::kind`, [`proto::RequestKind::replay_policy`], `encode_request_into`, `decode_request`, `decode_reply_as` and `fault_coordinates` are `match`es without a wildcard, and `#[deny(unreachable_patterns, clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]` on exactly those functions keeps one from being added (clippy files a wildcard that hides exactly one variant under the third name, any other under the second) |
+//! | wire tags are unique per direction, and a request cannot exist without one | **E0081** (duplicate discriminant): the tags *are* the discriminants of `#[repr(u8)]` [`proto::RequestKind`] and of the private `ReplyTag`; the encoder writes `request.kind() as u8` |
+//! | a kind is classified exactly once, under a policy that exists | E0004 / unreachable pattern / E0599 on `RequestKind::replay_policy` — "every request is idempotent at the owner" is a checked claim, not a comment |
+//! | no reply layout is written or parsed outside `proto.rs` | **E0603** (private item): `ReplyTag` cannot be named from another module |
+//! | inside `proto.rs` the epoch payload — one layout, two in-memory forms — has one writer and one parser | the one rule with no type-level form: the unit test `the_epoch_payload_has_one_writer_and_one_parser` over `include_str!("proto.rs")` |
+//! | the wire numbers are the deployed ones (both ends renumbering together would pass every round trip) | the golden test `wire_tags_are_the_deployed_numbers` |
+//! | the commit dedup window covers a fully replayed pipeline plus the traffic behind it (`COMMIT_REPLAY_WINDOW ≥ 2 × PIPELINE_DEPTH`, `≥ MAX_PIPELINE`) | a **`const` assertion** beside the window in `transport::dispatch` |
+//! | the frame pool retains nothing larger than a legal frame | by construction: `transport::codec` compares against [`proto::MAX_FRAME_BYTES`] itself |
+//! | non-test code in `ampc-dds` and `ampc-runtime` does not `unwrap()` / `expect(…)` / `panic!` unexplained (`todo!` / `unimplemented!` are denied workspace-wide) | **`clippy::unwrap_used`**, **`clippy::expect_used`**, **`clippy::panic`**, denied at both crate roots; test code is exempt (`clippy.toml`).  Intentional panics — owner-side protocol violations harvested into [`TransportError::PeerClosed`], provably-infallible conversions — carry `#[allow(clippy::…, reason = "…")]` |
+//! | an allow without a reason is itself a finding | **`clippy::allow_attributes_without_reason`**, denied at both crate roots |
+//! | no `thread::sleep` and no unbounded `read_to_end` / `read_to_string` anywhere in the workspace outside annotated, bounded waits | `clippy::disallowed_methods` (`clippy.toml`) |
+//! | no decoder panics, overflows, over-allocates, or accepts a second spelling of a message, on any bytes | the decode mutation loop in `proto.rs`, run under the `release-checked` profile by CI |
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod backend;
 pub mod cluster;
 pub mod codec;
 pub mod contention;
+/// The unit tests' allocator: the counting shim `tests/framing_alloc.rs`
+/// runs under, so `proto.rs` can hold its decoders to an allocation budget.
+#[cfg(test)]
+#[path = "../tests/counting_alloc/mod.rs"]
+mod counting_alloc;
 pub mod epoch;
 pub mod hashing;
 pub mod key;

@@ -51,30 +51,85 @@ use std::io::{IoSlice, Read, Write};
 /// length prefix cannot drive an unbounded allocation.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// The kind of a [`Request`], without its payload.
+/// Most shards a [`Request::Lease`] may announce.  The count sizes the owner
+/// the lease spawns (one map per shard it holds), so it is bounded where
+/// the frame enters, like a frame's length: 64× the runtime's `MAX_SHARDS`,
+/// about 3 MB of empty maps at worst.
+pub const MAX_LEASE_SHARDS: u64 = 65_536;
+
+/// The kind of a [`Request`], without its payload — and, as `kind as u8`,
+/// the first byte of its encoding.
 ///
-/// Used by the fault-injection schedule ([`crate::transport::RequestFaults`])
-/// to address "drop the `Commit` of epoch 3 on worker 1"-style coordinates.
+/// The discriminants *are* the request wire tags: two kinds sharing a value
+/// do not compile (E0081), and [`encode_request_into`] writes
+/// `request.kind() as u8`, so a kind cannot exist without its tag.  Also the
+/// keyspace of the fault-injection schedule
+/// ([`crate::transport::RequestFaults`]): "drop the `Commit` of epoch 3 on
+/// worker 1".
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
 pub enum RequestKind {
     /// [`Request::Commit`].
-    Commit,
+    Commit = 0,
     /// [`Request::Advance`].
-    Advance,
-    /// [`Request::FreezeEpoch`].
-    FreezeEpoch,
-    /// [`Request::PublishEpoch`].
-    PublishEpoch,
+    Advance = 1,
     /// [`Request::Loads`].
-    Loads,
+    Loads = 2,
     /// [`Request::Dump`].
-    Dump,
+    Dump = 3,
     /// [`Request::TotalWrites`].
-    TotalWrites,
+    TotalWrites = 4,
     /// [`Request::Lease`].
-    Lease,
+    Lease = 5,
     /// [`Request::Goodbye`].
-    Goodbye,
+    Goodbye = 6,
+    /// [`Request::FreezeEpoch`].
+    FreezeEpoch = 7,
+    /// [`Request::PublishEpoch`].
+    PublishEpoch = 8,
+}
+
+impl RequestKind {
+    /// Every kind, for reading a tag byte back.  A kind left out is one the
+    /// decoder refuses, which the round-trip and golden-tag tests catch:
+    /// their sample builder is a wildcard-free `match` over this enum.
+    const ALL: [RequestKind; 9] = [
+        RequestKind::Commit,
+        RequestKind::Advance,
+        RequestKind::Loads,
+        RequestKind::Dump,
+        RequestKind::TotalWrites,
+        RequestKind::Lease,
+        RequestKind::Goodbye,
+        RequestKind::FreezeEpoch,
+        RequestKind::PublishEpoch,
+    ];
+
+    fn from_tag(tag: u8) -> Option<RequestKind> {
+        Self::ALL.into_iter().find(|kind| *kind as u8 == tag)
+    }
+
+    /// *Why* a request of this kind is safe to retransmit.  A wildcard-free
+    /// `match`: a kind that is unclassified, unknown or classified twice
+    /// does not compile (E0004, E0599, unreachable pattern).
+    #[deny(
+        unreachable_patterns,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub const fn replay_policy(self) -> ReplayPolicy {
+        match self {
+            RequestKind::Commit => ReplayPolicy::Deduped,
+            RequestKind::Advance => ReplayPolicy::Idempotent,
+            RequestKind::FreezeEpoch => ReplayPolicy::Idempotent,
+            RequestKind::PublishEpoch => ReplayPolicy::Idempotent,
+            RequestKind::Loads => ReplayPolicy::Pure,
+            RequestKind::Dump => ReplayPolicy::Pure,
+            RequestKind::TotalWrites => ReplayPolicy::Pure,
+            RequestKind::Lease => ReplayPolicy::Idempotent,
+            RequestKind::Goodbye => ReplayPolicy::Idempotent,
+        }
+    }
 }
 
 impl fmt::Display for RequestKind {
@@ -168,9 +223,10 @@ pub enum Request {
         session: u64,
         /// Index of the owner this connection addresses.
         worker: u64,
-        /// Total shard count of the client's routing topology.  A serving
-        /// process derives the owner's shard group as
-        /// `(worker..num_shards).step_by(workers)`.
+        /// Total shard count of the client's routing topology, at most
+        /// [`MAX_LEASE_SHARDS`] (a serving process drops the connection
+        /// beyond it).  A serving process derives the owner's shard group
+        /// as `(worker..num_shards).step_by(workers)`.
         num_shards: u64,
         /// Owner count of the client's routing topology.
         workers: u64,
@@ -187,6 +243,11 @@ pub enum Request {
 
 impl Request {
     /// The kind of this request.
+    #[deny(
+        unreachable_patterns,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn kind(&self) -> RequestKind {
         match self {
             Request::Commit { .. } => RequestKind::Commit,
@@ -200,30 +261,17 @@ impl Request {
             Request::Goodbye => RequestKind::Goodbye,
         }
     }
-
-    /// The declared [`ReplayPolicy`] of this request.  Total by
-    /// construction: `ampc-lint` fails the build when a `Request` variant
-    /// is missing from [`REPLAY_POLICY`].
-    pub fn replay_policy(&self) -> ReplayPolicy {
-        let kind = self.kind();
-        REPLAY_POLICY
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, policy)| *policy)
-            // lint: allow(panic) — REPLAY_POLICY totality is machine-checked by the proto-conformance pass
-            .unwrap_or_else(|| panic!("REPLAY_POLICY has no entry for {kind}"))
-    }
 }
 
-/// *Why* a [`Request`] is safe to retransmit — the machine-checked half of
+/// *Why* a [`Request`] is safe to retransmit — the compiler-checked half of
 /// the idempotent-replay guarantee.
 ///
 /// After a reconnect the transport replays every request whose reply is
 /// outstanding, so every request must be safe to reach the owner twice.
 /// How each one achieves that is protocol design, not an implementation
-/// accident, so it is declared in [`REPLAY_POLICY`] and cross-checked by
-/// `ampc-lint`'s proto-conformance pass: adding a `Request` variant
-/// without classifying its replay behavior is a CI failure.
+/// accident, so it is declared in [`RequestKind::replay_policy`], a `match`
+/// without a wildcard: a `Request` variant that does not say how it replays
+/// does not build.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ReplayPolicy {
     /// Applied at most once: a replay inside the dispatch layer's
@@ -239,24 +287,6 @@ pub enum ReplayPolicy {
     /// (`Loads`, `Dump`, `TotalWrites`).
     Pure,
 }
-
-/// The replay classification of every request kind.
-///
-/// `ampc-lint` checks this table for totality over `Request`'s variants,
-/// rejects duplicate or unknown entries, and requires a dispatch match arm
-/// for every classified variant; [`Request::replay_policy`] is the runtime
-/// lookup.
-pub const REPLAY_POLICY: &[(RequestKind, ReplayPolicy)] = &[
-    (RequestKind::Commit, ReplayPolicy::Deduped),
-    (RequestKind::Advance, ReplayPolicy::Idempotent),
-    (RequestKind::FreezeEpoch, ReplayPolicy::Idempotent),
-    (RequestKind::PublishEpoch, ReplayPolicy::Idempotent),
-    (RequestKind::Loads, ReplayPolicy::Pure),
-    (RequestKind::Dump, ReplayPolicy::Pure),
-    (RequestKind::TotalWrites, ReplayPolicy::Pure),
-    (RequestKind::Lease, ReplayPolicy::Idempotent),
-    (RequestKind::Goodbye, ReplayPolicy::Idempotent),
-];
 
 /// The reply to one [`Request`] (same variant order as the request kinds).
 #[derive(Clone, Debug, PartialEq)]
@@ -445,23 +475,38 @@ impl std::error::Error for ProtoError {}
 // Encoding
 // ---------------------------------------------------------------------------
 
-const TAG_COMMIT: u8 = 0;
-const TAG_ADVANCE: u8 = 1;
-const TAG_LOADS: u8 = 2;
-const TAG_DUMP: u8 = 3;
-const TAG_TOTAL_WRITES: u8 = 4;
-const TAG_LEASE: u8 = 5;
-const TAG_GOODBYE: u8 = 6;
-const TAG_FREEZE_EPOCH: u8 = 7;
-const TAG_PUBLISH_EPOCH: u8 = 8;
+/// The first byte of an encoded [`Reply`].  Private to this module, so the
+/// reply layout cannot be written or parsed anywhere else (E0603); two tags
+/// sharing a value do not compile (E0081).  Requests need no second enum:
+/// their tag is `RequestKind as u8`.
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum ReplyTag {
+    Committed = 0,
+    Epoch = 1,
+    Loads = 2,
+    Dump = 3,
+    TotalWrites = 4,
+    LeaseGranted = 5,
+    EpochFrozen = 6,
+}
 
-const TAG_COMMITTED: u8 = 0;
-const TAG_EPOCH: u8 = 1;
-const TAG_LOADS_REPLY: u8 = 2;
-const TAG_DUMP_REPLY: u8 = 3;
-const TAG_TOTAL_WRITES_REPLY: u8 = 4;
-const TAG_LEASE_GRANTED: u8 = 5;
-const TAG_EPOCH_FROZEN: u8 = 6;
+impl ReplyTag {
+    /// Every tag, for reading the byte back — see [`RequestKind::ALL`].
+    const ALL: [ReplyTag; 7] = [
+        ReplyTag::Committed,
+        ReplyTag::Epoch,
+        ReplyTag::Loads,
+        ReplyTag::Dump,
+        ReplyTag::TotalWrites,
+        ReplyTag::LeaseGranted,
+        ReplyTag::EpochFrozen,
+    ];
+
+    fn from_tag(tag: u8) -> Option<ReplyTag> {
+        Self::ALL.into_iter().find(|known| *known as u8 == tag)
+    }
+}
 
 fn put_u32(buf: &mut Vec<u8>, value: u32) {
     buf.extend_from_slice(&value.to_le_bytes());
@@ -508,7 +553,7 @@ fn put_epoch<'a, E>(buf: &mut Vec<u8>, shards: impl ExactSizeIterator<Item = (u6
 where
     E: ExactSizeIterator<Item = (&'a Key, &'a [Value])>,
 {
-    buf.push(TAG_EPOCH);
+    buf.push(ReplyTag::Epoch as u8);
     put_u32(buf, shards.len() as u32);
     for (writes, entries) in shards {
         put_u64(buf, writes);
@@ -572,15 +617,20 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
 /// retained) — the zero-allocation path of the codec layer: once the buffer
 /// has grown to the connection's working frame size, encoding allocates
 /// nothing.
+#[deny(
+    unreachable_patterns,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
     buf.clear();
+    buf.push(request.kind() as u8);
     match request {
         Request::Commit {
             epoch,
             seq,
             batches,
         } => {
-            buf.push(TAG_COMMIT);
             put_u64(buf, *epoch as u64);
             put_u64(buf, *seq);
             put_u32(buf, batches.len() as u32);
@@ -593,27 +643,12 @@ pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
                 }
             }
         }
-        Request::Advance { epoch } => {
-            buf.push(TAG_ADVANCE);
-            put_u64(buf, *epoch as u64);
-        }
-        Request::FreezeEpoch { epoch } => {
-            buf.push(TAG_FREEZE_EPOCH);
-            put_u64(buf, *epoch as u64);
-        }
-        Request::PublishEpoch { epoch } => {
-            buf.push(TAG_PUBLISH_EPOCH);
-            put_u64(buf, *epoch as u64);
-        }
-        Request::Loads { epoch } => {
-            buf.push(TAG_LOADS);
-            put_u64(buf, *epoch as u64);
-        }
-        Request::Dump { epoch } => {
-            buf.push(TAG_DUMP);
-            put_u64(buf, *epoch as u64);
-        }
-        Request::TotalWrites => buf.push(TAG_TOTAL_WRITES),
+        Request::Advance { epoch }
+        | Request::FreezeEpoch { epoch }
+        | Request::PublishEpoch { epoch }
+        | Request::Loads { epoch }
+        | Request::Dump { epoch } => put_u64(buf, *epoch as u64),
+        Request::TotalWrites | Request::Goodbye => {}
         Request::Lease {
             session,
             worker,
@@ -621,14 +656,12 @@ pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
             workers,
             ttl_ms,
         } => {
-            buf.push(TAG_LEASE);
             put_u64(buf, *session);
             put_u64(buf, *worker);
             put_u64(buf, *num_shards);
             put_u64(buf, *workers);
             put_u64(buf, *ttl_ms);
         }
-        Request::Goodbye => buf.push(TAG_GOODBYE),
     }
 }
 
@@ -645,13 +678,13 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
     buf.clear();
     match reply {
         Reply::Committed { epoch, accepted } => {
-            buf.push(TAG_COMMITTED);
+            buf.push(ReplyTag::Committed as u8);
             put_u64(buf, *epoch as u64);
             put_u64(buf, *accepted);
         }
         Reply::Epoch(frame) => put_epoch(buf, frame.walk()),
         Reply::Loads(loads) => {
-            buf.push(TAG_LOADS_REPLY);
+            buf.push(ReplyTag::Loads as u8);
             put_u32(buf, loads.len() as u32);
             for load in loads {
                 put_u64(buf, load.shard as u64);
@@ -661,14 +694,14 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
             }
         }
         Reply::Dump(entries) => {
-            buf.push(TAG_DUMP_REPLY);
+            buf.push(ReplyTag::Dump as u8);
             put_entries(
                 buf,
                 entries.iter().map(|(key, values)| (key, values.as_slice())),
             );
         }
         Reply::TotalWrites(total) => {
-            buf.push(TAG_TOTAL_WRITES_REPLY);
+            buf.push(ReplyTag::TotalWrites as u8);
             put_u64(buf, *total);
         }
         Reply::LeaseGranted {
@@ -677,7 +710,7 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
             resumed,
             shard_map,
         } => {
-            buf.push(TAG_LEASE_GRANTED);
+            buf.push(ReplyTag::LeaseGranted as u8);
             put_u64(buf, *session);
             put_u64(buf, *ttl_ms);
             buf.push(u8::from(*resumed));
@@ -697,7 +730,7 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
             }
         }
         Reply::EpochFrozen { epoch } => {
-            buf.push(TAG_EPOCH_FROZEN);
+            buf.push(ReplyTag::EpochFrozen as u8);
             put_u64(buf, *epoch as u64);
         }
     }
@@ -732,13 +765,19 @@ impl<'a> Cursor<'a> {
 
     fn u32(&mut self, context: &'static str) -> Result<u32, ProtoError> {
         let bytes = self.take(4, context)?;
-        // lint: allow(panic) — infallible: take() just returned exactly 4 bytes
+        #[allow(
+            clippy::expect_used,
+            reason = "infallible: take() just returned exactly 4 bytes"
+        )]
         Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte take")))
     }
 
     fn u64(&mut self, context: &'static str) -> Result<u64, ProtoError> {
         let bytes = self.take(8, context)?;
-        // lint: allow(panic) — infallible: take() just returned exactly 8 bytes
+        #[allow(
+            clippy::expect_used,
+            reason = "infallible: take() just returned exactly 8 bytes"
+        )]
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte take")))
     }
 
@@ -880,10 +919,20 @@ fn get_epoch<S: EpochSink>(cursor: &mut Cursor<'_>) -> Result<S, ProtoError> {
 ///
 /// The whole buffer must be one message: truncated buffers, unknown tags and
 /// trailing bytes are all rejected.
+#[deny(
+    unreachable_patterns,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
     let mut cursor = Cursor::new(bytes);
-    let request = match cursor.u8("request tag")? {
-        TAG_COMMIT => {
+    let tag = cursor.u8("request tag")?;
+    let kind = RequestKind::from_tag(tag).ok_or(ProtoError::UnknownTag {
+        kind: "request",
+        tag,
+    })?;
+    let request = match kind {
+        RequestKind::Commit => {
             let epoch = cursor.u64("commit epoch")? as usize;
             let seq = cursor.u64("commit seq")?;
             let batch_count = cursor.count(8, "commit batches")?;
@@ -905,36 +954,30 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
                 batches,
             }
         }
-        TAG_ADVANCE => Request::Advance {
+        RequestKind::Advance => Request::Advance {
             epoch: cursor.u64("advance epoch")? as usize,
         },
-        TAG_FREEZE_EPOCH => Request::FreezeEpoch {
+        RequestKind::FreezeEpoch => Request::FreezeEpoch {
             epoch: cursor.u64("freeze epoch")? as usize,
         },
-        TAG_PUBLISH_EPOCH => Request::PublishEpoch {
+        RequestKind::PublishEpoch => Request::PublishEpoch {
             epoch: cursor.u64("publish epoch")? as usize,
         },
-        TAG_LOADS => Request::Loads {
+        RequestKind::Loads => Request::Loads {
             epoch: cursor.u64("loads epoch")? as usize,
         },
-        TAG_DUMP => Request::Dump {
+        RequestKind::Dump => Request::Dump {
             epoch: cursor.u64("dump epoch")? as usize,
         },
-        TAG_TOTAL_WRITES => Request::TotalWrites,
-        TAG_LEASE => Request::Lease {
+        RequestKind::TotalWrites => Request::TotalWrites,
+        RequestKind::Lease => Request::Lease {
             session: cursor.u64("lease session")?,
             worker: cursor.u64("lease worker")?,
             num_shards: cursor.u64("lease shards")?,
             workers: cursor.u64("lease workers")?,
             ttl_ms: cursor.u64("lease ttl")?,
         },
-        TAG_GOODBYE => Request::Goodbye,
-        tag => {
-            return Err(ProtoError::UnknownTag {
-                kind: "request",
-                tag,
-            })
-        }
+        RequestKind::Goodbye => Request::Goodbye,
     };
     cursor.finish()?;
     Ok(request)
@@ -962,19 +1005,26 @@ pub(crate) enum Decoded<S> {
 /// `S =` [`FrozenEpoch`], the client's half of "one pass each way": bytes to
 /// shard maps with no [`EpochFrame`] in between.  The one place reply tags
 /// are matched; same contract as [`decode_request`].
+#[deny(
+    unreachable_patterns,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub(crate) fn decode_reply_as<S: EpochSink>(bytes: &[u8]) -> Result<Decoded<S>, ProtoError> {
     let mut cursor = Cursor::new(bytes);
-    let reply = match cursor.u8("reply tag")? {
-        TAG_EPOCH => {
+    let tag = cursor.u8("reply tag")?;
+    let tag = ReplyTag::from_tag(tag).ok_or(ProtoError::UnknownTag { kind: "reply", tag })?;
+    let reply = match tag {
+        ReplyTag::Epoch => {
             let epoch = get_epoch::<S>(&mut cursor)?;
             cursor.finish()?;
             return Ok(Decoded::Epoch(epoch));
         }
-        TAG_COMMITTED => Reply::Committed {
+        ReplyTag::Committed => Reply::Committed {
             epoch: cursor.u64("committed epoch")? as usize,
             accepted: cursor.u64("committed count")?,
         },
-        TAG_LOADS_REPLY => {
+        ReplyTag::Loads => {
             let count = cursor.count(32, "loads")?;
             let mut loads = Vec::with_capacity(count);
             for _ in 0..count {
@@ -988,9 +1038,9 @@ pub(crate) fn decode_reply_as<S: EpochSink>(bytes: &[u8]) -> Result<Decoded<S>, 
             Reply::Loads(loads)
         }
         // A dump is one shard's entry list without the write count.
-        TAG_DUMP_REPLY => Reply::Dump(get_entries::<EpochFrame>(&mut cursor, 0)?.entries),
-        TAG_TOTAL_WRITES_REPLY => Reply::TotalWrites(cursor.u64("total writes")?),
-        TAG_LEASE_GRANTED => Reply::LeaseGranted {
+        ReplyTag::Dump => Reply::Dump(get_entries::<EpochFrame>(&mut cursor, 0)?.entries),
+        ReplyTag::TotalWrites => Reply::TotalWrites(cursor.u64("total writes")?),
+        ReplyTag::LeaseGranted => Reply::LeaseGranted {
             session: cursor.u64("lease session")?,
             ttl_ms: cursor.u64("lease ttl")?,
             resumed: match cursor.u8("lease resumed")? {
@@ -1023,10 +1073,9 @@ pub(crate) fn decode_reply_as<S: EpochSink>(bytes: &[u8]) -> Result<Decoded<S>, 
                 tag => return Err(ProtoError::UnknownTag { kind: "reply", tag }),
             },
         },
-        TAG_EPOCH_FROZEN => Reply::EpochFrozen {
+        ReplyTag::EpochFrozen => Reply::EpochFrozen {
             epoch: cursor.u64("frozen epoch")? as usize,
         },
-        tag => return Err(ProtoError::UnknownTag { kind: "reply", tag }),
     };
     cursor.finish()?;
     Ok(Decoded::Wire(reply))
@@ -1129,9 +1178,12 @@ mod tests {
     use super::*;
     use crate::key::KeyTag;
 
-    fn sample_requests() -> Vec<Request> {
-        vec![
-            Request::Commit {
+    /// One sample per request kind.  A `match` without a wildcard, so a new
+    /// kind cannot stay out of the round-trip, truncation, golden-tag and
+    /// mutation tests below.
+    fn sample_request(kind: RequestKind) -> Request {
+        match kind {
+            RequestKind::Commit => Request::Commit {
                 epoch: 3,
                 seq: 41,
                 batches: vec![
@@ -1146,32 +1198,48 @@ mod tests {
                     (5, Vec::new()),
                 ],
             },
-            Request::Advance { epoch: 0 },
-            Request::FreezeEpoch { epoch: 5 },
-            Request::PublishEpoch { epoch: 5 },
-            Request::Loads { epoch: 17 },
-            Request::Dump {
+            RequestKind::Advance => Request::Advance { epoch: 0 },
+            RequestKind::FreezeEpoch => Request::FreezeEpoch { epoch: 5 },
+            RequestKind::PublishEpoch => Request::PublishEpoch { epoch: 5 },
+            RequestKind::Loads => Request::Loads { epoch: 17 },
+            RequestKind::Dump => Request::Dump {
                 epoch: usize::MAX >> 8,
             },
-            Request::TotalWrites,
-            Request::Lease {
+            RequestKind::TotalWrites => Request::TotalWrites,
+            RequestKind::Lease => Request::Lease {
                 session: u64::MAX,
                 worker: 3,
                 num_shards: 1024,
                 workers: 8,
                 ttl_ms: 30_000,
             },
-            Request::Goodbye,
-        ]
+            RequestKind::Goodbye => Request::Goodbye,
+        }
     }
 
-    fn sample_replies() -> Vec<Reply> {
-        vec![
-            Reply::Committed {
+    fn sample_requests() -> Vec<Request> {
+        RequestKind::ALL.map(sample_request).to_vec()
+    }
+
+    /// The samples of one reply tag, held complete the same way.
+    fn sample_replies_of(tag: ReplyTag) -> Vec<Reply> {
+        let granted = |session, ttl_ms, resumed, shard_map| Reply::LeaseGranted {
+            session,
+            ttl_ms,
+            resumed,
+            shard_map,
+        };
+        let slice = |endpoint: &str, start, end| OwnerSlice {
+            endpoint: endpoint.to_owned(),
+            start,
+            end,
+        };
+        match tag {
+            ReplyTag::Committed => vec![Reply::Committed {
                 epoch: 4,
                 accepted: 1234,
-            },
-            Reply::Epoch(EpochFrame {
+            }],
+            ReplyTag::Epoch => vec![Reply::Epoch(EpochFrame {
                 shards: vec![
                     ShardFrame {
                         writes: 3,
@@ -1188,8 +1256,8 @@ mod tests {
                         entries: Vec::new(),
                     },
                 ],
-            }),
-            Reply::Loads(vec![
+            })],
+            ReplyTag::Loads => vec![Reply::Loads(vec![
                 ShardLoad {
                     shard: 0,
                     keys: 1,
@@ -1202,51 +1270,89 @@ mod tests {
                     writes: 0,
                     reads: u64::MAX,
                 },
-            ]),
-            Reply::Dump(vec![(
+            ])],
+            ReplyTag::Dump => vec![Reply::Dump(vec![(
                 Key::of(KeyTag::Successor, 5),
                 vec![Value::scalar(6), Value::scalar(7)],
-            )]),
-            Reply::TotalWrites(42),
-            Reply::LeaseGranted {
-                session: 7,
-                ttl_ms: 0,
-                resumed: true,
-                shard_map: None,
-            },
-            Reply::LeaseGranted {
-                session: u64::MAX,
-                ttl_ms: 86_400_000,
-                resumed: false,
-                shard_map: None,
-            },
-            Reply::LeaseGranted {
-                session: 9,
-                ttl_ms: 30_000,
-                resumed: false,
-                shard_map: Some(ShardMap {
-                    epoch: 1,
-                    owners: vec![
-                        OwnerSlice {
-                            endpoint: "127.0.0.1:7471".to_owned(),
-                            start: 0,
-                            end: 5,
-                        },
-                        OwnerSlice {
-                            endpoint: "127.0.0.1:7472".to_owned(),
-                            start: 5,
-                            end: 5,
-                        },
-                        OwnerSlice {
-                            endpoint: "[::1]:80".to_owned(),
-                            start: 5,
-                            end: 8,
-                        },
-                    ],
-                }),
-            },
-            Reply::EpochFrozen { epoch: 11 },
-        ]
+            )])],
+            ReplyTag::TotalWrites => vec![Reply::TotalWrites(42)],
+            ReplyTag::LeaseGranted => vec![
+                granted(7, 0, true, None),
+                granted(u64::MAX, 86_400_000, false, None),
+                granted(
+                    9,
+                    30_000,
+                    false,
+                    Some(ShardMap {
+                        epoch: 1,
+                        owners: vec![
+                            slice("127.0.0.1:7471", 0, 5),
+                            slice("127.0.0.1:7472", 5, 5),
+                            slice("[::1]:80", 5, 8),
+                        ],
+                    }),
+                ),
+            ],
+            ReplyTag::EpochFrozen => vec![Reply::EpochFrozen { epoch: 11 }],
+        }
+    }
+
+    fn sample_replies() -> Vec<Reply> {
+        let tags = ReplyTag::ALL.into_iter();
+        tags.flat_map(sample_replies_of).collect()
+    }
+
+    /// Both ends renumbering together would pass every round-trip test and
+    /// every `wire.*` count, and break an owner that is already running.
+    #[test]
+    fn wire_tags_are_the_deployed_numbers() {
+        let requests = [
+            (RequestKind::Commit, 0u8),
+            (RequestKind::Advance, 1),
+            (RequestKind::Loads, 2),
+            (RequestKind::Dump, 3),
+            (RequestKind::TotalWrites, 4),
+            (RequestKind::Lease, 5),
+            (RequestKind::Goodbye, 6),
+            (RequestKind::FreezeEpoch, 7),
+            (RequestKind::PublishEpoch, 8),
+        ];
+        assert_eq!(requests.len(), RequestKind::ALL.len());
+        for (kind, tag) in requests {
+            assert_eq!(encode_request(&sample_request(kind))[0], tag, "{kind}");
+        }
+        let replies = [
+            (ReplyTag::Committed, 0u8),
+            (ReplyTag::Epoch, 1),
+            (ReplyTag::Loads, 2),
+            (ReplyTag::Dump, 3),
+            (ReplyTag::TotalWrites, 4),
+            (ReplyTag::LeaseGranted, 5),
+            (ReplyTag::EpochFrozen, 6),
+        ];
+        assert_eq!(replies.len(), ReplyTag::ALL.len());
+        for (tag, byte) in replies {
+            for reply in sample_replies_of(tag) {
+                assert_eq!(encode_reply(&reply)[0], byte, "{reply:?}");
+            }
+        }
+    }
+
+    /// The one rule no type carries: inside this file the epoch payload has
+    /// one writer and one parser, so its two in-memory forms (typed frame,
+    /// shard maps) cannot grow two layouts.  Outside this file the tag
+    /// cannot be named at all (`ReplyTag` is private).
+    #[test]
+    fn the_epoch_payload_has_one_writer_and_one_parser() {
+        let source = include_str!("proto.rs");
+        let code = &source[..source.find("#[cfg(test)]").expect("tests follow the code")];
+        let named = code.split("ReplyTag::Epoch").skip(1);
+        let uses = named.filter(|rest| !rest.starts_with("Frozen")).count();
+        // Its entry in `ReplyTag::ALL`, the push in `put_epoch`, the arm in
+        // `decode_reply_as` — and nothing else.
+        assert_eq!(uses, 3, "the epoch tag is named at a new site");
+        assert_eq!(code.matches("ReplyTag::Epoch as u8").count(), 1, "writers");
+        assert_eq!(code.matches("ReplyTag::Epoch =>").count(), 1, "parsers");
     }
 
     #[test]
@@ -1333,40 +1439,16 @@ mod tests {
     }
 
     #[test]
-    fn replay_policy_is_total_over_request_kinds() {
-        // The lint checks the table against the enum *textually*; this
-        // pins the runtime lookup for every constructible kind.
-        let requests = [
-            Request::Commit {
-                epoch: 0,
-                seq: 0,
-                batches: Vec::new(),
-            },
-            Request::Advance { epoch: 0 },
-            Request::FreezeEpoch { epoch: 0 },
-            Request::PublishEpoch { epoch: 0 },
-            Request::Loads { epoch: 0 },
-            Request::Dump { epoch: 0 },
-            Request::TotalWrites,
-            Request::Lease {
-                session: 0,
-                worker: 0,
-                num_shards: 1,
-                workers: 1,
-                ttl_ms: 0,
-            },
-            Request::Goodbye,
-        ];
-        assert_eq!(requests.len(), REPLAY_POLICY.len());
-        for request in &requests {
-            let policy = request.replay_policy(); // must not panic
-            match request.kind() {
-                RequestKind::Commit => assert_eq!(policy, ReplayPolicy::Deduped),
+    fn replay_policies_are_the_declared_ones() {
+        for kind in RequestKind::ALL {
+            let expected = match kind {
+                RequestKind::Commit => ReplayPolicy::Deduped,
                 RequestKind::Loads | RequestKind::Dump | RequestKind::TotalWrites => {
-                    assert_eq!(policy, ReplayPolicy::Pure)
+                    ReplayPolicy::Pure
                 }
-                _ => assert_eq!(policy, ReplayPolicy::Idempotent),
-            }
+                _ => ReplayPolicy::Idempotent,
+            };
+            assert_eq!(kind.replay_policy(), expected, "{kind}");
         }
     }
 
@@ -1452,7 +1534,7 @@ mod tests {
     fn corrupt_counts_cannot_over_allocate() {
         // A Dump reply declaring u32::MAX entries in a 9-byte buffer must be
         // rejected by the count validation, not by an allocation attempt.
-        let mut bytes = vec![TAG_DUMP_REPLY];
+        let mut bytes = vec![ReplyTag::Dump as u8];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0; 4]);
         assert_eq!(
@@ -1660,6 +1742,108 @@ mod tests {
         let expected = Some(ProtoError::Malformed { context: "key tag" });
         assert_eq!(decode_maps(&corrupt).err(), expected);
         assert_eq!(decode_reply(&corrupt).err(), expected);
+    }
+
+    // -----------------------------------------------------------------
+    // Any bytes: no decoder panics, over-allocates, or accepts a second
+    // spelling of a message.
+    // -----------------------------------------------------------------
+
+    /// Every truncation of `bytes`, every single-bit flip of its first 64
+    /// bytes, and `u32::MAX` written over every four-byte window — so over
+    /// every count field, wherever the layout puts it.
+    fn mutants(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let truncations = (0..bytes.len()).map(|len| bytes[..len].to_vec());
+        let flips = (0..bytes.len().min(64) * 8).map(|bit| {
+            let mut mutant = bytes.to_vec();
+            mutant[bit / 8] ^= 1 << (bit % 8);
+            mutant
+        });
+        let counts = (0..bytes.len().saturating_sub(3)).map(|at| {
+            let mut mutant = bytes.to_vec();
+            mutant[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            mutant
+        });
+        truncations.chain(flips).chain(counts).collect()
+    }
+
+    /// Run one decoder over one mutant, holding what it asks the allocator
+    /// for to a fixed multiple of the bytes it was handed: every count is
+    /// checked against the bytes left before anything is sized by it, and
+    /// the widest element built per wire byte is a replica's map slot
+    /// (a 24-byte entry header reserving one bucket of a table kept at most
+    /// 7/8 full and rounded up to a power of two).
+    fn decoded_within_budget<T>(mutant: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
+        let before = crate::counting_alloc::allocated_bytes();
+        let decoded = decode(mutant);
+        let spent = crate::counting_alloc::allocated_bytes() - before;
+        let budget = 8 * mutant.len() as u64 + 256;
+        assert!(
+            spent <= budget,
+            "decoding {} bytes allocated {spent}: {mutant:?}",
+            mutant.len()
+        );
+        decoded
+    }
+
+    /// The entries of each shard in key order: what two decodes of one
+    /// payload must agree on when one of them went through hash maps.
+    fn sorted(mut frame: EpochFrame) -> EpochFrame {
+        for shard in &mut frame.shards {
+            shard.entries.sort_by_key(|(key, _)| *key);
+        }
+        frame
+    }
+
+    /// ROADMAP's decode mutation loop.  A mutant either fails typed or
+    /// decodes to a value whose encoding is the mutant, byte for byte — the
+    /// codec is canonical, so nothing a peer sends is silently read as
+    /// something else — and it never panics (under `release-checked`:
+    /// never overflows) nor allocates past [`decoded_within_budget`].  An
+    /// epoch read into shard maps comes back in the maps' order, so there
+    /// the replica must hold exactly what the typed decode of the same
+    /// bytes holds.
+    #[test]
+    fn mutated_frames_fail_typed_or_decode_to_what_they_encode() {
+        for request in sample_requests() {
+            for mutant in mutants(&encode_request(&request)) {
+                if let Ok(decoded) = decoded_within_budget(&mutant, decode_request) {
+                    assert_eq!(encode_request(&decoded), mutant, "{decoded:?}");
+                }
+            }
+        }
+        let map_backed = frozen(vec![
+            ShardFrame {
+                writes: 5,
+                entries: (0..6)
+                    .map(|a| (k(a), vec![Value::scalar(a); 1 + a as usize % 3]))
+                    .collect(),
+            },
+            ShardFrame::default(),
+        ]);
+        let mut payloads: Vec<Vec<u8>> = sample_replies().iter().map(encode_reply).collect();
+        payloads.push(encode_maps(&map_backed));
+        for bytes in payloads {
+            for mutant in mutants(&bytes) {
+                let typed = decoded_within_budget(&mutant, decode_reply);
+                if let Ok(decoded) = &typed {
+                    assert_eq!(encode_reply(decoded), mutant, "{decoded:?}");
+                }
+                match decoded_within_budget(&mutant, decode_reply_as::<FrozenEpoch>) {
+                    // A replica refuses what a typed frame holds as it came
+                    // (an entry without values, a repeated key) — never
+                    // the other way round.
+                    Err(_) => {}
+                    Ok(Decoded::Wire(reply)) => assert_eq!(Ok(reply), typed),
+                    Ok(Decoded::Epoch(replica)) => {
+                        let Ok(Reply::Epoch(frame)) = typed else {
+                            panic!("a replica of what decodes typed as {typed:?}");
+                        };
+                        assert_eq!(sorted(frame_of(&replica)), sorted(frame));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -184,10 +184,13 @@ impl<T: Transport> RemoteBackend<T> {
             let shard_ids: Vec<usize> = (worker..num_shards).step_by(workers).collect();
             let (client, mut server) = T::connect(worker);
             let state = Worker::new(shard_ids);
+            #[allow(
+                clippy::expect_used,
+                reason = "thread-spawn failure at backend construction has no round boundary to report through; dying loudly beats serving without owners"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("dds-owner-{worker}"))
                 .spawn(move || state.serve(&mut server))
-                // lint: allow(panic) — thread-spawn failure at backend construction has no round boundary to report through; dying loudly beats serving without owners
                 .expect("spawning DDS owner thread");
             clients.push(client);
             handles.push(Some(handle));
@@ -478,7 +481,10 @@ impl<T: Transport> RemoteBackend<T> {
 pub(crate) fn expect_transport<V>(result: Result<V, TransportError>) -> V {
     match result {
         Ok(value) => value,
-        // lint: allow(panic) — the documented harvest boundary: the runtime catches this at the round edge and re-types it as AmpcError::Backend
+        #[allow(
+            clippy::panic,
+            reason = "the documented harvest boundary: the runtime catches this at the round edge and re-types it as AmpcError::Backend"
+        )]
         Err(err) => panic!("DDS transport failure: {err}"),
     }
 }

@@ -321,8 +321,10 @@ fn accept_loop(
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
                 reap(&sessions);
-                #[allow(clippy::disallowed_methods)]
-                // lint: allow(blocking) — accept-loop idle poll: bounded by ACCEPT_POLL and only taken when no connection is pending; per-connection serving happens on other threads
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "accept-loop idle poll: bounded by ACCEPT_POLL and only taken when no connection is pending; per-connection serving happens on other threads"
+                )]
                 std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => break, // listener broken: stop serving
@@ -485,9 +487,10 @@ fn join_finished(mut entry: SessionEntry) {
 
 #[cfg(test)]
 mod tests {
-    // Tests pace races with short sleeps; the discipline only binds the
-    // serve path.
-    #![allow(clippy::disallowed_methods)]
+    #![allow(
+        clippy::disallowed_methods,
+        reason = "tests pace races with short sleeps; the discipline only binds the serve path"
+    )]
 
     use super::*;
     use crate::backend::{DdsBackend, SnapshotView};
@@ -774,6 +777,45 @@ mod tests {
         assert_eq!(read_reply(&mut stream), Reply::TotalWrites(1));
         send_request(&mut stream, &Request::Goodbye);
         server.shutdown();
+    }
+
+    /// A lease's `num_shards` sizes the owner it spawns — one map per
+    /// shard, and a cluster node multiplies by it first — so a hostile
+    /// count is refused where garbage handshakes are: the connection is
+    /// dropped, nothing is granted, no owner is spawned.  (Unchecked, the
+    /// 8 TiB the first lease asks for takes this whole process down, and
+    /// the second overflows the cluster role's range arithmetic.)
+    #[test]
+    fn hostile_lease_shard_counts_are_refused_at_the_handshake() {
+        let standalone = serve(("127.0.0.1", 0)).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peers = vec![listener.local_addr().unwrap().to_string()];
+        let node = serve_cluster_listener(listener, 0, peers.clone()).unwrap();
+        for server in [&standalone, &node] {
+            for num_shards in [1 << 40, u64::MAX] {
+                let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+                let lease = Request::Lease {
+                    session: 0xbad,
+                    worker: 0,
+                    num_shards,
+                    workers: 1,
+                    ttl_ms: 0,
+                };
+                send_request(&mut stream, &lease);
+                let refused = read_frame(&mut stream, &mut Vec::new()).unwrap_err();
+                assert_eq!(refused.kind(), io::ErrorKind::UnexpectedEof, "no grant");
+                assert_eq!(server.active_sessions(), 0, "no owner");
+            }
+        }
+        // Both roles still serve a legitimate client afterwards.
+        let remote = TcpBackend::connect_remote(standalone.local_addr(), 2, 1).unwrap();
+        let cluster = TcpBackend::connect_cluster(&peers, 4).unwrap();
+        for mut backend in [remote, cluster] {
+            backend.commit_round(vec![vec![(k(1), Value::scalar(1))]], 1);
+            assert_eq!(backend.advance(1).get(&k(1)), Some(Value::scalar(1)));
+        }
+        standalone.shutdown();
+        node.shutdown();
     }
 
     #[test]

@@ -152,13 +152,19 @@ impl ShardedStore {
         let outputs: Vec<Mutex<Option<BucketMatrix>>> =
             (0..slots.len()).map(|_| Mutex::new(None)).collect();
         for_each_index_parallel(slots.len(), threads, |w| {
-            // lint: allow(panic) — for_each_index_parallel visits each index exactly once by construction
+            #[allow(
+                clippy::expect_used,
+                reason = "for_each_index_parallel visits each index exactly once by construction"
+            )]
             let run = slots[w].lock().take().expect("each run partitioned once");
             *outputs[w].lock() = Some(self.partition_writes(run));
         });
+        #[allow(
+            clippy::expect_used,
+            reason = "every slot was filled by the parallel loop above"
+        )]
         outputs
             .into_iter()
-            // lint: allow(panic) — every slot was filled by the parallel loop above
             .map(|slot| slot.into_inner().expect("each run partitioned once"))
             .collect()
     }
@@ -322,13 +328,19 @@ impl ShardedStore {
             let outputs: Vec<Mutex<Option<SlotMap>>> =
                 (0..num_shards).map(|_| Mutex::new(None)).collect();
             for_each_index_parallel(num_shards, threads, |i| {
-                // lint: allow(panic) — for_each_index_parallel visits each index exactly once by construction
+                #[allow(
+                    clippy::expect_used,
+                    reason = "for_each_index_parallel visits each index exactly once by construction"
+                )]
                 let map = slots[i].lock().take().expect("each shard frozen once");
                 *outputs[i].lock() = Some(freeze_shard(map));
             });
+            #[allow(
+                clippy::expect_used,
+                reason = "every slot was filled by the parallel loop above"
+            )]
             outputs
                 .into_iter()
-                // lint: allow(panic) — every slot was filled by the parallel loop above
                 .map(|slot| slot.into_inner().expect("each shard frozen once"))
                 .collect()
         };

@@ -20,6 +20,7 @@
 
 use crate::proto::{
     encode_reply_into, encode_request_into, read_frame, write_frame, Reply, Request,
+    MAX_FRAME_BYTES,
 };
 use parking_lot::Mutex;
 use std::io::{Read, Write};
@@ -82,13 +83,6 @@ impl FrameWriter {
 /// bounds the memory a burst of large epoch frames can pin.
 const POOL_CAP: usize = 8;
 
-/// Largest buffer capacity the pool will retain — the same number as
-/// [`crate::proto::MAX_FRAME_BYTES`], because no legal frame can need more:
-/// a returned buffer that somehow grew past the frame cap is freed rather
-/// than pinned for a payload size the codec would reject anyway.  The
-/// `ampc-lint` const-consistency pass holds the two caps identical.
-const MAX_RETAINED_FRAME_BYTES: usize = 256 << 20;
-
 /// A shared pool of encoded-frame buffers, for handing serialized frames
 /// between pipeline stages without a fresh allocation per frame.
 ///
@@ -112,9 +106,10 @@ impl FramePool {
 
     /// Return a buffer to the pool (cleared, capacity retained) unless the
     /// pool is already at capacity or the buffer outgrew the largest legal
-    /// frame.
+    /// frame ([`MAX_FRAME_BYTES`]): no legal frame can need more, so it is
+    /// freed rather than pinned for a payload the codec would refuse anyway.
     pub fn put(&self, mut buffer: Vec<u8>) {
-        if buffer.capacity() > MAX_RETAINED_FRAME_BYTES {
+        if buffer.capacity() > MAX_FRAME_BYTES {
             return;
         }
         buffer.clear();

@@ -31,6 +31,7 @@ use crate::proto::{Reply, Request};
 use crate::slot::{push_pair, SlotMap};
 use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
+use crate::transport::session::{MAX_PIPELINE, PIPELINE_DEPTH};
 use crate::transport::{OwnerReply, ServerTransport};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -38,9 +39,15 @@ use std::sync::Arc;
 
 /// Commit acknowledgements remembered for deduplication.  Must exceed the
 /// deepest request pipeline a client can have outstanding
-/// (`session::PIPELINE_DEPTH` decode-ahead plus the frames buffered in the
+/// ([`PIPELINE_DEPTH`] decode-ahead plus the frames buffered in the
 /// sockets), so a reconnect's full replay is absorbed without re-applying.
 const COMMIT_REPLAY_WINDOW: usize = 256;
+
+// A reconnect replays up to a full pipeline of outstanding commits, and the
+// window must still recognize all of them plus the new traffic pipelined
+// behind the replay — or a replayed commit is applied twice.
+const _: () =
+    assert!(COMMIT_REPLAY_WINDOW >= 2 * PIPELINE_DEPTH && COMMIT_REPLAY_WINDOW >= MAX_PIPELINE);
 
 /// The single-threaded state of one shard-group owner, serving
 /// [`crate::proto`] requests over any [`ServerTransport`].
@@ -137,6 +144,11 @@ impl Worker {
         self.frozen.len() + usize::from(self.prepared.is_some())
     }
 
+    #[deny(
+        unreachable_patterns,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn handle(&mut self, session: u64, request: Request) -> OwnerReply {
         match request {
             Request::Commit {
@@ -167,10 +179,13 @@ impl Worker {
                         push_pair(map, key, value);
                     }
                 }
+                #[allow(
+                    clippy::expect_used,
+                    reason = "infallible: the entry was inserted a few lines up"
+                )]
                 let window = self
                     .recent_commits
                     .get_mut(&session)
-                    // lint: allow(panic) — infallible: the entry was inserted a few lines up
                     .expect("window created above");
                 window.push_back((seq, accepted));
                 if window.len() > COMMIT_REPLAY_WINDOW {
@@ -188,7 +203,10 @@ impl Worker {
                 if epoch + 1 == self.frozen.len() {
                     // Retransmission of the advance that froze the last
                     // epoch (its reply was lost): republish it unchanged.
-                    // lint: allow(panic) — infallible: frozen.len() == epoch + 1 ≥ 1 in this branch
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "infallible: frozen.len() == epoch + 1 ≥ 1 in this branch"
+                    )]
                     let replay = self.frozen.last().expect("a frozen epoch exists").clone();
                     return OwnerReply::Epoch(replay);
                 }
@@ -230,7 +248,10 @@ impl Worker {
                 if epoch + 1 == self.frozen.len() {
                     // Retransmission of a publish whose reply was lost:
                     // re-send the identical frame.
-                    // lint: allow(panic) — infallible: frozen.len() == epoch + 1 ≥ 1 in this branch
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "infallible: frozen.len() == epoch + 1 ≥ 1 in this branch"
+                    )]
                     let replay = self.frozen.last().expect("a frozen epoch exists").clone();
                     return OwnerReply::Epoch(replay);
                 }
@@ -239,10 +260,13 @@ impl Worker {
                     self.frozen.len(),
                     "publish must name the prepared epoch"
                 );
+                #[allow(
+                    clippy::expect_used,
+                    reason = "owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary"
+                )]
                 let prepared = self
                     .prepared
                     .take()
-                    // lint: allow(panic) — owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary
                     .expect("publish without a prepared freeze");
                 self.frozen.push(prepared.clone());
                 OwnerReply::Epoch(prepared)
@@ -277,8 +301,11 @@ impl Worker {
             // serve layer and must never reach the owner state machine; one
             // arriving here is a protocol bug, surfaced like any other
             // owner-side violation (panic, harvested into a typed error).
+            #[allow(
+                clippy::panic,
+                reason = "owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary"
+            )]
             Request::Lease { .. } | Request::Goodbye => {
-                // lint: allow(panic) — owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary
                 panic!("connection-lifecycle request leaked into the owner state machine")
             }
         }

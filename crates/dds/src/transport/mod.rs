@@ -318,14 +318,24 @@ impl RequestFaults {
     }
 }
 
-/// The fault-injection coordinates of a request, if it is addressable.
+/// The fault-injection coordinates of a request, if it is addressable.  No
+/// wildcard: a new request says here whether the schedule can reach it.
+#[deny(
+    unreachable_patterns,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn fault_coordinates(request: &Request) -> Option<(RequestKind, usize)> {
     match request {
-        Request::Commit { epoch, .. } => Some((RequestKind::Commit, *epoch)),
-        Request::Advance { epoch } => Some((RequestKind::Advance, *epoch)),
-        Request::FreezeEpoch { epoch } => Some((RequestKind::FreezeEpoch, *epoch)),
-        Request::PublishEpoch { epoch } => Some((RequestKind::PublishEpoch, *epoch)),
-        _ => None,
+        Request::Commit { epoch, .. }
+        | Request::Advance { epoch }
+        | Request::FreezeEpoch { epoch }
+        | Request::PublishEpoch { epoch } => Some((request.kind(), *epoch)),
+        Request::Loads { .. }
+        | Request::Dump { .. }
+        | Request::TotalWrites
+        | Request::Lease { .. }
+        | Request::Goodbye => None,
     }
 }
 

@@ -15,6 +15,7 @@ use super::{
 use crate::proto::{
     decode_reply_as, decode_request, encode_epoch_into, encode_reply_into, frame_fits,
     frame_refusal, read_frame, write_frame, Decoded, ProtoError, Reply, Request, ShardMap,
+    MAX_LEASE_SHARDS,
 };
 use crate::snapshot::FrozenEpoch;
 use std::collections::VecDeque;
@@ -35,10 +36,12 @@ use std::time::{Duration, Instant};
 pub const PIPELINE_DEPTH: usize = 64;
 
 /// Deepest pipeline of outstanding requests one client may hold.  Must stay
-/// below the dispatch layer's commit-deduplication window (256): a sever
-/// replays *every* outstanding request, and each already-applied commit
-/// must still be inside the window to be re-acked instead of re-applied.
-const MAX_PIPELINE: usize = 128;
+/// below the dispatch layer's commit-deduplication window (a `const`
+/// assertion beside `dispatch::COMMIT_REPLAY_WINDOW` holds it there): a
+/// sever replays *every* outstanding request, and each already-applied
+/// commit must still be inside the window to be re-acked instead of
+/// re-applied.
+pub(super) const MAX_PIPELINE: usize = 128;
 
 // ---------------------------------------------------------------------------
 // MpscTransport — in-process channels, zero-copy epoch publication
@@ -384,8 +387,10 @@ impl TcpTransport {
         let mut backoff = self.options.initial_backoff;
         for attempt in 0..self.options.reconnect_attempts {
             if attempt > 0 {
-                #[allow(clippy::disallowed_methods)]
-                // lint: allow(blocking) — reconnect backoff: capped exponential wait on an already-severed connection, not the serve hot path
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "reconnect backoff: capped exponential wait on an already-severed connection, not the serve hot path"
+                )]
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(self.options.max_backoff);
             }
@@ -404,7 +409,10 @@ impl TcpTransport {
              (the owner's replay-deduplication window must cover them all)"
         );
         self.pending.push_back(request);
-        // lint: allow(panic) — infallible: the request was pushed on the line above
+        #[allow(
+            clippy::expect_used,
+            reason = "infallible: the request was pushed on the line above"
+        )]
         let request = self.pending.back().expect("just pushed");
         let written = self.encoder.send_request(&mut self.stream, request);
         self.settle_write(written)
@@ -463,7 +471,10 @@ impl TcpTransport {
     /// lease grant first and reconnecting through socket failures.
     fn recv_reply(&mut self) -> Result<ClientReply, TransportError> {
         let reply = self.pump(false)?;
-        // lint: allow(panic) — infallible: pump(false) only returns Ok(None) when drain_only is set
+        #[allow(
+            clippy::expect_used,
+            reason = "infallible: pump only returns Ok(None) when stop_after_grant is set"
+        )]
         Ok(reply.expect("pump only stops early when asked to"))
     }
 
@@ -562,13 +573,16 @@ impl Transport for TcpTransport {
     const NAME: &'static str = "remote";
     type Server = TcpServer;
 
+    #[allow(
+        clippy::panic,
+        reason = "construction-time setup failure: no transport thread exists yet to carry a typed error"
+    )]
     fn connect(worker: usize) -> (Self, TcpServer) {
         // Loopback rendezvous: the connect lands in the listener's backlog,
         // so binding, connecting and accepting from one thread cannot
         // deadlock.  Setup failures have no transport thread to surface
         // through yet, so they are a loud construction panic.
         TcpTransport::connect_pair(worker, TcpOptions::fresh())
-            // lint: allow(panic) — construction-time setup failure: no transport thread exists yet to carry a typed error
             .unwrap_or_else(|err| panic!("DDS transport setup failed: {err}"))
     }
 
@@ -671,9 +685,12 @@ pub(crate) struct LeaseFrame {
 /// Read and decode the opening lease frame of a fresh connection, under
 /// [`HANDSHAKE_TIMEOUT`] so a wedged or hostile pre-lease client cannot
 /// hold its acceptor hostage.  `None` means "drop the connection": garbage,
-/// a timeout, or a first frame that is not a lease.  Shared by the paired
-/// in-process [`TcpServer`] and the `ampc_dds::serve` acceptor — one
-/// handshake, one implementation.
+/// a timeout, a first frame that is not a lease, or a lease announcing more
+/// than [`MAX_LEASE_SHARDS`] shards — the count sizes the owner a serving
+/// process spawns, so an unchecked one lets any peer that can reach the
+/// port ask the allocator for terabytes.  Shared by the paired in-process
+/// [`TcpServer`] and the `ampc_dds::serve` acceptor — one handshake, one
+/// implementation.
 pub(crate) fn read_lease_frame(stream: &TcpStream) -> Option<LeaseFrame> {
     let mut reader = stream;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok()?;
@@ -687,7 +704,7 @@ pub(crate) fn read_lease_frame(stream: &TcpStream) -> Option<LeaseFrame> {
             num_shards,
             workers,
             ttl_ms,
-        }) => Some(LeaseFrame {
+        }) if num_shards <= MAX_LEASE_SHARDS => Some(LeaseFrame {
             session,
             worker,
             num_shards,
@@ -981,8 +998,13 @@ impl TcpServer {
             }
         };
         if let Err(error) = fits {
-            // lint: allow(panic) — owner-side refusal: the panic is the owner's error surface, harvested into TransportError::PeerClosed by whoever hosts the owner
-            panic!("reply to the backend refused: {error}")
+            #[allow(
+                clippy::panic,
+                reason = "owner-side refusal: the panic is the owner's error surface, harvested into TransportError::PeerClosed by whoever hosts the owner"
+            )]
+            {
+                panic!("reply to the backend refused: {error}")
+            }
         }
         let failed = self
             .conn
@@ -1033,8 +1055,10 @@ impl TcpServer {
                         if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                             return false; // lease expired: reclaim
                         }
-                        #[allow(clippy::disallowed_methods)]
-                        // lint: allow(blocking) — reconnect-wait poll: a disconnected session waiting out its lease, bounded by ACCEPT_POLL per spin and the lease deadline overall
+                        #[allow(
+                            clippy::disallowed_methods,
+                            reason = "reconnect-wait poll: a disconnected session waiting out its lease, bounded by ACCEPT_POLL per spin and the lease deadline overall"
+                        )]
                         std::thread::sleep(ACCEPT_POLL);
                     }
                     Err(_) => return false, // listener broken: give up
@@ -1110,8 +1134,11 @@ impl ServerTransport for TcpServer {
                 // surfaces.  It is raised here, on the dispatch thread,
                 // because the backend joins the owner thread (not the
                 // connection's reader stage).
+                #[allow(
+                    clippy::panic,
+                    reason = "owner-side protocol violation: the panic is the owner's error surface, harvested into TransportError::PeerClosed by the backend join"
+                )]
                 Ok(ConnEvent::Malformed(error)) => {
-                    // lint: allow(panic) — owner-side protocol violation: the panic is the owner's error surface, harvested into TransportError::PeerClosed by the backend join
                     panic!("malformed request frame from the backend: {error}")
                 }
                 // EOF or reset without a goodbye: hold the session and

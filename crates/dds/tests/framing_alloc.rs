@@ -1,5 +1,6 @@
-//! Pins the allocation behaviour of the wire path with a counting
-//! `#[global_allocator]` shim (checkable without external tooling):
+//! Pins the allocation behaviour of the wire path with the counting
+//! `#[global_allocator]` shim of `counting_alloc/` (checkable without
+//! external tooling):
 //!
 //! * once the scratch buffers have grown to the connection's working frame
 //!   size, encoding and framing a request — and reading it back — must not
@@ -16,42 +17,10 @@ use ampc_dds::proto::{
 };
 use ampc_dds::transport::{ClientReply, OwnerReply, ServerTransport};
 use ampc_dds::{Key, KeyTag, TcpOptions, TcpTransport, Transport, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::TcpListener;
 
-thread_local! {
-    // Const-initialized so reading the counter never itself allocates
-    // (a lazily initialized thread-local would recurse into the allocator).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Passes every call through to the system allocator, counting the ones
-/// that hand out (or regrow) memory on this thread.
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(|count| count.get())
-}
+mod counting_alloc;
+use counting_alloc::allocations;
 
 fn commit(seq: u64) -> Request {
     Request::Commit {

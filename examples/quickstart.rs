@@ -89,8 +89,10 @@ fn main() {
             println!("AMPC DDS owner serving on {}", server.local_addr());
             println!("(press Ctrl-C to stop; clients connect with --connect {addr})");
             loop {
-                // Parked on purpose: the example serves until Ctrl-C.
-                #[allow(clippy::disallowed_methods)]
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "parked on purpose: the example serves until Ctrl-C"
+                )]
                 std::thread::sleep(std::time::Duration::from_secs(3600));
             }
         }
@@ -169,8 +171,10 @@ fn main() {
                 peers.join(",")
             );
             loop {
-                // Parked on purpose: the example serves until Ctrl-C.
-                #[allow(clippy::disallowed_methods)]
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "parked on purpose: the example serves until Ctrl-C"
+                )]
                 std::thread::sleep(std::time::Duration::from_secs(3600));
             }
         }
