@@ -2,9 +2,14 @@
 //!
 //! Section 2 of the paper: "in the i-th round, each machine can read data
 //! from `D_{i-1}` and write to `D_i`".  [`DdsChain`] owns the current
-//! writable store and the frozen snapshots of all earlier rounds, and
+//! writable store and the frozen snapshot of the round before it, and
 //! enforces the read-previous / write-current discipline by construction:
 //! callers can only obtain a [`Snapshot`] for a *completed* epoch.
+//!
+//! Round `i` reads `D_{i-1}` and nothing older, so completing `D_i`
+//! *retires* `D_{i-1}`: the chain keeps its statistics and lets go of its
+//! maps (a snapshot a caller still holds stays valid through its own
+//! handle).  A run of any length holds one frozen epoch, not all of them.
 
 use crate::backend::SnapshotView;
 use crate::key::{Key, Value};
@@ -15,8 +20,11 @@ use crate::store::ShardedStore;
 /// The sequence of distributed data stores produced by one AMPC execution.
 pub struct DdsChain {
     num_shards: usize,
-    /// Snapshots of completed epochs, `snapshots[i]` = `D_i`.
-    snapshots: Vec<Snapshot>,
+    /// Statistics of the retired epochs as they stood at retirement,
+    /// `retired[i]` = `D_i`'s.
+    retired: Vec<StoreStats>,
+    /// Snapshot of the newest completed epoch, `D_{retired.len()}`.
+    latest: Option<Snapshot>,
     /// The store currently accepting writes (`D_{current_epoch}`).
     current: ShardedStore,
 }
@@ -31,7 +39,8 @@ impl DdsChain {
         let num_shards = num_shards.max(1);
         DdsChain {
             num_shards,
-            snapshots: Vec::new(),
+            retired: Vec::new(),
+            latest: None,
             current: ShardedStore::new(num_shards),
         }
     }
@@ -43,7 +52,7 @@ impl DdsChain {
 
     /// Index of the epoch currently accepting writes.
     pub fn current_epoch(&self) -> usize {
-        self.snapshots.len()
+        self.completed_epochs()
     }
 
     /// The writable store of the current epoch.
@@ -106,39 +115,51 @@ impl DdsChain {
     pub fn advance_with_threads(&mut self, threads: usize) -> Snapshot {
         let finished = std::mem::replace(&mut self.current, ShardedStore::new(self.num_shards));
         let snapshot = finished.freeze_with_threads(threads);
-        self.snapshots.push(snapshot.clone());
+        if let Some(superseded) = self.latest.replace(snapshot.clone()) {
+            self.retired.push(superseded.stats());
+        }
         snapshot
     }
 
-    /// Snapshot of a completed epoch `i` (i.e. `D_i`), if it exists.
+    /// Snapshot of completed epoch `i` (i.e. `D_i`) — `None` unless `i` is
+    /// the newest completed epoch: a retired epoch is refused like one that
+    /// does not exist yet.
     pub fn snapshot(&self, epoch: usize) -> Option<Snapshot> {
-        self.snapshots.get(epoch).cloned()
+        self.latest.clone().filter(|_| epoch == self.retired.len())
     }
 
     /// Snapshot of the most recently completed epoch, if any.
     pub fn latest_snapshot(&self) -> Option<Snapshot> {
-        self.snapshots.last().cloned()
+        self.latest.clone()
     }
 
     /// Number of completed epochs.
     pub fn completed_epochs(&self) -> usize {
-        self.snapshots.len()
+        self.retired.len() + usize::from(self.latest.is_some())
     }
 
-    /// Aggregate statistics of every completed epoch.
+    /// Statistics of every completed epoch, oldest first.
+    fn completed_stats(&self) -> impl Iterator<Item = StoreStats> + '_ {
+        let latest = self.latest.iter().map(|s| s.stats());
+        self.retired.iter().cloned().chain(latest)
+    }
+
+    /// Aggregate statistics of every completed epoch (a retired epoch's as
+    /// of its retirement — reads through a snapshot still held after that
+    /// are the holder's to count).
     pub fn epoch_stats(&self) -> Vec<StoreStats> {
-        self.snapshots.iter().map(|s| s.stats()).collect()
+        self.completed_stats().collect()
     }
 
     /// Total writes across all epochs (completed and current).
     pub fn total_writes(&self) -> u64 {
-        let completed: u64 = self.snapshots.iter().map(|s| s.stats().total_writes).sum();
+        let completed: u64 = self.completed_stats().map(|s| s.total_writes).sum();
         completed + self.current.total_writes()
     }
 
     /// Total reads served across all completed epochs.
     pub fn total_reads(&self) -> u64 {
-        self.snapshots.iter().map(|s| s.total_reads()).sum()
+        self.completed_stats().map(|s| s.total_reads).sum()
     }
 }
 
@@ -177,15 +198,40 @@ mod tests {
     }
 
     #[test]
+    fn completing_an_epoch_retires_its_predecessor() {
+        let mut chain = DdsChain::new(4);
+        let mut sent = 0;
+        for epoch in 0..100u64 {
+            chain.write_batch((0..epoch % 7).map(|i| (k(i), Value::scalar(epoch))));
+            sent += epoch % 7;
+            let snapshot = chain.advance();
+            // Round `epoch + 1` reads D_epoch (here: once per key written).
+            for i in 0..epoch % 7 {
+                assert_eq!(snapshot.get(&k(i)), Some(Value::scalar(epoch)));
+            }
+        }
+        assert_eq!(chain.completed_epochs(), 100);
+        assert!(chain.snapshot(98).is_none(), "retired epochs are refused");
+        assert!(chain.snapshot(99).is_some());
+        assert!(chain.snapshot(100).is_none());
+        // The per-epoch accounting is exact without the retired maps.
+        let stats = chain.epoch_stats();
+        assert_eq!(stats.len(), 100);
+        for (epoch, stats) in stats.iter().enumerate() {
+            assert_eq!(stats.total_writes, epoch as u64 % 7);
+            assert_eq!(stats.total_reads, epoch as u64 % 7);
+        }
+        assert_eq!(chain.total_writes(), sent);
+        assert_eq!(chain.total_reads(), sent);
+    }
+
+    #[test]
     fn writes_go_to_current_epoch_only() {
         let mut chain = DdsChain::new(2);
         chain.write(k(1), Value::scalar(1));
-        chain.advance();
+        let d0 = chain.advance();
         chain.write(k(2), Value::scalar(2));
-        chain.advance();
-
-        let d0 = chain.snapshot(0).unwrap();
-        let d1 = chain.snapshot(1).unwrap();
+        let d1 = chain.advance();
         assert_eq!(d0.get(&k(1)), Some(Value::scalar(1)));
         assert_eq!(d0.get(&k(2)), None);
         assert_eq!(d1.get(&k(1)), None);

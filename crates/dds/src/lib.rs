@@ -88,8 +88,9 @@
 //!   would have produced the frame.
 //! * [`transport`] — one connection between a backend and one shard-group
 //!   owner, itself split into three layers: `transport::codec` (framing
-//!   over pooled, reused buffers — zero steady-state allocations, one
-//!   vectored header+payload write per frame), the session layer (the
+//!   over reused buffers — zero steady-state allocations, and one socket
+//!   call per *burst* of small frames at every end of the serve path), the
+//!   session layer (the
 //!   [`Transport`] / [`transport::ServerTransport`] trait pair, with
 //!   [`MpscTransport`] — typed in-process channels, zero-copy `Arc` epoch
 //!   publication — and [`TcpTransport`] — localhost sockets speaking the
@@ -97,8 +98,8 @@
 //!   machine with the idempotency that makes replay safe).  The TCP path is
 //!   **pipelined**: a client may keep up to a window of requests in flight
 //!   per socket, and the server runs each connection as reader → dispatch →
-//!   writer stages, decoding request `N + 1` while applying `N` and
-//!   flushing the reply to `N - 1` (bounded at
+//!   writer stages, decoding ahead of the request being applied and
+//!   sending replies behind it (bounded at
 //!   [`transport::PIPELINE_DEPTH`] frames per stage queue; replies stay
 //!   strictly FIFO with requests).  Transports also honor request-level
 //!   fault injection ([`RequestFaults`]: scheduled drop-then-retry and

@@ -154,7 +154,9 @@ impl fmt::Display for RequestKind {
 /// `epoch` coordinates always name the epoch the request targets: `Commit`
 /// and `Advance` target the *writable* epoch (the number of epochs the owner
 /// has frozen so far — owners validate this and panic on a protocol
-/// violation), `Loads` and `Dump` target a *completed* epoch.
+/// violation), `Loads` and `Dump` target the newest *completed* epoch (an
+/// owner retires an epoch's maps when it publishes the next, so an older
+/// one is as much a violation as one not frozen yet).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Apply shard-partitioned pairs to the writable epoch.
@@ -1098,7 +1100,7 @@ pub(crate) fn frame_fits(len: usize) -> Result<(), ProtoError> {
 
 /// The framing layer's refusal as an I/O error: `InvalidData`, carrying
 /// the typed [`ProtoError::Oversized`] for [`frame_refusal`] to find.
-fn refused(refusal: ProtoError) -> std::io::Error {
+pub(crate) fn refused(refusal: ProtoError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, refusal)
 }
 

@@ -438,7 +438,9 @@ impl<T: Transport> RemoteBackend<T> {
     }
 
     /// Owner-served per-shard loads of completed epoch `epoch`, sorted by
-    /// global shard id.
+    /// global shard id.  Owners retain the newest completed epoch only; any
+    /// other `epoch` — retired or not yet completed — is a protocol
+    /// violation and fails like one.
     ///
     /// Note the accounting asymmetry on wire transports: reads resolve
     /// against client-side replicas, so the owner's read counters stay at
@@ -458,7 +460,8 @@ impl<T: Transport> RemoteBackend<T> {
         Ok(loads)
     }
 
-    /// Owner-served dump of completed epoch `epoch` (no particular order).
+    /// Owner-served dump of completed epoch `epoch` (no particular order);
+    /// the newest completed epoch only, as for [`Self::epoch_loads`].
     pub fn epoch_entries(
         &mut self,
         epoch: usize,

@@ -15,7 +15,11 @@
 //!   than re-applied.  (A single-entry "last seq" memory — sufficient when
 //!   one request was in flight at a time — would re-apply every replayed
 //!   commit but the newest.)
-//! * `Advance` retransmissions re-publish the already-frozen epoch.
+//! * `Advance` retransmissions re-publish the already-frozen epoch — the
+//!   newest one, which is the only one whose maps the owner retains: an
+//!   epoch is retired the moment its successor is published (a view a
+//!   client holds stays valid through its own `Arc`), so a session of any
+//!   length holds one frozen epoch, not all of them.
 //! * `FreezeEpoch` / `PublishEpoch` — the cluster's two-phase barrier —
 //!   are each idempotent: a replayed freeze of a prepared (or published)
 //!   epoch is re-acked, a replayed publish re-sends the published frame,
@@ -58,13 +62,16 @@ pub(crate) struct Worker {
     writable: Vec<SlotMap>,
     /// Writes accepted into the current epoch, per owned shard.
     writable_writes: Vec<u64>,
-    /// Published epochs, in order; the owner keeps its own handle so it can
-    /// serve `Loads` / `Dump` for epochs whose views are long gone.
-    frozen: Vec<Arc<FrozenEpoch>>,
+    /// Epochs published so far.
+    published: usize,
+    /// The newest published epoch (`published - 1`): what a retransmitted
+    /// `Advance` / `PublishEpoch` re-sends and what `Loads` / `Dump` serve.
+    /// Publishing its successor drops the owner's handle on it.
+    latest: Option<Arc<FrozenEpoch>>,
     /// An epoch frozen by `FreezeEpoch` but not yet released by
     /// `PublishEpoch` — phase 1 of the two-phase barrier parks it here, so
     /// it is never observable through `Loads` / `Dump` (which only see
-    /// `frozen`) until every owner has acked its freeze and the coordinator
+    /// `latest`) until every owner has acked its freeze and the coordinator
     /// publishes.
     prepared: Option<Arc<FrozenEpoch>>,
     /// Total writes accepted across all epochs.
@@ -85,7 +92,8 @@ impl Worker {
             writable: vec![SlotMap::default(); shard_ids.len()],
             writable_writes: vec![0; shard_ids.len()],
             shard_ids,
-            frozen: Vec::new(),
+            published: 0,
+            latest: None,
             prepared: None,
             total_writes: 0,
             recent_commits: FxHashMap::default(),
@@ -109,16 +117,41 @@ impl Worker {
         }
     }
 
-    /// A completed epoch, validated (protocol violations are owner bugs or a
-    /// confused client and panic — the transport layer turns the dead
-    /// connection into a typed error on the client side).
+    /// The completed epoch `epoch`, validated (protocol violations are owner
+    /// bugs or a confused client and panic — the transport layer turns the
+    /// dead connection into a typed error on the client side).  Only the
+    /// newest completed epoch can be served; an older one is refused like
+    /// one that never existed.
     fn completed(&self, epoch: usize, what: &str) -> &Arc<FrozenEpoch> {
         assert!(
-            epoch < self.frozen.len(),
+            epoch < self.published,
             "owner asked to {what} unknown epoch {epoch} ({} completed)",
-            self.frozen.len()
+            self.published
         );
-        &self.frozen[epoch]
+        #[allow(
+            clippy::panic,
+            reason = "owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary"
+        )]
+        self.newest(epoch).unwrap_or_else(|| {
+            panic!(
+                "owner asked to {what} retired epoch {epoch} (of {} completed, only the newest is retained)",
+                self.published
+            )
+        })
+    }
+
+    /// The newest published epoch, if `epoch` names it — the one a
+    /// retransmitted `Advance` / `PublishEpoch` is answered with again.
+    fn newest(&self, epoch: usize) -> Option<&Arc<FrozenEpoch>> {
+        self.latest.as_ref().filter(|_| epoch + 1 == self.published)
+    }
+
+    /// Publish `epoch` as the newest completed one, retiring its
+    /// predecessor.
+    fn publish(&mut self, epoch: Arc<FrozenEpoch>) -> OwnerReply {
+        self.published += 1;
+        self.latest = Some(epoch.clone());
+        OwnerReply::Epoch(epoch)
     }
 
     /// Freeze the writable maps in place and hand them over as one epoch;
@@ -141,7 +174,7 @@ impl Worker {
     /// plus one if an epoch is frozen-but-unpublished (its successor is
     /// already accepting writes while the barrier completes).
     fn writable_epoch(&self) -> usize {
-        self.frozen.len() + usize::from(self.prepared.is_some())
+        self.published + usize::from(self.prepared.is_some())
     }
 
     #[deny(
@@ -200,24 +233,17 @@ impl Worker {
                      speak either the one-shot advance or the two-phase \
                      barrier, not both"
                 );
-                if epoch + 1 == self.frozen.len() {
-                    // Retransmission of the advance that froze the last
-                    // epoch (its reply was lost): republish it unchanged.
-                    #[allow(
-                        clippy::expect_used,
-                        reason = "infallible: frozen.len() == epoch + 1 ≥ 1 in this branch"
-                    )]
-                    let replay = self.frozen.last().expect("a frozen epoch exists").clone();
-                    return OwnerReply::Epoch(replay);
+                // Retransmission of the advance that froze the last epoch
+                // (its reply was lost): republish it unchanged.
+                if let Some(replay) = self.newest(epoch) {
+                    return OwnerReply::Epoch(replay.clone());
                 }
                 assert_eq!(
-                    epoch,
-                    self.frozen.len(),
+                    epoch, self.published,
                     "advance must freeze the writable epoch"
                 );
                 let epoch = self.freeze_writable();
-                self.frozen.push(epoch.clone());
-                OwnerReply::Epoch(epoch)
+                self.publish(epoch)
             }
             Request::FreezeEpoch { epoch } => {
                 if self.prepared.is_some() {
@@ -225,39 +251,31 @@ impl Worker {
                     // without touching the writable maps (which now belong
                     // to the next epoch).
                     assert_eq!(
-                        epoch,
-                        self.frozen.len(),
+                        epoch, self.published,
                         "freeze replay must name the prepared epoch"
                     );
                     return OwnerReply::Wire(Reply::EpochFrozen { epoch });
                 }
-                if epoch + 1 == self.frozen.len() {
+                if epoch + 1 == self.published {
                     // Freeze and publish both completed before the replay
                     // arrived (the sever hit after the barrier finished).
                     return OwnerReply::Wire(Reply::EpochFrozen { epoch });
                 }
                 assert_eq!(
-                    epoch,
-                    self.frozen.len(),
+                    epoch, self.published,
                     "freeze must target the writable epoch"
                 );
                 self.prepared = Some(self.freeze_writable());
                 OwnerReply::Wire(Reply::EpochFrozen { epoch })
             }
             Request::PublishEpoch { epoch } => {
-                if epoch + 1 == self.frozen.len() {
-                    // Retransmission of a publish whose reply was lost:
-                    // re-send the identical frame.
-                    #[allow(
-                        clippy::expect_used,
-                        reason = "infallible: frozen.len() == epoch + 1 ≥ 1 in this branch"
-                    )]
-                    let replay = self.frozen.last().expect("a frozen epoch exists").clone();
-                    return OwnerReply::Epoch(replay);
+                // Retransmission of a publish whose reply was lost: re-send
+                // the identical frame.
+                if let Some(replay) = self.newest(epoch) {
+                    return OwnerReply::Epoch(replay.clone());
                 }
                 assert_eq!(
-                    epoch,
-                    self.frozen.len(),
+                    epoch, self.published,
                     "publish must name the prepared epoch"
                 );
                 #[allow(
@@ -268,8 +286,7 @@ impl Worker {
                     .prepared
                     .take()
                     .expect("publish without a prepared freeze");
-                self.frozen.push(prepared.clone());
-                OwnerReply::Epoch(prepared)
+                self.publish(prepared)
             }
             Request::Loads { epoch } => {
                 let epoch = self.completed(epoch, "report loads of");
@@ -431,7 +448,7 @@ mod tests {
         else {
             panic!("freeze must be acked");
         };
-        assert_eq!(worker.frozen.len(), 0, "prepared epochs are not published");
+        assert_eq!(worker.published, 0, "prepared epochs are not published");
 
         // A replayed freeze (reply lost, connection replayed) re-acks.
         let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
@@ -439,7 +456,7 @@ mod tests {
         else {
             panic!("freeze replay must be re-acked");
         };
-        assert_eq!(worker.frozen.len(), 0);
+        assert_eq!(worker.published, 0);
 
         // Commits for the *next* epoch are already accepted while the
         // barrier is still completing.
@@ -451,7 +468,7 @@ mod tests {
             panic!("publish must answer with the epoch");
         };
         assert_eq!(published.writes, vec![3]);
-        assert_eq!(worker.frozen.len(), 1);
+        assert_eq!(worker.published, 1);
 
         // …and a replayed publish after a reconnect re-sends the same
         // frame (a prepared-but-unpublished epoch must be re-publishable
@@ -461,7 +478,7 @@ mod tests {
             panic!("publish replay must answer with the epoch");
         };
         assert!(Arc::ptr_eq(&published, &replayed));
-        assert_eq!(worker.frozen.len(), 1, "replay must not double-publish");
+        assert_eq!(worker.published, 1, "replay must not double-publish");
 
         // A replayed freeze of the now-published epoch is also re-acked.
         let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
@@ -469,7 +486,63 @@ mod tests {
         else {
             panic!("freeze replay after publish must be re-acked");
         };
-        assert_eq!(worker.frozen.len(), 1);
+        assert_eq!(worker.published, 1);
+    }
+
+    #[test]
+    fn a_thousand_advances_retain_one_epoch_and_every_write() {
+        let mut worker = Worker::new(vec![0]);
+        let mut views = Vec::new();
+        let mut sent = 0u64;
+        for epoch in 0..1_000usize {
+            let pairs = epoch as u64 % 5;
+            assert_eq!(
+                accepted(worker.handle(0, commit(epoch as u64, epoch, pairs))),
+                pairs
+            );
+            sent += pairs;
+            let OwnerReply::Epoch(published) = worker.handle(0, Request::Advance { epoch }) else {
+                panic!("advance must publish the epoch");
+            };
+            assert_eq!(published.writes, vec![pairs]);
+            views.push(Arc::downgrade(&published));
+            // The client drops its view; whether the maps live on is now
+            // the owner's decision alone.
+        }
+        // Every superseded epoch is gone; the newest is held, re-sent to a
+        // retransmitted advance, and still served.
+        let (latest, retired) = views.split_last().unwrap();
+        assert!(retired.iter().all(|epoch| epoch.upgrade().is_none()));
+        let latest = latest.upgrade().expect("the newest epoch is retained");
+        let OwnerReply::Epoch(replayed) = worker.handle(0, Request::Advance { epoch: 999 }) else {
+            panic!("advance replay must republish the epoch");
+        };
+        assert!(Arc::ptr_eq(&latest, &replayed));
+        let OwnerReply::Wire(Reply::Loads(loads)) = worker.handle(0, Request::Loads { epoch: 999 })
+        else {
+            panic!("loads of the newest epoch must be served");
+        };
+        assert_eq!(loads[0].writes, 999 % 5);
+        // The audit is exact without any of the retired maps.
+        let OwnerReply::Wire(Reply::TotalWrites(total)) = worker.handle(0, Request::TotalWrites)
+        else {
+            panic!("total-writes must be answered");
+        };
+        assert_eq!(total, sent);
+        // A view the client kept outlives the owner's handle on it.
+        drop(replayed);
+        worker.handle(0, Request::Advance { epoch: 1_000 });
+        assert_eq!(Arc::strong_count(&latest), 1, "the owner let go of it");
+        assert_eq!(latest.writes, vec![999 % 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dump retired epoch 0")]
+    fn a_retired_epoch_is_refused_like_an_unknown_one() {
+        let mut worker = Worker::new(vec![0]);
+        worker.handle(0, Request::Advance { epoch: 0 });
+        worker.handle(0, Request::Advance { epoch: 1 });
+        worker.handle(0, Request::Dump { epoch: 0 });
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Transports carrying the [`crate::proto`] protocol between a backend and
 //! its shard-group owners — split into three layers:
 //!
-//! * [`codec`] — byte-level framing over **pooled, reused buffers**: a
-//!   [`codec::FrameReader`] / [`codec::FrameWriter`] pair per connection
-//!   side reuses one scratch buffer across frames (zero steady-state
-//!   allocations), and every frame goes out through a single vectored
-//!   header+payload write.  [`codec::FramePool`] recycles encoded-reply
-//!   buffers between the dispatch and reply stages of a pipelined server.
+//! * [`codec`] — byte-level framing over **reused buffers, moved in
+//!   bursts**: a [`codec::FrameReader`] / [`codec::FrameWriter`] pair per
+//!   connection side (the same two types at the client and at the owner's
+//!   stages) buffers small frames, so one `read` takes in every frame that
+//!   has arrived and one `write` sends every frame that is queued; a frame
+//!   larger than the buffer bypasses it uncopied (one vectored
+//!   header+payload write, a read straight into the payload scratch).
+//!   Zero steady-state allocations either way.  [`codec::FramePool`]
+//!   recycles encoded-reply buffers between the dispatch and writer stages
+//!   of a pipelined server.
 //! * [`session`] (this module's re-exports) — one *connection* and its
 //!   lifecycle: the lease handshake, reconnect with capped backoff, and
 //!   in-order replay of outstanding requests ([`TcpTransport`] /
@@ -25,14 +29,32 @@
 //! Requests and replies pair up positionally (FIFO per connection), so a
 //! client may issue many requests before receiving — each tagged with its
 //! idempotency sequence number.  The TCP server runs each connection as
-//! three stages: a *reader* thread decodes request `N + 1` while the owner
-//! thread *dispatches* request `N`, and a *writer* thread flushes the reply
-//! to `N - 1` — so the socket, the codec and the state machine all stay
+//! three stages: a *reader* thread decodes requests ahead of the owner
+//! thread that *dispatches* them, and a *writer* thread sends replies
+//! behind it — so the socket, the codec and the state machine all stay
 //! busy at once.  The stage queues are bounded
 //! ([`PIPELINE_DEPTH`] frames each way), which is the server's
 //! maximum decode-ahead window and its backpressure: a client that floods
 //! faster than the owner applies eventually blocks in the socket, exactly
-//! like an unpipelined server, only `2 × PIPELINE_DEPTH` frames later.
+//! like an unpipelined server, only `2 × PIPELINE_DEPTH` frames (and the
+//! codec's read buffer) later.
+//!
+//! The unit that crosses a socket is the **burst**, not the frame.  AMPC
+//! pays for fewer rounds with many small requests, so a request's fixed
+//! cost is what the model lives on, and most of that cost was a syscall
+//! and a thread wake-up per frame at each of the four socket ends.  Each
+//! end now moves whatever has accumulated with one call: the client
+//! queues requests while replies keep arriving and flushes the moment it
+//! would have to wait (the three-condition flush rule and its
+//! never-block-while-holding-a-request invariant are stated once, on
+//! `TcpTransport::transmit`); the owner's reader stage takes every request
+//! one `read` brought in; the owner's writer stage writes every reply its
+//! queue holds and never holds one while idle (stated on the `Conn`
+//! stages).  No timer and no setting is involved: a lone request on an
+//! idle connection leaves and is answered at once, exactly as before, and
+//! a window-32 stream converges on bursts of up to a window, clocked by
+//! its own acks.  Nothing about the bytes changes — same frames, same
+//! order — only how many of them one syscall carries.
 //!
 //! Ordering guarantees are unchanged from the one-in-flight path: requests
 //! are applied in arrival order, replies are sent in application order, and
@@ -41,7 +63,11 @@
 //! queue holds *every* request whose reply is outstanding, in order — a
 //! sever with six commits in flight replays all six under the lease, and
 //! the dispatch layer's deduplication window acknowledges the already-
-//! applied prefix without re-applying it.
+//! applied prefix without re-applying it.  Bursts compose with it for the
+//! same reason: a request is in the replay queue from the moment it is
+//! queued, so whether it had left the write buffer when the socket died
+//! changes how many copies the owner sees, never what the caller sees; a
+//! reconnect discards both buffers and replays the queue.
 //!
 //! Two implementations ship in-tree:
 //!

@@ -4,7 +4,8 @@
 //!
 //! * once the scratch buffers have grown to the connection's working frame
 //!   size, encoding and framing a request — and reading it back — must not
-//!   touch the allocator at all;
+//!   touch the allocator at all, frame by frame or burst by burst through
+//!   the connection's buffered reader and writer;
 //! * a frozen epoch crosses the wire from hash maps to bytes to hash maps:
 //!   the owner encodes it into a warm pooled buffer with no allocation, and
 //!   the client decodes it with a handful of allocations per *shard*, never
@@ -15,6 +16,7 @@ use ampc_dds::proto::{
     decode_request, encode_reply, encode_request_into, read_frame, write_frame, EpochFrame, Reply,
     Request, ShardFrame,
 };
+use ampc_dds::transport::codec::{FrameReader, FrameWriter};
 use ampc_dds::transport::{ClientReply, OwnerReply, ServerTransport};
 use ampc_dds::{Key, KeyTag, TcpOptions, TcpTransport, Transport, Value};
 use std::net::TcpListener;
@@ -67,6 +69,54 @@ fn steady_state_framing_allocates_nothing() {
         "steady-state framing must not allocate"
     );
     assert_eq!(scratch, encoded, "steady-state passes still round-trip");
+}
+
+#[test]
+fn steady_state_bursts_allocate_nothing() {
+    // A connection's two codec ends as the session layer drives them: a
+    // window of small requests queued and flushed as one burst, a frame
+    // too large for the burst buffer written through, and all of them read
+    // back.  The buffers are the connection's, allocated once; the first
+    // pass grows the encode and payload scratches.
+    let small: Vec<Request> = (0..32).map(commit).collect();
+    let large = Request::Commit {
+        epoch: 0,
+        seq: 99,
+        batches: vec![(
+            0,
+            (0..4096)
+                .map(|i| (Key::of(KeyTag::Scalar, i), Value::scalar(i)))
+                .collect(),
+        )],
+    };
+    let mut writer = FrameWriter::new();
+    let mut reader = FrameReader::new();
+    let mut wire = Vec::new();
+    let mut pass = |wire: &mut Vec<u8>| {
+        wire.clear();
+        for request in &small {
+            writer.queue_request(wire, request).unwrap();
+        }
+        writer.queue_request(wire, &large).unwrap();
+        writer.flush(wire).unwrap();
+        let mut stream: &[u8] = wire;
+        let mut bytes = 0;
+        for _ in 0..=small.len() {
+            bytes += reader.read(&mut stream).unwrap().len();
+        }
+        assert!(stream.is_empty());
+        bytes
+    };
+    let warm = pass(&mut wire);
+    let before = allocations();
+    for _ in 0..64 {
+        assert_eq!(pass(&mut wire), warm);
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "steady-state bursts must not allocate"
+    );
 }
 
 /// A scripted owner on its own thread (whose allocations the thread-local
