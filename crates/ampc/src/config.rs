@@ -50,12 +50,12 @@ pub enum DdsBackendKind {
     /// length-prefixed `ampc_dds::proto` frames, frozen epochs are fetched
     /// and rebuilt as local replicas.  The deployable shape of the store.
     Remote,
-    /// The same [`ampc_dds::TcpBackend`] over N serving processes, each
-    /// owning a contiguous shard range discovered through the shard map in
-    /// every lease grant; epoch advance is the client-coordinated two-phase
+    /// The same [`ampc_dds::TcpBackend`] over N owners, each owning a
+    /// contiguous shard range discovered through the shard map in every
+    /// lease grant; epoch advance is the client-coordinated two-phase
     /// freeze/publish barrier.  N is a run-time number: spawns a local
-    /// cluster of [`AmpcConfig::cluster_owners`] owners, or connects to
-    /// [`AmpcConfig::cluster_endpoints`] when set.
+    /// cluster of [`AmpcConfig::cluster_owners`] owner threads, or connects
+    /// to the serving owners at [`AmpcConfig::cluster_endpoints`] when set.
     Cluster,
 }
 
@@ -228,7 +228,7 @@ impl AmpcConfig {
     }
 
     /// Builder-style: run the DDS as a locally spawned cluster of `owners`
-    /// serving processes, and select the cluster backend.
+    /// owner threads, and select the cluster backend.
     ///
     /// # Errors
     /// [`AmpcError::InvalidEndpointList`] if `owners` is zero or exceeds

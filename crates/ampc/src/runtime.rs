@@ -384,7 +384,7 @@ impl<B: DdsBackend> std::fmt::Debug for AmpcRuntime<B> {
 /// The [`TcpBackend`] a config selects: in-process owner threads, one
 /// external serving process ([`AmpcConfig::remote_endpoint`]), running
 /// cluster owners ([`AmpcConfig::cluster_endpoints`]) or a locally spawned
-/// cluster of [`AmpcConfig::cluster_owners`] serving processes.
+/// cluster of [`AmpcConfig::cluster_owners`] owner threads.
 ///
 /// An implementation detail of [`crate::with_dds_backend!`] — not part of
 /// the public surface.

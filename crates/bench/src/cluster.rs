@@ -1,12 +1,14 @@
-//! Cluster commit scaling: does sharding the store across owner processes
-//! keep the commit path fast?
+//! Cluster commit scaling: does sharding the store across range owners keep
+//! the commit path fast?
 //!
 //! The cluster backend routes each round's writes to the owner holding the
 //! destination shard and runs the two-phase advance barrier across all
 //! owners.  This experiment commits the same workload over the same total
-//! shard count at `owners = 1` and `owners = 2` and reports commit-request
-//! throughput, so a regression in the routing/barrier overhead shows up as
-//! a trajectory change in `BENCH_commit.json` rather than going unnoticed.
+//! shard count at `owners = 1` and `owners = 2` of a local cluster (owner
+//! threads behind loopback sockets, `TcpBackend::spawn_local`) and reports
+//! commit-request throughput, so a regression in the routing/barrier
+//! overhead shows up as a trajectory change in `BENCH_commit.json` rather
+//! than going unnoticed.
 
 use crate::commit::workload;
 use ampc_dds::{DdsBackend, Key, TcpBackend, Value};
@@ -15,7 +17,7 @@ use std::time::Instant;
 /// One cluster commit-throughput measurement at a fixed owner count.
 #[derive(Clone, Debug)]
 pub struct ClusterCommitPoint {
-    /// Standalone owners the shards are split across.
+    /// Owners (threads of a local cluster) the shards are split across.
     pub owners: usize,
     /// Total shards (identical across owner counts).
     pub shards: usize,

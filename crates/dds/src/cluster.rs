@@ -1,22 +1,25 @@
-//! Owners as processes: connecting [`TcpBackend`] to one serving process or
-//! to a cluster of them.
+//! Cluster topology: connecting [`TcpBackend`] to one serving process or to
+//! a cluster of them, or spawning a cluster of its own.
 //!
 //! [`crate::serve`] scales one owner *process* to many concurrent clients;
-//! a cluster scales the store itself to many owner processes.  It is `N`
-//! standalone [`crate::DdsServer`] processes (started with
-//! [`crate::serve::serve_cluster`]), each owning one **contiguous range**
-//! of the shard space, and the ordinary wire client
+//! a cluster scales the store itself to many owners, each owning one
+//! **contiguous range** of the shard space, and the ordinary wire client
 //! ([`crate::RemoteBackend`]) with one connection per owner — `N = 1` is
-//! simply a store served by one process.  What this module adds to the
-//! client is how it gets there:
+//! simply a store served by one owner.  The owners are `N` standalone
+//! [`crate::DdsServer`] processes (started with
+//! [`crate::serve::serve_cluster`], reached with
+//! [`TcpBackend::connect_cluster`]), or — [`TcpBackend::spawn_local`] — `N`
+//! owner threads of this process, started and joined exactly like
+//! [`crate::RemoteBackend::new`]'s, whose grants advertise the same map a
+//! serving cluster of that size would.  What this module adds to the client
+//! is how it gets there:
 //!
 //! * **Topology discovery** — every lease grant of a cluster owner carries
 //!   the cluster's [`ShardMap`] (owner endpoints × shard ranges,
-//!   epoch-stamped).  The client connects to each configured endpoint,
-//!   settles every handshake, and validates that every owner advertises
-//!   the *same* contiguous map for the requested shard count with one
-//!   slice per connection.  The owner count is bounded by that map, not by
-//!   a compile-time constant.
+//!   epoch-stamped).  The client settles every handshake and validates
+//!   that every owner advertises the *same* contiguous map for the
+//!   requested shard count with one slice per connection.  The owner count
+//!   is bounded by that map, not by a compile-time constant.
 //! * **Routing and advance follow the map** — owners that advertised a map
 //!   are routed by range and advanced through the two-phase barrier below;
 //!   owners that advertised none (one plain [`crate::serve()`] process
@@ -49,10 +52,11 @@
 //! many times the publish is retransmitted.
 
 use crate::proto::ShardMap;
-use crate::remote::{Routing, TcpBackend};
-use crate::serve::serve_cluster_listener;
+use crate::remote::{spawn_owner, Routing, TcpBackend};
+use crate::serve::ClusterRole;
 use crate::transport::{TcpOptions, TcpTransport, TransportError};
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::ToSocketAddrs;
+use std::thread::JoinHandle;
 
 impl TcpBackend {
     /// Open one leased connection per entry of `owners` (connection `i`
@@ -67,15 +71,38 @@ impl TcpBackend {
         for (owner, endpoint) in owners.iter().enumerate() {
             clients.push(TcpTransport::connect_to(endpoint, owner, options.clone())?);
         }
-        for client in &mut clients {
-            client.finish_handshake()?;
+        Self::settle(clients, Vec::new(), num_shards)
+    }
+
+    /// Settle every handshake of `clients` and route by what the grants
+    /// advertised.  If that fails, the owner threads in `handles` (owner
+    /// `i` behind `clients[i]`) are hung up on and joined before the error
+    /// returns, like a dropped backend's.
+    fn settle(
+        mut clients: Vec<TcpTransport>,
+        handles: Vec<Option<JoinHandle<()>>>,
+        num_shards: usize,
+    ) -> Result<Self, TransportError> {
+        let settled = clients
+            .iter_mut()
+            .try_for_each(TcpTransport::finish_handshake)
+            .and_then(|()| validated_shard_map(&clients, num_shards));
+        match settled {
+            Ok(map) => {
+                let routing = match &map {
+                    Some(map) => Routing::ranged(map),
+                    None => Routing::interleaved(num_shards, clients.len()),
+                };
+                Ok(TcpBackend::over(clients, handles, routing, map))
+            }
+            Err(err) => {
+                drop(clients);
+                for handle in handles.into_iter().flatten() {
+                    let _ = handle.join();
+                }
+                Err(err)
+            }
         }
-        let map = validated_shard_map(&clients, num_shards)?;
-        let routing = match &map {
-            Some(map) => Routing::ranged(map),
-            None => Routing::interleaved(num_shards, clients.len()),
-        };
-        Ok(TcpBackend::over(clients, Vec::new(), routing, map))
     }
 
     /// Connect to an already-running owner process (`ampc_dds::serve`) at
@@ -117,36 +144,38 @@ impl TcpBackend {
         Ok(backend)
     }
 
-    /// Spawn a self-contained local cluster: `owners` serving processes on
-    /// ephemeral localhost ports, plus a client connected to all of them.
-    ///
-    /// Listeners are bound *before* any server starts, so every owner can
-    /// be told the full peer list — the chicken-and-egg every
-    /// ephemeral-port cluster spawner has to break.
+    /// Spawn a self-contained local cluster: `owners` owner threads, each
+    /// behind its own loopback connection and owning the contiguous shard
+    /// range [`ClusterRole::shard_map`] gives it, plus the client connected
+    /// to all of them.  The owners are started like
+    /// [`crate::RemoteBackend::new`]'s and joined when the backend drops;
+    /// the only difference is the shard map their grants advertise, from
+    /// which the client picks range routing and the two-phase barrier.
     pub fn spawn_local(owners: usize, num_shards: usize) -> Result<Self, TransportError> {
-        let io_err = |node: usize, what: &str, err: std::io::Error| TransportError::Io {
-            worker: node,
-            message: format!("{what} cluster owner {node}: {err}"),
+        let num_shards = num_shards.max(1);
+        let options = TcpOptions::fresh().with_topology(num_shards, owners);
+        let mut pairs = Vec::with_capacity(owners);
+        for owner in 0..owners {
+            pairs.push(TcpTransport::connect_pair(owner, options.clone())?);
+        }
+        let role = ClusterRole {
+            node: 0,
+            peers: pairs
+                .iter()
+                .map(|(client, _)| client.endpoint().to_string())
+                .collect(),
+            map_epoch: 1,
         };
-        let mut listeners = Vec::with_capacity(owners);
-        let mut peers = Vec::with_capacity(owners);
-        for node in 0..owners {
-            let listener =
-                TcpListener::bind(("127.0.0.1", 0)).map_err(|err| io_err(node, "binding", err))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|err| io_err(node, "reading the address of", err))?;
-            peers.push(addr.to_string());
-            listeners.push(listener);
+        let map = role.shard_map(num_shards);
+        let mut clients = Vec::with_capacity(owners);
+        let mut handles = Vec::with_capacity(owners);
+        for (owner, ((client, server), slice)) in pairs.into_iter().zip(&map.owners).enumerate() {
+            let shard_ids = (slice.start as usize..slice.end as usize).collect();
+            let server = server.with_shard_map(Some(map.clone()));
+            clients.push(client);
+            handles.push(Some(spawn_owner(owner, shard_ids, server)));
         }
-        let mut servers = Vec::with_capacity(owners);
-        for (node, listener) in listeners.into_iter().enumerate() {
-            servers.push(
-                serve_cluster_listener(listener, node, peers.clone())
-                    .map_err(|err| io_err(node, "starting", err))?,
-            );
-        }
-        Ok(Self::connect_cluster(&peers, num_shards)?.with_servers(servers))
+        Self::settle(clients, handles, num_shards)
     }
 }
 

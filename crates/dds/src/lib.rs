@@ -28,7 +28,8 @@
 //!   above (one group, frozen in place), and [`RemoteBackend`] is the only
 //!   client of the message-passing wire protocol (see below) —
 //!   [`ChannelBackend`] over in-process channels, [`TcpBackend`] over
-//!   sockets to owner threads, one serving process, or a cluster of N.
+//!   sockets to owner threads (interleaved, or a local cluster of
+//!   contiguous ranges), one serving process, or a cluster of N.
 //! * [`contention`] — the weighted balls-into-bins experiment behind
 //!   Lemma 2.1 of the paper.
 //!
@@ -107,17 +108,19 @@
 //!   instead of hangs.
 //! * [`remote`] — the one client of the protocol: [`RemoteBackend`]`<T>`
 //!   drives any transport, and any number of owners, behind the
-//!   [`DdsBackend`] surface; the owner loop is transport-generic.
-//!   [`ChannelBackend`] is `RemoteBackend<MpscTransport>`, [`TcpBackend`] is
+//!   [`DdsBackend`] surface; the owner loop is transport-generic, and every
+//!   owner a backend spawns is a thread it joins.  [`ChannelBackend`] is
+//!   `RemoteBackend<MpscTransport>`, [`TcpBackend`] is
 //!   `RemoteBackend<TcpTransport>`, and the conformance + determinism
 //!   suites hold both (and [`LocalBackend`]) to byte-identical behaviour.
 //! * [`serve`] — the standalone owner *process*: [`DdsServer`] accepts any
 //!   number of concurrent leased [`TcpBackend`] clients, each
 //!   `(session, worker)` pair served by its own isolated owner
 //!   (`quickstart --serve` / `--connect` runs it end to end).
-//! * [`cluster`] — how [`TcpBackend`] reaches owner processes: one
-//!   ([`RemoteBackend::connect_remote`]) or a cluster of N
-//!   ([`RemoteBackend::connect_cluster`], [`RemoteBackend::spawn_local`]).
+//! * [`cluster`] — the cluster topology: how [`TcpBackend`] reaches owner
+//!   processes, one ([`RemoteBackend::connect_remote`]) or a cluster of N
+//!   ([`RemoteBackend::connect_cluster`]), and how it spawns a local
+//!   cluster of owner threads ([`RemoteBackend::spawn_local`]).
 //!
 //! Reads never touch the wire: every view holds the frozen epoch locally
 //! (shared `Arc` or fetched replica) and probes it lock-free, so the
@@ -134,7 +137,7 @@
 //! on a healthy socket never loses its lease, while a dead client's session
 //! is reclaimed (pending commits freed) once its ttl elapses.  The client
 //! side heals transparently: any socket failure triggers reconnect with
-//! capped exponential backoff ([`TcpOptions`]), a replayed lease handshake,
+//! capped exponential backoff, a replayed lease handshake ([`TcpOptions`]),
 //! and in-order replay of every request still awaiting a reply — the whole
 //! pipeline of them, under pipelining.  Replay is safe because every
 //! request is idempotent at the owner — `Commit` is deduplicated over a
@@ -153,15 +156,17 @@
 //! # Cluster topology
 //!
 //! One serving process scales to many clients; a cluster scales the store
-//! itself to many serving processes.  A cluster is `N` owner processes
-//! started with [`serve_cluster`], each owning a **contiguous shard range**
-//! (`[i·S/N, (i+1)·S/N)` for owner `i` of `N` over `S` shards — empty when
-//! `N > S`), discovered through the **shard-map handshake**: every lease
-//! grant carries the cluster's epoch-stamped [`proto::ShardMap`] (owner
-//! endpoints × shard ranges), and [`TcpBackend::connect_cluster`] validates
-//! that all owners advertise the identical contiguous map before routing a
-//! single request.  `N` is a run-time number bounded only by that map;
-//! `N = 1` is the remote backend.  The client is the same
+//! itself to many owners.  A cluster is `N` owners, each owning a
+//! **contiguous shard range** (`[i·S/N, (i+1)·S/N)` for owner `i` of `N`
+//! over `S` shards — empty when `N > S`): owner processes started with
+//! [`serve_cluster`], or the owner threads of a local cluster
+//! ([`TcpBackend::spawn_local`], the `cluster` backend kind).  Either way
+//! the client discovers them through the **shard-map handshake**: every
+//! lease grant carries the cluster's epoch-stamped [`proto::ShardMap`]
+//! (owner endpoints × shard ranges), and the client validates that all
+//! owners advertise the identical contiguous map before routing a single
+//! request.  `N` is a run-time number bounded only by that map; `N = 1` is
+//! the remote backend.  The client is the same
 //! [`RemoteBackend`] that talks to owner threads: commits route through one
 //! shard → (owner, local shard) table, `Loads` / `TotalWrites` / `Dump` fan
 //! out and aggregate, and what the grants carried decides the rest — owners

@@ -12,13 +12,18 @@
 //!   behind in-process channels: requests travel as typed values, frozen
 //!   epochs are published zero-copy as shared `Arc`s;
 //! * [`TcpBackend`] (`RemoteBackend<TcpTransport>`) — the identical owner
-//!   loop behind sockets: in-process owner threads ([`RemoteBackend::new`]),
-//!   one external serving process ([`RemoteBackend::connect_remote`]), or a
-//!   cluster of N serving processes ([`RemoteBackend::connect_cluster`] /
-//!   [`RemoteBackend::spawn_local`], see [`crate::cluster`]).  Every request
-//!   and reply round-trips through the byte codec; a frozen epoch is
-//!   encoded from the owner's maps and decoded into the maps of a replica,
-//!   one pass each way.
+//!   loop behind sockets: in-process owner threads, interleaved
+//!   ([`RemoteBackend::new`]) or as a local cluster of contiguous ranges
+//!   ([`RemoteBackend::spawn_local`]), one external serving process
+//!   ([`RemoteBackend::connect_remote`]), or a cluster of N serving
+//!   processes ([`RemoteBackend::connect_cluster`], see [`crate::cluster`]).
+//!   Every request and reply round-trips through the byte codec; a frozen
+//!   epoch is encoded from the owner's maps and decoded into the maps of a
+//!   replica, one pass each way.
+//!
+//! Whatever the transport and whichever constructor, an owner this backend
+//! spawns is one thread behind one connection ([`spawn_owner`]), and the
+//! backend joins it when it drops.
 //!
 //! The client decides two things from what the owners tell it, never from
 //! an option: owners whose lease grants carried a [`ShardMap`] hold
@@ -37,21 +42,20 @@
 //! transport.
 //!
 //! Owner failures surface as typed [`TransportError`]s: every send and
-//! receive goes through one harvest, which joins a dead in-process owner
-//! thread — or asks the locally spawned serving process that hosted the
-//! owner — and attaches the panic message to the error instead of hanging
-//! or dying on an opaque broken connection.
+//! receive goes through one harvest, which joins the dead owner's thread
+//! and attaches its panic message to the error instead of hanging or dying
+//! on an opaque broken connection.
 
 use crate::backend::DdsBackend;
 use crate::key::{Key, Value};
 use crate::proto::{Reply, Request, ShardMap};
-use crate::serve::DdsServer;
 use crate::snapshot::Snapshot;
 use crate::stats::ShardLoad;
 use crate::store::partition_by_shard;
 use crate::transport::dispatch::Worker;
 use crate::transport::{
-    ClientReply, MpscTransport, RequestFaults, TcpTransport, Transport, TransportError,
+    ClientReply, MpscTransport, RequestFaults, ServerTransport, TcpTransport, Transport,
+    TransportError,
 };
 use std::thread::JoinHandle;
 
@@ -138,10 +142,6 @@ pub struct RemoteBackend<T: Transport> {
     /// Owner threads this backend spawned, by owner (empty when processes
     /// serve the owners; `None` once joined).
     handles: Vec<Option<JoinHandle<()>>>,
-    /// Owner processes this backend spawned, in owner order (empty unless
-    /// built by [`RemoteBackend::spawn_local`]); shut down after the
-    /// connections said goodbye.
-    servers: Vec<DdsServer>,
     routing: Routing,
     /// The topology every owner advertised in its lease grant, if any.
     /// Owners that advertise one advance through the two-phase barrier.
@@ -158,6 +158,25 @@ fn unexpected(owner: usize, expected: &str, got: &Reply) -> TransportError {
         worker: owner,
         message: format!("expected {expected}, got {got:?}"),
     }
+}
+
+/// Serve `shard_ids` as owner `worker` on a thread of its own, behind
+/// `server` — the one place a backend starts an owner, for every
+/// constructor and every transport.  The caller joins the handle.
+pub(crate) fn spawn_owner(
+    worker: usize,
+    shard_ids: Vec<usize>,
+    mut server: impl ServerTransport,
+) -> JoinHandle<()> {
+    let owner = Worker::new(shard_ids);
+    #[allow(
+        clippy::expect_used,
+        reason = "thread-spawn failure at backend construction has no round boundary to report through; dying loudly beats serving without owners"
+    )]
+    std::thread::Builder::new()
+        .name(format!("dds-owner-{worker}"))
+        .spawn(move || owner.serve(&mut server))
+        .expect("spawning DDS owner thread")
 }
 
 /// The wire reply inside `reply`; only an advance may be answered with a
@@ -181,19 +200,10 @@ impl<T: Transport> RemoteBackend<T> {
         let mut clients = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let shard_ids: Vec<usize> = (worker..num_shards).step_by(workers).collect();
-            let (client, mut server) = T::connect(worker);
-            let state = Worker::new(shard_ids);
-            #[allow(
-                clippy::expect_used,
-                reason = "thread-spawn failure at backend construction has no round boundary to report through; dying loudly beats serving without owners"
-            )]
-            let handle = std::thread::Builder::new()
-                .name(format!("dds-owner-{worker}"))
-                .spawn(move || state.serve(&mut server))
-                .expect("spawning DDS owner thread");
+            let (client, server) = T::connect(worker);
+            let shard_ids = (worker..num_shards).step_by(workers).collect();
             clients.push(client);
-            handles.push(Some(handle));
+            handles.push(Some(spawn_owner(worker, shard_ids, server)));
         }
         RemoteBackend::over(
             clients,
@@ -213,20 +223,12 @@ impl<T: Transport> RemoteBackend<T> {
         RemoteBackend {
             clients,
             handles,
-            servers: Vec::new(),
             routing,
             map,
             completed: 0,
             faults: RequestFaults::none(),
             next_seq: 0,
         }
-    }
-
-    /// Keep the owner processes this backend talks to alive for as long as
-    /// it lives (`servers[i]` hosts owner `i`).
-    pub(crate) fn with_servers(mut self, servers: Vec<DdsServer>) -> Self {
-        self.servers = servers;
-        self
     }
 
     /// Number of owners serving the shards.
@@ -239,12 +241,10 @@ impl<T: Transport> RemoteBackend<T> {
         self.map.as_ref()
     }
 
-    /// When a connection died without saying why, find out from whoever
-    /// hosted the owner — join its thread, or ask the serving process this
-    /// backend spawned — so the caller sees the owner's panic message, not
-    /// just a broken connection.  (A serving process replaces a panicked
-    /// owner with a fresh session, so there the reconnect may also report a
-    /// lost lease.)
+    /// When a connection to an owner this backend spawned died without
+    /// saying why, join the owner's thread, so the caller sees its panic
+    /// message, not just a broken connection.  (An owner of another process
+    /// has no thread here to join: its panic goes to that process's stderr.)
     fn harvest(&mut self, err: TransportError) -> TransportError {
         let worker = match err {
             TransportError::PeerClosed {
@@ -254,23 +254,15 @@ impl<T: Transport> RemoteBackend<T> {
             | TransportError::LeaseLost { worker, .. } => worker,
             _ => return err,
         };
-        let message = match self.handles.get_mut(worker).and_then(Option::take) {
-            Some(handle) => handle
-                .join()
-                .err()
-                .map(|payload| crate::transport::owner_panic_message(payload.as_ref())),
-            None => self
-                .servers
-                .get(worker)
-                .zip(self.clients.get(worker))
-                .and_then(|(server, client)| server.take_panic(client.session(), worker as u64)),
+        let Some(handle) = self.handles.get_mut(worker).and_then(Option::take) else {
+            return err;
         };
-        match message {
-            Some(message) => TransportError::PeerClosed {
+        match handle.join() {
+            Err(payload) => TransportError::PeerClosed {
                 worker,
-                panic: Some(message),
+                panic: Some(crate::transport::owner_panic_message(payload.as_ref())),
             },
-            None => err,
+            Ok(()) => err,
         }
     }
 
@@ -553,8 +545,7 @@ impl<T: Transport> Drop for RemoteBackend<T> {
         // leased connections say goodbye), then reap the threads so nothing
         // is left detached.  Panic payloads were either harvested during
         // operation or are deliberately swallowed here — propagating from
-        // `drop` would abort.  Spawned owner processes stop after this, as
-        // the `servers` field drops.
+        // `drop` would abort.
         self.clients.clear();
         for handle in self.handles.iter_mut().filter_map(Option::take) {
             let _ = handle.join();
@@ -568,7 +559,6 @@ impl<T: Transport> std::fmt::Debug for RemoteBackend<T> {
             .field("transport", &T::NAME)
             .field("num_shards", &self.routing.num_shards())
             .field("owners", &self.clients.len())
-            .field("local_servers", &self.servers.len())
             .field("completed_epochs", &self.completed)
             .finish()
     }
@@ -826,8 +816,8 @@ mod tests {
 
     #[test]
     fn cluster_owner_panics_surface_as_typed_errors() {
-        // Owners hosted by serving processes this backend spawned: the
-        // process logs the panic and the same harvest finds it.
+        // A local cluster's owners are threads like any other backend's:
+        // the same join harvests the panic.
         owner_panics_surface_as_typed_errors(TcpBackend::spawn_local(2, 4).unwrap());
     }
 

@@ -1,12 +1,16 @@
 //! The standalone DDS owner process: [`DdsServer`] / [`serve`].
 //!
-//! `RemoteBackend::new` spawns its owners as threads of the client process —
-//! fine for a simulation, useless for the multi-host deployment the AMPC
-//! model actually assumes.  This module is the other half of that story: a
-//! process that *only* owns shards, serving any number of concurrent
-//! [`crate::TcpBackend`] clients over the [`crate::proto`] wire protocol
-//! (`TcpBackend::connect_remote` on the client side, the
-//! `quickstart --serve` / `--connect` example end to end).
+//! `RemoteBackend::new` and `TcpBackend::spawn_local` spawn their owners as
+//! threads of the client process — fine for a simulation, useless for the
+//! multi-host deployment the AMPC model actually assumes.  This module is
+//! the other half of that story: a process that *only* owns shards, serving
+//! any number of concurrent [`crate::TcpBackend`] clients of *other*
+//! processes over the [`crate::proto`] wire protocol
+//! (`TcpBackend::connect_remote` / `connect_cluster` on the client side, the
+//! `quickstart --serve` / `--connect` / `--cluster <n>` examples end to
+//! end).  An owner that panics here on a protocol violation ends its
+//! session, and the panic goes to this process's stderr like any thread's;
+//! its client sees the connection close.
 //!
 //! # Sessions
 //!
@@ -44,14 +48,11 @@
 
 use crate::proto::{OwnerSlice, ShardMap};
 use crate::transport::dispatch::Worker;
-use crate::transport::{
-    owner_panic_message, read_lease_frame, LeaseFrame, ServeHandoff, TcpServer,
-};
+use crate::transport::{read_lease_frame, LeaseFrame, ServeHandoff, TcpServer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -67,10 +68,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// connection flood; connections arriving beyond the cap are dropped, and a
 /// legitimate client simply reconnects with backoff once the flood drains.
 const MAX_INFLIGHT_HANDSHAKES: usize = 64;
-
-/// Cap on remembered owner panic messages nobody asked for (clients of
-/// another process never do), so hostile sessions cannot grow the log.
-const MAX_LOGGED_PANICS: usize = 256;
 
 /// This process's place in a DDS cluster: owner `node` of the topology
 /// whose advertised endpoints are `peers` (indexed by node, every owner
@@ -126,10 +123,6 @@ struct SessionEntry {
 
 type SessionMap = HashMap<(u64, u64), SessionEntry>;
 
-/// Why owners died: the panic message of each `(session, worker)` owner
-/// that ended on a protocol violation, until someone asks for it.
-type PanicLog = Arc<Mutex<HashMap<(u64, u64), String>>>;
-
 /// A running DDS owner process: accepts leased connections and serves each
 /// `(session, worker)` pair with its own [`crate::remote::Worker`].
 ///
@@ -141,7 +134,6 @@ pub struct DdsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     sessions: Arc<Mutex<SessionMap>>,
-    panics: PanicLog,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -192,20 +184,17 @@ fn serve_on(listener: TcpListener, role: Option<ClusterRole>) -> io::Result<DdsS
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let sessions: Arc<Mutex<SessionMap>> = Arc::new(Mutex::new(HashMap::new()));
-    let panics = PanicLog::default();
     let acceptor = {
         let stop = stop.clone();
         let sessions = sessions.clone();
-        let panics = panics.clone();
         std::thread::Builder::new()
             .name("dds-serve-acceptor".to_string())
-            .spawn(move || accept_loop(listener, stop, sessions, panics, role))?
+            .spawn(move || accept_loop(listener, stop, sessions, role))?
     };
     Ok(DdsServer {
         addr,
         stop,
         sessions,
-        panics,
         acceptor: Some(acceptor),
     })
 }
@@ -224,13 +213,6 @@ impl DdsServer {
             .values()
             .filter(|entry| entry.alive.load(Ordering::Relaxed))
             .count()
-    }
-
-    /// The panic message of the `(session, worker)` owner, if it died on a
-    /// protocol violation — recorded before its connection closed, so a
-    /// client that saw the connection drop finds it here.  Taken once.
-    pub(crate) fn take_panic(&self, session: u64, worker: u64) -> Option<String> {
-        self.panics.lock().remove(&(session, worker))
     }
 
     /// Stop accepting new connections and reap every finished session.
@@ -288,7 +270,6 @@ fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     sessions: Arc<Mutex<SessionMap>>,
-    panics: PanicLog,
     role: Option<ClusterRole>,
 ) {
     let inflight = Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -307,14 +288,13 @@ fn accept_loop(
                 }
                 let guard = InflightGuard(inflight.clone());
                 let sessions = sessions.clone();
-                let panics = panics.clone();
                 let role = role.clone();
                 let handshake = std::thread::Builder::new()
                     .name("dds-serve-handshake".to_string())
                     .spawn(move || {
                         let _guard = guard;
                         if let Some(lease) = read_lease_frame(&stream) {
-                            route(&sessions, &panics, stream, lease, &role);
+                            route(&sessions, stream, lease, &role);
                         } // else: not a protocol client; drop it
                     });
                 drop(handshake); // detached; lifetime bounded by the timeout
@@ -346,7 +326,6 @@ impl Drop for InflightGuard {
 /// owner thread if these coordinates are new (or were reclaimed).
 fn route(
     sessions: &Arc<Mutex<SessionMap>>,
-    panics: &PanicLog,
     stream: TcpStream,
     lease: LeaseFrame,
     role: &Option<ClusterRole>,
@@ -379,7 +358,7 @@ fn route(
         // Spawning stays under the lock — it is microseconds, and it keeps
         // two concurrent handshakes for the same coordinates from racing
         // their owners.
-        spawn_session(&mut sessions, panics.clone(), key, &lease, role);
+        spawn_session(&mut sessions, key, &lease, role);
         if let Some(entry) = sessions.get(&key) {
             let _ = entry.streams.send(handoff);
         }
@@ -397,7 +376,6 @@ fn route(
 /// every grant carries the cluster's shard map for that size.
 fn spawn_session(
     sessions: &mut SessionMap,
-    panics: PanicLog,
     key: (u64, u64),
     lease: &LeaseFrame,
     role: &Option<ClusterRole>,
@@ -430,18 +408,7 @@ fn spawn_session(
             }
             let _guard = AliveGuard(thread_alive);
             let mut server = TcpServer::from_mailbox(rx, worker).with_shard_map(shard_map);
-            let owner = Worker::new(shard_ids);
-            let served = catch_unwind(AssertUnwindSafe(|| owner.serve(&mut server)));
-            if let Err(payload) = served {
-                // A protocol violation is the owner's error surface.  Log
-                // why *before* `server` drops and closes the connection, so
-                // a client that sees the drop can always learn the cause.
-                let mut panics = panics.lock();
-                if panics.len() >= MAX_LOGGED_PANICS {
-                    panics.clear();
-                }
-                panics.insert(key, owner_panic_message(payload.as_ref()));
-            }
+            Worker::new(shard_ids).serve(&mut server);
         });
     match handle {
         Ok(handle) => {

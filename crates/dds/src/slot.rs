@@ -46,17 +46,30 @@ pub(crate) fn push_pair(map: &mut SlotMap, key: Key, value: Value) {
     }
 }
 
-/// Freeze one shard map **in place**: reuse the map allocation (and every
+/// Freeze shard maps **in place**: reuse every map allocation (and every
 /// inline singleton slot) as-is, dropping only the spare `Vec` capacity of
-/// the rare multi-value slots.
+/// the rare multi-value slots — on up to `threads` scoped threads, each
+/// taking one contiguous run of the maps.
 ///
 /// The single freeze pass shared by [`crate::ShardedStore::freeze`] and the
-/// [`crate::ChannelBackend`] owner threads' `Advance`, so the two epoch
-/// pipelines cannot drift apart.
-pub(crate) fn freeze_map_in_place(map: &mut SlotMap) {
-    for slot in map.values_mut() {
-        slot.shrink_to_fit();
+/// owners' `Advance` / `FreezeEpoch` (which call it with one thread), so the
+/// two epoch pipelines cannot drift apart.
+pub(crate) fn freeze_in_place(maps: &mut [SlotMap], threads: usize) {
+    let freeze = |maps: &mut [SlotMap]| {
+        for slot in maps.iter_mut().flat_map(|map| map.values_mut()) {
+            slot.shrink_to_fit();
+        }
+    };
+    let threads = threads.clamp(1, maps.len().max(1));
+    if threads == 1 {
+        return freeze(maps);
     }
+    let run = maps.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        for maps in maps.chunks_mut(run) {
+            scope.spawn(move || freeze(maps));
+        }
+    });
 }
 
 /// Per-key slot used by both the writable store and frozen snapshots.

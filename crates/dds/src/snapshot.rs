@@ -7,7 +7,8 @@
 //! how many processes serve it.  A [`Snapshot`] enforces both in the type
 //! system: it can only be read, and it is the same type whether the epoch
 //! was frozen in place by [`crate::ShardedStore`], shared by in-process
-//! owner threads, or rebuilt from the frames of N owner processes.  Reads
+//! owner threads, or rebuilt from the frames of N owners behind sockets
+//! (threads of this process or owner processes alike).  Reads
 //! are lock-free (the underlying maps are never mutated) and still counted
 //! per shard so the query-contention behaviour of the model can be observed.
 //!

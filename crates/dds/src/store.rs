@@ -27,7 +27,7 @@
 //! determines the multi-value indices of Section 2 of the paper.
 
 use crate::key::{Key, Value};
-use crate::slot::{push_pair, SlotMap};
+use crate::slot::{freeze_in_place, push_pair, SlotMap};
 use crate::snapshot::{FrozenEpoch, Snapshot};
 use crate::stats::{ShardLoad, StoreStats};
 use parking_lot::Mutex;
@@ -298,8 +298,9 @@ impl ShardedStore {
     /// round, consuming the writable store.
     ///
     /// The freeze is **in-place**: the write-side shard maps (and every slot
-    /// in them) are reused as the snapshot's frozen maps outright — see
-    /// [`freeze_shard`].  Shards are shrunk in parallel on up to one worker
+    /// in them) are reused as the snapshot's frozen maps outright, and the
+    /// only work is dropping the spare `Vec` capacity of the rare
+    /// multi-value slots.  Shards are shrunk in parallel on up to one worker
     /// per available CPU.
     pub fn freeze(self) -> Snapshot {
         self.freeze_with_threads(default_parallelism())
@@ -316,35 +317,16 @@ impl ShardedStore {
         }
 
         let total_keys: usize = maps.iter().map(|m| m.len()).sum();
-        let threads = threads.max(1).min(num_shards);
         // Below this size the scoped-thread setup costs more than the
         // multi-value shrink pass.
         const PARALLEL_FREEZE_THRESHOLD: usize = 8 * 1024;
-        let frozen = if threads == 1 || total_keys < PARALLEL_FREEZE_THRESHOLD {
-            maps.into_iter().map(freeze_shard).collect()
+        let threads = if total_keys < PARALLEL_FREEZE_THRESHOLD {
+            1
         } else {
-            let slots: Vec<Mutex<Option<SlotMap>>> =
-                maps.into_iter().map(|m| Mutex::new(Some(m))).collect();
-            let outputs: Vec<Mutex<Option<SlotMap>>> =
-                (0..num_shards).map(|_| Mutex::new(None)).collect();
-            for_each_index_parallel(num_shards, threads, |i| {
-                #[allow(
-                    clippy::expect_used,
-                    reason = "for_each_index_parallel visits each index exactly once by construction"
-                )]
-                let map = slots[i].lock().take().expect("each shard frozen once");
-                *outputs[i].lock() = Some(freeze_shard(map));
-            });
-            #[allow(
-                clippy::expect_used,
-                reason = "every slot was filled by the parallel loop above"
-            )]
-            outputs
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("each shard frozen once"))
-                .collect()
+            threads
         };
-        Snapshot::single(FrozenEpoch::new(frozen, writes))
+        freeze_in_place(&mut maps, threads);
+        Snapshot::single(FrozenEpoch::new(maps, writes))
     }
 
     /// Snapshot-style statistics of the writable store (reads are always 0).
@@ -377,9 +359,9 @@ pub(crate) fn partition_by_shard(
 /// Run `work(i)` for every index in `0..count`, on up to `threads` scoped
 /// workers claiming indices from a shared atomic cursor.
 ///
-/// The shared worker pool behind the shard-parallel commit and freeze
-/// paths; `threads <= 1` (or a single index) degrades to a plain loop with
-/// no thread setup.
+/// The shared worker pool behind the parallel partition and shard-parallel
+/// commit paths; `threads <= 1` (or a single index) degrades to a plain loop
+/// with no thread setup.
 fn for_each_index_parallel(count: usize, threads: usize, work: impl Fn(usize) + Sync) {
     let threads = threads.max(1).min(count.max(1));
     if threads == 1 {
@@ -413,17 +395,6 @@ pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-}
-
-/// Freeze one writable shard map **in place**.
-///
-/// The write-side and frozen layouts share the [`Slot`] type, so freezing no
-/// longer rebuilds the map: the allocation (and every inline singleton slot)
-/// is reused as-is, and the only work is dropping the spare `Vec` capacity
-/// of the rare multi-value slots ([`crate::slot::freeze_map_in_place`]).
-fn freeze_shard(mut map: SlotMap) -> SlotMap {
-    crate::slot::freeze_map_in_place(&mut map);
-    map
 }
 
 impl std::fmt::Debug for ShardedStore {

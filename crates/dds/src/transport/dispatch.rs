@@ -32,7 +32,7 @@
 
 use crate::hashing::FxHashMap;
 use crate::proto::{Reply, Request};
-use crate::slot::{push_pair, SlotMap};
+use crate::slot::{freeze_in_place, push_pair, SlotMap};
 use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
 use crate::transport::session::{MAX_PIPELINE, PIPELINE_DEPTH};
@@ -105,8 +105,7 @@ impl Worker {
     /// the pipelined TCP server this loop *is* the dispatch stage — the
     /// reader stage decodes ahead and the writer stage flushes behind, so
     /// `recv_request` and `send_reply` only touch bounded in-process
-    /// queues.  The transport is borrowed, so a host that catches an owner
-    /// panic still holds the connection and decides when to close it.
+    /// queues.
     pub(crate) fn serve<S: ServerTransport>(mut self, transport: &mut S) {
         while let Some(request) = transport.recv_request() {
             let session = transport.session();
@@ -163,9 +162,7 @@ impl Worker {
         // only shrinking the rare multi-value slots.
         let mut shards =
             std::mem::replace(&mut self.writable, vec![SlotMap::default(); shard_count]);
-        for map in &mut shards {
-            crate::slot::freeze_map_in_place(map);
-        }
+        freeze_in_place(&mut shards, 1);
         let writes = std::mem::replace(&mut self.writable_writes, vec![0; shard_count]);
         Arc::new(FrozenEpoch::new(shards, writes))
     }

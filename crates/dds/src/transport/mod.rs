@@ -108,8 +108,9 @@
 //!
 //! The client side mirrors this: any I/O failure on send or receive
 //! triggers **automatic reconnection** with capped exponential backoff
-//! ([`TcpOptions`]).  On reconnect the client replays the lease handshake
-//! and then *every request whose reply is still outstanding*, in order.
+//! (8 attempts, 1 ms → 100 ms).  On reconnect the client replays the lease
+//! handshake and then *every request whose reply is still outstanding*, in
+//! order.
 //! That replay is safe because every request is idempotent at the owner:
 //! `Commit` is deduplicated by sequence number (over a window deep enough
 //! for a full pipeline of outstanding commits), `Advance` re-publishes the
@@ -153,9 +154,13 @@
 //! the owner's panic surface, and a writer stage that cannot write ends
 //! the connection instead of leaving the peer waiting),
 //! `set_nodelay` failures are propagated on the client and logged once on
-//! the server (never silently discarded), and when an owner thread panics,
-//! the backend joins it and attaches the panic payload to the
+//! the server (never silently discarded).  Every owner a backend spawns is
+//! a thread of its own, whatever the constructor, so when one panics the
+//! backend joins it and attaches the panic payload to the
 //! [`TransportError::PeerClosed`] it surfaces — see [`crate::RemoteBackend`].
+//! An owner of another process (`ampc_dds::serve`) has no thread here to
+//! join: the client sees the closed connection, and the panic goes to that
+//! process's stderr like any thread's.
 
 pub mod codec;
 pub(crate) mod dispatch;
@@ -447,12 +452,6 @@ pub trait Transport: Send + Sized + 'static {
 
     /// Receive the reply to the oldest unanswered request.
     fn recv(&mut self) -> Result<ClientReply, TransportError>;
-
-    /// Session id this connection leases under — the client half of
-    /// [`ServerTransport::session`].  Transports without leases report `0`.
-    fn session(&self) -> u64 {
-        0
-    }
 }
 
 /// Server (owner) half of one backend↔owner connection.

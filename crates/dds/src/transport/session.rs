@@ -159,7 +159,8 @@ pub fn fresh_session_id() -> u64 {
 }
 
 /// Connection-lifecycle options of a [`TcpTransport`]: the lease it
-/// requests and the reconnect/backoff policy it retries under.
+/// requests.  (The reconnect policy it retries under is fixed; see
+/// `TcpTransport::recover`.)
 #[derive(Clone, Debug)]
 pub struct TcpOptions {
     /// Session id sent in the lease handshake.  All of one backend's
@@ -175,27 +176,16 @@ pub struct TcpOptions {
     /// countdown when the connection drops, not while it is idle; `0`
     /// requests a lease that never expires.
     pub ttl_ms: u64,
-    /// Reconnect attempts before a send/receive failure is surfaced.
-    pub reconnect_attempts: u32,
-    /// Backoff before the second reconnect attempt (the first is
-    /// immediate); doubles per attempt up to [`TcpOptions::max_backoff`].
-    pub initial_backoff: Duration,
-    /// Cap on the exponential backoff between reconnect attempts.
-    pub max_backoff: Duration,
 }
 
 impl TcpOptions {
-    /// Default options under a fresh session id: 30 s lease, 8 reconnect
-    /// attempts backing off 1 ms → 2 ms → … capped at 100 ms.
+    /// Default options under a fresh session id: a 30 s lease.
     pub fn fresh() -> TcpOptions {
         TcpOptions {
             session: fresh_session_id(),
             num_shards: 0,
             workers: 0,
             ttl_ms: 30_000,
-            reconnect_attempts: 8,
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
         }
     }
 
@@ -390,18 +380,22 @@ impl TcpTransport {
     }
 
     /// Bring the connection back after `cause`, retrying with capped
-    /// exponential backoff.  Returns `cause` if the owner stays
-    /// unreachable through every attempt.
+    /// exponential backoff: up to 8 attempts, the first immediate, then
+    /// waiting 1 ms → 2 ms → … capped at 100 ms.  Returns `cause` if the
+    /// owner stays unreachable through every attempt.
     fn recover(&mut self, cause: TransportError) -> Result<(), TransportError> {
-        let mut backoff = self.options.initial_backoff;
-        for attempt in 0..self.options.reconnect_attempts {
+        const RECONNECT_ATTEMPTS: u32 = 8;
+        const INITIAL_BACKOFF: Duration = Duration::from_millis(1);
+        const MAX_BACKOFF: Duration = Duration::from_millis(100);
+        let mut backoff = INITIAL_BACKOFF;
+        for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
                 #[allow(
                     clippy::disallowed_methods,
                     reason = "reconnect backoff: capped exponential wait on an already-severed connection, not the serve hot path"
                 )]
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(self.options.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
             if self.try_reestablish().is_ok() {
                 return Ok(());
@@ -501,6 +495,11 @@ impl TcpTransport {
         self.shard_map.as_ref()
     }
 
+    /// The owner address this connection dials, and redials on reconnect.
+    pub(crate) fn endpoint(&self) -> SocketAddr {
+        self.endpoint
+    }
+
     /// Read the next ordinary reply, consuming (and verifying) any pending
     /// lease grant first and reconnecting through socket failures.
     fn recv_reply(&mut self) -> Result<ClientReply, TransportError> {
@@ -518,8 +517,8 @@ impl TcpTransport {
     /// in (`stop_after_grant`, returning `None`) or keep reading until an
     /// ordinary reply arrives.
     fn pump(&mut self, stop_after_grant: bool) -> Result<Option<ClientReply>, TransportError> {
-        // Loop guard, not retry policy: [`TcpOptions::reconnect_attempts`]
-        // bounds the dials within one recovery; this bounds how many
+        // Loop guard, not retry policy: `recover`'s attempt count bounds
+        // the dials within one recovery; this bounds how many
         // *successful* recoveries one receive may burn through, so a
         // flapping owner (accepts the reconnect, then dies again before
         // answering) cannot spin this loop forever.  An unreachable owner
@@ -651,10 +650,6 @@ impl Transport for TcpTransport {
         let reply = self.recv_reply()?;
         self.pending.pop_front();
         Ok(reply)
-    }
-
-    fn session(&self) -> u64 {
-        self.options.session
     }
 }
 

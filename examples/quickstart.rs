@@ -11,8 +11,9 @@
 //! code: pass `local`, `channel`, `remote` or `cluster` as the first argument
 //! (or set `AMPC_BACKEND`).  `remote` runs every round over localhost TCP
 //! sockets speaking the `ampc_dds::proto` wire format, and `cluster` is the
-//! same client over two serving processes — same answers, same round
-//! counts, per the cross-backend determinism suite.
+//! same client over a local cluster of two owner threads, each holding a
+//! contiguous shard range — same answers, same round counts, per the
+//! cross-backend determinism suite.
 //!
 //! # Two-process mode
 //!
@@ -39,8 +40,9 @@
 //! cargo run --release --example quickstart -- --cluster 3
 //! ```
 //!
-//! spawns 3 cluster owners on ephemeral ports inside this process and runs
-//! the quickstart against them.  The owner count is a run-time number — any
+//! starts 3 serving cluster owners (`ampc_dds::serve_cluster`) on ephemeral
+//! ports inside this process and runs the quickstart against them over
+//! TCP.  The owner count is a run-time number — any
 //! count up to the shard ceiling works, and owners beyond a stage's shard
 //! count simply hold an empty range.  To split the owners into their own
 //! processes, give every owner the same peer list plus its own index, then

@@ -2,9 +2,10 @@
 //!
 //! One parameterized battery drives `LocalBackend`, `ChannelBackend`,
 //! `TcpBackend` (the socket-backed `RemoteBackend` speaking the
-//! `ampc_dds::proto` wire format — over in-process owners and over
-//! `cluster(n)` serving processes for n = 1..=5) and the executable
-//! specification `legacy::LegacyStore` through the same write scripts and
+//! `ampc_dds::proto` wire format — over interleaved in-process owners and
+//! over `cluster(n)`, local clusters of n = 1..=5 range owners) and the
+//! executable specification `legacy::LegacyStore` through the same write
+//! scripts and
 //! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
 //! `read_many` (order and content), multi-value index order, and the
 //! per-query read accounting — to identical results.  The property tests at
@@ -33,8 +34,8 @@ fn k(a: u64) -> Key {
     Key::of(KeyTag::Scalar, a)
 }
 
-/// `cluster(owners)`: the TCP client over `owners` locally spawned serving
-/// processes.
+/// `cluster(owners)`: the TCP client over a local cluster of `owners`
+/// owner threads, each advertising its contiguous range of the shard map.
 fn cluster(owners: usize, shards: usize) -> TcpBackend {
     TcpBackend::spawn_local(owners, shards).expect("spawning a local cluster on loopback")
 }

@@ -11,8 +11,9 @@
 //! the run is byte-identical to a fault-free one, across thread counts.
 //!
 //! The second half exercises the multi-process shape: runtimes serving
-//! their DDS from an external `ampc_dds::serve` owner process, including
-//! concurrent isolated sessions and disconnect-recovery against it.
+//! their DDS from an external `ampc_dds::serve` owner process or from
+//! `serve_cluster` owners, including concurrent isolated sessions and
+//! disconnect-recovery against them.
 
 use ampc_suite::dds::{serve, Key, KeyTag, SnapshotView, Value};
 use ampc_suite::prelude::*;
@@ -293,6 +294,86 @@ fn runtimes_serve_rounds_from_an_external_owner_process() {
     assert_eq!(answer.output, TwoCycleAnswer::TwoCycles);
 
     server.shutdown();
+}
+
+#[test]
+fn runtimes_serve_rounds_from_external_cluster_owners() {
+    use ampc_suite::algorithms::two_edge_connectivity_with;
+    use ampc_suite::dds::serve::serve_cluster_listener;
+    use std::net::TcpListener;
+
+    // Two cluster owners behind `serve_cluster`'s acceptor, the shape
+    // `--serve-cluster` runs as separate processes.  A local cluster's
+    // owners are threads behind private connections, so this is where the
+    // acceptor's lease routing, the session hand-off and the advertised
+    // shard map meet the two-phase barrier and its faults.
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("binding a cluster owner"))
+        .collect();
+    let peers: Vec<String> = listeners
+        .iter()
+        .map(|listener| listener.local_addr().unwrap().to_string())
+        .collect();
+    let owners: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(node, listener)| {
+            serve_cluster_listener(listener, node, peers.clone()).expect("starting a cluster owner")
+        })
+        .collect();
+    let on_owners = |config: AmpcConfig| {
+        config
+            .with_cluster_endpoints(peers.clone())
+            .expect("two endpoints are a valid list")
+    };
+    let config = || AmpcConfig::for_graph(1_000, 1_000, 0.5).with_threads(2);
+
+    let local = run_workload(config(), FaultPlan::none());
+    let clean = run_workload(on_owners(config()), FaultPlan::none());
+    assert_eq!(clean.4, 0, "fault-free runs sever nothing");
+    assert_eq!(
+        (&local.0, &local.1, &local.2, &local.3),
+        (&clean.0, &clean.1, &clean.2, &clean.3),
+        "serving cluster owners must be observationally identical to local"
+    );
+
+    // Owner 0 cut before round 0's freeze, owner 1 between the phases of
+    // round 1's barrier: both reconnect through the acceptor, which hands
+    // each back to its session with the prepared epoch intact.
+    let plan = FaultPlan::none()
+        .sever_owner(1, 0)
+        .sever_between_freeze_and_publish(2, 1);
+    let severed = run_workload(on_owners(config()), plan);
+    assert_eq!(severed.4, 2, "both mid-barrier severs must fire");
+    assert_eq!(
+        (&local.0, &local.1, &local.2, &local.3),
+        (&severed.0, &severed.1, &severed.2, &severed.3),
+        "cluster owners severed mid-barrier must heal byte-identically to local"
+    );
+
+    // A full algorithm driver — three stages, each a fresh leased session
+    // per owner — runs unchanged against the owners.
+    let graph = generators::bridged_blocks(5, 4, 2, 8);
+    let config = AmpcConfig::for_graph(graph.num_vertices(), graph.num_edges(), 0.5).with_seed(42);
+    let expected = two_edge_connectivity_with(&graph, &config).output;
+    let served = two_edge_connectivity_with(&graph, &on_owners(config)).output;
+    assert_eq!(
+        (
+            &expected.bridges,
+            &expected.two_edge_components,
+            &expected.connectivity
+        ),
+        (
+            &served.bridges,
+            &served.two_edge_components,
+            &served.connectivity
+        ),
+        "2-edge connectivity against the serving owners must match local"
+    );
+
+    for owner in owners {
+        owner.shutdown();
+    }
 }
 
 #[test]
