@@ -17,9 +17,11 @@ pub const DEFAULT_EPSILON: f64 = 0.5;
 /// Hard ceiling on the number of DDS shards.
 ///
 /// Historically 256 to keep per-shard lock overhead sensible when the
-/// end-of-round commit partitioned writes on a single thread; with the
-/// parallel partition pass the per-shard fixed cost is paid across workers,
-/// so the derived cap is now 1024.  Explicit requests beyond the ceiling are
+/// end-of-round commit partitioned writes on a single thread; the partition
+/// pass now splits a round's pairs into contiguous ranges, one per worker,
+/// and sizes every shard's bucket exactly from the workers' counts, so the
+/// per-shard fixed cost is paid across workers and the derived cap is now
+/// 1024.  Explicit requests beyond the ceiling are
 /// rejected with [`AmpcError::InvalidShardCount`] rather than silently
 /// clamped — see [`AmpcConfig::with_num_shards`].
 pub const MAX_SHARDS: usize = 1024;

@@ -36,9 +36,12 @@
 //!    its writes locally.
 //! 2. **Commit** — when all machines finish, their write buffers are
 //!    concatenated in (machine id, write order) order, partitioned by
-//!    destination shard, and committed with one lock acquisition per shard,
-//!    distinct shards in parallel.  Per-key multi-value indices are
-//!    reproducible because a key lives on exactly one shard.
+//!    destination shard — the pairs split into contiguous ranges, one per
+//!    worker, wherever the machine boundaries fall, into buckets of exact
+//!    size — and committed with one lock acquisition per shard, distinct
+//!    shards in parallel.  Per-key multi-value indices are reproducible
+//!    because a key lives on exactly one shard and every bucket keeps the
+//!    concatenation order, whatever the worker count.
 //! 3. **Freeze** — the store is frozen shard-parallel into the compact
 //!    read-only snapshot (`D_i`) the next round will read.
 //!

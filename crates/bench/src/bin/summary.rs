@@ -143,8 +143,9 @@ fn main() {
         "\n== Epoch commit path: per-write locking vs shard-parallel (T = {commit_pairs}) ==\n"
     );
     println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>9} {:>12} {:>11} {:>11} {:>9}",
+        "{:>8} {:>8} {:>12} {:>12} {:>12} {:>9} {:>12} {:>11} {:>11} {:>9}",
         "shards",
+        "batches",
         "serial ms",
         "batched ms",
         "parallel ms",
@@ -154,11 +155,15 @@ fn main() {
         "part-Nt ms",
         "part-spd"
     );
-    let commit_points = commit_throughput(commit_pairs, &shard_counts, 0, seed);
+    // 64 machine batches (a round) at every shard count, then one batch (a
+    // scatter) at the workloads' 1024 shards.
+    let mut commit_points = commit_throughput(commit_pairs, 64, &shard_counts, 0, seed);
+    commit_points.extend(commit_throughput(commit_pairs, 1, &[1024], 0, seed));
     for point in &commit_points {
         println!(
-            "{:>8} {:>12.2} {:>12.2} {:>12.2} {:>8.2}x {:>12.1} {:>11.2} {:>11.2} {:>8.2}x",
+            "{:>8} {:>8} {:>12.2} {:>12.2} {:>12.2} {:>8.2}x {:>12.1} {:>11.2} {:>11.2} {:>8.2}x",
             point.shards,
+            point.batches,
             point.serial_ns as f64 / 1e6,
             point.batched_ns as f64 / 1e6,
             point.parallel_ns as f64 / 1e6,
@@ -280,12 +285,14 @@ fn write_bench_commit_json(
     for (i, p) in commits.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"shards\": {}, \"pairs\": {}, \"threads\": {}, \"serial_ns\": {}, \
-             \"batched_ns\": {}, \"parallel_ns\": {}, \"partition_serial_ns\": {}, \
-             \"partition_parallel_ns\": {}, \"speedup_parallel_over_serial\": {:.3}, \
-             \"partition_speedup\": {:.3}, \"parallel_mwrites_per_sec\": {:.3}}}{}",
+            "    {{\"shards\": {}, \"pairs\": {}, \"batches\": {}, \"threads\": {}, \
+             \"serial_ns\": {}, \"batched_ns\": {}, \"parallel_ns\": {}, \
+             \"partition_serial_ns\": {}, \"partition_parallel_ns\": {}, \
+             \"speedup_parallel_over_serial\": {:.3}, \"partition_speedup\": {:.3}, \
+             \"parallel_mwrites_per_sec\": {:.3}}}{}",
             p.shards,
             p.pairs,
+            p.batches,
             p.threads,
             p.serial_ns,
             p.batched_ns,

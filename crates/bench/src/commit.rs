@@ -8,9 +8,12 @@
 //!   measurable here as the `serial` series); the store now groups a batch
 //!   by shard and locks each shard once (`batched`), and the runtime
 //!   commits distinct shards in parallel (`parallel`).  The partition pass
-//!   itself is also timed in isolation, single-threaded vs the per-worker
-//!   bucket pass (`partition_serial` / `partition_parallel`), since it was
-//!   the last single-threaded stage of the commit pipeline.
+//!   itself is also timed in isolation, on one worker vs on every worker
+//!   (`partition_serial` / `partition_parallel`), each worker taking a
+//!   contiguous range of the round's pairs wherever its batch boundaries
+//!   fall.  Rows come in two shapes: 64 machine batches (a round) and one
+//!   batch at 1024 shards (a scatter, at the workloads' shard count), which
+//!   is the shape a split by batch could not parallelise.
 //! * **Read latency** — adaptive reads used to chase a heap pointer into a
 //!   `Vec<Value>` for every key; the compact snapshot layout keeps
 //!   singleton values inline.  The pre-refactor layout survives as
@@ -43,6 +46,9 @@ pub struct CommitThroughputPoint {
     pub shards: usize,
     /// Key-value pairs committed.
     pub pairs: usize,
+    /// Batches the pairs arrive in: one per machine for a round, one for a
+    /// scatter.
+    pub batches: usize,
     /// Worker threads used by the parallel commit.
     pub threads: usize,
     /// Seed commit path: one shard-lock acquisition per write, nanoseconds.
@@ -52,9 +58,10 @@ pub struct CommitThroughputPoint {
     /// Full shard-parallel end-of-round path (parallel partition pass +
     /// chunked shard-parallel commit), nanoseconds.
     pub parallel_ns: u64,
-    /// Single-threaded partition pass alone, nanoseconds.
+    /// Single-threaded partition pass alone, fastest of five runs,
+    /// nanoseconds.
     pub partition_serial_ns: u64,
-    /// Parallel partition pass alone (per-worker buckets, no merge),
+    /// Partition pass alone on `threads` workers, fastest of five runs,
     /// nanoseconds.
     pub partition_parallel_ns: u64,
 }
@@ -108,25 +115,48 @@ pub(crate) fn workload(pairs: usize, seed: u64) -> Vec<(Key, Value)> {
         .collect()
 }
 
-/// Machine batches the parallel partition pass distributes over workers —
-/// the shape the runtime produces (one write buffer per virtual machine).
-const WORKLOAD_MACHINES: usize = 64;
-
-/// The workload split into per-machine batches, preserving write order.
-fn workload_batches(pairs: usize, seed: u64) -> Vec<Vec<(Key, Value)>> {
+/// The workload split into `machines` batches, preserving write order —
+/// the shape the runtime produces (one write buffer per virtual machine; a
+/// scatter is one machine).
+fn workload_batches(pairs: usize, machines: usize, seed: u64) -> Vec<Vec<(Key, Value)>> {
     let writes = workload(pairs, seed);
-    let per_machine = pairs.div_ceil(WORKLOAD_MACHINES).max(1);
+    let per_machine = pairs.div_ceil(machines.max(1)).max(1);
     writes
         .chunks(per_machine)
         .map(|chunk| chunk.to_vec())
         .collect()
 }
 
-/// Measure the commit paths for each shard count in `shard_counts`.
+/// Timed runs of each partition pass; a row keeps the fastest, so one
+/// descheduled run does not decide a ratio.
+const PARTITION_REPEATS: usize = 5;
+
+/// Fastest of [`PARTITION_REPEATS`] runs of `pass`, nanoseconds; each run
+/// gets a fresh copy of `batches`, made before its timer starts.
+fn fastest_partition_ns<T>(
+    batches: &[Vec<(Key, Value)>],
+    pass: impl Fn(Vec<Vec<(Key, Value)>>) -> T,
+) -> u64 {
+    (0..PARTITION_REPEATS)
+        .map(|_| {
+            let input = batches.to_vec();
+            let started = Instant::now();
+            let buckets = pass(input);
+            let ns = started.elapsed().as_nanos() as u64;
+            drop(buckets);
+            ns
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+/// Measure the commit paths for each shard count in `shard_counts`, the
+/// pairs arriving in `machines` batches.
 ///
 /// `threads` caps the parallel-commit workers (0 = one per available CPU).
 pub fn commit_throughput(
     pairs: usize,
+    machines: usize,
     shard_counts: &[usize],
     threads: usize,
     seed: u64,
@@ -137,7 +167,7 @@ pub fn commit_throughput(
         threads
     };
     let writes = workload(pairs, seed);
-    let batches = workload_batches(pairs, seed);
+    let batches = workload_batches(pairs, machines, seed);
     shard_counts
         .iter()
         .map(|&shards| {
@@ -157,21 +187,16 @@ pub fn commit_throughput(
             let batched_ns = started.elapsed().as_nanos() as u64;
             drop(store);
 
-            // Partition pass in isolation: single-threaded vs per-worker
-            // buckets (the ROADMAP perf item).  The input clones happen
-            // before the timers start — the serial/batched series pay no
-            // clone, so neither may the timed sections here.
+            // Partition pass in isolation: one worker vs `threads`.  The
+            // input copies happen before the timers start — the
+            // serial/batched series pay no copy, so neither may the timed
+            // sections here.
             let store = ShardedStore::new(shards);
-            let input = batches.clone();
-            let started = Instant::now();
-            let per_shard = store.partition_writes(input);
-            let partition_serial_ns = started.elapsed().as_nanos() as u64;
-            drop(per_shard);
-            let input = batches.clone();
-            let started = Instant::now();
-            let chunks = store.partition_writes_parallel(input, threads);
-            let partition_parallel_ns = started.elapsed().as_nanos() as u64;
-            drop(chunks);
+            let partition_serial_ns =
+                fastest_partition_ns(&batches, |input| store.partition_writes(input));
+            let partition_parallel_ns = fastest_partition_ns(&batches, |input| {
+                store.partition_writes_parallel(input, threads)
+            });
             drop(store);
 
             // Full end-of-round path: parallel partition + chunked commit.
@@ -186,6 +211,7 @@ pub fn commit_throughput(
             CommitThroughputPoint {
                 shards,
                 pairs,
+                batches: batches.len(),
                 threads,
                 serial_ns,
                 batched_ns,
@@ -340,22 +366,25 @@ mod tests {
 
     #[test]
     fn throughput_experiment_reports_every_shard_count() {
-        let points = commit_throughput(20_000, &[1, 8], 4, 7);
+        let points = commit_throughput(20_000, 64, &[1, 8], 4, 7);
         assert_eq!(points.len(), 2);
         for point in &points {
-            assert_eq!(point.pairs, 20_000);
+            assert_eq!((point.pairs, point.batches), (20_000, 64));
             assert!(point.serial_ns > 0 && point.batched_ns > 0 && point.parallel_ns > 0);
             assert!(point.partition_serial_ns > 0 && point.partition_parallel_ns > 0);
             assert!(point.speedup_parallel_over_serial() > 0.0);
             assert!(point.partition_speedup() > 0.0);
         }
+        let scatter = commit_throughput(40_000, 1, &[1024], 2, 7);
+        assert_eq!((scatter[0].shards, scatter[0].batches), (1024, 1));
+        assert!(scatter[0].partition_parallel_ns > 0);
     }
 
     #[test]
     fn chunked_commit_path_stores_identical_contents() {
         // The bench's "parallel" series is the real end-of-round path; make
         // sure what it measures is semantically the serial commit.
-        let batches = workload_batches(10_000, 11);
+        let batches = workload_batches(10_000, 64, 11);
         let serial = ShardedStore::new(8);
         for batch in &batches {
             for &(key, value) in batch {

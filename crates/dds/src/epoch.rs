@@ -15,7 +15,7 @@ use crate::backend::SnapshotView;
 use crate::key::{Key, Value};
 use crate::snapshot::Snapshot;
 use crate::stats::StoreStats;
-use crate::store::ShardedStore;
+use crate::store::{partition_by_shard, ShardedStore};
 
 /// The sequence of distributed data stores produced by one AMPC execution.
 pub struct DdsChain {
@@ -79,22 +79,16 @@ impl DdsChain {
     /// workers.  Per-key multi-value index order is the concatenation order
     /// of the batches.
     ///
-    /// Large rounds also run the *partition pass* in parallel
-    /// ([`ShardedStore::partition_writes_parallel`]): each worker buckets a
-    /// contiguous run of batches, and the commit consumes the runs in order,
-    /// so the result is bit-identical to the single-threaded pass.
+    /// The partition pass before the commit runs on up to `threads` workers
+    /// too, each taking a contiguous range of the round's pairs wherever
+    /// the batch boundaries fall — so a scatter's one batch is split like a
+    /// round of many — and its buckets are bit-identical to a
+    /// single-threaded pass's (see [`crate::store`]).  The batches are
+    /// dropped before the commit starts.
     pub fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
-        // Below this many pairs the scoped-thread setup of the parallel
-        // partition costs more than the bucketing itself.
-        const PARALLEL_PARTITION_THRESHOLD: usize = 4 * 1024;
-        let total_pairs: usize = batches.iter().map(Vec::len).sum();
-        if threads <= 1 || total_pairs < PARALLEL_PARTITION_THRESHOLD {
-            let per_shard = self.current.partition_writes(batches);
-            self.current.commit_partitioned(per_shard, threads);
-        } else {
-            let chunks = self.current.partition_writes_parallel(batches, threads);
-            self.current.commit_chunked(chunks, threads);
-        }
+        let per_shard = partition_by_shard(self.num_shards, &batches, threads);
+        drop(batches);
+        self.current.commit_partitioned(per_shard, threads);
     }
 
     /// Freeze the current epoch **in place** and open the next one; the

@@ -328,19 +328,21 @@ impl<T: Transport> RemoteBackend<T> {
     }
 
     /// Fallible [`DdsBackend::commit_round`]: partition the ordered batches
-    /// by shard, hand each owner the buckets of its shards in one pipelined
-    /// `Commit`, then collect the acks.  Returns the number of pairs
-    /// accepted.
+    /// by shard on up to `threads` workers, hand each owner the buckets of
+    /// its shards in one pipelined `Commit`, then collect the acks.  Returns
+    /// the number of pairs accepted.
     pub fn try_commit_round(
         &mut self,
         batches: Vec<Vec<(Key, Value)>>,
+        threads: usize,
     ) -> Result<u64, TransportError> {
-        // The store's own partition pass: one flat bucket per global shard,
-        // order preserved within each.  Routing is then per bucket, not per
-        // pair.
+        // The store's own partition pass: one exact-size bucket per global
+        // shard, order preserved within each, moved into the requests as
+        // is.  Routing is then per bucket, not per pair.
         type OwnerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
         let mut buckets: Vec<OwnerBuckets> = vec![Vec::new(); self.clients.len()];
-        let per_shard = partition_by_shard(self.routing.num_shards(), batches);
+        let per_shard = partition_by_shard(self.routing.num_shards(), &batches, threads);
+        drop(batches);
         for (pairs, &(owner, local)) in per_shard.into_iter().zip(&self.routing.table) {
             if !pairs.is_empty() {
                 buckets[owner as usize].push((local as usize, pairs));
@@ -499,8 +501,8 @@ impl<T: Transport> DdsBackend for RemoteBackend<T> {
         Snapshot::empty(self.routing.num_shards())
     }
 
-    fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, _threads: usize) {
-        expect_transport(self.try_commit_round(batches));
+    fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
+        expect_transport(self.try_commit_round(batches, threads));
     }
 
     fn advance(&mut self, _threads: usize) -> Snapshot {

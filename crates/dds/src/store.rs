@@ -18,19 +18,27 @@
 //! * [`ShardedStore::write_batch`] — groups the batch by destination shard
 //!   and takes each shard lock **once per batch** instead of once per pair.
 //! * [`ShardedStore::commit_partitioned`] — takes batches already
-//!   partitioned by shard (see [`ShardedStore::partition_writes`]) and
-//!   commits the shards **in parallel**; this is the end-of-round commit
-//!   path of the AMPC runtime.
+//!   partitioned by shard and commits the shards **in parallel**; this is
+//!   the end-of-round commit path of the AMPC runtime.
+//!
+//! Every path that groups pairs by shard — these, the runtime's
+//! end-of-round commit ([`crate::DdsChain::commit_round`]) and the wire
+//! client's ([`crate::RemoteBackend::try_commit_round`]) — goes through one
+//! partition function.  It splits the round's pairs, not its batches, into
+//! up to `threads` contiguous ranges, so a scatter's single batch is
+//! bucketed as parallel as a round of many machines, and it allocates every
+//! shard's bucket once, at its exact size.
 //!
 //! All paths preserve per-key value order: values arrive in batch order, and
 //! because a key lives on exactly one shard, per-shard order fully
 //! determines the multi-value indices of Section 2 of the paper.
 
-use crate::key::{Key, Value};
+use crate::key::{Key, KeyTag, Value};
 use crate::slot::{freeze_in_place, push_pair, SlotMap};
 use crate::snapshot::{FrozenEpoch, Snapshot};
 use crate::stats::{ShardLoad, StoreStats};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// The writable key-value store backing one AMPC round.
@@ -90,90 +98,38 @@ impl ShardedStore {
         self.commit_partitioned(self.partition_writes(std::iter::once(pairs)), 1);
     }
 
-    /// Partition write batches by destination shard, preserving order
-    /// ([`partition_by_shard`] at this store's shard count).
+    /// Partition write batches by destination shard on the calling thread,
+    /// preserving order ([`partition_by_shard`] at this store's shard
+    /// count).  `Vec` batches are taken as they are; any other batch is
+    /// collected into one first.
     pub fn partition_writes(
         &self,
         batches: impl IntoIterator<Item = impl IntoIterator<Item = (Key, Value)>>,
     ) -> Vec<Vec<(Key, Value)>> {
-        partition_by_shard(self.num_shards, batches)
+        let batches: Vec<Vec<(Key, Value)>> = batches
+            .into_iter()
+            .map(|batch| batch.into_iter().collect())
+            .collect();
+        partition_by_shard(self.num_shards, &batches, 1)
     }
 
-    /// Partition write batches by destination shard **in parallel**: the
-    /// batch list is split into up to `threads` contiguous runs (balanced by
-    /// pair count), each worker partitions its run into private per-shard
-    /// buckets, and the bucket matrices come back in run order.
-    ///
-    /// `chunks[w][s]` holds worker `w`'s pairs for shard `s`; committing the
-    /// chunks in worker order ([`ShardedStore::commit_chunked`]) replays the
-    /// exact concatenation order of the input batches, so per-key
-    /// multi-value order is identical to [`ShardedStore::partition_writes`]
-    /// followed by [`ShardedStore::commit_partitioned`] — the buckets are
-    /// never physically merged, which is what makes the pass scale.
+    /// [`ShardedStore::partition_writes`] on up to `threads` workers
+    /// ([`partition_by_shard`]), as one chunk for
+    /// [`ShardedStore::commit_chunked`]; kept for the benchmark's store
+    /// probe.
     pub fn partition_writes_parallel(
         &self,
         batches: Vec<Vec<(Key, Value)>>,
         threads: usize,
     ) -> Vec<Vec<Vec<(Key, Value)>>> {
-        // Each worker must have enough pairs to amortise its scoped-thread
-        // setup and private bucket matrix; below this the parallel pass was
-        // measurably *slower* than the serial one (partition_speedup
-        // 0.96–1.00 at 4–8 shards in the recorded bench trajectory).
-        const MIN_PAIRS_PER_WORKER: usize = 16 * 1024;
-        let total_pairs: usize = batches.iter().map(Vec::len).sum();
-        let threads = threads
-            .max(1)
-            .min(batches.len().max(1))
-            .min((total_pairs / MIN_PAIRS_PER_WORKER).max(1));
-        if threads == 1 {
-            return vec![self.partition_writes(batches)];
-        }
-        // Contiguous ranges of batches with ~equal pair counts, preserving
-        // batch order across ranges.
-        let per_worker_target = total_pairs.div_ceil(threads).max(1);
-        let mut runs: Vec<Vec<Vec<(Key, Value)>>> = Vec::with_capacity(threads);
-        let mut run: Vec<Vec<(Key, Value)>> = Vec::new();
-        let mut run_pairs = 0usize;
-        for batch in batches {
-            run_pairs += batch.len();
-            run.push(batch);
-            if run_pairs >= per_worker_target && runs.len() + 1 < threads {
-                runs.push(std::mem::take(&mut run));
-                run_pairs = 0;
-            }
-        }
-        if !run.is_empty() {
-            runs.push(run);
-        }
-
-        type BucketMatrix = Vec<Vec<(Key, Value)>>;
-        let slots: Vec<Mutex<Option<BucketMatrix>>> =
-            runs.into_iter().map(|r| Mutex::new(Some(r))).collect();
-        let outputs: Vec<Mutex<Option<BucketMatrix>>> =
-            (0..slots.len()).map(|_| Mutex::new(None)).collect();
-        for_each_index_parallel(slots.len(), threads, |w| {
-            #[allow(
-                clippy::expect_used,
-                reason = "for_each_index_parallel visits each index exactly once by construction"
-            )]
-            let run = slots[w].lock().take().expect("each run partitioned once");
-            *outputs[w].lock() = Some(self.partition_writes(run));
-        });
-        #[allow(
-            clippy::expect_used,
-            reason = "every slot was filled by the parallel loop above"
-        )]
-        outputs
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("each run partitioned once"))
-            .collect()
+        vec![partition_by_shard(self.num_shards, &batches, threads)]
     }
 
-    /// Commit the bucket matrices of
-    /// [`ShardedStore::partition_writes_parallel`]: each shard's lock is
+    /// Commit chunks of per-shard buckets, such as
+    /// [`ShardedStore::partition_writes_parallel`]'s: each shard's lock is
     /// taken once, the shard consumes its bucket from every chunk in chunk
-    /// order (= original batch order), and distinct shards commit in
-    /// parallel on up to `threads` workers.
+    /// order, and distinct shards commit in parallel on up to `threads`
+    /// workers.
     pub fn commit_chunked(&self, chunks: Vec<Vec<Vec<(Key, Value)>>>, threads: usize) {
         for chunk in &chunks {
             assert_eq!(
@@ -335,33 +291,189 @@ impl ShardedStore {
     }
 }
 
+/// Fewest pairs worth a partition worker of their own: below this, a
+/// worker's thread setup and its pass over the shards cost more than the
+/// bucketing it takes off the others (the parallel pass measured *slower*
+/// than the serial one, `partition_speedup` 0.96–1.00 at 4–8 shards, in
+/// the recorded bench trajectory).
+const MIN_PAIRS_PER_WORKER: usize = 16 * 1024;
+
+/// What a bucket slot holds before the fill pass overwrites it.
+const UNFILLED: (Key, Value) = (
+    Key {
+        tag: KeyTag::Scalar,
+        a: 0,
+        b: 0,
+    },
+    Value { x: 0, y: 0 },
+);
+
+/// The contiguous ranges of a round's concatenated pairs that the partition
+/// workers take, in order: `threads` near-equal ranges, fewer if that would
+/// leave a worker with under [`MIN_PAIRS_PER_WORKER`] pairs, and none for
+/// no pairs.  A range may cross batch boundaries.
+fn pair_ranges(total_pairs: usize, threads: usize) -> Vec<Range<usize>> {
+    if total_pairs == 0 {
+        return Vec::new();
+    }
+    let workers = threads.clamp(1, (total_pairs / MIN_PAIRS_PER_WORKER).max(1));
+    (0..workers)
+        .map(|w| w * total_pairs / workers..(w + 1) * total_pairs / workers)
+        .collect()
+}
+
+/// The pieces of `batches` that hold pairs `range` of their concatenation,
+/// in order.
+fn segments(
+    batches: &[Vec<(Key, Value)>],
+    range: Range<usize>,
+) -> impl Iterator<Item = &[(Key, Value)]> {
+    let mut offset = 0;
+    batches.iter().filter_map(move |batch| {
+        let start = offset;
+        offset += batch.len();
+        let piece = range.start.max(start)..range.end.min(offset);
+        (!piece.is_empty()).then(|| &batch[piece.start - start..piece.end - start])
+    })
+}
+
 /// Partition write batches into one bucket per shard of a
-/// `num_shards`-shard store — the one partition function of every commit
-/// path, in-process store and wire client alike.
+/// `num_shards`-shard store, on up to `threads` workers — the one partition
+/// function of every commit path, in-process store and wire client alike.
 ///
-/// Batches are consumed in order and each batch's pairs in their order, so
-/// the concatenation order (for the runtime: machine id, then write order)
-/// is preserved within every shard — which, keys living on exactly one
-/// shard, preserves every key's multi-value index order.
+/// Within every shard the pairs keep their concatenation order (for the
+/// runtime: machine id, then write order) — which, keys living on exactly
+/// one shard, preserves every key's multi-value index order — and the
+/// buckets are identical whatever `threads` is:
+///
+/// 1. the concatenated pairs are split into [`pair_ranges`], one per
+///    worker;
+/// 2. each worker records the shard of every pair in its range, once, and
+///    counts its pairs per shard;
+/// 3. the calling thread allocates every shard's bucket at its exact size,
+///    the workers initialise the buckets (a run of shards each), and the
+///    calling thread cuts each bucket into one sub-slice per worker, in
+///    worker order, each the size of that worker's count;
+/// 4. each worker copies its pairs into its own sub-slices.
+///
+/// Worker order is concatenation order, so step 4 lays each bucket out
+/// exactly as one pass in order would — which is what one worker does
+/// instead of steps 3–4: it pushes every pair onto its exact-size bucket.
 pub(crate) fn partition_by_shard(
     num_shards: usize,
-    batches: impl IntoIterator<Item = impl IntoIterator<Item = (Key, Value)>>,
+    batches: &[Vec<(Key, Value)>],
+    threads: usize,
 ) -> Vec<Vec<(Key, Value)>> {
-    let mut per_shard: Vec<Vec<(Key, Value)>> = (0..num_shards).map(|_| Vec::new()).collect();
-    for batch in batches {
-        for (key, value) in batch {
-            per_shard[key.shard(num_shards)].push((key, value));
+    let total_pairs = batches.iter().map(Vec::len).sum();
+    let ranges = pair_ranges(total_pairs, threads);
+
+    // Counting pass.  Shard ids fit in `u32`: a store of 2³² shards would
+    // be hundreds of gigabytes of empty shard tables.
+    let mut shard_ids = vec![0u32; total_pairs];
+    let mut counts = vec![vec![0usize; num_shards]; ranges.len()];
+    let mut counting = Vec::with_capacity(ranges.len());
+    let mut unclaimed = shard_ids.as_mut_slice();
+    for (range, count) in ranges.iter().zip(&mut counts) {
+        let (ids, rest) = std::mem::take(&mut unclaimed).split_at_mut(range.len());
+        unclaimed = rest;
+        counting.push((range.clone(), ids, count));
+    }
+    for_each_part_parallel(counting, |(range, ids, count)| {
+        let mut ids = ids.iter_mut();
+        for segment in segments(batches, range) {
+            for ((key, _), id) in segment.iter().zip(&mut ids) {
+                let shard = key.shard(num_shards);
+                *id = shard as u32;
+                count[shard] += 1;
+            }
+        }
+    });
+
+    let sizes: Vec<usize> = (0..num_shards)
+        .map(|shard| counts.iter().map(|count| count[shard]).sum())
+        .collect();
+    let mut buckets: Vec<Vec<(Key, Value)>> =
+        sizes.iter().map(|&size| Vec::with_capacity(size)).collect();
+    let shard_ids = shard_ids.as_slice();
+    // One worker has no sub-slices to cut, so its buckets need no
+    // initialising first (initialise-then-fill took about a third longer on
+    // one thread, 1 Mi pairs at 1024 shards), and an exact-size bucket
+    // never grows.
+    if ranges.len() <= 1 {
+        let mut ids = shard_ids.iter();
+        for batch in batches {
+            for (&pair, &shard) in batch.iter().zip(&mut ids) {
+                buckets[shard as usize].push(pair);
+            }
+        }
+        return buckets;
+    }
+
+    // The sub-slices must be initialised, and the first write to a fresh
+    // page faults it in: the workers do that, a contiguous run of shards
+    // each, inside the capacity the calling thread allocated.
+    let run = num_shards.div_ceil(ranges.len());
+    let sizing = buckets.chunks_mut(run).zip(sizes.chunks(run)).collect();
+    for_each_part_parallel(sizing, |(buckets, sizes)| {
+        for (bucket, &size) in buckets.iter_mut().zip(sizes) {
+            bucket.resize(size, UNFILLED);
+        }
+    });
+    let mut cursors: Vec<Vec<std::slice::IterMut<'_, (Key, Value)>>> = counts
+        .iter()
+        .map(|_| Vec::with_capacity(num_shards))
+        .collect();
+    for (shard, bucket) in buckets.iter_mut().enumerate() {
+        let mut unclaimed = bucket.as_mut_slice();
+        for (cursor, count) in cursors.iter_mut().zip(&counts) {
+            let (slots, rest) = std::mem::take(&mut unclaimed).split_at_mut(count[shard]);
+            unclaimed = rest;
+            cursor.push(slots.iter_mut());
         }
     }
-    per_shard
+
+    // Fill pass.  A worker writes into slots the calling thread allocated
+    // and never allocates itself: the first allocation on a thread attaches
+    // a glibc arena to it, and buckets grown there keep that arena's pages
+    // (workers that grew their own buckets read `conn-local` peak RSS 200 →
+    // 260 MiB).
+    let filling = ranges.into_iter().zip(cursors).collect();
+    for_each_part_parallel(filling, |(range, mut cursor)| {
+        let mut ids = shard_ids[range.clone()].iter();
+        for segment in segments(batches, range) {
+            for (&pair, &shard) in segment.iter().zip(&mut ids) {
+                if let Some(slot) = cursor[shard as usize].next() {
+                    *slot = pair;
+                }
+            }
+        }
+    });
+    buckets
+}
+
+/// Run `work` on every part, the last on the calling thread and each other
+/// on a scoped thread of its own; one part runs with no thread setup.
+fn for_each_part_parallel<T: Send>(mut parts: Vec<T>, work: impl Fn(T) + Sync) {
+    let Some(last) = parts.pop() else {
+        return;
+    };
+    if parts.is_empty() {
+        return work(last);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        for part in parts {
+            scope.spawn(move || work(part));
+        }
+        work(last);
+    });
 }
 
 /// Run `work(i)` for every index in `0..count`, on up to `threads` scoped
 /// workers claiming indices from a shared atomic cursor.
 ///
-/// The shared worker pool behind the parallel partition and shard-parallel
-/// commit paths; `threads <= 1` (or a single index) degrades to a plain loop
-/// with no thread setup.
+/// The worker pool behind the shard-parallel commit paths; `threads <= 1`
+/// (or a single index) degrades to a plain loop with no thread setup.
 fn for_each_index_parallel(count: usize, threads: usize, work: impl Fn(usize) + Sync) {
     let threads = threads.max(1).min(count.max(1));
     if threads == 1 {
@@ -583,37 +695,99 @@ mod tests {
     }
 
     #[test]
+    fn pair_ranges_split_pairs_not_batches() {
+        // One batch of 40 000 pairs (a scatter) at 2 threads: two workers.
+        let ranges = pair_ranges(40_000, 2);
+        assert_eq!(ranges, vec![0..20_000, 20_000..40_000]);
+        // Fewer than two workers' worth of pairs: one range, at any cap.
+        assert_eq!(
+            pair_ranges(2 * MIN_PAIRS_PER_WORKER - 1, 8),
+            vec![0..2 * MIN_PAIRS_PER_WORKER - 1]
+        );
+        // No pairs: no worker.
+        assert!(pair_ranges(0, 4).is_empty());
+        // Ranges tile the input in order, never more than the cap.
+        for (total, threads) in [(100_000, 3), (65_536, 4), (1_000_000, 7)] {
+            let ranges = pair_ranges(total, threads);
+            assert!(ranges.len() <= threads);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[ranges.len() - 1].end, total);
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+            assert!(ranges.iter().all(|r| r.len() >= MIN_PAIRS_PER_WORKER));
+        }
+    }
+
+    #[test]
+    fn segments_cut_a_range_across_batch_boundaries() {
+        let batches: Vec<Vec<(Key, Value)>> = [3u64, 0, 4, 2]
+            .iter()
+            .scan(0u64, |next, &len| {
+                let batch = (*next..*next + len).map(|i| (k(i), Value::scalar(i)));
+                *next += len;
+                Some(batch.collect())
+            })
+            .collect();
+        let values = |range| -> Vec<u64> {
+            segments(&batches, range)
+                .flatten()
+                .map(|(_, value)| value.x)
+                .collect()
+        };
+        assert_eq!(values(2..6), vec![2, 3, 4, 5]);
+        assert_eq!(values(0..9), (0..9).collect::<Vec<_>>());
+        assert_eq!(values(7..9), vec![7, 8]);
+        assert!(values(3..3).is_empty());
+    }
+
+    #[test]
     fn parallel_partition_falls_back_to_serial_on_small_inputs() {
         let store = ShardedStore::new(8);
-        // 64 batches but far too few pairs to pay for worker threads: the
-        // pass must produce the single chunk of the serial path.
+        // 64 batches but far too few pairs to pay for a second worker: one
+        // range, however many batches carry the pairs.
         let batches: Vec<Vec<(Key, Value)>> = (0..64u64)
             .map(|machine| vec![(k(machine), Value::scalar(machine))])
             .collect();
+        assert_eq!(pair_ranges(64, 8).len(), 1);
         let chunks = store.partition_writes_parallel(batches, 8);
-        assert_eq!(chunks.len(), 1, "small inputs must partition serially");
+        assert_eq!(chunks.len(), 1);
         store.commit_chunked(chunks, 8);
         assert_eq!(store.total_writes(), 64);
-        // A single worker likewise never splits, whatever the input size.
-        let big: Vec<Vec<(Key, Value)>> = (0..4u64)
-            .map(|m| (0..10_000u64).map(|i| (k(i), Value::scalar(m))).collect())
-            .collect();
-        let chunks = store.partition_writes_parallel(big, 1);
-        assert_eq!(chunks.len(), 1);
+        // A single worker never splits, whatever the input size.
+        assert_eq!(pair_ranges(4 * 10_000, 1), vec![0..40_000]);
     }
 
     #[test]
     fn parallel_partition_handles_degenerate_shapes() {
         let store = ShardedStore::new(4);
-        // No batches at all.
+        // No batches at all, and batches with no pairs.
         let chunks = store.partition_writes_parallel(Vec::new(), 4);
         store.commit_chunked(chunks, 4);
+        let chunks = store.partition_writes_parallel(vec![Vec::new(); 5], 4);
+        assert!(chunks[0].iter().all(Vec::is_empty));
+        store.commit_chunked(chunks, 4);
         assert!(store.is_empty());
-        // More threads than batches.
+        // More threads than pairs.
         let chunks = store.partition_writes_parallel(vec![vec![(k(1), Value::scalar(1))]], 8);
         store.commit_chunked(chunks, 8);
         assert_eq!(store.get(&k(1)), Some(Value::scalar(1)));
         assert_eq!(store.total_writes(), 1);
+        // Worker ranges that start and end inside batches, with empty
+        // batches between them: the buckets equal the one-worker pass.
+        let batches: Vec<Vec<(Key, Value)>> = [30_001u64, 0, 17, 0, 45_000]
+            .iter()
+            .map(|&len| {
+                (0..len)
+                    .map(|i| (k(i % 101), Value::scalar(len + i)))
+                    .collect()
+            })
+            .collect();
+        let serial = partition_by_shard(4, &batches, 1);
+        for threads in [2, 3, 4] {
+            assert_eq!(pair_ranges(75_018, threads).len(), threads);
+            assert_eq!(partition_by_shard(4, &batches, threads), serial);
+        }
     }
 
     #[test]

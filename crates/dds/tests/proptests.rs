@@ -2,13 +2,72 @@
 //! multi-map with stable per-key ordering, snapshots are faithful frozen
 //! copies, the codec round-trips every key/value, the epoch chain keeps
 //! rounds isolated under arbitrary interleavings of writes and advances,
-//! and the compact slot layout is observationally equivalent to the
-//! pre-refactor `Vec`-per-key layout kept in `ampc_dds::legacy`.
+//! the compact slot layout is observationally equivalent to the
+//! pre-refactor `Vec`-per-key layout kept in `ampc_dds::legacy`, and every
+//! commit path's partition — at any worker count, on every backend — stores
+//! a round's pairs in the order pushing them one by one would.
 
 use ampc_dds::codec::{decode_pair, encode_pair, ENCODED_PAIR_BYTES};
 use ampc_dds::legacy::LegacyStore;
-use ampc_dds::{DdsChain, Key, KeyTag, ShardedStore, SnapshotView, Value};
+use ampc_dds::{
+    ChannelBackend, DdsBackend, DdsChain, Key, KeyTag, LocalBackend, ShardedStore, SnapshotView,
+    TcpBackend, Value,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+type Batches = Vec<Vec<(Key, Value)>>;
+
+/// A round's machine batches: keys from a pool of 200, so most keys carry
+/// several values, and batches long enough that a round often crosses the
+/// 2 × 16 Ki pairs at which the partition takes a second worker.
+fn machine_batches() -> impl Strategy<Value = Batches> {
+    let batch = proptest::collection::vec((0u64..200, any::<u64>()), 0..12_000);
+    proptest::collection::vec(batch, 0..7).prop_map(|batches| {
+        batches
+            .into_iter()
+            .map(|batch| {
+                batch
+                    .into_iter()
+                    .map(|(k, v)| (Key::of(KeyTag::Scalar, k), Value::scalar(v)))
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// One shard, a prime, and the powers of two the workloads run at.
+fn shard_count() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [1, 7, 64, 1024][i])
+}
+
+/// The partition by definition: every pair pushed onto its shard's bucket
+/// in concatenation order.
+fn pushed_in_order(shards: usize, batches: &[Vec<(Key, Value)>]) -> Batches {
+    let store = ShardedStore::new(shards);
+    let mut buckets = vec![Vec::new(); shards];
+    for &(key, value) in batches.iter().flatten() {
+        buckets[store.shard_of(&key)].push((key, value));
+    }
+    buckets
+}
+
+/// The multi-map a round commits: every key's values in concatenation
+/// order.
+fn multimap(batches: &[Vec<(Key, Value)>]) -> BTreeMap<Key, Vec<Value>> {
+    let mut model: BTreeMap<Key, Vec<Value>> = BTreeMap::new();
+    for &(key, value) in batches.iter().flatten() {
+        model.entry(key).or_default().push(value);
+    }
+    model
+}
+
+/// Commit `batches` as one round on a fresh `B` and return the view of it.
+fn committed_view<B: DdsBackend>(shards: usize, threads: usize, batches: Batches) -> B::View {
+    let mut backend = B::with_shards(shards, threads);
+    backend.commit_round(batches, threads);
+    backend.advance(threads)
+}
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {
     (0u32..6, any::<u64>(), 0u64..1_000).prop_map(|(tag, a, b)| Key {
@@ -188,5 +247,52 @@ proptest! {
             prop_assert_eq!(one.multiplicity(&key), many.multiplicity(&key));
         }
         prop_assert_eq!(one.len(), many.len());
+    }
+
+    #[test]
+    fn every_partition_pass_equals_pushing_in_order(
+        batches in machine_batches(),
+        shards in shard_count(),
+        threads in 1usize..6
+    ) {
+        let expected = pushed_in_order(shards, &batches);
+        let store = ShardedStore::new(shards);
+        prop_assert_eq!(&store.partition_writes(batches.clone()), &expected);
+        let chunks = store.partition_writes_parallel(batches.clone(), threads);
+        let concatenated: Batches = (0..shards)
+            .map(|shard| chunks.iter().flat_map(|chunk| chunk[shard].iter().copied()).collect())
+            .collect();
+        prop_assert_eq!(&concatenated, &expected);
+
+        store.commit_chunked(chunks, threads);
+        let model = multimap(&batches);
+        prop_assert_eq!(store.len(), model.len());
+        for (key, values) in &model {
+            prop_assert_eq!(store.multiplicity(key), values.len());
+            for (index, &value) in values.iter().enumerate() {
+                prop_assert_eq!(store.get_indexed(key, index), Some(value));
+            }
+        }
+    }
+
+    #[test]
+    fn every_backend_commits_a_round_in_concatenation_order(
+        batches in machine_batches(),
+        shards in shard_count(),
+        threads in 1usize..6
+    ) {
+        // The local chain and the wire client (over channels and over TCP)
+        // each partition on up to `threads` workers; all must store what
+        // pushing in order would.
+        let model = multimap(&batches);
+        let local = committed_view::<LocalBackend>(shards, threads, batches.clone());
+        let channel = committed_view::<ChannelBackend>(shards, threads, batches.clone());
+        let tcp = committed_view::<TcpBackend>(shards, threads, batches);
+        for view in [&local, &channel, &tcp] {
+            prop_assert_eq!(view.len(), model.len());
+            for (key, values) in &model {
+                prop_assert_eq!(&view.get_all(key), values);
+            }
+        }
     }
 }
