@@ -340,28 +340,6 @@ impl<B: DdsBackend> AmpcRuntime<B> {
         self.rounds_executed += 1;
         Ok(results)
     }
-
-    /// Record `extra` rounds of work done with standard MPC primitives
-    /// (sorting, deduplication, prefix sums) that the driver performed
-    /// outside the adaptive executor.  Keeps round counts honest when an
-    /// algorithm leans on MPC-implementable steps the paper does not detail.
-    pub fn note_mpc_rounds(&mut self, extra: usize, communication: u64) {
-        for _ in 0..extra {
-            self.stats.push(RoundStats {
-                round: self.rounds_executed,
-                machines: self.config.num_machines(),
-                total_queries: 0,
-                max_queries_per_machine: 0,
-                total_writes: communication / extra.max(1) as u64,
-                max_writes_per_machine: (communication / extra.max(1) as u64)
-                    .div_ceil(self.config.num_machines().max(1) as u64),
-                budget_violations: 0,
-                restarts: 0,
-                wall_time: std::time::Duration::ZERO,
-            });
-            self.rounds_executed += 1;
-        }
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -703,15 +681,6 @@ mod tests {
         assert_eq!(faulty_restarts, 2);
         assert_eq!(clean_results, faulty_results);
         assert_eq!(clean_written, faulty_written);
-    }
-
-    #[test]
-    fn note_mpc_rounds_extends_round_count() {
-        let mut rt = AmpcRuntime::new(config(100));
-        rt.note_mpc_rounds(3, 300);
-        assert_eq!(rt.rounds_executed(), 3);
-        assert_eq!(rt.stats().num_rounds(), 3);
-        assert_eq!(rt.stats().total_writes(), 300);
     }
 
     #[test]

@@ -178,14 +178,11 @@ fn main() {
     let read_keys = if quick { 262_144 } else { 1_048_576 };
     let read_probes = read_keys * 4;
     let latency = read_latency(read_keys, read_probes, 256, seed);
-    println!("\n== Snapshot read latency: compact slots vs legacy Vec-per-key ==\n");
+    println!("\n== Snapshot read latency: compact slots ==\n");
+    println!("{:>12} {:>12} {:>16}", "keys", "reads", "compact ns/read");
     println!(
-        "{:>12} {:>12} {:>16} {:>16}",
-        "keys", "reads", "compact ns/read", "legacy ns/read"
-    );
-    println!(
-        "{:>12} {:>12} {:>16.1} {:>16.1}",
-        latency.keys, latency.reads, latency.compact_ns_per_read, latency.legacy_ns_per_read
+        "{:>12} {:>12} {:>16.1}",
+        latency.keys, latency.reads, latency.compact_ns_per_read
     );
 
     let sweep_vertices = if quick { 32_768 } else { 65_536 };
@@ -307,9 +304,8 @@ fn write_bench_commit_json(
     }
     let _ = writeln!(
         json,
-        "  ],\n  \"read_latency\": {{\"keys\": {}, \"reads\": {}, \"compact_ns_per_read\": {:.3}, \
-         \"legacy_ns_per_read\": {:.3}}},",
-        latency.keys, latency.reads, latency.compact_ns_per_read, latency.legacy_ns_per_read,
+        "  ],\n  \"read_latency\": {{\"keys\": {}, \"reads\": {}, \"compact_ns_per_read\": {:.3}}},",
+        latency.keys, latency.reads, latency.compact_ns_per_read,
     );
     let _ = writeln!(json, "  \"shard_sweep\": [");
     for (i, p) in sweep.iter().enumerate() {

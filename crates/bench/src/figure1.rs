@@ -56,7 +56,7 @@ pub fn row_two_cycle(n: usize, seed: u64) -> Figure1Row {
         ampc_rounds: a.rounds(),
         mpc_rounds: m_stats.num_rounds(),
         ampc_communication: a.stats.total_communication(),
-        mpc_messages: m_stats.total_messages(),
+        mpc_messages: m_stats.total_writes(),
         verified,
     }
 }
@@ -77,7 +77,7 @@ pub fn row_mis(n: usize, seed: u64) -> Figure1Row {
         ampc_rounds: a.rounds(),
         mpc_rounds: l_stats.num_rounds(),
         ampc_communication: a.stats.total_communication(),
-        mpc_messages: l_stats.total_messages(),
+        mpc_messages: l_stats.total_writes(),
         verified,
     }
 }
@@ -98,7 +98,7 @@ pub fn row_connectivity(n: usize, seed: u64) -> Figure1Row {
         ampc_rounds: a.rounds(),
         mpc_rounds: m_stats.num_rounds(),
         ampc_communication: a.stats.total_communication(),
-        mpc_messages: m_stats.total_messages(),
+        mpc_messages: m_stats.total_writes(),
         verified,
     }
 }
@@ -120,7 +120,7 @@ pub fn row_msf(n: usize, seed: u64) -> Figure1Row {
         ampc_rounds: a.rounds(),
         mpc_rounds: m_stats.num_rounds(),
         ampc_communication: a.stats.total_communication(),
-        mpc_messages: m_stats.total_messages(),
+        mpc_messages: m_stats.total_writes(),
         verified,
     }
 }
@@ -143,7 +143,7 @@ pub fn row_two_edge(n: usize, seed: u64) -> Figure1Row {
         ampc_rounds: a.rounds(),
         mpc_rounds: 2 * m_stats.num_rounds(),
         ampc_communication: a.stats.total_communication(),
-        mpc_messages: 2 * m_stats.total_messages(),
+        mpc_messages: 2 * m_stats.total_writes(),
         verified,
     }
 }
@@ -165,7 +165,7 @@ pub fn row_forest_connectivity(n: usize, seed: u64) -> Figure1Row {
         ampc_rounds: a.rounds(),
         mpc_rounds: m_stats.num_rounds(),
         ampc_communication: a.stats.total_communication(),
-        mpc_messages: m_stats.total_messages(),
+        mpc_messages: m_stats.total_writes(),
         verified,
     }
 }

@@ -14,7 +14,7 @@
 //!   (the ablation);
 //! * [`contention`] — the Lemma 2.1 balls-into-bins experiment;
 //! * [`commit`] — commit-path throughput (per-write locking vs shard-grouped
-//!   vs shard-parallel), snapshot read latency (compact vs legacy layout)
+//!   vs shard-parallel), snapshot read latency (compact layout)
 //!   and the shard-count sweep (2ᵏ shards vs the prime below), the series
 //!   behind `BENCH_commit.json`;
 //! * [`cluster`] — commit-request throughput with the store split across

@@ -39,8 +39,8 @@
 //! over `B: DdsBackend` and `ampc_runtime::AmpcConfig` picks the
 //! instantiation, so algorithm code never mentions a concrete backend.
 //! The conformance suite (`tests/backend_conformance.rs` at the workspace
-//! root) holds every backend to observational equivalence against
-//! [`crate::legacy::LegacyStore`], the executable specification.
+//! root) holds every backend to observational equivalence against a plain
+//! `BTreeMap<Key, Vec<Value>>` model of the store.
 
 use crate::epoch::DdsChain;
 use crate::key::{Key, Value};

@@ -79,8 +79,8 @@
 //!
 //! * [`proto`] — the protocol as data: serializable [`proto::Request`] /
 //!   [`proto::Reply`] types (`Commit` / `Advance` / `Loads` / `Dump` /
-//!   `TotalWrites`), a byte codec built on the constant-size pair encoding
-//!   of [`codec`], the epoch payload that carries frozen maps across a
+//!   `TotalWrites`), a byte codec built on a constant-size pair encoding
+//!   (20-byte keys, 16-byte values), the epoch payload that carries frozen maps across a
 //!   process boundary — one writer and one parser, each with a map-backed
 //!   end (the serving path: hash maps to bytes to hash maps, nothing
 //!   allocated per key) and a typed end ([`proto::EpochFrame`], the same
@@ -191,10 +191,6 @@
 //! reconnect suites hold the whole construction byte-identical to the
 //! single-process backends, including with an owner severed mid-barrier.
 //!
-//! The pre-refactor `Vec<Value>`-per-key layout survives as
-//! [`legacy::LegacyStore`], an executable specification the property tests
-//! compare against.
-//!
 //! # Machine-checked invariants
 //!
 //! Several of the guarantees above span files.  Each is held by the
@@ -227,7 +223,6 @@
 
 pub mod backend;
 pub mod cluster;
-pub mod codec;
 pub mod contention;
 /// The unit tests' allocator: the counting shim `tests/framing_alloc.rs`
 /// runs under, so `proto.rs` can hold its decoders to an allocation budget.
@@ -237,7 +232,6 @@ mod counting_alloc;
 pub mod epoch;
 pub mod hashing;
 pub mod key;
-pub mod legacy;
 pub mod proto;
 pub mod remote;
 pub mod serve;
@@ -248,7 +242,6 @@ pub mod store;
 pub mod transport;
 
 pub use backend::{DdsBackend, LocalBackend, SnapshotView};
-pub use codec::{decode_value, encode_value};
 pub use contention::{simulate_balls_into_bins, BallsInBinsReport};
 pub use epoch::DdsChain;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};

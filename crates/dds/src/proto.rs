@@ -11,8 +11,8 @@
 //!   pairing is positional (FIFO per connection), exactly like a
 //!   length-prefixed RPC stream.
 //! * [`encode_request`] / [`decode_request`] and [`encode_reply`] /
-//!   [`decode_reply`] — the byte codec, built on the constant-size pair
-//!   encoding of [`crate::codec`] (20-byte keys, 16-byte values).  Every
+//!   [`decode_reply`] — the byte codec, built on a constant-size pair
+//!   encoding (20-byte keys, 16-byte values).  Every
 //!   integer is little-endian; every collection is a `u32` count followed by
 //!   its elements.  Decoders reject truncated buffers, unknown tags and
 //!   trailing garbage with a typed [`ProtoError`].
@@ -37,8 +37,7 @@
 //! `tests/backend_determinism.rs`), and `crates/dds/tests/proto_roundtrip.rs`
 //! pins the codec itself with property tests.
 
-use crate::codec::{decode_key, ENCODED_KEY_BYTES, ENCODED_PAIR_BYTES, ENCODED_VALUE_BYTES};
-use crate::key::{Key, Value};
+use crate::key::{Key, KeyTag, Value};
 use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
 use std::fmt;
@@ -50,6 +49,13 @@ use std::io::{IoSlice, Read, Write};
 /// singleton entries costs ~40 bytes per entry), small enough that a corrupt
 /// length prefix cannot drive an unbounded allocation.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
+
+/// Size of an encoded [`Key`] in bytes: 4 (tag) + 8 (a) + 8 (b).
+const ENCODED_KEY_BYTES: usize = 20;
+/// Size of an encoded [`Value`] in bytes: 8 (x) + 8 (y).
+const ENCODED_VALUE_BYTES: usize = 16;
+/// Size of an encoded key-value pair in bytes.
+const ENCODED_PAIR_BYTES: usize = ENCODED_KEY_BYTES + ENCODED_VALUE_BYTES;
 
 /// Most shards a [`Request::Lease`] may announce.  The count sizes the owner
 /// the lease spawns (one map per shard it holds), so it is bounded where
@@ -519,15 +525,14 @@ fn put_u64(buf: &mut Vec<u8>, value: u64) {
 }
 
 fn put_key(buf: &mut Vec<u8>, key: &Key) {
-    // The layout of [`crate::codec::encode_key`], written in place: the hot
-    // encode path of a commit frame must not allocate per pair.
+    // Written in place: the hot encode path of a commit frame must not
+    // allocate per pair.
     put_u32(buf, key.tag.code());
     put_u64(buf, key.a);
     put_u64(buf, key.b);
 }
 
 fn put_value(buf: &mut Vec<u8>, value: &Value) {
-    // The layout of [`crate::codec::encode_value`], written in place.
     put_u64(buf, value.x);
     put_u64(buf, value.y);
 }
@@ -787,7 +792,7 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(ENCODED_KEY_BYTES, "key")?;
         // take() guaranteed the length, so the only way to fail is an
         // unassigned tag code — malformed, not truncated.
-        decode_key(bytes).ok_or(ProtoError::Malformed { context: "key tag" })
+        key_at(bytes).ok_or(ProtoError::Malformed { context: "key tag" })
     }
 
     fn value(&mut self) -> Result<Value, ProtoError> {
@@ -870,9 +875,27 @@ impl EpochSink for EpochFrame {
     }
 }
 
-/// One encoded value, read in place (the layout of
-/// [`crate::codec::decode_value`]); `chunk` is exactly
-/// [`ENCODED_VALUE_BYTES`] long.
+/// One encoded key, read in place (the layout [`put_key`] writes); `chunk`
+/// is exactly [`ENCODED_KEY_BYTES`] long.  `None` if the tag code is not one
+/// a well-formed encoder can produce — a corrupt frame must fail decoding,
+/// not panic the decoder's thread.
+fn key_at(chunk: &[u8]) -> Option<Key> {
+    let mut code = [0u8; 4];
+    code.copy_from_slice(&chunk[..4]);
+    let word = |at: usize| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&chunk[at..at + 8]);
+        u64::from_le_bytes(word)
+    };
+    Some(Key {
+        tag: KeyTag::try_from_code(u32::from_le_bytes(code))?,
+        a: word(4),
+        b: word(12),
+    })
+}
+
+/// One encoded value, read in place (the layout [`put_value`] writes);
+/// `chunk` is exactly [`ENCODED_VALUE_BYTES`] long.
 fn value_at(chunk: &[u8]) -> Value {
     let word = |at: usize| {
         let mut word = [0u8; 8];
@@ -1432,7 +1455,7 @@ mod tests {
         });
         // The key's 4-byte tag code is the first field of the encoded pair;
         // overwrite it with a code in the unassigned gap (11..0x1_0000).
-        let key_at = bytes.len() - crate::codec::ENCODED_PAIR_BYTES;
+        let key_at = bytes.len() - ENCODED_PAIR_BYTES;
         bytes[key_at..key_at + 4].copy_from_slice(&999u32.to_le_bytes());
         assert_eq!(
             decode_request(&bytes),

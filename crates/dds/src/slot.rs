@@ -22,8 +22,7 @@
 //! wide as the old frozen slot (24 bytes, pinned by the size test below).
 //! The only residual trade is the spare multi-value capacity dropped by
 //! [`Slot::shrink_to_fit`]; the `read_latency` series in
-//! `BENCH_commit.json` keeps the read-side cost of the layout visible
-//! against the legacy `Vec`-per-key baseline.
+//! `BENCH_commit.json` keeps the read-side cost of the layout visible.
 
 use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};

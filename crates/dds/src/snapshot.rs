@@ -35,9 +35,7 @@
 //! allocation; only multi-value keys reference a shrunk-to-fit
 //! `Vec<Value>`.  The maps are the write-side shard maps themselves, frozen
 //! **in place** at epoch advance (see [`crate::ShardedStore::freeze`]) — no
-//! rebuild, no copy.  The pre-refactor layout (`Vec<Value>` per key, one
-//! heap list per key) is kept reachable as [`crate::legacy::LegacyStore`]
-//! for the equivalence property tests.
+//! rebuild, no copy.
 
 use crate::backend::SnapshotView;
 use crate::key::{Key, Value};

@@ -1,14 +1,11 @@
 //! Property tests for the DDS substrate: the store behaves like a
 //! multi-map with stable per-key ordering, snapshots are faithful frozen
-//! copies, the codec round-trips every key/value, the epoch chain keeps
-//! rounds isolated under arbitrary interleavings of writes and advances,
-//! the compact slot layout is observationally equivalent to the
-//! pre-refactor `Vec`-per-key layout kept in `ampc_dds::legacy`, and every
-//! commit path's partition — at any worker count, on every backend — stores
+//! copies, the epoch chain keeps rounds isolated under arbitrary
+//! interleavings of writes and advances, the compact slot layout is
+//! observationally equivalent to a `BTreeMap<Key, Vec<Value>>` model, and
+//! every commit path's partition — at any worker count, on every backend — stores
 //! a round's pairs in the order pushing them one by one would.
 
-use ampc_dds::codec::{decode_pair, encode_pair, ENCODED_PAIR_BYTES};
-use ampc_dds::legacy::LegacyStore;
 use ampc_dds::{
     ChannelBackend, DdsBackend, DdsChain, Key, KeyTag, LocalBackend, ShardedStore, SnapshotView,
     TcpBackend, Value,
@@ -52,14 +49,24 @@ fn pushed_in_order(shards: usize, batches: &[Vec<(Key, Value)>]) -> Batches {
     buckets
 }
 
-/// The multi-map a round commits: every key's values in concatenation
+/// The multi-map a sequence of writes builds: every key's values in write
 /// order.
-fn multimap(batches: &[Vec<(Key, Value)>]) -> BTreeMap<Key, Vec<Value>> {
+fn multimap<'a>(pairs: impl IntoIterator<Item = &'a (Key, Value)>) -> BTreeMap<Key, Vec<Value>> {
     let mut model: BTreeMap<Key, Vec<Value>> = BTreeMap::new();
-    for &(key, value) in batches.iter().flatten() {
+    for &(key, value) in pairs {
         model.entry(key).or_default().push(value);
     }
     model
+}
+
+/// How many values the model holds under `key`.
+fn model_multiplicity(model: &BTreeMap<Key, Vec<Value>>, key: &Key) -> usize {
+    model.get(key).map_or(0, Vec::len)
+}
+
+/// The `index`-th value the model holds under `key`.
+fn model_get(model: &BTreeMap<Key, Vec<Value>>, key: &Key, index: usize) -> Option<Value> {
+    model.get(key).and_then(|values| values.get(index).copied())
 }
 
 /// Commit `batches` as one round on a fresh `B` and return the view of it.
@@ -83,13 +90,6 @@ fn arbitrary_value() -> impl Strategy<Value = Value> {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
-
-    #[test]
-    fn codec_round_trips_arbitrary_pairs(key in arbitrary_key(), value in arbitrary_value()) {
-        let bytes = encode_pair(&key, &value);
-        prop_assert_eq!(bytes.len(), ENCODED_PAIR_BYTES);
-        prop_assert_eq!(decode_pair(&bytes), Some((key, value)));
-    }
 
     #[test]
     fn store_is_a_multimap_with_insertion_order(
@@ -152,47 +152,44 @@ proptest! {
     }
 
     #[test]
-    fn compact_layout_equals_legacy_layout_under_arbitrary_interleavings(
+    fn compact_layout_equals_the_model_under_arbitrary_interleavings(
         writes in proptest::collection::vec((arbitrary_key(), arbitrary_value()), 1..300),
         shards in 1usize..33,
         freeze_threads in 1usize..9
     ) {
-        // Same write sequence into the new store and the pre-refactor
-        // reference layout.
         let store = ShardedStore::new(shards);
-        let mut legacy = LegacyStore::new(shards);
         for &(key, value) in &writes {
             store.write(key, value);
-            legacy.write(key, value);
         }
+        let model = multimap(&writes);
 
         // Writable-store reads agree before freezing.
         for &(key, _) in &writes {
-            prop_assert_eq!(store.get(&key), legacy.get(&key));
-            prop_assert_eq!(store.multiplicity(&key), legacy.multiplicity(&key));
+            prop_assert_eq!(store.get(&key), model_get(&model, &key, 0));
+            prop_assert_eq!(store.multiplicity(&key), model_multiplicity(&model, &key));
         }
-        prop_assert_eq!(store.len(), legacy.len());
+        prop_assert_eq!(store.len(), model.len());
 
         // Frozen-snapshot reads agree, whatever the freeze parallelism.
         let snapshot = store.freeze_with_threads(freeze_threads);
-        prop_assert_eq!(snapshot.len(), legacy.len());
+        prop_assert_eq!(snapshot.len(), model.len());
         for &(key, _) in &writes {
-            prop_assert_eq!(snapshot.get(&key), legacy.get(&key));
-            let multiplicity = legacy.multiplicity(&key);
+            prop_assert_eq!(snapshot.get(&key), model_get(&model, &key, 0));
+            let multiplicity = model_multiplicity(&model, &key);
             prop_assert_eq!(snapshot.multiplicity(&key), multiplicity);
             for index in 0..=multiplicity {
-                prop_assert_eq!(snapshot.get_indexed(&key, index), legacy.get_indexed(&key, index));
+                prop_assert_eq!(snapshot.get_indexed(&key, index), model_get(&model, &key, index));
             }
         }
 
         // Missing keys agree too.
         let absent = Key::of(KeyTag::Custom(999), u64::MAX);
-        prop_assert_eq!(snapshot.get(&absent), legacy.get(&absent));
-        prop_assert_eq!(snapshot.multiplicity(&absent), legacy.multiplicity(&absent));
+        prop_assert_eq!(snapshot.get(&absent), None);
+        prop_assert_eq!(snapshot.multiplicity(&absent), 0);
     }
 
     #[test]
-    fn batched_commit_paths_equal_legacy_layout(
+    fn batched_commit_paths_equal_the_model(
         machine_batches in proptest::collection::vec(
             proptest::collection::vec((0u64..60, any::<u64>()), 0..40),
             1..8
@@ -201,32 +198,27 @@ proptest! {
         threads in 1usize..5
     ) {
         // The runtime's commit path: per-machine batches, partitioned by
-        // shard, committed in parallel — against the legacy layout fed the
-        // same concatenated sequence.
+        // shard, committed in parallel — against the model fed the same
+        // concatenated sequence.
         let store = ShardedStore::new(shards);
-        let mut legacy = LegacyStore::new(shards);
-        for batch in &machine_batches {
-            for &(k, v) in batch {
-                legacy.write(Key::of(KeyTag::Scalar, k), Value::scalar(v));
-            }
-        }
         let batches: Vec<Vec<(Key, Value)>> = machine_batches
             .iter()
             .map(|batch| {
                 batch.iter().map(|&(k, v)| (Key::of(KeyTag::Scalar, k), Value::scalar(v))).collect()
             })
             .collect();
+        let model = multimap(batches.iter().flatten());
         let per_shard = store.partition_writes(batches);
         store.commit_partitioned(per_shard, threads);
 
         let snapshot = store.freeze();
-        prop_assert_eq!(snapshot.len(), legacy.len());
+        prop_assert_eq!(snapshot.len(), model.len());
         for k in 0u64..60 {
             let key = Key::of(KeyTag::Scalar, k);
-            let multiplicity = legacy.multiplicity(&key);
+            let multiplicity = model_multiplicity(&model, &key);
             prop_assert_eq!(snapshot.multiplicity(&key), multiplicity);
             for index in 0..multiplicity {
-                prop_assert_eq!(snapshot.get_indexed(&key, index), legacy.get_indexed(&key, index));
+                prop_assert_eq!(snapshot.get_indexed(&key, index), model_get(&model, &key, index));
             }
         }
     }
@@ -265,7 +257,7 @@ proptest! {
         prop_assert_eq!(&concatenated, &expected);
 
         store.commit_chunked(chunks, threads);
-        let model = multimap(&batches);
+        let model = multimap(batches.iter().flatten());
         prop_assert_eq!(store.len(), model.len());
         for (key, values) in &model {
             prop_assert_eq!(store.multiplicity(key), values.len());
@@ -284,7 +276,7 @@ proptest! {
         // The local chain and the wire client (over channels and over TCP)
         // each partition on up to `threads` workers; all must store what
         // pushing in order would.
-        let model = multimap(&batches);
+        let model = multimap(batches.iter().flatten());
         let local = committed_view::<LocalBackend>(shards, threads, batches.clone());
         let channel = committed_view::<ChannelBackend>(shards, threads, batches.clone());
         let tcp = committed_view::<TcpBackend>(shards, threads, batches);

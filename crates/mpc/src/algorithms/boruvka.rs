@@ -6,24 +6,24 @@
 //! MSF algorithm the paper's `O(log log_{m/n} n)`-round AMPC algorithm
 //! (Section 7) is compared against in Figure 1.
 
-use crate::stats::{MpcRunStats, SuperstepStats};
+use crate::algorithms::record_superstep;
 use ampc_graph::{Graph, UnionFind, WeightedEdge};
+use ampc_runtime::RunStats;
 
 /// Run Borůvka's algorithm on a weighted graph.
 ///
 /// Returns the MSF edges (original ids), the total weight, and per-round
 /// statistics.  Weights are assumed distinct (ties broken by edge id).
-pub fn boruvka_msf(graph: &Graph, machines: usize) -> (Vec<WeightedEdge>, u64, MpcRunStats) {
+pub fn boruvka_msf(graph: &Graph, machines: usize) -> (Vec<WeightedEdge>, u64, RunStats) {
     assert!(graph.is_weighted(), "Borůvka needs a weighted graph");
     let n = graph.num_vertices();
     let machines = machines.max(1);
     let edges = graph.weighted_edges();
-    let mut stats = MpcRunStats::default();
+    let mut stats = RunStats::default();
 
     let mut uf = UnionFind::new(n);
     let mut forest: Vec<WeightedEdge> = Vec::new();
     let mut total = 0u64;
-    let mut superstep = 0usize;
 
     loop {
         // Each component scans its incident edges for the cheapest outgoing
@@ -57,13 +57,12 @@ pub fn boruvka_msf(graph: &Graph, machines: usize) -> (Vec<WeightedEdge>, u64, M
             }
         }
 
-        stats.push(SuperstepStats {
-            superstep,
-            active_vertices: uf.num_components(),
+        record_superstep(
+            &mut stats,
+            machines,
             messages,
-            max_messages_per_machine: messages.div_ceil(machines as u64),
-        });
-        superstep += 1;
+            messages.div_ceil(machines as u64),
+        );
 
         if !merged_any {
             break;

@@ -6,50 +6,54 @@
 //! dependence the paper's AMPC connectivity algorithm removes, and the
 //! quantity the diameter-ablation benchmark sweeps.
 
-use crate::runtime::{MpcRuntime, VertexProgram};
-use crate::stats::MpcRunStats;
+use crate::algorithms::record_superstep;
 use ampc_graph::Graph;
-
-struct LabelPropagation;
-
-impl VertexProgram for LabelPropagation {
-    type State = u32;
-    type Message = u32;
-
-    fn init(&self, v: u32, _graph: &Graph) -> u32 {
-        v
-    }
-
-    fn step(
-        &self,
-        v: u32,
-        graph: &Graph,
-        state: &mut u32,
-        messages: &[u32],
-        superstep: usize,
-    ) -> Vec<(u32, u32)> {
-        let best_incoming = messages.iter().copied().min().unwrap_or(u32::MAX);
-        let improved = best_incoming < *state;
-        if improved {
-            *state = best_incoming;
-        }
-        if superstep == 0 || improved {
-            graph.neighbors(v).iter().map(|&u| (u, *state)).collect()
-        } else {
-            Vec::new()
-        }
-    }
-}
+use ampc_runtime::{AmpcConfig, RunStats};
 
 /// Connected components by min-label propagation.
 ///
 /// Returns `(labels, stats)` where `labels[v]` is the smallest vertex id in
-/// `v`'s component and `stats.num_rounds()` is `Θ(D)`.
-pub fn label_propagation_connectivity(graph: &Graph, epsilon: f64) -> (Vec<u32>, MpcRunStats) {
-    let runtime = MpcRuntime::for_graph(graph, epsilon);
+/// `v`'s component and `stats.num_rounds()` is `Θ(D)`.  The graph is spread
+/// over the paper's `P = (n + m) / n^ε` machines, vertex `v` on machine
+/// `v % P`; the final superstep, in which no label improves and nothing is
+/// sent, is recorded too.
+pub fn label_propagation_connectivity(graph: &Graph, epsilon: f64) -> (Vec<u32>, RunStats) {
+    let n = graph.num_vertices();
+    let machines = AmpcConfig::for_graph(n, graph.num_edges(), epsilon).num_machines();
+    let mut labels: Vec<u32> = (0..n as u32).collect();
+    // inbox[v] is the smallest label mailed to v last superstep (u32::MAX:
+    // none); mail sent now lands in `outbox` and is read next superstep.
+    let mut inbox = vec![u32::MAX; n];
+    let mut outbox = vec![u32::MAX; n];
+    let mut per_machine = vec![0u64; machines];
+    let mut stats = RunStats::default();
+
     // Label propagation needs up to D + 2 supersteps; D can approach n.
-    let runtime = MpcRuntime::new(runtime.machines, graph.num_vertices() + 2);
-    runtime.run(graph, &LabelPropagation)
+    for superstep in 0..n + 2 {
+        let mut messages = 0u64;
+        per_machine.fill(0);
+        for v in 0..n {
+            let improved = inbox[v] < labels[v];
+            if improved {
+                labels[v] = inbox[v];
+            }
+            if superstep == 0 || improved {
+                for &u in graph.neighbors(v as u32) {
+                    messages += 1;
+                    per_machine[u as usize % machines] += 1;
+                    outbox[u as usize] = outbox[u as usize].min(labels[v]);
+                }
+            }
+        }
+        let busiest = per_machine.iter().copied().max().unwrap_or(0);
+        record_superstep(&mut stats, machines, messages, busiest);
+        if messages == 0 {
+            break;
+        }
+        std::mem::swap(&mut inbox, &mut outbox);
+        outbox.fill(u32::MAX);
+    }
+    (labels, stats)
 }
 
 #[cfg(test)]
@@ -82,5 +86,21 @@ mod tests {
         let g = ampc_graph::Graph::from_edges(5, &[ampc_graph::Edge::new(0, 1)]);
         let (labels, _) = label_propagation_connectivity(&g, 0.5);
         assert_eq!(labels, vec![0, 0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn machines_are_sized_from_epsilon() {
+        let (_, stats) = label_propagation_connectivity(&generators::cycle(400), 0.5);
+        // (400 + 400) / 20
+        assert!(stats.rounds.iter().all(|round| round.machines == 40));
+    }
+
+    #[test]
+    fn empty_graph_records_one_silent_superstep() {
+        let (labels, stats) =
+            label_propagation_connectivity(&ampc_graph::Graph::from_edges(0, &[]), 0.5);
+        assert!(labels.is_empty());
+        assert_eq!(stats.num_rounds(), 1);
+        assert_eq!(stats.total_writes(), 0);
     }
 }

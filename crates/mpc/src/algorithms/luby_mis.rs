@@ -9,23 +9,23 @@
 //! Uitto 2019]; Luby is the standard implementable baseline and an upper
 //! bound on that column.)
 
-use crate::stats::{MpcRunStats, SuperstepStats};
+use crate::algorithms::record_superstep;
 use ampc_graph::Graph;
+use ampc_runtime::RunStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Run Luby's algorithm.  Returns the MIS membership bitmap and per-round
 /// statistics (`stats.num_rounds()` is `O(log n)` w.h.p.).
-pub fn luby_mis(graph: &Graph, machines: usize, seed: u64) -> (Vec<bool>, MpcRunStats) {
+pub fn luby_mis(graph: &Graph, machines: usize, seed: u64) -> (Vec<bool>, RunStats) {
     let n = graph.num_vertices();
     let machines = machines.max(1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut stats = MpcRunStats::default();
+    let mut stats = RunStats::default();
 
     let mut in_mis = vec![false; n];
     let mut alive = vec![true; n];
     let mut alive_count = n;
-    let mut superstep = 0usize;
 
     while alive_count > 0 {
         // Each alive vertex draws a priority and sends it to its neighbours:
@@ -69,14 +69,13 @@ pub fn luby_mis(graph: &Graph, machines: usize, seed: u64) -> (Vec<bool>, MpcRun
             }
         }
 
-        stats.push(SuperstepStats {
-            superstep,
-            active_vertices: n - alive_count,
+        record_superstep(
+            &mut stats,
+            machines,
             messages,
-            max_messages_per_machine: messages.div_ceil(machines as u64),
-        });
-        superstep += 1;
-        if superstep > 8 * (n.max(2).ilog2() as usize + 2) {
+            messages.div_ceil(machines as u64),
+        );
+        if stats.num_rounds() > 8 * (n.max(2).ilog2() as usize + 2) {
             break; // safety net
         }
     }

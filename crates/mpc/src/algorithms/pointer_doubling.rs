@@ -15,8 +15,9 @@
 //!   pointer jumping), the standard `O(log n)`-round MPC connectivity used
 //!   as the 2-Cycle baseline.
 
-use crate::stats::{MpcRunStats, SuperstepStats};
+use crate::algorithms::record_superstep;
 use ampc_graph::Graph;
+use ampc_runtime::RunStats;
 
 /// Wyllie's list ranking by pointer jumping.
 ///
@@ -24,16 +25,15 @@ use ampc_graph::Graph;
 /// pointing at itself.  Returns `(ranks, stats)` where `ranks[v]` is the
 /// number of links between `v` and the terminal, computed in `Θ(log n)`
 /// supersteps.
-pub fn wyllie_list_ranking(successor: &[u32], machines: usize) -> (Vec<u64>, MpcRunStats) {
+pub fn wyllie_list_ranking(successor: &[u32], machines: usize) -> (Vec<u64>, RunStats) {
     let n = successor.len();
     let machines = machines.max(1);
-    let mut stats = MpcRunStats::default();
+    let mut stats = RunStats::default();
     let mut next: Vec<u32> = successor.to_vec();
     let mut rank: Vec<u64> = (0..n)
         .map(|v| u64::from(successor[v] != v as u32))
         .collect();
 
-    let mut superstep = 0usize;
     loop {
         // A vertex still benefits from jumping while its successor is not
         // yet the terminal (i.e. jumping would move its pointer).
@@ -59,16 +59,11 @@ pub fn wyllie_list_ranking(successor: &[u32], machines: usize) -> (Vec<u64>, Mpc
             per_machine[next[v as usize] as usize % machines] += 1;
             per_machine[v as usize % machines] += 1;
         }
-        stats.push(SuperstepStats {
-            superstep,
-            active_vertices: active.len(),
-            messages,
-            max_messages_per_machine: per_machine.iter().copied().max().unwrap_or(0),
-        });
+        let busiest = per_machine.iter().copied().max().unwrap_or(0);
+        record_superstep(&mut stats, machines, messages, busiest);
         next = new_next;
         rank = new_rank;
-        superstep += 1;
-        if superstep > 2 * (n.max(2).ilog2() as usize + 2) {
+        if stats.num_rounds() > 2 * (n.max(2).ilog2() as usize + 2) {
             break; // safety net; never hit for well-formed lists
         }
     }
@@ -88,16 +83,15 @@ pub fn wyllie_list_ranking(successor: &[u32], machines: usize) -> (Vec<u64>, Mpc
 /// The number of roots drops geometrically, so `O(log n)` rounds suffice; on
 /// a cycle of length `n` this is `Θ(log n)` — the baseline the AMPC `Shrink`
 /// algorithm beats.
-pub fn pointer_doubling_connectivity(graph: &Graph, machines: usize) -> (Vec<u32>, MpcRunStats) {
+pub fn pointer_doubling_connectivity(graph: &Graph, machines: usize) -> (Vec<u32>, RunStats) {
     let n = graph.num_vertices();
     let machines = machines.max(1);
-    let mut stats = MpcRunStats::default();
+    let mut stats = RunStats::default();
     if n == 0 {
         return (Vec::new(), stats);
     }
 
     let mut parent: Vec<u32> = (0..n as u32).collect();
-    let mut superstep = 0usize;
 
     loop {
         let mut changed = false;
@@ -138,26 +132,24 @@ pub fn pointer_doubling_connectivity(graph: &Graph, machines: usize) -> (Vec<u32
         // minimum adjacent root at every root (messages along every edge),
         // and one of pointer jumping (every vertex asks its parent).
         let hook_messages = 2 * graph.num_edges() as u64;
-        stats.push(SuperstepStats {
-            superstep,
-            active_vertices: n,
-            messages: hook_messages,
-            max_messages_per_machine: hook_messages.div_ceil(machines as u64),
-        });
-        superstep += 1;
+        record_superstep(
+            &mut stats,
+            machines,
+            hook_messages,
+            hook_messages.div_ceil(machines as u64),
+        );
         let jump_messages = n as u64;
-        stats.push(SuperstepStats {
-            superstep,
-            active_vertices: n,
-            messages: jump_messages,
-            max_messages_per_machine: jump_messages.div_ceil(machines as u64),
-        });
-        superstep += 1;
+        record_superstep(
+            &mut stats,
+            machines,
+            jump_messages,
+            jump_messages.div_ceil(machines as u64),
+        );
 
         if !changed {
             break;
         }
-        if superstep > 4 * (n.max(2).ilog2() as usize + 2) {
+        if stats.num_rounds() > 4 * (n.max(2).ilog2() as usize + 2) {
             break; // safety net
         }
     }

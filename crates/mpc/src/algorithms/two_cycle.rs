@@ -9,8 +9,8 @@
 //! headline result the 2-Cycle benchmark reproduces.
 
 use crate::algorithms::pointer_doubling::pointer_doubling_connectivity;
-use crate::stats::MpcRunStats;
 use ampc_graph::Graph;
+use ampc_runtime::RunStats;
 
 /// Answer to a 2-Cycle instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub enum TwoCycleAnswer {
 /// # Panics
 /// If the input is not a disjoint union of one or two cycles (every vertex
 /// must have degree 2).
-pub fn two_cycle_mpc(graph: &Graph, machines: usize) -> (TwoCycleAnswer, MpcRunStats) {
+pub fn two_cycle_mpc(graph: &Graph, machines: usize) -> (TwoCycleAnswer, RunStats) {
     assert!(
         (0..graph.num_vertices() as u32).all(|v| graph.degree(v) == 2),
         "2-Cycle instances must be disjoint unions of cycles"

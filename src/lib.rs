@@ -7,7 +7,8 @@
 //! * [`dds`] — the distributed data store substrate.
 //! * [`runtime`] — the AMPC model executor (machines, rounds, budgets).
 //! * [`graph`] — graph storage, generators and sequential references.
-//! * [`mpc`] — the MPC executor and the baseline algorithms of Figure 1.
+//! * [`mpc`] — the MPC baseline algorithms of Figure 1, counted in the
+//!   runtime's own [`RunStats`](ampc_runtime::RunStats).
 //! * [`algorithms`] — the paper's AMPC algorithms (Sections 4–9).
 //!
 //! ```

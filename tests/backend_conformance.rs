@@ -3,21 +3,20 @@
 //! One parameterized battery drives `LocalBackend`, `ChannelBackend`,
 //! `TcpBackend` (the socket-backed `RemoteBackend` speaking the
 //! `ampc_dds::proto` wire format — over interleaved in-process owners and
-//! over `cluster(n)`, local clusters of n = 1..=5 range owners) and the
-//! executable specification `legacy::LegacyStore` through the same write
-//! scripts and
+//! over `cluster(n)`, local clusters of n = 1..=5 range owners) and a
+//! `BTreeMap<Key, Vec<Value>>` model through the same write scripts and
 //! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
 //! `read_many` (order and content), multi-value index order, and the
 //! per-query read accounting — to identical results.  The property tests at
 //! the bottom extend the battery to arbitrary write interleavings.
 
-use ampc_dds::legacy::LegacyStore;
 use ampc_dds::{
     ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, Snapshot, SnapshotView, TcpBackend,
     Value,
 };
 use ampc_runtime::{AmpcConfig, AmpcRuntime, DdsBackendKind};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Every backend kind the runtime-level batteries cover.
 const ALL_BACKENDS: &[DdsBackendKind] = &[
@@ -51,43 +50,49 @@ fn run_script<B: DdsBackend>(mut backend: B, script: &Script, threads: usize) ->
         .collect()
 }
 
-/// Apply one epoch's batches to a fresh legacy store (the spec is
-/// single-epoch: each round starts empty, exactly like a fresh `D_i`).
-fn legacy_epochs(script: &Script, shards: usize) -> Vec<LegacyStore> {
+/// The store by definition: every key's values in write order.
+type Model = BTreeMap<Key, Vec<Value>>;
+
+/// One model per epoch of `script` (each round starts empty, exactly like a
+/// fresh `D_i`).
+fn model_epochs(script: &Script) -> Vec<Model> {
     script
         .iter()
         .map(|batches| {
-            let mut store = LegacyStore::new(shards);
-            for batch in batches {
-                for &(key, value) in batch {
-                    store.write(key, value);
-                }
+            let mut model = Model::new();
+            for &(key, value) in batches.iter().flatten() {
+                model.entry(key).or_default().push(value);
             }
-            store
+            model
         })
         .collect()
 }
 
+/// The `index`-th value the model holds under `key`.
+fn model_get(model: &Model, key: &Key, index: usize) -> Option<Value> {
+    model.get(key).and_then(|values| values.get(index).copied())
+}
+
 /// The conformance battery: every observable of `view` must match the
-/// legacy spec for the keys in `probe`, and batched reads must match point
-/// reads (content, order, and query accounting).
-fn assert_view_matches_legacy<V: SnapshotView>(view: &V, legacy: &LegacyStore, probe: &[Key]) {
-    assert_eq!(view.len(), legacy.len());
-    assert_eq!(view.is_empty(), legacy.is_empty());
+/// model for the keys in `probe`, and batched reads must match point reads
+/// (content, order, and query accounting).
+fn assert_view_matches_model<V: SnapshotView>(view: &V, model: &Model, probe: &[Key]) {
+    assert_eq!(view.len(), model.len());
+    assert_eq!(view.is_empty(), model.is_empty());
 
     let reads_before = view.total_reads();
     let mut issued = 0u64;
     for key in probe {
-        assert_eq!(view.get(key), legacy.get(key), "get({key})");
+        assert_eq!(view.get(key), model_get(model, key, 0), "get({key})");
         issued += 1;
-        let multiplicity = legacy.multiplicity(key);
+        let multiplicity = model.get(key).map_or(0, Vec::len);
         assert_eq!(view.multiplicity(key), multiplicity, "multiplicity({key})");
         issued += 1;
         // Multi-value index order: every index, plus one past the end.
         for index in 0..=multiplicity {
             assert_eq!(
                 view.get_indexed(key, index),
-                legacy.get_indexed(key, index),
+                model_get(model, key, index),
                 "get_indexed({key}, {index})"
             );
             issued += 1;
@@ -97,13 +102,13 @@ fn assert_view_matches_legacy<V: SnapshotView>(view: &V, legacy: &LegacyStore, p
     // Batched lookups: one entry per key, in key order, counted per key.
     let mut batched = Vec::new();
     view.get_many(probe, &mut batched);
-    let individual: Vec<Option<Value>> = probe.iter().map(|key| legacy.get(key)).collect();
+    let individual: Vec<Option<Value>> = probe.iter().map(|key| model_get(model, key, 0)).collect();
     assert_eq!(batched, individual, "get_many order/content");
     issued += probe.len() as u64;
 
     // Query accounting: every probe above debited exactly one query (the
-    // legacy spec predates read counters, so the ledger is checked on the
-    // view itself — identically for every backend).
+    // model has no read counters, so the ledger is checked on the view
+    // itself — identically for every backend).
     assert_eq!(
         view.total_reads() - reads_before,
         issued,
@@ -149,7 +154,7 @@ fn conformance_battery(script: Script, shards: usize, threads: usize) {
             run_script(cluster(owners, shards), &script, threads),
         ));
     }
-    let legacy = legacy_epochs(&script, shards);
+    let models = model_epochs(&script);
 
     let sorted_entries = |view: &Snapshot| {
         let mut entries = view.entries();
@@ -157,9 +162,9 @@ fn conformance_battery(script: Script, shards: usize, threads: usize) {
         entries
     };
     for (label, views) in &legs {
-        assert_eq!(views.len(), legacy.len(), "{label} epochs");
-        for epoch in 0..legacy.len() {
-            assert_view_matches_legacy(&views[epoch], &legacy[epoch], &probe);
+        assert_eq!(views.len(), models.len(), "{label} epochs");
+        for epoch in 0..models.len() {
+            assert_view_matches_model(&views[epoch], &models[epoch], &probe);
             // The trait backends also agree on the unordered entry dump.
             assert_eq!(
                 sorted_entries(&legs[0].1[epoch]),
