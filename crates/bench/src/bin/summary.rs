@@ -178,7 +178,7 @@ fn main() {
     let read_keys = if quick { 262_144 } else { 1_048_576 };
     let read_probes = read_keys * 4;
     let latency = read_latency(read_keys, read_probes, 256, seed);
-    println!("\n== Snapshot read latency: compact slots ==\n");
+    println!("\n== Snapshot read latency: frozen shards ==\n");
     println!("{:>12} {:>12} {:>16}", "keys", "reads", "compact ns/read");
     println!(
         "{:>12} {:>12} {:>16.1}",

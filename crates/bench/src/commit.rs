@@ -5,26 +5,26 @@
 //!
 //! * **Commit throughput** — the end-of-round commit used to replay every
 //!   buffered write through a per-write shard-lock acquisition (kept
-//!   measurable here as the `serial` series); the store now groups a batch
-//!   by shard and locks each shard once (`batched`), and the runtime
-//!   commits distinct shards in parallel (`parallel`).  The partition pass
-//!   itself is also timed in isolation, on one worker vs on every worker
-//!   (`partition_serial` / `partition_parallel`), each worker taking a
-//!   contiguous range of the round's pairs wherever its batch boundaries
-//!   fall.  Rows come in two shapes: 64 machine batches (a round) and one
-//!   batch at 1024 shards (a scatter, at the workloads' shard count), which
-//!   is the shape a split by batch could not parallelise.
-//! * **Read latency** — adaptive reads used to chase a heap pointer into a
-//!   `Vec<Value>` for every key; the compact snapshot layout keeps
-//!   singleton values inline, and its point lookups are timed here.
+//!   measurable here as the `serial` series); the store groups a batch by
+//!   shard and locks each shard once (`batched`), and the runtime's path
+//!   partitions on every worker and moves each shard's bucket into the
+//!   store (`parallel`).  The partition pass itself is also timed in
+//!   isolation, on one worker vs on every worker (`partition_serial` /
+//!   `partition_parallel`), each worker taking a contiguous range of the
+//!   round's pairs wherever its batch boundaries fall.  Rows come in two
+//!   shapes: 64 machine batches (a round) and one batch at 1024 shards (a
+//!   scatter, at the workloads' shard count), which is the shape a split by
+//!   batch could not parallelise.
+//! * **Read latency** — point lookups on the frozen snapshot layout, where
+//!   each value sits inline beside its key in the key's directory bucket.
 //!
 //! * **Shard sweep** — the same commit → freeze → read pipeline at
 //!   power-of-two shard counts and at the primes just below them.  A key's
-//!   shard is `hash % shards` and its table slot comes from the same hash,
-//!   so at `2ᵏ` shards the two must read different bits or every key of a
-//!   shard starts its probe at one bucket; the neighbouring prime pins no
-//!   bits and is the control.  The ratio between the two, inside one
-//!   process, is what CI gates.
+//!   shard is `hash % shards` and its directory bucket comes from the same
+//!   hash, so at `2ᵏ` shards the two must read different bits or every key
+//!   of a shard lands in one bucket; the neighbouring prime pins no bits
+//!   and is the control.  The ratio between the two, inside one process, is
+//!   what CI gates.
 //!
 //! The `summary` binary serialises the series into `BENCH_commit.json` so
 //! future PRs have a trajectory to compare against.
@@ -88,7 +88,7 @@ pub struct ReadLatencyPoint {
     pub keys: usize,
     /// Point lookups timed.
     pub reads: usize,
-    /// Mean latency of a compact-layout snapshot read, nanoseconds.
+    /// Mean latency of a frozen-snapshot point read, nanoseconds.
     pub compact_ns_per_read: f64,
     /// Checksum of the values read (anti-dead-code).
     pub checksum: u64,
@@ -218,7 +218,7 @@ pub fn commit_throughput(
         .collect()
 }
 
-/// Time `reads` random point lookups against the compact snapshot layout.
+/// Time `reads` random point lookups against the frozen snapshot layout.
 pub fn read_latency(keys: usize, reads: usize, shards: usize, seed: u64) -> ReadLatencyPoint {
     let pairs = workload(keys, seed);
 
@@ -286,7 +286,7 @@ pub fn shard_sweep(
                 let store = ShardedStore::new(shards);
                 let started = Instant::now();
                 let per_shard = store.partition_writes(std::iter::once(pairs.iter().copied()));
-                store.commit_partitioned(per_shard, 1);
+                store.commit_partitioned(per_shard);
                 let snapshot = store.freeze_with_threads(1);
                 commit_ms = commit_ms.min(started.elapsed().as_secs_f64() * 1e3);
 
@@ -333,13 +333,9 @@ mod tests {
         }
         let parallel = ShardedStore::new(8);
         let per_shard = parallel.partition_writes(std::iter::once(writes.iter().copied()));
-        parallel.commit_partitioned(per_shard, 4);
+        parallel.commit_partitioned(per_shard);
         assert_eq!(serial.total_writes(), parallel.total_writes());
-        assert_eq!(serial.len(), parallel.len());
-        for &(key, _) in &writes {
-            assert_eq!(serial.multiplicity(&key), parallel.multiplicity(&key));
-            assert_eq!(serial.get(&key), parallel.get(&key));
-        }
+        assert_eq!(serial.freeze().entries(), parallel.freeze().entries());
     }
 
     #[test]
@@ -373,18 +369,8 @@ mod tests {
         let chunks = parallel.partition_writes_parallel(batches.clone(), 4);
         parallel.commit_chunked(chunks, 4);
         assert_eq!(serial.total_writes(), parallel.total_writes());
-        assert_eq!(serial.len(), parallel.len());
-        for batch in &batches {
-            for &(key, _) in batch {
-                assert_eq!(serial.multiplicity(&key), parallel.multiplicity(&key));
-                for idx in 0..serial.multiplicity(&key) {
-                    assert_eq!(
-                        serial.get_indexed(&key, idx),
-                        parallel.get_indexed(&key, idx)
-                    );
-                }
-            }
-        }
+        // The frozen layout is canonical, so equal contents walk equally.
+        assert_eq!(serial.freeze().entries(), parallel.freeze().entries());
     }
 
     #[test]

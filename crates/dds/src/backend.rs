@@ -27,11 +27,11 @@
 //!   are owned by dedicated owners; commits and epoch advances cross a
 //!   transport as [`crate::proto`] messages.  Over in-process channels
 //!   ([`crate::ChannelBackend`]) each frozen epoch is `Arc`-published at
-//!   advance time, so reads resolve against the owners' own immutable maps
+//!   advance time, so reads resolve against the owners' own frozen shards
 //!   with zero channel traffic.  Over sockets ([`crate::TcpBackend`]) every
 //!   request and reply round-trips through the byte codec as
 //!   length-prefixed frames, and a frozen epoch is encoded from the
-//!   owner's maps and decoded into the maps of a local replica — the
+//!   owner's shards and decoded into the shards of a local replica — the
 //!   deployable shape of the store, whether the owners are threads of this
 //!   process, one serving process, or a cluster of N.
 //!
@@ -192,8 +192,9 @@ pub trait DdsBackend: Send + 'static {
 /// The in-process sharded store as a [`DdsBackend`]: a [`DdsChain`] of
 /// [`crate::ShardedStore`]s frozen into compact [`Snapshot`]s.
 ///
-/// This is the default backend: writes take per-shard locks (shard-parallel
-/// on commit), reads are lock-free hash probes on the frozen layout.
+/// This is the default backend: a commit moves each shard's bucket into
+/// the writable store, and reads are lock-free directory lookups on the
+/// frozen layout.
 pub struct LocalBackend {
     chain: DdsChain,
 }

@@ -8,7 +8,7 @@
 //!
 //! Round `i` reads `D_{i-1}` and nothing older, so completing `D_i`
 //! *retires* `D_{i-1}`: the chain keeps its statistics and lets go of its
-//! maps (a snapshot a caller still holds stays valid through its own
+//! shards (a snapshot a caller still holds stays valid through its own
 //! handle).  A run of any length holds one frozen epoch, not all of them.
 
 use crate::backend::SnapshotView;
@@ -74,26 +74,25 @@ impl DdsChain {
     }
 
     /// Commit ordered write batches (for the runtime: one per machine, in
-    /// machine-id order) into the current epoch's store, locking each shard
-    /// once and committing distinct shards in parallel on up to `threads`
-    /// workers.  Per-key multi-value index order is the concatenation order
-    /// of the batches.
+    /// machine-id order) into the current epoch's store: each shard takes
+    /// its bucket of the round's pairs, locking once.  Per-key multi-value
+    /// index order is the concatenation order of the batches.
     ///
-    /// The partition pass before the commit runs on up to `threads` workers
-    /// too, each taking a contiguous range of the round's pairs wherever
-    /// the batch boundaries fall — so a scatter's one batch is split like a
+    /// The partition pass before the commit runs on up to `threads` workers,
+    /// each taking a contiguous range of the round's pairs wherever the
+    /// batch boundaries fall — so a scatter's one batch is split like a
     /// round of many — and its buckets are bit-identical to a
     /// single-threaded pass's (see [`crate::store`]).  The batches are
     /// dropped before the commit starts.
     pub fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
         let per_shard = partition_by_shard(self.num_shards, &batches, threads);
         drop(batches);
-        self.current.commit_partitioned(per_shard, threads);
+        self.current.commit_partitioned(per_shard);
     }
 
-    /// Freeze the current epoch **in place** and open the next one; the
-    /// write-side shard maps become the snapshot's frozen maps without a
-    /// rebuild, shrunk shard-parallel on up to one worker per available CPU.
+    /// Freeze the current epoch and open the next one; the write side's
+    /// pair lists are sorted into the snapshot's frozen shards,
+    /// shard-parallel on up to one worker per available CPU.
     ///
     /// Returns the snapshot of the epoch that just completed; subsequent
     /// reads in the next round go against that snapshot.  Callers with a
@@ -208,7 +207,7 @@ mod tests {
         assert!(chain.snapshot(98).is_none(), "retired epochs are refused");
         assert!(chain.snapshot(99).is_some());
         assert!(chain.snapshot(100).is_none());
-        // The per-epoch accounting is exact without the retired maps.
+        // The per-epoch accounting is exact without the retired shards.
         let stats = chain.epoch_stats();
         assert_eq!(stats.len(), 100);
         for (epoch, stats) in stats.iter().enumerate() {

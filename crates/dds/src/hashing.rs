@@ -10,38 +10,24 @@
 //! restarted machines observe identical placements, which is what the
 //! paper's contention assumptions (Section 2.1, item 3) require.
 //!
-//! # One key hash, split three ways
+//! # One key hash, read two ways
 //!
-//! A [`crate::Key`] is hashed twice on every access: once to pick its shard
-//! and once inside that shard's hash table.  Both start from the one digest
-//! [`hash_words`]`(code, a, b)`, and they must not read the same bits of
-//! it.  `std`'s table (hashbrown) takes a key's start bucket from the
-//! **low** bits of its hash and its 7-bit control byte from the **top** 7;
-//! a shard pick of `digest % 2ᵏ` pins the low `k` bits of every key of a
-//! shard.  Feed the table the same digest and, at 1024 shards, all ≈ 576
-//! keys of a shard start their probe at one bucket of a 1024-bucket table.
-//! So the digest is split by construction:
+//! A lookup reads one digest of its [`crate::Key`], [`hash_words`]`(code,
+//! a, b)`, computed once, twice: to pick the key's shard and to pick its
+//! bucket in that shard's directory ([`crate::slot`]).  The two must not
+//! lean on the same bits.  A shard pick of `digest % 2ᵏ` pins the low `k`
+//! bits of every key of a shard; a directory indexed by those bits would
+//! put all ≈ 576 keys of a shard on one bucket at 1024 shards.  So the
+//! digest is split by construction:
 //!
 //! * **shard** — `digest % num_shards` (the digest's low bits when the
 //!   count is a power of two, some of them when it has a factor of two);
 //!   frozen, see [`crate::Key`]'s golden test;
-//! * **bucket** — `impl Hash for Key` writes `digest ^ (digest >> 32)`,
-//!   the high half folded onto the low half, and the hasher multiplies it:
-//!   the low `k` bits of the product are a function of the low `k` bits of
-//!   the folded word, i.e. of digest bits `32..32+k` xor the bits the shard
-//!   pick held constant — free to vary at any shard count;
-//! * **control byte** — the top 7 bits of that product, which every bit of
-//!   the folded word reaches.
-//!
-//! (A rotation, rustc-hash 2's answer to the same hashbrown weakness, also
-//! unpins the bucket; on `Adjacency(v, i)` keys at 512 shards it left a
-//! shard's keys on a third of the start buckets uniform hashing would use,
-//! the fold on ≥ 0.85 of them — `key.rs` pins the property by test.)
-//!
-//! Only `Key` hashes this way.  [`FxHasher::finish`] and every other
-//! `FxHashMap` / `FxHashSet` are as they were: iteration order of some of
-//! them is observable (connectivity's contraction collects edges from an
-//! `FxHashSet`), so a global change would move `comm_pairs`.
+//! * **bucket** — the **top** bits of [`fold`]`(digest)`: the high half
+//!   folded onto the low half, times the Fx multiplier.  Every bit of the
+//!   folded word reaches the top of the product, so the bucket varies
+//!   however many bits the shard pick held constant.  `key.rs` pins the
+//!   spread by test at 2ᵏ shard counts and at the primes below them.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -122,8 +108,8 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// Hash a pair of 64-bit words plus a tag into a single 64-bit digest.
 ///
 /// The one hash of a [`crate::Key`]: shard selection reads it directly and
-/// the shard tables read it rotated (module docs).  Must stay stable across
-/// runs and across versions — placement is a function of it.
+/// the shard directories read it folded (module docs).  Must stay stable
+/// across runs and across versions — placement is a function of it.
 #[inline]
 pub fn hash_words(tag: u32, a: u64, b: u64) -> u64 {
     let mut h = FxHasher::default();
@@ -131,6 +117,14 @@ pub fn hash_words(tag: u32, a: u64, b: u64) -> u64 {
     h.write_u64(a);
     h.write_u64(b);
     h.finish()
+}
+
+/// A key digest's high half folded onto its low half, times the Fx
+/// multiplier: the word a shard directory takes a bucket's top bits from
+/// (module docs).
+#[inline]
+pub(crate) fn fold(digest: u64) -> u64 {
+    (digest ^ (digest >> 32)).wrapping_mul(SEED)
 }
 
 #[cfg(test)]

@@ -7,17 +7,14 @@
 //! in the paper (adjacency entries, statuses, priorities, contracted edges,
 //! list-ranking weights, …).
 //!
-//! A key has **one** 64-bit hash, `hash_words(tag.code(), a, b)`, read two
-//! ways that do not lean on the same bits: [`Key::shard`] takes it modulo
-//! the shard count, and `impl Hash for Key` hands the shard's hash table
-//! the same word with its high half folded onto its low half, so the
-//! table's bucket index and control byte come from bits the shard pick
-//! cannot pin (the split, and why hashbrown needs it, is in
-//! [`crate::hashing`]).
+//! A key has **one** 64-bit hash, `hash_words(tag.code(), a, b)`, computed
+//! once per lookup and read two ways that do not lean on the same bits: the
+//! shard pick takes it modulo the shard count, and the shard's directory
+//! takes its bucket from the top bits of the folded word, which the shard
+//! pick cannot pin (the split is in [`crate::hashing`]).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Namespace tag of a [`Key`].
 ///
@@ -116,7 +113,7 @@ impl KeyTag {
 /// `v`.  The model's multi-value addressing "(x, 1), …, (x, k)" maps onto the
 /// store's per-key value lists (see [`crate::ShardedStore`]); the `b`
 /// coordinate here is for keys that are *structurally* two-dimensional.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Key {
     /// Namespace of the key.
     pub tag: KeyTag,
@@ -140,33 +137,29 @@ impl Key {
     }
 
     /// The key's one 64-bit hash; `tag.code()` is injective, so equal
-    /// digests are all that equal keys need.
+    /// digests are all that equal keys need.  A lookup computes it once,
+    /// for [`shard_of`] and for the shard's directory bucket.
     #[inline]
-    fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         crate::hashing::hash_words(self.tag.code(), self.a, self.b)
     }
 
-    /// The shard ("DDS machine") of `num_shards` responsible for this key —
-    /// a pure function of the key, as the model's contention analysis
-    /// requires, and the one placement every store and view agrees on.
-    /// Frozen: per-shard loads, the lease's shard ranges and replay between
-    /// binaries of different versions all lean on it (golden test below).
+    /// The shard ("DDS machine") of `num_shards` responsible for this key:
+    /// [`shard_of`] its digest.
     #[inline]
     pub(crate) fn shard(&self, num_shards: usize) -> usize {
-        (self.digest() % num_shards as u64) as usize
+        shard_of(self.digest(), num_shards)
     }
 }
 
-/// The in-table hash: the digest with its high half folded onto its low
-/// half, so the bits a hash table indexes on are not only the bits
-/// [`Key::shard`] fixed for every key of that table (see
-/// [`crate::hashing`]).
-impl Hash for Key {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let digest = self.digest();
-        state.write_u64(digest ^ (digest >> 32));
-    }
+/// The shard of `num_shards` holding the key with `digest` — a pure
+/// function of the key, as the model's contention analysis requires, and
+/// the one placement every store and view agrees on.  Frozen: per-shard
+/// loads, the lease's shard ranges and replay between binaries of different
+/// versions all lean on it (golden test below).
+#[inline]
+pub(crate) fn shard_of(digest: u64, num_shards: usize) -> usize {
+    (digest % num_shards as u64) as usize
 }
 
 impl fmt::Display for Key {
@@ -228,8 +221,7 @@ impl From<(u64, u64)> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashing::{hash_words, FxBuildHasher};
-    use std::hash::BuildHasher;
+    use crate::hashing::hash_words;
 
     /// Every named tag and the corners of the `Custom` namespace.
     const TAGS: [KeyTag; 14] = [
@@ -248,10 +240,6 @@ mod tests {
         KeyTag::Custom(42),
         KeyTag::Custom(u16::MAX),
     ];
-
-    fn table_hash(key: &Key) -> u64 {
-        FxBuildHasher::default().hash_one(key)
-    }
 
     #[test]
     fn key_tag_codes_round_trip() {
@@ -295,25 +283,8 @@ mod tests {
         }
     }
 
-    /// A hasher that records what `Key` feeds it and refuses the byte path
-    /// (which the derived impl took for `Custom`'s `u16`).
-    #[derive(Default)]
-    struct Recorder(Vec<u64>);
-
-    impl Hasher for Recorder {
-        fn finish(&self) -> u64 {
-            0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            panic!("Key must hash as one word, not as bytes {bytes:?}");
-        }
-        fn write_u64(&mut self, word: u64) {
-            self.0.push(word);
-        }
-    }
-
     #[test]
-    fn table_hash_is_a_pure_function_of_code_and_coordinates() {
+    fn digest_is_a_pure_function_of_code_and_coordinates() {
         let coordinates = [0u64, 1, 42, u64::MAX];
         let mut keys = Vec::new();
         for tag in TAGS {
@@ -321,42 +292,40 @@ mod tests {
                 for b in coordinates {
                     let key = Key::with_index(tag, a, b);
                     let digest = hash_words(tag.code(), a, b);
-                    let mut recorder = Recorder::default();
-                    key.hash(&mut recorder);
-                    assert_eq!(recorder.0, [digest ^ (digest >> 32)], "{key}");
-                    // The same word whichever way the key was built…
+                    assert_eq!(key.digest(), digest, "{key}");
+                    // The same digest whichever way the key was built…
                     let rebuilt = Key::with_index(KeyTag::from_code(tag.code()), a, b);
-                    assert_eq!(table_hash(&key), table_hash(&rebuilt));
-                    // …and derived from the digest the shard pick reads.
+                    assert_eq!(rebuilt.digest(), digest);
+                    // …and the shard pick reads it.
                     assert_eq!(key.shard(1021), (digest % 1021) as usize);
                     keys.push(key);
                 }
             }
         }
-        // `Hash` agrees with the derived `Eq` / `Ord`: equal keys hash
-        // equal, and keys are equal exactly when (code, a, b) are.
+        // The digest agrees with the derived `Eq` / `Ord`: equal keys have
+        // equal digests, and keys are equal exactly when (code, a, b) are.
         for k1 in &keys {
             for k2 in &keys {
                 let same = (k1.tag.code(), k1.a, k1.b) == (k2.tag.code(), k2.a, k2.b);
                 assert_eq!(k1 == k2, same);
                 assert_eq!(k1.cmp(k2) == std::cmp::Ordering::Equal, same);
                 if k1 == k2 {
-                    assert_eq!(table_hash(k1), table_hash(k2));
+                    assert_eq!(k1.digest(), k2.digest());
                 }
             }
         }
     }
 
-    /// The property the three-way split exists for.  hashbrown starts a
-    /// key's probe at `hash & (buckets − 1)` and tells neighbours apart by
-    /// the 7-bit control byte `hash >> 57`; the keys of one shard all agree
-    /// on `digest % num_shards`.  Whatever the shard count, one shard's
-    /// keys must still spread over the start buckets of their table (at
-    /// least half as many distinct ones as uniform hashing would give) and
-    /// over the control bytes (≥ 100 of 128).  Fed the digest itself, a
-    /// 1024-shard store puts every key of a shard on **one** start bucket.
+    /// The property the split exists for.  A shard's directory takes a
+    /// key's bucket from the top bits of the folded digest, among
+    /// `keys.next_power_of_two()` buckets; the keys of one shard all agree
+    /// on `digest % num_shards`.  At 2ᵏ shard counts and at the primes just
+    /// below them, one shard's keys must still spread over its directory's
+    /// buckets: at least half as many distinct ones as uniform hashing
+    /// would give.  Indexed by the digest's low bits, a 1024-shard store
+    /// puts every key of a shard on **one** bucket.
     #[test]
-    fn one_shards_keys_spread_over_its_tables_buckets_and_control_bytes() {
+    fn one_shards_keys_spread_over_its_directorys_buckets() {
         const KEYS_PER_SHARD: u64 = 512;
         type Family = (&'static str, fn(u64) -> Key);
         // The keys the algorithms publish, `j` running over vertices or
@@ -376,36 +345,32 @@ mod tests {
             values.dedup();
             values.len()
         };
-        for num_shards in [1usize, 2, 3, 64, 412, 512, 1000, 1024] {
+        for num_shards in [509usize, 512, 1021, 1024] {
             for (name, family) in families {
                 let mut per_shard: Vec<Vec<u64>> = vec![Vec::new(); num_shards];
                 for j in 0..KEYS_PER_SHARD * num_shards as u64 {
                     let key = family(j);
-                    per_shard[key.shard(num_shards)].push(table_hash(&key));
+                    per_shard[key.shard(num_shards)].push(key.digest());
                 }
-                for (shard, hashes) in per_shard.iter().enumerate() {
-                    let keys = hashes.len();
+                for (shard, digests) in per_shard.iter().enumerate() {
+                    let keys = digests.len();
                     assert!(
                         keys >= 384,
                         "{name}: shard {shard}/{num_shards} is underfull"
                     );
-                    // hashbrown's table for `keys` entries: 7/8 load factor,
-                    // power-of-two bucket count.
-                    let buckets = (keys * 8 / 7).next_power_of_two();
-                    let starts =
-                        distinct(&mut hashes.iter().map(|h| h & (buckets as u64 - 1)).collect());
+                    let buckets = keys.next_power_of_two();
+                    let used = distinct(
+                        &mut digests
+                            .iter()
+                            .map(|&digest| crate::slot::bucket(digest, buckets) as u64)
+                            .collect(),
+                    );
                     let uniform =
                         buckets as f64 * (1.0 - (1.0 - 1.0 / buckets as f64).powi(keys as i32));
                     assert!(
-                        starts as f64 >= uniform / 2.0,
-                        "{name}: the {keys} keys of shard {shard}/{num_shards} start on {starts} \
+                        used as f64 >= uniform / 2.0,
+                        "{name}: the {keys} keys of shard {shard}/{num_shards} sit in {used} \
                          of {buckets} buckets (uniform hashing: {uniform:.0})"
-                    );
-                    let control_bytes = distinct(&mut hashes.iter().map(|h| h >> 57).collect());
-                    assert!(
-                        control_bytes >= 100,
-                        "{name}: the {keys} keys of shard {shard}/{num_shards} use \
-                         {control_bytes} of 128 control bytes"
                     );
                 }
             }

@@ -12,9 +12,9 @@
 //! * [`Key`] / [`Value`] — constant-size key-value pairs, exactly as the model
 //!   requires (both consist of a constant number of machine words).
 //! * [`ShardedStore`] — the *writable* store for the current round.  Writes
-//!   are hashed to one of `P` shards; every shard tracks how many reads and
-//!   writes it served so that the contention analysis of the paper
-//!   (Lemma 2.1) can be validated empirically.
+//!   are hashed to one of `P` shards; every shard counts the writes it took
+//!   and, once frozen, the reads it served, so that the contention analysis
+//!   of the paper (Lemma 2.1) can be validated empirically.
 //! * [`Snapshot`] — an immutable, read-only view of a completed round, and
 //!   the **one view type** every backend serves: a cheap-clone handle over
 //!   one [`FrozenEpoch`] per owner group.  Machines in round *i* read from
@@ -25,7 +25,7 @@
 //! * [`backend`] — the [`SnapshotView`] / [`DdsBackend`] trait pair that
 //!   makes the store surface pluggable.  There is one view, one wire
 //!   client, and any number of owners: [`LocalBackend`] wraps the chain
-//!   above (one group, frozen in place), and [`RemoteBackend`] is the only
+//!   above (one group, frozen in process), and [`RemoteBackend`] is the only
 //!   client of the message-passing wire protocol (see below) —
 //!   [`ChannelBackend`] over in-process channels, [`TcpBackend`] over
 //!   sockets to owner threads (interleaved, or a local cluster of
@@ -35,36 +35,39 @@
 //!
 //! # Epoch lifecycle: freeze → publish → read
 //!
-//! An epoch moves through three stages, all sharing **one representation**
-//! — the write-side shard maps are the frozen maps:
+//! An epoch moves through three stages.  Round *i* only writes `D_i` and
+//! round *i + 1* only reads it, so a shard has one layout for each side
+//! ([`slot`], the one module that knows both):
 //!
-//! 1. **Accumulate** — machines buffer writes; the runtime commits them into
-//!    the writable [`ShardedStore`], grouped by destination shard so each
-//!    shard lock is taken once per batch, with distinct shards committed in
-//!    parallel ([`ShardedStore::commit_partitioned`]).  Singleton keys are
-//!    stored inline; only multi-value keys allocate.
-//! 2. **Freeze, in place** — epoch advance no longer rebuilds anything:
-//!    [`ShardedStore::freeze`] reuses every shard map allocation outright
-//!    and merely shrinks the spare capacity of the rare multi-value slots
-//!    (the write and frozen sides share the [`slot`] layout, which costs no
-//!    extra width — the discriminant hides in the `Vec` pointer niche).
-//!    Shards are shrunk in parallel for large epochs.
-//! 3. **Publish & serve** — the frozen maps are immutable from here on, so
-//!    they are published as [`FrozenEpoch`]s behind `Arc`s and served
+//! 1. **Accumulate = append** — machines buffer writes; the runtime's
+//!    commit partitions them by destination shard into exact-size buckets,
+//!    and each writable shard — its pairs in commit order — takes its
+//!    bucket as it is, or appends it ([`ShardedStore::commit_partitioned`];
+//!    an owner appends a `Commit`'s pairs the same way).  Nothing is hashed
+//!    into a table or looked up while a round is written.
+//! 2. **Freeze = group by bucket** — [`ShardedStore::freeze`] lays each
+//!    shard's pairs out by the directory bucket of their key's digest, in
+//!    one stable counting sort, so each key's values are one contiguous
+//!    run in commit order (the multi-value index order), under a `u32`
+//!    bucket directory.  Shards are frozen in parallel for large epochs;
+//!    retiring an epoch later is two frees per shard.
+//! 3. **Publish & serve** — the frozen shards are immutable from here on,
+//!    so they are published as [`FrozenEpoch`]s behind `Arc`s and served
 //!    lock-free through a [`Snapshot`] (cloned to every machine thread).
 //!    On [`LocalBackend`] the snapshot holds the store's single group; on
 //!    [`ChannelBackend`] each owner thread hands its frozen shard group's
 //!    `Arc` to the backend in its `Advance` reply, so point and batched
-//!    reads resolve against the shared maps with **zero channel traffic** —
-//!    only commits, advances, and driver-side loads/dumps remain
-//!    message-passing; on [`TcpBackend`] the epoch crosses the wire in one
-//!    pass each way — the owner encodes the payload straight from its
-//!    frozen maps, the client decodes it straight into the maps of a
-//!    replica (validated as it goes: every count against the bytes
-//!    present, no entry without values, no key twice in a shard, the
-//!    owner's share of shards) — so every transport answers an advance
-//!    with a ready-to-read [`FrozenEpoch`].  Reads are counted in
-//!    per-shard atomics inside the published epoch, keeping the Lemma 2.1
+//!    reads resolve against the shared shards with **zero channel
+//!    traffic** — only commits, advances, and driver-side loads/dumps
+//!    remain message-passing; on [`TcpBackend`] the epoch crosses the wire
+//!    in one pass each way — the owner encodes the payload straight from
+//!    its frozen shards, in layout order, and the client appends the pairs
+//!    straight into a replica, which then freezes without a copy
+//!    (validated as it goes: every count against the bytes present, no
+//!    entry without values, no key twice in a shard, the owner's share of
+//!    shards) — so every transport answers an advance with a
+//!    ready-to-read [`FrozenEpoch`].  Reads are counted in per-shard
+//!    atomics inside the published epoch, keeping the Lemma 2.1
 //!    contention accounting observable from both sides.
 //!
 //! Views hand-for-hand outlive the stores that made them: a snapshot taken
@@ -80,10 +83,11 @@
 //! * [`proto`] — the protocol as data: serializable [`proto::Request`] /
 //!   [`proto::Reply`] types (`Commit` / `Advance` / `Loads` / `Dump` /
 //!   `TotalWrites`), a byte codec built on a constant-size pair encoding
-//!   (20-byte keys, 16-byte values), the epoch payload that carries frozen maps across a
-//!   process boundary — one writer and one parser, each with a map-backed
-//!   end (the serving path: hash maps to bytes to hash maps, nothing
-//!   allocated per key) and a typed end ([`proto::EpochFrame`], the same
+//!   (20-byte keys, 16-byte values), the epoch payload that carries frozen
+//!   shards across a process boundary — one writer and one parser, each
+//!   with a frozen-shard end (the serving path: frozen shards to bytes to
+//!   frozen shards, nothing allocated per key) and a typed end
+//!   ([`proto::EpochFrame`], the same
 //!   bytes as plain data for tools and tests) — and length-prefixed
 //!   framing with a hard size cap that refuses typed, on the side that
 //!   would have produced the frame.

@@ -17,13 +17,13 @@
 //!   its elements.  Decoders reject truncated buffers, unknown tags and
 //!   trailing garbage with a typed [`ProtoError`].
 //! * The epoch payload ([`Reply::Epoch`]) — per-shard write counts plus
-//!   every `(key, values)` entry: how a remote peer fetches the frozen maps
+//!   every `(key, values)` entry: how a remote peer fetches the frozen shards
 //!   that the in-process transport hands over as an `Arc` (see
 //!   [`crate::transport`]).  Its layout is written by one walker and parsed
 //!   by one walker, each with two ends.  The serving path never leaves the
-//!   hash maps: an owner encodes a [`FrozenEpoch`] straight from its shard
-//!   maps ([`encode_epoch_into`]) and a client decodes the bytes straight
-//!   into shard maps ([`decode_reply_as`]) — one pass each way, no
+//!   frozen shards: an owner encodes a [`FrozenEpoch`] straight from its
+//!   shards ([`encode_epoch_into`]) and a client decodes the bytes straight
+//!   into shards ([`decode_reply_as`]) — one pass each way, no
 //!   allocation per key.  [`EpochFrame`] is the *typed* form of the same
 //!   bytes, for tools and tests that want to look at an epoch as plain data
 //!   ([`encode_reply_into`] / [`decode_reply`]).
@@ -58,9 +58,9 @@ const ENCODED_VALUE_BYTES: usize = 16;
 const ENCODED_PAIR_BYTES: usize = ENCODED_KEY_BYTES + ENCODED_VALUE_BYTES;
 
 /// Most shards a [`Request::Lease`] may announce.  The count sizes the owner
-/// the lease spawns (one map per shard it holds), so it is bounded where
-/// the frame enters, like a frame's length: 64× the runtime's `MAX_SHARDS`,
-/// about 3 MB of empty maps at worst.
+/// the lease spawns (one pair list per shard it holds), so it is bounded
+/// where the frame enters, like a frame's length: 64× the runtime's
+/// `MAX_SHARDS`, a few MB of empty shards at worst.
 pub const MAX_LEASE_SHARDS: u64 = 65_536;
 
 /// The kind of a [`Request`], without its payload — and, as `kind as u8`,
@@ -161,7 +161,7 @@ impl fmt::Display for RequestKind {
 /// and `Advance` target the *writable* epoch (the number of epochs the owner
 /// has frozen so far — owners validate this and panic on a protocol
 /// violation), `Loads` and `Dump` target the newest *completed* epoch (an
-/// owner retires an epoch's maps when it publishes the next, so an older
+/// owner retires an epoch's shards when it publishes the next, so an older
 /// one is as much a violation as one not frozen yet).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -179,7 +179,7 @@ pub enum Request {
         /// pairs in commit order).
         batches: Vec<(usize, Vec<(Key, Value)>)>,
     },
-    /// Freeze the writable epoch in place, open the next one, and publish
+    /// Freeze the writable epoch, open the next one, and publish
     /// the frozen epoch (as a shared `Arc` in-process, as a
     /// [`Reply::Epoch`] payload over the wire).
     Advance {
@@ -187,7 +187,7 @@ pub enum Request {
         epoch: usize,
     },
     /// Phase 1 of the cluster's two-phase epoch barrier: freeze the
-    /// writable epoch in place and hold it *prepared but unpublished*.
+    /// writable epoch and hold it *prepared but unpublished*.
     /// Acknowledged with [`Reply::EpochFrozen`]; the coordinator must
     /// collect this ack from **every** owner before any
     /// [`Request::PublishEpoch`] goes out, so no client can observe a
@@ -201,7 +201,7 @@ pub enum Request {
     /// Phase 2 of the two-phase barrier: publish the epoch prepared by
     /// [`Request::FreezeEpoch`] and answer with its [`Reply::Epoch`].
     /// Idempotent: a replayed publish of an already-published epoch
-    /// re-encodes the same frozen maps, which is what makes a sever between
+    /// re-encodes the same frozen shards, which is what makes a sever between
     /// freeze and publish recoverable.
     PublishEpoch {
         /// Index of the prepared epoch being published.
@@ -308,8 +308,8 @@ pub enum Reply {
     },
     /// [`Request::Advance`] / [`Request::PublishEpoch`] answered with the
     /// frozen epoch's contents.  This is the *typed* form of the payload,
-    /// for tools and tests: owners encode it from their frozen maps and
-    /// clients decode it into maps ([`crate::transport::ClientReply::SharedEpoch`])
+    /// for tools and tests: owners encode it from their frozen shards and
+    /// clients decode it into shards ([`crate::transport::ClientReply::SharedEpoch`])
     /// without ever materializing this variant, and in-process transports
     /// hand the `Arc` over as it is.
     Epoch(EpochFrame),
@@ -401,8 +401,8 @@ impl ShardMap {
 
 /// A frozen epoch of one owner's shard group as plain data: the typed form
 /// of the payload a remote peer fetches in place of the in-process `Arc`
-/// hand-off.  The serving path goes from hash maps to bytes to hash maps
-/// without it; it exists for tools and tests.
+/// hand-off.  The serving path goes from frozen shards to bytes to frozen
+/// shards without it; it exists for tools and tests.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct EpochFrame {
     /// `shards[local]` — the owner's `local`-th shard.
@@ -415,8 +415,9 @@ pub struct ShardFrame {
     /// Writes that built the shard.
     pub writes: u64,
     /// Every `(key, values)` entry of the shard, values in commit order.
-    /// Entry order is unspecified (hash-map iteration order) — lookups are
-    /// keyed, so replicas rebuilt from a frame read identically.
+    /// An owner sends them in its shard's layout order (bucket, then key),
+    /// which a replica takes without a copy; any other order reads
+    /// identically, since lookups are keyed.
     pub entries: Vec<(Key, Vec<Value>)>,
 }
 
@@ -537,10 +538,10 @@ fn put_value(buf: &mut Vec<u8>, value: &Value) {
     put_u64(buf, value.y);
 }
 
-fn put_entries<'a>(
-    buf: &mut Vec<u8>,
-    entries: impl ExactSizeIterator<Item = (&'a Key, &'a [Value])>,
-) {
+fn put_entries<'a, V>(buf: &mut Vec<u8>, entries: impl ExactSizeIterator<Item = (&'a Key, V)>)
+where
+    V: ExactSizeIterator<Item = &'a Value>,
+{
     put_u32(buf, entries.len() as u32);
     for (key, values) in entries {
         put_key(buf, key);
@@ -554,11 +555,12 @@ fn put_entries<'a>(
 /// The one writer of the epoch payload: the tag, the shard count, then per
 /// shard its write count and its entries.  `shards` is whatever holds the
 /// epoch, walked in place — [`EpochFrame::walk`] for the typed form,
-/// [`FrozenEpoch::walk`] for an owner's frozen maps — so the two cannot
+/// [`FrozenEpoch::walk`] for an owner's frozen shards — so the two cannot
 /// disagree on the layout.
-fn put_epoch<'a, E>(buf: &mut Vec<u8>, shards: impl ExactSizeIterator<Item = (u64, E)>)
+fn put_epoch<'a, E, V>(buf: &mut Vec<u8>, shards: impl ExactSizeIterator<Item = (u64, E)>)
 where
-    E: ExactSizeIterator<Item = (&'a Key, &'a [Value])>,
+    E: ExactSizeIterator<Item = (&'a Key, V)>,
+    V: ExactSizeIterator<Item = &'a Value>,
 {
     buf.push(ReplyTag::Epoch as u8);
     put_u32(buf, shards.len() as u32);
@@ -569,12 +571,13 @@ where
 }
 
 /// Exact number of bytes [`put_epoch`] writes for `shards`.
-fn epoch_len<'a, E>(shards: impl Iterator<Item = (u64, E)>) -> usize
+fn epoch_len<'a, E, V>(shards: impl Iterator<Item = (u64, E)>) -> usize
 where
-    E: Iterator<Item = (&'a Key, &'a [Value])>,
+    E: Iterator<Item = (&'a Key, V)>,
+    V: ExactSizeIterator<Item = &'a Value>,
 {
     let entry_len =
-        |(_, values): (&Key, &[Value])| ENCODED_KEY_BYTES + 4 + values.len() * ENCODED_VALUE_BYTES;
+        |(_, values): (&Key, V)| ENCODED_KEY_BYTES + 4 + values.len() * ENCODED_VALUE_BYTES;
     let shard_len = |(_, entries): (u64, E)| 8 + 4 + entries.map(entry_len).sum::<usize>();
     1 + 4 + shards.map(shard_len).sum::<usize>()
 }
@@ -583,18 +586,23 @@ impl EpochFrame {
     /// The frame as [`put_epoch`] walks it.
     fn walk(
         &self,
-    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = (&Key, &[Value])>)> {
+    ) -> impl ExactSizeIterator<
+        Item = (
+            u64,
+            impl ExactSizeIterator<Item = (&Key, impl ExactSizeIterator<Item = &Value>)>,
+        ),
+    > {
         self.shards.iter().map(|shard| {
             let entries = shard.entries.iter();
             (
                 shard.writes,
-                entries.map(|(key, values)| (key, values.as_slice())),
+                entries.map(|(key, values)| (key, values.iter())),
             )
         })
     }
 }
 
-/// Encode a frozen epoch **straight from its shard maps** as the
+/// Encode a frozen epoch **straight from its shards** as the
 /// [`Reply::Epoch`] payload it is on the wire — the owner's half of "one
 /// pass each way": the exact size is computed first, the buffer (cleared
 /// first, capacity retained) is reserved once, and nothing is allocated per
@@ -704,7 +712,7 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
             buf.push(ReplyTag::Dump as u8);
             put_entries(
                 buf,
-                entries.iter().map(|(key, values)| (key, values.as_slice())),
+                entries.iter().map(|(key, values)| (key, values.iter())),
             );
         }
         Reply::TotalWrites(total) => {
@@ -748,6 +756,7 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
 // ---------------------------------------------------------------------------
 
 /// Byte cursor that turns out-of-bytes into typed [`ProtoError::Truncated`].
+#[derive(Clone)]
 struct Cursor<'a> {
     bytes: &'a [u8],
 }
@@ -799,6 +808,13 @@ impl<'a> Cursor<'a> {
         Ok(value_at(self.take(ENCODED_VALUE_BYTES, "value")?))
     }
 
+    /// One `(key, values)` entry: the key and its encoded value run.
+    fn entry(&mut self) -> Result<(Key, &'a [u8]), ProtoError> {
+        let key = self.key()?;
+        let values = self.count(ENCODED_VALUE_BYTES, "values")?;
+        Ok((key, self.take(values * ENCODED_VALUE_BYTES, "values")?))
+    }
+
     /// A `u32` element count, validated against the bytes actually left
     /// (each element needs at least `min_element_bytes`), so a corrupt
     /// count can neither over-allocate nor masquerade as a short message.
@@ -826,7 +842,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// Where the one parser of the epoch payload ([`get_epoch`]) puts what it
-/// reads: the typed [`EpochFrame`] (tools, tests) or the shard maps of a
+/// reads: the typed [`EpochFrame`] (tools, tests) or the shards of a
 /// [`FrozenEpoch`] (a client's replica).  Two sinks of one walker, so the
 /// two cannot disagree on the layout; what a sink *accepts* is its own
 /// business — a frame is plain data and takes any entry, a replica refuses
@@ -835,10 +851,14 @@ pub(crate) trait EpochSink: Sized {
     /// One shard under construction.
     type Shard;
 
+    /// An epoch about to receive `shards` shards.  Every count handed to a
+    /// sink is already checked against the bytes actually present, so it
+    /// is safe to reserve for.
+    fn with_shards(shards: usize) -> Self;
+
     /// Start a shard built by `writes` writes that is about to receive
-    /// `entries` entries — a count already checked against the bytes
-    /// actually present, so it is safe to reserve for.
-    fn shard(writes: u64, entries: usize) -> Self::Shard;
+    /// `entries` entries holding `values` values in all.
+    fn shard(writes: u64, entries: usize, values: usize) -> Self::Shard;
 
     /// Add one entry, its values in commit order.
     fn entry(
@@ -847,14 +867,20 @@ pub(crate) trait EpochSink: Sized {
         values: impl ExactSizeIterator<Item = Value>,
     ) -> Result<(), ProtoError>;
 
-    /// The epoch made of `shards`, in owner-local order.
-    fn finish(shards: Vec<Self::Shard>) -> Self;
+    /// Add a complete shard after the ones before it (owner-local order).
+    fn push(&mut self, shard: Self::Shard) -> Result<(), ProtoError>;
 }
 
 impl EpochSink for EpochFrame {
     type Shard = ShardFrame;
 
-    fn shard(writes: u64, entries: usize) -> ShardFrame {
+    fn with_shards(shards: usize) -> EpochFrame {
+        EpochFrame {
+            shards: Vec::with_capacity(shards),
+        }
+    }
+
+    fn shard(writes: u64, entries: usize, _values: usize) -> ShardFrame {
         ShardFrame {
             writes,
             entries: Vec::with_capacity(entries),
@@ -870,8 +896,9 @@ impl EpochSink for EpochFrame {
         Ok(())
     }
 
-    fn finish(shards: Vec<ShardFrame>) -> EpochFrame {
-        EpochFrame { shards }
+    fn push(&mut self, shard: ShardFrame) -> Result<(), ProtoError> {
+        self.shards.push(shard);
+        Ok(())
     }
 }
 
@@ -911,14 +938,19 @@ fn value_at(chunk: &[u8]) -> Value {
 /// One counted list of `(key, values)` entries into a shard of `S`.  Every
 /// count is validated against the bytes left before anything is reserved
 /// for it, and a value run is handed to the sink as an iterator over the
-/// payload, so nothing is allocated per key unless the sink does.
+/// payload, so nothing is allocated per key unless the sink does.  A first
+/// pass totals the entries' values (failing where the second pass would),
+/// so the sink can size a shard's pairs exactly instead of growing them.
 fn get_entries<S: EpochSink>(cursor: &mut Cursor<'_>, writes: u64) -> Result<S::Shard, ProtoError> {
     let count = cursor.count(ENCODED_KEY_BYTES + 4, "entries")?;
-    let mut shard = S::shard(writes, count);
+    let mut ahead = cursor.clone();
+    let mut values = 0;
     for _ in 0..count {
-        let key = cursor.key()?;
-        let values = cursor.count(ENCODED_VALUE_BYTES, "values")?;
-        let run = cursor.take(values * ENCODED_VALUE_BYTES, "values")?;
+        values += ahead.entry()?.1.len() / ENCODED_VALUE_BYTES;
+    }
+    let mut shard = S::shard(writes, count, values);
+    for _ in 0..count {
+        let (key, run) = cursor.entry()?;
         S::entry(
             &mut shard,
             key,
@@ -932,12 +964,12 @@ fn get_entries<S: EpochSink>(cursor: &mut Cursor<'_>, writes: u64) -> Result<S::
 /// tag), into whichever sink the caller reads epochs as.
 fn get_epoch<S: EpochSink>(cursor: &mut Cursor<'_>) -> Result<S, ProtoError> {
     let shard_count = cursor.count(12, "epoch shards")?;
-    let mut shards = Vec::with_capacity(shard_count);
+    let mut epoch = S::with_shards(shard_count);
     for _ in 0..shard_count {
         let writes = cursor.u64("shard writes")?;
-        shards.push(get_entries::<S>(cursor, writes)?);
+        epoch.push(get_entries::<S>(cursor, writes)?)?;
     }
-    Ok(S::finish(shards))
+    Ok(epoch)
 }
 
 /// Decode a [`Request`] from its wire payload.
@@ -1028,7 +1060,7 @@ pub(crate) enum Decoded<S> {
 
 /// Decode a reply, reading an epoch payload **straight into** `S` — with
 /// `S =` [`FrozenEpoch`], the client's half of "one pass each way": bytes to
-/// shard maps with no [`EpochFrame`] in between.  The one place reply tags
+/// frozen shards with no [`EpochFrame`] in between.  The one place reply tags
 /// are matched; same contract as [`decode_request`].
 #[deny(
     unreachable_patterns,
@@ -1365,7 +1397,7 @@ mod tests {
 
     /// The one rule no type carries: inside this file the epoch payload has
     /// one writer and one parser, so its two in-memory forms (typed frame,
-    /// shard maps) cannot grow two layouts.  Outside this file the tag
+    /// frozen shards) cannot grow two layouts.  Outside this file the tag
     /// cannot be named at all (`ReplyTag` is private).
     #[test]
     fn the_epoch_payload_has_one_writer_and_one_parser() {
@@ -1569,32 +1601,29 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // One epoch layout, four code paths: typed-frame and map-backed
-    // encoders, typed-frame and map-backed decoders.
+    // One epoch layout, four code paths: typed-frame and frozen-shard
+    // encoders, typed-frame and frozen-shard decoders.
     // -----------------------------------------------------------------
 
-    use crate::slot::{Slot, SlotMap};
+    use crate::slot::Shard;
     use proptest::prelude::*;
 
-    /// An owner's frozen epoch holding `shards` (a repeated key keeps its
-    /// last values, as any map would).
+    /// An owner's frozen epoch holding `shards` (a repeated key's values
+    /// join one run, as an owner's appends would).
     fn frozen(shards: Vec<ShardFrame>) -> FrozenEpoch {
-        let slot = |values: Vec<Value>| match values.as_slice() {
-            [value] => Slot::One(*value),
-            _ => Slot::Many(values),
-        };
-        let (writes, maps): (Vec<u64>, Vec<SlotMap>) = shards
+        let (writes, shards): (Vec<u64>, Vec<Shard>) = shards
             .into_iter()
             .map(|shard| {
                 let entries = shard.entries.into_iter();
-                let map = entries.map(|(key, values)| (key, slot(values))).collect();
-                (shard.writes, map)
+                let pairs =
+                    entries.flat_map(|(key, values)| values.into_iter().map(move |v| (key, v)));
+                (shard.writes, Shard::freeze(pairs.collect()))
             })
             .unzip();
-        FrozenEpoch::new(maps, writes)
+        FrozenEpoch::new(shards, writes)
     }
 
-    /// The typed form of `epoch`, entries in the maps' iteration order.
+    /// The typed form of `epoch`, entries in layout order.
     fn frame_of(epoch: &FrozenEpoch) -> EpochFrame {
         EpochFrame {
             shards: epoch
@@ -1602,20 +1631,20 @@ mod tests {
                 .map(|(writes, entries)| ShardFrame {
                     writes,
                     entries: entries
-                        .map(|(key, values)| (*key, values.to_vec()))
+                        .map(|(key, values)| (*key, values.copied().collect()))
                         .collect(),
                 })
                 .collect(),
         }
     }
 
-    fn encode_maps(epoch: &FrozenEpoch) -> Vec<u8> {
+    fn encode_frozen(epoch: &FrozenEpoch) -> Vec<u8> {
         let mut bytes = vec![0xEE; 7]; // stale contents must be cleared
         encode_epoch_into(&mut bytes, epoch).expect("a small epoch fits a frame");
         bytes
     }
 
-    fn decode_maps(bytes: &[u8]) -> Result<FrozenEpoch, ProtoError> {
+    fn decode_frozen(bytes: &[u8]) -> Result<FrozenEpoch, ProtoError> {
         match decode_reply_as::<FrozenEpoch>(bytes)? {
             Decoded::Epoch(epoch) => Ok(epoch),
             Decoded::Wire(reply) => panic!("an epoch payload decoded as {reply:?}"),
@@ -1649,26 +1678,26 @@ mod tests {
             let epoch = frozen(shards);
             let frame = frame_of(&epoch);
 
-            // (a) maps → bytes → typed frame.
-            let from_maps = encode_maps(&epoch);
-            prop_assert_eq!(decode_reply(&from_maps), Ok(Reply::Epoch(frame.clone())));
+            // (a) frozen shards → bytes → typed frame.
+            let from_frozen = encode_frozen(&epoch);
+            prop_assert_eq!(decode_reply(&from_frozen), Ok(Reply::Epoch(frame.clone())));
 
-            // (b) typed frame → bytes → maps.
+            // (b) typed frame → bytes → frozen shards.
             let from_frame = encode_reply(&Reply::Epoch(frame));
-            let replica = decode_maps(&from_frame).expect("a well-formed epoch decodes");
+            let replica = decode_frozen(&from_frame).expect("a well-formed epoch decodes");
             prop_assert_eq!(&replica.shards, &epoch.shards);
             prop_assert_eq!(&replica.writes, &epoch.writes);
 
             // (c) one layout: same iteration order, same bytes.
-            prop_assert_eq!(from_maps, from_frame);
+            prop_assert_eq!(from_frozen, from_frame);
         }
 
         /// No prefix of an epoch payload decodes, into either sink.
         #[test]
         fn truncated_epochs_are_rejected_at_every_length(shards in arbitrary_shards()) {
-            let bytes = encode_maps(&frozen(shards));
+            let bytes = encode_frozen(&frozen(shards));
             for len in 0..bytes.len() {
-                prop_assert!(decode_maps(&bytes[..len]).is_err(), "map prefix of {len} bytes");
+                prop_assert!(decode_frozen(&bytes[..len]).is_err(), "replica prefix of {len} bytes");
                 prop_assert!(decode_reply(&bytes[..len]).is_err(), "frame prefix of {len} bytes");
             }
         }
@@ -1696,7 +1725,7 @@ mod tests {
     fn epoch_entries_without_values_are_rejected_by_replicas() {
         let bytes = crafted(vec![vec![(k(1), vec![Value::scalar(1)]), (k(2), vec![])]]);
         assert_eq!(
-            decode_maps(&bytes).err(),
+            decode_frozen(&bytes).err(),
             Some(ProtoError::Malformed {
                 context: "epoch entry without values"
             })
@@ -1712,14 +1741,14 @@ mod tests {
             (k(7), vec![Value::scalar(2), Value::scalar(3)]),
         ];
         assert_eq!(
-            decode_maps(&crafted(vec![vec![], twice.clone()])).err(),
+            decode_frozen(&crafted(vec![vec![], twice.clone()])).err(),
             Some(ProtoError::Malformed {
                 context: "epoch key repeated within a shard"
             })
         );
         // The same key in two *different* shards is two entries.
         let apart = crafted(twice.into_iter().map(|entry| vec![entry]).collect());
-        assert_eq!(decode_maps(&apart).map(|epoch| epoch.shards.len()), Ok(2));
+        assert_eq!(decode_frozen(&apart).map(|epoch| epoch.shards.len()), Ok(2));
     }
 
     #[test]
@@ -1737,15 +1766,16 @@ mod tests {
                 let mut bytes = bytes.clone();
                 bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
                 // The count is checked against the bytes actually present
-                // before a map, a `Vec` or a value list is sized by it.
+                // before a shard's pairs, a `Vec` or a value list is sized
+                // by it.
                 let expected = Some(ProtoError::Truncated { context });
-                assert_eq!(decode_maps(&bytes).err(), expected, "{context} × {count}");
+                assert_eq!(decode_frozen(&bytes).err(), expected, "{context} × {count}");
                 assert_eq!(decode_reply(&bytes).err(), expected, "{context} × {count}");
             }
             // Off by one: the bytes run out somewhere further in.
             let mut bytes = bytes.clone();
             bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
-            for err in [decode_maps(&bytes).err(), decode_reply(&bytes).err()] {
+            for err in [decode_frozen(&bytes).err(), decode_reply(&bytes).err()] {
                 assert!(matches!(err, Some(ProtoError::Truncated { .. })), "{err:?}");
             }
         }
@@ -1757,7 +1787,7 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.extend_from_slice(&[0, 0, 0]);
         let expected = Some(ProtoError::Trailing { remaining: 3 });
-        assert_eq!(decode_maps(&trailing).err(), expected);
+        assert_eq!(decode_frozen(&trailing).err(), expected);
         assert_eq!(decode_reply(&trailing).err(), expected);
 
         // The key's 4-byte tag code follows the first shard's header; 999
@@ -1765,7 +1795,7 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[17..21].copy_from_slice(&999u32.to_le_bytes());
         let expected = Some(ProtoError::Malformed { context: "key tag" });
-        assert_eq!(decode_maps(&corrupt).err(), expected);
+        assert_eq!(decode_frozen(&corrupt).err(), expected);
         assert_eq!(decode_reply(&corrupt).err(), expected);
     }
 
@@ -1794,10 +1824,12 @@ mod tests {
 
     /// Run one decoder over one mutant, holding what it asks the allocator
     /// for to a fixed multiple of the bytes it was handed: every count is
-    /// checked against the bytes left before anything is sized by it, and
-    /// the widest element built per wire byte is a replica's map slot
-    /// (a 24-byte entry header reserving one bucket of a table kept at most
-    /// 7/8 full and rounded up to a power of two).
+    /// checked against the bytes left before anything is sized by it.  The
+    /// most built per wire byte is a replica's: a 16-byte value becomes a
+    /// 40-byte pair in a buffer sized exactly (2.5 bytes per wire byte),
+    /// copied at most once into bucket order (2.5), under a directory of at
+    /// most two 4-byte slots per pair (0.5); an empty 12-byte shard costs a
+    /// 56-byte shard header, its write count and its read counter (6).
     fn decoded_within_budget<T>(mutant: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
         let before = crate::counting_alloc::allocated_bytes();
         let decoded = decode(mutant);
@@ -1812,7 +1844,7 @@ mod tests {
     }
 
     /// The entries of each shard in key order: what two decodes of one
-    /// payload must agree on when one of them went through hash maps.
+    /// payload must agree on when one of them put it in layout order.
     fn sorted(mut frame: EpochFrame) -> EpochFrame {
         for shard in &mut frame.shards {
             shard.entries.sort_by_key(|(key, _)| *key);
@@ -1825,9 +1857,9 @@ mod tests {
     /// codec is canonical, so nothing a peer sends is silently read as
     /// something else — and it never panics (under `release-checked`:
     /// never overflows) nor allocates past [`decoded_within_budget`].  An
-    /// epoch read into shard maps comes back in the maps' order, so there
-    /// the replica must hold exactly what the typed decode of the same
-    /// bytes holds.
+    /// epoch read into a replica comes back in layout order, so there the
+    /// replica must hold exactly what the typed decode of the same bytes
+    /// holds.
     #[test]
     fn mutated_frames_fail_typed_or_decode_to_what_they_encode() {
         for request in sample_requests() {
@@ -1837,7 +1869,7 @@ mod tests {
                 }
             }
         }
-        let map_backed = frozen(vec![
+        let owner_walked = frozen(vec![
             ShardFrame {
                 writes: 5,
                 entries: (0..6)
@@ -1847,7 +1879,7 @@ mod tests {
             ShardFrame::default(),
         ]);
         let mut payloads: Vec<Vec<u8>> = sample_replies().iter().map(encode_reply).collect();
-        payloads.push(encode_maps(&map_backed));
+        payloads.push(encode_frozen(&owner_walked));
         for bytes in payloads {
             for mutant in mutants(&bytes) {
                 let typed = decoded_within_budget(&mutant, decode_reply);

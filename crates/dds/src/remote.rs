@@ -18,8 +18,8 @@
 //!   ([`RemoteBackend::connect_remote`]), or a cluster of N serving
 //!   processes ([`RemoteBackend::connect_cluster`], see [`crate::cluster`]).
 //!   Every request and reply round-trips through the byte codec; a frozen
-//!   epoch is encoded from the owner's maps and decoded into the maps of a
-//!   replica, one pass each way.
+//!   epoch is encoded from the owner's shards and decoded into the shards
+//!   of a replica, one pass each way.
 //!
 //! Whatever the transport and whichever constructor, an owner this backend
 //! spawns is one thread behind one connection ([`spawn_owner`]), and the

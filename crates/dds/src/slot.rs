@@ -1,216 +1,340 @@
-//! Per-key storage slots: inline singletons, heap only for multi-values.
+//! The two layouts of a shard — the one module that knows them.
 //!
-//! Profiling the algorithm suite shows that ~99% of DDS keys hold exactly
-//! one value (degrees, statuses, successor pointers, per-slot adjacency
-//! entries, …).  The original layout paid a heap-allocated `Vec<Value>` for
-//! every key; [`Slot`] keeps the singleton case inline in the shard's hash
-//! map and only touches the heap once a key becomes multi-valued.
+//! In AMPC, round *i* only writes `D_i` and round *i + 1* only reads it
+//! (Section 2 of the paper), so a shard is laid out for one side at a time:
 //!
-//! # One layout for both sides of the freeze
+//! * **writable** — [`Pairs`]: the pairs committed to the shard, in commit
+//!   order.  A commit is a move (an empty shard takes the partition's
+//!   exact-size bucket as it is) or an append ([`append`]); nothing is
+//!   hashed or looked up while a round is written.
+//! * **frozen** — [`Shard`]: the same pairs grouped by key, the keys ordered
+//!   by the [`bucket`] of their digest and, inside a bucket, by [`Key`]'s
+//!   `Ord`, under a `u32` bucket directory: bucket `b` holds
+//!   `pairs[directory[b]..directory[b + 1]]`.  A shard of `n` pairs has
+//!   `n.next_power_of_two()` buckets, so a bucket holds one pair on
+//!   average, and an empty shard has no directory at all.
 //!
-//! Earlier revisions used two types: a growable `WriteSlot` (`Vec<Value>`
-//! multi-values) for the writable store and a compact frozen `Slot`
-//! (`Box<[Value]>`) for snapshots, which forced `freeze()` to **rebuild
-//! every shard map** just to change the value type.  [`Slot`] is now the
-//! single layout shared by the write side and the frozen side: freeze became
-//! an *in-place* pass ([`Slot::shrink_to_fit`] on the few multi-value
-//! entries) that reuses the write-side map allocation outright.
-//!
-//! The anticipated cost — a `Vec` header carries a capacity word a
-//! `Box<[Value]>` does not — never materialises: the discriminant lives in
-//! the `Vec` pointer's non-null niche, so the unified slot is exactly as
-//! wide as the old frozen slot (24 bytes, pinned by the size test below).
-//! The only residual trade is the spare multi-value capacity dropped by
-//! [`Slot::shrink_to_fit`]; the `read_latency` series in
-//! `BENCH_commit.json` keeps the read-side cost of the layout visible.
+//! [`Shard::freeze`] turns the first into the second with one stable
+//! counting sort, so a key's values keep their commit order — the
+//! multi-value index order of Section 2 — and the frozen layout is a
+//! function of the shard's contents alone, not of how its commits
+//! interleaved.  Pairs that already arrive in that order (an epoch an owner
+//! walked, decoded by a replica) are taken without a copy.  Retiring a
+//! frozen shard is two frees.
 
-use crate::hashing::FxHashMap;
-use crate::key::{Key, Value};
-use std::collections::hash_map::Entry;
+use crate::hashing::fold;
+use crate::key::{Key, KeyTag, Value};
+use crate::store::for_each_part_parallel;
 
-/// The hash table of one shard, writable or frozen — the one table type
-/// keyed by [`Key`], so every table indexes on `Key`'s in-table hash (bits
-/// the shard pick left free; see [`crate::hashing`]).
-pub(crate) type SlotMap = FxHashMap<Key, Slot>;
+/// A writable shard: its pairs in commit order.
+pub(crate) type Pairs = Vec<(Key, Value)>;
 
-/// Append `value` under `key`: the one insert of every write path, the
-/// in-process store's and the owners' alike.
+/// What a slot holds before a fill pass overwrites it.
+pub(crate) const UNFILLED: (Key, Value) = (
+    Key {
+        tag: KeyTag::Scalar,
+        a: 0,
+        b: 0,
+    },
+    Value { x: 0, y: 0 },
+);
+
+/// Append a commit's `pairs` to a writable shard: the one write of every
+/// commit path, the in-process store's and the owners' alike.  An empty
+/// shard takes the buffer as it is.
 #[inline]
-pub(crate) fn push_pair(map: &mut SlotMap, key: Key, value: Value) {
-    match map.entry(key) {
-        Entry::Occupied(mut slot) => slot.get_mut().push(value),
-        Entry::Vacant(slot) => {
-            slot.insert(Slot::One(value));
-        }
+pub(crate) fn append(shard: &mut Pairs, mut pairs: Pairs) {
+    if shard.is_empty() {
+        *shard = pairs;
+    } else {
+        shard.append(&mut pairs);
     }
 }
 
-/// Freeze shard maps **in place**: reuse every map allocation (and every
-/// inline singleton slot) as-is, dropping only the spare `Vec` capacity of
-/// the rare multi-value slots — on up to `threads` scoped threads, each
-/// taking one contiguous run of the maps.
-///
-/// The single freeze pass shared by [`crate::ShardedStore::freeze`] and the
-/// owners' `Advance` / `FreezeEpoch` (which call it with one thread), so the
-/// two epoch pipelines cannot drift apart.
-pub(crate) fn freeze_in_place(maps: &mut [SlotMap], threads: usize) {
-    let freeze = |maps: &mut [SlotMap]| {
-        for slot in maps.iter_mut().flat_map(|map| map.values_mut()) {
-            slot.shrink_to_fit();
+/// The directory bucket of a key with `digest` among `buckets` (a power of
+/// two): the top bits of the folded digest ([`crate::hashing`]), which every
+/// digest bit reaches — so the keys of one shard, which all agree on
+/// `digest % num_shards`, still spread over its buckets.
+#[inline]
+pub(crate) fn bucket(digest: u64, buckets: usize) -> usize {
+    ((u128::from(fold(digest)) * buckets as u128) >> 64) as usize
+}
+
+/// A frozen shard: pairs grouped by key under a bucket directory (module
+/// docs).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Shard {
+    /// Every pair, each key's run contiguous and in commit order.
+    pairs: Pairs,
+    /// `buckets + 1` offsets into `pairs`; empty when `pairs` is.
+    directory: Vec<u32>,
+    /// Distinct keys (runs).
+    keys: usize,
+}
+
+impl Shard {
+    /// Freeze a writable shard: count the pairs per bucket, lay them out in
+    /// bucket order by a stable counting sort unless they already are, and
+    /// sort a bucket's keys (stably, so each key's values keep their order)
+    /// only where they are out of order.
+    pub(crate) fn freeze(pairs: Pairs) -> Shard {
+        if pairs.is_empty() {
+            return Shard::default();
         }
-    };
-    let threads = threads.clamp(1, maps.len().max(1));
-    if threads == 1 {
-        return freeze(maps);
+        assert!(
+            u32::try_from(pairs.len()).is_ok(),
+            "a shard's directory addresses at most u32::MAX pairs"
+        );
+        let buckets = pairs.len().next_power_of_two();
+        let mut directory = vec![0u32; buckets + 1];
+        // Whether the pairs are in layout order already: buckets ascend,
+        // and keys inside a bucket.  Once they are not, the check stops (an
+        // unpredictable branch per pair cost twice the counting itself).
+        let mut ordered = true;
+        let mut previous = (0, &pairs[0].0);
+        for (key, _) in &pairs {
+            let bucket = bucket(key.digest(), buckets);
+            directory[bucket + 1] += 1;
+            if ordered {
+                ordered = previous.0 < bucket || (previous.0 == bucket && previous.1 <= key);
+                previous = (bucket, key);
+            }
+        }
+        for b in 0..buckets {
+            directory[b + 1] += directory[b];
+        }
+        let pairs = if ordered {
+            pairs
+        } else {
+            sorted(pairs, &mut directory)
+        };
+        let keys = pairs.chunk_by(|(a, _), (b, _)| a == b).count();
+        Shard {
+            pairs,
+            directory,
+            keys,
+        }
     }
-    let run = maps.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for maps in maps.chunks_mut(run) {
-            scope.spawn(move || freeze(maps));
+
+    /// The pairs of the bucket `digest` falls in.
+    #[inline]
+    fn bucket_of(&self, digest: u64) -> &[(Key, Value)] {
+        let Some(buckets) = self.directory.len().checked_sub(1) else {
+            return &[];
+        };
+        let b = bucket(digest, buckets);
+        &self.pairs[self.directory[b] as usize..self.directory[b + 1] as usize]
+    }
+
+    /// The first value of `key` (the model's `(x, 1)` lookup); `digest` is
+    /// `key.digest()`, computed once by the caller for the shard pick too.
+    #[inline]
+    pub(crate) fn first(&self, key: &Key, digest: u64) -> Option<Value> {
+        let bucket = self.bucket_of(digest);
+        bucket
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, value)| value)
+    }
+
+    /// `key`'s run: its pairs, values in commit order; empty if absent.
+    #[inline]
+    pub(crate) fn run(&self, key: &Key, digest: u64) -> &[(Key, Value)] {
+        let bucket = self.bucket_of(digest);
+        let Some(start) = bucket.iter().position(|(k, _)| k == key) else {
+            return &[];
+        };
+        let len = bucket[start..].iter().take_while(|(k, _)| k == key).count();
+        &bucket[start..start + len]
+    }
+
+    /// Number of distinct keys.
+    #[inline]
+    pub(crate) fn keys(&self) -> usize {
+        self.keys
+    }
+
+    /// Every `(key, values)` entry, in layout order (bucket, then key).
+    pub(crate) fn entries(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&Key, impl ExactSizeIterator<Item = &Value>)> {
+        let runs = Runs {
+            pairs: &self.pairs,
+            keys: self.keys,
+        };
+        runs.map(|run| (&run[0].0, run.iter().map(|(_, value)| value)))
+    }
+}
+
+/// The counting sort's scatter: `pairs` laid out by bucket, in order within
+/// each bucket, where `directory` holds each bucket's start on entry (and
+/// still does on return); then each bucket sorted by key where it is not.
+fn sorted(pairs: Pairs, directory: &mut [u32]) -> Pairs {
+    let buckets = directory.len() - 1;
+    let mut sorted = vec![UNFILLED; pairs.len()];
+    // `directory[b]` is bucket `b`'s write cursor, and ends at its end.
+    for &(key, value) in &pairs {
+        let b = bucket(key.digest(), buckets);
+        sorted[directory[b] as usize] = (key, value);
+        directory[b] += 1;
+    }
+    drop(pairs);
+    directory.copy_within(0..buckets, 1);
+    directory[0] = 0;
+    for b in 0..buckets {
+        let run = &mut sorted[directory[b] as usize..directory[b + 1] as usize];
+        if run.len() > 1 && !run.is_sorted_by_key(|(key, _)| *key) {
+            run.sort_by_key(|(key, _)| *key);
+        }
+    }
+    sorted
+}
+
+/// A frozen shard's runs, one per key, in layout order.
+struct Runs<'a> {
+    pairs: &'a [(Key, Value)],
+    keys: usize,
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = &'a [(Key, Value)];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (first, _) = self.pairs.first()?;
+        let len = self
+            .pairs
+            .iter()
+            .take_while(|(key, _)| key == first)
+            .count();
+        let (run, rest) = self.pairs.split_at(len);
+        self.pairs = rest;
+        self.keys -= 1;
+        Some(run)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.keys, Some(self.keys))
+    }
+}
+
+impl ExactSizeIterator for Runs<'_> {}
+
+/// Freeze writable shards on up to `threads` threads, each taking one
+/// contiguous run of them, the calling thread the last — the one freeze of
+/// [`crate::ShardedStore`] and of the owners' `Advance` / `FreezeEpoch`
+/// (which pass one thread), so the two epoch pipelines cannot drift apart.
+pub(crate) fn freeze_all(mut shards: Vec<Pairs>, threads: usize) -> Vec<Shard> {
+    let mut frozen = vec![Shard::default(); shards.len()];
+    let run = shards.len().div_ceil(threads.max(1)).max(1);
+    let parts = shards.chunks_mut(run).zip(frozen.chunks_mut(run)).collect();
+    for_each_part_parallel(parts, |(pairs, frozen)| {
+        for (pairs, frozen) in pairs.iter_mut().zip(frozen) {
+            *frozen = Shard::freeze(std::mem::take(pairs));
         }
     });
-}
-
-/// Per-key slot used by both the writable store and frozen snapshots.
-///
-/// On the write side slots grow via [`Slot::push`]; at freeze time
-/// [`Slot::shrink_to_fit`] drops the spare capacity of multi-value entries
-/// and the slot (and the map holding it) is served read-only from then on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Slot {
-    /// The common case: exactly one value, stored inline.
-    One(Value),
-    /// Two or more values, in commit order.
-    Many(Vec<Value>),
-}
-
-impl Slot {
-    /// Append `value`, upgrading a singleton to a heap list when needed.
-    #[inline]
-    pub fn push(&mut self, value: Value) {
-        match self {
-            Slot::One(first) => {
-                *self = Slot::Many(vec![*first, value]);
-            }
-            Slot::Many(values) => values.push(value),
-        }
-    }
-
-    /// Drop the spare capacity of a multi-value slot (no-op for singletons).
-    ///
-    /// This is the entire per-slot work of the in-place freeze: the slot is
-    /// not moved, re-hashed, or re-allocated unless the `Vec` actually holds
-    /// spare capacity.
-    #[inline]
-    pub fn shrink_to_fit(&mut self) {
-        if let Slot::Many(values) = self {
-            values.shrink_to_fit();
-        }
-    }
-
-    /// All values, in commit order.
-    #[inline]
-    pub fn as_slice(&self) -> &[Value] {
-        match self {
-            Slot::One(value) => std::slice::from_ref(value),
-            Slot::Many(values) => values,
-        }
-    }
-
-    /// First value (the model's `(x, 1)` lookup).
-    #[inline]
-    pub fn first(&self) -> Value {
-        match self {
-            Slot::One(value) => *value,
-            Slot::Many(values) => values[0],
-        }
-    }
-
-    /// The `index`-th value, if present.
-    #[inline]
-    pub fn get(&self, index: usize) -> Option<Value> {
-        match self {
-            Slot::One(value) if index == 0 => Some(*value),
-            Slot::One(_) => None,
-            Slot::Many(values) => values.get(index).copied(),
-        }
-    }
-
-    /// Number of values stored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Slot::One(_) => 1,
-            Slot::Many(values) => values.len(),
-        }
-    }
+    frozen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn k(a: u64) -> Key {
+        Key::of(KeyTag::Scalar, a)
+    }
+
+    fn values(shard: &Shard, key: &Key) -> Vec<u64> {
+        let run = shard.run(key, key.digest());
+        run.iter().map(|(_, value)| value.x).collect()
+    }
+
     #[test]
-    fn slot_upgrades_to_many() {
-        let mut slot = Slot::One(Value::scalar(1));
-        assert_eq!(slot.as_slice(), &[Value::scalar(1)]);
-        slot.push(Value::scalar(2));
-        slot.push(Value::scalar(3));
-        assert_eq!(
-            slot.as_slice(),
-            &[Value::scalar(1), Value::scalar(2), Value::scalar(3)]
+    fn a_frozen_shard_answers_every_read_of_the_multimap() {
+        // 40 keys, key `i` written `1 + i % 3` times, interleaved.
+        let pairs: Pairs = (0..3u64)
+            .flat_map(|round| {
+                (0..40u64)
+                    .filter(move |i| i % 3 >= round)
+                    .map(move |i| (k(i), Value::scalar(i * 10 + round)))
+            })
+            .collect();
+        let shard = Shard::freeze(pairs.clone());
+        assert_eq!(shard.keys(), 40);
+        for i in 0..40u64 {
+            let expected: Vec<u64> = (0..=i % 3).map(|round| i * 10 + round).collect();
+            assert_eq!(values(&shard, &k(i)), expected, "key {i}");
+            assert_eq!(
+                shard.first(&k(i), k(i).digest()),
+                Some(Value::scalar(i * 10))
+            );
+        }
+        assert_eq!(shard.first(&k(99), k(99).digest()), None);
+        assert!(shard.run(&k(99), k(99).digest()).is_empty());
+        // The walk yields each key once, with all its values.
+        let walked: usize = shard.entries().map(|(_, values)| values.len()).sum();
+        assert_eq!(walked, pairs.len());
+        assert_eq!(shard.entries().len(), 40);
+    }
+
+    #[test]
+    fn the_frozen_layout_is_canonical_and_its_own_walk_refreezes_without_a_copy() {
+        let pairs: Pairs = (0..500u64)
+            .map(|i| (k(i % 170), Value::scalar(i)))
+            .collect();
+        let shard = Shard::freeze(pairs.clone());
+        // The same pairs, keys in another order (each key's values in
+        // theirs): the same shard.
+        let mut reordered = pairs;
+        reordered.sort_by_key(|(key, _)| std::cmp::Reverse(key.a));
+        assert_eq!(Shard::freeze(reordered), shard);
+        // The walk is already in bucket order: freezing it keeps the buffer.
+        let walk: Pairs = shard
+            .entries()
+            .flat_map(|(key, values)| values.map(move |value| (*key, *value)))
+            .collect();
+        let address = walk.as_ptr();
+        let refrozen = Shard::freeze(walk);
+        assert_eq!(refrozen.pairs.as_ptr(), address);
+        assert_eq!(refrozen, shard);
+    }
+
+    #[test]
+    fn buckets_are_a_power_of_two_and_an_empty_shard_allocates_nothing() {
+        let empty = Shard::freeze(Vec::new());
+        assert_eq!(empty, Shard::default());
+        assert_eq!(empty.directory.capacity(), 0);
+        assert_eq!(empty.entries().len(), 0);
+        assert_eq!(empty.first(&k(1), k(1).digest()), None);
+        for n in [1u64, 2, 3, 1000, 1024, 1025] {
+            let shard = Shard::freeze((0..n).map(|i| (k(i), Value::scalar(i))).collect());
+            assert_eq!(shard.directory.len(), n.next_power_of_two() as usize + 1);
+            assert_eq!(shard.directory.last().copied(), Some(n as u32));
+            assert_eq!(shard.keys(), n as usize);
+        }
+    }
+
+    #[test]
+    fn appending_keeps_commit_order_and_moves_into_an_empty_shard() {
+        let mut shard = Pairs::new();
+        let bucket = vec![(k(1), Value::scalar(1))];
+        let address = bucket.as_ptr();
+        append(&mut shard, bucket);
+        assert_eq!(shard.as_ptr(), address);
+        append(
+            &mut shard,
+            vec![(k(1), Value::scalar(2)), (k(2), Value::scalar(3))],
         );
+        assert_eq!(values(&Shard::freeze(shard), &k(1)), vec![1, 2]);
     }
 
     #[test]
-    fn slot_exposes_indexed_access() {
-        let single = Slot::One(Value::pair(1, 2));
-        assert_eq!(single.len(), 1);
-        assert_eq!(single.first(), Value::pair(1, 2));
-        assert_eq!(single.get(0), Some(Value::pair(1, 2)));
-        assert_eq!(single.get(1), None);
-
-        let mut multi = Slot::One(Value::scalar(0));
-        for i in 1..5u64 {
-            multi.push(Value::scalar(i));
+    fn parallel_freeze_equals_serial_freeze() {
+        let shards: Vec<Pairs> = (0..13u64)
+            .map(|s| (0..s * 50).map(|i| (k(i % 37), Value::scalar(i))).collect())
+            .collect();
+        let serial = freeze_all(shards.clone(), 1);
+        for threads in [2, 4, 32] {
+            assert_eq!(freeze_all(shards.clone(), threads), serial);
         }
-        assert_eq!(multi.len(), 5);
-        for i in 0..5u64 {
-            assert_eq!(multi.get(i as usize), Some(Value::scalar(i)));
-        }
-        assert_eq!(multi.get(5), None);
-    }
-
-    #[test]
-    fn shrink_to_fit_drops_spare_capacity_and_keeps_contents() {
-        let mut slot = Slot::One(Value::scalar(0));
-        for i in 1..9u64 {
-            slot.push(Value::scalar(i));
-        }
-        slot.shrink_to_fit();
-        let Slot::Many(values) = &slot else {
-            panic!("multi-value slot expected");
-        };
-        assert_eq!(values.capacity(), values.len());
-        for i in 0..9u64 {
-            assert_eq!(slot.get(i as usize), Some(Value::scalar(i)));
-        }
-        // Shrinking a singleton is a no-op.
-        let mut single = Slot::One(Value::scalar(7));
-        single.shrink_to_fit();
-        assert_eq!(single, Slot::One(Value::scalar(7)));
-    }
-
-    #[test]
-    fn singleton_slots_are_inline() {
-        // The whole point of the layout: a singleton entry is no bigger than
-        // the multi-value header, and needs no heap allocation.  The shared
-        // write/freeze layout is no wider than the old frozen `Box<[Value]>`
-        // slot either — the discriminant hides in the `Vec` pointer niche.
-        assert!(std::mem::size_of::<Slot>() <= 24);
-        assert_eq!(
-            std::mem::size_of::<Slot>(),
-            std::mem::size_of::<Vec<Value>>()
-        );
     }
 }

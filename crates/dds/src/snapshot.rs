@@ -6,11 +6,11 @@
 //! model's machines read it from *one* abstract store — nothing depends on
 //! how many processes serve it.  A [`Snapshot`] enforces both in the type
 //! system: it can only be read, and it is the same type whether the epoch
-//! was frozen in place by [`crate::ShardedStore`], shared by in-process
-//! owner threads, or rebuilt from the frames of N owners behind sockets
-//! (threads of this process or owner processes alike).  Reads
-//! are lock-free (the underlying maps are never mutated) and still counted
-//! per shard so the query-contention behaviour of the model can be observed.
+//! was frozen by [`crate::ShardedStore`], shared by in-process owner
+//! threads, or rebuilt from the frames of N owners behind sockets (threads
+//! of this process or owner processes alike).  Reads are lock-free (the
+//! frozen shards are never mutated) and still counted per shard so the
+//! query-contention behaviour of the model can be observed.
 //!
 //! # Layout
 //!
@@ -19,28 +19,29 @@
 //! the one-group case (`table[s] = (0, s)`); the channel backend's groups
 //! are the owners' own `Arc`s (zero-copy publication); the TCP and cluster
 //! backends hold replicas decoded from the owners' epoch payloads.  A
-//! lookup is one hash, one modulo and one table index, whatever produced
+//! lookup is one digest, one modulo and one table index, whatever produced
 //! the groups.
 //!
-//! A [`FrozenEpoch`] crosses a wire in one pass each way: the owner's
-//! frozen maps are walked in place into bytes ([`FrozenEpoch::walk`] feeds
-//! the writer in [`crate::proto`]), and the client fills shard maps
-//! directly from those bytes (the [`EpochSink`] impl below) — singletons
-//! inline, a heap list only for a multi-value key, nothing allocated per
-//! key in between.
+//! Each frozen shard is a [`crate::slot::Shard`]: its pairs grouped by key
+//! and ordered by bucket, under a bucket directory.  A point lookup takes
+//! the key's bucket from the directory, with the digest the shard pick
+//! already computed, and scans the bucket's pairs — one pair on average,
+//! each value inline beside its key, no per-key heap allocation,
+//! multi-value keys included.  The shards are frozen from the write side's
+//! pair lists at epoch advance (see [`crate::ShardedStore::freeze`]).
 //!
-//! The frozen maps store [`crate::slot::Slot`] entries: the ~99% of keys
-//! that hold a single value keep it **inline in the hash-map entry**, so a
-//! point lookup is one hash probe with no pointer chase and no per-key heap
-//! allocation; only multi-value keys reference a shrunk-to-fit
-//! `Vec<Value>`.  The maps are the write-side shard maps themselves, frozen
-//! **in place** at epoch advance (see [`crate::ShardedStore::freeze`]) — no
-//! rebuild, no copy.
+//! A [`FrozenEpoch`] crosses a wire in one pass each way: the owner's
+//! frozen shards are walked in place into bytes, in layout order
+//! ([`FrozenEpoch::walk`] feeds the writer in [`crate::proto`]), and the
+//! client appends the pairs straight from those bytes (the [`EpochSink`]
+//! impl below) into a buffer sized exactly, freezing each shard as soon as
+//! its entries are read.  Arriving in layout order, they freeze without a
+//! copy: a replica shard's pairs and its directory are its only buffers.
 
 use crate::backend::SnapshotView;
-use crate::key::{Key, Value};
+use crate::key::{shard_of, Key, Value};
 use crate::proto::{EpochSink, ProtoError};
-use crate::slot::{Slot, SlotMap};
+use crate::slot::{freeze_all, Pairs, Shard};
 use crate::stats::ShardLoad;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,14 +49,14 @@ use std::sync::Arc;
 /// One frozen epoch of one owner's shard group — *the* frozen-epoch
 /// representation.
 ///
-/// The maps are immutable once published; the read counters are atomics so
-/// concurrent machine threads and the accounting agree without locks.  On
-/// shared-memory transports the owner and every view hold the *same*
+/// The shards are immutable once published; the read counters are atomics
+/// so concurrent machine threads and the accounting agree without locks.
+/// On shared-memory transports the owner and every view hold the *same*
 /// allocation; on wire transports each view holds a replica decoded from
 /// the owner's epoch payload.
 pub struct FrozenEpoch {
-    /// `shards[local]` — frozen map of the group's `local`-th shard.
-    pub(crate) shards: Vec<SlotMap>,
+    /// `shards[local]` — the group's `local`-th shard.
+    pub(crate) shards: Vec<Shard>,
     /// Writes that built each shard.
     pub(crate) writes: Vec<u64>,
     /// Reads served per shard since the epoch froze.
@@ -65,7 +66,7 @@ pub struct FrozenEpoch {
 impl FrozenEpoch {
     /// A freshly frozen group: `writes[local]` built `shards[local]`, no
     /// reads served yet.
-    pub(crate) fn new(shards: Vec<SlotMap>, writes: Vec<u64>) -> FrozenEpoch {
+    pub(crate) fn new(shards: Vec<Shard>, writes: Vec<u64>) -> FrozenEpoch {
         debug_assert_eq!(shards.len(), writes.len());
         let reads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         FrozenEpoch {
@@ -75,56 +76,86 @@ impl FrozenEpoch {
         }
     }
 
+    /// Freeze a group's writable shards on up to `threads` threads; a
+    /// shard's pairs are the writes that built it.
+    pub(crate) fn freeze(shards: Vec<Pairs>, threads: usize) -> FrozenEpoch {
+        let writes = shards.iter().map(|pairs| pairs.len() as u64).collect();
+        FrozenEpoch::new(freeze_all(shards, threads), writes)
+    }
+
     /// The epoch as the wire encoder walks it, in place: per shard, the
-    /// writes that built it and every `(key, values)` entry of its map.
+    /// writes that built it and every `(key, values)` entry, in layout
+    /// order.
     pub(crate) fn walk(
         &self,
-    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = (&Key, &[Value])>)> {
-        self.shards.iter().zip(&self.writes).map(|(map, &writes)| {
-            let entries = map.iter();
-            (writes, entries.map(|(key, slot)| (key, slot.as_slice())))
-        })
+    ) -> impl ExactSizeIterator<
+        Item = (
+            u64,
+            impl ExactSizeIterator<Item = (&Key, impl ExactSizeIterator<Item = &Value>)>,
+        ),
+    > {
+        let shards = self.shards.iter().zip(&self.writes);
+        shards.map(|(shard, &writes)| (writes, shard.entries()))
     }
 }
 
-/// A replica filled straight from an owner's epoch payload.  The bytes come
-/// from outside the process, so a shard refuses what no owner's map can
-/// hold — an entry without values, a key twice — as a typed decode error
-/// instead of letting it turn into a wrong read inside a machine thread.
+/// One shard of a replica while its payload is read: the writes and the
+/// entry count the payload announced, and the pairs so far.
+pub(crate) struct Decoding {
+    writes: u64,
+    entries: usize,
+    pairs: Pairs,
+}
+
+/// A replica filled straight from an owner's epoch payload, each shard
+/// frozen as soon as its entries are read.  The bytes come from outside the
+/// process, so a shard refuses what no owner's shard can hold — an entry
+/// without values, a key twice (fewer distinct keys than entries, once
+/// frozen) — as a typed decode error instead of letting it turn into a
+/// wrong read inside a machine thread.
 impl EpochSink for FrozenEpoch {
-    type Shard = (u64, SlotMap);
+    type Shard = Decoding;
 
-    fn shard(writes: u64, entries: usize) -> Self::Shard {
-        let mut map = SlotMap::default();
-        map.reserve(entries);
-        (writes, map)
-    }
-
-    fn entry(
-        (_, map): &mut Self::Shard,
-        key: Key,
-        mut values: impl ExactSizeIterator<Item = Value>,
-    ) -> Result<(), ProtoError> {
-        let slot = match (values.len(), values.next()) {
-            (1, Some(value)) => Slot::One(value),
-            (_, Some(first)) => Slot::Many(std::iter::once(first).chain(values).collect()),
-            (_, None) => {
-                return Err(ProtoError::Malformed {
-                    context: "epoch entry without values",
-                })
-            }
-        };
-        match map.insert(key, slot) {
-            None => Ok(()),
-            Some(_) => Err(ProtoError::Malformed {
-                context: "epoch key repeated within a shard",
-            }),
+    fn with_shards(shards: usize) -> FrozenEpoch {
+        FrozenEpoch {
+            shards: Vec::with_capacity(shards),
+            writes: Vec::with_capacity(shards),
+            reads: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    fn finish(shards: Vec<Self::Shard>) -> FrozenEpoch {
-        let (writes, maps) = shards.into_iter().unzip();
-        FrozenEpoch::new(maps, writes)
+    fn shard(writes: u64, entries: usize, values: usize) -> Decoding {
+        Decoding {
+            writes,
+            entries,
+            pairs: Vec::with_capacity(values),
+        }
+    }
+
+    fn entry(
+        shard: &mut Decoding,
+        key: Key,
+        values: impl ExactSizeIterator<Item = Value>,
+    ) -> Result<(), ProtoError> {
+        if values.len() == 0 {
+            return Err(ProtoError::Malformed {
+                context: "epoch entry without values",
+            });
+        }
+        shard.pairs.extend(values.map(|value| (key, value)));
+        Ok(())
+    }
+
+    fn push(&mut self, shard: Decoding) -> Result<(), ProtoError> {
+        let frozen = Shard::freeze(shard.pairs);
+        if frozen.keys() < shard.entries {
+            return Err(ProtoError::Malformed {
+                context: "epoch key repeated within a shard",
+            });
+        }
+        self.shards.push(frozen);
+        self.writes.push(shard.writes);
+        Ok(())
     }
 }
 
@@ -170,12 +201,12 @@ impl Snapshot {
     }
 
     /// An empty snapshot with `num_shards` shards (`D_{-1}`, before any
-    /// input is loaded): one group of empty maps, so every lookup misses
+    /// input is loaded): one group of empty shards, so every lookup misses
     /// through the ordinary read path and is counted like any other.
     pub fn empty(num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
         Snapshot::single(FrozenEpoch::new(
-            vec![SlotMap::default(); num_shards],
+            vec![Shard::default(); num_shards],
             vec![0; num_shards],
         ))
     }
@@ -187,23 +218,25 @@ impl Snapshot {
         (&self.inner.groups[group as usize], local as usize)
     }
 
-    /// The frozen group and local shard index responsible for `key`.
+    /// The frozen shard responsible for `key` and its read counter, and the
+    /// key's digest — computed once, for the shard pick and the shard's
+    /// bucket.
     #[inline]
-    fn locate(&self, key: &Key) -> (&FrozenEpoch, usize) {
-        self.place(key.shard(self.inner.table.len()))
+    fn locate(&self, key: &Key) -> (&Shard, &AtomicU64, u64) {
+        let digest = key.digest();
+        let (epoch, local) = self.place(shard_of(digest, self.inner.table.len()));
+        (&epoch.shards[local], &epoch.reads[local], digest)
     }
 
-    /// Iterate over every `(key, values)` pair in the snapshot.
+    /// Iterate over every key in the snapshot, each with its values in
+    /// commit order.
     ///
     /// This is *not* an AMPC-model operation (machines can only do point
     /// lookups); it exists for the driver side of algorithms — the part the
     /// paper implements "using standard MPC primitives" — and for tests.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &[Value])> {
-        self.inner
-            .groups
-            .iter()
-            .flat_map(|group| &group.shards)
-            .flat_map(|shard| shard.iter().map(|(k, slot)| (k, slot.as_slice())))
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, impl ExactSizeIterator<Item = &Value>)> {
+        let shards = self.inner.groups.iter().flat_map(|group| &group.shards);
+        shards.flat_map(|shard| shard.entries())
     }
 }
 
@@ -215,33 +248,29 @@ impl SnapshotView for Snapshot {
     }
 
     fn get(&self, key: &Key) -> Option<Value> {
-        let (epoch, local) = self.locate(key);
-        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
-        epoch.shards[local].get(key).map(Slot::first)
+        let (shard, reads, digest) = self.locate(key);
+        reads.fetch_add(1, Ordering::Relaxed);
+        shard.first(key, digest)
     }
 
     fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
-        let (epoch, local) = self.locate(key);
-        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
-        epoch.shards[local]
-            .get(key)
-            .and_then(|slot| slot.get(index))
+        let (shard, reads, digest) = self.locate(key);
+        reads.fetch_add(1, Ordering::Relaxed);
+        let run = shard.run(key, digest);
+        run.get(index).map(|&(_, value)| value)
     }
 
     fn get_all(&self, key: &Key) -> Vec<Value> {
-        let (epoch, local) = self.locate(key);
-        let values = epoch.shards[local]
-            .get(key)
-            .map(|slot| slot.as_slice().to_vec())
-            .unwrap_or_default();
-        epoch.reads[local].fetch_add(values.len().max(1) as u64, Ordering::Relaxed);
-        values
+        let (shard, reads, digest) = self.locate(key);
+        let run = shard.run(key, digest);
+        reads.fetch_add(run.len().max(1) as u64, Ordering::Relaxed);
+        run.iter().map(|&(_, value)| value).collect()
     }
 
     fn multiplicity(&self, key: &Key) -> usize {
-        let (epoch, local) = self.locate(key);
-        epoch.reads[local].fetch_add(1, Ordering::Relaxed);
-        epoch.shards[local].get(key).map_or(0, Slot::len)
+        let (shard, reads, digest) = self.locate(key);
+        reads.fetch_add(1, Ordering::Relaxed);
+        shard.run(key, digest).len()
     }
 
     fn len(&self) -> usize {
@@ -249,7 +278,7 @@ impl SnapshotView for Snapshot {
             .groups
             .iter()
             .flat_map(|group| &group.shards)
-            .map(SlotMap::len)
+            .map(Shard::keys)
             .sum()
     }
 
@@ -268,7 +297,8 @@ impl SnapshotView for Snapshot {
         let mut run_len = 0u64;
         let (mut epoch, mut local) = self.place(0);
         for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            let shard = key.shard(self.inner.table.len());
+            let digest = key.digest();
+            let shard = shard_of(digest, self.inner.table.len());
             if shard != run_shard {
                 if run_len > 0 {
                     epoch.reads[local].fetch_add(run_len, Ordering::Relaxed);
@@ -278,7 +308,7 @@ impl SnapshotView for Snapshot {
                 run_len = 0;
             }
             run_len += 1;
-            *slot = epoch.shards[local].get(key).map(Slot::first);
+            *slot = epoch.shards[local].first(key, digest);
         }
         if run_len > 0 {
             epoch.reads[local].fetch_add(run_len, Ordering::Relaxed);
@@ -300,7 +330,7 @@ impl SnapshotView for Snapshot {
                 let (epoch, local) = self.place(shard);
                 ShardLoad {
                     shard,
-                    keys: epoch.shards[local].len() as u64,
+                    keys: epoch.shards[local].keys() as u64,
                     writes: epoch.writes[local],
                     reads: epoch.reads[local].load(Ordering::Relaxed),
                 }
@@ -310,7 +340,7 @@ impl SnapshotView for Snapshot {
 
     fn entries(&self) -> Vec<(Key, Vec<Value>)> {
         self.iter()
-            .map(|(key, values)| (*key, values.to_vec()))
+            .map(|(key, values)| (*key, values.copied().collect()))
             .collect()
     }
 }
@@ -424,10 +454,13 @@ mod tests {
 
     #[test]
     fn iter_visits_all_keys() {
-        let snap = snapshot_with(&[(1, 10), (2, 20), (3, 30)]);
-        let mut seen: Vec<u64> = snap.iter().map(|(key, _)| key.a).collect();
+        let snap = snapshot_with(&[(1, 10), (2, 20), (3, 30), (2, 21)]);
+        let mut seen: Vec<(u64, Vec<u64>)> = snap
+            .iter()
+            .map(|(key, values)| (key.a, values.map(|value| value.x).collect()))
+            .collect();
         seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(seen, vec![(1, vec![10]), (2, vec![20, 21]), (3, vec![30])]);
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!
 //! # Commit paths
 //!
-//! Three write paths, from slowest to fastest:
+//! A writable shard is its pairs in commit order ([`crate::slot`]): a commit
+//! neither hashes nor looks up a key, and the grouping by key waits for
+//! [`ShardedStore::freeze`].  Three write paths, all ending in one append:
 //!
 //! * [`ShardedStore::write`] — one key-value pair, one shard-lock
 //!   acquisition.  The right tool for ad-hoc writes.
 //! * [`ShardedStore::write_batch`] — groups the batch by destination shard
 //!   and takes each shard lock **once per batch** instead of once per pair.
 //! * [`ShardedStore::commit_partitioned`] — takes batches already
-//!   partitioned by shard and commits the shards **in parallel**; this is
-//!   the end-of-round commit path of the AMPC runtime.
+//!   partitioned by shard; an empty shard takes its bucket as it is, so the
+//!   end-of-round commit of the AMPC runtime moves one buffer per shard.
 //!
 //! Every path that groups pairs by shard — these, the runtime's
 //! end-of-round commit ([`crate::DdsChain::commit_round`]) and the wire
@@ -33,24 +35,23 @@
 //! because a key lives on exactly one shard, per-shard order fully
 //! determines the multi-value indices of Section 2 of the paper.
 
-use crate::key::{Key, KeyTag, Value};
-use crate::slot::{freeze_in_place, push_pair, SlotMap};
+use crate::key::{Key, Value};
+use crate::slot::{append, Pairs, UNFILLED};
 use crate::snapshot::{FrozenEpoch, Snapshot};
-use crate::stats::{ShardLoad, StoreStats};
 use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// The writable key-value store backing one AMPC round.
 ///
 /// Multi-value semantics follow Section 2 of the paper: if `k > 1` pairs are
 /// written under the same key `x`, the individual values are addressable as
-/// `(x, 1), …, (x, k)` — here via [`ShardedStore::get_indexed`] /
-/// [`crate::SnapshotView::get_indexed`] — with the indices assigned in commit order.
+/// `(x, 1), …, (x, k)` — once the store is frozen, via
+/// [`crate::SnapshotView::get_indexed`] — with the indices assigned in
+/// commit order.  The writable store answers no reads: the model forbids
+/// reading `D_i` in round *i*.
 pub struct ShardedStore {
-    /// One map from keys to (multi-)values per shard ([`crate::slot`]).
-    shards: Vec<Mutex<SlotMap>>,
-    write_counts: Vec<AtomicU64>,
+    /// One writable shard per DDS machine ([`crate::slot`]).
+    shards: Vec<Mutex<Pairs>>,
     num_shards: usize,
 }
 
@@ -59,10 +60,7 @@ impl ShardedStore {
     pub fn new(num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
         ShardedStore {
-            shards: (0..num_shards)
-                .map(|_| Mutex::new(SlotMap::default()))
-                .collect(),
-            write_counts: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
+            shards: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
             num_shards,
         }
     }
@@ -84,10 +82,7 @@ impl ShardedStore {
     /// Writing the same key repeatedly builds up the multi-value list; the
     /// commit order of a single writer is preserved.
     pub fn write(&self, key: Key, value: Value) {
-        let shard_idx = self.shard_of(&key);
-        self.write_counts[shard_idx].fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shards[shard_idx].lock();
-        push_pair(&mut shard, key, value);
+        self.shards[self.shard_of(&key)].lock().push((key, value));
     }
 
     /// Write a batch of pairs, preserving their order.
@@ -95,7 +90,7 @@ impl ShardedStore {
     /// The batch is grouped by destination shard first, so each shard lock
     /// is taken once per batch rather than once per pair.
     pub fn write_batch(&self, pairs: impl IntoIterator<Item = (Key, Value)>) {
-        self.commit_partitioned(self.partition_writes(std::iter::once(pairs)), 1);
+        self.commit_partitioned(self.partition_writes(std::iter::once(pairs)));
     }
 
     /// Partition write batches by destination shard on the calling thread,
@@ -126,137 +121,48 @@ impl ShardedStore {
     }
 
     /// Commit chunks of per-shard buckets, such as
-    /// [`ShardedStore::partition_writes_parallel`]'s: each shard's lock is
-    /// taken once, the shard consumes its bucket from every chunk in chunk
-    /// order, and distinct shards commit in parallel on up to `threads`
-    /// workers.
-    pub fn commit_chunked(&self, chunks: Vec<Vec<Vec<(Key, Value)>>>, threads: usize) {
-        for chunk in &chunks {
-            assert_eq!(
-                chunk.len(),
-                self.num_shards,
-                "one bucket per shard required"
-            );
+    /// [`ShardedStore::partition_writes_parallel`]'s: each shard appends
+    /// its bucket from every chunk, in chunk order, under one lock.  A
+    /// commit is a move or a copy per shard, on the calling thread;
+    /// `_threads` is the partition's worker cap, which the benchmark's
+    /// store probe passes here too.
+    pub fn commit_chunked(&self, chunks: Vec<Vec<Vec<(Key, Value)>>>, _threads: usize) {
+        for chunk in chunks {
+            self.commit_partitioned(chunk);
         }
-        for_each_index_parallel(self.num_shards, threads, |shard_idx| {
-            let pairs: usize = chunks.iter().map(|chunk| chunk[shard_idx].len()).sum();
-            if pairs == 0 {
-                return;
-            }
-            self.write_counts[shard_idx].fetch_add(pairs as u64, Ordering::Relaxed);
-            let mut shard = self.shards[shard_idx].lock();
-            shard.reserve(pairs);
-            for chunk in &chunks {
-                for &(key, value) in &chunk[shard_idx] {
-                    debug_assert_eq!(self.shard_of(&key), shard_idx);
-                    push_pair(&mut shard, key, value);
-                }
-            }
-        });
     }
 
-    /// Commit shard-partitioned batches, locking each shard exactly once and
-    /// committing distinct shards in parallel on up to `threads` workers.
+    /// Commit shard-partitioned batches, locking each shard exactly once:
+    /// an empty shard takes its bucket as it is, any other appends it.
     ///
     /// `per_shard[s]` must contain only keys whose [`ShardedStore::shard_of`]
     /// is `s` (as produced by [`ShardedStore::partition_writes`]); this is
     /// debug-asserted.
-    pub fn commit_partitioned(&self, per_shard: Vec<Vec<(Key, Value)>>, threads: usize) {
+    pub fn commit_partitioned(&self, per_shard: Vec<Vec<(Key, Value)>>) {
         assert_eq!(
             per_shard.len(),
             self.num_shards,
             "one batch per shard required"
         );
-        // Below this many pairs the scoped-thread setup costs more than the
-        // pushes themselves (late algorithm phases commit tiny rounds);
-        // commit serially instead.
-        const PARALLEL_COMMIT_THRESHOLD: usize = 4 * 1024;
-        let total_pairs: usize = per_shard.iter().map(Vec::len).sum();
-        let threads = if total_pairs < PARALLEL_COMMIT_THRESHOLD {
-            1
-        } else {
-            threads.min(
-                per_shard
-                    .iter()
-                    .filter(|batch| !batch.is_empty())
-                    .count()
-                    .max(1),
-            )
-        };
-        for_each_index_parallel(self.num_shards, threads, |shard_idx| {
-            let batch = &per_shard[shard_idx];
+        for (shard_idx, batch) in per_shard.into_iter().enumerate() {
             if batch.is_empty() {
-                return;
+                continue;
             }
             debug_assert!(batch.iter().all(|(key, _)| self.shard_of(key) == shard_idx));
-            self.write_counts[shard_idx].fetch_add(batch.len() as u64, Ordering::Relaxed);
-            let mut shard = self.shards[shard_idx].lock();
-            shard.reserve(batch.len());
-            for &(key, value) in batch {
-                push_pair(&mut shard, key, value);
-            }
-        });
-    }
-
-    /// First value stored under `key`, if any.
-    pub fn get(&self, key: &Key) -> Option<Value> {
-        let shard = self.shards[self.shard_of(key)].lock();
-        shard.get(key).map(|slot| slot.as_slice()[0])
-    }
-
-    /// The `index`-th value stored under `key` (zero-based), if present.
-    pub fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
-        let shard = self.shards[self.shard_of(key)].lock();
-        shard
-            .get(key)
-            .and_then(|slot| slot.as_slice().get(index).copied())
-    }
-
-    /// How many values are stored under `key`.
-    pub fn multiplicity(&self, key: &Key) -> usize {
-        let shard = self.shards[self.shard_of(key)].lock();
-        shard.get(key).map_or(0, |slot| slot.as_slice().len())
-    }
-
-    /// Total number of distinct keys across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// `true` if no key has been written.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+            append(&mut self.shards[shard_idx].lock(), batch);
+        }
     }
 
     /// Total number of writes accepted so far.
     pub fn total_writes(&self) -> u64 {
-        self.write_counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Per-shard write load so far.
-    pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardLoad {
-                shard: i,
-                keys: s.lock().len() as u64,
-                writes: self.write_counts[i].load(Ordering::Relaxed),
-                reads: 0,
-            })
-            .collect()
+        self.shards.iter().map(|s| s.lock().len() as u64).sum()
     }
 
     /// Freeze the store into an immutable [`Snapshot`] readable by the next
     /// round, consuming the writable store.
     ///
-    /// The freeze is **in-place**: the write-side shard maps (and every slot
-    /// in them) are reused as the snapshot's frozen maps outright, and the
-    /// only work is dropping the spare `Vec` capacity of the rare
-    /// multi-value slots.  Shards are shrunk in parallel on up to one worker
+    /// Each shard's pairs are grouped by key in one stable counting sort
+    /// ([`crate::slot`]); shards are frozen in parallel on up to one worker
     /// per available CPU.
     pub fn freeze(self) -> Snapshot {
         self.freeze_with_threads(default_parallelism())
@@ -264,30 +170,17 @@ impl ShardedStore {
 
     /// [`ShardedStore::freeze`] with an explicit worker-thread cap.
     pub fn freeze_with_threads(self, threads: usize) -> Snapshot {
-        let num_shards = self.num_shards;
-        let mut writes = Vec::with_capacity(num_shards);
-        let mut maps = Vec::with_capacity(num_shards);
-        for (shard, count) in self.shards.into_iter().zip(self.write_counts) {
-            maps.push(shard.into_inner());
-            writes.push(count.into_inner());
-        }
-
-        let total_keys: usize = maps.iter().map(|m| m.len()).sum();
+        let shards: Vec<Pairs> = self.shards.into_iter().map(Mutex::into_inner).collect();
+        let total_pairs: usize = shards.iter().map(Vec::len).sum();
         // Below this size the scoped-thread setup costs more than the
-        // multi-value shrink pass.
+        // sort.
         const PARALLEL_FREEZE_THRESHOLD: usize = 8 * 1024;
-        let threads = if total_keys < PARALLEL_FREEZE_THRESHOLD {
+        let threads = if total_pairs < PARALLEL_FREEZE_THRESHOLD {
             1
         } else {
             threads
         };
-        freeze_in_place(&mut maps, threads);
-        Snapshot::single(FrozenEpoch::new(maps, writes))
-    }
-
-    /// Snapshot-style statistics of the writable store (reads are always 0).
-    pub fn stats(&self) -> StoreStats {
-        StoreStats::from_loads(self.shard_loads())
+        Snapshot::single(FrozenEpoch::freeze(shards, threads))
     }
 }
 
@@ -297,16 +190,6 @@ impl ShardedStore {
 /// than the serial one, `partition_speedup` 0.96–1.00 at 4–8 shards, in
 /// the recorded bench trajectory).
 const MIN_PAIRS_PER_WORKER: usize = 16 * 1024;
-
-/// What a bucket slot holds before the fill pass overwrites it.
-const UNFILLED: (Key, Value) = (
-    Key {
-        tag: KeyTag::Scalar,
-        a: 0,
-        b: 0,
-    },
-    Value { x: 0, y: 0 },
-);
 
 /// The contiguous ranges of a round's concatenated pairs that the partition
 /// workers take, in order: `threads` near-equal ranges, fewer if that would
@@ -453,7 +336,7 @@ pub(crate) fn partition_by_shard(
 
 /// Run `work` on every part, the last on the calling thread and each other
 /// on a scoped thread of its own; one part runs with no thread setup.
-fn for_each_part_parallel<T: Send>(mut parts: Vec<T>, work: impl Fn(T) + Sync) {
+pub(crate) fn for_each_part_parallel<T: Send>(mut parts: Vec<T>, work: impl Fn(T) + Sync) {
     let Some(last) = parts.pop() else {
         return;
     };
@@ -466,35 +349,6 @@ fn for_each_part_parallel<T: Send>(mut parts: Vec<T>, work: impl Fn(T) + Sync) {
             scope.spawn(move || work(part));
         }
         work(last);
-    });
-}
-
-/// Run `work(i)` for every index in `0..count`, on up to `threads` scoped
-/// workers claiming indices from a shared atomic cursor.
-///
-/// The worker pool behind the shard-parallel commit paths; `threads <= 1`
-/// (or a single index) degrades to a plain loop with no thread setup.
-fn for_each_index_parallel(count: usize, threads: usize, work: impl Fn(usize) + Sync) {
-    let threads = threads.max(1).min(count.max(1));
-    if threads == 1 {
-        for i in 0..count {
-            work(i);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let work = &work;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                work(i);
-            });
-        }
     });
 }
 
@@ -513,7 +367,6 @@ impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("num_shards", &self.num_shards)
-            .field("keys", &self.len())
             .field("total_writes", &self.total_writes())
             .finish()
     }
@@ -524,72 +377,57 @@ mod tests {
     use super::*;
     use crate::backend::SnapshotView;
     use crate::key::KeyTag;
+    use std::sync::Arc;
 
     fn k(a: u64) -> Key {
         Key::of(KeyTag::Scalar, a)
     }
 
-    #[test]
-    fn write_then_read_single_value() {
-        let store = ShardedStore::new(8);
-        store.write(k(1), Value::scalar(42));
-        assert_eq!(store.get(&k(1)), Some(Value::scalar(42)));
-        assert_eq!(store.get(&k(2)), None);
-        assert_eq!(store.len(), 1);
-        assert!(!store.is_empty());
+    /// Everything `store` holds, read back through a freeze, by key.
+    fn contents(store: ShardedStore) -> Vec<(Key, Vec<Value>)> {
+        let mut entries = store.freeze().entries();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        entries
     }
 
     #[test]
-    fn multi_value_keys_are_index_addressable() {
-        let store = ShardedStore::new(4);
+    fn written_values_are_read_through_the_freeze() {
+        let store = ShardedStore::new(8);
+        store.write(k(1), Value::scalar(42));
         for i in 0..5u64 {
             store.write(k(7), Value::scalar(i * 10));
         }
-        assert_eq!(store.multiplicity(&k(7)), 5);
+        assert_eq!(store.total_writes(), 6);
+        let snap = store.freeze();
+        assert_eq!(snap.len(), 2);
+        assert_eq!(snap.get(&k(1)), Some(Value::scalar(42)));
+        assert_eq!(snap.get(&k(2)), None);
+        assert_eq!(snap.multiplicity(&k(7)), 5);
         for i in 0..5usize {
             assert_eq!(
-                store.get_indexed(&k(7), i),
+                snap.get_indexed(&k(7), i),
                 Some(Value::scalar(i as u64 * 10))
             );
         }
-        assert_eq!(store.get_indexed(&k(7), 5), None);
+        assert_eq!(snap.get_indexed(&k(7), 5), None);
         // `get` returns the first value, matching the model's (x, 1) query.
-        assert_eq!(store.get(&k(7)), Some(Value::scalar(0)));
-    }
-
-    #[test]
-    fn querying_missing_key_returns_empty_response() {
-        let store = ShardedStore::new(2);
-        assert_eq!(store.get(&k(999)), None);
-        assert_eq!(store.multiplicity(&k(999)), 0);
-        assert_eq!(store.get_indexed(&k(999), 0), None);
+        assert_eq!(snap.get(&k(7)), Some(Value::scalar(0)));
+        assert_eq!(snap.multiplicity(&k(999)), 0);
+        assert_eq!(snap.get_indexed(&k(999), 0), None);
     }
 
     #[test]
     fn write_counts_are_tracked_per_shard() {
         let store = ShardedStore::new(4);
         for i in 0..100u64 {
-            store.write(k(i), Value::scalar(i));
+            store.write(k(i % 60), Value::scalar(i));
         }
         assert_eq!(store.total_writes(), 100);
-        let loads = store.shard_loads();
+        let loads = store.freeze().shard_loads();
         assert_eq!(loads.len(), 4);
         assert_eq!(loads.iter().map(|l| l.writes).sum::<u64>(), 100);
+        assert_eq!(loads.iter().map(|l| l.keys).sum::<u64>(), 60);
         assert!(loads.iter().all(|l| l.reads == 0));
-    }
-
-    #[test]
-    fn freeze_preserves_contents() {
-        let store = ShardedStore::new(3);
-        store.write(k(1), Value::scalar(10));
-        store.write(k(1), Value::scalar(11));
-        store.write(k(2), Value::pair(3, 4));
-        let snap = store.freeze();
-        assert_eq!(snap.get(&k(1)), Some(Value::scalar(10)));
-        assert_eq!(snap.get_indexed(&k(1), 1), Some(Value::scalar(11)));
-        assert_eq!(snap.get(&k(2)), Some(Value::pair(3, 4)));
-        assert_eq!(snap.get(&k(3)), None);
-        assert_eq!(snap.len(), 2);
     }
 
     #[test]
@@ -603,25 +441,18 @@ mod tests {
         };
         let serial = build().freeze_with_threads(1);
         let parallel = build().freeze_with_threads(8);
-        assert_eq!(serial.len(), parallel.len());
-        for i in 0..5_000u64 {
-            assert_eq!(serial.multiplicity(&k(i)), parallel.multiplicity(&k(i)));
-            for idx in 0..serial.multiplicity(&k(i)) {
-                assert_eq!(
-                    serial.get_indexed(&k(i), idx),
-                    parallel.get_indexed(&k(i), idx)
-                );
-            }
-        }
+        assert_eq!(serial.len(), 5_000);
+        // The frozen layout is canonical: the same walk, pair for pair.
+        assert_eq!(serial.entries(), parallel.entries());
+        assert_eq!(serial.shard_loads(), parallel.shard_loads());
     }
 
     #[test]
     fn batch_write_preserves_order() {
         let store = ShardedStore::new(2);
         store.write_batch((0..10u64).map(|i| (k(5), Value::scalar(i))));
-        for i in 0..10usize {
-            assert_eq!(store.get_indexed(&k(5), i), Some(Value::scalar(i as u64)));
-        }
+        let values = (0..10u64).map(Value::scalar).collect();
+        assert_eq!(contents(store), vec![(k(5), values)]);
     }
 
     #[test]
@@ -637,20 +468,30 @@ mod tests {
 
         let parallel = ShardedStore::new(8);
         let per_shard = parallel.partition_writes(std::iter::once(pairs.clone()));
-        parallel.commit_partitioned(per_shard, 4);
+        parallel.commit_partitioned(per_shard);
 
         assert_eq!(serial.total_writes(), parallel.total_writes());
-        assert_eq!(serial.len(), parallel.len());
-        for i in 0..37u64 {
-            assert_eq!(serial.multiplicity(&k(i)), parallel.multiplicity(&k(i)));
-            for idx in 0..serial.multiplicity(&k(i)) {
-                assert_eq!(
-                    serial.get_indexed(&k(i), idx),
-                    parallel.get_indexed(&k(i), idx),
-                    "key {i} index {idx}"
-                );
-            }
+        assert_eq!(contents(serial), contents(parallel));
+    }
+
+    #[test]
+    fn a_commit_moves_each_bucket_into_an_empty_shard() {
+        let store = ShardedStore::new(4);
+        let per_shard = store.partition_writes(std::iter::once(
+            (0..100u64).map(|i| (k(i), Value::scalar(i))),
+        ));
+        let buffers: Vec<*const (Key, Value)> = per_shard.iter().map(|b| b.as_ptr()).collect();
+        store.commit_partitioned(per_shard);
+        for (shard, buffer) in store.shards.iter().zip(buffers) {
+            assert_eq!(shard.lock().as_ptr(), buffer);
         }
+        // A second commit appends behind the first, in order.
+        store.write_batch([(k(0), Value::scalar(1_000))]);
+        let snap = store.freeze();
+        assert_eq!(
+            snap.get_all(&k(0)),
+            vec![Value::scalar(0), Value::scalar(1_000)]
+        );
     }
 
     #[test]
@@ -673,24 +514,15 @@ mod tests {
 
         let serial = ShardedStore::new(8);
         let per_shard = serial.partition_writes(batches.clone());
-        serial.commit_partitioned(per_shard, 1);
+        serial.commit_partitioned(per_shard);
+        let expected = contents(serial);
 
         for threads in [2, 4, 8] {
             let parallel = ShardedStore::new(8);
             let chunks = parallel.partition_writes_parallel(batches.clone(), threads);
             parallel.commit_chunked(chunks, threads);
-            assert_eq!(serial.total_writes(), parallel.total_writes());
-            assert_eq!(serial.len(), parallel.len());
-            for key in 0..23u64 {
-                assert_eq!(serial.multiplicity(&k(key)), parallel.multiplicity(&k(key)));
-                for idx in 0..serial.multiplicity(&k(key)) {
-                    assert_eq!(
-                        serial.get_indexed(&k(key), idx),
-                        parallel.get_indexed(&k(key), idx),
-                        "key {key} index {idx} threads {threads}"
-                    );
-                }
-            }
+            assert_eq!(parallel.total_writes(), 64 * 2_048);
+            assert_eq!(contents(parallel), expected, "threads {threads}");
         }
     }
 
@@ -767,12 +599,12 @@ mod tests {
         let chunks = store.partition_writes_parallel(vec![Vec::new(); 5], 4);
         assert!(chunks[0].iter().all(Vec::is_empty));
         store.commit_chunked(chunks, 4);
-        assert!(store.is_empty());
+        assert_eq!(store.total_writes(), 0);
         // More threads than pairs.
         let chunks = store.partition_writes_parallel(vec![vec![(k(1), Value::scalar(1))]], 8);
         store.commit_chunked(chunks, 8);
-        assert_eq!(store.get(&k(1)), Some(Value::scalar(1)));
         assert_eq!(store.total_writes(), 1);
+        assert_eq!(contents(store), vec![(k(1), vec![Value::scalar(1)])]);
         // Worker ranges that start and end inside batches, with empty
         // batches between them: the buckets equal the one-worker pass.
         let batches: Vec<Vec<(Key, Value)>> = [30_001u64, 0, 17, 0, 45_000]
@@ -799,10 +631,9 @@ mod tests {
             vec![(k(9), Value::scalar(2))],
         ];
         let per_shard = store.partition_writes(batches);
-        store.commit_partitioned(per_shard, 2);
-        for i in 0..3usize {
-            assert_eq!(store.get_indexed(&k(9), i), Some(Value::scalar(i as u64)));
-        }
+        store.commit_partitioned(per_shard);
+        let values = (0..3u64).map(Value::scalar).collect();
+        assert_eq!(contents(store), vec![(k(9), values)]);
     }
 
     #[test]
@@ -810,12 +641,12 @@ mod tests {
         let store = ShardedStore::new(0);
         assert_eq!(store.num_shards(), 1);
         store.write(k(1), Value::scalar(1));
-        assert_eq!(store.get(&k(1)), Some(Value::scalar(1)));
+        assert_eq!(store.freeze().get(&k(1)), Some(Value::scalar(1)));
     }
 
     #[test]
     fn concurrent_writes_from_many_threads_all_land() {
-        let store = std::sync::Arc::new(ShardedStore::new(16));
+        let store = Arc::new(ShardedStore::new(16));
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let store = store.clone();
@@ -830,12 +661,13 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(store.total_writes(), 8000);
-        assert_eq!(store.len(), 8000);
+        let store = Arc::try_unwrap(store).expect("every writer joined");
+        assert_eq!(store.freeze().len(), 8000);
     }
 
     #[test]
     fn concurrent_partitioned_commits_from_many_threads_all_land() {
-        let store = std::sync::Arc::new(ShardedStore::new(8));
+        let store = Arc::new(ShardedStore::new(8));
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let store = store.clone();
@@ -844,7 +676,7 @@ mod tests {
                         .map(|i| (k(t * 10_000 + i), Value::scalar(i)))
                         .collect();
                     let per_shard = store.partition_writes(std::iter::once(pairs));
-                    store.commit_partitioned(per_shard, 2);
+                    store.commit_partitioned(per_shard);
                 })
             })
             .collect();
@@ -852,6 +684,7 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(store.total_writes(), 4000);
-        assert_eq!(store.len(), 4000);
+        let store = Arc::try_unwrap(store).expect("every writer joined");
+        assert_eq!(store.freeze().len(), 4000);
     }
 }

@@ -16,7 +16,7 @@
 //!   one request was in flight at a time — would re-apply every replayed
 //!   commit but the newest.)
 //! * `Advance` retransmissions re-publish the already-frozen epoch — the
-//!   newest one, which is the only one whose maps the owner retains: an
+//!   newest one, which is the only one whose shards the owner retains: an
 //!   epoch is retired the moment its successor is published (a view a
 //!   client holds stays valid through its own `Arc`), so a session of any
 //!   length holds one frozen epoch, not all of them.
@@ -32,7 +32,7 @@
 
 use crate::hashing::FxHashMap;
 use crate::proto::{Reply, Request};
-use crate::slot::{freeze_in_place, push_pair, SlotMap};
+use crate::slot::{append, Pairs};
 use crate::snapshot::FrozenEpoch;
 use crate::stats::ShardLoad;
 use crate::transport::session::{MAX_PIPELINE, PIPELINE_DEPTH};
@@ -58,10 +58,9 @@ const _: () =
 pub(crate) struct Worker {
     /// Global shard ids owned by this worker (ascending).
     shard_ids: Vec<usize>,
-    /// Writable maps of the current epoch, one per owned shard.
-    writable: Vec<SlotMap>,
-    /// Writes accepted into the current epoch, per owned shard.
-    writable_writes: Vec<u64>,
+    /// Writable shards of the current epoch, one per owned shard: the
+    /// pairs committed to it, in commit order.
+    writable: Vec<Pairs>,
     /// Epochs published so far.
     published: usize,
     /// The newest published epoch (`published - 1`): what a retransmitted
@@ -89,8 +88,7 @@ pub(crate) struct Worker {
 impl Worker {
     pub(crate) fn new(shard_ids: Vec<usize>) -> Worker {
         Worker {
-            writable: vec![SlotMap::default(); shard_ids.len()],
-            writable_writes: vec![0; shard_ids.len()],
+            writable: vec![Vec::new(); shard_ids.len()],
             shard_ids,
             published: 0,
             latest: None,
@@ -153,18 +151,13 @@ impl Worker {
         OwnerReply::Epoch(epoch)
     }
 
-    /// Freeze the writable maps in place and hand them over as one epoch;
-    /// shared by `Advance` (freeze + publish in one step) and
-    /// `FreezeEpoch` (phase 1 of the barrier, which parks the result).
+    /// Freeze the writable shards and hand them over as one epoch; shared
+    /// by `Advance` (freeze + publish in one step) and `FreezeEpoch`
+    /// (phase 1 of the barrier, which parks the result).
     fn freeze_writable(&mut self) -> Arc<FrozenEpoch> {
-        let shard_count = self.shard_ids.len();
-        // In-place freeze: reuse the writable maps as the frozen maps,
-        // only shrinking the rare multi-value slots.
-        let mut shards =
-            std::mem::replace(&mut self.writable, vec![SlotMap::default(); shard_count]);
-        freeze_in_place(&mut shards, 1);
-        let writes = std::mem::replace(&mut self.writable_writes, vec![0; shard_count]);
-        Arc::new(FrozenEpoch::new(shards, writes))
+        let fresh = vec![Vec::new(); self.shard_ids.len()];
+        let shards = std::mem::replace(&mut self.writable, fresh);
+        Arc::new(FrozenEpoch::freeze(shards, 1))
     }
 
     /// Index of the epoch commits currently build: the published count,
@@ -201,13 +194,8 @@ impl Worker {
                 let mut accepted = 0u64;
                 for (local, pairs) in batches {
                     accepted += pairs.len() as u64;
-                    self.writable_writes[local] += pairs.len() as u64;
                     self.total_writes += pairs.len() as u64;
-                    let map = &mut self.writable[local];
-                    map.reserve(pairs.len());
-                    for (key, value) in pairs {
-                        push_pair(map, key, value);
-                    }
+                    append(&mut self.writable[local], pairs);
                 }
                 #[allow(
                     clippy::expect_used,
@@ -245,8 +233,8 @@ impl Worker {
             Request::FreezeEpoch { epoch } => {
                 if self.prepared.is_some() {
                     // A replayed freeze of the epoch already parked: re-ack
-                    // without touching the writable maps (which now belong
-                    // to the next epoch).
+                    // without touching the writable shards (which now
+                    // belong to the next epoch).
                     assert_eq!(
                         epoch, self.published,
                         "freeze replay must name the prepared epoch"
@@ -293,7 +281,7 @@ impl Worker {
                     .enumerate()
                     .map(|(local, &shard)| ShardLoad {
                         shard,
-                        keys: epoch.shards[local].len() as u64,
+                        keys: epoch.shards[local].keys() as u64,
                         writes: epoch.writes[local],
                         reads: epoch.reads[local].load(Ordering::Relaxed),
                     })
@@ -302,13 +290,9 @@ impl Worker {
             }
             Request::Dump { epoch } => {
                 let epoch = self.completed(epoch, "dump");
-                let mut entries = Vec::new();
-                for shard in &epoch.shards {
-                    for (key, slot) in shard {
-                        entries.push((*key, slot.as_slice().to_vec()));
-                    }
-                }
-                OwnerReply::Wire(Reply::Dump(entries))
+                let entries = epoch.shards.iter().flat_map(|shard| shard.entries());
+                let entries = entries.map(|(key, values)| (*key, values.copied().collect()));
+                OwnerReply::Wire(Reply::Dump(entries.collect()))
             }
             Request::TotalWrites => OwnerReply::Wire(Reply::TotalWrites(self.total_writes)),
             // Connection-lifecycle requests are consumed by the transport /
@@ -503,7 +487,7 @@ mod tests {
             };
             assert_eq!(published.writes, vec![pairs]);
             views.push(Arc::downgrade(&published));
-            // The client drops its view; whether the maps live on is now
+            // The client drops its view; whether the shards live on is now
             // the owner's decision alone.
         }
         // Every superseded epoch is gone; the newest is held, re-sent to a
@@ -520,7 +504,7 @@ mod tests {
             panic!("loads of the newest epoch must be served");
         };
         assert_eq!(loads[0].writes, 999 % 5);
-        // The audit is exact without any of the retired maps.
+        // The audit is exact without any of the retired shards.
         let OwnerReply::Wire(Reply::TotalWrites(total)) = worker.handle(0, Request::TotalWrites)
         else {
             panic!("total-writes must be answered");

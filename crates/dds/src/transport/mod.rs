@@ -80,7 +80,7 @@
 //! * [`TcpTransport`] — sockets speaking length-prefixed [`crate::proto`]
 //!   frames (`std::net`, no external dependencies).  Every message
 //!   round-trips through the byte codec; an `Advance` reply is encoded
-//!   straight from the owner's frozen maps and decoded straight into the
+//!   straight from the owner's frozen shards and decoded straight into the
 //!   client's, so it reaches the caller as the same
 //!   [`ClientReply::SharedEpoch`] — a replica instead of the owner's own
 //!   allocation.
@@ -402,7 +402,7 @@ pub enum ClientReply {
     /// The frozen epoch an advance published, ready to read from — on every
     /// transport.  In-process transports ([`MpscTransport`]) hand over the
     /// owner's own `Arc`, zero-copy; wire transports ([`TcpTransport`])
-    /// decode the epoch payload straight into the maps of a replica.
+    /// decode the epoch payload straight into the shards of a replica.
     SharedEpoch(Arc<FrozenEpoch>),
 }
 
@@ -423,7 +423,7 @@ pub enum OwnerReply {
     Wire(Reply),
     /// A frozen epoch (freshly frozen, or retained and asked for again).
     /// Shared-memory transports forward the `Arc` as-is; wire transports
-    /// encode the epoch payload straight from its maps.  Either way the
+    /// encode the epoch payload straight from its shards.  Either way the
     /// client receives a [`ClientReply::SharedEpoch`].
     Epoch(Arc<FrozenEpoch>),
 }

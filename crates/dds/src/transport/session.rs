@@ -208,8 +208,8 @@ impl TcpOptions {
 ///
 /// Every message round-trips through the byte codec, so running the
 /// conformance suites over this transport is an end-to-end proof of the wire
-/// format.  An `Advance` reply is the owner's frozen maps encoded in place;
-/// the client decodes the payload straight into the maps of a local replica
+/// format.  An `Advance` reply is the owner's frozen shards encoded in place;
+/// the client decodes the payload straight into the shards of a local replica
 /// and delivers it as [`ClientReply::SharedEpoch`].
 ///
 /// The transport owns the connection lifecycle: the lease handshake on
@@ -462,7 +462,7 @@ impl TcpTransport {
     /// Read and decode the next frame (I/O error outer, decode error
     /// inner), flushing first unless the frame is already in the reader's
     /// buffer — rule 3 of the flush rule on [`Self::transmit`].  An epoch
-    /// payload goes straight into the shard maps of a replica — one pass
+    /// payload goes straight into the shards of a replica — one pass
     /// over the bytes, no typed frame in between.
     fn next_reply(&mut self) -> std::io::Result<Result<ClientReply, ProtoError>> {
         if !self.frames.has_frame() {
@@ -1021,7 +1021,7 @@ impl TcpServer {
     }
 
     /// Encode `reply` into a pooled buffer — a frozen epoch straight from
-    /// its maps — and hand it to the writer stage.  Blocks when
+    /// its shards — and hand it to the writer stage.  Blocks when
     /// [`PIPELINE_DEPTH`] replies are already queued — the dispatch stage's
     /// backpressure.
     ///

@@ -6,11 +6,12 @@
 //!   size, encoding and framing a request — and reading it back — must not
 //!   touch the allocator at all, frame by frame or burst by burst through
 //!   the connection's buffered reader and writer;
-//! * a frozen epoch crosses the wire from hash maps to bytes to hash maps:
-//!   the owner encodes it into a warm pooled buffer with no allocation, and
-//!   the client decodes it with a handful of allocations per *shard*, never
-//!   one per key — a change that reintroduces a `Vec` per key fails here
-//!   rather than in a benchmark run.
+//! * a frozen epoch crosses the wire from frozen shards to bytes to frozen
+//!   shards: the owner encodes it into a warm pooled buffer with no
+//!   allocation, and the client decodes it with a fixed number of
+//!   allocations per *shard*, never one per key — a change that
+//!   reintroduces a `Vec` per key fails here rather than in a benchmark
+//!   run.
 
 use ampc_dds::proto::{
     decode_request, encode_reply, encode_request_into, read_frame, write_frame, EpochFrame, Reply,
@@ -18,7 +19,9 @@ use ampc_dds::proto::{
 };
 use ampc_dds::transport::codec::{FrameReader, FrameWriter};
 use ampc_dds::transport::{ClientReply, OwnerReply, ServerTransport};
-use ampc_dds::{Key, KeyTag, TcpOptions, TcpTransport, Transport, Value};
+use ampc_dds::{
+    FrozenEpoch, Key, KeyTag, ShardedStore, TcpOptions, TcpTransport, Transport, Value,
+};
 use std::net::TcpListener;
 
 mod counting_alloc;
@@ -152,27 +155,34 @@ fn epoch_owner(payload: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHand
     (addr, owner)
 }
 
-#[test]
-fn an_epoch_crosses_the_wire_without_an_allocation_per_key() {
-    const SHARDS: usize = 4;
-    const KEYS: u64 = 10_000;
-    // The epoch as a typed frame — scaffolding, free to allocate: 10 000
-    // single-value keys dealt over the shards.
-    let frame = EpochFrame {
-        shards: (0..SHARDS as u64)
-            .map(|shard| ShardFrame {
-                writes: KEYS / SHARDS as u64,
-                entries: (0..KEYS)
-                    .filter(|key| key % SHARDS as u64 == shard)
-                    .map(|key| (Key::of(KeyTag::Scalar, key), vec![Value::scalar(key)]))
-                    .collect(),
-            })
-            .collect(),
-    };
-    let (addr, owner) = epoch_owner(encode_reply(&Reply::Epoch(frame)));
+const SHARDS: usize = 4;
 
-    // Decode, on this thread: the first advance grows the connection's
-    // read scratch to the frame; the second is the steady state.
+/// An epoch of `keys` single-value keys over [`SHARDS`] shards, as a typed
+/// frame, each shard's entries in its layout order (as an owner walks its
+/// frozen shards) or, if not `as_owners_send`, in key order.
+fn epoch_frame(keys: u64, as_owners_send: bool) -> EpochFrame {
+    let route = ShardedStore::new(SHARDS);
+    let written = ShardedStore::new(SHARDS);
+    written.write_batch((0..keys).map(|key| (Key::of(KeyTag::Scalar, key), Value::scalar(key))));
+    let mut shards = vec![ShardFrame::default(); SHARDS];
+    for (key, values) in written.freeze().iter() {
+        let entry = (*key, values.copied().collect());
+        shards[route.shard_of(key)].entries.push(entry);
+    }
+    for shard in &mut shards {
+        shard.writes = shard.entries.len() as u64;
+        if !as_owners_send {
+            shard.entries.sort_by_key(|(key, _)| *key);
+        }
+    }
+    EpochFrame { shards }
+}
+
+/// Decode `frame` as a client does, on this thread: the first advance
+/// grows the connection's read scratch to the frame; the second is the
+/// steady state, whose allocations are returned with the replica.
+fn decoding_allocations(frame: EpochFrame) -> (u64, std::sync::Arc<FrozenEpoch>) {
+    let (addr, owner) = epoch_owner(encode_reply(&Reply::Epoch(frame)));
     let mut client = TcpTransport::connect_to(addr, 0, TcpOptions::fresh()).unwrap();
     client.send(Request::Advance { epoch: 0 }).unwrap();
     assert!(matches!(client.recv(), Ok(ClientReply::SharedEpoch(_))));
@@ -183,14 +193,32 @@ fn an_epoch_crosses_the_wire_without_an_allocation_per_key() {
     let Ok(ClientReply::SharedEpoch(epoch)) = reply else {
         panic!("an advance is answered with a frozen epoch");
     };
-    // One map per shard plus the vectors and the `Arc` that hold them —
-    // not one list per key.
-    assert!(
-        decoding <= 2 * SHARDS as u64 + 8,
-        "decoding {KEYS} single-value keys over {SHARDS} shards allocated {decoding} times"
-    );
     drop(client);
     owner.join().unwrap();
+    (decoding, epoch)
+}
+
+#[test]
+fn an_epoch_crosses_the_wire_without_an_allocation_per_key() {
+    // A replica shard's only buffers are its pairs and its directory, so
+    // decoding costs the same whatever the key count: two allocations per
+    // shard plus the vectors and the `Arc` that hold the shards.
+    let (small, epoch) = decoding_allocations(epoch_frame(10_000, true));
+    let (large, _) = decoding_allocations(epoch_frame(20_000, true));
+    assert_eq!(small, large, "decoding 10 000 vs 20 000 keys");
+    assert!(
+        small <= 2 * SHARDS as u64 + 8,
+        "decoding {SHARDS} shards as owners send them allocated {small} times"
+    );
+    // Entries out of layout order cost one buffer more per shard — the
+    // copy into bucket order — and still nothing per key.
+    let (small, _) = decoding_allocations(epoch_frame(10_000, false));
+    let (large, _) = decoding_allocations(epoch_frame(20_000, false));
+    assert_eq!(small, large, "decoding 10 000 vs 20 000 keys out of order");
+    assert!(
+        small <= 3 * SHARDS as u64 + 8,
+        "decoding {SHARDS} shards out of layout order allocated {small} times"
+    );
 
     // Encode, on this thread: play the owner's dispatch stage by hand and
     // answer a lock-step peer with the epoch just decoded.  Early rounds

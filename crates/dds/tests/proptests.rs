@@ -1,14 +1,15 @@
 //! Property tests for the DDS substrate: the store behaves like a
 //! multi-map with stable per-key ordering, snapshots are faithful frozen
 //! copies, the epoch chain keeps rounds isolated under arbitrary
-//! interleavings of writes and advances, the compact slot layout is
-//! observationally equivalent to a `BTreeMap<Key, Vec<Value>>` model, and
-//! every commit path's partition — at any worker count, on every backend — stores
-//! a round's pairs in the order pushing them one by one would.
+//! interleavings of writes and advances, the frozen shard layout — reached
+//! by either freeze path — is observationally equivalent to a
+//! `BTreeMap<Key, Vec<Value>>` model, and every commit path's partition —
+//! at any worker count, on every backend — stores a round's pairs in the
+//! order pushing them one by one would.
 
 use ampc_dds::{
-    ChannelBackend, DdsBackend, DdsChain, Key, KeyTag, LocalBackend, ShardedStore, SnapshotView,
-    TcpBackend, Value,
+    ChannelBackend, DdsBackend, DdsChain, Key, KeyTag, LocalBackend, ShardedStore, Snapshot,
+    SnapshotView, TcpBackend, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -69,6 +70,49 @@ fn model_get(model: &BTreeMap<Key, Vec<Value>>, key: &Key, index: usize) -> Opti
     model.get(key).and_then(|values| values.get(index).copied())
 }
 
+/// Every key of `snapshot`, in its walk order, with its values.
+fn walk(snapshot: &Snapshot) -> Vec<(Key, Vec<Value>)> {
+    let entries = snapshot.iter();
+    entries
+        .map(|(key, values)| (*key, values.copied().collect()))
+        .collect()
+}
+
+/// `entries` written key by key, each key's values in order, into a fresh
+/// store of `shards` shards, then frozen.
+fn refrozen(shards: usize, entries: &[(Key, Vec<Value>)]) -> Snapshot {
+    let store = ShardedStore::new(shards);
+    for (key, values) in entries {
+        for &value in values {
+            store.write(*key, value);
+        }
+    }
+    store.freeze_with_threads(1)
+}
+
+/// Every read the model answers, through `snapshot`: `get`, `get_indexed`
+/// one past each multiplicity, `multiplicity`, `get_all`, for every key
+/// written and for one never written.
+fn assert_reads_the_model(snapshot: &Snapshot, model: &BTreeMap<Key, Vec<Value>>) {
+    assert_eq!(snapshot.len(), model.len());
+    let absent = Key::of(KeyTag::Custom(999), u64::MAX);
+    for key in model.keys().chain([&absent]) {
+        assert_eq!(snapshot.get(key), model_get(model, key, 0));
+        let multiplicity = model_multiplicity(model, key);
+        assert_eq!(snapshot.multiplicity(key), multiplicity);
+        for index in 0..=multiplicity {
+            assert_eq!(
+                snapshot.get_indexed(key, index),
+                model_get(model, key, index)
+            );
+        }
+        assert_eq!(
+            snapshot.get_all(key),
+            model.get(key).cloned().unwrap_or_default()
+        );
+    }
+}
+
 /// Commit `batches` as one round on a fresh `B` and return the view of it.
 fn committed_view<B: DdsBackend>(shards: usize, threads: usize, batches: Batches) -> B::View {
     let mut backend = B::with_shards(shards, threads);
@@ -76,8 +120,9 @@ fn committed_view<B: DdsBackend>(shards: usize, threads: usize, batches: Batches
     backend.advance(threads)
 }
 
+/// Keys from a pool of 720, so a few hundred writes repeat many of them.
 fn arbitrary_key() -> impl Strategy<Value = Key> {
-    (0u32..6, any::<u64>(), 0u64..1_000).prop_map(|(tag, a, b)| Key {
+    (0u32..6, 0u64..40, 0u64..3).prop_map(|(tag, a, b)| Key {
         tag: KeyTag::from_code(tag),
         a,
         b,
@@ -102,22 +147,18 @@ proptest! {
             store.write(Key::of(KeyTag::Scalar, k), Value::scalar(v));
             expected.entry(k).or_default().push(v);
         }
-        prop_assert_eq!(store.len(), expected.len());
         prop_assert_eq!(store.total_writes(), writes.len() as u64);
-        for (k, values) in &expected {
-            let key = Key::of(KeyTag::Scalar, *k);
-            prop_assert_eq!(store.multiplicity(&key), values.len());
-            prop_assert_eq!(store.get(&key), Some(Value::scalar(values[0])));
-            for (i, &v) in values.iter().enumerate() {
-                prop_assert_eq!(store.get_indexed(&key, i), Some(Value::scalar(v)));
-            }
-            prop_assert_eq!(store.get_indexed(&key, values.len()), None);
-        }
-        // Freezing preserves everything exactly.
+        // The store answers reads once frozen, every value in write order.
         let snapshot = store.freeze();
+        prop_assert_eq!(snapshot.len(), expected.len());
         for (k, values) in &expected {
             let key = Key::of(KeyTag::Scalar, *k);
-            prop_assert_eq!(snapshot.get_all(&key), values.iter().map(|&v| Value::scalar(v)).collect::<Vec<_>>());
+            prop_assert_eq!(snapshot.multiplicity(&key), values.len());
+            prop_assert_eq!(snapshot.get(&key), Some(Value::scalar(values[0])));
+            for (i, &v) in values.iter().enumerate() {
+                prop_assert_eq!(snapshot.get_indexed(&key, i), Some(Value::scalar(v)));
+            }
+            prop_assert_eq!(snapshot.get_indexed(&key, values.len()), None);
         }
     }
 
@@ -163,29 +204,23 @@ proptest! {
         }
         let model = multimap(&writes);
 
-        // Writable-store reads agree before freezing.
-        for &(key, _) in &writes {
-            prop_assert_eq!(store.get(&key), model_get(&model, &key, 0));
-            prop_assert_eq!(store.multiplicity(&key), model_multiplicity(&model, &key));
-        }
-        prop_assert_eq!(store.len(), model.len());
-
         // Frozen-snapshot reads agree, whatever the freeze parallelism.
         let snapshot = store.freeze_with_threads(freeze_threads);
-        prop_assert_eq!(snapshot.len(), model.len());
-        for &(key, _) in &writes {
-            prop_assert_eq!(snapshot.get(&key), model_get(&model, &key, 0));
-            let multiplicity = model_multiplicity(&model, &key);
-            prop_assert_eq!(snapshot.multiplicity(&key), multiplicity);
-            for index in 0..=multiplicity {
-                prop_assert_eq!(snapshot.get_indexed(&key, index), model_get(&model, &key, index));
-            }
-        }
+        let loads = snapshot.shard_loads();
+        assert_reads_the_model(&snapshot, &model);
 
-        // Missing keys agree too.
-        let absent = Key::of(KeyTag::Custom(999), u64::MAX);
-        prop_assert_eq!(snapshot.get(&absent), None);
-        prop_assert_eq!(snapshot.multiplicity(&absent), 0);
+        // Both freeze paths: every shard re-frozen from its own walk, which
+        // is already in layout order (the path that keeps the buffer), and
+        // from its entries in reverse order (the path that sorts).  Both
+        // give the identical shards — walk, keys and writes per shard,
+        // empty shards included — and the identical model reads.
+        let entries = walk(&snapshot);
+        let reversed: Vec<(Key, Vec<Value>)> = entries.iter().rev().cloned().collect();
+        for refrozen in [refrozen(shards, &entries), refrozen(shards, &reversed)] {
+            prop_assert_eq!(walk(&refrozen), entries.clone());
+            prop_assert_eq!(refrozen.shard_loads(), loads.clone());
+            assert_reads_the_model(&refrozen, &model);
+        }
     }
 
     #[test]
@@ -198,7 +233,7 @@ proptest! {
         threads in 1usize..5
     ) {
         // The runtime's commit path: per-machine batches, partitioned by
-        // shard, committed in parallel — against the model fed the same
+        // shard, committed and frozen — against the model fed the same
         // concatenated sequence.
         let store = ShardedStore::new(shards);
         let batches: Vec<Vec<(Key, Value)>> = machine_batches
@@ -209,9 +244,9 @@ proptest! {
             .collect();
         let model = multimap(batches.iter().flatten());
         let per_shard = store.partition_writes(batches);
-        store.commit_partitioned(per_shard, threads);
+        store.commit_partitioned(per_shard);
 
-        let snapshot = store.freeze();
+        let snapshot = store.freeze_with_threads(threads);
         prop_assert_eq!(snapshot.len(), model.len());
         for k in 0u64..60 {
             let key = Key::of(KeyTag::Scalar, k);
@@ -233,6 +268,7 @@ proptest! {
             one.write(Key::of(KeyTag::Scalar, k), Value::scalar(v));
             many.write(Key::of(KeyTag::Scalar, k), Value::scalar(v));
         }
+        let (one, many) = (one.freeze(), many.freeze());
         for &(k, _) in &writes {
             let key = Key::of(KeyTag::Scalar, k);
             prop_assert_eq!(one.get(&key), many.get(&key));
@@ -258,12 +294,10 @@ proptest! {
 
         store.commit_chunked(chunks, threads);
         let model = multimap(batches.iter().flatten());
-        prop_assert_eq!(store.len(), model.len());
+        let snapshot = store.freeze();
+        prop_assert_eq!(snapshot.len(), model.len());
         for (key, values) in &model {
-            prop_assert_eq!(store.multiplicity(key), values.len());
-            for (index, &value) in values.iter().enumerate() {
-                prop_assert_eq!(store.get_indexed(key, index), Some(value));
-            }
+            prop_assert_eq!(&snapshot.get_all(key), values);
         }
     }
 

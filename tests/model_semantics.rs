@@ -124,6 +124,8 @@ fn per_machine_load_on_the_dds_stays_balanced() {
     let config = AmpcConfig::for_graph(100_000, 100_000, 0.5);
     let mut rt = AmpcRuntime::new(config.clone());
     rt.load_input((0..50_000u64).map(|x| (key(KeyTag::Scalar, x), Value::scalar(x))));
+    // The round reads D₀ and writes D₁: the loads to check are D₀'s.
+    let d0 = rt.snapshot();
     rt.run_round(64, |ctx| {
         let base = ctx.machine_id() as u64 * 700;
         for i in 0..700u64 {
@@ -131,9 +133,13 @@ fn per_machine_load_on_the_dds_stays_balanced() {
         }
     })
     .unwrap();
-    let stats = rt.snapshot().stats();
-    // ~44800 reads over 256 shards ⇒ mean ≈ 175; the max shard should stay
-    // within a small constant factor of that.
+    let stats = d0.stats();
+    assert_eq!(
+        stats.total_reads, 44_800,
+        "every read of the round reached D₀"
+    );
+    // 44 800 reads and 50 000 writes over 631 shards ⇒ mean traffic ≈ 150;
+    // the max shard should stay within a small constant factor of that.
     assert!(stats.imbalance() < 2.0, "imbalance = {}", stats.imbalance());
 }
 
