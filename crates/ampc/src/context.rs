@@ -7,10 +7,10 @@
 //!   (`D_{i-1}`) — each read may depend on the values returned by earlier
 //!   reads, which is the defining "adaptive" capability of AMPC.  Reads of
 //!   *independent* keys can be batched into one flight with
-//!   [`MachineContext::read_many`], or — when the independent keys are not
-//!   all in hand at once — queued into the **auto-batching window**
+//!   [`MachineContext::read_many_slice`], or — when the independent keys are
+//!   not all in hand at once — queued into the **auto-batching window**
 //!   ([`MachineContext::queue_read`] / [`MachineContext::take_read`]),
-//!   which coalesces adjacent point reads into one `read_many` flight on
+//!   which coalesces adjacent point reads into one such flight on
 //!   whatever backend serves the view.  Either way a batch of `k` keys is
 //!   accounted as exactly `k` queries, so batching never changes budget
 //!   semantics, only wall-clock cost;
@@ -144,32 +144,14 @@ impl<V: SnapshotView> MachineContext<V> {
     }
 
     /// Batched adaptive read: look up every key of `keys` in `D_{round-1}`,
-    /// returning one `Option<Value>` per key, in order.
+    /// `out[i]` receiving the result for `keys[i]`.  Callers pass fixed-size
+    /// stack buffers, so a hot loop batches without heap allocation.
     ///
     /// Counts as `keys.len()` queries — budget semantics are *identical* to
     /// issuing [`MachineContext::read`] once per key.  The batch models a
     /// real deployment pipelining independent lookups over the network in
     /// one flight; adaptivity is unaffected because the next batch may
     /// depend on this batch's results.
-    pub fn read_many(&mut self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.queries += keys.len() as u64;
-        let mut out = Vec::new();
-        self.snapshot.get_many(keys, &mut out);
-        out
-    }
-
-    /// [`MachineContext::read_many`] writing into a caller-provided buffer,
-    /// for hot loops that batch reads every iteration.  `out` is cleared
-    /// first.  Counts as `keys.len()` queries.
-    pub fn read_many_into(&mut self, keys: &[Key], out: &mut Vec<Option<Value>>) {
-        self.queries += keys.len() as u64;
-        self.snapshot.get_many(keys, out);
-    }
-
-    /// [`MachineContext::read_many`] into a caller-provided slice (`out[i]`
-    /// receives the result for `keys[i]`), for hot loops that batch into
-    /// fixed-size stack buffers without heap allocation.  Counts as
-    /// `keys.len()` queries.
     ///
     /// # Panics
     /// If `out` is shorter than `keys`.
@@ -184,7 +166,7 @@ impl<V: SnapshotView> MachineContext<V> {
     ///
     /// Sized to match the explicit-batching flight size algorithms use, so
     /// the windowed path pays the same per-flight fixed costs as
-    /// [`MachineContext::read_many`] — 64 was 4× the flush (and
+    /// [`MachineContext::read_many_slice`] — 64 was 4× the flush (and
     /// result-buffer regrowth) traffic per read, which is exactly the
     /// overhead that showed up as the windowed-vs-batched latency gap in
     /// the `read_latency_backends` bench series.
@@ -404,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn read_many_budget_accounting_matches_single_reads_exactly() {
+    fn batched_read_budget_accounting_matches_single_reads_exactly() {
         let pairs: Vec<(u64, u64)> = (0..40).map(|i| (i, i * 2)).collect();
         let cfg = test_config();
         let keys: Vec<Key> = (0..60u64).map(|i| Key::of(KeyTag::Scalar, i)).collect();
@@ -414,26 +396,14 @@ mod tests {
         let single_results: Vec<Option<Value>> = keys.iter().map(|&k| singles.read(k)).collect();
 
         let mut batched = MachineContext::new(0, 1, snapshot_with(&pairs), &cfg);
-        let batch_results = batched.read_many(&keys);
+        let mut batch_results = vec![Some(Value::scalar(999)); keys.len()]; // stale contents must go
+        batched.read_many_slice(&keys, &mut batch_results);
 
         assert_eq!(single_results, batch_results);
         assert_eq!(singles.queries_issued(), 60);
         assert_eq!(batched.queries_issued(), singles.queries_issued());
         assert_eq!(batched.remaining_budget(), singles.remaining_budget());
         assert_eq!(batched.budget_exhausted(), singles.budget_exhausted());
-    }
-
-    #[test]
-    fn read_many_into_reuses_buffer_and_counts_queries() {
-        let snap = snapshot_with(&[(1, 10), (2, 20)]);
-        let cfg = test_config();
-        let mut ctx = MachineContext::new(0, 1, snap, &cfg);
-        let mut buf = vec![Some(Value::scalar(999))]; // stale contents must go
-        ctx.read_many_into(&[Key::of(KeyTag::Scalar, 2)], &mut buf);
-        assert_eq!(buf, vec![Some(Value::scalar(20))]);
-        ctx.read_many_into(&[], &mut buf);
-        assert!(buf.is_empty());
-        assert_eq!(ctx.queries_issued(), 1);
     }
 
     #[test]

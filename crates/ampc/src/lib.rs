@@ -31,9 +31,9 @@
 //! 1. **Execute** — virtual machines are multiplexed onto worker threads;
 //!    every machine reads the frozen snapshot of `D_{i-1}` (single keys via
 //!    [`MachineContext::read`], pipelined batches via
-//!    [`MachineContext::read_many`] — a batch of `k` keys costs exactly `k`
-//!    queries, so budget semantics never depend on batching) and buffers
-//!    its writes locally.
+//!    [`MachineContext::read_many_slice`] — a batch of `k` keys costs
+//!    exactly `k` queries, so budget semantics never depend on batching)
+//!    and buffers its writes locally.
 //! 2. **Commit** — when all machines finish, their write buffers are
 //!    concatenated in (machine id, write order) order, partitioned by
 //!    destination shard — the pairs split into contiguous ranges, one per

@@ -539,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn read_many_in_a_round_matches_single_reads_and_costs_the_same() {
+    fn batched_reads_in_a_round_match_single_reads_and_cost_the_same() {
         let run = |batched: bool| {
             let mut rt = AmpcRuntime::new(config(1_000));
             rt.load_input((0..100u64).map(|i| (key(i), Value::scalar(i * 5))));
@@ -549,10 +549,9 @@ mod tests {
                         .map(|i| key(ctx.machine_id() as u64 * 25 + i))
                         .collect();
                     if batched {
-                        ctx.read_many(&keys)
-                            .into_iter()
-                            .map(|v| v.unwrap().x)
-                            .sum::<u64>()
+                        let mut found = vec![None; keys.len()];
+                        ctx.read_many_slice(&keys, &mut found);
+                        found.into_iter().map(|v| v.unwrap().x).sum::<u64>()
                     } else {
                         keys.iter().map(|&k| ctx.read(k).unwrap().x).sum::<u64>()
                     }
@@ -705,7 +704,8 @@ mod tests {
                     .run_round(10, |ctx| {
                         let id = ctx.machine_id() as u64;
                         let keys = [key(100 + id), key(id)];
-                        let batch = ctx.read_many(&keys);
+                        let mut batch = [None; 2];
+                        ctx.read_many_slice(&keys, &mut batch);
                         // key(7) was written by every machine in round 1, so
                         // round 2 sees the full multi-value list: index
                         // order must be machine-id order on every backend.

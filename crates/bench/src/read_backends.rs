@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Keys per explicit `get_many` flight in the batched mode.
+/// Keys per explicit `get_many_slice` flight in the batched mode.
 const FLIGHT: usize = 256;
 
 /// Timed passes per (backend, mode); the *minimum* is reported.  Latency

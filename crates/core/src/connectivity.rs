@@ -51,8 +51,6 @@ const BFS_READ_BATCH: usize = 32;
 struct BfsScratch {
     visited: FxHashSet<u32>,
     queue: std::collections::VecDeque<u32>,
-    keys: Vec<Key>,
-    entries: Vec<Option<Value>>,
 }
 
 /// Algorithm 6 (`IncreaseDegrees`) for a single vertex: a BFS from `v` by
@@ -60,7 +58,7 @@ struct BfsScratch {
 /// component) and at most `query_cap` reads.
 ///
 /// The frontier expansion reads each vertex's adjacency list in batches of
-/// up to [`BFS_READ_BATCH`] slots via [`MachineContext::read_many_into`] —
+/// up to [`BFS_READ_BATCH`] slots via [`MachineContext::read_many_slice`] —
 /// the slot keys are independent once the degree is known, so a real
 /// deployment pipelines them in one network flight.  Visiting order (and
 /// therefore the result) is identical to the slot-by-slot loop.  Query
@@ -82,6 +80,8 @@ fn bounded_bfs<V: SnapshotView>(
     order.push(v);
     scratch.queue.push_back(v);
     let start_queries = ctx.queries_issued();
+    let mut keys: [Key; BFS_READ_BATCH] = [degree_key(0); BFS_READ_BATCH];
+    let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
     'outer: while let Some(x) = scratch.queue.pop_front() {
         if order.len() >= d {
             break;
@@ -107,12 +107,12 @@ fn bounded_bfs<V: SnapshotView>(
                 .min(remaining_budget as usize)
                 .min(remaining_ball);
             let batch_end = deg.min(next_slot + batch_cap);
-            scratch.keys.clear();
-            scratch
-                .keys
-                .extend((next_slot..batch_end).map(|i| adjacency_key(x, i)));
-            ctx.read_many_into(&scratch.keys, &mut scratch.entries);
-            for entry in &scratch.entries {
+            let batch = batch_end - next_slot;
+            for (j, key) in keys[..batch].iter_mut().enumerate() {
+                *key = adjacency_key(x, next_slot + j);
+            }
+            ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+            for entry in &entries[..batch] {
                 let Some(entry) = entry else { continue };
                 let u = entry.x as u32;
                 if scratch.visited.insert(u) {

@@ -6,8 +6,8 @@
 //! *list ranking* the arcs (Algorithm 11, [`crate::listrank`]) yields the
 //! position of every arc in the tour, from which parents, subtree sizes and
 //! preorder numbers all follow with O(1) extra work per vertex.  The list
-//! ranking is the only part that needs AMPC rounds — its walks issue one
-//! batched adaptive read per hop (`read_many`) — everything else is the
+//! ranking is the only part that needs AMPC rounds — its walks probe each
+//! hop with one 3-key `read_many_slice` flight — everything else is the
 //! per-key arithmetic the paper attributes to "standard MPC primitives",
 //! with the tour stitched driver-side by sorted-out-list binary search
 //! (no per-arc hash map).

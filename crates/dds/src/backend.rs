@@ -90,14 +90,6 @@ pub trait SnapshotView: Clone + Send + Sync + 'static {
     /// If `out` is shorter than `keys`.
     fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]);
 
-    /// [`SnapshotView::get_many_slice`] into a reusable `Vec` (cleared and
-    /// resized first).  Counts as `keys.len()` queries.
-    fn get_many(&self, keys: &[Key], out: &mut Vec<Option<Value>>) {
-        out.clear();
-        out.resize(keys.len(), None);
-        self.get_many_slice(keys, out);
-    }
-
     /// Total queries served by this view so far.
     fn total_reads(&self) -> u64;
 
@@ -321,8 +313,8 @@ mod tests {
         );
         let view = backend.advance(1);
         let keys: Vec<Key> = (0..80u64).map(k).collect();
-        let mut batched = Vec::new();
-        SnapshotView::get_many(&view, &keys, &mut batched);
+        let mut batched = vec![None; keys.len()];
+        SnapshotView::get_many_slice(&view, &keys, &mut batched);
         let individual: Vec<Option<Value>> = keys
             .iter()
             .map(|key| SnapshotView::get(&view, key))

@@ -656,8 +656,8 @@ mod tests {
         let mut backend = channel_with(&pairs, 16, 4);
         let view = backend.advance(1);
         let keys: Vec<Key> = (0..300u64).map(k).collect();
-        let mut out = Vec::new();
-        view.get_many(&keys, &mut out);
+        let mut out = vec![None; keys.len()];
+        view.get_many_slice(&keys, &mut out);
         for (i, slot) in out.iter().enumerate() {
             let expected = if i < 200 {
                 Some(Value::scalar(i as u64 * 7))

@@ -240,8 +240,8 @@ impl Snapshot {
     }
 }
 
-/// The read surface, for every backend.  `get_many` and `stats` are the
-/// trait's provided methods.
+/// The read surface, for every backend.  `stats` is the trait's provided
+/// method.
 impl SnapshotView for Snapshot {
     fn num_shards(&self) -> usize {
         self.inner.table.len()
@@ -394,11 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn get_many_returns_per_key_results_and_counts_each_key() {
+    fn get_many_slice_returns_per_key_results_and_counts_each_key() {
         let snap = snapshot_with(&[(1, 10), (2, 20), (3, 30)]);
         let keys = [k(1), k(999), k(3), k(2), k(2)];
-        let mut out = Vec::new();
-        snap.get_many(&keys, &mut out);
+        let mut out = vec![None; keys.len()];
+        snap.get_many_slice(&keys, &mut out);
         assert_eq!(
             out,
             vec![
@@ -413,11 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn get_many_matches_individual_gets() {
+    fn get_many_slice_matches_individual_gets() {
         let snap = snapshot_with(&(0..500).map(|i| (i, i * 3)).collect::<Vec<_>>());
         let keys: Vec<Key> = (0..1_000u64).map(k).collect();
-        let mut batched = Vec::new();
-        snap.get_many(&keys, &mut batched);
+        let mut batched = vec![None; keys.len()];
+        snap.get_many_slice(&keys, &mut batched);
         let individual: Vec<Option<Value>> = keys.iter().map(|key| snap.get(key)).collect();
         assert_eq!(batched, individual);
         // Both passes counted every key once.
@@ -497,9 +497,9 @@ mod tests {
         assert_eq!(split.num_shards(), whole.num_shards());
         assert_eq!(split.len(), whole.len());
         let keys: Vec<Key> = (0..120u64).map(k).collect();
-        let (mut lhs, mut rhs) = (Vec::new(), Vec::new());
-        whole.get_many(&keys, &mut lhs);
-        split.get_many(&keys, &mut rhs);
+        let (mut lhs, mut rhs) = (vec![None; keys.len()], vec![None; keys.len()]);
+        whole.get_many_slice(&keys, &mut lhs);
+        split.get_many_slice(&keys, &mut rhs);
         assert_eq!(lhs, rhs);
         for key in &keys {
             assert_eq!(split.get_all(key), whole.get_all(key));

@@ -6,7 +6,7 @@
 //! over `cluster(n)`, local clusters of n = 1..=5 range owners) and a
 //! `BTreeMap<Key, Vec<Value>>` model through the same write scripts and
 //! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
-//! `read_many` (order and content), multi-value index order, and the
+//! batched reads (order and content), multi-value index order, and the
 //! per-query read accounting — to identical results.  The property tests at
 //! the bottom extend the battery to arbitrary write interleavings.
 
@@ -100,10 +100,10 @@ fn assert_view_matches_model<V: SnapshotView>(view: &V, model: &Model, probe: &[
     }
 
     // Batched lookups: one entry per key, in key order, counted per key.
-    let mut batched = Vec::new();
-    view.get_many(probe, &mut batched);
+    let mut batched = vec![None; probe.len()];
+    view.get_many_slice(probe, &mut batched);
     let individual: Vec<Option<Value>> = probe.iter().map(|key| model_get(model, key, 0)).collect();
-    assert_eq!(batched, individual, "get_many order/content");
+    assert_eq!(batched, individual, "get_many_slice order/content");
     issued += probe.len() as u64;
 
     // Query accounting: every probe above debited exactly one query (the
@@ -273,7 +273,7 @@ fn battery_fills_the_shard_tables_at_power_of_two_shard_counts() {
 fn machine_context_budget_accounting_is_backend_independent() {
     // The runtime-level half of the query-budget battery: the same round
     // body must debit identical budgets (queries, violations) on every
-    // backend, including through read_many.
+    // backend, including through read_many_slice.
     let run = |backend: &DdsBackendKind| {
         let config = AmpcConfig::for_graph(400, 400, 0.5)
             .with_seed(11)
@@ -285,11 +285,9 @@ fn machine_context_budget_accounting_is_backend_independent() {
                 let id = ctx.machine_id() as u64;
                 let single = ctx.read(k(id)).map(|v| v.x);
                 let keys: Vec<Key> = (0..10u64).map(|i| k(id * 10 + i)).collect();
-                let batch: Vec<Option<u64>> = ctx
-                    .read_many(&keys)
-                    .into_iter()
-                    .map(|v| v.map(|v| v.x))
-                    .collect();
+                let mut found = [None; 10];
+                ctx.read_many_slice(&keys, &mut found);
+                let batch: Vec<Option<u64>> = found.iter().map(|v| v.map(|v| v.x)).collect();
                 let indexed = ctx.read_indexed(k(id), 0).map(|v| v.x);
                 let mult = ctx.multiplicity(k(id));
                 (
@@ -443,8 +441,8 @@ fn observe<V: SnapshotView>(view: &V, probe: &[Key]) -> EpochObservation {
             observations.push(view.get_indexed(key, index).map_or(u64::MAX, |v| v.x));
         }
     }
-    let mut batched = Vec::new();
-    view.get_many(probe, &mut batched);
+    let mut batched = vec![None; probe.len()];
+    view.get_many_slice(probe, &mut batched);
     observations.extend(batched.iter().map(|v| v.map_or(u64::MAX, |v| v.x)));
     (view.len(), entries, observations)
 }
