@@ -150,8 +150,9 @@ impl<V: SnapshotView> MachineContext<V> {
     /// Counts as `keys.len()` queries — budget semantics are *identical* to
     /// issuing [`MachineContext::read`] once per key.  The batch models a
     /// real deployment pipelining independent lookups over the network in
-    /// one flight; adaptivity is unaffected because the next batch may
-    /// depend on this batch's results.
+    /// one flight, and in process it overlaps the keys' cache misses, so it
+    /// costs less per key than point reads; adaptivity is unaffected
+    /// because the next batch may depend on this batch's results.
     ///
     /// # Panics
     /// If `out` is shorter than `keys`.

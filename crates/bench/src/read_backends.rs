@@ -15,7 +15,9 @@
 //!   `remote` series keeps that read path honest from day one.
 //! * **batched** — [`SnapshotView::get_many_slice`] flights of
 //!   [`FLIGHT`] keys, the explicit batching algorithms use when a whole key
-//!   set is in hand.
+//!   set is in hand.  A flight overlaps its keys' cache misses, so it must
+//!   read faster per key than **point** does; CI fails the artifact where
+//!   it does not.
 //! * **windowed** — the runtime's auto-batching window
 //!   (`MachineContext::queue_read` / `take_read`), timed through a real
 //!   single-machine round so the ticket bookkeeping is part of the cost.
@@ -38,7 +40,8 @@ const FLIGHT: usize = 256;
 /// Timed passes per (backend, mode); the *minimum* is reported.  Latency
 /// microbenches on a shared (1-CPU CI) host see scheduler noise only ever
 /// *add* time, so the minimum is the noise-robust estimator — the
-/// windowed/batched CI sentinel gates on these numbers and must not flake.
+/// windowed/batched and batched/point CI sentinels gate on these numbers
+/// and must not flake.
 const PASSES: usize = 5;
 
 /// One (backend, read mode) latency measurement against a frozen epoch.
@@ -81,8 +84,12 @@ fn measure_view<B: DdsBackend>(
     let view = backend.advance(threads);
     let probes = probes(keys, reads, seed);
 
-    let mut point_ns = f64::INFINITY;
-    let mut point_sum = 0u64;
+    // The two modes take turns, pass by pass, so a stretch of host noise
+    // lands on both rather than on whichever ran through it: the CI gate
+    // reads their ratio.
+    let mut out = vec![None; FLIGHT];
+    let (mut point_ns, mut batched_ns) = (f64::INFINITY, f64::INFINITY);
+    let (mut point_sum, mut batched_sum) = (0u64, 0u64);
     for pass in 0..PASSES {
         let started = Instant::now();
         let mut sum = 0u64;
@@ -96,12 +103,7 @@ fn measure_view<B: DdsBackend>(
             assert_eq!(sum, point_sum, "passes must agree on every read");
         }
         point_sum = sum;
-    }
 
-    let mut out = vec![None; FLIGHT];
-    let mut batched_ns = f64::INFINITY;
-    let mut batched_sum = 0u64;
-    for pass in 0..PASSES {
         let started = Instant::now();
         let mut sum = 0u64;
         for flight in probes.chunks(FLIGHT) {
@@ -111,13 +113,9 @@ fn measure_view<B: DdsBackend>(
             }
         }
         batched_ns = batched_ns.min(started.elapsed().as_nanos() as f64 / reads.max(1) as f64);
-        if pass > 0 {
-            assert_eq!(sum, batched_sum, "passes must agree on every read");
-        }
+        assert_eq!(sum, point_sum, "modes must agree on every read");
         batched_sum = sum;
     }
-
-    assert_eq!(point_sum, batched_sum, "modes must agree on every read");
     vec![
         BackendReadLatencyPoint {
             backend: name,

@@ -48,8 +48,9 @@
 //! 2. **Freeze = group by bucket** — [`ShardedStore::freeze`] lays each
 //!    shard's pairs out by the directory bucket of their key's digest, in
 //!    one stable counting sort, so each key's values are one contiguous
-//!    run in commit order (the multi-value index order), under a `u32`
-//!    bucket directory.  Shards are frozen in parallel for large epochs;
+//!    run in commit order (the multi-value index order), under a bucket
+//!    directory of `u16` offsets (`u32` past `u16::MAX` pairs).  Shards
+//!    are frozen in parallel for large epochs;
 //!    retiring an epoch later is two frees per shard.
 //! 3. **Publish & serve** — the frozen shards are immutable from here on,
 //!    so they are published as [`FrozenEpoch`]s behind `Arc`s and served

@@ -9,10 +9,14 @@
 //!   hashed or looked up while a round is written.
 //! * **frozen** — [`Shard`]: the same pairs grouped by key, the keys ordered
 //!   by the [`bucket`] of their digest and, inside a bucket, by [`Key`]'s
-//!   `Ord`, under a `u32` bucket directory: bucket `b` holds
+//!   `Ord`, under a bucket directory: bucket `b` holds
 //!   `pairs[directory[b]..directory[b + 1]]`.  A shard of `n` pairs has
 //!   `n.next_power_of_two()` buckets, so a bucket holds one pair on
-//!   average, and an empty shard has no directory at all.
+//!   average, and an empty shard has no directory at all.  The offsets are
+//!   `u16` up to `u16::MAX` pairs, `u32` beyond: half the bytes a lookup's
+//!   first miss can land in.  (Fewer, fuller buckets shrink it further but
+//!   read slower: a lookup then scans pairs where it would have hit the
+//!   directory.)
 //!
 //! [`Shard::freeze`] turns the first into the second with one stable
 //! counting sort, so a key's values keep their commit order — the
@@ -25,6 +29,7 @@
 use crate::hashing::fold;
 use crate::key::{Key, KeyTag, Value};
 use crate::store::for_each_part_parallel;
+use std::ops::{AddAssign, Range};
 
 /// A writable shard: its pairs in commit order.
 pub(crate) type Pairs = Vec<(Key, Value)>;
@@ -60,53 +65,76 @@ pub(crate) fn bucket(digest: u64, buckets: usize) -> usize {
     ((u128::from(fold(digest)) * buckets as u128) >> 64) as usize
 }
 
+/// An offset into a frozen shard's pairs, as its directory stores it.
+trait Offset: Copy + From<u8> + AddAssign {
+    fn index(self) -> usize;
+}
+
+impl Offset for u16 {
+    #[inline]
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Offset for u32 {
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// A frozen shard's bucket directory: `buckets + 1` offsets into its pairs,
+/// the narrowest that addresses them all.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Directory {
+    /// Shards of at most `u16::MAX` pairs; empty when the shard is.
+    Narrow(Vec<u16>),
+    /// Larger shards.
+    Wide(Vec<u32>),
+}
+
+impl Default for Directory {
+    fn default() -> Directory {
+        Directory::Narrow(Vec::new())
+    }
+}
+
+/// The span of `pairs` that bucket `digest` falls in, under `directory`.
+#[inline]
+fn span<T: Offset>(directory: &[T], digest: u64) -> Range<usize> {
+    let Some(buckets) = directory.len().checked_sub(1) else {
+        return 0..0;
+    };
+    let b = bucket(digest, buckets);
+    directory[b].index()..directory[b + 1].index()
+}
+
 /// A frozen shard: pairs grouped by key under a bucket directory (module
 /// docs).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Shard {
     /// Every pair, each key's run contiguous and in commit order.
     pairs: Pairs,
-    /// `buckets + 1` offsets into `pairs`; empty when `pairs` is.
-    directory: Vec<u32>,
+    directory: Directory,
     /// Distinct keys (runs).
     keys: usize,
 }
 
 impl Shard {
-    /// Freeze a writable shard: count the pairs per bucket, lay them out in
-    /// bucket order by a stable counting sort unless they already are, and
-    /// sort a bucket's keys (stably, so each key's values keep their order)
-    /// only where they are out of order.
+    /// Freeze a writable shard ([`laid_out`]) under the narrowest directory
+    /// that addresses it.
     pub(crate) fn freeze(pairs: Pairs) -> Shard {
-        if pairs.is_empty() {
-            return Shard::default();
-        }
-        assert!(
-            u32::try_from(pairs.len()).is_ok(),
-            "a shard's directory addresses at most u32::MAX pairs"
-        );
-        let buckets = pairs.len().next_power_of_two();
-        let mut directory = vec![0u32; buckets + 1];
-        // Whether the pairs are in layout order already: buckets ascend,
-        // and keys inside a bucket.  Once they are not, the check stops (an
-        // unpredictable branch per pair cost twice the counting itself).
-        let mut ordered = true;
-        let mut previous = (0, &pairs[0].0);
-        for (key, _) in &pairs {
-            let bucket = bucket(key.digest(), buckets);
-            directory[bucket + 1] += 1;
-            if ordered {
-                ordered = previous.0 < bucket || (previous.0 == bucket && previous.1 <= key);
-                previous = (bucket, key);
-            }
-        }
-        for b in 0..buckets {
-            directory[b + 1] += directory[b];
-        }
-        let pairs = if ordered {
-            pairs
+        let (pairs, directory) = if pairs.len() <= usize::from(u16::MAX) {
+            let (pairs, directory) = laid_out::<u16>(pairs);
+            (pairs, Directory::Narrow(directory))
         } else {
-            sorted(pairs, &mut directory)
+            assert!(
+                u32::try_from(pairs.len()).is_ok(),
+                "a shard's directory addresses at most u32::MAX pairs"
+            );
+            let (pairs, directory) = laid_out::<u32>(pairs);
+            (pairs, Directory::Wide(directory))
         };
         let keys = pairs.chunk_by(|(a, _), (b, _)| a == b).count();
         Shard {
@@ -116,25 +144,22 @@ impl Shard {
         }
     }
 
-    /// The pairs of the bucket `digest` falls in.
+    /// The pairs of the bucket `digest` falls in: the one directory load of
+    /// a lookup.
     #[inline]
-    fn bucket_of(&self, digest: u64) -> &[(Key, Value)] {
-        let Some(buckets) = self.directory.len().checked_sub(1) else {
-            return &[];
+    pub(crate) fn bucket_of(&self, digest: u64) -> &[(Key, Value)] {
+        let span = match &self.directory {
+            Directory::Narrow(directory) => span(directory, digest),
+            Directory::Wide(directory) => span(directory, digest),
         };
-        let b = bucket(digest, buckets);
-        &self.pairs[self.directory[b] as usize..self.directory[b + 1] as usize]
+        &self.pairs[span]
     }
 
     /// The first value of `key` (the model's `(x, 1)` lookup); `digest` is
     /// `key.digest()`, computed once by the caller for the shard pick too.
     #[inline]
     pub(crate) fn first(&self, key: &Key, digest: u64) -> Option<Value> {
-        let bucket = self.bucket_of(digest);
-        bucket
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, value)| value)
+        first_in(self.bucket_of(digest), key)
     }
 
     /// `key`'s run: its pairs, values in commit order; empty if absent.
@@ -166,23 +191,68 @@ impl Shard {
     }
 }
 
+/// The first value of `key` in `bucket` ([`Shard::bucket_of`] its digest).
+#[inline]
+pub(crate) fn first_in(bucket: &[(Key, Value)], key: &Key) -> Option<Value> {
+    bucket
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|&(_, value)| value)
+}
+
+/// A writable shard's pairs in the frozen layout, and their directory of
+/// `pairs.len().next_power_of_two()` buckets (none for no pairs), offsets in
+/// `T`, which must address `pairs.len()`: count the pairs per bucket, lay
+/// them out in bucket order by a stable counting sort unless they already
+/// are, and sort a bucket's keys (stably, so each key's values keep their
+/// order) only where they are out of order.
+fn laid_out<T: Offset>(pairs: Pairs) -> (Pairs, Vec<T>) {
+    let Some((first, _)) = pairs.first() else {
+        return (pairs, Vec::new());
+    };
+    let buckets = pairs.len().next_power_of_two();
+    let mut directory = vec![T::from(0); buckets + 1];
+    // Whether the pairs are in layout order already: buckets ascend, and
+    // keys inside a bucket.  Once they are not, the check stops (an
+    // unpredictable branch per pair cost twice the counting itself).
+    let mut ordered = true;
+    let mut previous = (0, first);
+    for (key, _) in &pairs {
+        let bucket = bucket(key.digest(), buckets);
+        directory[bucket + 1] += T::from(1);
+        if ordered {
+            ordered = previous.0 < bucket || (previous.0 == bucket && previous.1 <= key);
+            previous = (bucket, key);
+        }
+    }
+    for b in 0..buckets {
+        let start = directory[b];
+        directory[b + 1] += start;
+    }
+    if ordered {
+        (pairs, directory)
+    } else {
+        (sorted(pairs, &mut directory), directory)
+    }
+}
+
 /// The counting sort's scatter: `pairs` laid out by bucket, in order within
 /// each bucket, where `directory` holds each bucket's start on entry (and
 /// still does on return); then each bucket sorted by key where it is not.
-fn sorted(pairs: Pairs, directory: &mut [u32]) -> Pairs {
+fn sorted<T: Offset>(pairs: Pairs, directory: &mut [T]) -> Pairs {
     let buckets = directory.len() - 1;
     let mut sorted = vec![UNFILLED; pairs.len()];
     // `directory[b]` is bucket `b`'s write cursor, and ends at its end.
     for &(key, value) in &pairs {
         let b = bucket(key.digest(), buckets);
-        sorted[directory[b] as usize] = (key, value);
-        directory[b] += 1;
+        sorted[directory[b].index()] = (key, value);
+        directory[b] += T::from(1);
     }
     drop(pairs);
     directory.copy_within(0..buckets, 1);
-    directory[0] = 0;
+    directory[0] = T::from(0);
     for b in 0..buckets {
-        let run = &mut sorted[directory[b] as usize..directory[b + 1] as usize];
+        let run = &mut sorted[directory[b].index()..directory[b + 1].index()];
         if run.len() > 1 && !run.is_sorted_by_key(|(key, _)| *key) {
             run.sort_by_key(|(key, _)| *key);
         }
@@ -302,14 +372,40 @@ mod tests {
     fn buckets_are_a_power_of_two_and_an_empty_shard_allocates_nothing() {
         let empty = Shard::freeze(Vec::new());
         assert_eq!(empty, Shard::default());
-        assert_eq!(empty.directory.capacity(), 0);
+        assert!(matches!(&empty.directory, Directory::Narrow(d) if d.capacity() == 0));
         assert_eq!(empty.entries().len(), 0);
         assert_eq!(empty.first(&k(1), k(1).digest()), None);
         for n in [1u64, 2, 3, 1000, 1024, 1025] {
             let shard = Shard::freeze((0..n).map(|i| (k(i), Value::scalar(i))).collect());
-            assert_eq!(shard.directory.len(), n.next_power_of_two() as usize + 1);
-            assert_eq!(shard.directory.last().copied(), Some(n as u32));
+            let Directory::Narrow(directory) = &shard.directory else {
+                panic!("{n} pairs fit a u16 directory");
+            };
+            assert_eq!(directory.len(), n.next_power_of_two() as usize + 1);
+            assert_eq!(directory.last().copied(), Some(n as u16));
             assert_eq!(shard.keys(), n as usize);
+        }
+    }
+
+    #[test]
+    fn a_shard_takes_the_narrowest_directory_that_addresses_it() {
+        // The largest shard a u16 addresses and one pair more: 1000 keys,
+        // each with ≈ 65 values in commit order.
+        for n in [65_535u64, 65_536] {
+            let pairs: Pairs = (0..n).map(|i| (k(i % 1000), Value::scalar(i))).collect();
+            let shard = Shard::freeze(pairs);
+            match &shard.directory {
+                Directory::Narrow(d) => assert_eq!(d.last().copied(), Some(n as u16)),
+                Directory::Wide(d) => assert_eq!(d.last().copied(), Some(n as u32)),
+            }
+            assert_eq!(
+                matches!(shard.directory, Directory::Narrow(_)),
+                n <= u64::from(u16::MAX)
+            );
+            assert_eq!(shard.keys(), 1000);
+            for i in [0u64, 1, 999] {
+                let expected: Vec<u64> = (i..n).step_by(1000).collect();
+                assert_eq!(values(&shard, &k(i)), expected);
+            }
         }
     }
 

@@ -30,6 +30,11 @@
 //! multi-value keys included.  The shards are frozen from the write side's
 //! pair lists at epoch advance (see [`crate::ShardedStore::freeze`]).
 //!
+//! A lookup thus waits on two cache misses in series, the directory word
+//! and then the bucket it points at.  A batched read (`get_many_slice`)
+//! does not: it locates a group of keys' buckets first and scans them
+//! after, so the misses of independent keys are in flight together.
+//!
 //! A [`FrozenEpoch`] crosses a wire in one pass each way: the owner's
 //! frozen shards are walked in place into bytes, in layout order
 //! ([`FrozenEpoch::walk`] feeds the writer in [`crate::proto`]), and the
@@ -41,10 +46,14 @@
 use crate::backend::SnapshotView;
 use crate::key::{shard_of, Key, Value};
 use crate::proto::{EpochSink, ProtoError};
-use crate::slot::{freeze_all, Pairs, Shard};
+use crate::slot::{first_in, freeze_all, Pairs, Shard};
 use crate::stats::ShardLoad;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Keys of a batched read whose cache misses are in flight together
+/// ([`Snapshot`]'s `get_many_slice`).
+const LANES: usize = 16;
 
 /// One frozen epoch of one owner's shard group — *the* frozen-epoch
 /// representation.
@@ -283,35 +292,34 @@ impl SnapshotView for Snapshot {
     }
 
     /// This is the read path behind the runtime's batched adaptive reads: a
-    /// real deployment would pipeline the batch over the network, and the
-    /// simulation amortizes the per-query read accounting over the batch
-    /// (one counter update per shard run instead of one per key).
+    /// real deployment would pipeline the batch over the network; here the
+    /// batch overlaps its cache misses (module docs).  It goes [`LANES`]
+    /// keys at a time in three passes: locate every key's bucket (the
+    /// directory loads, in flight together), scan every bucket (the pair
+    /// loads, likewise), then count — one counter update per run of
+    /// same-shard keys, totals identical to per-key counting.
     fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
         assert!(
             out.len() >= keys.len(),
             "output slice shorter than key batch"
         );
-        // Coalesce read-counter updates over runs of same-shard keys; totals
-        // are identical to per-key counting.
-        let mut run_shard = usize::MAX;
-        let mut run_len = 0u64;
-        let (mut epoch, mut local) = self.place(0);
-        for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            let digest = key.digest();
-            let shard = shard_of(digest, self.inner.table.len());
-            if shard != run_shard {
-                if run_len > 0 {
-                    epoch.reads[local].fetch_add(run_len, Ordering::Relaxed);
-                }
-                (epoch, local) = self.place(shard);
-                run_shard = shard;
-                run_len = 0;
+        let num_shards = self.inner.table.len();
+        let mut lanes: [(usize, &[(Key, Value)]); LANES] = [(0, &[]); LANES];
+        for (keys, out) in keys.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            for (key, lane) in keys.iter().zip(&mut lanes) {
+                let digest = key.digest();
+                let shard = shard_of(digest, num_shards);
+                let (epoch, local) = self.place(shard);
+                *lane = (shard, epoch.shards[local].bucket_of(digest));
             }
-            run_len += 1;
-            *slot = epoch.shards[local].first(key, digest);
-        }
-        if run_len > 0 {
-            epoch.reads[local].fetch_add(run_len, Ordering::Relaxed);
+            for ((key, &(_, bucket)), slot) in keys.iter().zip(&lanes).zip(out.iter_mut()) {
+                *slot = first_in(bucket, key);
+            }
+            let lanes = &lanes[..keys.len()];
+            for run in lanes.chunk_by(|(a, _), (b, _)| a == b) {
+                let (epoch, local) = self.place(run[0].0);
+                epoch.reads[local].fetch_add(run.len() as u64, Ordering::Relaxed);
+            }
         }
     }
 
@@ -422,6 +430,26 @@ mod tests {
         assert_eq!(batched, individual);
         // Both passes counted every key once.
         assert_eq!(snap.total_reads(), 2_000);
+    }
+
+    #[test]
+    fn get_many_slice_counts_every_shard_like_point_reads() {
+        // Batches around the lane width, of hits and misses, with a key
+        // repeated back to back (one shard run) and keys of one shard apart.
+        let pairs: Vec<(u64, u64)> = (0..300).map(|i| (i, i * 3)).collect();
+        let (batched, point) = (snapshot_with(&pairs), snapshot_with(&pairs));
+        let keys: Vec<Key> = (0..200u64)
+            .map(|i| k(i * 7 % 450))
+            .chain([k(5); 3])
+            .collect();
+        for len in [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3, keys.len()] {
+            let keys = &keys[keys.len() - len..];
+            let mut out = vec![None; len];
+            batched.get_many_slice(keys, &mut out);
+            let expected: Vec<Option<Value>> = keys.iter().map(|key| point.get(key)).collect();
+            assert_eq!(out, expected, "{len} keys");
+            assert_eq!(batched.shard_loads(), point.shard_loads(), "{len} keys");
+        }
     }
 
     #[test]
