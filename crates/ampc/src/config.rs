@@ -46,8 +46,8 @@ pub enum DdsBackendKind {
     /// deployment.
     Channel,
     /// The same wire client over TCP ([`ampc_dds::TcpBackend`]), with
-    /// owners that hold an interleaved stride of the shards: threads of this
-    /// process, or one external serving process when
+    /// owners that each hold a contiguous range of the shards: threads of
+    /// this process, or one external serving process when
     /// [`AmpcConfig::remote_endpoint`] is set.  Requests are
     /// length-prefixed `ampc_dds::proto` frames, frozen epochs are fetched
     /// and rebuilt as local replicas.  The deployable shape of the store.

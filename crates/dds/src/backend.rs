@@ -20,9 +20,9 @@
 //! [`SnapshotView`] — whatever backend froze the epoch, machines read the
 //! same type through the same code — and two [`DdsBackend`]s produce it:
 //!
-//! * [`LocalBackend`] — the compact sharded store ([`crate::ShardedStore`]
-//!   behind a [`crate::DdsChain`]), shared-memory and lock-free on the read
-//!   path.  This is the default and the fastest.
+//! * [`LocalBackend`] — the compact sharded store ([`crate::ShardedStore`],
+//!   frozen into a [`Snapshot`] at every advance), shared-memory and
+//!   lock-free on the read path.  This is the default and the fastest.
 //! * [`crate::RemoteBackend`] — the message-passing client: shard groups
 //!   are owned by dedicated owners; commits and epoch advances cross a
 //!   transport as [`crate::proto`] messages.  Over in-process channels
@@ -42,10 +42,10 @@
 //! root) holds every backend to observational equivalence against a plain
 //! `BTreeMap<Key, Vec<Value>>` model of the store.
 
-use crate::epoch::DdsChain;
 use crate::key::{Key, Value};
 use crate::snapshot::Snapshot;
 use crate::stats::{ShardLoad, StoreStats};
+use crate::store::{partition_by_shard, ShardedStore};
 use crate::transport::RequestFaults;
 
 /// Read-only view of a completed epoch (`D_{i-1}` as seen from round `i`).
@@ -181,21 +181,22 @@ pub trait DdsBackend: Send + 'static {
 // LocalBackend
 // ---------------------------------------------------------------------------
 
-/// The in-process sharded store as a [`DdsBackend`]: a [`DdsChain`] of
-/// [`crate::ShardedStore`]s frozen into compact [`Snapshot`]s.
+/// The in-process sharded store as a [`DdsBackend`]: the writable
+/// [`ShardedStore`] of the current epoch, frozen into a compact [`Snapshot`]
+/// at every advance.
 ///
 /// This is the default backend: a commit moves each shard's bucket into
 /// the writable store, and reads are lock-free directory lookups on the
-/// frozen layout.
+/// frozen layout.  Round `i` reads `D_{i-1}` and nothing older, so the
+/// backend keeps no frozen epoch: the snapshot it returns is the only
+/// handle on one.
 pub struct LocalBackend {
-    chain: DdsChain,
-}
-
-impl LocalBackend {
-    /// The underlying epoch chain (driver-side statistics).
-    pub fn chain(&self) -> &DdsChain {
-        &self.chain
-    }
+    /// The store accepting the current epoch's writes.
+    current: ShardedStore,
+    /// Epochs frozen so far.
+    completed: usize,
+    /// Pairs committed across all epochs, the current one included.
+    writes: u64,
 }
 
 impl DdsBackend for LocalBackend {
@@ -203,32 +204,44 @@ impl DdsBackend for LocalBackend {
 
     fn with_shards(num_shards: usize, _threads: usize) -> Self {
         LocalBackend {
-            chain: DdsChain::new(num_shards),
+            current: ShardedStore::new(num_shards),
+            completed: 0,
+            writes: 0,
         }
     }
 
     fn num_shards(&self) -> usize {
-        self.chain.num_shards()
+        self.current.num_shards()
     }
 
     fn empty_view(&self) -> Snapshot {
-        Snapshot::empty(self.chain.num_shards())
+        Snapshot::empty(self.num_shards())
     }
 
+    /// Partition the ordered batches by shard on up to `threads` workers
+    /// (bit-identical to a single-threaded pass, see [`crate::store`]),
+    /// drop them, then let each shard take its bucket.  Per-key multi-value
+    /// index order is the concatenation order of the batches.
     fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
-        self.chain.commit_round(batches, threads);
+        let per_shard = partition_by_shard(self.num_shards(), &batches, threads);
+        self.writes += batches.iter().map(|batch| batch.len() as u64).sum::<u64>();
+        drop(batches);
+        self.current.commit_partitioned(per_shard);
     }
 
     fn advance(&mut self, threads: usize) -> Snapshot {
-        self.chain.advance_with_threads(threads)
+        let fresh = ShardedStore::new(self.num_shards());
+        let finished = std::mem::replace(&mut self.current, fresh);
+        self.completed += 1;
+        finished.freeze_with_threads(threads)
     }
 
     fn completed_epochs(&self) -> usize {
-        self.chain.completed_epochs()
+        self.completed
     }
 
     fn total_writes(&mut self) -> u64 {
-        self.chain.total_writes()
+        self.writes
     }
 
     fn backend_name(&self) -> &'static str {
@@ -302,6 +315,26 @@ mod tests {
     #[test]
     fn tcp_backend_satisfies_the_trait_surface() {
         exercise::<crate::TcpBackend>();
+    }
+
+    #[test]
+    fn local_totals_span_every_epoch_and_an_empty_advance_is_empty() {
+        let mut backend = LocalBackend::with_shards(3, 1);
+        assert!(backend.advance(1).is_empty());
+        assert_eq!(backend.completed_epochs(), 1);
+        backend.commit_round(
+            vec![(0..10u64).map(|i| (k(i), Value::scalar(i))).collect()],
+            1,
+        );
+        let d1 = backend.advance(1);
+        backend.commit_round(
+            vec![(0..5u64).map(|i| (k(i), Value::scalar(i))).collect()],
+            1,
+        );
+        // The writable epoch's pairs count before it freezes.
+        assert_eq!(backend.total_writes(), 15);
+        assert_eq!(d1.len(), 10);
+        assert_eq!(backend.completed_epochs(), 2);
     }
 
     #[test]

@@ -17,16 +17,19 @@
 //! * **Topology discovery** — every lease grant of a cluster owner carries
 //!   the cluster's [`ShardMap`] (owner endpoints × shard ranges,
 //!   epoch-stamped).  The client settles every handshake and validates
-//!   that every owner advertises the *same* contiguous map for the
-//!   requested shard count with one slice per connection.  The owner count
-//!   is bounded by that map, not by a compile-time constant.
-//! * **Routing and advance follow the map** — owners that advertised a map
-//!   are routed by range and advanced through the two-phase barrier below;
-//!   owners that advertised none (one plain [`crate::serve()`] process
-//!   reached through [`TcpBackend::connect_remote`]) are routed by stride
-//!   and take the one-shot `Advance`.  Commits, reads, `Loads` /
-//!   `TotalWrites` / `Dump` fan-out and failure harvesting are the client's
-//!   one code path either way.
+//!   that every owner advertises the *same* map, and that its ranges are
+//!   the placement ([`owner_range`]) of the requested shard count over the
+//!   connections.  The owner count is bounded by that map, not by a
+//!   compile-time constant.
+//! * **Placement follows the lease, not the map** — connection `i` of `N`
+//!   leases as owner `i` of `N`, and the owner behind it holds
+//!   `owner_range(i, N, S)`, so the endpoints may be listed in any order.
+//!   Owners that advertised a map advance through the two-phase barrier
+//!   below; owners that advertised none (one plain [`crate::serve()`]
+//!   process reached through [`TcpBackend::connect_remote`]) take the
+//!   one-shot `Advance`.  Commits, reads, `Loads` / `TotalWrites` / `Dump`
+//!   fan-out and failure harvesting are the client's one code path either
+//!   way.
 //!
 //! # The two-phase advance barrier
 //!
@@ -52,7 +55,7 @@
 //! many times the publish is retransmitted.
 
 use crate::proto::ShardMap;
-use crate::remote::{spawn_owner, Routing, TcpBackend};
+use crate::remote::{owner_range, spawn_owner, TcpBackend};
 use crate::serve::ClusterRole;
 use crate::transport::{TcpOptions, TcpTransport, TransportError};
 use std::net::ToSocketAddrs;
@@ -60,8 +63,8 @@ use std::thread::JoinHandle;
 
 impl TcpBackend {
     /// Open one leased connection per entry of `owners` (connection `i`
-    /// leases as owner `i` of `owners.len()`, under one fresh session id),
-    /// settle every handshake, and route by what the grants advertised.
+    /// leases as owner `i` of `owners.len()`, under one fresh session id)
+    /// and settle every handshake.
     fn connect_owners(
         owners: &[impl ToSocketAddrs],
         num_shards: usize,
@@ -74,7 +77,7 @@ impl TcpBackend {
         Self::settle(clients, Vec::new(), num_shards)
     }
 
-    /// Settle every handshake of `clients` and route by what the grants
+    /// Settle every handshake of `clients` and check the map the grants
     /// advertised.  If that fails, the owner threads in `handles` (owner
     /// `i` behind `clients[i]`) are hung up on and joined before the error
     /// returns, like a dropped backend's.
@@ -88,13 +91,7 @@ impl TcpBackend {
             .try_for_each(TcpTransport::finish_handshake)
             .and_then(|()| validated_shard_map(&clients, num_shards));
         match settled {
-            Ok(map) => {
-                let routing = match &map {
-                    Some(map) => Routing::ranged(map),
-                    None => Routing::interleaved(num_shards, clients.len()),
-                };
-                Ok(TcpBackend::over(clients, handles, routing, map))
-            }
+            Ok(map) => Ok(TcpBackend::over(clients, handles, num_shards, map)),
             Err(err) => {
                 drop(clients);
                 for handle in handles.into_iter().flatten() {
@@ -124,12 +121,12 @@ impl TcpBackend {
     }
 
     /// Connect to already-running cluster owners, one endpoint per node in
-    /// node order (each started with [`crate::serve::serve_cluster`] over
+    /// any order (each started with [`crate::serve::serve_cluster`] over
     /// the identical peer list).
     ///
     /// Validates the topology before accepting it: every owner must
-    /// advertise a shard map, all maps must be identical, contiguous, and
-    /// sized for `num_shards` with one slice per connected owner.
+    /// advertise a shard map, all maps must be identical, and their ranges
+    /// must be the placement of `num_shards` over the connected owners.
     pub fn connect_cluster(
         endpoints: &[String],
         num_shards: usize,
@@ -145,12 +142,11 @@ impl TcpBackend {
     }
 
     /// Spawn a self-contained local cluster: `owners` owner threads, each
-    /// behind its own loopback connection and owning the contiguous shard
-    /// range [`ClusterRole::shard_map`] gives it, plus the client connected
-    /// to all of them.  The owners are started like
-    /// [`crate::RemoteBackend::new`]'s and joined when the backend drops;
-    /// the only difference is the shard map their grants advertise, from
-    /// which the client picks range routing and the two-phase barrier.
+    /// behind its own loopback connection and owning its [`owner_range`],
+    /// plus the client connected to all of them.  The owners are started
+    /// like [`crate::RemoteBackend::new`]'s and joined when the backend
+    /// drops; the only difference is the shard map their grants advertise,
+    /// from which the client picks the two-phase barrier.
     pub fn spawn_local(owners: usize, num_shards: usize) -> Result<Self, TransportError> {
         let num_shards = num_shards.max(1);
         let options = TcpOptions::fresh().with_topology(num_shards, owners);
@@ -169,11 +165,11 @@ impl TcpBackend {
         let map = role.shard_map(num_shards);
         let mut clients = Vec::with_capacity(owners);
         let mut handles = Vec::with_capacity(owners);
-        for (owner, ((client, server), slice)) in pairs.into_iter().zip(&map.owners).enumerate() {
-            let shard_ids = (slice.start as usize..slice.end as usize).collect();
+        for (owner, (client, server)) in pairs.into_iter().enumerate() {
+            let shards = owner_range(owner, owners, num_shards);
             let server = server.with_shard_map(Some(map.clone()));
             clients.push(client);
-            handles.push(Some(spawn_owner(owner, shard_ids, server)));
+            handles.push(Some(spawn_owner(owner, shards, server)));
         }
         Self::settle(clients, handles, num_shards)
     }
@@ -181,7 +177,8 @@ impl TcpBackend {
 
 /// Settle on the one shard map every owner must advertise — `None` when no
 /// owner advertises one (plain serving processes) — or say exactly which
-/// owner disagrees and how.
+/// owner disagrees and how.  A map must be the placement the client routes
+/// by: slice `i` is [`owner_range`]`(i, owners.len(), num_shards)`.
 fn validated_shard_map(
     owners: &[TcpTransport],
     num_shards: usize,
@@ -208,21 +205,18 @@ fn validated_shard_map(
     let Some(map) = settled else {
         return Ok(None);
     };
-    if map.owners.len() != owners.len() {
+    let placed = (0..owners.len()).map(|owner| owner_range(owner, owners.len(), num_shards));
+    let advertised = map
+        .owners
+        .iter()
+        .map(|slice| slice.start as usize..slice.end as usize);
+    if !advertised.eq(placed) {
         return Err(TransportError::Protocol {
             worker: 0,
             message: format!(
-                "owners advertise {} owners, client connected to {}",
-                map.owners.len(),
-                owners.len()
-            ),
-        });
-    }
-    if map.num_shards() != num_shards || !map.is_contiguous() {
-        return Err(TransportError::Protocol {
-            worker: 0,
-            message: format!(
-                "the owners' shard map does not tile [0, {num_shards}) contiguously: {:?}",
+                "the owners' shard map is not the placement of {num_shards} shards over the \
+                 {} connected owners: {:?}",
+                owners.len(),
                 map.owners
             ),
         });
@@ -235,10 +229,14 @@ mod tests {
     use super::*;
     use crate::backend::{DdsBackend, SnapshotView};
     use crate::key::{Key, KeyTag, Value};
+    use crate::proto::OwnerSlice;
     use crate::proto::RequestKind;
-    use crate::serve::serve_cluster;
+    use crate::remote::{ChannelBackend, RemoteBackend};
+    use crate::serve::{serve_cluster, serve_cluster_listener};
     use crate::snapshot::Snapshot;
-    use crate::transport::RequestFaults;
+    use crate::transport::{RequestFaults, Transport};
+    use std::net::TcpListener;
+    use std::ops::Range;
 
     fn k(a: u64) -> Key {
         Key::of(KeyTag::Scalar, a)
@@ -258,13 +256,8 @@ mod tests {
     #[test]
     fn a_local_cluster_serves_commits_and_advances() {
         let mut cluster = TcpBackend::spawn_local(3, 8).unwrap();
-        let map = cluster
-            .shard_map()
-            .expect("cluster owners advertise a map")
-            .clone();
-        assert_eq!(map.owners.len(), 3);
-        assert!(map.is_contiguous());
-        assert_eq!(map.num_shards(), 8);
+        let map = cluster.shard_map().expect("cluster owners advertise a map");
+        assert_eq!(ranges(map), vec![0..2, 2..5, 5..8]);
 
         let view = full_round(&mut cluster);
         assert_eq!(view.len(), 24);
@@ -339,6 +332,162 @@ mod tests {
         assert_eq!(clean0, fault0);
         assert_eq!(clean1, fault1);
         assert_eq!(clean_writes, fault_writes);
+    }
+
+    /// Owner-served loads label every shard as the view places it, on
+    /// keys and writes (a wire view counts its reads client-side).
+    fn assert_owner_loads_match_the_view<T: Transport>(
+        backend: &mut RemoteBackend<T>,
+        view: &Snapshot,
+        context: &str,
+    ) {
+        let served: Vec<_> = backend.epoch_loads(0).unwrap();
+        let served: Vec<_> = served.iter().map(|l| (l.shard, l.keys, l.writes)).collect();
+        let local: Vec<_> = view.shard_loads();
+        let local: Vec<_> = local.iter().map(|l| (l.shard, l.keys, l.writes)).collect();
+        assert_eq!(served, local, "{context}");
+    }
+
+    fn ranges(map: &ShardMap) -> Vec<Range<usize>> {
+        let slices = map.owners.iter();
+        slices
+            .map(|slice| slice.start as usize..slice.end as usize)
+            .collect()
+    }
+
+    fn commit_keys<T: Transport>(backend: &mut RemoteBackend<T>, keys: u64) {
+        let batch = (0..keys).map(|i| (k(i), Value::scalar(i))).collect();
+        backend.commit_round(vec![batch], 1);
+    }
+
+    #[test]
+    fn endpoints_in_any_order_serve_one_store() {
+        for num_shards in [7, 8] {
+            let listeners: Vec<TcpListener> = (0..2)
+                .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
+                .collect();
+            let peers: Vec<String> = listeners
+                .iter()
+                .map(|listener| listener.local_addr().unwrap().to_string())
+                .collect();
+            let nodes: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(node, listener)| {
+                    serve_cluster_listener(listener, node, peers.clone()).unwrap()
+                })
+                .collect();
+            let reversed: Vec<String> = peers.iter().rev().cloned().collect();
+            let mut backend = TcpBackend::connect_cluster(&reversed, num_shards).unwrap();
+            commit_keys(&mut backend, 64);
+            let view = backend.advance(1);
+
+            let mut entries = view.entries();
+            entries.sort_by_key(|&(key, _)| key);
+            let expected: Vec<_> = (0..64u64).map(|i| (k(i), vec![Value::scalar(i)])).collect();
+            assert_eq!(entries, expected, "{num_shards} shards");
+            let context = format!("{num_shards} shards, endpoints reversed");
+            assert_owner_loads_match_the_view(&mut backend, &view, &context);
+
+            drop(backend);
+            for node in nodes {
+                node.shutdown();
+            }
+        }
+    }
+
+    #[test]
+    fn every_backend_places_shards_by_one_rule() {
+        for num_shards in 1..=64usize {
+            for owners in 1..=8usize {
+                let context = format!("{num_shards} shards over {owners} owners");
+                let placed: Vec<Range<usize>> = (0..owners)
+                    .map(|owner| owner_range(owner, owners, num_shards))
+                    .collect();
+                // Every shard exactly once, in owner order, the owners'
+                // sizes within one of each other.
+                let concatenated: Vec<usize> = placed.iter().cloned().flatten().collect();
+                assert_eq!(
+                    concatenated,
+                    (0..num_shards).collect::<Vec<_>>(),
+                    "{context}"
+                );
+                let sizes = placed.iter().map(Range::len);
+                let spread = sizes.clone().max().unwrap() - sizes.min().unwrap();
+                assert!(spread <= 1, "{context}: sizes spread by {spread}");
+
+                // The table each backend routes by, from the rule alone.
+                let table = |owners: usize| -> Vec<(u32, u32)> {
+                    (0..num_shards)
+                        .map(|shard| {
+                            let owner = (0..owners)
+                                .find(|&owner| {
+                                    owner_range(owner, owners, num_shards).contains(&shard)
+                                })
+                                .unwrap();
+                            let start = owner_range(owner, owners, num_shards).start;
+                            (owner as u32, (shard - start) as u32)
+                        })
+                        .collect()
+                };
+
+                // In-process owners are clamped to the shard count; a local
+                // cluster keeps its empty ranges.
+                let mut channel = ChannelBackend::new(num_shards, owners);
+                let clamped = owners.min(num_shards);
+                assert_eq!(channel.routing_table(), table(clamped), "{context}");
+                commit_keys(&mut channel, 96);
+                let view = channel.advance(1);
+                assert_owner_loads_match_the_view(&mut channel, &view, &context);
+
+                let mut cluster = TcpBackend::spawn_local(owners, num_shards).unwrap();
+                assert_eq!(cluster.routing_table(), table(owners), "{context}");
+                commit_keys(&mut cluster, 96);
+                let view = cluster.advance(1);
+                assert_owner_loads_match_the_view(&mut cluster, &view, &context);
+
+                let role = ClusterRole {
+                    node: 0,
+                    peers: (0..owners)
+                        .map(|owner| format!("owner-{owner}:1"))
+                        .collect(),
+                    map_epoch: 1,
+                };
+                assert_eq!(ranges(&role.shard_map(num_shards)), placed, "{context}");
+                assert_eq!(ranges(cluster.shard_map().unwrap()), placed, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_map_that_is_not_the_placement_is_refused_at_connect() {
+        // Contiguous, identical on both owners, and tiling all 8 shards —
+        // but owner 0 of 2 holds [0, 4), not [0, 3).
+        let slice = |start, end| OwnerSlice {
+            endpoint: "x:1".to_owned(),
+            start,
+            end,
+        };
+        let map = ShardMap {
+            epoch: 1,
+            owners: vec![slice(0, 3), slice(3, 8)],
+        };
+        let options = TcpOptions::fresh().with_topology(8, 2);
+        let mut clients = Vec::new();
+        let mut handles = Vec::new();
+        for owner in 0..2 {
+            let (client, server) = TcpTransport::connect_pair(owner, options.clone()).unwrap();
+            let server = server.with_shard_map(Some(map.clone()));
+            clients.push(client);
+            handles.push(Some(spawn_owner(owner, owner_range(owner, 2, 8), server)));
+        }
+        match TcpBackend::settle(clients, handles, 8).unwrap_err() {
+            TransportError::Protocol { worker, message } => {
+                assert_eq!(worker, 0);
+                assert!(message.contains("not the placement"), "{message}");
+            }
+            other => panic!("expected a placement mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -21,15 +21,15 @@
 //!   the snapshot of `D_{i-1}`; the snapshot never changes while a round is
 //!   in flight, which is exactly the property the paper's fault-tolerance
 //!   argument relies on.
-//! * [`DdsChain`] — the sequence `D_0, D_1, …` of stores produced by a run.
 //! * [`backend`] — the [`SnapshotView`] / [`DdsBackend`] trait pair that
 //!   makes the store surface pluggable.  There is one view, one wire
-//!   client, and any number of owners: [`LocalBackend`] wraps the chain
-//!   above (one group, frozen in process), and [`RemoteBackend`] is the only
-//!   client of the message-passing wire protocol (see below) —
+//!   client, and any number of owners: [`LocalBackend`] freezes the store
+//!   above at every advance (one group, in process), and [`RemoteBackend`]
+//!   is the only client of the message-passing wire protocol (see below) —
 //!   [`ChannelBackend`] over in-process channels, [`TcpBackend`] over
-//!   sockets to owner threads (interleaved, or a local cluster of
-//!   contiguous ranges), one serving process, or a cluster of N.
+//!   sockets to owner threads, one serving process, or a cluster of N.
+//!   Every owner holds the contiguous shard range [`owner_range`] gives
+//!   it.
 //! * [`contention`] — the weighted balls-into-bins experiment behind
 //!   Lemma 2.1 of the paper.
 //!
@@ -161,23 +161,23 @@
 //! # Cluster topology
 //!
 //! One serving process scales to many clients; a cluster scales the store
-//! itself to many owners.  A cluster is `N` owners, each owning a
-//! **contiguous shard range** (`[i·S/N, (i+1)·S/N)` for owner `i` of `N`
-//! over `S` shards — empty when `N > S`): owner processes started with
-//! [`serve_cluster`], or the owner threads of a local cluster
+//! itself to many owners.  Every owner — a thread of any backend, a session
+//! of a serving process, a cluster node — holds one **contiguous shard
+//! range**, [`owner_range`]: `[i·S/N, (i+1)·S/N)` for owner `i` of `N` over
+//! `S` shards, empty when `N > S`.  A cluster is `N` owner processes
+//! started with [`serve_cluster`], or the owner threads of a local cluster
 //! ([`TcpBackend::spawn_local`], the `cluster` backend kind).  Either way
 //! the client discovers them through the **shard-map handshake**: every
 //! lease grant carries the cluster's epoch-stamped [`proto::ShardMap`]
 //! (owner endpoints × shard ranges), and the client validates that all
-//! owners advertise the identical contiguous map before routing a single
-//! request.  `N` is a run-time number bounded only by that map; `N = 1` is
-//! the remote backend.  The client is the same
+//! owners advertise the identical map, and that it is the placement, before
+//! routing a single request.  `N` is a run-time number bounded only by that
+//! map; `N = 1` is the remote backend.  The client is the same
 //! [`RemoteBackend`] that talks to owner threads: commits route through one
 //! shard → (owner, local shard) table, `Loads` / `TotalWrites` / `Dump` fan
-//! out and aggregate, and what the grants carried decides the rest — owners
-//! that advertised a map are placed by range and advanced through the
-//! barrier below, owners that advertised none are placed by stride and
-//! take the one-shot `Advance`.
+//! out and aggregate, and what the grants carried decides the advance —
+//! owners that advertised a map go through the barrier below, owners that
+//! advertised none take the one-shot `Advance`.
 //!
 //! Epoch advance is the one step that must be atomic *across* processes,
 //! and becomes a client-coordinated **two-phase barrier**: phase 1 sends
@@ -205,7 +205,7 @@
 //!
 //! | invariant | checker |
 //! |---|---|
-//! | every [`proto::Request`] has a dispatch arm, a kind, a declared [`proto::ReplayPolicy`], an encoder arm, a decoder arm, and says whether the fault schedule can address it | **E0004** (non-exhaustive patterns): `Worker::handle`, `Request::kind`, [`proto::RequestKind::replay_policy`], `encode_request_into`, `decode_request`, `decode_reply_as` and `fault_coordinates` are `match`es without a wildcard, and `#[deny(unreachable_patterns, clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]` on exactly those functions keeps one from being added (clippy files a wildcard that hides exactly one variant under the third name, any other under the second) |
+//! | every [`proto::Request`] has a dispatch arm, a kind, a declared [`proto::ReplayPolicy`], an encoder arm, a decoder arm, and says whether the fault schedule can address it | **E0004** (non-exhaustive patterns): `Worker::handle`, `Request::kind`, [`proto::RequestKind::replay_policy`], `encode_request_into`, `decode_request`, `decode_reply_as` and `Request::epoch` (which `fault_coordinates` reads, with the replay policy) are `match`es without a wildcard, and `#[deny(unreachable_patterns, clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]` on exactly those functions keeps one from being added (clippy files a wildcard that hides exactly one variant under the third name, any other under the second) |
 //! | wire tags are unique per direction, and a request cannot exist without one | **E0081** (duplicate discriminant): the tags *are* the discriminants of `#[repr(u8)]` [`proto::RequestKind`] and of the private `ReplyTag`; the encoder writes `request.kind() as u8` |
 //! | a kind is classified exactly once, under a policy that exists | E0004 / unreachable pattern / E0599 on `RequestKind::replay_policy` — "every request is idempotent at the owner" is a checked claim, not a comment |
 //! | no reply layout is written or parsed outside `proto.rs` | **E0603** (private item): `ReplyTag` cannot be named from another module |
@@ -234,7 +234,6 @@ pub mod contention;
 #[cfg(test)]
 #[path = "../tests/counting_alloc/mod.rs"]
 mod counting_alloc;
-pub mod epoch;
 pub mod hashing;
 pub mod key;
 pub mod proto;
@@ -248,10 +247,9 @@ pub mod transport;
 
 pub use backend::{DdsBackend, LocalBackend, SnapshotView};
 pub use contention::{simulate_balls_into_bins, BallsInBinsReport};
-pub use epoch::DdsChain;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use key::{Key, KeyTag, Value};
-pub use remote::{ChannelBackend, RemoteBackend, TcpBackend};
+pub use remote::{owner_range, ChannelBackend, RemoteBackend, TcpBackend};
 pub use serve::{serve, serve_cluster, ClusterRole, DdsServer};
 pub use snapshot::{FrozenEpoch, Snapshot};
 pub use stats::{ShardLoad, StoreStats};

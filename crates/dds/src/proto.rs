@@ -233,8 +233,8 @@ pub enum Request {
         worker: u64,
         /// Total shard count of the client's routing topology, at most
         /// [`MAX_LEASE_SHARDS`] (a serving process drops the connection
-        /// beyond it).  A serving process derives the owner's shard group
-        /// as `(worker..num_shards).step_by(workers)`.
+        /// beyond it).  A serving process places the owner by
+        /// [`crate::remote::owner_range`]`(worker, workers, num_shards)`.
         num_shards: u64,
         /// Owner count of the client's routing topology.
         workers: u64,
@@ -267,6 +267,26 @@ impl Request {
             Request::TotalWrites => RequestKind::TotalWrites,
             Request::Lease { .. } => RequestKind::Lease,
             Request::Goodbye => RequestKind::Goodbye,
+        }
+    }
+
+    /// The epoch this request names, if it names one: the writable epoch
+    /// of a `Commit` / `Advance` / `FreezeEpoch` / `PublishEpoch`, the
+    /// completed epoch of a `Loads` / `Dump`.
+    #[deny(
+        unreachable_patterns,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub fn epoch(&self) -> Option<usize> {
+        match self {
+            Request::Commit { epoch, .. }
+            | Request::Advance { epoch }
+            | Request::FreezeEpoch { epoch }
+            | Request::PublishEpoch { epoch }
+            | Request::Loads { epoch }
+            | Request::Dump { epoch } => Some(*epoch),
+            Request::TotalWrites | Request::Lease { .. } | Request::Goodbye => None,
         }
     }
 }
@@ -362,8 +382,8 @@ pub enum Reply {
 pub struct ShardMap {
     /// Monotone generation stamp of this map.
     pub epoch: u64,
-    /// One entry per owner, ascending by shard range; the ranges partition
-    /// `0..num_shards` contiguously.
+    /// One entry per owner, in owner order: slice `i` of `N` is
+    /// [`crate::remote::owner_range`]`(i, N, num_shards)`.
     pub owners: Vec<OwnerSlice>,
 }
 
@@ -377,26 +397,6 @@ pub struct OwnerSlice {
     /// One past the last shard the owner serves (`start == end` is a valid
     /// empty slice when there are more owners than shards).
     pub end: u64,
-}
-
-impl ShardMap {
-    /// Total shard count covered by the map (the `end` of the last slice).
-    pub fn num_shards(&self) -> usize {
-        self.owners.last().map_or(0, |slice| slice.end as usize)
-    }
-
-    /// `true` if the slices partition `0..num_shards` contiguously in
-    /// order, which every well-formed map must.
-    pub fn is_contiguous(&self) -> bool {
-        let mut next = 0u64;
-        for slice in &self.owners {
-            if slice.start != next || slice.end < slice.start {
-                return false;
-            }
-            next = slice.end;
-        }
-        true
-    }
 }
 
 /// A frozen epoch of one owner's shard group as plain data: the typed form
@@ -1564,27 +1564,6 @@ mod tests {
                 context: "owner endpoint"
             })
         );
-    }
-
-    #[test]
-    fn shard_map_contiguity_is_checkable() {
-        let map = |ranges: &[(u64, u64)]| ShardMap {
-            epoch: 1,
-            owners: ranges
-                .iter()
-                .map(|&(start, end)| OwnerSlice {
-                    endpoint: "x:1".to_owned(),
-                    start,
-                    end,
-                })
-                .collect(),
-        };
-        assert!(map(&[(0, 4), (4, 8)]).is_contiguous());
-        assert!(map(&[(0, 0), (0, 8)]).is_contiguous());
-        assert_eq!(map(&[(0, 4), (4, 9)]).num_shards(), 9);
-        assert!(!map(&[(0, 4), (5, 8)]).is_contiguous());
-        assert!(!map(&[(1, 4), (4, 8)]).is_contiguous());
-        assert!(!map(&[(0, 4), (4, 2)]).is_contiguous());
     }
 
     #[test]

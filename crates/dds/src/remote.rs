@@ -12,8 +12,8 @@
 //!   behind in-process channels: requests travel as typed values, frozen
 //!   epochs are published zero-copy as shared `Arc`s;
 //! * [`TcpBackend`] (`RemoteBackend<TcpTransport>`) — the identical owner
-//!   loop behind sockets: in-process owner threads, interleaved
-//!   ([`RemoteBackend::new`]) or as a local cluster of contiguous ranges
+//!   loop behind sockets: in-process owner threads
+//!   ([`RemoteBackend::new`]) or a local cluster of them
 //!   ([`RemoteBackend::spawn_local`]), one external serving process
 //!   ([`RemoteBackend::connect_remote`]), or a cluster of N serving
 //!   processes ([`RemoteBackend::connect_cluster`], see [`crate::cluster`]).
@@ -25,13 +25,13 @@
 //! spawns is one thread behind one connection ([`spawn_owner`]), and the
 //! backend joins it when it drops.
 //!
-//! The client decides two things from what the owners tell it, never from
-//! an option: owners whose lease grants carried a [`ShardMap`] hold
-//! **contiguous shard ranges** and advance through the **two-phase
-//! `FreezeEpoch` / `PublishEpoch` barrier**; owners without one hold an
-//! **interleaved** stride of the shard space and advance with the one-shot
-//! `Advance`.  Everything else — commit partitioning, fan-out, reply
-//! collection, failure harvesting — is one code path.
+//! Every owner holds one contiguous range of the shard space, the one
+//! [`owner_range`] gives it, whoever started it.  The client decides one
+//! thing from what the owners tell it, never from an option: owners whose
+//! lease grants carried a [`ShardMap`] advance through the **two-phase
+//! `FreezeEpoch` / `PublishEpoch` barrier**, owners without one with the
+//! one-shot `Advance`.  Everything else — placement, commit partitioning,
+//! fan-out, reply collection, failure harvesting — is one code path.
 //!
 //! Either way, a round's reads resolve **locally and lock-free**: every
 //! transport answers an advance with a ready-to-read [`FrozenEpoch`], and
@@ -57,6 +57,7 @@ use crate::transport::{
     ClientReply, MpscTransport, RequestFaults, ServerTransport, TcpTransport, Transport,
     TransportError,
 };
+use std::ops::Range;
 use std::thread::JoinHandle;
 
 /// [`RemoteBackend`] over in-process channels: owner threads, typed
@@ -74,8 +75,17 @@ pub type ChannelBackend = RemoteBackend<MpscTransport>;
 pub type TcpBackend = RemoteBackend<TcpTransport>;
 
 // ---------------------------------------------------------------------------
-// Routing
+// Placement
 // ---------------------------------------------------------------------------
+
+/// The shards owner `owner` of `owners` holds out of `num_shards`: the
+/// contiguous range `[owner·S/N, (owner+1)·S/N)`, empty when there are more
+/// owners than shards.  The one shard placement: owner threads, serving
+/// sessions and every advertised [`ShardMap`] hold exactly this range.
+/// `owners` must be at least 1.
+pub fn owner_range(owner: usize, owners: usize, num_shards: usize) -> Range<usize> {
+    owner * num_shards / owners..(owner + 1) * num_shards / owners
+}
 
 /// Shard → (owner, local shard) routing: the table commits are routed by
 /// and every [`Snapshot`] of the backend is placed by.
@@ -88,29 +98,11 @@ pub(crate) struct Routing {
 }
 
 impl Routing {
-    /// `shard → (shard % owners, shard / owners)` — the split of in-process
-    /// owners and of one serving process, where every owner serves a stride
-    /// of the shard space.
-    pub(crate) fn interleaved(num_shards: usize, owners: usize) -> Routing {
-        Routing {
-            table: (0..num_shards)
-                .map(|shard| ((shard % owners) as u32, (shard / owners) as u32))
-                .collect(),
-            owner_shards: (0..owners)
-                .map(|owner| (owner..num_shards).step_by(owners).len())
-                .collect(),
-        }
-    }
-
-    /// Contiguous ranges in owner order — the cluster split.  `map` must be
-    /// contiguous (validated at connect); owners with empty ranges simply
-    /// hold no table entry.
-    pub(crate) fn ranged(map: &ShardMap) -> Routing {
-        debug_assert!(map.is_contiguous());
-        let owner_shards: Vec<usize> = map
-            .owners
-            .iter()
-            .map(|slice| (slice.end - slice.start) as usize)
+    /// `num_shards` shards over `owners` owners, each holding its
+    /// [`owner_range`].
+    pub(crate) fn new(num_shards: usize, owners: usize) -> Routing {
+        let owner_shards: Vec<usize> = (0..owners)
+            .map(|owner| owner_range(owner, owners, num_shards).len())
             .collect();
         Routing {
             table: owner_shards
@@ -160,15 +152,15 @@ fn unexpected(owner: usize, expected: &str, got: &Reply) -> TransportError {
     }
 }
 
-/// Serve `shard_ids` as owner `worker` on a thread of its own, behind
+/// Serve `shards` as owner `worker` on a thread of its own, behind
 /// `server` — the one place a backend starts an owner, for every
 /// constructor and every transport.  The caller joins the handle.
 pub(crate) fn spawn_owner(
     worker: usize,
-    shard_ids: Vec<usize>,
+    shards: Range<usize>,
     mut server: impl ServerTransport,
 ) -> JoinHandle<()> {
-    let owner = Worker::new(shard_ids);
+    let owner = Worker::new(shards);
     #[allow(
         clippy::expect_used,
         reason = "thread-spawn failure at backend construction has no round boundary to report through; dying loudly beats serving without owners"
@@ -201,29 +193,26 @@ impl<T: Transport> RemoteBackend<T> {
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
             let (client, server) = T::connect(worker);
-            let shard_ids = (worker..num_shards).step_by(workers).collect();
+            let shards = owner_range(worker, workers, num_shards);
             clients.push(client);
-            handles.push(Some(spawn_owner(worker, shard_ids, server)));
+            handles.push(Some(spawn_owner(worker, shards, server)));
         }
-        RemoteBackend::over(
-            clients,
-            handles,
-            Routing::interleaved(num_shards, workers),
-            None,
-        )
+        RemoteBackend::over(clients, handles, num_shards, None)
     }
 
-    /// A backend over established connections, before its first epoch.
+    /// A backend over established connections — connection `i` to the
+    /// owner of [`owner_range`]`(i, clients.len(), num_shards)` — before
+    /// its first epoch.
     pub(crate) fn over(
         clients: Vec<T>,
         handles: Vec<Option<JoinHandle<()>>>,
-        routing: Routing,
+        num_shards: usize,
         map: Option<ShardMap>,
     ) -> Self {
         RemoteBackend {
+            routing: Routing::new(num_shards, clients.len()),
             clients,
             handles,
-            routing,
             map,
             completed: 0,
             faults: RequestFaults::none(),
@@ -234,6 +223,13 @@ impl<T: Transport> RemoteBackend<T> {
     /// Number of owners serving the shards.
     pub fn num_workers(&self) -> usize {
         self.clients.len()
+    }
+
+    /// `table[shard]`: the (owner, local shard) the backend routes `shard`
+    /// to.
+    #[cfg(test)]
+    pub(crate) fn routing_table(&self) -> &[(u32, u32)] {
+        &self.routing.table
     }
 
     /// The topology the owners advertised, if they form a cluster.
@@ -718,32 +714,6 @@ mod tests {
         assert_eq!(backend.num_workers(), 4);
         let backend = ChannelBackend::new(8, 0);
         assert_eq!(backend.num_workers(), 1);
-    }
-
-    #[test]
-    fn routing_tables_place_every_shard_once() {
-        use crate::proto::OwnerSlice;
-        let interleaved = Routing::interleaved(7, 3);
-        assert_eq!(interleaved.table[5], (2, 1));
-        assert_eq!(interleaved.owner_shards, vec![3, 2, 2]);
-
-        // Five owners over four shards: the first range is empty and owns
-        // no table entry.
-        let ranges = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4)];
-        let map = ShardMap {
-            epoch: 1,
-            owners: ranges
-                .iter()
-                .map(|&(start, end)| OwnerSlice {
-                    endpoint: "x:1".to_owned(),
-                    start,
-                    end,
-                })
-                .collect(),
-        };
-        let ranged = Routing::ranged(&map);
-        assert_eq!(ranged.table, vec![(1, 0), (2, 0), (3, 0), (4, 0)]);
-        assert_eq!(ranged.owner_shards, vec![0, 1, 1, 1, 1]);
     }
 
     fn owner_served_requests_agree_with_the_view<T: Transport>() {

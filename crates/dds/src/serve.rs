@@ -46,7 +46,8 @@
 //! deduplication and advance replay that make retransmission idempotent
 //! also make resumption exact.
 
-use crate::proto::{OwnerSlice, ShardMap};
+use crate::proto::{OwnerSlice, ShardMap, MAX_LEASE_SHARDS};
+use crate::remote::owner_range;
 use crate::transport::dispatch::Worker;
 use crate::transport::{read_lease_frame, LeaseFrame, ServeHandoff, TcpServer};
 use parking_lot::Mutex;
@@ -71,10 +72,9 @@ const MAX_INFLIGHT_HANDSHAKES: usize = 64;
 
 /// This process's place in a DDS cluster: owner `node` of the topology
 /// whose advertised endpoints are `peers` (indexed by node, every owner
-/// passes the identical list).  Owner `i` of `n` owns the contiguous shard
-/// range `[i*num_shards/n, (i+1)*num_shards/n)` — ranges, not the
-/// interleaved per-worker split, so a client can route a shard with one
-/// range lookup against the map every owner advertises in its lease grant.
+/// passes the identical list).  The role only decides the [`ShardMap`]
+/// every lease grant advertises; which shards a session holds comes from
+/// the lease, like any serving process's (see `spawn_session`).
 #[derive(Clone, Debug)]
 pub struct ClusterRole {
     /// This owner's index into `peers`.
@@ -88,28 +88,25 @@ pub struct ClusterRole {
 
 impl ClusterRole {
     /// The shard map this topology advertises for a `num_shards`-shard
-    /// session: one contiguous slice per owner, in node order.
+    /// session: peer `i`'s slice is its [`owner_range`], in node order.
     pub fn shard_map(&self, num_shards: usize) -> ShardMap {
-        let n = self.peers.len().max(1);
+        let n = self.peers.len();
         ShardMap {
             epoch: self.map_epoch,
             owners: self
                 .peers
                 .iter()
                 .enumerate()
-                .map(|(i, endpoint)| OwnerSlice {
-                    endpoint: endpoint.clone(),
-                    start: (i * num_shards / n) as u64,
-                    end: ((i + 1) * num_shards / n) as u64,
+                .map(|(i, endpoint)| {
+                    let shards = owner_range(i, n, num_shards);
+                    OwnerSlice {
+                        endpoint: endpoint.clone(),
+                        start: shards.start as u64,
+                        end: shards.end as u64,
+                    }
                 })
                 .collect(),
         }
-    }
-
-    /// The shards this owner holds out of a `num_shards`-shard session.
-    fn shard_ids(&self, num_shards: usize) -> Vec<usize> {
-        let n = self.peers.len().max(1);
-        (self.node * num_shards / n..(self.node + 1) * num_shards / n).collect()
     }
 }
 
@@ -370,10 +367,11 @@ fn route(
     }
 }
 
-/// Spawn the owner thread of a brand-new session.  In cluster mode the
-/// role, not the lease's interleaved topology, decides which shards this
-/// process owns — the lease's `num_shards` still sizes the session, and
-/// every grant carries the cluster's shard map for that size.
+/// Spawn the owner thread of a brand-new session.  The lease's topology
+/// places it: connection `worker` of `workers` holds [`owner_range`] of the
+/// lease's `num_shards`, in cluster mode too, so a client may list a
+/// cluster's endpoints in any order.  A cluster role adds only the shard
+/// map every grant carries for that size.
 fn spawn_session(
     sessions: &mut SessionMap,
     key: (u64, u64),
@@ -381,17 +379,12 @@ fn spawn_session(
     role: &Option<ClusterRole>,
 ) {
     let num_shards = (lease.num_shards as usize).max(1);
-    let workers = (lease.workers as usize).clamp(1, num_shards);
-    let worker = (lease.worker as usize).min(workers.saturating_sub(1));
-    let (shard_ids, shard_map) = match role {
-        Some(role) => (role.shard_ids(num_shards), Some(role.shard_map(num_shards))),
-        None => (
-            (worker..num_shards)
-                .step_by(workers)
-                .collect::<Vec<usize>>(),
-            None,
-        ),
-    };
+    // Bounded like the shard count, so the placement's products stay small
+    // whatever a hostile lease announces.
+    let workers = lease.workers.clamp(1, MAX_LEASE_SHARDS) as usize;
+    let worker = (lease.worker as usize).min(workers - 1);
+    let shards = owner_range(worker, workers, num_shards);
+    let shard_map = role.as_ref().map(|role| role.shard_map(num_shards));
     let (tx, rx) = channel::<ServeHandoff>();
     let alive = Arc::new(AtomicBool::new(true));
     let thread_alive = alive.clone();
@@ -408,7 +401,7 @@ fn spawn_session(
             }
             let _guard = AliveGuard(thread_alive);
             let mut server = TcpServer::from_mailbox(rx, worker).with_shard_map(shard_map);
-            Worker::new(shard_ids).serve(&mut server);
+            Worker::new(shards).serve(&mut server);
         });
     match handle {
         Ok(handle) => {
@@ -751,7 +744,7 @@ mod tests {
     /// count is refused where garbage handshakes are: the connection is
     /// dropped, nothing is granted, no owner is spawned.  (Unchecked, the
     /// 8 TiB the first lease asks for takes this whole process down, and
-    /// the second overflows the cluster role's range arithmetic.)
+    /// the second overflows the placement's range arithmetic.)
     #[test]
     fn hostile_lease_shard_counts_are_refused_at_the_handshake() {
         let standalone = serve(("127.0.0.1", 0)).unwrap();

@@ -503,15 +503,15 @@ mod tests {
 
     #[test]
     fn multi_group_views_read_like_one_store() {
-        // The same pairs as one group and split over three interleaved
-        // groups: every observable must agree.
+        // The same pairs as one group and split over three owners' groups:
+        // every observable must agree.
         let pairs: Vec<(u64, u64)> = (0..300).map(|i| (i % 90, i)).collect();
         let whole = snapshot_with(&pairs);
         let frozen = &whole.inner.groups[0];
         let mut table = vec![(0, 0); frozen.shards.len()];
         let groups = (0..3usize)
             .map(|group| {
-                let held = (group..frozen.shards.len()).step_by(3);
+                let held = crate::remote::owner_range(group, 3, frozen.shards.len());
                 for (local, shard) in held.clone().enumerate() {
                     table[shard] = (group as u32, local as u32);
                 }

@@ -24,7 +24,7 @@
 //!   end-of-round commit of the AMPC runtime moves one buffer per shard.
 //!
 //! Every path that groups pairs by shard — these, the runtime's
-//! end-of-round commit ([`crate::DdsChain::commit_round`]) and the wire
+//! end-of-round commit ([`crate::LocalBackend`]'s `commit_round`) and the wire
 //! client's ([`crate::RemoteBackend::try_commit_round`]) — goes through one
 //! partition function.  It splits the round's pairs, not its batches, into
 //! up to `threads` contiguous ranges, so a scatter's single batch is

@@ -38,6 +38,7 @@ use crate::stats::ShardLoad;
 use crate::transport::session::{MAX_PIPELINE, PIPELINE_DEPTH};
 use crate::transport::{OwnerReply, ServerTransport};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,8 +57,8 @@ const _: () =
 /// The single-threaded state of one shard-group owner, serving
 /// [`crate::proto`] requests over any [`ServerTransport`].
 pub(crate) struct Worker {
-    /// Global shard ids owned by this worker (ascending).
-    shard_ids: Vec<usize>,
+    /// Global shard ids owned by this worker: its placement's range.
+    shards: Range<usize>,
     /// Writable shards of the current epoch, one per owned shard: the
     /// pairs committed to it, in commit order.
     writable: Vec<Pairs>,
@@ -86,10 +87,10 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    pub(crate) fn new(shard_ids: Vec<usize>) -> Worker {
+    pub(crate) fn new(shards: Range<usize>) -> Worker {
         Worker {
-            writable: vec![Vec::new(); shard_ids.len()],
-            shard_ids,
+            writable: vec![Vec::new(); shards.len()],
+            shards,
             published: 0,
             latest: None,
             prepared: None,
@@ -155,7 +156,7 @@ impl Worker {
     /// by `Advance` (freeze + publish in one step) and `FreezeEpoch`
     /// (phase 1 of the barrier, which parks the result).
     fn freeze_writable(&mut self) -> Arc<FrozenEpoch> {
-        let fresh = vec![Vec::new(); self.shard_ids.len()];
+        let fresh = vec![Vec::new(); self.shards.len()];
         let shards = std::mem::replace(&mut self.writable, fresh);
         Arc::new(FrozenEpoch::freeze(shards, 1))
     }
@@ -276,10 +277,10 @@ impl Worker {
             Request::Loads { epoch } => {
                 let epoch = self.completed(epoch, "report loads of");
                 let loads = self
-                    .shard_ids
-                    .iter()
+                    .shards
+                    .clone()
                     .enumerate()
-                    .map(|(local, &shard)| ShardLoad {
+                    .map(|(local, shard)| ShardLoad {
                         shard,
                         keys: epoch.shards[local].keys() as u64,
                         writes: epoch.writes[local],
@@ -337,7 +338,7 @@ mod tests {
 
     #[test]
     fn replayed_pipelines_are_reacked_from_the_window_not_reapplied() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         // A pipeline of six commits lands…
         for seq in 0..6 {
             assert_eq!(accepted(worker.handle(0, commit(seq, 0, 3))), 3);
@@ -359,7 +360,7 @@ mod tests {
 
     #[test]
     fn replayed_commits_of_a_frozen_epoch_are_reacked() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         assert_eq!(accepted(worker.handle(0, commit(0, 0, 4))), 4);
         // The epoch freezes while the commit's ack is lost in flight…
         let OwnerReply::Epoch(_) = worker.handle(0, Request::Advance { epoch: 0 }) else {
@@ -373,7 +374,7 @@ mod tests {
 
     #[test]
     fn the_window_is_bounded() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         for seq in 0..(2 * COMMIT_REPLAY_WINDOW as u64) {
             worker.handle(0, commit(seq, 0, 1));
         }
@@ -394,7 +395,7 @@ mod tests {
         // must still be re-acked from A's own window — with a single
         // shared window, B's burst would have evicted them and the replay
         // would double-apply.
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         for seq in 0..4 {
             assert_eq!(accepted(worker.handle(7, commit(seq, 0, 2))), 2);
         }
@@ -419,7 +420,7 @@ mod tests {
 
     #[test]
     fn freeze_then_publish_equals_advance_and_is_idempotent() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         assert_eq!(accepted(worker.handle(0, commit(0, 0, 3))), 3);
 
         // Phase 1: the epoch freezes but stays unpublished — Loads/Dump
@@ -472,7 +473,7 @@ mod tests {
 
     #[test]
     fn a_thousand_advances_retain_one_epoch_and_every_write() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         let mut views = Vec::new();
         let mut sent = 0u64;
         for epoch in 0..1_000usize {
@@ -520,7 +521,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dump retired epoch 0")]
     fn a_retired_epoch_is_refused_like_an_unknown_one() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         worker.handle(0, Request::Advance { epoch: 0 });
         worker.handle(0, Request::Advance { epoch: 1 });
         worker.handle(0, Request::Dump { epoch: 0 });
@@ -529,7 +530,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "publish without a prepared freeze")]
     fn publish_without_freeze_is_a_protocol_violation() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(0..1);
         worker.handle(0, Request::PublishEpoch { epoch: 0 });
     }
 }

@@ -172,7 +172,7 @@ pub use session::{
 };
 pub(crate) use session::{read_lease_frame, LeaseFrame, ServeHandoff};
 
-use crate::proto::{ProtoError, Reply, Request, RequestKind};
+use crate::proto::{ProtoError, ReplayPolicy, Reply, Request, RequestKind};
 use crate::snapshot::FrozenEpoch;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -349,24 +349,17 @@ impl RequestFaults {
     }
 }
 
-/// The fault-injection coordinates of a request, if it is addressable.  No
-/// wildcard: a new request says here whether the schedule can reach it.
-#[deny(
-    unreachable_patterns,
-    clippy::wildcard_enum_match_arm,
-    clippy::match_wildcard_for_single_variants
-)]
+/// The fault-injection coordinates of a request, if it is addressable:
+/// every request that names an epoch and changes owner state.  The pure
+/// audits (`Loads`, `Dump`) name an epoch but are out of the schedule's
+/// reach.
 fn fault_coordinates(request: &Request) -> Option<(RequestKind, usize)> {
-    match request {
-        Request::Commit { epoch, .. }
-        | Request::Advance { epoch }
-        | Request::FreezeEpoch { epoch }
-        | Request::PublishEpoch { epoch } => Some((request.kind(), *epoch)),
-        Request::Loads { .. }
-        | Request::Dump { .. }
-        | Request::TotalWrites
-        | Request::Lease { .. }
-        | Request::Goodbye => None,
+    let kind = request.kind();
+    match kind.replay_policy() {
+        ReplayPolicy::Pure => None,
+        ReplayPolicy::Deduped | ReplayPolicy::Idempotent => {
+            request.epoch().map(|epoch| (kind, epoch))
+        }
     }
 }
 
@@ -471,5 +464,49 @@ pub trait ServerTransport: Send + 'static {
     /// Transports that serve exactly one anonymous client report `0`.
     fn session(&self) -> u64 {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn faults_reach_exactly_the_requests_that_change_owner_state() {
+        let lease = Request::Lease {
+            session: 1,
+            worker: 0,
+            num_shards: 4,
+            workers: 1,
+            ttl_ms: 0,
+        };
+        let commit = Request::Commit {
+            epoch: 3,
+            seq: 9,
+            batches: Vec::new(),
+        };
+        let cases = [
+            (commit, Some((RequestKind::Commit, 3))),
+            (
+                Request::Advance { epoch: 4 },
+                Some((RequestKind::Advance, 4)),
+            ),
+            (
+                Request::FreezeEpoch { epoch: 5 },
+                Some((RequestKind::FreezeEpoch, 5)),
+            ),
+            (
+                Request::PublishEpoch { epoch: 6 },
+                Some((RequestKind::PublishEpoch, 6)),
+            ),
+            (Request::Loads { epoch: 7 }, None),
+            (Request::Dump { epoch: 8 }, None),
+            (Request::TotalWrites, None),
+            (lease, None),
+            (Request::Goodbye, None),
+        ];
+        for (request, coordinates) in cases {
+            assert_eq!(fault_coordinates(&request), coordinates, "{request:?}");
+        }
     }
 }

@@ -1266,7 +1266,7 @@ mod tests {
     /// A real owner (one shard) behind the real server stages.
     fn real_owner(mut server: TcpServer) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
-            crate::transport::dispatch::Worker::new(vec![0]).serve(&mut server);
+            crate::transport::dispatch::Worker::new(0..1).serve(&mut server);
         })
     }
 

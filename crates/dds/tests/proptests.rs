@@ -1,6 +1,6 @@
 //! Property tests for the DDS substrate: the store behaves like a
 //! multi-map with stable per-key ordering, snapshots are faithful frozen
-//! copies, the epoch chain keeps rounds isolated under arbitrary
+//! copies, the local backend keeps epochs isolated under arbitrary
 //! interleavings of writes and advances, the frozen shard layout — reached
 //! by either freeze path — is observationally equivalent to a
 //! `BTreeMap<Key, Vec<Value>>` model, and every commit path's partition —
@@ -8,8 +8,8 @@
 //! order pushing them one by one would.
 
 use ampc_dds::{
-    ChannelBackend, DdsBackend, DdsChain, Key, KeyTag, LocalBackend, ShardedStore, Snapshot,
-    SnapshotView, TcpBackend, Value,
+    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, ShardedStore, Snapshot, SnapshotView,
+    TcpBackend, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -163,21 +163,22 @@ proptest! {
     }
 
     #[test]
-    fn chain_epochs_are_isolated(
+    fn local_epochs_are_isolated(
         rounds in proptest::collection::vec(proptest::collection::vec((0u64..40, any::<u64>()), 0..40), 1..6),
         shards in 1usize..9
     ) {
-        // The chain retires an epoch when the next completes; the snapshots
-        // `advance` handed out are the views a caller keeps.
-        let mut chain = DdsChain::new(shards);
+        // The backend keeps no frozen epoch; the snapshots `advance` handed
+        // out are the views a caller keeps.
+        let mut backend = LocalBackend::with_shards(shards, 1);
         let mut snapshots = Vec::new();
         for pairs in &rounds {
-            for &(k, v) in pairs {
-                chain.write(Key::of(KeyTag::Scalar, k), Value::scalar(v));
-            }
-            snapshots.push(chain.advance());
+            let batch = pairs.iter().map(|&(k, v)| (Key::of(KeyTag::Scalar, k), Value::scalar(v)));
+            backend.commit_round(vec![batch.collect()], 1);
+            snapshots.push(backend.advance(1));
         }
-        prop_assert_eq!(chain.completed_epochs(), rounds.len());
+        prop_assert_eq!(backend.completed_epochs(), rounds.len());
+        let written: usize = rounds.iter().map(Vec::len).sum();
+        prop_assert_eq!(backend.total_writes(), written as u64);
         // Every epoch's snapshot contains exactly the keys written in that
         // epoch (with the right multiplicities) and nothing from any other.
         for (snapshot, pairs) in snapshots.iter().zip(&rounds) {

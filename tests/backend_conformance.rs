@@ -2,8 +2,8 @@
 //!
 //! One parameterized battery drives `LocalBackend`, `ChannelBackend`,
 //! `TcpBackend` (the socket-backed `RemoteBackend` speaking the
-//! `ampc_dds::proto` wire format — over interleaved in-process owners and
-//! over `cluster(n)`, local clusters of n = 1..=5 range owners) and a
+//! `ampc_dds::proto` wire format — over in-process owner threads and over
+//! `cluster(n)`, local clusters of n = 1..=5 owners) and a
 //! `BTreeMap<Key, Vec<Value>>` model through the same write scripts and
 //! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
 //! batched reads (order and content), multi-value index order, and the
