@@ -35,9 +35,12 @@ pub enum KeyTag {
     Priority,
     /// Settled status of a vertex (MIS).
     Status,
-    /// Successor pointer of a list element (list ranking).
+    /// A list element's record (list ranking): its successor and sample
+    /// mark in `x`, the weight of its outgoing link in `y`.
     Successor,
-    /// Accumulated weight of a list element (list ranking).
+    /// Accumulated weight of a list element.  List ranking no longer uses
+    /// it (the weight rides in the `Successor` record); the variant stays
+    /// for its frozen wire code.
     Weight,
     /// Component / leader label of a vertex.
     Label,
