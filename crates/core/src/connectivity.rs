@@ -20,13 +20,21 @@
 //! * the budget cap is `n^{ε/2}` so a vertex's `d²` BFS queries never exceed
 //!   its machine's `O(n^ε)` space, as prescribed in Section 6.
 //!
-//! After the first phase the contracted edge list is sorted, so a vertex's
-//! adjacency slots ascend by neighbour id.  That order is part of the cost,
-//! not a detail: a bounded BFS keeps the first `d` vertices it meets, and in
-//! the min-hooking regime a vertex hooks onto the minimum of that ball —
-//! meeting the smallest neighbours first lets more balls agree on their
-//! minimum, so the graph contracts in fewer rounds and queries than under an
-//! arbitrary slot order, and by the same amount on every run and backend.
+//! A vertex's adjacency slots ascend by neighbour id.  That order is part of
+//! the cost, not a detail: a bounded BFS keeps the first `d` vertices it
+//! meets, and in the min-hooking regime a vertex hooks onto the minimum of
+//! that ball — meeting the smallest neighbours first lets more balls agree
+//! on their minimum, so the graph contracts in fewer rounds and queries than
+//! under an arbitrary slot order, and by the same amount on every run and
+//! backend.
+//!
+//! A phase publishes only each vertex's `d − 1` smallest neighbours.  The
+//! published graph is simple, so every slot the BFS reads from `x`'s list
+//! puts a distinct vertex other than `x` in the ball; after `d − 1` of them
+//! the ball holds `d` vertices and the BFS stops.  It never reads slot
+//! `d − 1` or beyond, so the prefix changes no ball and no query, and cuts a
+//! phase's writes from `n + 2m` to at most `n·d` (`LiveSet::adjacency_pairs`
+//! states the lemma).
 
 use crate::common::{adjacency_key, degree_key, round_robin_assign, AlgorithmResult};
 use crate::contract::{phase_budgets, LiveSet};
@@ -129,6 +137,18 @@ fn bounded_bfs<V: SnapshotView>(
     order
 }
 
+/// The scatter publishing each live vertex's `keep` smallest neighbours, in
+/// ascending order: the slot order a bounded BFS reads.
+fn adjacency_prefix_pairs(live: &LiveSet, edges: &[(u32, u32)], keep: usize) -> Vec<(Key, Value)> {
+    live.adjacency_pairs(
+        edges,
+        keep,
+        |neighbour, _| neighbour,
+        adjacency_key,
+        |neighbour, _| Value::scalar(neighbour as u64),
+    )
+}
+
 /// Connected components in the AMPC model (Algorithm 7 / Theorem 3).
 ///
 /// Returns canonical component labels (`labels[v]` = smallest original
@@ -177,9 +197,9 @@ fn connectivity_impl<B: DdsBackend>(
             break;
         }
 
-        // Round 1 of the phase: publish the current graph.
-        runtime
-            .scatter(live.adjacency_pairs(&edges, adjacency_key, |u, _| Value::scalar(u as u64)));
+        // Round 1 of the phase: publish the current graph, as far as a
+        // BFS that stops at `d` vertices can read it.
+        runtime.scatter(adjacency_prefix_pairs(&live, &edges, d - 1));
 
         // Round 2: IncreaseDegrees — bounded BFS from every live vertex.
         let machines = runtime.config().num_machines();
@@ -258,7 +278,107 @@ fn connectivity_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_graph::{generators, sequential};
+    use crate::common::adjacency_pairs;
+    use ampc_dds::Snapshot;
+    use ampc_graph::{generators, sequential, Edge};
+
+    /// `search` from every vertex of `graph` in turn, on one machine with one
+    /// [`BfsScratch`], over `graph` published as `pairs`.
+    fn from_every_vertex<T: Send>(
+        graph: &Graph,
+        pairs: Vec<(Key, Value)>,
+        search: impl Fn(&mut MachineContext<Snapshot>, &mut BfsScratch, u32) -> T + Sync,
+    ) -> Vec<T> {
+        let n = graph.num_vertices();
+        let config = AmpcConfig::for_graph(n, graph.num_edges(), 0.5).with_seed(5);
+        let mut runtime = AmpcRuntime::new(config);
+        runtime.scatter(pairs);
+        let mut machines = runtime
+            .run_round(1, |ctx| {
+                let mut scratch = BfsScratch::default();
+                (0..n as u32)
+                    .map(|v| search(ctx, &mut scratch, v))
+                    .collect()
+            })
+            .unwrap();
+        machines.pop().unwrap()
+    }
+
+    /// `graph` published with `keep` slots per vertex, as a phase does.
+    fn prefix(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
+        let edges: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.u, e.v)).collect();
+        adjacency_prefix_pairs(&LiveSet::all(graph.num_vertices()), &edges, keep)
+    }
+
+    /// A bounded BFS's ball and the queries it issued.
+    fn ball_and_queries<V: SnapshotView>(
+        ctx: &mut MachineContext<V>,
+        scratch: &mut BfsScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> (Vec<u32>, u64) {
+        let before = ctx.queries_issued();
+        let ball = bounded_bfs(ctx, scratch, v, d, query_cap);
+        (ball, ctx.queries_issued() - before)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The `d − 1` lemma for the BFS (`LiveSet::adjacency_pairs`): on
+        /// random simple graphs, from every vertex, at every budget and at
+        /// caps {1, 3, d², ∞}, `bounded_bfs` over each vertex's `d − 1`
+        /// smallest neighbours returns the ball it returns over the graph's
+        /// full adjacency lists (`common::adjacency_pairs`, in `Graph` slot
+        /// order) and issues exactly as many queries.
+        #[test]
+        fn bounded_bfs_on_the_first_prefix_reads_what_full_lists_read(
+            n in 2u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+        ) {
+            let edges: Vec<Edge> = raw.iter().map(|&(u, v)| Edge::new(u % n, v % n)).collect();
+            let graph = Graph::from_edges(n as usize, &edges);
+            let budgets = 2..=10usize;
+            let caps = |d: usize| [1, 3, (d * d) as u64, u64::MAX];
+            let full = from_every_vertex(&graph, adjacency_pairs(&graph), |ctx, scratch, v| {
+                (budgets.clone())
+                    .flat_map(|d| caps(d).map(|cap| ball_and_queries(ctx, scratch, v, d, cap)))
+                    .collect::<Vec<_>>()
+            });
+            for (i, d) in budgets.clone().enumerate() {
+                let prefix = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
+                    caps(d).map(|cap| ball_and_queries(ctx, scratch, v, d, cap))
+                });
+                for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
+                    proptest::prop_assert_eq!(&prefix[..], &full[4 * i..4 * i + 4], "d {}, from {}", d, v);
+                }
+            }
+        }
+    }
+
+    /// The bound is tight: from the centre of a star every vertex of the
+    /// ball but the centre is one of its own neighbours, so with `d − 2` of
+    /// them published the ball stops one vertex short.
+    #[test]
+    fn a_star_needs_d_minus_one_first_neighbours() {
+        let leaves = 8u32;
+        let star: Vec<Edge> = (1..=leaves).map(|leaf| Edge::new(0, leaf)).collect();
+        let graph = Graph::from_edges(leaves as usize + 1, &star);
+        let d = 4;
+        let from_centre = |pairs| {
+            from_every_vertex(&graph, pairs, |ctx, scratch, v| {
+                bounded_bfs(ctx, scratch, v, d, u64::MAX)
+            })
+            .swap_remove(0)
+        };
+        assert_eq!(from_centre(adjacency_pairs(&graph)), [0, 1, 2, 3]);
+        assert_eq!(from_centre(prefix(&graph, d - 1)), [0, 1, 2, 3]);
+        assert_eq!(from_centre(prefix(&graph, d - 2)), [0, 1, 2]);
+    }
 
     #[test]
     fn matches_sequential_on_planted_components() {

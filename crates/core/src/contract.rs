@@ -35,7 +35,9 @@ impl ContractEdge for (u32, u32) {
 /// The per-vertex budget `d` of each phase (Section 6): `sqrt((n + m) / n)`
 /// first, `d^{1.4}` from one phase to the next, capped at `n^{ε/2}` so that a
 /// vertex's `d²` queries fit one machine's `O(n^ε)` space.  Ends at the
-/// phase cap.
+/// phase cap.  The `d²` holds with room to spare: a phase publishes at most
+/// `d − 1` slots per vertex, so a search from one vertex reads at most
+/// `d − 1` lists of `1 + (d − 1)` keys each, `d(d − 1)` queries.
 pub(crate) fn phase_budgets(n: usize, m: usize, epsilon: f64) -> impl Iterator<Item = usize> {
     let d_cap = ((n.max(2) as f64).powf(epsilon / 2.0).ceil() as usize).max(2);
     let first = (((n + m) as f64 / n as f64).sqrt().ceil() as usize).clamp(2, d_cap);
@@ -82,14 +84,36 @@ impl LiveSet {
     }
 
     /// The scatter publishing the contracted graph: per live vertex, in
-    /// ascending order, its degree under [`degree_key`] and then slot `j` of
-    /// its adjacency under `slot_key(v, j)` as `slot_value(neighbour, edge)`.
-    /// The adjacency is a CSR built by a stable counting sort over `edges`:
-    /// a vertex's slots follow edge-list order, and an edge `(u, v)` fills
-    /// `u`'s slot before `v`'s.
-    pub(crate) fn adjacency_pairs<E: ContractEdge>(
+    /// ascending order, its published count under [`degree_key`] and then
+    /// slot `j` of its adjacency under `slot_key(v, j)` as
+    /// `slot_value(neighbour, edge)`.  A vertex publishes at most `keep`
+    /// slots: its `keep` lowest under `rank(neighbour, edge)`, in rank order.
+    /// The adjacency is a CSR built by a stable counting sort over `edges`
+    /// (an edge `(u, v)` fills `u`'s slot before `v`'s); only a vertex's kept
+    /// slots are then sorted, after a selection when it has more than `keep`.
+    ///
+    /// **Why the drivers pass `keep = d − 1`.**  A phase's search from `v`
+    /// (bounded BFS, truncated Prim) stops once it holds `d` vertices.
+    /// Every published graph is simple — `Graph` drops loops and duplicates,
+    /// and [`LiveSet::contract`] dedups — so each entry the search reads
+    /// (BFS) or pops (Prim) from `x`'s list names a distinct vertex other
+    /// than `x`, and that vertex is in the ball or tree afterwards.  After
+    /// `d − 1` such entries the search holds `d` vertices and stops:
+    ///
+    /// * BFS reads a list in slot order, and its `remaining_ball` clamp keeps
+    ///   every read below slot `d − 1`, so ranking by neighbour id (the
+    ///   order the sorted edge lists already give) changes no read;
+    /// * Prim pops by `(weight, from, to, id)`, so an entry past `x`'s
+    ///   `d − 1` lightest under `(weight, neighbour, original)` reaches the
+    ///   heap top only after all `d − 1` lighter ones have been popped.
+    ///
+    /// `d − 2` is not enough: from the centre of a star, either search needs
+    /// `d − 1` distinct leaves from one list.
+    pub(crate) fn adjacency_pairs<E: ContractEdge, R: Ord>(
         &self,
         edges: &[E],
+        keep: usize,
+        rank: impl Fn(u32, &E) -> R,
         slot_key: impl Fn(u32, usize) -> Key,
         slot_value: impl Fn(u32, &E) -> Value,
     ) -> Vec<(Key, Value)> {
@@ -101,7 +125,9 @@ impl LiveSet {
             offsets[self.index(u) as usize + 1] += 1;
             offsets[self.index(v) as usize + 1] += 1;
         }
+        let mut published = 0;
         for i in 0..self.len() {
+            published += (offsets[i + 1] as usize).min(keep);
             offsets[i + 1] += offsets[i];
         }
         let mut cursor = offsets.clone();
@@ -114,11 +140,25 @@ impl LiveSet {
                 *next += 1;
             }
         }
-        let mut pairs = Vec::with_capacity(self.len() + slots.len());
+        let slot_rank = |&(neighbour, id): &(u32, u32)| rank(neighbour, &edges[id as usize]);
+        let mut pairs = Vec::with_capacity(self.len() + published);
         for (i, &v) in self.vertices.iter().enumerate() {
-            let slots = &slots[offsets[i] as usize..offsets[i + 1] as usize];
-            pairs.push((degree_key(v), Value::scalar(slots.len() as u64)));
-            pairs.extend(slots.iter().enumerate().map(|(j, &(neighbour, id))| {
+            let all = &mut slots[offsets[i] as usize..offsets[i + 1] as usize];
+            let kept = if all.len() > keep {
+                all.select_nth_unstable_by_key(keep, slot_rank);
+                let kept = &mut all[..keep];
+                debug_assert!(
+                    (kept.iter().enumerate())
+                        .all(|(j, &(u, _))| u != v && kept[..j].iter().all(|&(w, _)| w != u)),
+                    "the kept slots of {v} repeat a neighbour: its list is not simple"
+                );
+                kept
+            } else {
+                all
+            };
+            kept.sort_unstable_by_key(slot_rank);
+            pairs.push((degree_key(v), Value::scalar(kept.len() as u64)));
+            pairs.extend(kept.iter().enumerate().map(|(j, &(neighbour, id))| {
                 (slot_key(v, j), slot_value(neighbour, &edges[id as usize]))
             }));
         }
@@ -225,15 +265,35 @@ mod tests {
         (next_live.into_iter().collect(), labels, best)
     }
 
-    /// Today's push order: `u` gets `v`, then `v` gets `u`, edge by edge.
-    fn model_adjacency(live: &[u32], edges: &[Weighted]) -> BTreeMap<u32, Vec<(u32, u32)>> {
-        let mut adjacency: BTreeMap<u32, Vec<(u32, u32)>> =
+    /// The scatter, one map per vertex: slots in push order (`u` gets `v`,
+    /// then `v` gets `u`, edge by edge), sorted stably by `rank` and cut to
+    /// `keep`, each published as `(neighbour, original)`.
+    fn model_pairs<R: Ord>(
+        live: &[u32],
+        edges: &[Weighted],
+        keep: usize,
+        rank: impl Fn(u32, &Weighted) -> R,
+    ) -> Vec<(Key, Value)> {
+        let mut adjacency: BTreeMap<u32, Vec<(u32, &Weighted)>> =
             live.iter().map(|&v| (v, Vec::new())).collect();
-        for (id, &(u, v, ..)) in edges.iter().enumerate() {
-            adjacency.get_mut(&u).unwrap().push((v, id as u32));
-            adjacency.get_mut(&v).unwrap().push((u, id as u32));
+        for e in edges {
+            adjacency.get_mut(&e.0).unwrap().push((e.1, e));
+            adjacency.get_mut(&e.1).unwrap().push((e.0, e));
         }
-        adjacency
+        let mut pairs = Vec::new();
+        for (v, mut slots) in adjacency {
+            slots.sort_by_key(|&(neighbour, e)| rank(neighbour, e));
+            slots.truncate(keep);
+            pairs.push((degree_key(v), Value::scalar(slots.len() as u64)));
+            for (j, (neighbour, e)) in slots.into_iter().enumerate() {
+                pairs.push((adjacency_key(v, j), slot_value(neighbour, e)));
+            }
+        }
+        pairs
+    }
+
+    fn slot_value(neighbour: u32, e: &Weighted) -> Value {
+        Value::pair(neighbour as u64, e.3 as u64)
     }
 
     /// Per phase: raw `(endpoint, endpoint, weight)` edge picks and raw
@@ -251,9 +311,14 @@ mod tests {
 
         /// Phase after phase — so the live set is a random subset of `0..n`
         /// from the second phase on — the kernel and the map-per-step model
-        /// agree on adjacency, next live set, labels and contracted edges.
+        /// agree on adjacency (every slot, and a ranked prefix of `keep`),
+        /// next live set, labels and contracted edges.
         #[test]
-        fn kernel_matches_the_map_per_step_driver(n in 1usize..48, phases in arbitrary_phases()) {
+        fn kernel_matches_the_map_per_step_driver(
+            n in 1usize..48,
+            phases in arbitrary_phases(),
+            keep in 1usize..6,
+        ) {
             let mut live = LiveSet::all(n);
             let mut labels: Vec<u32> = (0..n as u32).collect();
             for (raw_edges, raw_unions) in phases {
@@ -267,20 +332,22 @@ mod tests {
                 let unions: Vec<(u32, u32)> =
                     raw_unions.iter().map(|&(a, b)| (pick(a), pick(b))).collect();
 
-                // Slot order is edge-list order (each slot's value names its
+                // Every slot, in edge-list order (each slot's value names its
                 // edge), and the scatter walks the vertices in ascending order.
-                let slot_value =
-                    |neighbour: u32, e: &Weighted| Value::pair(neighbour as u64, e.3 as u64);
-                let mut expected_pairs = Vec::new();
-                for (&v, slots) in &model_adjacency(&before, &edges) {
-                    expected_pairs.push((degree_key(v), Value::scalar(slots.len() as u64)));
-                    for (j, &(neighbour, id)) in slots.iter().enumerate() {
-                        let value = slot_value(neighbour, &edges[id as usize]);
-                        expected_pairs.push((adjacency_key(v, j), value));
-                    }
-                }
-                let pairs = live.adjacency_pairs(&edges, adjacency_key, slot_value);
-                prop_assert_eq!(pairs, expected_pairs);
+                let by_edge = |_: u32, e: &Weighted| e.3;
+                let pairs = live.adjacency_pairs(&edges, usize::MAX, by_edge, adjacency_key, slot_value);
+                prop_assert_eq!(pairs, model_pairs(&before, &edges, usize::MAX, by_edge));
+
+                // On the simple part of the graph, as MSF publishes it: each
+                // vertex's `keep` slots lowest by `(weight, neighbour,
+                // original)`, in that order, and `keep` at most as its count.
+                let mut seen = BTreeSet::new();
+                let simple: Vec<Weighted> = (edges.iter().copied())
+                    .filter(|&(u, v, ..)| u != v && seen.insert((u.min(v), u.max(v))))
+                    .collect();
+                let lightest = |neighbour: u32, e: &Weighted| (e.2, neighbour, e.3);
+                let pairs = live.adjacency_pairs(&simple, keep, lightest, adjacency_key, slot_value);
+                prop_assert_eq!(pairs, model_pairs(&before, &simple, keep, lightest));
 
                 let (next_live, next_labels, best) =
                     model_contract(&before, &unions, &labels, &edges);
@@ -322,7 +389,10 @@ mod tests {
     /// `(rounds, total_queries, total_writes)` — the model's cost — of two
     /// fixed instances.  Nothing in either driver iterates a hash container,
     /// so a change of hasher or container must leave these where they are; a
-    /// change of algorithm that moves them should say so here.
+    /// change of algorithm that moves them should say so here.  Publishing
+    /// only each vertex's `d − 1` first (connectivity) or lightest (MSF)
+    /// slots moved the writes of both, and MSF's queries and gnm rounds: no
+    /// Prim reads past its prefix, so the query cap no longer cuts one short.
     #[test]
     fn model_cost_of_connectivity_and_msf_is_pinned() {
         use ampc_graph::generators;
@@ -336,13 +406,13 @@ mod tests {
         let planted = generators::planted_components(3000, 5, 1200, 7);
         let gnm = generators::connected_gnm(2000, 6000, 11);
         let connectivity = |g| cost(&crate::connectivity(g, 0.5, 7).stats);
-        assert_eq!(connectivity(&planted), (6, 7474, 30228));
-        assert_eq!(connectivity(&gnm), (6, 7269, 26990));
+        assert_eq!(connectivity(&planted), (6, 7474, 7450));
+        assert_eq!(connectivity(&gnm), (6, 7269, 7235));
         let msf = |g, seed| {
             let weighted = generators::with_random_weights(g, seed);
             cost(&crate::minimum_spanning_forest(&weighted, 0.5, 7).stats)
         };
-        assert_eq!(msf(&planted, 13), (8, 89639, 35823));
-        assert_eq!(msf(&gnm, 17), (16, 90735, 54784));
+        assert_eq!(msf(&planted, 13), (8, 12326, 8740));
+        assert_eq!(msf(&gnm, 17), (6, 17359, 7304));
     }
 }

@@ -15,6 +15,15 @@
 //! leader-based contraction produces — and shrinks at least as fast.  The
 //! driver-side steps run on the dense arrays of `contract.rs`; a phase keeps
 //! the `(weight, id)`-least edge of every parallel bundle (cycle property).
+//!
+//! A phase publishes only each vertex's `d − 1` lightest edges, ranked by
+//! `(weight, neighbour, original)` — the candidate heap's order among one
+//! vertex's entries.  The published graph is simple, so every entry Prim
+//! pops from `x`'s list puts a distinct vertex other than `x` in the tree,
+//! and an entry past the `d − 1` lightest reaches the heap top only after
+//! all of them: by then the tree holds `d` vertices and Prim has stopped.
+//! So the prefix changes no selected edge, ties included
+//! (`LiveSet::adjacency_pairs` states the lemma).
 
 use crate::common::{
     decode_weighted_neighbor, degree_key, encode_weighted_neighbor, round_robin_assign,
@@ -61,11 +70,21 @@ impl ContractEdge for ContractedEdge {
     }
 }
 
-/// The scatter publishing the weighted adjacency of the contracted graph.
-fn weighted_adjacency_pairs(live: &LiveSet, edges: &[ContractedEdge]) -> Vec<(Key, Value)> {
-    live.adjacency_pairs(edges, weighted_adjacency_key, |neighbour, e| {
-        encode_weighted_neighbor(neighbour, e.original, e.weight)
-    })
+/// The scatter publishing each live vertex's `keep` lightest edges of the
+/// contracted graph, ranked by `(weight, neighbour, original)` — the
+/// candidate heap's order among one vertex's entries.
+fn weighted_adjacency_pairs(
+    live: &LiveSet,
+    edges: &[ContractedEdge],
+    keep: usize,
+) -> Vec<(Key, Value)> {
+    live.adjacency_pairs(
+        edges,
+        keep,
+        |neighbour, e| (e.weight, neighbour, e.original),
+        weighted_adjacency_key,
+        |neighbour, e| encode_weighted_neighbor(neighbour, e.original, e.weight),
+    )
 }
 
 /// Weighted-adjacency slots fetched per batched adaptive read while the
@@ -96,6 +115,11 @@ struct PrimScratch {
 /// vertices, the component is exhausted, or the query cap is reached.
 /// Returns the ids of the original edges selected (all of them MSF edges by
 /// the cut property).
+///
+/// The vertex that fills the tree is not expanded, so at most `d − 1`
+/// vertices are, each for one degree read and at most `d − 1` slots of a
+/// phase's publication: at most `d(d − 1)` reads, below the driver's
+/// `query_cap ≥ d²`, which therefore never binds in a phase.
 fn local_prim<V: SnapshotView>(
     ctx: &mut MachineContext<V>,
     scratch: &mut PrimScratch,
@@ -153,7 +177,11 @@ fn local_prim<V: SnapshotView>(
             continue;
         }
         selected.push((from, to, id));
-        expand(to, ctx, heap);
+        // The vertex that fills the tree is never expanded: none of its
+        // entries could be popped.
+        if in_tree.len() < d {
+            expand(to, ctx, heap);
+        }
     }
     selected
 }
@@ -272,8 +300,9 @@ fn msf_impl<B: DdsBackend>(
             break;
         }
 
-        // Round 1: publish the contracted weighted graph.
-        runtime.scatter(weighted_adjacency_pairs(&live, &edges));
+        // Round 1: publish the contracted weighted graph, as far as a Prim
+        // that stops at `d` vertices can pop it.
+        runtime.scatter(weighted_adjacency_pairs(&live, &edges, d - 1));
 
         // Round 2: local Prim from every live vertex.
         let machines = runtime.config().num_machines();
@@ -335,6 +364,7 @@ fn msf_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential};
 
     fn weighted(n: usize, extra: usize, seed: u64) -> Graph {
@@ -417,7 +447,8 @@ mod tests {
 
     /// The pre-migration slot-by-slot expansion, kept as the budget
     /// reference: one adaptive read per adjacency slot, cap checked before
-    /// every read.
+    /// every read; like [`local_prim`], it does not expand the vertex that
+    /// fills the tree.
     fn reference_prim<V: ampc_runtime::SnapshotView>(
         ctx: &mut MachineContext<V>,
         v: u32,
@@ -456,51 +487,128 @@ mod tests {
             }
             in_tree.insert(to);
             selected.push((from, to, id));
-            expand(to, ctx, &mut heap);
+            if in_tree.len() < d {
+                expand(to, ctx, &mut heap);
+            }
         }
         selected
+    }
+
+    /// The edges of `graph` as the driver's first phase holds them.
+    fn contracted_edges(graph: &Graph) -> Vec<ContractedEdge> {
+        if graph.num_edges() == 0 {
+            return Vec::new(); // an edgeless graph carries no weights
+        }
+        (graph.weighted_edges().iter())
+            .zip(0u32..)
+            .map(|(e, original)| ContractedEdge {
+                u: e.u,
+                v: e.v,
+                weight: e.weight,
+                original,
+            })
+            .collect()
+    }
+
+    /// `search` from every vertex of `0..n` in turn, on one machine with one
+    /// [`PrimScratch`], over `edges` published with `keep` slots per vertex.
+    fn from_every_vertex<T: Send>(
+        n: u32,
+        edges: &[ContractedEdge],
+        keep: usize,
+        search: impl Fn(&mut MachineContext<Snapshot>, &mut PrimScratch, u32) -> T + Sync,
+    ) -> Vec<T> {
+        let config = AmpcConfig::for_graph(n as usize, edges.len(), 0.5).with_seed(5);
+        let mut runtime = AmpcRuntime::new(config);
+        runtime.scatter(weighted_adjacency_pairs(
+            &LiveSet::all(n as usize),
+            edges,
+            keep,
+        ));
+        let mut machines = runtime
+            .run_round(1, |ctx| {
+                let mut scratch = PrimScratch::default();
+                (0..n).map(|v| search(ctx, &mut scratch, v)).collect()
+            })
+            .unwrap();
+        machines.pop().unwrap()
     }
 
     #[test]
     fn batched_local_prim_debits_budget_like_single_reads() {
         // ROADMAP read-path item: the batched expansion must select the same
         // edges AND debit the query budget identically to the single-read
-        // loop, including at caps that truncate mid-list.
+        // loop, including at caps that truncate mid-list (full lists, so a
+        // cap can cut a list a phase would not publish).
         let n = 120u32;
-        let g = weighted(n as usize, 360, 17);
-        let edges: Vec<ContractedEdge> = g
-            .weighted_edges()
-            .iter()
-            .map(|e| ContractedEdge {
-                u: e.u,
-                v: e.v,
-                weight: e.weight,
-                original: e.id,
-            })
-            .collect();
+        let edges = contracted_edges(&weighted(n as usize, 360, 17));
         for query_cap in [3u64, 7, 17, 64, 100_000] {
             let run = |batched: bool| {
-                let config = AmpcConfig::for_graph(n as usize, 360, 0.5).with_seed(5);
-                let mut runtime = AmpcRuntime::new(config);
-                runtime.scatter(weighted_adjacency_pairs(&LiveSet::all(n as usize), &edges));
-                runtime
-                    .run_round(1, |ctx| {
-                        let mut scratch = PrimScratch::default();
-                        let mut out = Vec::new();
-                        for v in 0..n {
-                            let before = ctx.queries_issued();
-                            let selected = if batched {
-                                local_prim(ctx, &mut scratch, v, 6, query_cap)
-                            } else {
-                                reference_prim(ctx, v, 6, query_cap)
-                            };
-                            out.push((v, selected, ctx.queries_issued() - before));
-                        }
-                        out
-                    })
-                    .unwrap()
+                from_every_vertex(n, &edges, usize::MAX, |ctx, scratch, v| {
+                    let before = ctx.queries_issued();
+                    let selected = if batched {
+                        local_prim(ctx, scratch, v, 6, query_cap)
+                    } else {
+                        reference_prim(ctx, v, 6, query_cap)
+                    };
+                    (v, selected, ctx.queries_issued() - before)
+                })
             };
             assert_eq!(run(true), run(false), "query_cap {query_cap}");
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The `d − 1` lemma for Prim (`LiveSet::adjacency_pairs`): on random
+        /// simple graphs with weight ties, from every vertex and at every
+        /// budget, `local_prim` over each vertex's `d − 1` lightest edges
+        /// selects exactly the edges, in the order, that the reference
+        /// selects over full lists.  No cap: the prefix bounds the reads.
+        #[test]
+        fn local_prim_on_the_lightest_prefix_selects_what_full_lists_select(
+            n in 2u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u64..4), 0..80),
+        ) {
+            let triples: Vec<(u32, u32, u64)> =
+                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
+            let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
+            let budgets = 2..=10usize;
+            let full = from_every_vertex(n, &edges, usize::MAX, |ctx, _, v| {
+                budgets.clone().map(|d| reference_prim(ctx, v, d, u64::MAX)).collect::<Vec<_>>()
+            });
+            for d in budgets.clone() {
+                let prefix = from_every_vertex(n, &edges, d - 1, |ctx, scratch, v| {
+                    local_prim(ctx, scratch, v, d, u64::MAX)
+                });
+                for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
+                    proptest::prop_assert_eq!(prefix, &full[d - 2], "d {}, from {}", d, v);
+                }
+            }
+        }
+    }
+
+    /// The bound is tight: from the centre of a star every tree edge is one
+    /// of the centre's own, so with `d − 2` of them published the tree stops
+    /// one vertex short.
+    #[test]
+    fn a_star_needs_d_minus_one_lightest_edges() {
+        let leaves = 8u32;
+        let star: Vec<(u32, u32, u64)> = (1..=leaves).map(|leaf| (0, leaf, leaf as u64)).collect();
+        let edges = contracted_edges(&Graph::from_weighted_edges(leaves as usize + 1, &star));
+        let d = 4;
+        let from_centre = |keep| {
+            from_every_vertex(leaves + 1, &edges, keep, |ctx, scratch, v| {
+                local_prim(ctx, scratch, v, d, u64::MAX)
+            })
+            .swap_remove(0)
+        };
+        assert_eq!(from_centre(d - 1), from_centre(usize::MAX));
+        assert_eq!(from_centre(d - 1).len(), d - 1);
+        assert_eq!(from_centre(d - 2).len(), d - 2);
     }
 }
