@@ -6,16 +6,22 @@
 //! position in that subset, and the glue the paper runs "with standard MPC
 //! primitives, such as sorting, duplicate removal" (Section 3) is literally
 //! that: adjacency is a stable counting sort of the edge list, contraction is
-//! relabel + sort + dedup.  No step iterates a hash container, so the
+//! relabel + two stable counting sorts + min-fold dedup.  No step compares
+//! whole edges to order them, and none iterates a hash container, so the
 //! published adjacency — and the model's query and write counts — depend on
 //! the input and the seed alone.
+//!
+//! [`LiveSet::contract`] says why the live set is compacted before the sorts
+//! and why the dedup folds each parallel bundle rather than keep its first
+//! edge.
 
 use crate::common::degree_key;
 use ampc_dds::{Key, Value};
 use ampc_graph::UnionFind;
 
-/// An edge of a contracted graph.  `Ord` must compare the endpoints first
-/// and break ties so that the parallel edge to keep sorts first.
+/// An edge of a contracted graph.  `Ord` picks the edge a parallel bundle
+/// keeps — its least — and must tell any two distinct edges apart, so the
+/// kept edge does not depend on the order the edges arrive in.
 pub(crate) trait ContractEdge: Copy + Ord {
     /// The two endpoints.
     fn ends(&self) -> (u32, u32);
@@ -52,7 +58,8 @@ pub(crate) fn phase_budgets(n: usize, m: usize, epsilon: f64) -> impl Iterator<I
 pub(crate) struct LiveSet {
     /// Live vertex ids, ascending.
     vertices: Vec<u32>,
-    /// `index_of[vertices[i]] == i`; entries of contracted-away ids are stale.
+    /// `index_of[vertices[i]] == i`.  A vertex the last contraction removed
+    /// holds its super-vertex's index; older entries are stale.
     index_of: Vec<u32>,
 }
 
@@ -171,6 +178,20 @@ impl LiveSet {
     /// `edges` come back between super-vertices as `(min, max)`, sorted,
     /// without self-loops, and with only the `Ord`-least edge of each
     /// parallel bundle.
+    ///
+    /// Relabel + two stable counting sorts + min-fold dedup:
+    ///
+    /// * the live set is compacted first, and every vertex of the old set
+    ///   gets its super-vertex's index in the *next* set in `index_of`: only
+    ///   then is each end of a relabelled edge a dense key in `0..k` (`k`
+    ///   super-vertices), the key range a counting sort needs;
+    /// * a stable counting sort by `v`'s key, then one by `u`'s, puts the
+    ///   edges in `(u, v)` order in O(m + k), comparing no two edges;
+    /// * a stable sort leaves each parallel bundle in input order, not `Ord`
+    ///   order, so a bundle's first edge is an arbitrary one: the dedup folds
+    ///   each bundle to its minimum instead.  `Ord` tells apart every two
+    ///   edges the drivers pass (`original` does, for weighted ones), so the
+    ///   result is the one a comparison sort and keep-first would give.
     pub(crate) fn contract<E: ContractEdge>(
         &mut self,
         uf: &mut UnionFind,
@@ -178,38 +199,85 @@ impl LiveSet {
         edges: impl IntoIterator<Item = E>,
     ) -> Vec<E> {
         debug_assert_eq!(uf.len(), self.len());
-        // Super-vertex of every live vertex, by live index: `vertices` is
-        // ascending, so the smallest vertex id of a group is the vertex at
-        // the group's smallest live index.
-        let supers: Vec<u32> = (uf.canonical_labels().iter())
-            .map(|&i| self.vertices[i as usize])
-            .collect();
-        let super_of = |v: u32| supers[self.index(v) as usize];
+        // `next[i]` starts as the smallest live index of `i`'s group — its
+        // super-vertex, as `vertices` is ascending — and becomes the
+        // super-vertex's index in the next live set.  A group's smallest
+        // index comes first, so it is rewritten before its members read it,
+        // and the survivors compact in place, in order.
+        let mut next = uf.canonical_labels();
+        let mut kept = 0;
+        for i in 0..next.len() {
+            let v = self.vertices[i];
+            let root = next[i] as usize;
+            next[i] = if root == i {
+                self.vertices[kept] = v;
+                kept += 1;
+                (kept - 1) as u32
+            } else {
+                next[root]
+            };
+            self.index_of[v as usize] = next[i];
+        }
+        self.vertices.truncate(kept);
+
+        let (vertices, index_of) = (&self.vertices, &self.index_of);
+        let dense = |v: u32| index_of[v as usize];
         let mut contracted: Vec<E> = edges
             .into_iter()
             .filter_map(|e| {
                 let (u, v) = e.ends();
-                let (su, sv) = (super_of(u), super_of(v));
-                (su != sv).then(|| e.with_ends(su.min(sv), su.max(sv)))
+                let (iu, iv) = (dense(u), dense(v));
+                (iu != iv).then(|| {
+                    let (iu, iv) = (iu.min(iv), iu.max(iv));
+                    e.with_ends(vertices[iu as usize], vertices[iv as usize])
+                })
             })
             .collect();
-        contracted.sort_unstable();
-        contracted.dedup_by_key(|e| e.ends());
-        for label in labels.iter_mut() {
-            *label = super_of(*label);
+        if contracted.len() > 1 {
+            let mut scratch = contracted.clone();
+            let mut offsets = vec![0u32; kept + 1];
+            counting_sort(&contracted, &mut scratch, &mut offsets, |e| {
+                dense(e.ends().1)
+            });
+            counting_sort(&scratch, &mut contracted, &mut offsets, |e| {
+                dense(e.ends().0)
+            });
         }
-        // The next live set is the vertices that are their own super-vertex:
-        // a subsequence of an ascending list, compacted in place.
-        let (mut supers, mut kept) = (supers.iter(), 0u32);
-        self.vertices.retain(|&v| {
-            let survives = supers.next() == Some(&v);
-            if survives {
-                self.index_of[v as usize] = kept;
-                kept += 1;
+        contracted.dedup_by(|later, first| {
+            let parallel = later.ends() == first.ends();
+            if parallel {
+                *first = (*first).min(*later);
             }
-            survives
+            parallel
         });
+        for label in labels.iter_mut() {
+            *label = vertices[dense(*label) as usize];
+        }
         contracted
+    }
+}
+
+/// Stable counting sort of `from` into `into` (the same length) by `key`,
+/// which lies in `0..offsets.len() - 1`; `offsets` is the caller's scratch.
+fn counting_sort<E: Copy>(
+    from: &[E],
+    into: &mut [E],
+    offsets: &mut [u32],
+    key: impl Fn(&E) -> u32,
+) {
+    debug_assert_eq!(from.len(), into.len());
+    assert!(u32::try_from(from.len()).is_ok(), "edge positions are u32");
+    offsets.fill(0);
+    for e in from {
+        offsets[key(e) as usize + 1] += 1;
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    for e in from {
+        let at = &mut offsets[key(e) as usize];
+        into[*at as usize] = *e;
+        *at += 1;
     }
 }
 
@@ -229,6 +297,47 @@ mod tests {
         }
         fn with_ends(self, u: u32, v: u32) -> Self {
             (u, v, self.2, self.3)
+        }
+    }
+
+    impl LiveSet {
+        /// [`LiveSet::contract`] as it was before the counting sorts, kept
+        /// as its reference: relabel through the old live set, a comparison
+        /// sort, and a keep-first dedup (`Ord` sorts a bundle's least edge
+        /// first).
+        fn reference_contract<E: ContractEdge>(
+            &mut self,
+            uf: &mut UnionFind,
+            labels: &mut [u32],
+            edges: impl IntoIterator<Item = E>,
+        ) -> Vec<E> {
+            let supers: Vec<u32> = (uf.canonical_labels().iter())
+                .map(|&i| self.vertices[i as usize])
+                .collect();
+            let super_of = |v: u32| supers[self.index(v) as usize];
+            let mut contracted: Vec<E> = edges
+                .into_iter()
+                .filter_map(|e| {
+                    let (u, v) = e.ends();
+                    let (su, sv) = (super_of(u), super_of(v));
+                    (su != sv).then(|| e.with_ends(su.min(sv), su.max(sv)))
+                })
+                .collect();
+            contracted.sort_unstable();
+            contracted.dedup_by_key(|e| e.ends());
+            for label in labels.iter_mut() {
+                *label = super_of(*label);
+            }
+            let (mut supers, mut kept) = (supers.iter(), 0u32);
+            self.vertices.retain(|&v| {
+                let survives = supers.next() == Some(&v);
+                if survives {
+                    self.index_of[v as usize] = kept;
+                    kept += 1;
+                }
+                survives
+            });
+            contracted
         }
     }
 
@@ -383,6 +492,78 @@ mod tests {
                     prop_assert_eq!(live.index(v), i as u32);
                 }
             }
+        }
+    }
+
+    /// A large phase, three times over: gnm with n = 4 096 and m = 4n, in
+    /// shuffled order, weights from four values, and random unions over
+    /// half the live set, so weight ties and parallel bundles are common and
+    /// a bundle's first edge in input order is rarely its least.  The
+    /// counting-sort kernel equals the comparison sort it replaced in edges,
+    /// labels and live set, unweighted and weighted.
+    #[test]
+    fn contract_equals_the_comparison_sort_on_a_large_phase() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let n = 4096;
+        let graph = ampc_graph::generators::erdos_renyi_gnm(n, 4 * n, 2019);
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut edges: Vec<Weighted> = (graph.edges().iter().zip(0u32..))
+            .map(|(e, original)| (e.u, e.v, rng.gen_range(0u64..4), original))
+            .collect();
+        let (mut live, mut reference) = (LiveSet::all(n), LiveSet::all(n));
+        let mut labels: Vec<u32> = (0..n as u32).map(|v| v ^ 1).collect();
+        let mut reference_labels = labels.clone();
+        for phase in 0..3 {
+            edges.shuffle(&mut rng);
+            let k = live.len() as u32;
+            let mut uf = UnionFind::new(k as usize);
+            for _ in 0..k / 2 {
+                uf.union(rng.gen_range(0..k), rng.gen_range(0..k));
+            }
+
+            let ends = || edges.iter().map(|e| e.ends());
+            let unweighted = live
+                .clone()
+                .contract(&mut uf.clone(), &mut labels.clone(), ends());
+            let expected = (reference.clone()).reference_contract(
+                &mut uf.clone(),
+                &mut labels.clone(),
+                ends(),
+            );
+            assert_eq!(unweighted, expected, "phase {phase}: unweighted edges");
+
+            let contracted = live.contract(&mut uf.clone(), &mut labels, edges.iter().copied());
+            let expected =
+                reference.reference_contract(&mut uf, &mut reference_labels, edges.iter().copied());
+            assert_eq!(contracted, expected, "phase {phase}: weighted edges");
+            // A keep-first dedup would differ: many a bundle's first edge in
+            // input order is not its least.
+            let super_of = |v: u32| live.vertices[live.index_of[v as usize] as usize];
+            let mut first = BTreeMap::new();
+            for &(u, v, weight, original) in &edges {
+                let (su, sv) = (super_of(u), super_of(v));
+                if su != sv {
+                    first
+                        .entry((su.min(sv), su.max(sv)))
+                        .or_insert((weight, original));
+                }
+            }
+            let not_first = (contracted.iter())
+                .filter(|&&(u, v, weight, original)| first[&(u, v)] != (weight, original))
+                .count();
+            assert!(not_first > 100, "phase {phase}: {not_first} bundles");
+            assert_eq!(labels, reference_labels, "phase {phase}: labels");
+            assert_eq!(
+                live.vertices(),
+                reference.vertices(),
+                "phase {phase}: live set"
+            );
+            for (i, &v) in live.vertices().iter().enumerate() {
+                assert_eq!(live.index(v), i as u32);
+            }
+            edges = contracted;
         }
     }
 

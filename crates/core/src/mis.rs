@@ -349,6 +349,26 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// `(rounds, total_queries, total_writes)` — the model's cost — of two
+    /// fixed instances.  A change of container or hasher must leave these
+    /// where they are; a change of algorithm that moves them should say so
+    /// here.
+    #[test]
+    fn model_cost_of_mis_is_pinned() {
+        let cost = |graph: &Graph| {
+            let stats = maximal_independent_set(graph, 0.5, 7).stats;
+            (
+                stats.num_rounds(),
+                stats.total_queries(),
+                stats.total_writes(),
+            )
+        };
+        let planted = generators::planted_components(3000, 5, 1200, 7);
+        let gnm = generators::erdos_renyi_gnm(2000, 8000, 11);
+        assert_eq!(cost(&planted), (4, 63036, 24030));
+        assert_eq!(cost(&gnm), (4, 47277, 20090));
+    }
+
     #[test]
     fn total_communication_is_near_linear() {
         // Proposition 5.1: expected total query cost is O(m + n).

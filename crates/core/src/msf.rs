@@ -13,8 +13,10 @@
 //! super-vertices) rather than by a separate leader-sampling pass.  This is
 //! always a contraction along MSF edges — exactly what the paper's
 //! leader-based contraction produces — and shrinks at least as fast.  The
-//! driver-side steps run on the dense arrays of `contract.rs`; a phase keeps
-//! the `(weight, id)`-least edge of every parallel bundle (cycle property).
+//! driver-side steps run on the dense arrays of `contract.rs`: a phase
+//! relabels the edges onto the next live set, groups them with two stable
+//! counting sorts, and folds every parallel bundle to its `(weight,
+//! original)`-least edge (cycle property).
 //!
 //! A phase publishes only each vertex's `d − 1` lightest edges, ranked by
 //! `(weight, neighbour, original)` — the candidate heap's order among one
@@ -51,7 +53,8 @@ pub struct MsfOutput {
 
 /// One edge of the contracted graph kept by the driver between phases.
 /// Field order is the derived `Ord`: endpoints, then `(weight, original)`,
-/// so the lightest edge of a parallel bundle sorts first.
+/// so the least edge of a parallel bundle — the one contraction keeps — is
+/// its lightest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct ContractedEdge {
     u: u32,

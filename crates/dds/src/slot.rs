@@ -173,6 +173,19 @@ impl Shard {
         &bucket[start..start + len]
     }
 
+    /// Value `index` of `key`'s run (the model's `(x, i)` lookup): the
+    /// run's start, then one check at `start + index`, so the read costs
+    /// the bucket scan and not the run's length.
+    #[inline]
+    pub(crate) fn nth(&self, key: &Key, digest: u64, index: usize) -> Option<Value> {
+        let bucket = self.bucket_of(digest);
+        let start = bucket.iter().position(|(k, _)| k == key)?;
+        match bucket.get(start.checked_add(index)?) {
+            Some((k, value)) if k == key => Some(*value),
+            _ => None,
+        }
+    }
+
     /// Number of distinct keys.
     #[inline]
     pub(crate) fn keys(&self) -> usize {
@@ -344,6 +357,34 @@ mod tests {
         let walked: usize = shard.entries().map(|(_, values)| values.len()).sum();
         assert_eq!(walked, pairs.len());
         assert_eq!(shard.entries().len(), 40);
+    }
+
+    #[test]
+    fn an_indexed_read_at_the_end_of_a_long_run_equals_the_run() {
+        // Key 7 holds 1 000 values and shares its bucket (1 024 pairs, so
+        // 1 024 buckets) with two keys of 12 values each: a read past the
+        // end of one run lands on a neighbour's.
+        let same_bucket = |c: &u64| bucket(k(*c).digest(), 1024) == bucket(k(7).digest(), 1024);
+        let neighbours: Vec<u64> = (8..).filter(same_bucket).take(2).collect();
+        let pairs: Pairs = (0..1000u64)
+            .map(|i| (k(7), Value::scalar(i)))
+            .chain((0..24).map(|i| (k(neighbours[i % 2]), Value::scalar(i as u64))))
+            .collect();
+        let shard = Shard::freeze(pairs);
+        assert_eq!(shard.bucket_of(k(7).digest()).len(), 1024);
+        for key in [k(7), k(neighbours[0]), k(neighbours[1])] {
+            let run = shard.run(&key, key.digest());
+            for i in [0, 1, run.len() / 2, run.len() - 1] {
+                assert_eq!(shard.nth(&key, key.digest(), i), Some(run[i].1));
+            }
+            assert_eq!(shard.nth(&key, key.digest(), run.len()), None);
+            assert_eq!(shard.nth(&key, key.digest(), usize::MAX), None);
+        }
+        assert_eq!(
+            shard.nth(&k(7), k(7).digest(), 999),
+            Some(Value::scalar(999))
+        );
+        assert_eq!(shard.nth(&k(6), k(6).digest(), 0), None);
     }
 
     #[test]

@@ -265,8 +265,7 @@ impl SnapshotView for Snapshot {
     fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
         let (shard, reads, digest) = self.locate(key);
         reads.fetch_add(1, Ordering::Relaxed);
-        let run = shard.run(key, digest);
-        run.get(index).map(|&(_, value)| value)
+        shard.nth(key, digest, index)
     }
 
     fn get_all(&self, key: &Key) -> Vec<Value> {

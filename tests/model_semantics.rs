@@ -160,6 +160,14 @@ fn every_algorithm_reports_zero_budget_violations_on_default_workloads() {
             .budget_violations(),
         0
     );
+
+    // The minimum spanning forest of the claimed workload, and the spanning
+    // forest that 2-edge connectivity runs on it.
+    let gnm = generators::connected_gnm(4_096, 4 * 4_096, 3);
+    let weighted = generators::with_random_weights(&gnm, 3);
+    let msf = minimum_spanning_forest(&weighted, 0.5, 3);
+    assert_eq!(msf.stats.budget_violations(), 0);
+    assert_eq!(spanning_forest(&gnm, 0.5, 3).stats.budget_violations(), 0);
 }
 
 #[test]
