@@ -263,6 +263,27 @@ mod tests {
         );
     }
 
+    /// `(rounds, total_queries, total_writes)` — the model's cost — of two
+    /// fixed instances, summed over the pipeline's stages (spanning forest,
+    /// rooting, connectivity of the bridgeless graph).  A change of
+    /// container or hasher must leave these where they are; a change of
+    /// algorithm in any stage that moves them should say so here.
+    #[test]
+    fn model_cost_of_two_edge_is_pinned() {
+        let cost = |graph: &Graph| {
+            let stats = two_edge_connectivity(graph, 0.5, 7).stats;
+            (
+                stats.num_rounds(),
+                stats.total_queries(),
+                stats.total_writes(),
+            )
+        };
+        let blocks = generators::bridged_blocks(128, 16, 4, 7);
+        let gnm = generators::connected_gnm(2000, 6000, 11);
+        assert_eq!(cost(&blocks), (20, 30777, 28487));
+        assert_eq!(cost(&gnm), (28, 42278, 32753));
+    }
+
     #[test]
     fn empty_graph() {
         let g = Graph::from_edges(0, &[]);
