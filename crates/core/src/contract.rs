@@ -586,14 +586,18 @@ mod tests {
         };
         let planted = generators::planted_components(3000, 5, 1200, 7);
         let gnm = generators::connected_gnm(2000, 6000, 11);
+        // Sparse: m = n, so many vertices have no edge at all.
+        let sparse = generators::erdos_renyi_gnm(4096, 4096, 3);
         let connectivity = |g| cost(&crate::connectivity(g, 0.5, 7).stats);
         assert_eq!(connectivity(&planted), (6, 7474, 7450));
         assert_eq!(connectivity(&gnm), (6, 7269, 7235));
+        assert_eq!(connectivity(&sparse), (8, 14214, 13174));
         let msf = |g, seed| {
             let weighted = generators::with_random_weights(g, seed);
             cost(&crate::minimum_spanning_forest(&weighted, 0.5, 7).stats)
         };
         assert_eq!(msf(&planted, 13), (8, 12326, 8740));
         assert_eq!(msf(&gnm, 17), (6, 17359, 7304));
+        assert_eq!(msf(&sparse, 13), (8, 16948, 12707));
     }
 }
