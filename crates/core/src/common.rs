@@ -62,6 +62,10 @@ pub fn machines_for(items: usize, per_machine: usize) -> usize {
 }
 
 /// DDS key for the degree of vertex `v` in the currently published graph.
+///
+/// Only MIS and full-list publications ([`adjacency_pairs`]) write it.  A
+/// connectivity or MSF phase publishes each list as a dense prefix and no
+/// count: its search stops at the first absent slot.
 pub fn degree_key(v: u32) -> Key {
     Key::of(KeyTag::Degree, v as u64)
 }
@@ -90,7 +94,9 @@ pub fn decode_weighted_neighbor(value: Value) -> (u32, u32, u64) {
 }
 
 /// Key-value pairs publishing the adjacency structure of `graph` (degrees
-/// plus per-slot neighbours), the layout used by MIS and connectivity.
+/// plus per-slot neighbours): every full list, with its count.  Benchmarks
+/// and the connectivity tests use it; a connectivity phase publishes a
+/// count-free prefix instead.
 pub fn adjacency_pairs(graph: &Graph) -> Vec<(Key, Value)> {
     let n = graph.num_vertices();
     let mut pairs = Vec::with_capacity(n + 2 * graph.num_edges());

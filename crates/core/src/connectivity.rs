@@ -28,15 +28,16 @@
 //! under an arbitrary slot order, and by the same amount on every run and
 //! backend.
 //!
-//! A phase publishes only each vertex's `d − 1` smallest neighbours.  The
-//! published graph is simple, so every slot the BFS reads from `x`'s list
-//! puts a distinct vertex other than `x` in the ball; after `d − 1` of them
-//! the ball holds `d` vertices and the BFS stops.  It never reads slot
-//! `d − 1` or beyond, so the prefix changes no ball and no query, and cuts a
-//! phase's writes from `n + 2m` to at most `n·d` (`LiveSet::adjacency_pairs`
-//! states the lemma).
+//! A phase publishes only each vertex's `d − 1` smallest neighbours, and no
+//! count.  The published graph is simple, so every slot the BFS reads from
+//! `x`'s list puts a distinct vertex other than `x` in the ball; after
+//! `d − 1` of them the ball holds `d` vertices and the BFS stops.  It never
+//! reads slot `d − 1` or beyond, so the prefix changes no ball, and a list
+//! ends at its first absent slot, so no count is needed to find its end.  A
+//! phase writes at most `n·(d − 1)` pairs, not `n + 2m`, and only vertices
+//! with an edge search (`LiveSet::adjacency_pairs` states the lemma).
 
-use crate::common::{adjacency_key, degree_key, round_robin_assign, AlgorithmResult};
+use crate::common::{adjacency_key, round_robin_assign, AlgorithmResult};
 use crate::contract::{phase_budgets, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind};
@@ -67,13 +68,16 @@ struct BfsScratch {
 ///
 /// The frontier expansion reads each vertex's adjacency list in batches of
 /// up to [`BFS_READ_BATCH`] slots via [`MachineContext::read_many_slice`] —
-/// the slot keys are independent once the degree is known, so a real
-/// deployment pipelines them in one network flight.  Visiting order (and
-/// therefore the result) is identical to the slot-by-slot loop.  Query
-/// accounting is not quite identical: when the ball fills mid-batch, the
-/// remaining prefetched slots of that batch are still counted — a bounded
-/// over-read (each batch is clamped to the `d - order.len()` discoveries
-/// still acceptable, so the waste per BFS is less than one batch).
+/// the slot keys are independent, so a real deployment pipelines them in one
+/// network flight.  A phase publishes a list as the dense prefix `0..k`,
+/// `k ≤ d − 1`, and no count: the expansion of `x` ends at the first absent
+/// slot, and no batch reaches slot `d − 1`.  Visiting order (and therefore
+/// the result) is that of a slot-by-slot loop.  Query accounting is not
+/// quite: a batch is counted whole, so when the ball fills or the list ends
+/// mid-batch, the rest of that batch is still counted — a bounded over-read
+/// (each batch is clamped to the `d - order.len()` discoveries still
+/// acceptable, so the waste per BFS is less than one batch per expanded
+/// vertex).
 fn bounded_bfs<V: SnapshotView>(
     ctx: &mut MachineContext<V>,
     scratch: &mut BfsScratch,
@@ -88,7 +92,7 @@ fn bounded_bfs<V: SnapshotView>(
     order.push(v);
     scratch.queue.push_back(v);
     let start_queries = ctx.queries_issued();
-    let mut keys: [Key; BFS_READ_BATCH] = [degree_key(0); BFS_READ_BATCH];
+    let mut keys: [Key; BFS_READ_BATCH] = [adjacency_key(0, 0); BFS_READ_BATCH];
     let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
     'outer: while let Some(x) = scratch.queue.pop_front() {
         if order.len() >= d {
@@ -97,31 +101,27 @@ fn bounded_bfs<V: SnapshotView>(
         if ctx.queries_issued() - start_queries >= query_cap {
             break;
         }
-        let deg = match ctx.read(degree_key(x)) {
-            Some(value) => value.x as usize,
-            None => continue,
-        };
         let mut next_slot = 0usize;
-        while next_slot < deg {
+        while next_slot < d - 1 {
             let remaining_budget = query_cap.saturating_sub(ctx.queries_issued() - start_queries);
             if remaining_budget == 0 {
                 break 'outer;
             }
-            // Clamp the batch to the query cap and to the discoveries the
-            // ball can still accept, so an early exit wastes at most the
-            // tail of one small batch.
+            // Clamp the batch to the query cap, to the discoveries the ball
+            // can still accept and to the slots a phase publishes, so an
+            // early exit wastes at most the tail of one small batch.
             let remaining_ball = d.saturating_sub(order.len()).max(1);
-            let batch_cap = BFS_READ_BATCH
+            let batch = BFS_READ_BATCH
                 .min(remaining_budget as usize)
-                .min(remaining_ball);
-            let batch_end = deg.min(next_slot + batch_cap);
-            let batch = batch_end - next_slot;
+                .min(remaining_ball)
+                .min(d - 1 - next_slot);
             for (j, key) in keys[..batch].iter_mut().enumerate() {
                 *key = adjacency_key(x, next_slot + j);
             }
             ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
             for entry in &entries[..batch] {
-                let Some(entry) = entry else { continue };
+                // The first absent slot ends `x`'s list.
+                let Some(entry) = entry else { continue 'outer };
                 let u = entry.x as u32;
                 if scratch.visited.insert(u) {
                     order.push(u);
@@ -131,15 +131,21 @@ fn bounded_bfs<V: SnapshotView>(
                     }
                 }
             }
-            next_slot = batch_end;
+            next_slot += batch;
         }
     }
     order
 }
 
 /// The scatter publishing each live vertex's `keep` smallest neighbours, in
-/// ascending order: the slot order a bounded BFS reads.
-fn adjacency_prefix_pairs(live: &LiveSet, edges: &[(u32, u32)], keep: usize) -> Vec<(Key, Value)> {
+/// ascending order: the slot order a bounded BFS reads.  Also returns the
+/// live vertices with a neighbour, the only ones a BFS from which can leave
+/// its start.
+fn adjacency_prefix_pairs(
+    live: &LiveSet,
+    edges: &[(u32, u32)],
+    keep: usize,
+) -> (Vec<(Key, Value)>, Vec<u32>) {
     live.adjacency_pairs(
         edges,
         keep,
@@ -199,11 +205,13 @@ fn connectivity_impl<B: DdsBackend>(
 
         // Round 1 of the phase: publish the current graph, as far as a
         // BFS that stops at `d` vertices can read it.
-        runtime.scatter(adjacency_prefix_pairs(&live, &edges, d - 1));
+        let (pairs, searchers) = adjacency_prefix_pairs(&live, &edges, d - 1);
+        runtime.scatter(pairs);
 
-        // Round 2: IncreaseDegrees — bounded BFS from every live vertex.
+        // Round 2: IncreaseDegrees — bounded BFS from every live vertex with
+        // an edge; the ball of any other is itself, which hooks it nowhere.
         let machines = runtime.config().num_machines();
-        let assignments = round_robin_assign(live.vertices(), machines);
+        let assignments = round_robin_assign(&searchers, machines);
         let query_cap = (space as u64).max((d * d) as u64);
         let balls: Vec<Vec<(u32, Vec<u32>)>> = runtime
             .run_round(machines, |ctx| {
@@ -278,7 +286,7 @@ fn connectivity_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::adjacency_pairs;
+    use crate::common::{adjacency_pairs, degree_key};
     use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential, Edge};
 
@@ -307,7 +315,82 @@ mod tests {
     /// `graph` published with `keep` slots per vertex, as a phase does.
     fn prefix(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
         let edges: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.u, e.v)).collect();
-        adjacency_prefix_pairs(&LiveSet::all(graph.num_vertices()), &edges, keep)
+        adjacency_prefix_pairs(&LiveSet::all(graph.num_vertices()), &edges, keep).0
+    }
+
+    /// [`prefix`] with each vertex's slot count under [`degree_key`], as a
+    /// phase published it before the searches stopped reading it.
+    fn prefix_with_counts(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
+        let mut pairs = prefix(graph, keep);
+        pairs.extend((0..graph.num_vertices() as u32).map(|v| {
+            let count = graph.degree(v).min(keep);
+            (degree_key(v), Value::scalar(count as u64))
+        }));
+        pairs
+    }
+
+    /// [`bounded_bfs`] as it was while a phase published counts, kept as its
+    /// reference: one read of `x`'s count under [`degree_key`], then flights
+    /// of its slots up to the count.
+    fn count_first_bfs<V: SnapshotView>(
+        ctx: &mut MachineContext<V>,
+        scratch: &mut BfsScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<u32> {
+        scratch.visited.clear();
+        scratch.queue.clear();
+        let mut order: Vec<u32> = Vec::with_capacity(d);
+        scratch.visited.insert(v);
+        order.push(v);
+        scratch.queue.push_back(v);
+        let start_queries = ctx.queries_issued();
+        let mut keys: [Key; BFS_READ_BATCH] = [degree_key(0); BFS_READ_BATCH];
+        let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
+        'outer: while let Some(x) = scratch.queue.pop_front() {
+            if order.len() >= d {
+                break;
+            }
+            if ctx.queries_issued() - start_queries >= query_cap {
+                break;
+            }
+            let deg = match ctx.read(degree_key(x)) {
+                Some(value) => value.x as usize,
+                None => continue,
+            };
+            let mut next_slot = 0usize;
+            while next_slot < deg {
+                let remaining_budget =
+                    query_cap.saturating_sub(ctx.queries_issued() - start_queries);
+                if remaining_budget == 0 {
+                    break 'outer;
+                }
+                let remaining_ball = d.saturating_sub(order.len()).max(1);
+                let batch_cap = BFS_READ_BATCH
+                    .min(remaining_budget as usize)
+                    .min(remaining_ball);
+                let batch_end = deg.min(next_slot + batch_cap);
+                let batch = batch_end - next_slot;
+                for (j, key) in keys[..batch].iter_mut().enumerate() {
+                    *key = adjacency_key(x, next_slot + j);
+                }
+                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+                for entry in &entries[..batch] {
+                    let Some(entry) = entry else { continue };
+                    let u = entry.x as u32;
+                    if scratch.visited.insert(u) {
+                        order.push(u);
+                        scratch.queue.push_back(u);
+                        if order.len() >= d {
+                            break 'outer;
+                        }
+                    }
+                }
+                next_slot = batch_end;
+            }
+        }
+        order
     }
 
     /// A bounded BFS's ball and the queries it issued.
@@ -355,6 +438,39 @@ mod tests {
                 });
                 for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
                     proptest::prop_assert_eq!(&prefix[..], &full[4 * i..4 * i + 4], "d {}, from {}", d, v);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The count-free read (`LiveSet::adjacency_pairs`): on random
+        /// simple graphs, from every vertex, at every budget and at caps
+        /// that do not bind (a search reads under `d²`), `bounded_bfs` over
+        /// a phase's count-free prefix returns the ball the count-first
+        /// search returns over the same prefix with its counts.
+        #[test]
+        fn bounded_bfs_reads_the_prefix_without_a_count(
+            n in 2u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+        ) {
+            let edges: Vec<Edge> = raw.iter().map(|&(u, v)| Edge::new(u % n, v % n)).collect();
+            let graph = Graph::from_edges(n as usize, &edges);
+            for d in 2..=10usize {
+                let caps = [(d * d) as u64, u64::MAX];
+                let counted = from_every_vertex(&graph, prefix_with_counts(&graph, d - 1), |ctx, scratch, v| {
+                    caps.map(|cap| count_first_bfs(ctx, scratch, v, d, cap))
+                });
+                let count_free = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
+                    caps.map(|cap| bounded_bfs(ctx, scratch, v, d, cap))
+                });
+                for (v, (count_free, counted)) in count_free.iter().zip(&counted).enumerate() {
+                    proptest::prop_assert_eq!(count_free, counted, "d {}, from {}", d, v);
                 }
             }
         }

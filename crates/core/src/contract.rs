@@ -15,7 +15,6 @@
 //! and why the dedup folds each parallel bundle rather than keep its first
 //! edge.
 
-use crate::common::degree_key;
 use ampc_dds::{Key, Value};
 use ampc_graph::UnionFind;
 
@@ -73,11 +72,6 @@ impl LiveSet {
         }
     }
 
-    /// Live vertex ids, ascending.
-    pub(crate) fn vertices(&self) -> &[u32] {
-        &self.vertices
-    }
-
     /// Number of live vertices.
     pub(crate) fn len(&self) -> usize {
         self.vertices.len()
@@ -91,13 +85,16 @@ impl LiveSet {
     }
 
     /// The scatter publishing the contracted graph: per live vertex, in
-    /// ascending order, its published count under [`degree_key`] and then
-    /// slot `j` of its adjacency under `slot_key(v, j)` as
+    /// ascending order, slot `j` of its adjacency under `slot_key(v, j)` as
     /// `slot_value(neighbour, edge)`.  A vertex publishes at most `keep`
     /// slots: its `keep` lowest under `rank(neighbour, edge)`, in rank order.
     /// The adjacency is a CSR built by a stable counting sort over `edges`
     /// (an edge `(u, v)` fills `u`'s slot before `v`'s); only a vertex's kept
     /// slots are then sorted, after a selection when it has more than `keep`.
+    ///
+    /// Returns the pairs and the live vertices that publish at least one
+    /// slot, ascending: the only ones a search from which can leave its
+    /// start, so the only ones a driver hands to its machines.
     ///
     /// **Why the drivers pass `keep = d − 1`.**  A phase's search from `v`
     /// (bounded BFS, truncated Prim) stops once it holds `d` vertices.
@@ -116,6 +113,14 @@ impl LiveSet {
     ///
     /// `d − 2` is not enough: from the centre of a star, either search needs
     /// `d − 1` distinct leaves from one list.
+    ///
+    /// **Why no count is published.**  A vertex's slots are the dense prefix
+    /// `0..k` with `k ≤ keep`, so slot `j` is present exactly when `j < k`:
+    /// the first absent slot a search reads ends the list where a count
+    /// would have, and with `keep = d − 1` no search reads slot `d − 1` or
+    /// beyond, so it never needs to learn `k` first.  A vertex with `k = 0`
+    /// would pay absent reads to learn only that its ball or tree is itself;
+    /// it is left out of the returned searchers instead.
     pub(crate) fn adjacency_pairs<E: ContractEdge, R: Ord>(
         &self,
         edges: &[E],
@@ -123,7 +128,7 @@ impl LiveSet {
         rank: impl Fn(u32, &E) -> R,
         slot_key: impl Fn(u32, usize) -> Key,
         slot_value: impl Fn(u32, &E) -> Value,
-    ) -> Vec<(Key, Value)> {
+    ) -> (Vec<(Key, Value)>, Vec<u32>) {
         let slot_count = u32::try_from(2 * edges.len()).expect("slot offsets are u32");
         // `offsets[i]..offsets[i + 1]` are the slots of live index `i`.
         let mut offsets = vec![0u32; self.len() + 1];
@@ -148,7 +153,8 @@ impl LiveSet {
             }
         }
         let slot_rank = |&(neighbour, id): &(u32, u32)| rank(neighbour, &edges[id as usize]);
-        let mut pairs = Vec::with_capacity(self.len() + published);
+        let mut pairs = Vec::with_capacity(published);
+        let mut searchers = Vec::new();
         for (i, &v) in self.vertices.iter().enumerate() {
             let all = &mut slots[offsets[i] as usize..offsets[i + 1] as usize];
             let kept = if all.len() > keep {
@@ -163,13 +169,16 @@ impl LiveSet {
             } else {
                 all
             };
+            if kept.is_empty() {
+                continue;
+            }
             kept.sort_unstable_by_key(slot_rank);
-            pairs.push((degree_key(v), Value::scalar(kept.len() as u64)));
+            searchers.push(v);
             pairs.extend(kept.iter().enumerate().map(|(j, &(neighbour, id))| {
                 (slot_key(v, j), slot_value(neighbour, &edges[id as usize]))
             }));
         }
-        pairs
+        (pairs, searchers)
     }
 
     /// Contract every group of `uf` (a union-find over live indices) onto its
@@ -285,6 +294,7 @@ fn counting_sort<E: Copy>(
 mod tests {
     use super::*;
     use crate::common::adjacency_key;
+    use ampc_dds::KeyTag;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -376,29 +386,33 @@ mod tests {
 
     /// The scatter, one map per vertex: slots in push order (`u` gets `v`,
     /// then `v` gets `u`, edge by edge), sorted stably by `rank` and cut to
-    /// `keep`, each published as `(neighbour, original)`.
+    /// `keep`, each published as `(neighbour, original)` and no count; and
+    /// the vertices that publish a slot.
+    #[allow(clippy::type_complexity)]
     fn model_pairs<R: Ord>(
         live: &[u32],
         edges: &[Weighted],
         keep: usize,
         rank: impl Fn(u32, &Weighted) -> R,
-    ) -> Vec<(Key, Value)> {
+    ) -> (Vec<(Key, Value)>, Vec<u32>) {
         let mut adjacency: BTreeMap<u32, Vec<(u32, &Weighted)>> =
             live.iter().map(|&v| (v, Vec::new())).collect();
         for e in edges {
             adjacency.get_mut(&e.0).unwrap().push((e.1, e));
             adjacency.get_mut(&e.1).unwrap().push((e.0, e));
         }
-        let mut pairs = Vec::new();
+        let (mut pairs, mut searchers) = (Vec::new(), Vec::new());
         for (v, mut slots) in adjacency {
             slots.sort_by_key(|&(neighbour, e)| rank(neighbour, e));
             slots.truncate(keep);
-            pairs.push((degree_key(v), Value::scalar(slots.len() as u64)));
+            if !slots.is_empty() {
+                searchers.push(v);
+            }
             for (j, (neighbour, e)) in slots.into_iter().enumerate() {
                 pairs.push((adjacency_key(v, j), slot_value(neighbour, e)));
             }
         }
-        pairs
+        (pairs, searchers)
     }
 
     fn slot_value(neighbour: u32, e: &Weighted) -> Value {
@@ -431,7 +445,7 @@ mod tests {
             let mut live = LiveSet::all(n);
             let mut labels: Vec<u32> = (0..n as u32).collect();
             for (raw_edges, raw_unions) in phases {
-                let before: Vec<u32> = live.vertices().to_vec();
+                let before: Vec<u32> = live.vertices.clone();
                 let pick = |raw: u32| before[raw as usize % before.len()];
                 let edges: Vec<Weighted> = raw_edges
                     .iter()
@@ -449,7 +463,7 @@ mod tests {
 
                 // On the simple part of the graph, as MSF publishes it: each
                 // vertex's `keep` slots lowest by `(weight, neighbour,
-                // original)`, in that order, and `keep` at most as its count.
+                // original)`, in that order.
                 let mut seen = BTreeSet::new();
                 let simple: Vec<Weighted> = (edges.iter().copied())
                     .filter(|&(u, v, ..)| u != v && seen.insert((u.min(v), u.max(v))))
@@ -484,13 +498,56 @@ mod tests {
                 let expected: Vec<Weighted> =
                     best.iter().map(|(&(u, v), &(w, id))| (u, v, w, id)).collect();
                 prop_assert_eq!(contracted, expected);
-                prop_assert_eq!(live.vertices(), next_live.as_slice());
-                prop_assert_eq!(unweighted.vertices(), next_live.as_slice());
+                prop_assert_eq!(&live.vertices, &next_live);
+                prop_assert_eq!(&unweighted.vertices, &next_live);
                 prop_assert_eq!(&labels, &next_labels);
                 prop_assert_eq!(&scratch_labels, &next_labels);
                 for (i, &v) in next_live.iter().enumerate() {
                     prop_assert_eq!(live.index(v), i as u32);
                 }
+            }
+        }
+    }
+
+    /// What a phase publishes, on sparse graphs with edgeless vertices and
+    /// at every `keep`: no count (no `KeyTag::Degree` key), each vertex's
+    /// slots exactly `0..k` with `k = min(degree, keep)`, and as searchers
+    /// exactly the vertices with `k > 0`.
+    #[test]
+    fn adjacency_pairs_publish_a_dense_prefix_and_no_count() {
+        for seed in 0..3 {
+            let graph = ampc_graph::generators::erdos_renyi_gnm(300, 300, seed);
+            let edges: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.u, e.v)).collect();
+            let live = LiveSet::all(graph.num_vertices());
+            for keep in 1..=6 {
+                let (pairs, searchers) = live.adjacency_pairs(
+                    &edges,
+                    keep,
+                    |neighbour, _| neighbour,
+                    adjacency_key,
+                    |neighbour, _| Value::scalar(neighbour as u64),
+                );
+                assert!(pairs.iter().all(|(key, _)| key.tag != KeyTag::Degree));
+                let mut slots: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+                for (key, _) in &pairs {
+                    assert_eq!(key.tag, KeyTag::Adjacency);
+                    slots.entry(key.a as u32).or_default().push(key.b);
+                }
+                for v in 0..graph.num_vertices() as u32 {
+                    let k = graph.degree(v).min(keep) as u64;
+                    let published = slots.get(&v).map_or(&[][..], |s| &s[..]);
+                    assert_eq!(
+                        published,
+                        (0..k).collect::<Vec<_>>(),
+                        "seed {seed}, keep {keep}, {v}"
+                    );
+                }
+                let expected: Vec<u32> = slots.keys().copied().collect();
+                assert_eq!(searchers, expected, "seed {seed}, keep {keep}");
+                assert!(
+                    searchers.len() < graph.num_vertices(),
+                    "seed {seed}: no edgeless vertex"
+                );
             }
         }
     }
@@ -555,12 +612,8 @@ mod tests {
                 .count();
             assert!(not_first > 100, "phase {phase}: {not_first} bundles");
             assert_eq!(labels, reference_labels, "phase {phase}: labels");
-            assert_eq!(
-                live.vertices(),
-                reference.vertices(),
-                "phase {phase}: live set"
-            );
-            for (i, &v) in live.vertices().iter().enumerate() {
+            assert_eq!(live.vertices, reference.vertices, "phase {phase}: live set");
+            for (i, &v) in live.vertices.iter().enumerate() {
                 assert_eq!(live.index(v), i as u32);
             }
             edges = contracted;
@@ -574,6 +627,9 @@ mod tests {
     /// only each vertex's `d − 1` first (connectivity) or lightest (MSF)
     /// slots moved the writes of both, and MSF's queries and gnm rounds: no
     /// Prim reads past its prefix, so the query cap no longer cuts one short.
+    /// Publishing no count, and searching only from vertices with an edge,
+    /// moved every query and write count and no round count: a phase writes
+    /// `|live|` fewer pairs, and no search reads a count.
     #[test]
     fn model_cost_of_connectivity_and_msf_is_pinned() {
         use ampc_graph::generators;
@@ -589,15 +645,15 @@ mod tests {
         // Sparse: m = n, so many vertices have no edge at all.
         let sparse = generators::erdos_renyi_gnm(4096, 4096, 3);
         let connectivity = |g| cost(&crate::connectivity(g, 0.5, 7).stats);
-        assert_eq!(connectivity(&planted), (6, 7474, 7450));
-        assert_eq!(connectivity(&gnm), (6, 7269, 7235));
-        assert_eq!(connectivity(&sparse), (8, 14214, 13174));
+        assert_eq!(connectivity(&planted), (6, 3992, 3960));
+        assert_eq!(connectivity(&gnm), (6, 5039, 4985));
+        assert_eq!(connectivity(&sparse), (8, 6937, 5768));
         let msf = |g, seed| {
             let weighted = generators::with_random_weights(g, seed);
             cost(&crate::minimum_spanning_forest(&weighted, 0.5, 7).stats)
         };
-        assert_eq!(msf(&planted, 13), (8, 12326, 8740));
-        assert_eq!(msf(&gnm, 17), (6, 17359, 7304));
-        assert_eq!(msf(&sparse, 13), (8, 16948, 12707));
+        assert_eq!(msf(&planted, 13), (8, 7464, 4880));
+        assert_eq!(msf(&gnm, 17), (6, 12312, 5047));
+        assert_eq!(msf(&sparse, 13), (8, 8817, 5556));
     }
 }

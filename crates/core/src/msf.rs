@@ -24,12 +24,15 @@
 //! pops from `x`'s list puts a distinct vertex other than `x` in the tree,
 //! and an entry past the `d − 1` lightest reaches the heap top only after
 //! all of them: by then the tree holds `d` vertices and Prim has stopped.
-//! So the prefix changes no selected edge, ties included
-//! (`LiveSet::adjacency_pairs` states the lemma).
+//! So the prefix changes no selected edge, ties included.  A phase
+//! publishes no count: a list is the dense prefix `0..k`, `k ≤ d − 1`, so
+//! Prim's expansion of `x` ends at its first absent slot or at slot `d − 1`,
+//! and only vertices with an edge run Prim at all (`LiveSet::adjacency_pairs`
+//! states the lemma).
 
 use crate::common::{
-    decode_weighted_neighbor, degree_key, encode_weighted_neighbor, round_robin_assign,
-    weighted_adjacency_key, AlgorithmResult,
+    decode_weighted_neighbor, encode_weighted_neighbor, round_robin_assign, weighted_adjacency_key,
+    AlgorithmResult,
 };
 use crate::contract::{phase_budgets, ContractEdge, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
@@ -75,12 +78,13 @@ impl ContractEdge for ContractedEdge {
 
 /// The scatter publishing each live vertex's `keep` lightest edges of the
 /// contracted graph, ranked by `(weight, neighbour, original)` — the
-/// candidate heap's order among one vertex's entries.
+/// candidate heap's order among one vertex's entries.  Also returns the live
+/// vertices with an edge, the only ones a Prim from which selects one.
 fn weighted_adjacency_pairs(
     live: &LiveSet,
     edges: &[ContractedEdge],
     keep: usize,
-) -> Vec<(Key, Value)> {
+) -> (Vec<(Key, Value)>, Vec<u32>) {
     live.adjacency_pairs(
         edges,
         keep,
@@ -93,11 +97,14 @@ fn weighted_adjacency_pairs(
 /// Weighted-adjacency slots fetched per batched adaptive read while the
 /// local Prim expansion ingests a vertex's edge list.
 ///
-/// Once the degree is known the slot keys are independent, so a real
-/// deployment pipelines them in one flight.  Each batch is clamped to the
-/// remaining query cap *before* it is issued, so the cap truncates the
-/// expansion at exactly the same slot as the single-read loop did — the
-/// query budget is debited identically (asserted by
+/// The slot keys are independent, so a real deployment pipelines them in
+/// one flight.  Each batch is clamped to the remaining query cap *before* it
+/// is issued, so the cap truncates the expansion at exactly the read a
+/// single-read loop would stop at; and to the `d − 1` slots a phase
+/// publishes.  A list ends at its first absent slot, which only a read can
+/// find, so a flight also pays for the absent tail a slot-by-slot loop
+/// would stop reading after one: with `d − 1 ≤ PRIM_READ_BATCH`, an uncapped
+/// expansion is one flight of `d − 1` reads (asserted by
 /// `batched_local_prim_debits_budget_like_single_reads`).
 const PRIM_READ_BATCH: usize = 16;
 
@@ -120,8 +127,8 @@ struct PrimScratch {
 /// the cut property).
 ///
 /// The vertex that fills the tree is not expanded, so at most `d − 1`
-/// vertices are, each for one degree read and at most `d − 1` slots of a
-/// phase's publication: at most `d(d − 1)` reads, below the driver's
+/// vertices are, each for at most `d − 1` slot reads of a phase's
+/// publication: at most `(d − 1)²` reads, below the driver's
 /// `query_cap ≥ d²`, which therefore never binds in a phase.
 fn local_prim<V: SnapshotView>(
     ctx: &mut MachineContext<V>,
@@ -137,32 +144,30 @@ fn local_prim<V: SnapshotView>(
     let start_queries = ctx.queries_issued();
 
     let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
-        let Some(deg) = ctx.read(degree_key(x)).map(|d| d.x as usize) else {
-            return;
-        };
-        let mut keys: [Key; PRIM_READ_BATCH] = [degree_key(0); PRIM_READ_BATCH];
+        let mut keys: [Key; PRIM_READ_BATCH] = [weighted_adjacency_key(0, 0); PRIM_READ_BATCH];
         let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
         let mut next_slot = 0usize;
-        while next_slot < deg {
+        while next_slot < d - 1 {
             let used = ctx.queries_issued() - start_queries;
             if used >= query_cap {
                 return;
             }
             // Clamp the batch to the remaining cap so the truncation point
-            // is identical to the slot-by-slot loop.
+            // is identical to the slot-by-slot loop, and to the slots a
+            // phase publishes.
             let room = (query_cap - used) as usize;
-            let batch_end = deg.min(next_slot + PRIM_READ_BATCH.min(room));
-            let batch = batch_end - next_slot;
+            let batch = PRIM_READ_BATCH.min(room).min(d - 1 - next_slot);
             for (j, key) in keys[..batch].iter_mut().enumerate() {
                 *key = weighted_adjacency_key(x, next_slot + j);
             }
             ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
             for entry in &entries[..batch] {
-                let Some(entry) = *entry else { continue };
+                // The first absent slot ends `x`'s list.
+                let Some(entry) = *entry else { return };
                 let (nbr, id, w) = decode_weighted_neighbor(entry);
                 heap.push(std::cmp::Reverse((w, x, nbr, id)));
             }
-            next_slot = batch_end;
+            next_slot += batch;
         }
     };
 
@@ -305,11 +310,13 @@ fn msf_impl<B: DdsBackend>(
 
         // Round 1: publish the contracted weighted graph, as far as a Prim
         // that stops at `d` vertices can pop it.
-        runtime.scatter(weighted_adjacency_pairs(&live, &edges, d - 1));
+        let (pairs, searchers) = weighted_adjacency_pairs(&live, &edges, d - 1);
+        runtime.scatter(pairs);
 
-        // Round 2: local Prim from every live vertex.
+        // Round 2: local Prim from every live vertex with an edge; any other
+        // selects none.
         let machines = runtime.config().num_machines();
-        let assignments = round_robin_assign(live.vertices(), machines);
+        let assignments = round_robin_assign(&searchers, machines);
         let query_cap = (space as u64).max((d * d) as u64);
         let found: Vec<Vec<(u32, u32, u32)>> = runtime
             .run_round(machines, |ctx| {
@@ -367,6 +374,7 @@ fn msf_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::degree_key;
     use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential};
 
@@ -448,10 +456,10 @@ mod tests {
         let _ = minimum_spanning_forest(&g, 0.5, 0);
     }
 
-    /// The pre-migration slot-by-slot expansion, kept as the budget
-    /// reference: one adaptive read per adjacency slot, cap checked before
-    /// every read; like [`local_prim`], it does not expand the vertex that
-    /// fills the tree.
+    /// The slot-by-slot expansion, kept as the budget reference: one
+    /// adaptive read per adjacency slot, cap checked before every read, up
+    /// to the first absent slot or slot `d − 1`; like [`local_prim`], it does
+    /// not expand the vertex that fills the tree.
     fn reference_prim<V: ampc_runtime::SnapshotView>(
         ctx: &mut MachineContext<V>,
         v: u32,
@@ -463,17 +471,15 @@ mod tests {
         let mut selected: Vec<(u32, u32, u32)> = Vec::new();
         let start_queries = ctx.queries_issued();
         let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut BinaryHeap<_>| {
-            let Some(deg) = ctx.read(degree_key(x)).map(|d| d.x as usize) else {
-                return;
-            };
-            for i in 0..deg {
+            for i in 0..d - 1 {
                 if ctx.queries_issued() - start_queries >= query_cap {
                     return;
                 }
-                if let Some(entry) = ctx.read(weighted_adjacency_key(x, i)) {
-                    let (nbr, id, w) = decode_weighted_neighbor(entry);
-                    heap.push(std::cmp::Reverse((w, x, nbr, id)));
-                }
+                let Some(entry) = ctx.read(weighted_adjacency_key(x, i)) else {
+                    return;
+                };
+                let (nbr, id, w) = decode_weighted_neighbor(entry);
+                heap.push(std::cmp::Reverse((w, x, nbr, id)));
             }
         };
         in_tree.insert(v);
@@ -497,6 +503,68 @@ mod tests {
         selected
     }
 
+    /// [`local_prim`] as it was while a phase published counts, kept as its
+    /// reference: one read of `x`'s count under [`degree_key`], then flights
+    /// of its slots up to the count.
+    fn count_first_prim<V: SnapshotView>(
+        ctx: &mut MachineContext<V>,
+        scratch: &mut PrimScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<(u32, u32, u32)> {
+        let PrimScratch { heap, in_tree } = scratch;
+        heap.clear();
+        in_tree.clear();
+        let mut selected: Vec<(u32, u32, u32)> = Vec::new();
+        let start_queries = ctx.queries_issued();
+        let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
+            let Some(deg) = ctx.read(degree_key(x)).map(|d| d.x as usize) else {
+                return;
+            };
+            let mut keys: [Key; PRIM_READ_BATCH] = [degree_key(0); PRIM_READ_BATCH];
+            let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
+            let mut next_slot = 0usize;
+            while next_slot < deg {
+                let used = ctx.queries_issued() - start_queries;
+                if used >= query_cap {
+                    return;
+                }
+                let room = (query_cap - used) as usize;
+                let batch_end = deg.min(next_slot + PRIM_READ_BATCH.min(room));
+                let batch = batch_end - next_slot;
+                for (j, key) in keys[..batch].iter_mut().enumerate() {
+                    *key = weighted_adjacency_key(x, next_slot + j);
+                }
+                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+                for entry in &entries[..batch] {
+                    let Some(entry) = *entry else { continue };
+                    let (nbr, id, w) = decode_weighted_neighbor(entry);
+                    heap.push(std::cmp::Reverse((w, x, nbr, id)));
+                }
+                next_slot = batch_end;
+            }
+        };
+        in_tree.insert(v);
+        expand(v, ctx, heap);
+        while in_tree.len() < d {
+            if ctx.queries_issued() - start_queries >= query_cap {
+                break;
+            }
+            let Some(std::cmp::Reverse((_, from, to, id))) = heap.pop() else {
+                break;
+            };
+            if !in_tree.insert(to) {
+                continue;
+            }
+            selected.push((from, to, id));
+            if in_tree.len() < d {
+                expand(to, ctx, heap);
+            }
+        }
+        selected
+    }
+
     /// The edges of `graph` as the driver's first phase holds them.
     fn contracted_edges(graph: &Graph) -> Vec<ContractedEdge> {
         if graph.num_edges() == 0 {
@@ -513,21 +581,38 @@ mod tests {
             .collect()
     }
 
+    /// `edges` over `0..n` published with `keep` slots per vertex, as a
+    /// phase does.
+    fn prefix(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
+        weighted_adjacency_pairs(&LiveSet::all(n as usize), edges, keep).0
+    }
+
+    /// [`prefix`] with each vertex's slot count under [`degree_key`], as a
+    /// phase published it before the searches stopped reading it.
+    fn prefix_with_counts(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
+        let mut degree = vec![0usize; n as usize];
+        for e in edges {
+            degree[e.u as usize] += 1;
+            degree[e.v as usize] += 1;
+        }
+        let mut pairs = prefix(n, edges, keep);
+        pairs.extend((0..n).map(|v| {
+            let count = degree[v as usize].min(keep);
+            (degree_key(v), Value::scalar(count as u64))
+        }));
+        pairs
+    }
+
     /// `search` from every vertex of `0..n` in turn, on one machine with one
-    /// [`PrimScratch`], over `edges` published with `keep` slots per vertex.
+    /// [`PrimScratch`], over `pairs`.
     fn from_every_vertex<T: Send>(
         n: u32,
-        edges: &[ContractedEdge],
-        keep: usize,
+        pairs: Vec<(Key, Value)>,
         search: impl Fn(&mut MachineContext<Snapshot>, &mut PrimScratch, u32) -> T + Sync,
     ) -> Vec<T> {
-        let config = AmpcConfig::for_graph(n as usize, edges.len(), 0.5).with_seed(5);
+        let config = AmpcConfig::for_graph(n as usize, pairs.len(), 0.5).with_seed(5);
         let mut runtime = AmpcRuntime::new(config);
-        runtime.scatter(weighted_adjacency_pairs(
-            &LiveSet::all(n as usize),
-            edges,
-            keep,
-        ));
+        runtime.scatter(pairs);
         let mut machines = runtime
             .run_round(1, |ctx| {
                 let mut scratch = PrimScratch::default();
@@ -540,24 +625,52 @@ mod tests {
     #[test]
     fn batched_local_prim_debits_budget_like_single_reads() {
         // ROADMAP read-path item: the batched expansion must select the same
-        // edges AND debit the query budget identically to the single-read
-        // loop, including at caps that truncate mid-list (full lists, so a
-        // cap can cut a list a phase would not publish).
+        // edges as the single-read loop, and a cap must truncate either
+        // search at exactly the cap: at every cap, each debits the lesser of
+        // the cap and its uncapped debit, and selects a prefix of what it
+        // selects uncapped (full lists, so a cap can cut a list a phase
+        // would not publish).  Uncapped, the single-read loop stops after a
+        // list's first absent slot, while the batched search, which learns
+        // where a list ends only from its flight, reads one flight of
+        // `d − 1 ≤ PRIM_READ_BATCH` slots per expanded vertex.
         let n = 120u32;
-        let edges = contracted_edges(&weighted(n as usize, 360, 17));
-        for query_cap in [3u64, 7, 17, 64, 100_000] {
-            let run = |batched: bool| {
-                from_every_vertex(n, &edges, usize::MAX, |ctx, scratch, v| {
-                    let before = ctx.queries_issued();
-                    let selected = if batched {
-                        local_prim(ctx, scratch, v, 6, query_cap)
-                    } else {
-                        reference_prim(ctx, v, 6, query_cap)
-                    };
-                    (v, selected, ctx.queries_issued() - before)
-                })
-            };
-            assert_eq!(run(true), run(false), "query_cap {query_cap}");
+        let d = 6;
+        let pairs = prefix(
+            n,
+            &contracted_edges(&weighted(n as usize, 360, 17)),
+            usize::MAX,
+        );
+        let run = |batched: bool, query_cap: u64| {
+            from_every_vertex(n, pairs.clone(), |ctx, scratch, v| {
+                let before = ctx.queries_issued();
+                let selected = if batched {
+                    local_prim(ctx, scratch, v, d, query_cap)
+                } else {
+                    reference_prim(ctx, v, d, query_cap)
+                };
+                (selected, ctx.queries_issued() - before)
+            })
+        };
+        let (batched, single) = (run(true, u64::MAX), run(false, u64::MAX));
+        for (v, ((selected, debit), (single_selected, single_debit))) in
+            batched.iter().zip(&single).enumerate()
+        {
+            assert_eq!(selected, single_selected, "from {v}");
+            let expanded = 1 + selected.len() - usize::from(selected.len() + 1 == d);
+            assert_eq!(*debit, ((d - 1) * expanded) as u64, "from {v}");
+            assert!(single_debit <= debit, "from {v}");
+        }
+        for query_cap in [3u64, 7, 17, 64] {
+            for (is_batched, uncapped) in [(true, &batched), (false, &single)] {
+                let capped = run(is_batched, query_cap);
+                for (v, ((selected, debit), (all, full_debit))) in
+                    capped.iter().zip(uncapped).enumerate()
+                {
+                    let at = format!("batched {is_batched}, query_cap {query_cap}, from {v}");
+                    assert_eq!(*debit, query_cap.min(*full_debit), "{at}");
+                    assert!(all.starts_with(selected), "{at}");
+                }
+            }
         }
     }
 
@@ -581,15 +694,43 @@ mod tests {
                 raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
             let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
             let budgets = 2..=10usize;
-            let full = from_every_vertex(n, &edges, usize::MAX, |ctx, _, v| {
+            let full = from_every_vertex(n, prefix(n, &edges, usize::MAX), |ctx, _, v| {
                 budgets.clone().map(|d| reference_prim(ctx, v, d, u64::MAX)).collect::<Vec<_>>()
             });
             for d in budgets.clone() {
-                let prefix = from_every_vertex(n, &edges, d - 1, |ctx, scratch, v| {
+                let prefix = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
                     local_prim(ctx, scratch, v, d, u64::MAX)
                 });
                 for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
                     proptest::prop_assert_eq!(prefix, &full[d - 2], "d {}, from {}", d, v);
+                }
+            }
+        }
+
+        /// The count-free read (`LiveSet::adjacency_pairs`): on random
+        /// simple graphs with weight ties, from every vertex, at every budget
+        /// and at caps that do not bind (a search reads under `d²`),
+        /// `local_prim` over a phase's count-free prefix selects exactly the
+        /// edges, in the order, that the count-first search selects over the
+        /// same prefix with its counts.
+        #[test]
+        fn local_prim_reads_the_prefix_without_a_count(
+            n in 2u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u64..4), 0..80),
+        ) {
+            let triples: Vec<(u32, u32, u64)> =
+                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
+            let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
+            for d in 2..=10usize {
+                let caps = [(d * d) as u64, u64::MAX];
+                let counted = from_every_vertex(n, prefix_with_counts(n, &edges, d - 1), |ctx, scratch, v| {
+                    caps.map(|cap| count_first_prim(ctx, scratch, v, d, cap))
+                });
+                let count_free = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
+                    caps.map(|cap| local_prim(ctx, scratch, v, d, cap))
+                });
+                for (v, (count_free, counted)) in count_free.iter().zip(&counted).enumerate() {
+                    proptest::prop_assert_eq!(count_free, counted, "d {}, from {}", d, v);
                 }
             }
         }
@@ -605,9 +746,11 @@ mod tests {
         let edges = contracted_edges(&Graph::from_weighted_edges(leaves as usize + 1, &star));
         let d = 4;
         let from_centre = |keep| {
-            from_every_vertex(leaves + 1, &edges, keep, |ctx, scratch, v| {
-                local_prim(ctx, scratch, v, d, u64::MAX)
-            })
+            from_every_vertex(
+                leaves + 1,
+                prefix(leaves + 1, &edges, keep),
+                |ctx, scratch, v| local_prim(ctx, scratch, v, d, u64::MAX),
+            )
             .swap_remove(0)
         };
         assert_eq!(from_centre(d - 1), from_centre(usize::MAX));

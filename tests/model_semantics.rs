@@ -170,7 +170,10 @@ fn every_algorithm_reports_zero_budget_violations_on_default_workloads() {
 
     for epsilon in [0.25, 0.5, 0.75] {
         let violations = [
-            ("connectivity, planted", connectivity(&planted, epsilon, 3).stats),
+            (
+                "connectivity, planted",
+                connectivity(&planted, epsilon, 3).stats,
+            ),
             ("connectivity, gnm", connectivity(&gnm, epsilon, 3).stats),
             ("msf", minimum_spanning_forest(&weighted, epsilon, 3).stats),
             ("spanning forest", spanning_forest(&gnm, epsilon, 3).stats),
