@@ -202,14 +202,14 @@ fn main() {
     let backend_keys = if quick { 65_536 } else { 262_144 };
     let backend_reads = backend_keys * 2;
     let backend_points = backend_read_latency(backend_keys, backend_reads, 64, 0, seed);
-    println!("\n== Per-backend read latency: point vs batched vs windowed ==\n");
+    println!("\n== Per-backend read latency: point vs batched vs windowed vs indexed ==\n");
     println!(
-        "{:>10} {:>10} {:>12} {:>12} {:>14}",
+        "{:>10} {:>14} {:>12} {:>12} {:>14}",
         "backend", "mode", "keys", "reads", "ns/read"
     );
     for point in &backend_points {
         println!(
-            "{:>10} {:>10} {:>12} {:>12} {:>14.1}",
+            "{:>10} {:>14} {:>12} {:>12} {:>14.1}",
             point.backend, point.mode, point.keys, point.reads, point.ns_per_read
         );
     }

@@ -20,9 +20,10 @@
 //! * [`cluster`] — commit-request throughput with the store split across
 //!   1 vs 2 cluster owners at the same total shard count, the
 //!   `cluster_commit_scaling` section of the same artifact;
-//! * [`read_backends`] — per-backend read latency (Local vs Channel; point
-//!   vs batched vs auto-batching window), the `read_latency_backends`
-//!   section of the same artifact;
+//! * [`read_backends`] — per-backend read latency (Local vs Channel vs
+//!   Remote; point vs batched vs auto-batching window, and indexed reads at
+//!   both ends of a long run), the `read_latency_backends` section of the
+//!   same artifact;
 //! * [`serve_throughput`] — many-client throughput against the standalone
 //!   owner process, pipelined vs one-in-flight, the `serve_throughput`
 //!   section of the same artifact;

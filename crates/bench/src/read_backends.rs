@@ -21,6 +21,12 @@
 //! * **windowed** — the runtime's auto-batching window
 //!   (`MachineContext::queue_read` / `take_read`), timed through a real
 //!   single-machine round so the ticket bookkeeping is part of the cost.
+//! * **indexed-first** / **indexed-last** — [`SnapshotView::get_indexed`]
+//!   at index 0 and at the last index of one [`RUN`]-value run, in an epoch
+//!   of the same keys plus the run.  An indexed read finds the run's start
+//!   and checks one slot, so the last index must cost about what the first
+//!   does; CI fails the artifact where it costs twice as much, as it would
+//!   if the read walked the run.
 //!
 //! The `summary` binary serialises the series into the
 //! `read_latency_backends` section of `BENCH_commit.json`; the headline
@@ -28,7 +34,9 @@
 //! requires within 2× of each other.
 
 use crate::commit::workload;
-use ampc_dds::{ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, SnapshotView, TcpBackend};
+use ampc_dds::{
+    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, SnapshotView, TcpBackend, Value,
+};
 use ampc_runtime::{AmpcConfig, AmpcRuntime, ReadTicket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,6 +44,9 @@ use std::time::Instant;
 
 /// Keys per explicit `get_many_slice` flight in the batched mode.
 const FLIGHT: usize = 256;
+
+/// Values under the one key the indexed modes read.
+const RUN: usize = 1_000;
 
 /// Timed passes per (backend, mode); the *minimum* is reported.  Latency
 /// microbenches on a shared (1-CPU CI) host see scheduler noise only ever
@@ -49,7 +60,8 @@ const PASSES: usize = 5;
 pub struct BackendReadLatencyPoint {
     /// Backend name (`"local"` / `"channel"` / `"remote"`).
     pub backend: &'static str,
-    /// Read mode (`"point"` / `"batched"` / `"windowed"`).
+    /// Read mode (`"point"` / `"batched"` / `"windowed"` /
+    /// `"indexed-first"` / `"indexed-last"`).
     pub mode: &'static str,
     /// Distinct keys resident in the epoch.
     pub keys: usize,
@@ -58,8 +70,8 @@ pub struct BackendReadLatencyPoint {
     /// Mean latency per lookup, nanoseconds — minimum over [`PASSES`]
     /// timed passes.
     pub ns_per_read: f64,
-    /// Checksum of the values read (anti-dead-code; equal across modes and
-    /// backends).
+    /// Checksum of the values read (anti-dead-code; equal across backends,
+    /// and across the point, batched and windowed modes).
     pub checksum: u64,
 }
 
@@ -134,6 +146,55 @@ fn measure_view<B: DdsBackend>(
             checksum: batched_sum,
         },
     ]
+}
+
+/// Measure `get_indexed` at the first and the last index of a [`RUN`]-value
+/// run, in an epoch of the workload's keys plus the run.  The two indices
+/// take turns, pass by pass, like the modes of [`measure_view`].
+fn measure_indexed<B: DdsBackend>(
+    name: &'static str,
+    keys: usize,
+    reads: usize,
+    shards: usize,
+    threads: usize,
+    seed: u64,
+) -> Vec<BackendReadLatencyPoint> {
+    let run_key = Key::of(KeyTag::Custom(0), 0);
+    let mut pairs = workload(keys, seed);
+    pairs.extend((0..RUN as u64).map(|i| (run_key, Value::scalar(i))));
+    let mut backend = B::with_shards(shards, threads);
+    backend.commit_round(vec![pairs], threads);
+    let view = backend.advance(threads);
+
+    let indices = [0, RUN - 1];
+    let mut best_ns = [f64::INFINITY; 2];
+    let mut checksums = [0u64; 2];
+    for _ in 0..PASSES {
+        for (slot, &index) in indices.iter().enumerate() {
+            let started = Instant::now();
+            let mut sum = 0u64;
+            for _ in 0..reads {
+                if let Some(value) = view.get_indexed(&run_key, index) {
+                    sum = sum.wrapping_add(value.x);
+                }
+            }
+            best_ns[slot] =
+                best_ns[slot].min(started.elapsed().as_nanos() as f64 / reads.max(1) as f64);
+            // Value `i` of the run is `i`: its values keep commit order.
+            assert_eq!(sum, (index * reads) as u64, "index {index} of the run");
+            checksums[slot] = sum;
+        }
+    }
+    (["indexed-first", "indexed-last"].into_iter().enumerate())
+        .map(|(slot, mode)| BackendReadLatencyPoint {
+            backend: name,
+            mode,
+            keys,
+            reads,
+            ns_per_read: best_ns[slot],
+            checksum: checksums[slot],
+        })
+        .collect()
 }
 
 /// Measure the auto-batching window through a real single-machine round.
@@ -213,10 +274,16 @@ pub fn backend_read_latency(
     points.push(measure_windowed::<LocalBackend>(
         "local", keys, reads, shards, threads, seed,
     ));
+    points.extend(measure_indexed::<LocalBackend>(
+        "local", keys, reads, shards, threads, seed,
+    ));
     points.extend(measure_view::<ChannelBackend>(
         "channel", keys, reads, shards, threads, seed,
     ));
     points.push(measure_windowed::<ChannelBackend>(
+        "channel", keys, reads, shards, threads, seed,
+    ));
+    points.extend(measure_indexed::<ChannelBackend>(
         "channel", keys, reads, shards, threads, seed,
     ));
     points.extend(measure_view::<TcpBackend>(
@@ -225,9 +292,14 @@ pub fn backend_read_latency(
     points.push(measure_windowed::<TcpBackend>(
         "remote", keys, reads, shards, threads, seed,
     ));
+    points.extend(measure_indexed::<TcpBackend>(
+        "remote", keys, reads, shards, threads, seed,
+    ));
     let checksum = points[0].checksum;
     assert!(
-        points.iter().all(|p| p.checksum == checksum),
+        (points.iter())
+            .filter(|p| !p.mode.starts_with("indexed"))
+            .all(|p| p.checksum == checksum),
         "backends must agree on every read"
     );
     points
@@ -247,12 +319,18 @@ mod tests {
                 ("local", "point"),
                 ("local", "batched"),
                 ("local", "windowed"),
+                ("local", "indexed-first"),
+                ("local", "indexed-last"),
                 ("channel", "point"),
                 ("channel", "batched"),
                 ("channel", "windowed"),
+                ("channel", "indexed-first"),
+                ("channel", "indexed-last"),
                 ("remote", "point"),
                 ("remote", "batched"),
                 ("remote", "windowed"),
+                ("remote", "indexed-first"),
+                ("remote", "indexed-last"),
             ]
         );
         for point in &points {
@@ -260,7 +338,15 @@ mod tests {
             assert_eq!(point.reads, 10_000);
             assert!(point.ns_per_read > 0.0, "{point:?}");
         }
-        // Every mode on every backend read the exact same values.
-        assert!(points.iter().all(|p| p.checksum == points[0].checksum));
+        // Every read mode on every backend read the exact same values, and
+        // each indexed read the value at its index (`0` and `RUN - 1`).
+        for point in &points {
+            let expected = match point.mode {
+                "indexed-first" => 0,
+                "indexed-last" => (RUN as u64 - 1) * 10_000,
+                _ => points[0].checksum,
+            };
+            assert_eq!(point.checksum, expected, "{point:?}");
+        }
     }
 }
