@@ -174,7 +174,7 @@ fn measure_indexed<B: DdsBackend>(
             let started = Instant::now();
             let mut sum = 0u64;
             for _ in 0..reads {
-                if let Some(value) = view.get_indexed(&run_key, index) {
+                if let Some(value) = view.get_indexed(&run_key, std::hint::black_box(index)) {
                     sum = sum.wrapping_add(value.x);
                 }
             }
