@@ -393,8 +393,12 @@ mod tests {
         order
     }
 
-    /// A bounded BFS's ball and the queries it issued.
+    /// A bounded BFS, the count-free one or its count-first reference.
+    type Search<V> = fn(&mut MachineContext<V>, &mut BfsScratch, u32, usize, u64) -> Vec<u32>;
+
+    /// The ball `search` returns and the queries it issued.
     fn ball_and_queries<V: SnapshotView>(
+        search: Search<V>,
         ctx: &mut MachineContext<V>,
         scratch: &mut BfsScratch,
         v: u32,
@@ -402,7 +406,7 @@ mod tests {
         query_cap: u64,
     ) -> (Vec<u32>, u64) {
         let before = ctx.queries_issued();
-        let ball = bounded_bfs(ctx, scratch, v, d, query_cap);
+        let ball = search(ctx, scratch, v, d, query_cap);
         (ball, ctx.queries_issued() - before)
     }
 
@@ -413,11 +417,16 @@ mod tests {
         })]
 
         /// The `d − 1` lemma for the BFS (`LiveSet::adjacency_pairs`): on
-        /// random simple graphs, from every vertex, at every budget and at
-        /// caps {1, 3, d², ∞}, `bounded_bfs` over each vertex's `d − 1`
-        /// smallest neighbours returns the ball it returns over the graph's
-        /// full adjacency lists (`common::adjacency_pairs`, in `Graph` slot
-        /// order) and issues exactly as many queries.
+        /// random simple graphs, from every vertex and at every budget, a
+        /// search over each vertex's `d − 1` smallest neighbours returns the
+        /// ball the count-first search returns over the graph's full
+        /// adjacency lists (`common::adjacency_pairs`, every list whole and
+        /// its count, in `Graph` slot order), which reads past slot `d − 2`
+        /// whenever the ball is not yet full.  At caps {1, 3, d², ∞} the
+        /// count-first search over the prefix and its counts returns that
+        /// ball with exactly as many queries; at the caps that do not bind
+        /// (d², ∞) so does `bounded_bfs` over the count-free prefix, which
+        /// reads no count, so only its ball is compared.
         #[test]
         fn bounded_bfs_on_the_first_prefix_reads_what_full_lists_read(
             n in 2u32..24,
@@ -429,15 +438,24 @@ mod tests {
             let caps = |d: usize| [1, 3, (d * d) as u64, u64::MAX];
             let full = from_every_vertex(&graph, adjacency_pairs(&graph), |ctx, scratch, v| {
                 (budgets.clone())
-                    .flat_map(|d| caps(d).map(|cap| ball_and_queries(ctx, scratch, v, d, cap)))
+                    .flat_map(|d| {
+                        caps(d).map(|cap| ball_and_queries(count_first_bfs, ctx, scratch, v, d, cap))
+                    })
                     .collect::<Vec<_>>()
             });
             for (i, d) in budgets.clone().enumerate() {
-                let prefix = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
-                    caps(d).map(|cap| ball_and_queries(ctx, scratch, v, d, cap))
+                let counted = from_every_vertex(&graph, prefix_with_counts(&graph, d - 1), |ctx, scratch, v| {
+                    caps(d).map(|cap| ball_and_queries(count_first_bfs, ctx, scratch, v, d, cap))
                 });
-                for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
-                    proptest::prop_assert_eq!(&prefix[..], &full[4 * i..4 * i + 4], "d {}, from {}", d, v);
+                let count_free = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
+                    caps(d)[2..].iter().map(|&cap| bounded_bfs(ctx, scratch, v, d, cap)).collect::<Vec<_>>()
+                });
+                for (v, full) in full.iter().enumerate() {
+                    let full = &full[4 * i..4 * i + 4];
+                    proptest::prop_assert_eq!(&counted[v][..], full, "d {}, from {}", d, v);
+                    for (ball, (full_ball, _)) in count_free[v].iter().zip(&full[2..]) {
+                        proptest::prop_assert_eq!(ball, full_ball, "count-free, d {}, from {}", d, v);
+                    }
                 }
             }
         }
@@ -477,23 +495,25 @@ mod tests {
     }
 
     /// The bound is tight: from the centre of a star every vertex of the
-    /// ball but the centre is one of its own neighbours, so with `d − 2` of
-    /// them published the ball stops one vertex short.
+    /// ball but the centre is one of its own neighbours, so with `d − 1` of
+    /// them published the ball is the one the count-first search finds over
+    /// full lists, and with `d − 2` it stops one vertex short.
     #[test]
     fn a_star_needs_d_minus_one_first_neighbours() {
         let leaves = 8u32;
         let star: Vec<Edge> = (1..=leaves).map(|leaf| Edge::new(0, leaf)).collect();
         let graph = Graph::from_edges(leaves as usize + 1, &star);
         let d = 4;
-        let from_centre = |pairs| {
+        let from_centre = |pairs, search: Search<Snapshot>| {
             from_every_vertex(&graph, pairs, |ctx, scratch, v| {
-                bounded_bfs(ctx, scratch, v, d, u64::MAX)
+                search(ctx, scratch, v, d, u64::MAX)
             })
             .swap_remove(0)
         };
-        assert_eq!(from_centre(adjacency_pairs(&graph)), [0, 1, 2, 3]);
-        assert_eq!(from_centre(prefix(&graph, d - 1)), [0, 1, 2, 3]);
-        assert_eq!(from_centre(prefix(&graph, d - 2)), [0, 1, 2]);
+        let full = from_centre(adjacency_pairs(&graph), count_first_bfs);
+        assert_eq!(full, [0, 1, 2, 3]);
+        assert_eq!(from_centre(prefix(&graph, d - 1), bounded_bfs), full);
+        assert_eq!(from_centre(prefix(&graph, d - 2), bounded_bfs), [0, 1, 2]);
     }
 
     #[test]

@@ -683,8 +683,10 @@ mod tests {
         /// The `d − 1` lemma for Prim (`LiveSet::adjacency_pairs`): on random
         /// simple graphs with weight ties, from every vertex and at every
         /// budget, `local_prim` over each vertex's `d − 1` lightest edges
-        /// selects exactly the edges, in the order, that the reference
-        /// selects over full lists.  No cap: the prefix bounds the reads.
+        /// selects exactly the edges, in the order, that the count-first
+        /// search selects over full lists and their counts, where it reads
+        /// every slot of each vertex it expands.  No cap: the prefix bounds
+        /// the reads.
         #[test]
         fn local_prim_on_the_lightest_prefix_selects_what_full_lists_select(
             n in 2u32..24,
@@ -694,8 +696,10 @@ mod tests {
                 raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
             let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
             let budgets = 2..=10usize;
-            let full = from_every_vertex(n, prefix(n, &edges, usize::MAX), |ctx, _, v| {
-                budgets.clone().map(|d| reference_prim(ctx, v, d, u64::MAX)).collect::<Vec<_>>()
+            let full = from_every_vertex(n, prefix_with_counts(n, &edges, usize::MAX), |ctx, scratch, v| {
+                (budgets.clone())
+                    .map(|d| count_first_prim(ctx, scratch, v, d, u64::MAX))
+                    .collect::<Vec<_>>()
             });
             for d in budgets.clone() {
                 let prefix = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
@@ -737,8 +741,9 @@ mod tests {
     }
 
     /// The bound is tight: from the centre of a star every tree edge is one
-    /// of the centre's own, so with `d − 2` of them published the tree stops
-    /// one vertex short.
+    /// of the centre's own, so with `d − 1` of them published the tree is the
+    /// one the count-first search selects over full lists, and with `d − 2`
+    /// it stops one vertex short.
     #[test]
     fn a_star_needs_d_minus_one_lightest_edges() {
         let leaves = 8u32;
@@ -753,8 +758,14 @@ mod tests {
             )
             .swap_remove(0)
         };
-        assert_eq!(from_centre(d - 1), from_centre(usize::MAX));
-        assert_eq!(from_centre(d - 1).len(), d - 1);
+        let full = from_every_vertex(
+            leaves + 1,
+            prefix_with_counts(leaves + 1, &edges, usize::MAX),
+            |ctx, scratch, v| count_first_prim(ctx, scratch, v, d, u64::MAX),
+        )
+        .swap_remove(0);
+        assert_eq!(full.len(), d - 1);
+        assert_eq!(from_centre(d - 1), full);
         assert_eq!(from_centre(d - 2).len(), d - 2);
     }
 }
