@@ -11,9 +11,13 @@
 //!   not all in hand at once — queued into the **auto-batching window**
 //!   ([`MachineContext::queue_read`] / [`MachineContext::take_read`]),
 //!   which coalesces adjacent point reads into one such flight on
-//!   whatever backend serves the view.  Either way a batch of `k` keys is
-//!   accounted as exactly `k` queries, so batching never changes budget
-//!   semantics, only wall-clock cost;
+//!   whatever backend serves the view.  Consecutive values of one key are
+//!   one flight too, [`MachineContext::read_indexed_slice`]: connectivity
+//!   and MSF publish slot `j` of a vertex's adjacency as value `j` of the
+//!   vertex's list key, so a search reads a run of slots with one lookup.
+//!   Every way, a flight of `k` keys or values is accounted as exactly `k`
+//!   queries, so batching never changes budget semantics, only wall-clock
+//!   cost;
 //! * buffered **writes** destined for the current round's store (`D_i`) —
 //!   they become visible only after the round completes, committed by the
 //!   runtime shard-parallel in deterministic (machine id, write order)
@@ -274,6 +278,21 @@ impl<V: SnapshotView> MachineContext<V> {
     pub fn read_indexed(&mut self, key: Key, index: usize) -> Option<Value> {
         self.queries += 1;
         self.snapshot.get_indexed(&key, index)
+    }
+
+    /// Adaptive read of values `start..start + out.len()` stored under `key`
+    /// into `out`, `None` past the last: `out.len()` of the model's `(x, i)`
+    /// lookups in one flight.  A graph algorithm publishes slot `j` of a
+    /// vertex's adjacency as value `j` of the vertex's list key, so one call
+    /// reads a run of slots.
+    ///
+    /// Counts as `out.len()` queries — budget semantics are *identical* to
+    /// issuing [`MachineContext::read_indexed`] once per index.  The values
+    /// are contiguous in the frozen layout, so the flight costs one lookup
+    /// and a copy where as many indexed reads cost a lookup each.
+    pub fn read_indexed_slice(&mut self, key: Key, start: usize, out: &mut [Option<Value>]) {
+        self.queries += out.len() as u64;
+        self.snapshot.get_indexed_slice(&key, start, out);
     }
 
     /// Number of values stored under `key`.

@@ -626,6 +626,50 @@ mod tests {
     }
 
     #[test]
+    fn an_indexed_slice_fails_a_strict_budget_where_indexed_reads_do() {
+        // Machines read a 40-value run in flights of `k`, checking the
+        // budget (10) between flights, either as one `k`-value slice or as
+        // `k` indexed reads: each debits `k` per flight, so both stop after
+        // the same flight and fail with the same error.
+        let run = |sliced: bool, k: usize| {
+            let cfg = AmpcConfig::for_graph(100, 100, 0.5)
+                .with_budget_factor(1.0)
+                .with_budget_mode(BudgetMode::Strict)
+                .with_threads(2);
+            let mut rt = AmpcRuntime::new(cfg);
+            rt.load_input((0..40u64).map(|i| (key(7), Value::scalar(i))));
+            rt.run_round(3, |ctx| {
+                let mut out = [None; 8];
+                let mut start = 0;
+                while !ctx.budget_exhausted() {
+                    if sliced {
+                        ctx.read_indexed_slice(key(7), start, &mut out[..k]);
+                    } else {
+                        for (i, slot) in out[..k].iter_mut().enumerate() {
+                            *slot = ctx.read_indexed(key(7), start + i);
+                        }
+                    }
+                    assert_eq!(out[0], Some(Value::scalar(start as u64)));
+                    start += k;
+                }
+            })
+            .unwrap_err()
+        };
+        for k in [3, 4, 8] {
+            let error = run(true, k);
+            assert_eq!(error, run(false, k), "k = {k}");
+            let AmpcError::BudgetExceeded {
+                queries, budget, ..
+            } = error
+            else {
+                panic!("unexpected error {error:?}");
+            };
+            assert_eq!(budget, 10);
+            assert_eq!(queries, 10usize.div_ceil(k) as u64 * k as u64, "k = {k}");
+        }
+    }
+
+    #[test]
     fn record_budget_mode_counts_violations_but_continues() {
         let cfg = AmpcConfig::for_graph(100, 100, 0.5)
             .with_budget_factor(1.0)

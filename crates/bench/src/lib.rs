@@ -21,8 +21,9 @@
 //!   1 vs 2 cluster owners at the same total shard count, the
 //!   `cluster_commit_scaling` section of the same artifact;
 //! * [`read_backends`] — per-backend read latency (Local vs Channel vs
-//!   Remote; point vs batched vs auto-batching window, and indexed reads at
-//!   both ends of a long run), the `read_latency_backends` section of the
+//!   Remote; point vs batched vs auto-batching window, indexed reads at
+//!   both ends of a long run, and flights of consecutive values of that
+//!   run), the `read_latency_backends` section of the
 //!   same artifact;
 //! * [`serve_throughput`] — many-client throughput against the standalone
 //!   owner process, pipelined vs one-in-flight, the `serve_throughput`

@@ -27,6 +27,12 @@
 //!   and checks one slot, so the last index must cost about what the first
 //!   does; CI fails the artifact where it costs twice as much, as it would
 //!   if the read walked the run.
+//! * **indexed-run** — [`SnapshotView::get_indexed_slice`] flights of
+//!   [`RUN_FLIGHT`] consecutive values of the same run, in ns per value: the
+//!   read connectivity and MSF make of a vertex's list key.  A flight is one
+//!   lookup and a copy, so a value must cost less than a key of a
+//!   **batched** flight; CI fails the artifact where it does not, as it
+//!   would if the flight looked each index up.
 //!
 //! The `summary` binary serialises the series into the
 //! `read_latency_backends` section of `BENCH_commit.json`; the headline
@@ -48,6 +54,24 @@ const FLIGHT: usize = 256;
 /// Values under the one key the indexed modes read.
 const RUN: usize = 1_000;
 
+/// Consecutive values per flight of the indexed-run mode: a connectivity or
+/// MSF phase's lists are at most this long at the benchmark's scale.
+const RUN_FLIGHT: usize = 16;
+
+/// Where flight `flight` of the indexed-run mode starts: stepping through
+/// the run, every flight inside it.
+fn run_flight_start(flight: usize) -> usize {
+    flight * RUN_FLIGHT % (RUN - RUN % RUN_FLIGHT)
+}
+
+/// The values the indexed-run mode reads in `reads / RUN_FLIGHT` flights,
+/// summed (value `i` of the run is `i`).
+fn run_checksum(reads: usize) -> u64 {
+    (0..reads / RUN_FLIGHT)
+        .map(|flight| (run_flight_start(flight)..).take(RUN_FLIGHT).sum::<usize>() as u64)
+        .sum()
+}
+
 /// Timed passes per (backend, mode); the *minimum* is reported.  Latency
 /// microbenches on a shared (1-CPU CI) host see scheduler noise only ever
 /// *add* time, so the minimum is the noise-robust estimator — the
@@ -61,14 +85,14 @@ pub struct BackendReadLatencyPoint {
     /// Backend name (`"local"` / `"channel"` / `"remote"`).
     pub backend: &'static str,
     /// Read mode (`"point"` / `"batched"` / `"windowed"` /
-    /// `"indexed-first"` / `"indexed-last"`).
+    /// `"indexed-first"` / `"indexed-last"` / `"indexed-run"`).
     pub mode: &'static str,
     /// Distinct keys resident in the epoch.
     pub keys: usize,
-    /// Lookups timed (per pass).
+    /// Lookups timed (per pass); values read, for `indexed-run`.
     pub reads: usize,
-    /// Mean latency per lookup, nanoseconds — minimum over [`PASSES`]
-    /// timed passes.
+    /// Mean latency per lookup (per value, for `indexed-run`), nanoseconds
+    /// — minimum over [`PASSES`] timed passes.
     pub ns_per_read: f64,
     /// Checksum of the values read (anti-dead-code; equal across backends,
     /// and across the point, batched and windowed modes).
@@ -149,8 +173,9 @@ fn measure_view<B: DdsBackend>(
 }
 
 /// Measure `get_indexed` at the first and the last index of a [`RUN`]-value
-/// run, in an epoch of the workload's keys plus the run.  The two indices
-/// take turns, pass by pass, like the modes of [`measure_view`].
+/// run, and `get_indexed_slice` flights of [`RUN_FLIGHT`] values of it, in
+/// an epoch of the workload's keys plus the run.  The three take turns,
+/// pass by pass, like the modes of [`measure_view`].
 fn measure_indexed<B: DdsBackend>(
     name: &'static str,
     keys: usize,
@@ -167,8 +192,10 @@ fn measure_indexed<B: DdsBackend>(
     let view = backend.advance(threads);
 
     let indices = [0, RUN - 1];
-    let mut best_ns = [f64::INFINITY; 2];
-    let mut checksums = [0u64; 2];
+    let mut best_ns = [f64::INFINITY; 3];
+    let mut checksums = [0u64; 3];
+    let mut out = [None; RUN_FLIGHT];
+    let values = reads / RUN_FLIGHT * RUN_FLIGHT;
     for _ in 0..PASSES {
         for (slot, &index) in indices.iter().enumerate() {
             let started = Instant::now();
@@ -184,9 +211,23 @@ fn measure_indexed<B: DdsBackend>(
             assert_eq!(sum, (index * reads) as u64, "index {index} of the run");
             checksums[slot] = sum;
         }
+
+        let started = Instant::now();
+        let mut sum = 0u64;
+        for flight in 0..reads / RUN_FLIGHT {
+            let start = std::hint::black_box(run_flight_start(flight));
+            view.get_indexed_slice(&run_key, start, &mut out);
+            for value in out.iter().flatten() {
+                sum = sum.wrapping_add(value.x);
+            }
+        }
+        best_ns[2] = best_ns[2].min(started.elapsed().as_nanos() as f64 / values.max(1) as f64);
+        assert_eq!(sum, run_checksum(reads), "flights of the run");
+        checksums[2] = sum;
     }
-    (["indexed-first", "indexed-last"].into_iter().enumerate())
-        .map(|(slot, mode)| BackendReadLatencyPoint {
+    let modes = ["indexed-first", "indexed-last", "indexed-run"];
+    (modes.into_iter().zip([reads, reads, values]).enumerate())
+        .map(|(slot, (mode, reads))| BackendReadLatencyPoint {
             backend: name,
             mode,
             keys,
@@ -321,16 +362,19 @@ mod tests {
                 ("local", "windowed"),
                 ("local", "indexed-first"),
                 ("local", "indexed-last"),
+                ("local", "indexed-run"),
                 ("channel", "point"),
                 ("channel", "batched"),
                 ("channel", "windowed"),
                 ("channel", "indexed-first"),
                 ("channel", "indexed-last"),
+                ("channel", "indexed-run"),
                 ("remote", "point"),
                 ("remote", "batched"),
                 ("remote", "windowed"),
                 ("remote", "indexed-first"),
                 ("remote", "indexed-last"),
+                ("remote", "indexed-run"),
             ]
         );
         for point in &points {
@@ -338,12 +382,14 @@ mod tests {
             assert_eq!(point.reads, 10_000);
             assert!(point.ns_per_read > 0.0, "{point:?}");
         }
-        // Every read mode on every backend read the exact same values, and
-        // each indexed read the value at its index (`0` and `RUN - 1`).
+        // Every read mode on every backend read the exact same values, each
+        // indexed read the value at its index (`0` and `RUN - 1`), and the
+        // run flights every value of theirs.
         for point in &points {
             let expected = match point.mode {
                 "indexed-first" => 0,
                 "indexed-last" => (RUN as u64 - 1) * 10_000,
+                "indexed-run" => run_checksum(10_000),
                 _ => points[0].checksum,
             };
             assert_eq!(point.checksum, expected, "{point:?}");

@@ -70,14 +70,47 @@ pub fn degree_key(v: u32) -> Key {
     Key::of(KeyTag::Degree, v as u64)
 }
 
-/// DDS key for the `i`-th adjacency entry of vertex `v`.
+/// DDS key for the `i`-th adjacency entry of vertex `v`, one key per slot:
+/// MIS and full-list publications ([`adjacency_pairs`]) use it.
 pub fn adjacency_key(v: u32, i: usize) -> Key {
     Key::with_index(KeyTag::Adjacency, v as u64, i as u64)
 }
 
-/// DDS key for the `i`-th *weighted* adjacency entry of vertex `v`.
+/// DDS key for the `i`-th *weighted* adjacency entry of vertex `v`, one key
+/// per slot.
 pub fn weighted_adjacency_key(v: u32, i: usize) -> Key {
     Key::with_index(KeyTag::WeightedAdjacency, v as u64, i as u64)
+}
+
+/// DDS key of vertex `v`'s adjacency list: a connectivity phase publishes
+/// slot `j` of `v`'s list as value `j` of this one key (the model's `(x, j)`
+/// addressing), so a search reads a run of slots with one lookup.
+pub fn adjacency_list_key(v: u32) -> Key {
+    Key::of(KeyTag::Adjacency, v as u64)
+}
+
+/// DDS key of vertex `v`'s *weighted* adjacency list, as an MSF phase
+/// publishes it: slot `j` is value `j`.
+pub fn weighted_adjacency_list_key(v: u32) -> Key {
+    Key::of(KeyTag::WeightedAdjacency, v as u64)
+}
+
+/// A list-key publication republished one key per slot: value `j` of a
+/// list key becomes the single value of slot key `(tag, v, j)`, in the same
+/// order.  The tests' per-slot searches read it; the values are the list
+/// publication's own, so only the layout differs.
+#[cfg(test)]
+pub(crate) fn per_slot_keys(pairs: Vec<(Key, Value)>) -> Vec<(Key, Value)> {
+    let mut slot = 0;
+    let mut previous = None;
+    pairs
+        .into_iter()
+        .map(|(key, value)| {
+            slot = if previous == Some(key) { slot + 1 } else { 0 };
+            previous = Some(key);
+            (Key::with_index(key.tag, key.a, slot), value)
+        })
+        .collect()
 }
 
 /// Encode a weighted adjacency entry: neighbour + originating edge id in

@@ -36,8 +36,16 @@
 //! ends at its first absent slot, so no count is needed to find its end.  A
 //! phase writes at most `n·(d − 1)` pairs, not `n + 2m`, and only vertices
 //! with an edge search (`LiveSet::adjacency_pairs` states the lemma).
+//!
+//! A vertex's list is one key: slot `j` of `v`'s list is value `j` of
+//! `adjacency_list_key(v)`, in slot order, because a key's values keep their
+//! commit order.  The BFS reads each flight of slots with one
+//! [`MachineContext::read_indexed_slice`] — one lookup for the flight, where
+//! a key per slot paid one per slot — and an epoch frame carries each key
+//! once per list.  A flight of `k` slots still counts `k` queries, so
+//! queries, writes and balls are those of a key per slot.
 
-use crate::common::{adjacency_key, round_robin_assign, AlgorithmResult};
+use crate::common::{adjacency_list_key, round_robin_assign, AlgorithmResult};
 use crate::contract::{phase_budgets, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind};
@@ -67,9 +75,9 @@ struct BfsScratch {
 /// component) and at most `query_cap` reads.
 ///
 /// The frontier expansion reads each vertex's adjacency list in batches of
-/// up to [`BFS_READ_BATCH`] slots via [`MachineContext::read_many_slice`] —
-/// the slot keys are independent, so a real deployment pipelines them in one
-/// network flight.  A phase publishes a list as the dense prefix `0..k`,
+/// up to [`BFS_READ_BATCH`] slots, each one
+/// [`MachineContext::read_indexed_slice`] of `x`'s list key — one lookup per
+/// batch.  A phase publishes a list as values `0..k` of that key,
 /// `k ≤ d − 1`, and no count: the expansion of `x` ends at the first absent
 /// slot, and no batch reaches slot `d − 1`.  Visiting order (and therefore
 /// the result) is that of a slot-by-slot loop.  Query accounting is not
@@ -92,7 +100,6 @@ fn bounded_bfs<V: SnapshotView>(
     order.push(v);
     scratch.queue.push_back(v);
     let start_queries = ctx.queries_issued();
-    let mut keys: [Key; BFS_READ_BATCH] = [adjacency_key(0, 0); BFS_READ_BATCH];
     let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
     'outer: while let Some(x) = scratch.queue.pop_front() {
         if order.len() >= d {
@@ -101,6 +108,7 @@ fn bounded_bfs<V: SnapshotView>(
         if ctx.queries_issued() - start_queries >= query_cap {
             break;
         }
+        let list = adjacency_list_key(x);
         let mut next_slot = 0usize;
         while next_slot < d - 1 {
             let remaining_budget = query_cap.saturating_sub(ctx.queries_issued() - start_queries);
@@ -115,10 +123,7 @@ fn bounded_bfs<V: SnapshotView>(
                 .min(remaining_budget as usize)
                 .min(remaining_ball)
                 .min(d - 1 - next_slot);
-            for (j, key) in keys[..batch].iter_mut().enumerate() {
-                *key = adjacency_key(x, next_slot + j);
-            }
-            ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+            ctx.read_indexed_slice(list, next_slot, &mut entries[..batch]);
             for entry in &entries[..batch] {
                 // The first absent slot ends `x`'s list.
                 let Some(entry) = entry else { continue 'outer };
@@ -138,9 +143,9 @@ fn bounded_bfs<V: SnapshotView>(
 }
 
 /// The scatter publishing each live vertex's `keep` smallest neighbours, in
-/// ascending order: the slot order a bounded BFS reads.  Also returns the
-/// live vertices with a neighbour, the only ones a BFS from which can leave
-/// its start.
+/// ascending order, as the values of its list key: the slot order a bounded
+/// BFS reads.  Also returns the live vertices with a neighbour, the only ones
+/// a BFS from which can leave its start.
 fn adjacency_prefix_pairs(
     live: &LiveSet,
     edges: &[(u32, u32)],
@@ -150,7 +155,7 @@ fn adjacency_prefix_pairs(
         edges,
         keep,
         |neighbour, _| neighbour,
-        adjacency_key,
+        |v, _| adjacency_list_key(v),
         |neighbour, _| Value::scalar(neighbour as u64),
     )
 }
@@ -286,7 +291,7 @@ fn connectivity_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{adjacency_pairs, degree_key};
+    use crate::common::{adjacency_key, adjacency_pairs, degree_key, per_slot_keys};
     use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential, Edge};
 
@@ -312,21 +317,88 @@ mod tests {
         machines.pop().unwrap()
     }
 
-    /// `graph` published with `keep` slots per vertex, as a phase does.
+    /// `graph` published with `keep` slots per vertex, as a phase does: one
+    /// list key per vertex.
     fn prefix(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
         let edges: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.u, e.v)).collect();
         adjacency_prefix_pairs(&LiveSet::all(graph.num_vertices()), &edges, keep).0
     }
 
-    /// [`prefix`] with each vertex's slot count under [`degree_key`], as a
-    /// phase published it before the searches stopped reading it.
+    /// [`prefix`] with one key per slot, as a phase published it before a
+    /// vertex's list was one key.
+    fn per_slot_prefix(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
+        per_slot_keys(prefix(graph, keep))
+    }
+
+    /// [`per_slot_prefix`] with each vertex's slot count under
+    /// [`degree_key`], as a phase published it before the searches stopped
+    /// reading it.
     fn prefix_with_counts(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
-        let mut pairs = prefix(graph, keep);
+        let mut pairs = per_slot_prefix(graph, keep);
         pairs.extend((0..graph.num_vertices() as u32).map(|v| {
             let count = graph.degree(v).min(keep);
             (degree_key(v), Value::scalar(count as u64))
         }));
         pairs
+    }
+
+    /// [`bounded_bfs`] as it was while a phase published a key per slot,
+    /// kept as its reference: each flight is a [`MachineContext::read_many_slice`]
+    /// of slot keys, clamped as [`bounded_bfs`] clamps its flights.
+    fn per_slot_bfs<V: SnapshotView>(
+        ctx: &mut MachineContext<V>,
+        scratch: &mut BfsScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<u32> {
+        scratch.visited.clear();
+        scratch.queue.clear();
+        let mut order: Vec<u32> = Vec::with_capacity(d);
+        scratch.visited.insert(v);
+        order.push(v);
+        scratch.queue.push_back(v);
+        let start_queries = ctx.queries_issued();
+        let mut keys: [Key; BFS_READ_BATCH] = [adjacency_key(0, 0); BFS_READ_BATCH];
+        let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
+        'outer: while let Some(x) = scratch.queue.pop_front() {
+            if order.len() >= d {
+                break;
+            }
+            if ctx.queries_issued() - start_queries >= query_cap {
+                break;
+            }
+            let mut next_slot = 0usize;
+            while next_slot < d - 1 {
+                let remaining_budget =
+                    query_cap.saturating_sub(ctx.queries_issued() - start_queries);
+                if remaining_budget == 0 {
+                    break 'outer;
+                }
+                let remaining_ball = d.saturating_sub(order.len()).max(1);
+                let batch = BFS_READ_BATCH
+                    .min(remaining_budget as usize)
+                    .min(remaining_ball)
+                    .min(d - 1 - next_slot);
+                for (j, key) in keys[..batch].iter_mut().enumerate() {
+                    *key = adjacency_key(x, next_slot + j);
+                }
+                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+                for entry in &entries[..batch] {
+                    let Some(entry) = entry else { continue 'outer };
+                    let u = entry.x as u32;
+                    if scratch.visited.insert(u) {
+                        order.push(u);
+                        scratch.queue.push_back(u);
+                        if order.len() >= d {
+                            break 'outer;
+                        }
+                    }
+                }
+                next_slot += batch;
+            }
+        }
+        order
     }
 
     /// [`bounded_bfs`] as it was while a phase published counts, kept as its
@@ -393,7 +465,7 @@ mod tests {
         order
     }
 
-    /// A bounded BFS, the count-free one or its count-first reference.
+    /// A bounded BFS: the list-key one or a reference.
     type Search<V> = fn(&mut MachineContext<V>, &mut BfsScratch, u32, usize, u64) -> Vec<u32>;
 
     /// The ball `search` returns and the queries it issued.
@@ -421,12 +493,13 @@ mod tests {
         /// search over each vertex's `d − 1` smallest neighbours returns the
         /// ball the count-first search returns over the graph's full
         /// adjacency lists (`common::adjacency_pairs`, every list whole and
-        /// its count, in `Graph` slot order), which reads past slot `d − 2`
-        /// whenever the ball is not yet full.  At caps {1, 3, d², ∞} the
-        /// count-first search over the prefix and its counts returns that
-        /// ball with exactly as many queries; at the caps that do not bind
-        /// (d², ∞) so does `bounded_bfs` over the count-free prefix, which
-        /// reads no count, so only its ball is compared.
+        /// its count, in `Graph` slot order, a key per slot), which reads
+        /// past slot `d − 2` whenever the ball is not yet full.  At caps {1,
+        /// 3, d², ∞} the count-first search over the prefix and its counts
+        /// returns that ball with exactly as many queries; at the caps that
+        /// do not bind (d², ∞) so does `bounded_bfs` over the count-free
+        /// prefix as a phase publishes it, values `0..k` of each vertex's
+        /// list key, which reads no count, so only its ball is compared.
         #[test]
         fn bounded_bfs_on_the_first_prefix_reads_what_full_lists_read(
             n in 2u32..24,
@@ -470,8 +543,9 @@ mod tests {
         /// The count-free read (`LiveSet::adjacency_pairs`): on random
         /// simple graphs, from every vertex, at every budget and at caps
         /// that do not bind (a search reads under `d²`), `bounded_bfs` over
-        /// a phase's count-free prefix returns the ball the count-first
-        /// search returns over the same prefix with its counts.
+        /// a phase's count-free prefix (its list keys) returns the ball the
+        /// count-first search returns over the same prefix, a key per slot,
+        /// with its counts.
         #[test]
         fn bounded_bfs_reads_the_prefix_without_a_count(
             n in 2u32..24,
@@ -494,10 +568,44 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// One key per list changes nothing but the layout: on random simple
+        /// graphs, from every vertex, at every budget and at every cap
+        /// (1, 3, d², ∞), `bounded_bfs` over a phase's list keys returns the
+        /// ball, in the order, and issues exactly the queries that the
+        /// per-slot search issues over the same slots, one key each.
+        #[test]
+        fn bounded_bfs_on_one_list_key_reads_what_per_slot_keys_read(
+            n in 2u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+        ) {
+            let edges: Vec<Edge> = raw.iter().map(|&(u, v)| Edge::new(u % n, v % n)).collect();
+            let graph = Graph::from_edges(n as usize, &edges);
+            for d in 2..=10usize {
+                let caps = [1, 3, (d * d) as u64, u64::MAX];
+                let per_slot = from_every_vertex(&graph, per_slot_prefix(&graph, d - 1), |ctx, scratch, v| {
+                    caps.map(|cap| ball_and_queries(per_slot_bfs, ctx, scratch, v, d, cap))
+                });
+                let listed = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
+                    caps.map(|cap| ball_and_queries(bounded_bfs, ctx, scratch, v, d, cap))
+                });
+                for (v, (listed, per_slot)) in listed.iter().zip(&per_slot).enumerate() {
+                    proptest::prop_assert_eq!(listed, per_slot, "d {}, from {}", d, v);
+                }
+            }
+        }
+    }
+
     /// The bound is tight: from the centre of a star every vertex of the
     /// ball but the centre is one of its own neighbours, so with `d − 1` of
-    /// them published the ball is the one the count-first search finds over
-    /// full lists, and with `d − 2` it stops one vertex short.
+    /// them published under its list key the ball is the one the
+    /// count-first search finds over full lists, and with `d − 2` it stops
+    /// one vertex short.
     #[test]
     fn a_star_needs_d_minus_one_first_neighbours() {
         let leaves = 8u32;

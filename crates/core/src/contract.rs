@@ -88,6 +88,11 @@ impl LiveSet {
     /// ascending order, slot `j` of its adjacency under `slot_key(v, j)` as
     /// `slot_value(neighbour, edge)`.  A vertex publishes at most `keep`
     /// slots: its `keep` lowest under `rank(neighbour, edge)`, in rank order.
+    /// The drivers pass a `slot_key` that ignores `j` — the vertex's list key
+    /// — so slot `j` is value `j` of that one key: a key's values keep the
+    /// order they were written in, and a vertex's slots are written in slot
+    /// order, one after the other.  A search then reads a flight of slots
+    /// with one lookup (`MachineContext::read_indexed_slice`).
     /// The adjacency is a CSR built by a stable counting sort over `edges`
     /// (an edge `(u, v)` fills `u`'s slot before `v`'s); only a vertex's kept
     /// slots are then sorted, after a selection when it has more than `keep`.
@@ -115,7 +120,8 @@ impl LiveSet {
     /// `d − 1` distinct leaves from one list.
     ///
     /// **Why no count is published.**  A vertex's slots are the dense prefix
-    /// `0..k` with `k ≤ keep`, so slot `j` is present exactly when `j < k`:
+    /// `0..k` with `k ≤ keep` (values `0..k` of its list key), so slot `j` is
+    /// present exactly when `j < k`:
     /// the first absent slot a search reads ends the list where a count
     /// would have, and with `keep = d − 1` no search reads slot `d − 1` or
     /// beyond, so it never needs to learn `k` first.  A vertex with `k = 0`
@@ -293,7 +299,7 @@ fn counting_sort<E: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::adjacency_key;
+    use crate::common::{adjacency_key, adjacency_list_key};
     use ampc_dds::KeyTag;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -512,7 +518,9 @@ mod tests {
     /// What a phase publishes, on sparse graphs with edgeless vertices and
     /// at every `keep`: no count (no `KeyTag::Degree` key), each vertex's
     /// slots exactly `0..k` with `k = min(degree, keep)`, and as searchers
-    /// exactly the vertices with `k > 0`.
+    /// exactly the vertices with `k > 0`.  Under the vertex's list key, as
+    /// the drivers publish, the same values come in the same order, each
+    /// vertex's `k` of them one after the other: values `0..k` of the key.
     #[test]
     fn adjacency_pairs_publish_a_dense_prefix_and_no_count() {
         for seed in 0..3 {
@@ -544,6 +552,18 @@ mod tests {
                 }
                 let expected: Vec<u32> = slots.keys().copied().collect();
                 assert_eq!(searchers, expected, "seed {seed}, keep {keep}");
+                let (listed, list_searchers) = live.adjacency_pairs(
+                    &edges,
+                    keep,
+                    |neighbour, _| neighbour,
+                    |v, _| adjacency_list_key(v),
+                    |neighbour, _| Value::scalar(neighbour as u64),
+                );
+                let relisted: Vec<(Key, Value)> = (pairs.iter())
+                    .map(|&(key, value)| (adjacency_list_key(key.a as u32), value))
+                    .collect();
+                assert_eq!(listed, relisted, "seed {seed}, keep {keep}");
+                assert_eq!(list_searchers, searchers, "seed {seed}, keep {keep}");
                 assert!(
                     searchers.len() < graph.num_vertices(),
                     "seed {seed}: no edgeless vertex"
@@ -629,7 +649,9 @@ mod tests {
     /// Prim reads past its prefix, so the query cap no longer cuts one short.
     /// Publishing no count, and searching only from vertices with an edge,
     /// moved every query and write count and no round count: a phase writes
-    /// `|live|` fewer pairs, and no search reads a count.
+    /// `|live|` fewer pairs, and no search reads a count.  Publishing each
+    /// vertex's slots as the values of one list key moved none: a flight of
+    /// `k` values counts `k` queries, as `k` slot keys did.
     #[test]
     fn model_cost_of_connectivity_and_msf_is_pinned() {
         use ampc_graph::generators;

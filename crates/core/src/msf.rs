@@ -29,10 +29,18 @@
 //! Prim's expansion of `x` ends at its first absent slot or at slot `d − 1`,
 //! and only vertices with an edge run Prim at all (`LiveSet::adjacency_pairs`
 //! states the lemma).
+//!
+//! A vertex's list is one key: slot `j` of `v`'s list is value `j` of
+//! `weighted_adjacency_list_key(v)`, in rank order, because a key's values
+//! keep their commit order.  Prim reads each flight of slots with one
+//! [`MachineContext::read_indexed_slice`] — one lookup for the flight, where
+//! a key per slot paid one per slot — and an epoch frame carries each key
+//! once per list.  A flight of `k` slots still counts `k` queries, so
+//! queries, writes and selected edges are those of a key per slot.
 
 use crate::common::{
-    decode_weighted_neighbor, encode_weighted_neighbor, round_robin_assign, weighted_adjacency_key,
-    AlgorithmResult,
+    decode_weighted_neighbor, encode_weighted_neighbor, round_robin_assign,
+    weighted_adjacency_list_key, AlgorithmResult,
 };
 use crate::contract::{phase_budgets, ContractEdge, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
@@ -77,9 +85,10 @@ impl ContractEdge for ContractedEdge {
 }
 
 /// The scatter publishing each live vertex's `keep` lightest edges of the
-/// contracted graph, ranked by `(weight, neighbour, original)` — the
-/// candidate heap's order among one vertex's entries.  Also returns the live
-/// vertices with an edge, the only ones a Prim from which selects one.
+/// contracted graph as the values of its list key, ranked by `(weight,
+/// neighbour, original)` — the candidate heap's order among one vertex's
+/// entries.  Also returns the live vertices with an edge, the only ones a
+/// Prim from which selects one.
 fn weighted_adjacency_pairs(
     live: &LiveSet,
     edges: &[ContractedEdge],
@@ -89,22 +98,22 @@ fn weighted_adjacency_pairs(
         edges,
         keep,
         |neighbour, e| (e.weight, neighbour, e.original),
-        weighted_adjacency_key,
+        |v, _| weighted_adjacency_list_key(v),
         |neighbour, e| encode_weighted_neighbor(neighbour, e.original, e.weight),
     )
 }
 
-/// Weighted-adjacency slots fetched per batched adaptive read while the
-/// local Prim expansion ingests a vertex's edge list.
+/// Weighted-adjacency slots fetched per run read
+/// ([`MachineContext::read_indexed_slice`] of the vertex's list key) while
+/// the local Prim expansion ingests a vertex's edge list.
 ///
-/// The slot keys are independent, so a real deployment pipelines them in
-/// one flight.  Each batch is clamped to the remaining query cap *before* it
-/// is issued, so the cap truncates the expansion at exactly the read a
-/// single-read loop would stop at; and to the `d − 1` slots a phase
-/// publishes.  A list ends at its first absent slot, which only a read can
-/// find, so a flight also pays for the absent tail a slot-by-slot loop
-/// would stop reading after one: with `d − 1 ≤ PRIM_READ_BATCH`, an uncapped
-/// expansion is one flight of `d − 1` reads (asserted by
+/// Each batch is clamped to the remaining query cap *before* it is issued,
+/// so the cap truncates the expansion at exactly the read a single-read
+/// loop would stop at; and to the `d − 1` slots a phase publishes.  A list
+/// ends at its first absent slot, which only a read can find, so a flight
+/// also pays for the absent tail a slot-by-slot loop would stop reading
+/// after one: with `d − 1 ≤ PRIM_READ_BATCH`, an uncapped expansion is one
+/// flight of `d − 1` reads (asserted by
 /// `batched_local_prim_debits_budget_like_single_reads`).
 const PRIM_READ_BATCH: usize = 16;
 
@@ -113,7 +122,8 @@ const PRIM_READ_BATCH: usize = 16;
 type CandidateHeap = BinaryHeap<std::cmp::Reverse<(u64, u32, u32, u32)>>;
 
 /// Buffers of [`local_prim`], owned by a machine for a whole round and
-/// cleared per start vertex.
+/// cleared per start vertex: the candidate heap and the local tree's
+/// vertices.
 #[derive(Default)]
 struct PrimScratch {
     heap: CandidateHeap,
@@ -123,8 +133,9 @@ struct PrimScratch {
 /// Algorithm 8 (`MSFIncreaseDegree`) for one vertex: run Prim's algorithm
 /// from `v` through adaptive reads until the local tree `F_v` holds `d`
 /// vertices, the component is exhausted, or the query cap is reached.
-/// Returns the ids of the original edges selected (all of them MSF edges by
-/// the cut property).
+/// Appends the selected edges to `selected` as `(from, to, original id)`
+/// (all of them MSF edges by the cut property), so a machine collects every
+/// start vertex's edges in one buffer and allocates nothing per start.
 ///
 /// The vertex that fills the tree is not expanded, so at most `d − 1`
 /// vertices are, each for at most `d − 1` slot reads of a phase's
@@ -136,15 +147,15 @@ fn local_prim<V: SnapshotView>(
     v: u32,
     d: usize,
     query_cap: u64,
-) -> Vec<(u32, u32, u32)> {
+    selected: &mut Vec<(u32, u32, u32)>,
+) {
     let PrimScratch { heap, in_tree } = scratch;
     heap.clear();
     in_tree.clear();
-    let mut selected: Vec<(u32, u32, u32)> = Vec::new();
     let start_queries = ctx.queries_issued();
 
     let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
-        let mut keys: [Key; PRIM_READ_BATCH] = [weighted_adjacency_key(0, 0); PRIM_READ_BATCH];
+        let list = weighted_adjacency_list_key(x);
         let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
         let mut next_slot = 0usize;
         while next_slot < d - 1 {
@@ -157,10 +168,7 @@ fn local_prim<V: SnapshotView>(
             // phase publishes.
             let room = (query_cap - used) as usize;
             let batch = PRIM_READ_BATCH.min(room).min(d - 1 - next_slot);
-            for (j, key) in keys[..batch].iter_mut().enumerate() {
-                *key = weighted_adjacency_key(x, next_slot + j);
-            }
-            ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+            ctx.read_indexed_slice(list, next_slot, &mut entries[..batch]);
             for entry in &entries[..batch] {
                 // The first absent slot ends `x`'s list.
                 let Some(entry) = *entry else { return };
@@ -191,7 +199,6 @@ fn local_prim<V: SnapshotView>(
             expand(to, ctx, heap);
         }
     }
-    selected
 }
 
 /// Algorithm 9: compute the minimum spanning forest of a weighted graph.
@@ -321,11 +328,11 @@ fn msf_impl<B: DdsBackend>(
         let found: Vec<Vec<(u32, u32, u32)>> = runtime
             .run_round(machines, |ctx| {
                 let mut scratch = PrimScratch::default();
-                let mut out = Vec::new();
+                let mut selected = Vec::new();
                 for &v in &assignments[ctx.machine_id()] {
-                    out.extend(local_prim(ctx, &mut scratch, v, d, query_cap));
+                    local_prim(ctx, &mut scratch, v, d, query_cap, &mut selected);
                 }
-                out
+                selected
             })
             .expect("MSFIncreaseDegree round failed");
 
@@ -374,7 +381,7 @@ fn msf_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::degree_key;
+    use crate::common::{degree_key, per_slot_keys, weighted_adjacency_key};
     use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential};
 
@@ -456,10 +463,24 @@ mod tests {
         let _ = minimum_spanning_forest(&g, 0.5, 0);
     }
 
+    /// [`local_prim`] into a fresh buffer: the edges one start selects.
+    fn prim<V: SnapshotView>(
+        ctx: &mut MachineContext<V>,
+        scratch: &mut PrimScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<(u32, u32, u32)> {
+        let mut selected = Vec::new();
+        local_prim(ctx, scratch, v, d, query_cap, &mut selected);
+        selected
+    }
+
     /// The slot-by-slot expansion, kept as the budget reference: one
-    /// adaptive read per adjacency slot, cap checked before every read, up
-    /// to the first absent slot or slot `d − 1`; like [`local_prim`], it does
-    /// not expand the vertex that fills the tree.
+    /// [`MachineContext::read_indexed`] of the vertex's list key per slot,
+    /// cap checked before every read, up to the first absent slot or slot
+    /// `d − 1`; like [`local_prim`], it does not expand the vertex that fills
+    /// the tree.
     fn reference_prim<V: ampc_runtime::SnapshotView>(
         ctx: &mut MachineContext<V>,
         v: u32,
@@ -475,7 +496,7 @@ mod tests {
                 if ctx.queries_issued() - start_queries >= query_cap {
                     return;
                 }
-                let Some(entry) = ctx.read(weighted_adjacency_key(x, i)) else {
+                let Some(entry) = ctx.read_indexed(weighted_adjacency_list_key(x), i) else {
                     return;
                 };
                 let (nbr, id, w) = decode_weighted_neighbor(entry);
@@ -498,6 +519,64 @@ mod tests {
             selected.push((from, to, id));
             if in_tree.len() < d {
                 expand(to, ctx, &mut heap);
+            }
+        }
+        selected
+    }
+
+    /// [`local_prim`] as it was while a phase published a key per slot, kept
+    /// as its reference: each flight is a [`MachineContext::read_many_slice`]
+    /// of slot keys, clamped as [`local_prim`] clamps its flights.
+    fn per_slot_prim<V: SnapshotView>(
+        ctx: &mut MachineContext<V>,
+        scratch: &mut PrimScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<(u32, u32, u32)> {
+        let PrimScratch { heap, in_tree } = scratch;
+        heap.clear();
+        in_tree.clear();
+        let mut selected: Vec<(u32, u32, u32)> = Vec::new();
+        let start_queries = ctx.queries_issued();
+        let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
+            let mut keys: [Key; PRIM_READ_BATCH] = [weighted_adjacency_key(0, 0); PRIM_READ_BATCH];
+            let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
+            let mut next_slot = 0usize;
+            while next_slot < d - 1 {
+                let used = ctx.queries_issued() - start_queries;
+                if used >= query_cap {
+                    return;
+                }
+                let room = (query_cap - used) as usize;
+                let batch = PRIM_READ_BATCH.min(room).min(d - 1 - next_slot);
+                for (j, key) in keys[..batch].iter_mut().enumerate() {
+                    *key = weighted_adjacency_key(x, next_slot + j);
+                }
+                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
+                for entry in &entries[..batch] {
+                    let Some(entry) = *entry else { return };
+                    let (nbr, id, w) = decode_weighted_neighbor(entry);
+                    heap.push(std::cmp::Reverse((w, x, nbr, id)));
+                }
+                next_slot += batch;
+            }
+        };
+        in_tree.insert(v);
+        expand(v, ctx, heap);
+        while in_tree.len() < d {
+            if ctx.queries_issued() - start_queries >= query_cap {
+                break;
+            }
+            let Some(std::cmp::Reverse((_, from, to, id))) = heap.pop() else {
+                break;
+            };
+            if !in_tree.insert(to) {
+                continue;
+            }
+            selected.push((from, to, id));
+            if in_tree.len() < d {
+                expand(to, ctx, heap);
             }
         }
         selected
@@ -582,20 +661,27 @@ mod tests {
     }
 
     /// `edges` over `0..n` published with `keep` slots per vertex, as a
-    /// phase does.
+    /// phase does: one list key per vertex.
     fn prefix(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
         weighted_adjacency_pairs(&LiveSet::all(n as usize), edges, keep).0
     }
 
-    /// [`prefix`] with each vertex's slot count under [`degree_key`], as a
-    /// phase published it before the searches stopped reading it.
+    /// [`prefix`] with one key per slot, as a phase published it before a
+    /// vertex's list was one key.
+    fn per_slot_prefix(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
+        per_slot_keys(prefix(n, edges, keep))
+    }
+
+    /// [`per_slot_prefix`] with each vertex's slot count under
+    /// [`degree_key`], as a phase published it before the searches stopped
+    /// reading it.
     fn prefix_with_counts(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
         let mut degree = vec![0usize; n as usize];
         for e in edges {
             degree[e.u as usize] += 1;
             degree[e.v as usize] += 1;
         }
-        let mut pairs = prefix(n, edges, keep);
+        let mut pairs = per_slot_prefix(n, edges, keep);
         pairs.extend((0..n).map(|v| {
             let count = degree[v as usize].min(keep);
             (degree_key(v), Value::scalar(count as u64))
@@ -622,17 +708,55 @@ mod tests {
         machines.pop().unwrap()
     }
 
+    /// The edges one start selected and the queries it issued.
+    type Start = (Vec<(u32, u32, u32)>, u64);
+
+    /// [`local_prim`] from every vertex of `0..n` in turn on one machine,
+    /// over `pairs`, every start appending to the one buffer as in a phase.
+    fn appended_per_start(
+        n: u32,
+        pairs: Vec<(Key, Value)>,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<Start> {
+        let config = AmpcConfig::for_graph(n as usize, pairs.len(), 0.5).with_seed(5);
+        let mut runtime = AmpcRuntime::new(config);
+        runtime.scatter(pairs);
+        let mut machines = runtime
+            .run_round(1, |ctx| {
+                let mut scratch = PrimScratch::default();
+                let mut selected = Vec::new();
+                let mut starts = Vec::new();
+                for v in 0..n {
+                    let before = ctx.queries_issued();
+                    local_prim(ctx, &mut scratch, v, d, query_cap, &mut selected);
+                    starts.push((selected.len(), ctx.queries_issued() - before));
+                }
+                let mut from = 0;
+                (starts.into_iter())
+                    .map(|(to, debit)| {
+                        let edges = selected[from..to].to_vec();
+                        from = to;
+                        (edges, debit)
+                    })
+                    .collect()
+            })
+            .unwrap();
+        machines.pop().unwrap()
+    }
+
     #[test]
     fn batched_local_prim_debits_budget_like_single_reads() {
-        // ROADMAP read-path item: the batched expansion must select the same
-        // edges as the single-read loop, and a cap must truncate either
-        // search at exactly the cap: at every cap, each debits the lesser of
-        // the cap and its uncapped debit, and selects a prefix of what it
-        // selects uncapped (full lists, so a cap can cut a list a phase
-        // would not publish).  Uncapped, the single-read loop stops after a
-        // list's first absent slot, while the batched search, which learns
-        // where a list ends only from its flight, reads one flight of
-        // `d − 1 ≤ PRIM_READ_BATCH` slots per expanded vertex.
+        // ROADMAP read-path item: the batched expansion (one run read per
+        // flight) must select the same edges as the single-read loop (one
+        // indexed read per slot, of the same list keys), and a cap must
+        // truncate either search at exactly the cap: at every cap, each
+        // debits the lesser of the cap and its uncapped debit, and selects a
+        // prefix of what it selects uncapped (full lists, so a cap can cut a
+        // list a phase would not publish).  Uncapped, the single-read loop
+        // stops after a list's first absent slot, while the batched search,
+        // which learns where a list ends only from its flight, reads one
+        // flight of `d − 1 ≤ PRIM_READ_BATCH` slots per expanded vertex.
         let n = 120u32;
         let d = 6;
         let pairs = prefix(
@@ -644,7 +768,7 @@ mod tests {
             from_every_vertex(n, pairs.clone(), |ctx, scratch, v| {
                 let before = ctx.queries_issued();
                 let selected = if batched {
-                    local_prim(ctx, scratch, v, d, query_cap)
+                    prim(ctx, scratch, v, d, query_cap)
                 } else {
                     reference_prim(ctx, v, d, query_cap)
                 };
@@ -682,10 +806,11 @@ mod tests {
 
         /// The `d − 1` lemma for Prim (`LiveSet::adjacency_pairs`): on random
         /// simple graphs with weight ties, from every vertex and at every
-        /// budget, `local_prim` over each vertex's `d − 1` lightest edges
-        /// selects exactly the edges, in the order, that the count-first
-        /// search selects over full lists and their counts, where it reads
-        /// every slot of each vertex it expands.  No cap: the prefix bounds
+        /// budget, `local_prim` over each vertex's `d − 1` lightest edges,
+        /// published as values of its list key, selects exactly the edges,
+        /// in the order, that the count-first search selects over full lists
+        /// (a key per slot) and their counts, where it reads every slot of
+        /// each vertex it expands.  No cap: the prefix bounds
         /// the reads.
         #[test]
         fn local_prim_on_the_lightest_prefix_selects_what_full_lists_select(
@@ -703,7 +828,7 @@ mod tests {
             });
             for d in budgets.clone() {
                 let prefix = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
-                    local_prim(ctx, scratch, v, d, u64::MAX)
+                    prim(ctx, scratch, v, d, u64::MAX)
                 });
                 for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
                     proptest::prop_assert_eq!(prefix, &full[d - 2], "d {}, from {}", d, v);
@@ -714,9 +839,10 @@ mod tests {
         /// The count-free read (`LiveSet::adjacency_pairs`): on random
         /// simple graphs with weight ties, from every vertex, at every budget
         /// and at caps that do not bind (a search reads under `d²`),
-        /// `local_prim` over a phase's count-free prefix selects exactly the
-        /// edges, in the order, that the count-first search selects over the
-        /// same prefix with its counts.
+        /// `local_prim` over a phase's count-free prefix (its list keys)
+        /// selects exactly the edges, in the order, that the count-first
+        /// search selects over the same prefix, a key per slot, with its
+        /// counts.
         #[test]
         fn local_prim_reads_the_prefix_without_a_count(
             n in 2u32..24,
@@ -731,7 +857,7 @@ mod tests {
                     caps.map(|cap| count_first_prim(ctx, scratch, v, d, cap))
                 });
                 let count_free = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| local_prim(ctx, scratch, v, d, cap))
+                    caps.map(|cap| prim(ctx, scratch, v, d, cap))
                 });
                 for (v, (count_free, counted)) in count_free.iter().zip(&counted).enumerate() {
                     proptest::prop_assert_eq!(count_free, counted, "d {}, from {}", d, v);
@@ -740,10 +866,75 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// One key per list changes nothing but the layout: on random simple
+        /// graphs with weight ties, from every vertex, at every budget and at
+        /// every cap (1, 3, d², ∞), `local_prim` over a phase's list keys
+        /// selects the edges, in the order, and issues exactly the queries
+        /// that the per-slot search selects and issues over the same slots,
+        /// one key each.  All of a machine's starts append to one buffer, as
+        /// in a phase.
+        #[test]
+        fn local_prim_on_one_list_key_selects_what_per_slot_keys_select(
+            n in 2u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u64..4), 0..80),
+        ) {
+            let triples: Vec<(u32, u32, u64)> =
+                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
+            let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
+            for d in 2..=10usize {
+                for cap in [1, 3, (d * d) as u64, u64::MAX] {
+                    let per_slot = from_every_vertex(n, per_slot_prefix(n, &edges, d - 1), |ctx, scratch, v| {
+                        let before = ctx.queries_issued();
+                        let selected = per_slot_prim(ctx, scratch, v, d, cap);
+                        (selected, ctx.queries_issued() - before)
+                    });
+                    let listed = appended_per_start(n, prefix(n, &edges, d - 1), d, cap);
+                    for (v, (listed, per_slot)) in listed.iter().zip(&per_slot).enumerate() {
+                        proptest::prop_assert_eq!(listed, per_slot, "d {}, cap {}, from {}", d, cap, v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A list longer than one flight: from the centre of a 40-leaf star at
+    /// `d = 30`, `local_prim` reads the centre's 29 slots in two flights
+    /// (16, then 13 from slot 16), so a flight that starts anywhere but
+    /// where the last one ended selects other edges or issues other
+    /// queries than the per-slot search, at every cap.
+    #[test]
+    fn local_prim_on_one_list_key_reads_a_long_list_in_flights() {
+        let leaves = 40u32;
+        let star: Vec<(u32, u32, u64)> = (1..=leaves)
+            .map(|leaf| (0, leaf, u64::from(leaf * 7 % 41)))
+            .collect();
+        let edges = contracted_edges(&Graph::from_weighted_edges(leaves as usize + 1, &star));
+        let d = 30;
+        for cap in [1, 3, 16, 17, 20, (d * d) as u64, u64::MAX] {
+            let per_slot = from_every_vertex(
+                leaves + 1,
+                per_slot_prefix(leaves + 1, &edges, d - 1),
+                |ctx, scratch, v| {
+                    let before = ctx.queries_issued();
+                    let selected = per_slot_prim(ctx, scratch, v, d, cap);
+                    (selected, ctx.queries_issued() - before)
+                },
+            );
+            let listed = appended_per_start(leaves + 1, prefix(leaves + 1, &edges, d - 1), d, cap);
+            assert_eq!(listed, per_slot, "cap {cap}");
+        }
+    }
+
     /// The bound is tight: from the centre of a star every tree edge is one
-    /// of the centre's own, so with `d − 1` of them published the tree is the
-    /// one the count-first search selects over full lists, and with `d − 2`
-    /// it stops one vertex short.
+    /// of the centre's own, so with `d − 1` of them published under its list
+    /// key the tree is the one the count-first search selects over full
+    /// lists, and with `d − 2` it stops one vertex short.
     #[test]
     fn a_star_needs_d_minus_one_lightest_edges() {
         let leaves = 8u32;
@@ -754,7 +945,7 @@ mod tests {
             from_every_vertex(
                 leaves + 1,
                 prefix(leaves + 1, &edges, keep),
-                |ctx, scratch, v| local_prim(ctx, scratch, v, d, u64::MAX),
+                |ctx, scratch, v| prim(ctx, scratch, v, d, u64::MAX),
             )
             .swap_remove(0)
         };

@@ -10,8 +10,9 @@
 //!
 //! * [`SnapshotView`] — the *read* surface of a frozen epoch: exactly the
 //!   operations the model grants a machine in round `i` against `D_{i-1}`
-//!   (point lookups, indexed multi-value lookups, multiplicities, batched
-//!   lookups), plus the read accounting the contention analysis observes.
+//!   (point lookups, indexed multi-value lookups one at a time or a run of
+//!   them, multiplicities, batched lookups), plus the read accounting the
+//!   contention analysis observes.
 //! * [`DdsBackend`] — the *lifecycle* surface the runtime drives: commit the
 //!   ordered write batches of a round, advance the epoch, hand out the new
 //!   epoch's view.
@@ -65,6 +66,12 @@ pub trait SnapshotView: Clone + Send + Sync + 'static {
     /// The `index`-th value stored under `key` (zero-based).  Counts as one
     /// query.
     fn get_indexed(&self, key: &Key, index: usize) -> Option<Value>;
+
+    /// Values `start..start + out.len()` stored under `key` into `out`,
+    /// `None` past the last, in one lookup.  Counts as `out.len()` queries —
+    /// identical budget semantics to calling [`SnapshotView::get_indexed`]
+    /// once per index — all on `key`'s shard.
+    fn get_indexed_slice(&self, key: &Key, start: usize, out: &mut [Option<Value>]);
 
     /// All values stored under `key` (empty if absent).  Counts as
     /// `multiplicity(key).max(1)` queries.

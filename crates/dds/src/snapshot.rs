@@ -33,7 +33,10 @@
 //! A lookup thus waits on two cache misses in series, the directory word
 //! and then the bucket it points at.  A batched read (`get_many_slice`)
 //! does not: it locates a group of keys' buckets first and scans them
-//! after, so the misses of independent keys are in flight together.
+//! after, so the misses of independent keys are in flight together.  A run
+//! read (`get_indexed_slice`) needs no such overlap: a key's values are
+//! contiguous in commit order, so consecutive indices of one key cost one
+//! lookup and a copy.
 //!
 //! A [`FrozenEpoch`] crosses a wire in one pass each way: the owner's
 //! frozen shards are walked in place into bytes, in layout order
@@ -266,6 +269,12 @@ impl SnapshotView for Snapshot {
         let (shard, reads, digest) = self.locate(key);
         reads.fetch_add(1, Ordering::Relaxed);
         shard.nth(key, digest, index)
+    }
+
+    fn get_indexed_slice(&self, key: &Key, start: usize, out: &mut [Option<Value>]) {
+        let (shard, reads, digest) = self.locate(key);
+        reads.fetch_add(out.len() as u64, Ordering::Relaxed);
+        shard.nth_slice(key, digest, start, out);
     }
 
     fn get_all(&self, key: &Key) -> Vec<Value> {

@@ -5,11 +5,12 @@
 //! `ampc_dds::proto` wire format — over in-process owner threads and over
 //! `cluster(n)`, local clusters of n = 1..=5 owners) and a
 //! `BTreeMap<Key, Vec<Value>>` model through the same write scripts and
-//! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
-//! batched reads (order and content), multi-value index order, and the
-//! per-query read accounting — to identical results.  The property tests at
+//! holds every observable — `get`, `get_indexed`, `get_indexed_slice`,
+//! `multiplicity`, `len`, batched reads (order and content), multi-value
+//! index order, and the per-query read accounting — to identical results.  The property tests at
 //! the bottom extend the battery to arbitrary write interleavings.
 
+use ampc_dds::hashing::{hash_words, FxHasher};
 use ampc_dds::{
     ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, Snapshot, SnapshotView, TcpBackend,
     Value,
@@ -17,6 +18,7 @@ use ampc_dds::{
 use ampc_runtime::{AmpcConfig, AmpcRuntime, DdsBackendKind};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 /// Every backend kind the runtime-level batteries cover.
 const ALL_BACKENDS: &[DdsBackendKind] = &[
@@ -96,6 +98,21 @@ fn assert_view_matches_model<V: SnapshotView>(view: &V, model: &Model, probe: &[
                 "get_indexed({key}, {index})"
             );
             issued += 1;
+        }
+        // Runs of indices in one lookup: inside the run, across its end and
+        // past it, each counted per index.
+        let values = model.get(key).map_or(&[][..], Vec::as_slice);
+        for start in [0, multiplicity / 2, multiplicity, multiplicity + 1] {
+            for width in [1, 16] {
+                let mut out = [Some(Value::scalar(u64::MAX)); 16];
+                view.get_indexed_slice(key, start, &mut out[..width]);
+                let expected = (start..start + width).map(|index| values.get(index).copied());
+                assert!(
+                    out[..width].iter().copied().eq(expected),
+                    "get_indexed_slice({key}, {start}, {width})"
+                );
+                issued += width as u64;
+            }
         }
     }
 
@@ -266,6 +283,92 @@ fn battery_fills_the_shard_tables_at_power_of_two_shard_counts() {
             })
             .collect()];
         conformance_battery(script, shards, 2);
+    }
+}
+
+/// A key with `key`'s tag and digest but another `a`: the two share a shard
+/// and a directory bucket at every shard count, so each run is laid out
+/// beside the other's.  The digest hashes `(tag, a, b)` word by word, so
+/// the last word can undo the difference the second made.
+fn colliding(key: Key, a: u64) -> Key {
+    let prefix = |a: u64| {
+        let mut hasher = FxHasher::default();
+        hasher.write_u32(key.tag.code());
+        hasher.write_u64(a);
+        hasher.finish().rotate_left(5)
+    };
+    let twin = Key::with_index(key.tag, a, key.b ^ prefix(key.a) ^ prefix(a));
+    assert_eq!(
+        hash_words(twin.tag.code(), twin.a, twin.b),
+        hash_words(key.tag.code(), key.a, key.b),
+        "{twin} must collide with {key}"
+    );
+    twin
+}
+
+#[test]
+fn indexed_slices_equal_indexed_reads_on_every_backend() {
+    // A 20-value run, written by two machines, sharing its bucket with two
+    // colliding keys of 7 and 3 values; many short runs around them; and an
+    // absent key that collides too.  Every start inside a run, at its end
+    // and past it, on every backend and at three shard counts.
+    let run = Key::of(KeyTag::Adjacency, 11);
+    let (left, right, absent) = (colliding(run, 12), colliding(run, 13), colliding(run, 14));
+    let mut batch: Vec<(Key, Value)> = (0..20u64).map(|i| (run, Value::scalar(i))).collect();
+    batch.extend((0..7u64).map(|i| (left, Value::scalar(100 + i))));
+    batch.extend((0..3u64).map(|i| (right, Value::scalar(200 + i))));
+    batch.extend((0..600u64).map(|i| (k(i % 150), Value::pair(i, i / 150))));
+    let script: Script = vec![vec![batch[..10].to_vec(), batch[10..].to_vec()]];
+    let model = &model_epochs(&script)[0];
+    let mut legs: Vec<(String, Snapshot)> = Vec::new();
+    for shards in [1usize, 8, 64] {
+        let views = [
+            (
+                "local",
+                run_script(LocalBackend::with_shards(shards, 2), &script, 2),
+            ),
+            (
+                "channel",
+                run_script(ChannelBackend::with_shards(shards, 2), &script, 2),
+            ),
+            (
+                "remote",
+                run_script(TcpBackend::with_shards(shards, 2), &script, 2),
+            ),
+            ("cluster(3)", run_script(cluster(3, shards), &script, 2)),
+        ];
+        for (name, mut views) in views {
+            legs.push((format!("{name}, {shards} shards"), views.remove(0)));
+        }
+    }
+    let probe: Vec<Key> = [run, left, right, absent, k(0), k(149), k(150)].into();
+    for (label, view) in &legs {
+        for key in &probe {
+            let len = model.get(key).map_or(0, Vec::len);
+            for start in [0, 1, len / 2, len.saturating_sub(1), len, len + 1, len + 40] {
+                for width in [0, 1, 2, 5, 16, 32] {
+                    let mut out = vec![Some(Value::scalar(u64::MAX)); width];
+                    let loads = view.shard_loads();
+                    view.get_indexed_slice(key, start, &mut out);
+                    // Exactly `width` reads, all on the key's shard.
+                    let risen: Vec<(usize, u64)> = (view.shard_loads().iter().zip(&loads))
+                        .filter(|(after, before)| after.reads != before.reads)
+                        .map(|(after, before)| (after.shard, after.reads - before.reads))
+                        .collect();
+                    assert!(risen.len() <= 1, "{label}: {key} read on {risen:?}");
+                    let counted: u64 = risen.iter().map(|&(_, reads)| reads).sum();
+                    assert_eq!(counted, width as u64, "{label}: {key}, {start}, {width}");
+                    let expected: Vec<Option<Value>> = (start..start + width)
+                        .map(|index| view.get_indexed(key, index))
+                        .collect();
+                    assert_eq!(out, expected, "{label}: {key}, {start}, {width}");
+                    let modelled: Vec<Option<Value>> = (start..start + width)
+                        .map(|index| model_get(model, key, index))
+                        .collect();
+                    assert_eq!(out, modelled, "{label}: {key}, {start}, {width}");
+                }
+            }
+        }
     }
 }
 
