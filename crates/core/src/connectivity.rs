@@ -566,13 +566,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 48,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
 
         /// One key per list changes nothing but the layout: on random simple
         /// graphs, from every vertex, at every budget and at every cap

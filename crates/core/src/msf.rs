@@ -864,13 +864,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 48,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
 
         /// One key per list changes nothing but the layout: on random simple
         /// graphs with weight ties, from every vertex, at every budget and at
