@@ -144,8 +144,10 @@ fn bounded_bfs<V: SnapshotView>(
 
 /// The scatter publishing each live vertex's `keep` smallest neighbours, in
 /// ascending order, as the values of its list key: the slot order a bounded
-/// BFS reads.  Also returns the live vertices with a neighbour, the only ones
-/// a BFS from which can leave its start.
+/// BFS reads.  A slot is the neighbour itself, so the kernel ranks and
+/// publishes it without reading its edge again.  Also returns the live
+/// vertices with a neighbour, the only ones a BFS from which can leave its
+/// start.
 fn adjacency_prefix_pairs(
     live: &LiveSet,
     edges: &[(u32, u32)],
@@ -156,7 +158,7 @@ fn adjacency_prefix_pairs(
         keep,
         |neighbour, _| neighbour,
         |v, _| adjacency_list_key(v),
-        |neighbour, _| Value::scalar(neighbour as u64),
+        |neighbour| Value::scalar(neighbour as u64),
     )
 }
 

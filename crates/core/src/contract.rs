@@ -5,15 +5,17 @@
 //! every per-vertex table of a phase is a `Vec` indexed by a vertex's
 //! position in that subset, and the glue the paper runs "with standard MPC
 //! primitives, such as sorting, duplicate removal" (Section 3) is literally
-//! that: adjacency is a stable counting sort of the edge list, contraction is
-//! relabel + two stable counting sorts + min-fold dedup.  No step compares
-//! whole edges to order them, and none iterates a hash container, so the
-//! published adjacency — and the model's query and write counts — depend on
-//! the input and the seed alone.
+//! that: adjacency is one pass over the edge list that keeps each vertex's
+//! least slots in a bounded heap, contraction is relabel + two stable
+//! counting sorts + min-fold dedup.  No step compares whole edges to order
+//! them, and none iterates a hash container, so the published adjacency —
+//! and the model's query and write counts — depend on the input and the seed
+//! alone.
 //!
-//! [`LiveSet::contract`] says why the live set is compacted before the sorts
-//! and why the dedup folds each parallel bundle rather than keep its first
-//! edge.
+//! [`LiveSet::adjacency_pairs`] says why its rows need hold only a vertex's
+//! `d − 1` best slots; [`LiveSet::contract`] says why the live set is
+//! compacted before the sorts and why the dedup folds each parallel bundle
+//! rather than keep its first edge.
 
 use ampc_dds::{Key, Value};
 use ampc_graph::UnionFind;
@@ -42,7 +44,7 @@ impl ContractEdge for (u32, u32) {
 /// vertex's `d²` queries fit one machine's `O(n^ε)` space.  Ends at the
 /// phase cap.  The `d²` holds with room to spare: a phase publishes at most
 /// `d − 1` slots per vertex, so a search from one vertex reads at most
-/// `d − 1` lists of `1 + (d − 1)` keys each, `d(d − 1)` queries.
+/// `d − 1` lists of `d − 1` slots each, `(d − 1)²` queries.
 pub(crate) fn phase_budgets(n: usize, m: usize, epsilon: f64) -> impl Iterator<Item = usize> {
     let d_cap = ((n.max(2) as f64).powf(epsilon / 2.0).ceil() as usize).max(2);
     let first = (((n + m) as f64 / n as f64).sqrt().ceil() as usize).clamp(2, d_cap);
@@ -86,16 +88,26 @@ impl LiveSet {
 
     /// The scatter publishing the contracted graph: per live vertex, in
     /// ascending order, slot `j` of its adjacency under `slot_key(v, j)` as
-    /// `slot_value(neighbour, edge)`.  A vertex publishes at most `keep`
-    /// slots: its `keep` lowest under `rank(neighbour, edge)`, in rank order.
+    /// `value(slot)`, where an edge offers each endpoint the slot
+    /// `slot(neighbour, edge)`.  A vertex publishes at most `keep` slots: its
+    /// `keep` least, ascending.  A slot is its own rank, so no edge is read
+    /// twice.
     /// The drivers pass a `slot_key` that ignores `j` — the vertex's list key
     /// — so slot `j` is value `j` of that one key: a key's values keep the
     /// order they were written in, and a vertex's slots are written in slot
     /// order, one after the other.  A search then reads a flight of slots
     /// with one lookup (`MachineContext::read_indexed_slice`).
-    /// The adjacency is a CSR built by a stable counting sort over `edges`
-    /// (an edge `(u, v)` fills `u`'s slot before `v`'s); only a vertex's kept
-    /// slots are then sorted, after a selection when it has more than `keep`.
+    ///
+    /// The kernel streams: a count pass sizes each live vertex's row at
+    /// `min(degree, keep)`, one pass over `edges` offers each endpoint its
+    /// slot, and each row is then sorted and emitted.  A row is a bounded
+    /// max-heap: it fills by sift-up, and once full an offer replaces its
+    /// root, and sifts down, only if it is less than the row's worst slot.
+    /// Every offer costs `O(log keep)` whatever order the edges come in, so
+    /// the pass is `O(m log keep)` at worst (every vertex's edges in
+    /// descending slot order), and the rows hold `Σ min(degree, keep)` slots,
+    /// never one per edge end.  Slots that tie are equal, and so publish
+    /// equal values: which of them a row keeps changes no byte.
     ///
     /// Returns the pairs and the live vertices that publish at least one
     /// slot, ascending: the only ones a search from which can leave its
@@ -127,62 +139,48 @@ impl LiveSet {
     /// beyond, so it never needs to learn `k` first.  A vertex with `k = 0`
     /// would pay absent reads to learn only that its ball or tree is itself;
     /// it is left out of the returned searchers instead.
-    pub(crate) fn adjacency_pairs<E: ContractEdge, R: Ord>(
+    pub(crate) fn adjacency_pairs<E: ContractEdge, S: Ord + Copy + Default>(
         &self,
         edges: &[E],
         keep: usize,
-        rank: impl Fn(u32, &E) -> R,
+        slot: impl Fn(u32, &E) -> S,
         slot_key: impl Fn(u32, usize) -> Key,
-        slot_value: impl Fn(u32, &E) -> Value,
+        value: impl Fn(S) -> Value,
     ) -> (Vec<(Key, Value)>, Vec<u32>) {
-        let slot_count = u32::try_from(2 * edges.len()).expect("slot offsets are u32");
-        // `offsets[i]..offsets[i + 1]` are the slots of live index `i`.
+        assert!(u32::try_from(2 * edges.len()).is_ok(), "degrees are u32");
+        // `offsets[i]..offsets[i + 1]` is the row of live index `i`, and
+        // `filled[i]` the slots it holds so far.
         let mut offsets = vec![0u32; self.len() + 1];
         for e in edges {
             let (u, v) = e.ends();
             offsets[self.index(u) as usize + 1] += 1;
             offsets[self.index(v) as usize + 1] += 1;
         }
-        let mut published = 0;
-        for i in 0..self.len() {
-            published += (offsets[i + 1] as usize).min(keep);
-            offsets[i + 1] += offsets[i];
+        let mut total = 0usize;
+        for end in &mut offsets[1..] {
+            total += (*end as usize).min(keep);
+            *end = u32::try_from(total).expect("row offsets are u32");
         }
-        let mut cursor = offsets.clone();
-        let mut slots = vec![(0u32, 0u32); slot_count as usize];
-        for (id, e) in edges.iter().enumerate() {
+        let mut filled = vec![0u32; self.len()];
+        let mut rows = vec![S::default(); total];
+        for e in edges {
             let (u, v) = e.ends();
             for (at, neighbour) in [(u, v), (v, u)] {
-                let next = &mut cursor[self.index(at) as usize];
-                slots[*next as usize] = (neighbour, id as u32);
-                *next += 1;
+                let i = self.index(at) as usize;
+                let row = &mut rows[offsets[i] as usize..offsets[i + 1] as usize];
+                offer(row, &mut filled[i], slot(neighbour, e));
             }
         }
-        let slot_rank = |&(neighbour, id): &(u32, u32)| rank(neighbour, &edges[id as usize]);
-        let mut pairs = Vec::with_capacity(published);
+        let mut pairs = Vec::with_capacity(total);
         let mut searchers = Vec::new();
         for (i, &v) in self.vertices.iter().enumerate() {
-            let all = &mut slots[offsets[i] as usize..offsets[i + 1] as usize];
-            let kept = if all.len() > keep {
-                all.select_nth_unstable_by_key(keep, slot_rank);
-                let kept = &mut all[..keep];
-                debug_assert!(
-                    (kept.iter().enumerate())
-                        .all(|(j, &(u, _))| u != v && kept[..j].iter().all(|&(w, _)| w != u)),
-                    "the kept slots of {v} repeat a neighbour: its list is not simple"
-                );
-                kept
-            } else {
-                all
-            };
-            if kept.is_empty() {
+            let row = &mut rows[offsets[i] as usize..offsets[i + 1] as usize];
+            if row.is_empty() {
                 continue;
             }
-            kept.sort_unstable_by_key(slot_rank);
+            row.sort_unstable();
             searchers.push(v);
-            pairs.extend(kept.iter().enumerate().map(|(j, &(neighbour, id))| {
-                (slot_key(v, j), slot_value(neighbour, &edges[id as usize]))
-            }));
+            pairs.extend((row.iter().enumerate()).map(|(j, &s)| (slot_key(v, j), value(s))));
         }
         (pairs, searchers)
     }
@@ -296,10 +294,42 @@ fn counting_sort<E: Copy>(
     }
 }
 
+/// Offer `slot` to `row`, a bounded max-heap of which `filled` slots are
+/// taken: a row with room takes it by sift-up; a full one only if it is less
+/// than the root, its worst slot, which it replaces before sifting down.
+fn offer<S: Ord + Copy>(row: &mut [S], filled: &mut u32, slot: S) {
+    let len = *filled as usize;
+    if len < row.len() {
+        let mut at = len;
+        while at > 0 && row[(at - 1) / 2] < slot {
+            row[at] = row[(at - 1) / 2];
+            at = (at - 1) / 2;
+        }
+        row[at] = slot;
+        *filled += 1;
+    } else if row.first().is_some_and(|&worst| slot < worst) {
+        let mut at = 0;
+        loop {
+            let left = 2 * at + 1;
+            let Some(&larger) = row.get(left) else { break };
+            let (child, larger) = match row.get(left + 1) {
+                Some(&right) if right > larger => (left + 1, right),
+                _ => (left, larger),
+            };
+            if larger <= slot {
+                break;
+            }
+            row[at] = larger;
+            at = child;
+        }
+        row[at] = slot;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{adjacency_key, adjacency_list_key};
+    use crate::common::{adjacency_key, adjacency_list_key, encode_weighted_neighbor};
     use ampc_dds::KeyTag;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -354,6 +384,71 @@ mod tests {
                 survives
             });
             contracted
+        }
+
+        /// [`LiveSet::adjacency_pairs`] as it was before it streamed, kept
+        /// as its reference: every slot laid out in a CSR by a stable
+        /// counting sort over `edges`, then per vertex a selection of its
+        /// `keep` lowest under `rank` (which reads the slot's edge again) and
+        /// a sort of those.
+        fn reference_adjacency_pairs<E: ContractEdge, R: Ord>(
+            &self,
+            edges: &[E],
+            keep: usize,
+            rank: impl Fn(u32, &E) -> R,
+            slot_key: impl Fn(u32, usize) -> Key,
+            slot_value: impl Fn(u32, &E) -> Value,
+        ) -> (Vec<(Key, Value)>, Vec<u32>) {
+            let slot_count = u32::try_from(2 * edges.len()).expect("slot offsets are u32");
+            // `offsets[i]..offsets[i + 1]` are the slots of live index `i`.
+            let mut offsets = vec![0u32; self.len() + 1];
+            for e in edges {
+                let (u, v) = e.ends();
+                offsets[self.index(u) as usize + 1] += 1;
+                offsets[self.index(v) as usize + 1] += 1;
+            }
+            let mut published = 0;
+            for i in 0..self.len() {
+                published += (offsets[i + 1] as usize).min(keep);
+                offsets[i + 1] += offsets[i];
+            }
+            let mut cursor = offsets.clone();
+            let mut slots = vec![(0u32, 0u32); slot_count as usize];
+            for (id, e) in edges.iter().enumerate() {
+                let (u, v) = e.ends();
+                for (at, neighbour) in [(u, v), (v, u)] {
+                    let next = &mut cursor[self.index(at) as usize];
+                    slots[*next as usize] = (neighbour, id as u32);
+                    *next += 1;
+                }
+            }
+            let slot_rank = |&(neighbour, id): &(u32, u32)| rank(neighbour, &edges[id as usize]);
+            let mut pairs = Vec::with_capacity(published);
+            let mut searchers = Vec::new();
+            for (i, &v) in self.vertices.iter().enumerate() {
+                let all = &mut slots[offsets[i] as usize..offsets[i + 1] as usize];
+                let kept = if all.len() > keep {
+                    all.select_nth_unstable_by_key(keep, slot_rank);
+                    let kept = &mut all[..keep];
+                    debug_assert!(
+                        (kept.iter().enumerate())
+                            .all(|(j, &(u, _))| u != v && kept[..j].iter().all(|&(w, _)| w != u)),
+                        "the kept slots of {v} repeat a neighbour: its list is not simple"
+                    );
+                    kept
+                } else {
+                    all
+                };
+                if kept.is_empty() {
+                    continue;
+                }
+                kept.sort_unstable_by_key(slot_rank);
+                searchers.push(v);
+                pairs.extend(kept.iter().enumerate().map(|(j, &(neighbour, id))| {
+                    (slot_key(v, j), slot_value(neighbour, &edges[id as usize]))
+                }));
+            }
+            (pairs, searchers)
         }
     }
 
@@ -425,6 +520,83 @@ mod tests {
         Value::pair(neighbour as u64, e.3 as u64)
     }
 
+    /// MSF's slot, `(weight, neighbour, original)`: the order its candidate
+    /// heap pops one vertex's entries in.
+    fn lightest(neighbour: u32, e: &Weighted) -> (u64, u32, u32) {
+        (e.2, neighbour, e.3)
+    }
+
+    /// [`lightest`]'s slot as MSF publishes it.
+    fn lightest_value((weight, neighbour, original): (u64, u32, u32)) -> Value {
+        encode_weighted_neighbor(neighbour, original, weight)
+    }
+
+    /// Connectivity's slot: the neighbour, the order a bounded BFS reads.
+    fn first(neighbour: u32, _: &Weighted) -> u32 {
+        neighbour
+    }
+
+    /// [`first`]'s slot as connectivity publishes it.
+    fn first_value(neighbour: u32) -> Value {
+        Value::scalar(neighbour as u64)
+    }
+
+    /// `live`'s adjacency over the simple edge list `edges`, streamed from
+    /// the edges as given, reversed, and sorted so that every vertex's slots
+    /// arrive in descending order — the heap's worst path, where each offer
+    /// to a full row replaces its root — equals the CSR + selection
+    /// kernel's: the same pairs, in the same order, and the same searchers.
+    /// `descending` orders the edges so, for `slot`; the test checks that it
+    /// does.
+    fn assert_streams_like_the_reference<S, K>(
+        live: &LiveSet,
+        edges: &[Weighted],
+        keep: usize,
+        slot: impl Fn(u32, &Weighted) -> S + Copy,
+        value: impl Fn(S) -> Value + Copy,
+        descending: impl Fn(&Weighted) -> K,
+    ) where
+        S: Ord + Copy + Default + std::fmt::Debug,
+        K: Ord,
+    {
+        let expected = live
+            .reference_adjacency_pairs(edges, keep, slot, adjacency_key, |u, e| value(slot(u, e)));
+        let reversed: Vec<Weighted> = edges.iter().rev().copied().collect();
+        let mut worst_first = edges.to_vec();
+        worst_first.sort_by_key(|e| std::cmp::Reverse(descending(e)));
+        let mut last: BTreeMap<u32, S> = BTreeMap::new();
+        for e in &worst_first {
+            for (at, neighbour) in [(e.0, e.1), (e.1, e.0)] {
+                let offered = slot(neighbour, e);
+                let earlier = last.insert(at, offered);
+                assert!(
+                    earlier.is_none_or(|earlier| offered < earlier),
+                    "{at}: {offered:?}"
+                );
+            }
+        }
+        for (order, edges) in [
+            ("given", edges),
+            ("reversed", &reversed),
+            ("worst first", &worst_first),
+        ] {
+            let streamed = live.adjacency_pairs(edges, keep, slot, adjacency_key, value);
+            assert_eq!(streamed, expected, "{order} order, keep {keep}");
+        }
+    }
+
+    /// [`assert_streams_like_the_reference`] under both drivers' slots.
+    fn assert_both_slots_stream_like_the_reference(
+        live: &LiveSet,
+        edges: &[Weighted],
+        keep: usize,
+    ) {
+        let ends = |e: &Weighted| (e.0.max(e.1), e.0.min(e.1));
+        assert_streams_like_the_reference(live, edges, keep, first, first_value, ends);
+        let by_weight = |e: &Weighted| (e.2, ends(e), e.3);
+        assert_streams_like_the_reference(live, edges, keep, lightest, lightest_value, by_weight);
+    }
+
     /// Per phase: raw `(endpoint, endpoint, weight)` edge picks and raw
     /// `(member, member)` union picks, both reduced modulo the live count —
     /// so self-loops, parallel edges and weight ties all occur.
@@ -463,9 +635,13 @@ mod tests {
 
                 // Every slot, in edge-list order (each slot's value names its
                 // edge), and the scatter walks the vertices in ascending order.
-                let by_edge = |_: u32, e: &Weighted| e.3;
-                let pairs = live.adjacency_pairs(&edges, usize::MAX, by_edge, adjacency_key, slot_value);
-                prop_assert_eq!(pairs, model_pairs(&before, &edges, usize::MAX, by_edge));
+                let by_edge = |neighbour: u32, e: &Weighted| (e.3, neighbour);
+                let as_pair = |(id, neighbour): (u32, u32)| {
+                    Value::pair(neighbour as u64, id as u64)
+                };
+                let pairs =
+                    live.adjacency_pairs(&edges, usize::MAX, by_edge, adjacency_key, as_pair);
+                prop_assert_eq!(pairs, model_pairs(&before, &edges, usize::MAX, |_, e| e.3));
 
                 // On the simple part of the graph, as MSF publishes it: each
                 // vertex's `keep` slots lowest by `(weight, neighbour,
@@ -474,8 +650,10 @@ mod tests {
                 let simple: Vec<Weighted> = (edges.iter().copied())
                     .filter(|&(u, v, ..)| u != v && seen.insert((u.min(v), u.max(v))))
                     .collect();
-                let lightest = |neighbour: u32, e: &Weighted| (e.2, neighbour, e.3);
-                let pairs = live.adjacency_pairs(&simple, keep, lightest, adjacency_key, slot_value);
+                let as_pair = |(_, neighbour, id): (u64, u32, u32)| {
+                    Value::pair(neighbour as u64, id as u64)
+                };
+                let pairs = live.adjacency_pairs(&simple, keep, lightest, adjacency_key, as_pair);
                 prop_assert_eq!(pairs, model_pairs(&before, &simple, keep, lightest));
 
                 let (next_live, next_labels, best) =
@@ -513,6 +691,37 @@ mod tests {
                 }
             }
         }
+
+        /// Phase after phase, on simple edge lists with weight ties over the
+        /// live set the earlier phases' contractions left: the streaming
+        /// kernel equals the CSR + selection kernel it replaced under both
+        /// drivers' slots, whatever order the edges come in, at every `keep`
+        /// up to 6 and with no cap.
+        #[test]
+        fn streamed_prefix_equals_the_csr_selection_in_any_edge_order(
+            n in 1usize..48,
+            phases in arbitrary_phases(),
+            keep in (1usize..8).prop_map(|keep| if keep == 7 { usize::MAX } else { keep }),
+        ) {
+            let mut live = LiveSet::all(n);
+            let mut labels: Vec<u32> = (0..n as u32).collect();
+            for (raw_edges, raw_unions) in phases {
+                let before: Vec<u32> = live.vertices.clone();
+                let pick = |raw: u32| before[raw as usize % before.len()];
+                let mut seen = BTreeSet::new();
+                let edges: Vec<Weighted> = (raw_edges.iter().zip(0u32..))
+                    .map(|(&(a, b, weight), id)| (pick(a), pick(b), weight, id))
+                    .filter(|&(u, v, ..)| u != v && seen.insert((u.min(v), u.max(v))))
+                    .collect();
+                assert_both_slots_stream_like_the_reference(&live, &edges, keep);
+
+                let mut uf = UnionFind::new(before.len());
+                for &(a, b) in &raw_unions {
+                    uf.union(live.index(pick(a)), live.index(pick(b)));
+                }
+                live.contract(&mut uf, &mut labels, edges);
+            }
+        }
     }
 
     /// What a phase publishes, on sparse graphs with edgeless vertices and
@@ -533,7 +742,7 @@ mod tests {
                     keep,
                     |neighbour, _| neighbour,
                     adjacency_key,
-                    |neighbour, _| Value::scalar(neighbour as u64),
+                    |neighbour| Value::scalar(neighbour as u64),
                 );
                 assert!(pairs.iter().all(|(key, _)| key.tag != KeyTag::Degree));
                 let mut slots: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
@@ -557,7 +766,7 @@ mod tests {
                     keep,
                     |neighbour, _| neighbour,
                     |v, _| adjacency_list_key(v),
-                    |neighbour, _| Value::scalar(neighbour as u64),
+                    |neighbour| Value::scalar(neighbour as u64),
                 );
                 let relisted: Vec<(Key, Value)> = (pairs.iter())
                     .map(|&(key, value)| (adjacency_list_key(key.a as u32), value))
@@ -637,6 +846,39 @@ mod tests {
                 assert_eq!(live.index(v), i as u32);
             }
             edges = contracted;
+        }
+    }
+
+    /// A large phase, three times over, as in
+    /// `contract_equals_the_comparison_sort_on_a_large_phase`: gnm with
+    /// n = 4 096 and m = 4n, shuffled, weights from four values, contracted
+    /// by random unions between phases.  At `keep` 1, 2, 15 and 255, under
+    /// both drivers' slots and in every edge order, the streaming kernel's
+    /// output is byte-identical to the CSR + selection kernel's.
+    #[test]
+    fn streamed_prefix_equals_the_csr_selection_on_a_large_phase() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let n = 4096;
+        let graph = ampc_graph::generators::erdos_renyi_gnm(n, 4 * n, 2019);
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut edges: Vec<Weighted> = (graph.edges().iter().zip(0u32..))
+            .map(|(e, original)| (e.u, e.v, rng.gen_range(0u64..4), original))
+            .collect();
+        let mut live = LiveSet::all(n);
+        let mut labels: Vec<u32> = (0..n as u32).collect();
+        for _ in 0..3 {
+            edges.shuffle(&mut rng);
+            for keep in [1, 2, 15, 255] {
+                assert_both_slots_stream_like_the_reference(&live, &edges, keep);
+            }
+            let k = live.len() as u32;
+            let mut uf = UnionFind::new(k as usize);
+            for _ in 0..k / 2 {
+                uf.union(rng.gen_range(0..k), rng.gen_range(0..k));
+            }
+            edges = live.contract(&mut uf, &mut labels, edges);
         }
     }
 

@@ -87,7 +87,9 @@ impl ContractEdge for ContractedEdge {
 /// The scatter publishing each live vertex's `keep` lightest edges of the
 /// contracted graph as the values of its list key, ranked by `(weight,
 /// neighbour, original)` — the candidate heap's order among one vertex's
-/// entries.  Also returns the live vertices with an edge, the only ones a
+/// entries.  That triple is the slot: the kernel keeps it as the edge
+/// streams past, ranks by it and publishes it, so it never reads the edge
+/// again.  Also returns the live vertices with an edge, the only ones a
 /// Prim from which selects one.
 fn weighted_adjacency_pairs(
     live: &LiveSet,
@@ -99,7 +101,7 @@ fn weighted_adjacency_pairs(
         keep,
         |neighbour, e| (e.weight, neighbour, e.original),
         |v, _| weighted_adjacency_list_key(v),
-        |neighbour, e| encode_weighted_neighbor(neighbour, e.original, e.weight),
+        |(weight, neighbour, original)| encode_weighted_neighbor(neighbour, original, weight),
     )
 }
 
