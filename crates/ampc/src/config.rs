@@ -116,8 +116,8 @@ pub struct AmpcConfig {
     pub epsilon: f64,
     /// Multiplier on the per-round budgets (the constants hidden in `O(S)`).
     pub budget_factor: f64,
-    /// Total space available, `T`.  Defaults to `Θ(N)` where `N` is the
-    /// input size; algorithms that need `Θ(N log N)` pass it explicitly.
+    /// Total space available, `T = Θ(N)` where `N` is the input size: set
+    /// by [`AmpcConfig::new`] and replaced by [`AmpcConfig::derive`].
     pub total_space: usize,
     /// Budget enforcement mode.
     pub budget_mode: BudgetMode,
@@ -191,12 +191,6 @@ impl AmpcConfig {
     /// Builder-style: set the budget mode.
     pub fn with_budget_mode(mut self, mode: BudgetMode) -> Self {
         self.budget_mode = mode;
-        self
-    }
-
-    /// Builder-style: set the total space `T`.
-    pub fn with_total_space(mut self, total: usize) -> Self {
-        self.total_space = total.max(1);
         self
     }
 
@@ -406,11 +400,9 @@ mod tests {
         let cfg = AmpcConfig::for_graph(100, 100, 0.5)
             .with_budget_factor(2.0)
             .with_budget_mode(BudgetMode::Strict)
-            .with_total_space(1000)
             .with_threads(3)
             .with_seed(99);
         assert_eq!(cfg.budget_mode, BudgetMode::Strict);
-        assert_eq!(cfg.total_space, 1000);
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.effective_threads(), 3);
         assert_eq!(cfg.seed, 99);

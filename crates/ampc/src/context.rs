@@ -25,28 +25,27 @@
 //! * per-machine randomness and the query/write accounting the model's
 //!   `O(S)` budgets are stated in.
 //!
-//! The context is generic over the [`SnapshotView`] it reads, and machine
-//! code cannot tell what serves it: the local shared-memory snapshot, a
-//! zero-copy epoch published by a channel owner thread, or a replica
-//! fetched over the `ampc_dds::proto` wire protocol from a socket-backed
-//! owner — the budget ledger and results are identical by construction on
-//! all of them.
+//! Machine code reads one [`Snapshot`], whatever serves it: the local
+//! shared-memory store frozen in place, a zero-copy epoch published by a
+//! channel owner thread, or a replica fetched over the `ampc_dds::proto`
+//! wire protocol from a socket-backed owner — the budget ledger and
+//! results are identical by construction on all of them.
 
 use crate::config::AmpcConfig;
-use ampc_dds::{Key, Snapshot, SnapshotView, Value};
+use ampc_dds::{Key, Snapshot, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Handle through which a machine interacts with the DDS during one round.
 ///
-/// Generic over the [`SnapshotView`] it reads from, so the same algorithm
-/// closure runs unchanged against any DDS backend; `V` defaults to the local
-/// [`Snapshot`] view.  Budget accounting lives here, *not* in the view —
-/// every backend debits queries identically by construction.
-pub struct MachineContext<V: SnapshotView = Snapshot> {
+/// It reads one [`Snapshot`] of `D_{round-1}`, whatever backend froze it,
+/// so the same algorithm closure runs unchanged against any DDS backend.
+/// Budget accounting lives here, *not* in the snapshot — every backend
+/// debits queries identically by construction.
+pub struct MachineContext {
     machine_id: usize,
     round: usize,
-    snapshot: V,
+    snapshot: Snapshot,
     writes: Vec<(Key, Value)>,
     queries: u64,
     budget: u64,
@@ -76,10 +75,15 @@ pub struct MachineContext<V: SnapshotView = Snapshot> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadTicket(usize);
 
-impl<V: SnapshotView> MachineContext<V> {
+impl MachineContext {
     /// Create the context for `machine_id` in `round`, reading from
     /// `snapshot` (the frozen `D_{round-1}`).
-    pub(crate) fn new(machine_id: usize, round: usize, snapshot: V, config: &AmpcConfig) -> Self {
+    pub(crate) fn new(
+        machine_id: usize,
+        round: usize,
+        snapshot: Snapshot,
+        config: &AmpcConfig,
+    ) -> Self {
         // Derive a per-(round, machine) RNG stream from the run seed so that
         // re-executing a failed machine reproduces its random choices — the
         // property the paper's fault-tolerance argument needs.
@@ -181,7 +185,7 @@ impl<V: SnapshotView> MachineContext<V> {
     /// one query — exactly what [`MachineContext::read`] would debit.
     ///
     /// The read is not flown yet: it coalesces with every other queued read
-    /// into a single [`SnapshotView::get_many_slice`] flight when a result
+    /// into a single [`Snapshot::get_many_slice`] flight when a result
     /// is first demanded ([`MachineContext::take_read`]), when the window
     /// fills ([`MachineContext::READ_WINDOW`] pending keys), or on an
     /// explicit [`MachineContext::flush_reads`].  Queued reads must

@@ -95,6 +95,4 @@ pub use stats::{RoundStats, RunStats};
 
 // Backend surface, re-exported so the `with_dds_backend!` macro (and
 // algorithm crates) can name everything through `ampc_runtime`.
-pub use ampc_dds::{
-    ChannelBackend, DdsBackend, LocalBackend, RemoteBackend, SnapshotView, TcpBackend,
-};
+pub use ampc_dds::{ChannelBackend, DdsBackend, LocalBackend, RemoteBackend, Snapshot, TcpBackend};

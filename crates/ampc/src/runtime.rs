@@ -17,7 +17,7 @@ use crate::context::MachineContext;
 use crate::error::AmpcError;
 use crate::fault::FaultPlan;
 use crate::stats::{RoundStats, RunStats};
-use ampc_dds::{DdsBackend, Key, LocalBackend, TcpBackend, Value};
+use ampc_dds::{DdsBackend, Key, LocalBackend, Snapshot, TcpBackend, Value};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -30,14 +30,14 @@ use std::time::Instant;
 /// [`crate::with_dds_backend!`] macro, which dispatches on
 /// [`crate::DdsBackendKind`]) to instantiate a specific one.  Everything the
 /// runtime observes — reads, multi-value order, budget accounting — is
-/// backend-independent by the [`ampc_dds::SnapshotView`] contract.
+/// backend-independent: every backend hands out the same [`Snapshot`].
 pub struct AmpcRuntime<B: DdsBackend = LocalBackend> {
     config: AmpcConfig,
     backend: B,
     stats: RunStats,
     fault_plan: FaultPlan,
     /// View of the most recently completed epoch (what the next round reads).
-    snapshot: B::View,
+    snapshot: Snapshot,
     /// Rounds executed so far (adaptive rounds + counted scatters).
     rounds_executed: usize,
 }
@@ -67,7 +67,8 @@ impl<B: DdsBackend> AmpcRuntime<B> {
     /// `ampc_dds::serve` process ([`crate::with_dds_backend!`] does this
     /// when [`AmpcConfig::remote_endpoint`] is set).
     pub fn from_backend(config: AmpcConfig, backend: B) -> Self {
-        let snapshot = backend.empty_view();
+        // `D_{-1}`: before any epoch completed, every lookup misses.
+        let snapshot = Snapshot::empty(backend.num_shards());
         AmpcRuntime {
             config,
             backend,
@@ -116,7 +117,7 @@ impl<B: DdsBackend> AmpcRuntime<B> {
     ///
     /// Algorithm drivers use this to extract results after their final
     /// round; it is also what the next round's machines will read.
-    pub fn snapshot(&self) -> B::View {
+    pub fn snapshot(&self) -> Snapshot {
         self.snapshot.clone()
     }
 
@@ -198,7 +199,7 @@ impl<B: DdsBackend> AmpcRuntime<B> {
     pub fn run_round<R, F>(&mut self, num_machines: usize, work: F) -> Result<Vec<R>, AmpcError>
     where
         R: Send,
-        F: Fn(&mut MachineContext<B::View>) -> R + Sync,
+        F: Fn(&mut MachineContext) -> R + Sync,
     {
         let started = Instant::now();
         let num_machines = num_machines.max(1);
@@ -452,7 +453,7 @@ macro_rules! with_dds_backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc_dds::{KeyTag, SnapshotView};
+    use ampc_dds::KeyTag;
 
     fn key(v: u64) -> Key {
         Key::of(KeyTag::Scalar, v)
@@ -781,6 +782,31 @@ mod tests {
     }
 
     #[test]
+    fn the_first_round_reads_an_empty_view_on_every_backend() {
+        // `D_{-1}` is the runtime's own empty snapshot whatever backend
+        // serves the later epochs: it has the configured shard count, every
+        // round-0 read misses, and each miss counts on it like any read.
+        for config in [
+            config(100),
+            config(100).with_backend(DdsBackendKind::Channel),
+            config(100).with_backend(DdsBackendKind::Remote),
+            config(100).with_cluster_owners(3).unwrap(),
+        ] {
+            let (shards, backend) = (config.num_shards(), config.backend);
+            crate::with_dds_backend!(config, |rt| {
+                let before = rt.snapshot();
+                assert_eq!(before.num_shards(), shards, "{backend:?}");
+                assert!(before.is_empty(), "{backend:?}");
+                let reads = rt
+                    .run_round(5, |ctx| ctx.read(key(ctx.machine_id() as u64)))
+                    .unwrap();
+                assert_eq!(reads, vec![None; 5], "{backend:?}");
+                assert_eq!(before.total_reads(), 5, "{backend:?}");
+            });
+        }
+    }
+
+    #[test]
     fn auto_batching_window_is_backend_independent_and_costs_like_point_reads() {
         use crate::config::DdsBackendKind;
         // The same round body, once issuing point reads and once queuing the
@@ -856,7 +882,6 @@ mod tests {
     #[test]
     fn dropped_and_retried_requests_leave_results_byte_identical() {
         use crate::config::DdsBackendKind;
-        use ampc_dds::SnapshotView;
         // The ROADMAP "dropped/retried requests" fault story: schedule the
         // transport to lose (and retry) one Commit and one Advance, and the
         // run must be byte-identical to an undisturbed one.  Epoch
@@ -918,21 +943,15 @@ mod tests {
 
     #[test]
     fn backend_panics_surface_as_typed_errors_at_the_round_boundary() {
-        use ampc_dds::Snapshot;
-
         /// A backend whose owner "dies" mid-commit, the way a transport
         /// failure panics out of the infallible `DdsBackend` surface.
         struct PanickyBackend;
         impl DdsBackend for PanickyBackend {
-            type View = Snapshot;
             fn with_shards(_: usize, _: usize) -> Self {
                 PanickyBackend
             }
             fn num_shards(&self) -> usize {
                 1
-            }
-            fn empty_view(&self) -> Snapshot {
-                Snapshot::empty(1)
             }
             fn commit_round(&mut self, _: Vec<Vec<(Key, Value)>>, _: usize) {
                 panic!("DDS transport failure: DDS owner 0 panicked: boom");

@@ -30,7 +30,7 @@
 //! future PRs have a trajectory to compare against.
 
 use ampc_algorithms::common::adjacency_pairs;
-use ampc_dds::{Key, KeyTag, ShardedStore, SnapshotView, Value};
+use ampc_dds::{Key, KeyTag, ShardedStore, Value};
 use ampc_graph::generators;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -25,7 +25,7 @@
 //!   both ends of a long run, and flights of consecutive values of that
 //!   run), the `read_latency_backends` section of the
 //!   same artifact;
-//! * [`serve_throughput`] — many-client throughput against the standalone
+//! * [`mod@serve_throughput`] — many-client throughput against the standalone
 //!   owner process, pipelined vs one-in-flight, the `serve_throughput`
 //!   section of the same artifact;
 //! * the `summary` binary (`cargo run -p ampc-bench --bin summary --release`)

@@ -3,17 +3,17 @@
 //!
 //! The AMPC model charges algorithms per adaptive query, so the DDS read
 //! path is the hot loop of every algorithm round.  This experiment probes
-//! the same frozen epoch through every [`SnapshotView`] read mode, on every
-//! shipped backend:
+//! the same frozen epoch through every [`ampc_dds::Snapshot`] read mode, on
+//! every shipped backend:
 //!
-//! * **point** — one [`SnapshotView::get`] per key, the model's plain
+//! * **point** — one [`ampc_dds::Snapshot::get`] per key, the model's plain
 //!   adaptive read.  On `ChannelBackend` this used to be a full channel
 //!   round-trip to the shard's owner thread; since the zero-copy epoch
 //!   publication it is a lock-free probe of the `Arc`-shared frozen maps,
 //!   which is exactly what this series quantifies.  On `TcpBackend` the
 //!   probe hits the replica fetched over the wire at advance time — the
 //!   `remote` series keeps that read path honest from day one.
-//! * **batched** — [`SnapshotView::get_many_slice`] flights of
+//! * **batched** — [`ampc_dds::Snapshot::get_many_slice`] flights of
 //!   [`FLIGHT`] keys, the explicit batching algorithms use when a whole key
 //!   set is in hand.  A flight overlaps its keys' cache misses, so it must
 //!   read faster per key than **point** does; CI fails the artifact where
@@ -21,13 +21,13 @@
 //! * **windowed** — the runtime's auto-batching window
 //!   (`MachineContext::queue_read` / `take_read`), timed through a real
 //!   single-machine round so the ticket bookkeeping is part of the cost.
-//! * **indexed-first** / **indexed-last** — [`SnapshotView::get_indexed`]
+//! * **indexed-first** / **indexed-last** — [`ampc_dds::Snapshot::get_indexed`]
 //!   at index 0 and at the last index of one [`RUN`]-value run, in an epoch
 //!   of the same keys plus the run.  An indexed read finds the run's start
 //!   and checks one slot, so the last index must cost about what the first
 //!   does; CI fails the artifact where it costs twice as much, as it would
 //!   if the read walked the run.
-//! * **indexed-run** — [`SnapshotView::get_indexed_slice`] flights of
+//! * **indexed-run** — [`ampc_dds::Snapshot::get_indexed_slice`] flights of
 //!   [`RUN_FLIGHT`] consecutive values of the same run, in ns per value: the
 //!   read connectivity and MSF make of a vertex's list key.  A flight is one
 //!   lookup and a copy, so a value must cost less than a key of a
@@ -40,9 +40,7 @@
 //! requires within 2× of each other.
 
 use crate::commit::workload;
-use ampc_dds::{
-    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, SnapshotView, TcpBackend, Value,
-};
+use ampc_dds::{ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, TcpBackend, Value};
 use ampc_runtime::{AmpcConfig, AmpcRuntime, ReadTicket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,6 +1,6 @@
 //! Many-client serve-path throughput: pipelined vs one-in-flight.
 //!
-//! The standalone owner process ([`ampc_dds::serve`]) is the deployment
+//! The standalone owner process ([`mod@ampc_dds::serve`]) is the deployment
 //! shape the paper assumes — a DHT-like store serving every machine's
 //! write-side traffic.  Since the transport split, that path is
 //! *pipelined*: a client may keep a window of requests in flight per

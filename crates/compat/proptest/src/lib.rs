@@ -246,7 +246,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`fn@vec`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

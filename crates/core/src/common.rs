@@ -56,11 +56,6 @@ pub fn round_robin_assign<T: Clone>(items: &[T], machines: usize) -> Vec<Vec<T>>
     buckets
 }
 
-/// Number of machines that gives each machine roughly `per_machine` items.
-pub fn machines_for(items: usize, per_machine: usize) -> usize {
-    items.div_ceil(per_machine.max(1)).max(1)
-}
-
 /// DDS key for the degree of vertex `v` in the currently published graph.
 ///
 /// Only MIS and full-list publications ([`adjacency_pairs`]) write it.  A
@@ -170,14 +165,6 @@ mod tests {
         let buckets = round_robin_assign(&[1, 2, 3], 0);
         assert_eq!(buckets.len(), 1);
         assert_eq!(buckets[0], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn machines_for_rounds_up() {
-        assert_eq!(machines_for(100, 10), 10);
-        assert_eq!(machines_for(101, 10), 11);
-        assert_eq!(machines_for(0, 10), 1);
-        assert_eq!(machines_for(5, 0), 5);
     }
 
     #[test]

@@ -49,9 +49,7 @@ use crate::common::{adjacency_list_key, round_robin_assign, AlgorithmResult};
 use crate::contract::{phase_budgets, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind};
-use ampc_runtime::{
-    with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
-};
+use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,8 +84,8 @@ struct BfsScratch {
 /// (each batch is clamped to the `d - order.len()` discoveries still
 /// acceptable, so the waste per BFS is less than one batch per expanded
 /// vertex).
-fn bounded_bfs<V: SnapshotView>(
-    ctx: &mut MachineContext<V>,
+fn bounded_bfs(
+    ctx: &mut MachineContext,
     scratch: &mut BfsScratch,
     v: u32,
     d: usize,
@@ -294,7 +292,6 @@ fn connectivity_impl<B: DdsBackend>(
 mod tests {
     use super::*;
     use crate::common::{adjacency_key, adjacency_pairs, degree_key, per_slot_keys};
-    use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential, Edge};
 
     /// `search` from every vertex of `graph` in turn, on one machine with one
@@ -302,7 +299,7 @@ mod tests {
     fn from_every_vertex<T: Send>(
         graph: &Graph,
         pairs: Vec<(Key, Value)>,
-        search: impl Fn(&mut MachineContext<Snapshot>, &mut BfsScratch, u32) -> T + Sync,
+        search: impl Fn(&mut MachineContext, &mut BfsScratch, u32) -> T + Sync,
     ) -> Vec<T> {
         let n = graph.num_vertices();
         let config = AmpcConfig::for_graph(n, graph.num_edges(), 0.5).with_seed(5);
@@ -347,8 +344,8 @@ mod tests {
     /// [`bounded_bfs`] as it was while a phase published a key per slot,
     /// kept as its reference: each flight is a [`MachineContext::read_many_slice`]
     /// of slot keys, clamped as [`bounded_bfs`] clamps its flights.
-    fn per_slot_bfs<V: SnapshotView>(
-        ctx: &mut MachineContext<V>,
+    fn per_slot_bfs(
+        ctx: &mut MachineContext,
         scratch: &mut BfsScratch,
         v: u32,
         d: usize,
@@ -406,8 +403,8 @@ mod tests {
     /// [`bounded_bfs`] as it was while a phase published counts, kept as its
     /// reference: one read of `x`'s count under [`degree_key`], then flights
     /// of its slots up to the count.
-    fn count_first_bfs<V: SnapshotView>(
-        ctx: &mut MachineContext<V>,
+    fn count_first_bfs(
+        ctx: &mut MachineContext,
         scratch: &mut BfsScratch,
         v: u32,
         d: usize,
@@ -468,12 +465,12 @@ mod tests {
     }
 
     /// A bounded BFS: the list-key one or a reference.
-    type Search<V> = fn(&mut MachineContext<V>, &mut BfsScratch, u32, usize, u64) -> Vec<u32>;
+    type Search = fn(&mut MachineContext, &mut BfsScratch, u32, usize, u64) -> Vec<u32>;
 
     /// The ball `search` returns and the queries it issued.
-    fn ball_and_queries<V: SnapshotView>(
-        search: Search<V>,
-        ctx: &mut MachineContext<V>,
+    fn ball_and_queries(
+        search: Search,
+        ctx: &mut MachineContext,
         scratch: &mut BfsScratch,
         v: u32,
         d: usize,
@@ -607,7 +604,7 @@ mod tests {
         let star: Vec<Edge> = (1..=leaves).map(|leaf| Edge::new(0, leaf)).collect();
         let graph = Graph::from_edges(leaves as usize + 1, &star);
         let d = 4;
-        let from_centre = |pairs, search: Search<Snapshot>| {
+        let from_centre = |pairs, search: Search| {
             from_every_vertex(&graph, pairs, |ctx, scratch, v| {
                 search(ctx, scratch, v, d, u64::MAX)
             })

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | §4 2-Cycle | [`shrink`] | `O(1/ε)` |
 //! | §5 Maximal independent set | [`mis`] | `O(1/ε)` |
-//! | §6 Connectivity | [`connectivity`] | `O(log log_{m/n} n + 1/ε)` |
+//! | §6 Connectivity | [`mod@connectivity`] | `O(log log_{m/n} n + 1/ε)` |
 //! | §7 Minimum spanning forest | [`msf`] | `O(log log_{m/n} n + 1/ε)` |
 //! | §8 Forest connectivity / list ranking / tree ops | [`forest`], [`listrank`], [`euler`] | `O(1/ε)` |
 //! | §9 2-edge connectivity | [`two_edge`] | `O(log log_{m/n} n)` |

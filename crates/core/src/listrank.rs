@@ -31,9 +31,7 @@
 
 use crate::common::{round_robin_assign, AlgorithmResult};
 use ampc_dds::{Key, KeyTag, Value};
-use ampc_runtime::{
-    with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
-};
+use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,13 +98,13 @@ impl Level {
 /// # Panics
 /// If the walk takes more than `limit` hops, which only a successor cycle
 /// can cause; the driver rejects those before the first round.
-fn walk<V: SnapshotView>(
-    ctx: &mut MachineContext<V>,
+fn walk(
+    ctx: &mut MachineContext,
     v: u32,
     limit: usize,
     mut skip: impl FnMut(u32, u64),
 ) -> Option<(u64, u32)> {
-    let read = |ctx: &mut MachineContext<V>, u: u32| {
+    let read = |ctx: &mut MachineContext, u: u32| {
         unpack(ctx.read(successor_key(u)).expect("record missing"))
     };
     let (mut cur, own_weight, _) = read(ctx, v);

@@ -19,9 +19,7 @@
 use crate::common::{adjacency_key, degree_key, round_robin_assign, AlgorithmResult};
 use ampc_dds::{FxHashMap, Key, KeyTag, Value};
 use ampc_graph::{permutation, Graph};
-use ampc_runtime::{
-    with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
-};
+use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
 
 fn priority_key(v: u32) -> Key {
     Key::of(KeyTag::Priority, v as u64)
@@ -57,8 +55,8 @@ const MIS_READ_BATCH: usize = 4;
 /// slots the probe never reaches still count in the *machine-level* query
 /// statistics — that bounded over-read (< [`MIS_READ_BATCH`] per probe) is
 /// the price of the batch and is why the batch is small.
-fn truncated_query<V: SnapshotView>(
-    ctx: &mut MachineContext<V>,
+fn truncated_query(
+    ctx: &mut MachineContext,
     v: u32,
     budget: &mut i64,
     memo: &mut FxHashMap<u32, Probe>,

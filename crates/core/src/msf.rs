@@ -45,9 +45,7 @@ use crate::common::{
 use crate::contract::{phase_budgets, ContractEdge, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind, WeightedEdge};
-use ampc_runtime::{
-    with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
-};
+use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
 use std::collections::BinaryHeap;
 
 /// Output of the minimum spanning forest algorithm.
@@ -143,8 +141,8 @@ struct PrimScratch {
 /// vertices are, each for at most `d − 1` slot reads of a phase's
 /// publication: at most `(d − 1)²` reads, below the driver's
 /// `query_cap ≥ d²`, which therefore never binds in a phase.
-fn local_prim<V: SnapshotView>(
-    ctx: &mut MachineContext<V>,
+fn local_prim(
+    ctx: &mut MachineContext,
     scratch: &mut PrimScratch,
     v: u32,
     d: usize,
@@ -156,7 +154,7 @@ fn local_prim<V: SnapshotView>(
     in_tree.clear();
     let start_queries = ctx.queries_issued();
 
-    let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
+    let expand = |x: u32, ctx: &mut MachineContext, heap: &mut CandidateHeap| {
         let list = weighted_adjacency_list_key(x);
         let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
         let mut next_slot = 0usize;
@@ -384,7 +382,6 @@ fn msf_impl<B: DdsBackend>(
 mod tests {
     use super::*;
     use crate::common::{degree_key, per_slot_keys, weighted_adjacency_key};
-    use ampc_dds::Snapshot;
     use ampc_graph::{generators, sequential};
 
     fn weighted(n: usize, extra: usize, seed: u64) -> Graph {
@@ -466,8 +463,8 @@ mod tests {
     }
 
     /// [`local_prim`] into a fresh buffer: the edges one start selects.
-    fn prim<V: SnapshotView>(
-        ctx: &mut MachineContext<V>,
+    fn prim(
+        ctx: &mut MachineContext,
         scratch: &mut PrimScratch,
         v: u32,
         d: usize,
@@ -483,8 +480,8 @@ mod tests {
     /// cap checked before every read, up to the first absent slot or slot
     /// `d − 1`; like [`local_prim`], it does not expand the vertex that fills
     /// the tree.
-    fn reference_prim<V: ampc_runtime::SnapshotView>(
-        ctx: &mut MachineContext<V>,
+    fn reference_prim(
+        ctx: &mut MachineContext,
         v: u32,
         d: usize,
         query_cap: u64,
@@ -493,7 +490,7 @@ mod tests {
         let mut in_tree: FxHashSet<u32> = FxHashSet::default();
         let mut selected: Vec<(u32, u32, u32)> = Vec::new();
         let start_queries = ctx.queries_issued();
-        let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut BinaryHeap<_>| {
+        let expand = |x: u32, ctx: &mut MachineContext, heap: &mut BinaryHeap<_>| {
             for i in 0..d - 1 {
                 if ctx.queries_issued() - start_queries >= query_cap {
                     return;
@@ -529,8 +526,8 @@ mod tests {
     /// [`local_prim`] as it was while a phase published a key per slot, kept
     /// as its reference: each flight is a [`MachineContext::read_many_slice`]
     /// of slot keys, clamped as [`local_prim`] clamps its flights.
-    fn per_slot_prim<V: SnapshotView>(
-        ctx: &mut MachineContext<V>,
+    fn per_slot_prim(
+        ctx: &mut MachineContext,
         scratch: &mut PrimScratch,
         v: u32,
         d: usize,
@@ -541,7 +538,7 @@ mod tests {
         in_tree.clear();
         let mut selected: Vec<(u32, u32, u32)> = Vec::new();
         let start_queries = ctx.queries_issued();
-        let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
+        let expand = |x: u32, ctx: &mut MachineContext, heap: &mut CandidateHeap| {
             let mut keys: [Key; PRIM_READ_BATCH] = [weighted_adjacency_key(0, 0); PRIM_READ_BATCH];
             let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
             let mut next_slot = 0usize;
@@ -587,8 +584,8 @@ mod tests {
     /// [`local_prim`] as it was while a phase published counts, kept as its
     /// reference: one read of `x`'s count under [`degree_key`], then flights
     /// of its slots up to the count.
-    fn count_first_prim<V: SnapshotView>(
-        ctx: &mut MachineContext<V>,
+    fn count_first_prim(
+        ctx: &mut MachineContext,
         scratch: &mut PrimScratch,
         v: u32,
         d: usize,
@@ -599,7 +596,7 @@ mod tests {
         in_tree.clear();
         let mut selected: Vec<(u32, u32, u32)> = Vec::new();
         let start_queries = ctx.queries_issued();
-        let expand = |x: u32, ctx: &mut MachineContext<V>, heap: &mut CandidateHeap| {
+        let expand = |x: u32, ctx: &mut MachineContext, heap: &mut CandidateHeap| {
             let Some(deg) = ctx.read(degree_key(x)).map(|d| d.x as usize) else {
                 return;
             };
@@ -696,7 +693,7 @@ mod tests {
     fn from_every_vertex<T: Send>(
         n: u32,
         pairs: Vec<(Key, Value)>,
-        search: impl Fn(&mut MachineContext<Snapshot>, &mut PrimScratch, u32) -> T + Sync,
+        search: impl Fn(&mut MachineContext, &mut PrimScratch, u32) -> T + Sync,
     ) -> Vec<T> {
         let config = AmpcConfig::for_graph(n as usize, pairs.len(), 0.5).with_seed(5);
         let mut runtime = AmpcRuntime::new(config);

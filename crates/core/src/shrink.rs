@@ -30,9 +30,7 @@
 use crate::common::AlgorithmResult;
 use ampc_dds::{FxHashMap, FxHashSet, Key, KeyTag, Value};
 use ampc_graph::{canonicalize_labels, Graph};
-use ampc_runtime::{
-    with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext, SnapshotView,
-};
+use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,8 +92,8 @@ struct Traversal {
 /// where the walk ended: the first sampled vertex met, or `start` when the
 /// walk wrapped around the cycle (or took `limit` steps, which a well-formed
 /// cycle never needs).
-fn walk<V: SnapshotView>(
-    ctx: &mut MachineContext<V>,
+fn walk(
+    ctx: &mut MachineContext,
     start: u32,
     first: u32,
     limit: usize,
@@ -131,7 +129,7 @@ fn walk<V: SnapshotView>(
 
 /// The bidirectional traversal of sampled vertex `v`: one [`walk`] per
 /// direction, or one only, when the first wraps the whole cycle.
-fn traverse<V: SnapshotView>(ctx: &mut MachineContext<V>, v: u32, limit: usize) -> Traversal {
+fn traverse(ctx: &mut MachineContext, v: u32, limit: usize) -> Traversal {
     let nbrs = ctx
         .read(cycle_key(v))
         .expect("sampled vertex missing adjacency");
@@ -287,7 +285,7 @@ fn count_cycles(nbrs: &CycleNeighbors) -> usize {
 /// Algorithm 10, step 3, for vertex `v`: walk one direction of its cycle
 /// until a vertex of smaller priority, which becomes `v`'s parent, or a wrap,
 /// which makes `v` its cycle's minimum and its own parent.
-fn elect<V: SnapshotView>(ctx: &mut MachineContext<V>, v: u32, limit: usize) -> u32 {
+fn elect(ctx: &mut MachineContext, v: u32, limit: usize) -> u32 {
     let my_priority = ctx.read(priority_key(v)).expect("priority missing").x;
     let nbrs = ctx.read(cycle_key(v)).expect("cycle adjacency missing");
     let mut prev = v;

@@ -1,4 +1,5 @@
-//! Pluggable DDS backends: the `SnapshotView` / `DdsBackend` trait pair.
+//! Pluggable DDS backends: the [`DdsBackend`] trait and the one view type
+//! every backend serves, [`Snapshot`].
 //!
 //! The AMPC model is defined against an *abstract* distributed data store:
 //! machines write constant-size pairs into `D_i` and read adaptively from
@@ -8,18 +9,18 @@
 //! implementation.  This module makes the store surface explicit so the
 //! runtime (and every algorithm above it) is provably backend-independent:
 //!
-//! * [`SnapshotView`] — the *read* surface of a frozen epoch: exactly the
+//! * [`Snapshot`] — the *read* surface of a frozen epoch: exactly the
 //!   operations the model grants a machine in round `i` against `D_{i-1}`
 //!   (point lookups, indexed multi-value lookups one at a time or a run of
 //!   them, multiplicities, batched lookups), plus the read accounting the
 //!   contention analysis observes.
 //! * [`DdsBackend`] — the *lifecycle* surface the runtime drives: commit the
 //!   ordered write batches of a round, advance the epoch, hand out the new
-//!   epoch's view.
+//!   epoch's snapshot.
 //!
-//! One view, one wire client, N owners.  [`crate::Snapshot`] is the only
-//! [`SnapshotView`] — whatever backend froze the epoch, machines read the
-//! same type through the same code — and two [`DdsBackend`]s produce it:
+//! One view, one wire client, N owners.  Whatever backend froze the epoch,
+//! machines read the same [`Snapshot`] through the same code, and two
+//! [`DdsBackend`]s produce it:
 //!
 //! * [`LocalBackend`] — the compact sharded store ([`crate::ShardedStore`],
 //!   frozen into a [`Snapshot`] at every advance), shared-memory and
@@ -45,89 +46,18 @@
 
 use crate::key::{Key, Value};
 use crate::snapshot::Snapshot;
-use crate::stats::{ShardLoad, StoreStats};
 use crate::store::{partition_by_shard, ShardedStore};
 use crate::transport::RequestFaults;
-
-/// Read-only view of a completed epoch (`D_{i-1}` as seen from round `i`).
-///
-/// The operations mirror the model exactly: every lookup is a query against
-/// one shard ("DDS machine"), batched lookups cost one query per key, and
-/// the per-shard read counters feed the Lemma 2.1 contention accounting.
-/// Cloning a view must be cheap (handles, not data) — the runtime clones it
-/// once per virtual machine per round.
-pub trait SnapshotView: Clone + Send + Sync + 'static {
-    /// Number of shards ("DDS machines") behind this view.
-    fn num_shards(&self) -> usize;
-
-    /// First value stored under `key`, if any.  Counts as one query.
-    fn get(&self, key: &Key) -> Option<Value>;
-
-    /// The `index`-th value stored under `key` (zero-based).  Counts as one
-    /// query.
-    fn get_indexed(&self, key: &Key, index: usize) -> Option<Value>;
-
-    /// Values `start..start + out.len()` stored under `key` into `out`,
-    /// `None` past the last, in one lookup.  Counts as `out.len()` queries —
-    /// identical budget semantics to calling [`SnapshotView::get_indexed`]
-    /// once per index — all on `key`'s shard.
-    fn get_indexed_slice(&self, key: &Key, start: usize, out: &mut [Option<Value>]);
-
-    /// All values stored under `key` (empty if absent).  Counts as
-    /// `multiplicity(key).max(1)` queries.
-    fn get_all(&self, key: &Key) -> Vec<Value>;
-
-    /// Number of values stored under `key`.  Counts as one query.
-    fn multiplicity(&self, key: &Key) -> usize;
-
-    /// Number of distinct keys in the view (not a model operation; driver
-    /// and test bookkeeping only, not counted as a query).
-    fn len(&self) -> usize;
-
-    /// `true` if the view holds no keys.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Look up `keys[i]` into `out[i]` for every `i`, in one batched flight.
-    /// Counts as `keys.len()` queries — identical budget semantics to
-    /// calling [`SnapshotView::get`] once per key.
-    ///
-    /// # Panics
-    /// If `out` is shorter than `keys`.
-    fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]);
-
-    /// Total queries served by this view so far.
-    fn total_reads(&self) -> u64;
-
-    /// Per-shard loads (keys held, historical writes, reads served so far).
-    fn shard_loads(&self) -> Vec<ShardLoad>;
-
-    /// Aggregate statistics over all shards.
-    fn stats(&self) -> StoreStats {
-        StoreStats::from_loads(self.shard_loads())
-    }
-
-    /// Every `(key, values)` pair held by the view.
-    ///
-    /// *Not* an AMPC-model operation (machines can only do point lookups);
-    /// it exists for drivers and tests, is not counted as queries, and comes
-    /// back in no particular order.
-    fn entries(&self) -> Vec<(Key, Vec<Value>)>;
-}
 
 /// The lifecycle surface of a DDS implementation, as driven by the runtime.
 ///
 /// A backend owns the chain of epoch stores `D_0, D_1, …`: the runtime
 /// commits each round's ordered write batches, advances the epoch, and hands
-/// the returned [`SnapshotView`] to the next round's machines.  Per-key
+/// the returned [`Snapshot`] to the next round's machines.  Per-key
 /// multi-value order is the concatenation order of the committed batches
 /// (for the runtime: machine id, then write order) — every backend must
 /// preserve it, which is what the cross-backend determinism tests pin down.
 pub trait DdsBackend: Send + 'static {
-    /// The read view this backend serves for completed epochs.
-    type View: SnapshotView;
-
     /// Create a backend with `num_shards` shards.  `threads` caps whatever
     /// internal parallelism the backend uses (commit workers for
     /// [`LocalBackend`], owner threads for [`crate::ChannelBackend`]).
@@ -136,10 +66,6 @@ pub trait DdsBackend: Send + 'static {
     /// Number of shards ("DDS machines").
     fn num_shards(&self) -> usize;
 
-    /// A view of the state before any epoch completed (`D_{-1}`): empty,
-    /// every lookup misses.
-    fn empty_view(&self) -> Self::View;
-
     /// Commit ordered write batches into the current epoch's store.
     /// `threads` caps the commit parallelism; the observable result must be
     /// independent of it.
@@ -147,7 +73,7 @@ pub trait DdsBackend: Send + 'static {
 
     /// Freeze the current epoch and open the next one, returning the view of
     /// the epoch that just completed.
-    fn advance(&mut self, threads: usize) -> Self::View;
+    fn advance(&mut self, threads: usize) -> Snapshot;
 
     /// Number of completed epochs.
     fn completed_epochs(&self) -> usize;
@@ -207,8 +133,6 @@ pub struct LocalBackend {
 }
 
 impl DdsBackend for LocalBackend {
-    type View = Snapshot;
-
     fn with_shards(num_shards: usize, _threads: usize) -> Self {
         LocalBackend {
             current: ShardedStore::new(num_shards),
@@ -219,10 +143,6 @@ impl DdsBackend for LocalBackend {
 
     fn num_shards(&self) -> usize {
         self.current.num_shards()
-    }
-
-    fn empty_view(&self) -> Snapshot {
-        Snapshot::empty(self.num_shards())
     }
 
     /// Partition the ordered batches by shard on up to `threads` workers
@@ -272,7 +192,7 @@ mod tests {
         let mut backend = B::with_shards(4, 2);
         assert_eq!(backend.num_shards(), 4);
         assert_eq!(backend.completed_epochs(), 0);
-        let empty = backend.empty_view();
+        let empty = Snapshot::empty(backend.num_shards());
         assert!(empty.is_empty());
         assert_eq!(empty.get(&k(1)), None);
 
@@ -354,12 +274,10 @@ mod tests {
         let view = backend.advance(1);
         let keys: Vec<Key> = (0..80u64).map(k).collect();
         let mut batched = vec![None; keys.len()];
-        SnapshotView::get_many_slice(&view, &keys, &mut batched);
-        let individual: Vec<Option<Value>> = keys
-            .iter()
-            .map(|key| SnapshotView::get(&view, key))
-            .collect();
+        Snapshot::get_many_slice(&view, &keys, &mut batched);
+        let individual: Vec<Option<Value>> =
+            keys.iter().map(|key| Snapshot::get(&view, key)).collect();
         assert_eq!(batched, individual);
-        assert_eq!(SnapshotView::total_reads(&view), 160);
+        assert_eq!(Snapshot::total_reads(&view), 160);
     }
 }

@@ -1,7 +1,7 @@
 //! Cluster topology: connecting [`TcpBackend`] to one serving process or to
 //! a cluster of them, or spawning a cluster of its own.
 //!
-//! [`crate::serve`] scales one owner *process* to many concurrent clients;
+//! [`mod@crate::serve`] scales one owner *process* to many concurrent clients;
 //! a cluster scales the store itself to many owners, each owning one
 //! **contiguous range** of the shard space, and the ordinary wire client
 //! ([`crate::RemoteBackend`]) with one connection per owner — `N = 1` is
@@ -227,7 +227,7 @@ fn validated_shard_map(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DdsBackend, SnapshotView};
+    use crate::backend::DdsBackend;
     use crate::key::{Key, KeyTag, Value};
     use crate::proto::OwnerSlice;
     use crate::proto::RequestKind;

@@ -21,8 +21,8 @@
 //!   the snapshot of `D_{i-1}`; the snapshot never changes while a round is
 //!   in flight, which is exactly the property the paper's fault-tolerance
 //!   argument relies on.
-//! * [`backend`] — the [`SnapshotView`] / [`DdsBackend`] trait pair that
-//!   makes the store surface pluggable.  There is one view, one wire
+//! * [`backend`] — the [`DdsBackend`] trait that makes the store
+//!   pluggable behind the one view type.  There is one view, one wire
 //!   client, and any number of owners: [`LocalBackend`] freezes the store
 //!   above at every advance (one group, in process), and [`RemoteBackend`]
 //!   is the only client of the message-passing wire protocol (see below) —
@@ -118,7 +118,7 @@
 //!   `RemoteBackend<MpscTransport>`, [`TcpBackend`] is
 //!   `RemoteBackend<TcpTransport>`, and the conformance + determinism
 //!   suites hold both (and [`LocalBackend`]) to byte-identical behaviour.
-//! * [`serve`] — the standalone owner *process*: [`DdsServer`] accepts any
+//! * [`mod@serve`] — the standalone owner *process*: [`DdsServer`] accepts any
 //!   number of concurrent leased [`TcpBackend`] clients, each
 //!   `(session, worker)` pair served by its own isolated owner
 //!   (`quickstart --serve` / `--connect` runs it end to end).
@@ -153,7 +153,7 @@
 //! counts down against a connected client, even one whose pipelined
 //! replies are still being flushed.  A reconnect that finds its session
 //! reclaimed surfaces as the typed [`TransportError::LeaseLost`].  The
-//! full state machine is drawn in [`serve`], the client policy and
+//! full state machine is drawn in [`mod@serve`], the client policy and
 //! pipelining semantics in [`transport`]; `tests/reconnect.rs` proves
 //! mid-round severs — including severs with a full pipeline outstanding —
 //! heal byte-identically across thread counts.
@@ -245,13 +245,17 @@ pub mod stats;
 pub mod store;
 pub mod transport;
 
-pub use backend::{DdsBackend, LocalBackend, SnapshotView};
+pub use backend::{DdsBackend, LocalBackend};
 pub use contention::{simulate_balls_into_bins, BallsInBinsReport};
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use key::{Key, KeyTag, Value};
 pub use remote::{owner_range, ChannelBackend, RemoteBackend, TcpBackend};
 pub use serve::{serve, serve_cluster, ClusterRole, DdsServer};
 pub use snapshot::{FrozenEpoch, Snapshot};
+// The benchmark package imports the read surface under its old trait name;
+// the next change to the benchmark drops that import and this alias.
+#[doc(hidden)]
+pub use snapshot::Snapshot as SnapshotView;
 pub use stats::{ShardLoad, StoreStats};
 pub use store::{default_parallelism, ShardedStore};
 pub use transport::{

@@ -1,15 +1,14 @@
 //! The DDS backend wire protocol: serializable requests, replies and frames.
 //!
-//! [`crate::ChannelBackend`] deliberately shrank the write-side backend
-//! surface to a handful of message types so that a multi-process deployment
-//! could speak it over a network.  This module promotes that protocol to a
-//! first-class, *wire-level* API:
+//! The write side of every message-passing backend is a handful of message
+//! types — commits, epoch advances, the driver's audits and the session
+//! lease — which one client ([`crate::RemoteBackend`]) speaks to its owners
+//! over any transport, in-process channels and sockets alike:
 //!
-//! * [`Request`] / [`Reply`] — the owner protocol as plain data.  Unlike the
-//!   old private `enum Request` in `channel.rs`, no variant carries a reply
-//!   channel: every request is answered by exactly one reply, and the
-//!   pairing is positional (FIFO per connection), exactly like a
-//!   length-prefixed RPC stream.
+//! * [`Request`] / [`Reply`] — the owner protocol as plain data.  No
+//!   variant carries a reply channel: every request is answered by exactly
+//!   one reply, and the pairing is positional (FIFO per connection),
+//!   exactly like a length-prefixed RPC stream.
 //! * [`encode_request`] / [`decode_request`] and [`encode_reply`] /
 //!   [`decode_reply`] — the byte codec, built on a constant-size pair
 //!   encoding (20-byte keys, 16-byte values).  Every

@@ -34,12 +34,12 @@
 //! fan-out, reply collection, failure harvesting — is one code path.
 //!
 //! Either way, a round's reads resolve **locally and lock-free**: every
-//! transport answers an advance with a ready-to-read [`FrozenEpoch`], and
-//! every advance returns a plain [`Snapshot`] holding one per owner (shared
-//! or replicated — neither this client nor machine code can tell).  Only the
-//! write-side protocol (`Commit`, `Advance` or the barrier pair) and the
-//! driver-side requests (`Loads`, `Dump`, `TotalWrites`) cross the
-//! transport.
+//! transport answers an advance with a ready-to-read
+//! [`crate::FrozenEpoch`], and every advance returns a plain [`Snapshot`]
+//! holding one per owner (shared or replicated — neither this client nor
+//! machine code can tell).  Only the write-side protocol (`Commit`,
+//! `Advance` or the barrier pair) and the driver-side requests (`Loads`,
+//! `Dump`, `TotalWrites`) cross the transport.
 //!
 //! Owner failures surface as typed [`TransportError`]s: every send and
 //! receive goes through one harvest, which joins the dead owner's thread
@@ -436,7 +436,7 @@ impl<T: Transport> RemoteBackend<T> {
     /// against client-side replicas, so the owner's read counters stay at
     /// zero there; on shared-memory transports owner and views count in the
     /// same atomics.  Views therefore serve
-    /// [`crate::SnapshotView::shard_loads`] from their own epoch data; this
+    /// [`Snapshot::shard_loads`] from their own epoch data; this
     /// request exists for drivers and tests that audit the owner side.
     pub fn epoch_loads(&mut self, epoch: usize) -> Result<Vec<ShardLoad>, TransportError> {
         let per_owner = self.broadcast(Request::Loads { epoch }, |owner, reply| {
@@ -483,18 +483,12 @@ pub(crate) fn expect_transport<V>(result: Result<V, TransportError>) -> V {
 }
 
 impl<T: Transport> DdsBackend for RemoteBackend<T> {
-    type View = Snapshot;
-
     fn with_shards(num_shards: usize, threads: usize) -> Self {
         RemoteBackend::new(num_shards, threads)
     }
 
     fn num_shards(&self) -> usize {
         self.routing.num_shards()
-    }
-
-    fn empty_view(&self) -> Snapshot {
-        Snapshot::empty(self.routing.num_shards())
     }
 
     fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
@@ -565,7 +559,6 @@ impl<T: Transport> std::fmt::Debug for RemoteBackend<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SnapshotView;
     use crate::key::KeyTag;
 
     fn k(a: u64) -> Key {
@@ -681,7 +674,7 @@ mod tests {
     #[test]
     fn empty_view_misses_and_counts() {
         let backend = ChannelBackend::new(4, 2);
-        let view = backend.empty_view();
+        let view = Snapshot::empty(backend.num_shards());
         assert!(view.is_empty());
         assert_eq!(view.num_shards(), 4);
         assert_eq!(view.get(&k(1)), None);

@@ -17,9 +17,9 @@
 //! Every client connection opens with a [`crate::proto::Request::Lease`]
 //! naming `(session, worker)` plus the client's routing topology.  The
 //! acceptor routes the connection to the per-`(session, worker)` owner —
-//! spawning a fresh [`crate::remote::Worker`] for new coordinates, derived
-//! from the announced topology — so concurrent clients coexist in fully
-//! isolated sessions of one serving process.
+//! spawning a fresh `transport::dispatch::Worker` for new coordinates,
+//! derived from the announced topology — so concurrent clients coexist in
+//! fully isolated sessions of one serving process.
 //!
 //! # The lease state machine
 //!
@@ -121,7 +121,7 @@ struct SessionEntry {
 type SessionMap = HashMap<(u64, u64), SessionEntry>;
 
 /// A running DDS owner process: accepts leased connections and serves each
-/// `(session, worker)` pair with its own [`crate::remote::Worker`].
+/// `(session, worker)` pair with its own `transport::dispatch::Worker`.
 ///
 /// Created by [`serve`]; dropped or [`DdsServer::shutdown`] stops accepting
 /// new connections and reaps finished sessions (sessions still serving a
@@ -453,7 +453,7 @@ mod tests {
     )]
 
     use super::*;
-    use crate::backend::{DdsBackend, SnapshotView};
+    use crate::backend::DdsBackend;
     use crate::key::{Key, KeyTag, Value};
     use crate::proto::{decode_reply, encode_request, read_frame, write_frame, Reply, Request};
     use crate::TcpBackend;

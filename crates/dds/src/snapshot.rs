@@ -46,11 +46,10 @@
 //! its entries are read.  Arriving in layout order, they freeze without a
 //! copy: a replica shard's pairs and its directory are its only buffers.
 
-use crate::backend::SnapshotView;
 use crate::key::{shard_of, Key, Value};
 use crate::proto::{EpochSink, ProtoError};
 use crate::slot::{first_in, freeze_all, Pairs, Shard};
-use crate::stats::ShardLoad;
+use crate::stats::{ShardLoad, StoreStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -252,45 +251,61 @@ impl Snapshot {
     }
 }
 
-/// The read surface, for every backend.  `stats` is the trait's provided
-/// method.
-impl SnapshotView for Snapshot {
-    fn num_shards(&self) -> usize {
+/// The read surface, for every backend.
+///
+/// The operations mirror the model exactly: every lookup is a query against
+/// one shard ("DDS machine"), batched lookups cost one query per key, and
+/// the per-shard read counters feed the Lemma 2.1 contention accounting.
+impl Snapshot {
+    /// Number of shards ("DDS machines") behind this view.
+    pub fn num_shards(&self) -> usize {
         self.inner.table.len()
     }
 
-    fn get(&self, key: &Key) -> Option<Value> {
+    /// First value stored under `key`, if any.  Counts as one query.
+    pub fn get(&self, key: &Key) -> Option<Value> {
         let (shard, reads, digest) = self.locate(key);
         reads.fetch_add(1, Ordering::Relaxed);
         shard.first(key, digest)
     }
 
-    fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
+    /// The `index`-th value stored under `key` (zero-based).  Counts as one
+    /// query.
+    pub fn get_indexed(&self, key: &Key, index: usize) -> Option<Value> {
         let (shard, reads, digest) = self.locate(key);
         reads.fetch_add(1, Ordering::Relaxed);
         shard.nth(key, digest, index)
     }
 
-    fn get_indexed_slice(&self, key: &Key, start: usize, out: &mut [Option<Value>]) {
+    /// Values `start..start + out.len()` stored under `key` into `out`,
+    /// `None` past the last, in one lookup.  Counts as `out.len()` queries —
+    /// identical budget semantics to calling [`Snapshot::get_indexed`] once
+    /// per index — all on `key`'s shard.
+    pub fn get_indexed_slice(&self, key: &Key, start: usize, out: &mut [Option<Value>]) {
         let (shard, reads, digest) = self.locate(key);
         reads.fetch_add(out.len() as u64, Ordering::Relaxed);
         shard.nth_slice(key, digest, start, out);
     }
 
-    fn get_all(&self, key: &Key) -> Vec<Value> {
+    /// All values stored under `key` (empty if absent).  Counts as
+    /// `multiplicity(key).max(1)` queries.
+    pub fn get_all(&self, key: &Key) -> Vec<Value> {
         let (shard, reads, digest) = self.locate(key);
         let run = shard.run(key, digest);
         reads.fetch_add(run.len().max(1) as u64, Ordering::Relaxed);
         run.iter().map(|&(_, value)| value).collect()
     }
 
-    fn multiplicity(&self, key: &Key) -> usize {
+    /// Number of values stored under `key`.  Counts as one query.
+    pub fn multiplicity(&self, key: &Key) -> usize {
         let (shard, reads, digest) = self.locate(key);
         reads.fetch_add(1, Ordering::Relaxed);
         shard.run(key, digest).len()
     }
 
-    fn len(&self) -> usize {
+    /// Number of distinct keys in the view (not a model operation; driver
+    /// and test bookkeeping only, not counted as a query).
+    pub fn len(&self) -> usize {
         self.inner
             .groups
             .iter()
@@ -299,6 +314,15 @@ impl SnapshotView for Snapshot {
             .sum()
     }
 
+    /// `true` if the view holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Look up `keys[i]` into `out[i]` for every `i`, in one batched flight.
+    /// Counts as `keys.len()` queries — identical budget semantics to
+    /// calling [`Snapshot::get`] once per key.
+    ///
     /// This is the read path behind the runtime's batched adaptive reads: a
     /// real deployment would pipeline the batch over the network; here the
     /// batch overlaps its cache misses (module docs).  It goes [`LANES`]
@@ -306,7 +330,10 @@ impl SnapshotView for Snapshot {
     /// directory loads, in flight together), scan every bucket (the pair
     /// loads, likewise), then count — one counter update per run of
     /// same-shard keys, totals identical to per-key counting.
-    fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
+    ///
+    /// # Panics
+    /// If `out` is shorter than `keys`.
+    pub fn get_many_slice(&self, keys: &[Key], out: &mut [Option<Value>]) {
         assert!(
             out.len() >= keys.len(),
             "output slice shorter than key batch"
@@ -331,7 +358,8 @@ impl SnapshotView for Snapshot {
         }
     }
 
-    fn total_reads(&self) -> u64 {
+    /// Total queries served by this view so far.
+    pub fn total_reads(&self) -> u64 {
         self.inner
             .groups
             .iter()
@@ -340,7 +368,8 @@ impl SnapshotView for Snapshot {
             .sum()
     }
 
-    fn shard_loads(&self) -> Vec<ShardLoad> {
+    /// Per-shard loads (keys held, historical writes, reads served so far).
+    pub fn shard_loads(&self) -> Vec<ShardLoad> {
         (0..self.inner.table.len())
             .map(|shard| {
                 let (epoch, local) = self.place(shard);
@@ -354,7 +383,17 @@ impl SnapshotView for Snapshot {
             .collect()
     }
 
-    fn entries(&self) -> Vec<(Key, Vec<Value>)> {
+    /// Aggregate statistics over all shards.
+    pub fn stats(&self) -> StoreStats {
+        StoreStats::from_loads(self.shard_loads())
+    }
+
+    /// Every `(key, values)` pair held by the view.
+    ///
+    /// *Not* an AMPC-model operation (machines can only do point lookups);
+    /// it exists for drivers and tests, is not counted as queries, and comes
+    /// back in no particular order.
+    pub fn entries(&self) -> Vec<(Key, Vec<Value>)> {
         self.iter()
             .map(|(key, values)| (*key, values.copied().collect()))
             .collect()

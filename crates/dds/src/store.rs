@@ -46,7 +46,7 @@ use std::ops::Range;
 /// Multi-value semantics follow Section 2 of the paper: if `k > 1` pairs are
 /// written under the same key `x`, the individual values are addressable as
 /// `(x, 1), …, (x, k)` — once the store is frozen, via
-/// [`crate::SnapshotView::get_indexed`] — with the indices assigned in
+/// [`crate::Snapshot::get_indexed`] — with the indices assigned in
 /// commit order.  The writable store answers no reads: the model forbids
 /// reading `D_i` in round *i*.
 pub struct ShardedStore {
@@ -375,7 +375,6 @@ impl std::fmt::Debug for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SnapshotView;
     use crate::key::KeyTag;
     use std::sync::Arc;
 

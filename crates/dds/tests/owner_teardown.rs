@@ -9,8 +9,8 @@
 #![cfg(target_os = "linux")]
 
 use ampc_dds::{
-    ChannelBackend, DdsBackend, Key, KeyTag, RemoteBackend, SnapshotView, TcpBackend, Transport,
-    TransportError, Value,
+    ChannelBackend, DdsBackend, Key, KeyTag, RemoteBackend, TcpBackend, Transport, TransportError,
+    Value,
 };
 
 /// Threads of this process that are not on their way out.  `join` returns

@@ -8,8 +8,8 @@
 //! order pushing them one by one would.
 
 use ampc_dds::{
-    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, ShardedStore, Snapshot, SnapshotView,
-    TcpBackend, Value,
+    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, ShardedStore, Snapshot, TcpBackend,
+    Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -114,7 +114,7 @@ fn assert_reads_the_model(snapshot: &Snapshot, model: &BTreeMap<Key, Vec<Value>>
 }
 
 /// Commit `batches` as one round on a fresh `B` and return the view of it.
-fn committed_view<B: DdsBackend>(shards: usize, threads: usize, batches: Batches) -> B::View {
+fn committed_view<B: DdsBackend>(shards: usize, threads: usize, batches: Batches) -> Snapshot {
     let mut backend = B::with_shards(shards, threads);
     backend.commit_round(batches, threads);
     backend.advance(threads)

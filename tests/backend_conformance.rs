@@ -1,4 +1,4 @@
-//! Cross-backend conformance suite for the DDS trait pair.
+//! Cross-backend conformance suite for `DdsBackend` and the `Snapshot` it serves.
 //!
 //! One parameterized battery drives `LocalBackend`, `ChannelBackend`,
 //! `TcpBackend` (the socket-backed `RemoteBackend` speaking the
@@ -12,8 +12,7 @@
 
 use ampc_dds::hashing::{hash_words, FxHasher};
 use ampc_dds::{
-    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, Snapshot, SnapshotView, TcpBackend,
-    Value,
+    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, Snapshot, TcpBackend, Value,
 };
 use ampc_runtime::{AmpcConfig, AmpcRuntime, DdsBackendKind};
 use proptest::prelude::*;
@@ -42,7 +41,7 @@ fn cluster(owners: usize, shards: usize) -> TcpBackend {
 }
 
 /// Apply every epoch of `script` to a backend, returning one view per epoch.
-fn run_script<B: DdsBackend>(mut backend: B, script: &Script, threads: usize) -> Vec<B::View> {
+fn run_script<B: DdsBackend>(mut backend: B, script: &Script, threads: usize) -> Vec<Snapshot> {
     script
         .iter()
         .map(|batches| {
@@ -78,7 +77,7 @@ fn model_get(model: &Model, key: &Key, index: usize) -> Option<Value> {
 /// The conformance battery: every observable of `view` must match the
 /// model for the keys in `probe`, and batched reads must match point reads
 /// (content, order, and query accounting).
-fn assert_view_matches_model<V: SnapshotView>(view: &V, model: &Model, probe: &[Key]) {
+fn assert_view_matches_model(view: &Snapshot, model: &Model, probe: &[Key]) {
     assert_eq!(view.len(), model.len());
     assert_eq!(view.is_empty(), model.is_empty());
 
@@ -533,7 +532,7 @@ type EpochObservation = (usize, Vec<(Key, Vec<Value>)>, Vec<u64>);
 /// Capture an [`EpochObservation`] for byte-equality checks across the
 /// epoch's lifetime (minus read counters, which by design keep advancing as
 /// we re-probe).
-fn observe<V: SnapshotView>(view: &V, probe: &[Key]) -> EpochObservation {
+fn observe(view: &Snapshot, probe: &[Key]) -> EpochObservation {
     let mut entries = view.entries();
     entries.sort_by_key(|&(key, _)| key);
     let mut observations = Vec::new();

@@ -15,7 +15,7 @@
 //! `serve_cluster` owners, including concurrent isolated sessions and
 //! disconnect-recovery against them.
 
-use ampc_suite::dds::{serve, Key, KeyTag, SnapshotView, Value};
+use ampc_suite::dds::{serve, Key, KeyTag, Value};
 use ampc_suite::prelude::*;
 use ampc_suite::runtime::with_dds_backend;
 
