@@ -7,12 +7,10 @@
 //! every shipped backend:
 //!
 //! * **point** — one [`ampc_dds::Snapshot::get`] per key, the model's plain
-//!   adaptive read.  On `ChannelBackend` this used to be a full channel
-//!   round-trip to the shard's owner thread; since the zero-copy epoch
-//!   publication it is a lock-free probe of the `Arc`-shared frozen maps,
-//!   which is exactly what this series quantifies.  On `TcpBackend` the
-//!   probe hits the replica fetched over the wire at advance time — the
-//!   `remote` series keeps that read path honest from day one.
+//!   adaptive read: a lock-free probe of one key in the epoch's `Arc`-shared
+//!   frozen shards, with no batching.  On `ChannelBackend` those are the
+//!   shards the owner threads froze; on `TcpBackend`, the replica fetched
+//!   over the wire at advance time.  The series times that probe alone.
 //! * **batched** — [`ampc_dds::Snapshot::get_many_slice`] flights of
 //!   [`FLIGHT`] keys, the explicit batching algorithms use when a whole key
 //!   set is in hand.  A flight overlaps its keys' cache misses, so it must
@@ -29,7 +27,7 @@
 //!   if the read walked the run.
 //! * **indexed-run** — [`ampc_dds::Snapshot::get_indexed_slice`] flights of
 //!   [`RUN_FLIGHT`] consecutive values of the same run, in ns per value: the
-//!   read connectivity and MSF make of a vertex's list key.  A flight is one
+//!   read connectivity, MSF and MIS make of a vertex's list key.  A flight is one
 //!   lookup and a copy, so a value must cost less than a key of a
 //!   **batched** flight; CI fails the artifact where it does not, as it
 //!   would if the flight looked each index up.

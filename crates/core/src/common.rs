@@ -56,30 +56,33 @@ pub fn round_robin_assign<T: Clone>(items: &[T], machines: usize) -> Vec<Vec<T>>
     buckets
 }
 
-/// DDS key for the degree of vertex `v` in the currently published graph.
+/// DDS key for the degree of vertex `v` in a full-list publication.
 ///
-/// Only MIS and full-list publications ([`adjacency_pairs`]) write it.  A
-/// connectivity or MSF phase publishes each list as a dense prefix and no
-/// count: its search stops at the first absent slot.
+/// Only full-list publications write it — [`adjacency_pairs`], for the
+/// benchmark's `D₀` and the commit bench, and the benchmark's weighted
+/// `D₀` — and no search reads it: every search reads a list key and ends
+/// the list at its first absent slot.
 pub fn degree_key(v: u32) -> Key {
     Key::of(KeyTag::Degree, v as u64)
 }
 
-/// DDS key for the `i`-th adjacency entry of vertex `v`, one key per slot:
-/// MIS and full-list publications ([`adjacency_pairs`]) use it.
-pub fn adjacency_key(v: u32, i: usize) -> Key {
+/// DDS key for the `i`-th adjacency entry of vertex `v`, one key per slot.
+/// Only [`adjacency_pairs`] writes it; no search reads it.
+fn adjacency_key(v: u32, i: usize) -> Key {
     Key::with_index(KeyTag::Adjacency, v as u64, i as u64)
 }
 
 /// DDS key for the `i`-th *weighted* adjacency entry of vertex `v`, one key
-/// per slot.
+/// per slot.  Nothing in this crate writes or reads it: the benchmark's
+/// weighted `D₀` does.
 pub fn weighted_adjacency_key(v: u32, i: usize) -> Key {
     Key::with_index(KeyTag::WeightedAdjacency, v as u64, i as u64)
 }
 
-/// DDS key of vertex `v`'s adjacency list: a connectivity phase publishes
-/// slot `j` of `v`'s list as value `j` of this one key (the model's `(x, j)`
-/// addressing), so a search reads a run of slots with one lookup.
+/// DDS key of vertex `v`'s adjacency list: a connectivity phase (or an MIS
+/// iteration) publishes slot `j` of `v`'s list as value `j` of this one key
+/// (the model's `(x, j)` addressing), so a search reads a run of slots with
+/// one lookup.
 pub fn adjacency_list_key(v: u32) -> Key {
     Key::of(KeyTag::Adjacency, v as u64)
 }
@@ -88,24 +91,6 @@ pub fn adjacency_list_key(v: u32) -> Key {
 /// publishes it: slot `j` is value `j`.
 pub fn weighted_adjacency_list_key(v: u32) -> Key {
     Key::of(KeyTag::WeightedAdjacency, v as u64)
-}
-
-/// A list-key publication republished one key per slot: value `j` of a
-/// list key becomes the single value of slot key `(tag, v, j)`, in the same
-/// order.  The tests' per-slot searches read it; the values are the list
-/// publication's own, so only the layout differs.
-#[cfg(test)]
-pub(crate) fn per_slot_keys(pairs: Vec<(Key, Value)>) -> Vec<(Key, Value)> {
-    let mut slot = 0;
-    let mut previous = None;
-    pairs
-        .into_iter()
-        .map(|(key, value)| {
-            slot = if previous == Some(key) { slot + 1 } else { 0 };
-            previous = Some(key);
-            (Key::with_index(key.tag, key.a, slot), value)
-        })
-        .collect()
 }
 
 /// Encode a weighted adjacency entry: neighbour + originating edge id in
@@ -122,9 +107,8 @@ pub fn decode_weighted_neighbor(value: Value) -> (u32, u32, u64) {
 }
 
 /// Key-value pairs publishing the adjacency structure of `graph` (degrees
-/// plus per-slot neighbours): every full list, with its count.  Benchmarks
-/// and the connectivity tests use it; a connectivity phase publishes a
-/// count-free prefix instead.
+/// plus per-slot neighbours): every full list, with its count.  The
+/// benchmarks load it as a `D₀` of realistic shape; no algorithm reads it.
 pub fn adjacency_pairs(graph: &Graph) -> Vec<(Key, Value)> {
     let n = graph.num_vertices();
     let mut pairs = Vec::with_capacity(n + 2 * graph.num_edges());
@@ -187,7 +171,9 @@ mod tests {
         let pairs = adjacency_pairs(&g);
         // 10 degrees + 20 adjacency slots.
         assert_eq!(pairs.len(), 30);
-        assert!(pairs.iter().any(|(k, v)| *k == degree_key(3) && v.x == 2));
+        assert!(pairs
+            .iter()
+            .any(|(k, v)| k.tag == KeyTag::Degree && k.a == 3 && v.x == 2));
     }
 
     #[test]

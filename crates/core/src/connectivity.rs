@@ -40,10 +40,9 @@
 //! A vertex's list is one key: slot `j` of `v`'s list is value `j` of
 //! `adjacency_list_key(v)`, in slot order, because a key's values keep their
 //! commit order.  The BFS reads each flight of slots with one
-//! [`MachineContext::read_indexed_slice`] — one lookup for the flight, where
-//! a key per slot paid one per slot — and an epoch frame carries each key
-//! once per list.  A flight of `k` slots still counts `k` queries, so
-//! queries, writes and balls are those of a key per slot.
+//! [`MachineContext::read_indexed_slice`] — one lookup for the flight — and
+//! an epoch frame carries each key once per list.  A flight of `k` slots
+//! counts `k` queries, as the model's `k` reads of `(x, j)` do.
 
 use crate::common::{adjacency_list_key, round_robin_assign, AlgorithmResult};
 use crate::contract::{phase_budgets, LiveSet};
@@ -155,7 +154,7 @@ fn adjacency_prefix_pairs(
         edges,
         keep,
         |neighbour, _| neighbour,
-        |v, _| adjacency_list_key(v),
+        adjacency_list_key,
         |neighbour| Value::scalar(neighbour as u64),
     )
 }
@@ -291,7 +290,6 @@ fn connectivity_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{adjacency_key, adjacency_pairs, degree_key, per_slot_keys};
     use ampc_graph::{generators, sequential, Edge};
 
     /// `search` from every vertex of `graph` in turn, on one machine with one
@@ -323,28 +321,24 @@ mod tests {
         adjacency_prefix_pairs(&LiveSet::all(graph.num_vertices()), &edges, keep).0
     }
 
-    /// [`prefix`] with one key per slot, as a phase published it before a
-    /// vertex's list was one key.
-    fn per_slot_prefix(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
-        per_slot_keys(prefix(graph, keep))
+    /// `graph`'s whole adjacency lists, each in `Graph` slot order (by
+    /// neighbour id) as the values of the vertex's list key, built from the
+    /// graph rather than by the kernel under test.
+    fn full_lists(graph: &Graph) -> Vec<(Key, Value)> {
+        (0..graph.num_vertices() as u32)
+            .flat_map(|v| {
+                (graph.neighbors(v).iter())
+                    .map(move |&u| (adjacency_list_key(v), Value::scalar(u as u64)))
+            })
+            .collect()
     }
 
-    /// [`per_slot_prefix`] with each vertex's slot count under
-    /// [`degree_key`], as a phase published it before the searches stopped
-    /// reading it.
-    fn prefix_with_counts(graph: &Graph, keep: usize) -> Vec<(Key, Value)> {
-        let mut pairs = per_slot_prefix(graph, keep);
-        pairs.extend((0..graph.num_vertices() as u32).map(|v| {
-            let count = graph.degree(v).min(keep);
-            (degree_key(v), Value::scalar(count as u64))
-        }));
-        pairs
-    }
-
-    /// [`bounded_bfs`] as it was while a phase published a key per slot,
-    /// kept as its reference: each flight is a [`MachineContext::read_many_slice`]
-    /// of slot keys, clamped as [`bounded_bfs`] clamps its flights.
-    fn per_slot_bfs(
+    /// The full-list reference for [`bounded_bfs`]: the multiplicity of
+    /// `x`'s list key, then flights of its slots up to it, each clamped to
+    /// the query cap and the ball as [`bounded_bfs`] clamps its flights but
+    /// not to slot `d − 1`, so it reads past slot `d − 2` whenever the ball
+    /// is not yet full.
+    fn full_list_bfs(
         ctx: &mut MachineContext,
         scratch: &mut BfsScratch,
         v: u32,
@@ -358,7 +352,6 @@ mod tests {
         order.push(v);
         scratch.queue.push_back(v);
         let start_queries = ctx.queries_issued();
-        let mut keys: [Key; BFS_READ_BATCH] = [adjacency_key(0, 0); BFS_READ_BATCH];
         let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
         'outer: while let Some(x) = scratch.queue.pop_front() {
             if order.len() >= d {
@@ -367,8 +360,10 @@ mod tests {
             if ctx.queries_issued() - start_queries >= query_cap {
                 break;
             }
+            let list = adjacency_list_key(x);
+            let len = ctx.multiplicity(list);
             let mut next_slot = 0usize;
-            while next_slot < d - 1 {
+            while next_slot < len {
                 let remaining_budget =
                     query_cap.saturating_sub(ctx.queries_issued() - start_queries);
                 if remaining_budget == 0 {
@@ -378,13 +373,9 @@ mod tests {
                 let batch = BFS_READ_BATCH
                     .min(remaining_budget as usize)
                     .min(remaining_ball)
-                    .min(d - 1 - next_slot);
-                for (j, key) in keys[..batch].iter_mut().enumerate() {
-                    *key = adjacency_key(x, next_slot + j);
-                }
-                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
-                for entry in &entries[..batch] {
-                    let Some(entry) = entry else { continue 'outer };
+                    .min(len - next_slot);
+                ctx.read_indexed_slice(list, next_slot, &mut entries[..batch]);
+                for entry in entries[..batch].iter().flatten() {
                     let u = entry.x as u32;
                     if scratch.visited.insert(u) {
                         order.push(u);
@@ -400,86 +391,8 @@ mod tests {
         order
     }
 
-    /// [`bounded_bfs`] as it was while a phase published counts, kept as its
-    /// reference: one read of `x`'s count under [`degree_key`], then flights
-    /// of its slots up to the count.
-    fn count_first_bfs(
-        ctx: &mut MachineContext,
-        scratch: &mut BfsScratch,
-        v: u32,
-        d: usize,
-        query_cap: u64,
-    ) -> Vec<u32> {
-        scratch.visited.clear();
-        scratch.queue.clear();
-        let mut order: Vec<u32> = Vec::with_capacity(d);
-        scratch.visited.insert(v);
-        order.push(v);
-        scratch.queue.push_back(v);
-        let start_queries = ctx.queries_issued();
-        let mut keys: [Key; BFS_READ_BATCH] = [degree_key(0); BFS_READ_BATCH];
-        let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
-        'outer: while let Some(x) = scratch.queue.pop_front() {
-            if order.len() >= d {
-                break;
-            }
-            if ctx.queries_issued() - start_queries >= query_cap {
-                break;
-            }
-            let deg = match ctx.read(degree_key(x)) {
-                Some(value) => value.x as usize,
-                None => continue,
-            };
-            let mut next_slot = 0usize;
-            while next_slot < deg {
-                let remaining_budget =
-                    query_cap.saturating_sub(ctx.queries_issued() - start_queries);
-                if remaining_budget == 0 {
-                    break 'outer;
-                }
-                let remaining_ball = d.saturating_sub(order.len()).max(1);
-                let batch_cap = BFS_READ_BATCH
-                    .min(remaining_budget as usize)
-                    .min(remaining_ball);
-                let batch_end = deg.min(next_slot + batch_cap);
-                let batch = batch_end - next_slot;
-                for (j, key) in keys[..batch].iter_mut().enumerate() {
-                    *key = adjacency_key(x, next_slot + j);
-                }
-                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
-                for entry in &entries[..batch] {
-                    let Some(entry) = entry else { continue };
-                    let u = entry.x as u32;
-                    if scratch.visited.insert(u) {
-                        order.push(u);
-                        scratch.queue.push_back(u);
-                        if order.len() >= d {
-                            break 'outer;
-                        }
-                    }
-                }
-                next_slot = batch_end;
-            }
-        }
-        order
-    }
-
-    /// A bounded BFS: the list-key one or a reference.
+    /// A bounded BFS: the list-key one or its full-list reference.
     type Search = fn(&mut MachineContext, &mut BfsScratch, u32, usize, u64) -> Vec<u32>;
-
-    /// The ball `search` returns and the queries it issued.
-    fn ball_and_queries(
-        search: Search,
-        ctx: &mut MachineContext,
-        scratch: &mut BfsScratch,
-        v: u32,
-        d: usize,
-        query_cap: u64,
-    ) -> (Vec<u32>, u64) {
-        let before = ctx.queries_issued();
-        let ball = search(ctx, scratch, v, d, query_cap);
-        (ball, ctx.queries_issued() - before)
-    }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
@@ -488,17 +401,14 @@ mod tests {
         })]
 
         /// The `d − 1` lemma for the BFS (`LiveSet::adjacency_pairs`): on
-        /// random simple graphs, from every vertex and at every budget, a
-        /// search over each vertex's `d − 1` smallest neighbours returns the
-        /// ball the count-first search returns over the graph's full
-        /// adjacency lists (`common::adjacency_pairs`, every list whole and
-        /// its count, in `Graph` slot order, a key per slot), which reads
-        /// past slot `d − 2` whenever the ball is not yet full.  At caps {1,
-        /// 3, d², ∞} the count-first search over the prefix and its counts
-        /// returns that ball with exactly as many queries; at the caps that
-        /// do not bind (d², ∞) so does `bounded_bfs` over the count-free
-        /// prefix as a phase publishes it, values `0..k` of each vertex's
-        /// list key, which reads no count, so only its ball is compared.
+        /// random simple graphs, from every vertex and at every budget,
+        /// `bounded_bfs` over each vertex's `d − 1` smallest neighbours, as a
+        /// phase publishes them (values `0..k` of its list key, no count),
+        /// returns the ball `full_list_bfs` returns over the graph's whole
+        /// lists, which reads past slot `d − 2` whenever the ball is not yet
+        /// full, at the caps that do not bind (d², ∞).  At the caps that do
+        /// (1, 3), `bounded_bfs` returns a prefix of its uncapped ball and
+        /// debits the lesser of the cap and its uncapped debit.
         #[test]
         fn bounded_bfs_on_the_first_prefix_reads_what_full_lists_read(
             n in 2u32..24,
@@ -508,86 +418,29 @@ mod tests {
             let graph = Graph::from_edges(n as usize, &edges);
             let budgets = 2..=10usize;
             let caps = |d: usize| [1, 3, (d * d) as u64, u64::MAX];
-            let full = from_every_vertex(&graph, adjacency_pairs(&graph), |ctx, scratch, v| {
+            let full = from_every_vertex(&graph, full_lists(&graph), |ctx, scratch, v| {
                 (budgets.clone())
-                    .flat_map(|d| {
-                        caps(d).map(|cap| ball_and_queries(count_first_bfs, ctx, scratch, v, d, cap))
-                    })
-                    .collect::<Vec<_>>()
+                    .map(|d| caps(d)[2..].iter().map(|&cap| full_list_bfs(ctx, scratch, v, d, cap)).collect())
+                    .collect::<Vec<Vec<_>>>()
             });
             for (i, d) in budgets.clone().enumerate() {
-                let counted = from_every_vertex(&graph, prefix_with_counts(&graph, d - 1), |ctx, scratch, v| {
-                    caps(d).map(|cap| ball_and_queries(count_first_bfs, ctx, scratch, v, d, cap))
+                let searched = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
+                    caps(d).map(|cap| {
+                        let before = ctx.queries_issued();
+                        let ball = bounded_bfs(ctx, scratch, v, d, cap);
+                        (ball, ctx.queries_issued() - before)
+                    })
                 });
-                let count_free = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
-                    caps(d)[2..].iter().map(|&cap| bounded_bfs(ctx, scratch, v, d, cap)).collect::<Vec<_>>()
-                });
-                for (v, full) in full.iter().enumerate() {
-                    let full = &full[4 * i..4 * i + 4];
-                    proptest::prop_assert_eq!(&counted[v][..], full, "d {}, from {}", d, v);
-                    for (ball, (full_ball, _)) in count_free[v].iter().zip(&full[2..]) {
-                        proptest::prop_assert_eq!(ball, full_ball, "count-free, d {}, from {}", d, v);
+                for (v, (searched, full)) in searched.iter().zip(&full).enumerate() {
+                    let (uncapped, uncapped_debit) = &searched[3];
+                    for ((ball, _), full_ball) in searched[2..].iter().zip(&full[i]) {
+                        proptest::prop_assert_eq!(ball, full_ball, "d {}, from {}", d, v);
                     }
-                }
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 48,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
-
-        /// The count-free read (`LiveSet::adjacency_pairs`): on random
-        /// simple graphs, from every vertex, at every budget and at caps
-        /// that do not bind (a search reads under `d²`), `bounded_bfs` over
-        /// a phase's count-free prefix (its list keys) returns the ball the
-        /// count-first search returns over the same prefix, a key per slot,
-        /// with its counts.
-        #[test]
-        fn bounded_bfs_reads_the_prefix_without_a_count(
-            n in 2u32..24,
-            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
-        ) {
-            let edges: Vec<Edge> = raw.iter().map(|&(u, v)| Edge::new(u % n, v % n)).collect();
-            let graph = Graph::from_edges(n as usize, &edges);
-            for d in 2..=10usize {
-                let caps = [(d * d) as u64, u64::MAX];
-                let counted = from_every_vertex(&graph, prefix_with_counts(&graph, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| count_first_bfs(ctx, scratch, v, d, cap))
-                });
-                let count_free = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| bounded_bfs(ctx, scratch, v, d, cap))
-                });
-                for (v, (count_free, counted)) in count_free.iter().zip(&counted).enumerate() {
-                    proptest::prop_assert_eq!(count_free, counted, "d {}, from {}", d, v);
-                }
-            }
-        }
-
-        /// One key per list changes nothing but the layout: on random simple
-        /// graphs, from every vertex, at every budget and at every cap
-        /// (1, 3, d², ∞), `bounded_bfs` over a phase's list keys returns the
-        /// ball, in the order, and issues exactly the queries that the
-        /// per-slot search issues over the same slots, one key each.
-        #[test]
-        fn bounded_bfs_on_one_list_key_reads_what_per_slot_keys_read(
-            n in 2u32..24,
-            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
-        ) {
-            let edges: Vec<Edge> = raw.iter().map(|&(u, v)| Edge::new(u % n, v % n)).collect();
-            let graph = Graph::from_edges(n as usize, &edges);
-            for d in 2..=10usize {
-                let caps = [1, 3, (d * d) as u64, u64::MAX];
-                let per_slot = from_every_vertex(&graph, per_slot_prefix(&graph, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| ball_and_queries(per_slot_bfs, ctx, scratch, v, d, cap))
-                });
-                let listed = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| ball_and_queries(bounded_bfs, ctx, scratch, v, d, cap))
-                });
-                for (v, (listed, per_slot)) in listed.iter().zip(&per_slot).enumerate() {
-                    proptest::prop_assert_eq!(listed, per_slot, "d {}, from {}", d, v);
+                    for (cap, (ball, debit)) in caps(d).iter().zip(&searched[..2]) {
+                        let at = format!("cap {cap}, d {d}, from {v}");
+                        proptest::prop_assert!(uncapped.starts_with(ball), "{}", at);
+                        proptest::prop_assert_eq!(*debit, (*cap).min(*uncapped_debit), "{}", at);
+                    }
                 }
             }
         }
@@ -595,9 +448,8 @@ mod tests {
 
     /// The bound is tight: from the centre of a star every vertex of the
     /// ball but the centre is one of its own neighbours, so with `d − 1` of
-    /// them published under its list key the ball is the one the
-    /// count-first search finds over full lists, and with `d − 2` it stops
-    /// one vertex short.
+    /// them published under its list key the ball is the one the full-list
+    /// search finds, and with `d − 2` it stops one vertex short.
     #[test]
     fn a_star_needs_d_minus_one_first_neighbours() {
         let leaves = 8u32;
@@ -610,7 +462,7 @@ mod tests {
             })
             .swap_remove(0)
         };
-        let full = from_centre(adjacency_pairs(&graph), count_first_bfs);
+        let full = from_centre(full_lists(&graph), full_list_bfs);
         assert_eq!(full, [0, 1, 2, 3]);
         assert_eq!(from_centre(prefix(&graph, d - 1), bounded_bfs), full);
         assert_eq!(from_centre(prefix(&graph, d - 2), bounded_bfs), [0, 1, 2]);

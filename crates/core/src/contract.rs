@@ -87,16 +87,15 @@ impl LiveSet {
     }
 
     /// The scatter publishing the contracted graph: per live vertex, in
-    /// ascending order, slot `j` of its adjacency under `slot_key(v, j)` as
-    /// `value(slot)`, where an edge offers each endpoint the slot
-    /// `slot(neighbour, edge)`.  A vertex publishes at most `keep` slots: its
-    /// `keep` least, ascending.  A slot is its own rank, so no edge is read
-    /// twice.
-    /// The drivers pass a `slot_key` that ignores `j` — the vertex's list key
-    /// — so slot `j` is value `j` of that one key: a key's values keep the
-    /// order they were written in, and a vertex's slots are written in slot
-    /// order, one after the other.  A search then reads a flight of slots
-    /// with one lookup (`MachineContext::read_indexed_slice`).
+    /// ascending order, its adjacency as the values of its list key
+    /// `list_key(v)`, each slot as `value(slot)`, where an edge offers each
+    /// endpoint the slot `slot(neighbour, edge)`.  A vertex publishes at
+    /// most `keep` slots: its `keep` least, ascending.  A slot is its own
+    /// rank, so no edge is read twice.  Slot `j` is value `j` of the list
+    /// key: a key's values keep the order they were written in, and a
+    /// vertex's slots are written in slot order, one after the other.  A
+    /// search then reads a flight of slots with one lookup
+    /// (`MachineContext::read_indexed_slice`).
     ///
     /// The kernel streams: a count pass sizes each live vertex's row at
     /// `min(degree, keep)`, one pass over `edges` offers each endpoint its
@@ -144,7 +143,7 @@ impl LiveSet {
         edges: &[E],
         keep: usize,
         slot: impl Fn(u32, &E) -> S,
-        slot_key: impl Fn(u32, usize) -> Key,
+        list_key: impl Fn(u32) -> Key,
         value: impl Fn(S) -> Value,
     ) -> (Vec<(Key, Value)>, Vec<u32>) {
         assert!(u32::try_from(2 * edges.len()).is_ok(), "degrees are u32");
@@ -180,7 +179,8 @@ impl LiveSet {
             }
             row.sort_unstable();
             searchers.push(v);
-            pairs.extend((row.iter().enumerate()).map(|(j, &s)| (slot_key(v, j), value(s))));
+            let key = list_key(v);
+            pairs.extend(row.iter().map(|&s| (key, value(s))));
         }
         (pairs, searchers)
     }
@@ -329,8 +329,7 @@ fn offer<S: Ord + Copy>(row: &mut [S], filled: &mut u32, slot: S) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{adjacency_key, adjacency_list_key, encode_weighted_neighbor};
-    use ampc_dds::KeyTag;
+    use crate::common::{adjacency_list_key, encode_weighted_neighbor};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -396,7 +395,7 @@ mod tests {
             edges: &[E],
             keep: usize,
             rank: impl Fn(u32, &E) -> R,
-            slot_key: impl Fn(u32, usize) -> Key,
+            list_key: impl Fn(u32) -> Key,
             slot_value: impl Fn(u32, &E) -> Value,
         ) -> (Vec<(Key, Value)>, Vec<u32>) {
             let slot_count = u32::try_from(2 * edges.len()).expect("slot offsets are u32");
@@ -444,8 +443,8 @@ mod tests {
                 }
                 kept.sort_unstable_by_key(slot_rank);
                 searchers.push(v);
-                pairs.extend(kept.iter().enumerate().map(|(j, &(neighbour, id))| {
-                    (slot_key(v, j), slot_value(neighbour, &edges[id as usize]))
+                pairs.extend(kept.iter().map(|&(neighbour, id)| {
+                    (list_key(v), slot_value(neighbour, &edges[id as usize]))
                 }));
             }
             (pairs, searchers)
@@ -487,8 +486,8 @@ mod tests {
 
     /// The scatter, one map per vertex: slots in push order (`u` gets `v`,
     /// then `v` gets `u`, edge by edge), sorted stably by `rank` and cut to
-    /// `keep`, each published as `(neighbour, original)` and no count; and
-    /// the vertices that publish a slot.
+    /// `keep`, each published as `(neighbour, original)` under the vertex's
+    /// list key and no count; and the vertices that publish a slot.
     #[allow(clippy::type_complexity)]
     fn model_pairs<R: Ord>(
         live: &[u32],
@@ -509,8 +508,8 @@ mod tests {
             if !slots.is_empty() {
                 searchers.push(v);
             }
-            for (j, (neighbour, e)) in slots.into_iter().enumerate() {
-                pairs.push((adjacency_key(v, j), slot_value(neighbour, e)));
+            for (neighbour, e) in slots {
+                pairs.push((adjacency_list_key(v), slot_value(neighbour, e)));
             }
         }
         (pairs, searchers)
@@ -559,8 +558,10 @@ mod tests {
         S: Ord + Copy + Default + std::fmt::Debug,
         K: Ord,
     {
-        let expected = live
-            .reference_adjacency_pairs(edges, keep, slot, adjacency_key, |u, e| value(slot(u, e)));
+        let expected =
+            live.reference_adjacency_pairs(edges, keep, slot, adjacency_list_key, |u, e| {
+                value(slot(u, e))
+            });
         let reversed: Vec<Weighted> = edges.iter().rev().copied().collect();
         let mut worst_first = edges.to_vec();
         worst_first.sort_by_key(|e| std::cmp::Reverse(descending(e)));
@@ -580,7 +581,7 @@ mod tests {
             ("reversed", &reversed),
             ("worst first", &worst_first),
         ] {
-            let streamed = live.adjacency_pairs(edges, keep, slot, adjacency_key, value);
+            let streamed = live.adjacency_pairs(edges, keep, slot, adjacency_list_key, value);
             assert_eq!(streamed, expected, "{order} order, keep {keep}");
         }
     }
@@ -640,7 +641,7 @@ mod tests {
                     Value::pair(neighbour as u64, id as u64)
                 };
                 let pairs =
-                    live.adjacency_pairs(&edges, usize::MAX, by_edge, adjacency_key, as_pair);
+                    live.adjacency_pairs(&edges, usize::MAX, by_edge, adjacency_list_key, as_pair);
                 prop_assert_eq!(pairs, model_pairs(&before, &edges, usize::MAX, |_, e| e.3));
 
                 // On the simple part of the graph, as MSF publishes it: each
@@ -653,7 +654,7 @@ mod tests {
                 let as_pair = |(_, neighbour, id): (u64, u32, u32)| {
                     Value::pair(neighbour as u64, id as u64)
                 };
-                let pairs = live.adjacency_pairs(&simple, keep, lightest, adjacency_key, as_pair);
+                let pairs = live.adjacency_pairs(&simple, keep, lightest, adjacency_list_key, as_pair);
                 prop_assert_eq!(pairs, model_pairs(&before, &simple, keep, lightest));
 
                 let (next_live, next_labels, best) =
@@ -725,11 +726,10 @@ mod tests {
     }
 
     /// What a phase publishes, on sparse graphs with edgeless vertices and
-    /// at every `keep`: no count (no `KeyTag::Degree` key), each vertex's
-    /// slots exactly `0..k` with `k = min(degree, keep)`, and as searchers
-    /// exactly the vertices with `k > 0`.  Under the vertex's list key, as
-    /// the drivers publish, the same values come in the same order, each
-    /// vertex's `k` of them one after the other: values `0..k` of the key.
+    /// at every `keep`: no count (every key is a list key, none a
+    /// `KeyTag::Degree` key), each vertex's `k = min(degree, keep)` slots
+    /// one run of values of its list key, so slot `j` is value `j`, and as
+    /// searchers exactly the vertices with `k > 0`.
     #[test]
     fn adjacency_pairs_publish_a_dense_prefix_and_no_count() {
         for seed in 0..3 {
@@ -741,38 +741,27 @@ mod tests {
                     &edges,
                     keep,
                     |neighbour, _| neighbour,
-                    adjacency_key,
+                    adjacency_list_key,
                     |neighbour| Value::scalar(neighbour as u64),
                 );
-                assert!(pairs.iter().all(|(key, _)| key.tag != KeyTag::Degree));
-                let mut slots: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-                for (key, _) in &pairs {
-                    assert_eq!(key.tag, KeyTag::Adjacency);
-                    slots.entry(key.a as u32).or_default().push(key.b);
+                let runs: Vec<&[(Key, Value)]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
+                let mut slots: BTreeMap<u32, usize> = BTreeMap::new();
+                for run in &runs {
+                    let key = run[0].0;
+                    assert_eq!(
+                        key,
+                        adjacency_list_key(key.a as u32),
+                        "seed {seed}, keep {keep}"
+                    );
+                    assert_eq!(slots.insert(key.a as u32, run.len()), None, "{key:?} twice");
                 }
                 for v in 0..graph.num_vertices() as u32 {
-                    let k = graph.degree(v).min(keep) as u64;
-                    let published = slots.get(&v).map_or(&[][..], |s| &s[..]);
-                    assert_eq!(
-                        published,
-                        (0..k).collect::<Vec<_>>(),
-                        "seed {seed}, keep {keep}, {v}"
-                    );
+                    let k = graph.degree(v).min(keep);
+                    let published = slots.get(&v).copied().unwrap_or(0);
+                    assert_eq!(published, k, "seed {seed}, keep {keep}, {v}");
                 }
                 let expected: Vec<u32> = slots.keys().copied().collect();
                 assert_eq!(searchers, expected, "seed {seed}, keep {keep}");
-                let (listed, list_searchers) = live.adjacency_pairs(
-                    &edges,
-                    keep,
-                    |neighbour, _| neighbour,
-                    |v, _| adjacency_list_key(v),
-                    |neighbour| Value::scalar(neighbour as u64),
-                );
-                let relisted: Vec<(Key, Value)> = (pairs.iter())
-                    .map(|&(key, value)| (adjacency_list_key(key.a as u32), value))
-                    .collect();
-                assert_eq!(listed, relisted, "seed {seed}, keep {keep}");
-                assert_eq!(list_searchers, searchers, "seed {seed}, keep {keep}");
                 assert!(
                     searchers.len() < graph.num_vertices(),
                     "seed {seed}: no edgeless vertex"

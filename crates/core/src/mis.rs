@@ -15,15 +15,20 @@
 //! Because the output is exactly `LFMIS(G, ρ)` for the fixed priorities, the
 //! tests compare against the *sequential* greedy MIS under the same
 //! priorities — equality, not just "some valid MIS".
+//!
+//! The probe only ever recurses into neighbours ranked below the vertex it
+//! asks about, so that is all an iteration publishes: for each remaining
+//! `v`, its unsettled neighbours `u` with `(ρ(u), u) < (ρ(v), v)`, ranked
+//! by `(ρ(u), u)`, as the values of `v`'s list key (slot `j` is value `j`,
+//! since a key's values keep their commit order).  No priority and no count
+//! is published: the end of `v`'s list is where the probe would meet its
+//! first higher-ranked neighbour, and the first absent slot marks it.  Each
+//! edge is published once, from its higher-ranked end.
 
-use crate::common::{adjacency_key, degree_key, round_robin_assign, AlgorithmResult};
-use ampc_dds::{FxHashMap, Key, KeyTag, Value};
+use crate::common::{adjacency_list_key, round_robin_assign, AlgorithmResult};
+use ampc_dds::{FxHashMap, Key, Value};
 use ampc_graph::{permutation, Graph};
 use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
-
-fn priority_key(v: u32) -> Key {
-    Key::of(KeyTag::Priority, v as u64)
-}
 
 /// Outcome of one truncated query for a vertex in the current iteration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,28 +38,32 @@ enum Probe {
     Unknown,
 }
 
-/// Adjacency entries prefetched per batched adaptive read while polling a
-/// vertex's neighbours.
+/// The most slots one flight ([`MachineContext::read_indexed_slice`] of a
+/// vertex's list key) reads while the probe polls that vertex's
+/// lower-ranked neighbours.
 ///
-/// The neighbour list is sorted by priority and the poll stops at the first
-/// neighbour with a larger priority, so a large batch would mostly fetch
-/// entries the probe never looks at.  A small batch keeps the expected waste
-/// below a constant handful of queries per probe, preserving the
-/// `O(m + n)` total-communication bound of Proposition 5.1.
+/// The poll stops at the first neighbour found in the MIS, and a list ends
+/// at its first absent slot, which only a read finds; so a flight counts
+/// every slot it fetches, examined or not.  The flights grow — 1, 2, 4, 4,
+/// … slots — because most lists the probe reads are empty or short: an
+/// empty list then pays 1 read, where a flat flight of 4 paid 4 and raised
+/// a star's queries by a fifth.  The cap keeps the waste below a handful of
+/// queries per probe, preserving the `O(m + n)` total communication of
+/// Proposition 5.1.
 const MIS_READ_BATCH: usize = 4;
 
 /// Algorithm 5 (`TruncatedQuery`): decide membership of `v` in
 /// LFMIS(remaining graph, ρ) using at most `budget` recursive probes.
 ///
 /// `memo` caches per-machine results within the round (assumption 4 of
-/// Section 2.1 — machines may cache what they already queried).  Neighbour
-/// slots are polled in batches of [`MIS_READ_BATCH`] via
-/// [`MachineContext::read_many_slice`]; the probe budget is debited only for
-/// entries the probe actually examines, so the decision sequence (and the
-/// truncation points) are identical to the slot-by-slot loop.  Prefetched
-/// slots the probe never reaches still count in the *machine-level* query
-/// statistics — that bounded over-read (< [`MIS_READ_BATCH`] per probe) is
-/// the price of the batch and is why the batch is small.
+/// Section 2.1 — machines may cache what they already queried).  `v`'s
+/// lower-ranked neighbours are read in flights of 1, 2, 4, 4, … slots (at
+/// most [`MIS_READ_BATCH`], and never more than the budget left).  The
+/// budget is debited 1 per probe and 1 per entry the probe examines; the
+/// first absent slot ends the list before the budget is checked, so `v`
+/// is in the MIS once every neighbour on its list is out.  Slots a flight
+/// fetched but the probe never examined still count in the machine-level
+/// query statistics.
 fn truncated_query(
     ctx: &mut MachineContext,
     v: u32,
@@ -72,45 +81,30 @@ fn truncated_query(
     }
     *budget -= 1;
 
-    let Some(priority_v) = ctx.read(priority_key(v)).map(|p| p.x) else {
-        // Vertex no longer in the remaining graph: it was settled earlier.
-        // (Settled vertices are removed before publishing, so this should
-        // not be reachable, but be conservative.)
-        return Probe::Unknown;
-    };
-    let degree = ctx.read(degree_key(v)).map(|d| d.x as usize).unwrap_or(0);
-
-    // Neighbours were published sorted by increasing priority, so we can
-    // stop as soon as we reach one with a larger priority than ours.
-    // Fixed-size stack buffers keep the (deeply recursive) probe path free
-    // of per-call heap allocations.
-    let mut next_slot = 0usize;
-    while next_slot < degree {
+    // A fixed-size stack buffer keeps the (deeply recursive) probe path
+    // free of per-call heap allocations.
+    let list = adjacency_list_key(v);
+    let mut entries: [Option<Value>; MIS_READ_BATCH] = [None; MIS_READ_BATCH];
+    let (mut next_slot, mut flight) = (0usize, 1usize);
+    loop {
         if *budget <= 0 {
             return Probe::Unknown;
         }
-        let batch_end = degree.min(next_slot + MIS_READ_BATCH.min(*budget as usize));
-        let keys: [Key; MIS_READ_BATCH] = std::array::from_fn(|j| adjacency_key(v, next_slot + j));
-        let mut entries: [Option<Value>; MIS_READ_BATCH] = [None; MIS_READ_BATCH];
-        let batch = batch_end - next_slot;
-        ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
-        next_slot = batch_end;
+        let batch = flight.min(*budget as usize);
+        ctx.read_indexed_slice(list, next_slot, &mut entries[..batch]);
+        next_slot += batch;
         for entry in &entries[..batch] {
-            // Debit per examined entry (not per fetched entry) so budget
-            // exhaustion truncates the probe at exactly the same slot as
-            // the unbatched loop did.
+            // The first absent slot ends `v`'s list: every lower-ranked
+            // neighbour is out of the MIS.
+            let Some(entry) = *entry else {
+                memo.insert(v, Probe::InMis);
+                return Probe::InMis;
+            };
             if *budget <= 0 {
                 return Probe::Unknown;
             }
-            let Some(entry) = *entry else { continue };
             *budget -= 1;
-            let u = entry.x as u32;
-            let priority_u = entry.y;
-            if priority_u > priority_v {
-                memo.insert(v, Probe::InMis);
-                return Probe::InMis;
-            }
-            match truncated_query(ctx, u, budget, memo, depth + 1) {
+            match truncated_query(ctx, entry.x as u32, budget, memo, depth + 1) {
                 Probe::InMis => {
                     memo.insert(v, Probe::NotInMis);
                     return Probe::NotInMis;
@@ -119,9 +113,8 @@ fn truncated_query(
                 Probe::Unknown => return Probe::Unknown,
             }
         }
+        flight = (2 * flight).min(MIS_READ_BATCH);
     }
-    memo.insert(v, Probe::InMis);
-    Probe::InMis
 }
 
 /// Theorem 2: maximal independent set in `O(1/ε)` rounds.
@@ -158,48 +151,33 @@ fn mis_impl<B: DdsBackend>(
     mut runtime: AmpcRuntime<B>,
 ) -> AlgorithmResult<Vec<bool>> {
     let n = graph.num_vertices();
-    let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
-
-    if n == 0 {
-        return AlgorithmResult::new(Vec::new(), runtime.into_stats());
-    }
-
     let priorities = permutation::random_priorities(n, seed ^ 0x4d_49_53);
+    let rank = |u: u32| (priorities[u as usize], u);
     let mut in_mis = vec![false; n];
     let mut settled = vec![false; n];
     let mut remaining: Vec<u32> = (0..n as u32).collect();
 
     // Per-vertex query cap: the machine's space, n^ε.
     let per_vertex_budget = runtime.config().space_per_machine() as i64;
-    let max_iterations = (6.0 / epsilon).ceil() as usize + 4;
 
-    for _iteration in 0..max_iterations {
-        if remaining.is_empty() {
-            break;
-        }
-
-        // Publish the remaining graph: per-vertex priority, degree, and the
-        // remaining neighbours sorted by priority (Algorithm 3, step 1).
-        // Settled vertices and their incident edges are removed, matching
-        // "remove u from the graph" in Algorithm 4.
+    while !remaining.is_empty() {
+        // Publish the remaining graph as the probe reads it: each remaining
+        // vertex's lower-ranked unsettled neighbours, ranked (Algorithm 3,
+        // step 1).  Settled vertices and their incident edges are removed,
+        // matching "remove u from the graph" in Algorithm 4.
         let mut pairs: Vec<(Key, Value)> = Vec::new();
         for &v in &remaining {
-            let mut nbrs: Vec<u32> = graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| !settled[u as usize])
+            let mut lower: Vec<u32> = (graph.neighbors(v).iter().copied())
+                .filter(|&u| !settled[u as usize] && rank(u) < rank(v))
                 .collect();
-            nbrs.sort_unstable_by_key(|&u| (priorities[u as usize], u));
-            pairs.push((priority_key(v), Value::scalar(priorities[v as usize])));
-            pairs.push((degree_key(v), Value::scalar(nbrs.len() as u64)));
-            for (i, &u) in nbrs.iter().enumerate() {
-                pairs.push((
-                    adjacency_key(v, i),
+            lower.sort_unstable_by_key(|&u| rank(u));
+            pairs.extend(lower.into_iter().map(|u| {
+                (
+                    adjacency_list_key(v),
                     Value::pair(u as u64, priorities[u as usize]),
-                ));
-            }
+                )
+            }));
         }
         runtime.scatter(pairs);
 
@@ -249,27 +227,14 @@ fn mis_impl<B: DdsBackend>(
                 Probe::Unknown => {}
             }
         }
+        assert!(
+            progressed,
+            "an MIS iteration settled no vertex, yet the lowest-ranked remaining \
+             vertex publishes an empty list, so its probe answers InMis at any \
+             budget of 2 or more, and the per-vertex budget is at least 2"
+        );
 
         remaining.retain(|&v| !settled[v as usize]);
-
-        if !progressed && !remaining.is_empty() {
-            // Defensive fallback (never expected): finish the remainder with
-            // the sequential greedy process on the driver so the result is
-            // still exactly LFMIS(G, ρ).
-            let mut order: Vec<u32> = remaining.clone();
-            order.sort_unstable_by_key(|&v| (priorities[v as usize], v));
-            for v in order {
-                if settled[v as usize] {
-                    continue;
-                }
-                in_mis[v as usize] = true;
-                settled[v as usize] = true;
-                for &u in graph.neighbors(v) {
-                    settled[u as usize] = true;
-                }
-            }
-            remaining.clear();
-        }
     }
 
     AlgorithmResult::new(in_mis, runtime.into_stats())
@@ -350,7 +315,10 @@ mod tests {
     /// `(rounds, total_queries, total_writes)` — the model's cost — of two
     /// fixed instances.  A change of container or hasher must leave these
     /// where they are; a change of algorithm that moves them should say so
-    /// here.
+    /// here.  Publishing each vertex's lower-ranked neighbours as one list
+    /// key, with no priority and no count, moved the queries and writes and
+    /// no round count: an edge is published once, not from both ends, a
+    /// probe reads no priority or count, and an empty list costs one read.
     #[test]
     fn model_cost_of_mis_is_pinned() {
         let cost = |graph: &Graph| {
@@ -363,8 +331,8 @@ mod tests {
         };
         let planted = generators::planted_components(3000, 5, 1200, 7);
         let gnm = generators::erdos_renyi_gnm(2000, 8000, 11);
-        assert_eq!(cost(&planted), (4, 63036, 24030));
-        assert_eq!(cost(&gnm), (4, 47277, 20090));
+        assert_eq!(cost(&planted), (4, 15670, 8997));
+        assert_eq!(cost(&gnm), (4, 11884, 8003));
     }
 
     #[test]

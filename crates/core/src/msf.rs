@@ -33,10 +33,9 @@
 //! A vertex's list is one key: slot `j` of `v`'s list is value `j` of
 //! `weighted_adjacency_list_key(v)`, in rank order, because a key's values
 //! keep their commit order.  Prim reads each flight of slots with one
-//! [`MachineContext::read_indexed_slice`] — one lookup for the flight, where
-//! a key per slot paid one per slot — and an epoch frame carries each key
-//! once per list.  A flight of `k` slots still counts `k` queries, so
-//! queries, writes and selected edges are those of a key per slot.
+//! [`MachineContext::read_indexed_slice`] — one lookup for the flight — and
+//! an epoch frame carries each key once per list.  A flight of `k` slots
+//! counts `k` queries, as the model's `k` reads of `(x, j)` do.
 
 use crate::common::{
     decode_weighted_neighbor, encode_weighted_neighbor, round_robin_assign,
@@ -98,7 +97,7 @@ fn weighted_adjacency_pairs(
         edges,
         keep,
         |neighbour, e| (e.weight, neighbour, e.original),
-        |v, _| weighted_adjacency_list_key(v),
+        weighted_adjacency_list_key,
         |(weight, neighbour, original)| encode_weighted_neighbor(neighbour, original, weight),
     )
 }
@@ -381,7 +380,6 @@ fn msf_impl<B: DdsBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{degree_key, per_slot_keys, weighted_adjacency_key};
     use ampc_graph::{generators, sequential};
 
     fn weighted(n: usize, extra: usize, seed: u64) -> Graph {
@@ -475,23 +473,26 @@ mod tests {
         selected
     }
 
-    /// The slot-by-slot expansion, kept as the budget reference: one
+    /// The slot-by-slot expansion, kept as the reference: one
     /// [`MachineContext::read_indexed`] of the vertex's list key per slot,
     /// cap checked before every read, up to the first absent slot or slot
-    /// `d − 1`; like [`local_prim`], it does not expand the vertex that fills
-    /// the tree.
+    /// `slots`; like [`local_prim`], it does not expand the vertex that fills
+    /// the tree.  At `slots = d − 1` it is the budget reference; unbounded,
+    /// it reads every slot of each vertex it expands, the full-list side of
+    /// the lemma and star tests.
     fn reference_prim(
         ctx: &mut MachineContext,
         v: u32,
         d: usize,
         query_cap: u64,
+        slots: usize,
     ) -> Vec<(u32, u32, u32)> {
         let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32, u32, u32)>> = BinaryHeap::new();
         let mut in_tree: FxHashSet<u32> = FxHashSet::default();
         let mut selected: Vec<(u32, u32, u32)> = Vec::new();
         let start_queries = ctx.queries_issued();
         let expand = |x: u32, ctx: &mut MachineContext, heap: &mut BinaryHeap<_>| {
-            for i in 0..d - 1 {
+            for i in 0..slots {
                 if ctx.queries_issued() - start_queries >= query_cap {
                     return;
                 }
@@ -523,126 +524,6 @@ mod tests {
         selected
     }
 
-    /// [`local_prim`] as it was while a phase published a key per slot, kept
-    /// as its reference: each flight is a [`MachineContext::read_many_slice`]
-    /// of slot keys, clamped as [`local_prim`] clamps its flights.
-    fn per_slot_prim(
-        ctx: &mut MachineContext,
-        scratch: &mut PrimScratch,
-        v: u32,
-        d: usize,
-        query_cap: u64,
-    ) -> Vec<(u32, u32, u32)> {
-        let PrimScratch { heap, in_tree } = scratch;
-        heap.clear();
-        in_tree.clear();
-        let mut selected: Vec<(u32, u32, u32)> = Vec::new();
-        let start_queries = ctx.queries_issued();
-        let expand = |x: u32, ctx: &mut MachineContext, heap: &mut CandidateHeap| {
-            let mut keys: [Key; PRIM_READ_BATCH] = [weighted_adjacency_key(0, 0); PRIM_READ_BATCH];
-            let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
-            let mut next_slot = 0usize;
-            while next_slot < d - 1 {
-                let used = ctx.queries_issued() - start_queries;
-                if used >= query_cap {
-                    return;
-                }
-                let room = (query_cap - used) as usize;
-                let batch = PRIM_READ_BATCH.min(room).min(d - 1 - next_slot);
-                for (j, key) in keys[..batch].iter_mut().enumerate() {
-                    *key = weighted_adjacency_key(x, next_slot + j);
-                }
-                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
-                for entry in &entries[..batch] {
-                    let Some(entry) = *entry else { return };
-                    let (nbr, id, w) = decode_weighted_neighbor(entry);
-                    heap.push(std::cmp::Reverse((w, x, nbr, id)));
-                }
-                next_slot += batch;
-            }
-        };
-        in_tree.insert(v);
-        expand(v, ctx, heap);
-        while in_tree.len() < d {
-            if ctx.queries_issued() - start_queries >= query_cap {
-                break;
-            }
-            let Some(std::cmp::Reverse((_, from, to, id))) = heap.pop() else {
-                break;
-            };
-            if !in_tree.insert(to) {
-                continue;
-            }
-            selected.push((from, to, id));
-            if in_tree.len() < d {
-                expand(to, ctx, heap);
-            }
-        }
-        selected
-    }
-
-    /// [`local_prim`] as it was while a phase published counts, kept as its
-    /// reference: one read of `x`'s count under [`degree_key`], then flights
-    /// of its slots up to the count.
-    fn count_first_prim(
-        ctx: &mut MachineContext,
-        scratch: &mut PrimScratch,
-        v: u32,
-        d: usize,
-        query_cap: u64,
-    ) -> Vec<(u32, u32, u32)> {
-        let PrimScratch { heap, in_tree } = scratch;
-        heap.clear();
-        in_tree.clear();
-        let mut selected: Vec<(u32, u32, u32)> = Vec::new();
-        let start_queries = ctx.queries_issued();
-        let expand = |x: u32, ctx: &mut MachineContext, heap: &mut CandidateHeap| {
-            let Some(deg) = ctx.read(degree_key(x)).map(|d| d.x as usize) else {
-                return;
-            };
-            let mut keys: [Key; PRIM_READ_BATCH] = [degree_key(0); PRIM_READ_BATCH];
-            let mut entries: [Option<Value>; PRIM_READ_BATCH] = [None; PRIM_READ_BATCH];
-            let mut next_slot = 0usize;
-            while next_slot < deg {
-                let used = ctx.queries_issued() - start_queries;
-                if used >= query_cap {
-                    return;
-                }
-                let room = (query_cap - used) as usize;
-                let batch_end = deg.min(next_slot + PRIM_READ_BATCH.min(room));
-                let batch = batch_end - next_slot;
-                for (j, key) in keys[..batch].iter_mut().enumerate() {
-                    *key = weighted_adjacency_key(x, next_slot + j);
-                }
-                ctx.read_many_slice(&keys[..batch], &mut entries[..batch]);
-                for entry in &entries[..batch] {
-                    let Some(entry) = *entry else { continue };
-                    let (nbr, id, w) = decode_weighted_neighbor(entry);
-                    heap.push(std::cmp::Reverse((w, x, nbr, id)));
-                }
-                next_slot = batch_end;
-            }
-        };
-        in_tree.insert(v);
-        expand(v, ctx, heap);
-        while in_tree.len() < d {
-            if ctx.queries_issued() - start_queries >= query_cap {
-                break;
-            }
-            let Some(std::cmp::Reverse((_, from, to, id))) = heap.pop() else {
-                break;
-            };
-            if !in_tree.insert(to) {
-                continue;
-            }
-            selected.push((from, to, id));
-            if in_tree.len() < d {
-                expand(to, ctx, heap);
-            }
-        }
-        selected
-    }
-
     /// The edges of `graph` as the driver's first phase holds them.
     fn contracted_edges(graph: &Graph) -> Vec<ContractedEdge> {
         if graph.num_edges() == 0 {
@@ -663,29 +544,6 @@ mod tests {
     /// phase does: one list key per vertex.
     fn prefix(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
         weighted_adjacency_pairs(&LiveSet::all(n as usize), edges, keep).0
-    }
-
-    /// [`prefix`] with one key per slot, as a phase published it before a
-    /// vertex's list was one key.
-    fn per_slot_prefix(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
-        per_slot_keys(prefix(n, edges, keep))
-    }
-
-    /// [`per_slot_prefix`] with each vertex's slot count under
-    /// [`degree_key`], as a phase published it before the searches stopped
-    /// reading it.
-    fn prefix_with_counts(n: u32, edges: &[ContractedEdge], keep: usize) -> Vec<(Key, Value)> {
-        let mut degree = vec![0usize; n as usize];
-        for e in edges {
-            degree[e.u as usize] += 1;
-            degree[e.v as usize] += 1;
-        }
-        let mut pairs = per_slot_prefix(n, edges, keep);
-        pairs.extend((0..n).map(|v| {
-            let count = degree[v as usize].min(keep);
-            (degree_key(v), Value::scalar(count as u64))
-        }));
-        pairs
     }
 
     /// `search` from every vertex of `0..n` in turn, on one machine with one
@@ -769,7 +627,7 @@ mod tests {
                 let selected = if batched {
                     prim(ctx, scratch, v, d, query_cap)
                 } else {
-                    reference_prim(ctx, v, d, query_cap)
+                    reference_prim(ctx, v, d, query_cap, d - 1)
                 };
                 (selected, ctx.queries_issued() - before)
             })
@@ -806,11 +664,11 @@ mod tests {
         /// The `d − 1` lemma for Prim (`LiveSet::adjacency_pairs`): on random
         /// simple graphs with weight ties, from every vertex and at every
         /// budget, `local_prim` over each vertex's `d − 1` lightest edges,
-        /// published as values of its list key, selects exactly the edges,
-        /// in the order, that the count-first search selects over full lists
-        /// (a key per slot) and their counts, where it reads every slot of
-        /// each vertex it expands.  No cap: the prefix bounds
-        /// the reads.
+        /// published as values of its list key with no count, selects
+        /// exactly the edges, in the order, that the slot-by-slot reference
+        /// selects over whole lists, where it reads every slot of each
+        /// vertex it expands; with no cap, and at `d²`, which does not bind:
+        /// the prefix bounds the reads.
         #[test]
         fn local_prim_on_the_lightest_prefix_selects_what_full_lists_select(
             n in 2u32..24,
@@ -820,75 +678,18 @@ mod tests {
                 raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
             let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
             let budgets = 2..=10usize;
-            let full = from_every_vertex(n, prefix_with_counts(n, &edges, usize::MAX), |ctx, scratch, v| {
+            let full = from_every_vertex(n, prefix(n, &edges, usize::MAX), |ctx, _, v| {
                 (budgets.clone())
-                    .map(|d| count_first_prim(ctx, scratch, v, d, u64::MAX))
+                    .map(|d| reference_prim(ctx, v, d, u64::MAX, usize::MAX))
                     .collect::<Vec<_>>()
             });
             for d in budgets.clone() {
                 let prefix = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
-                    prim(ctx, scratch, v, d, u64::MAX)
+                    [(d * d) as u64, u64::MAX].map(|cap| prim(ctx, scratch, v, d, cap))
                 });
                 for (v, (prefix, full)) in prefix.iter().zip(&full).enumerate() {
-                    proptest::prop_assert_eq!(prefix, &full[d - 2], "d {}, from {}", d, v);
-                }
-            }
-        }
-
-        /// The count-free read (`LiveSet::adjacency_pairs`): on random
-        /// simple graphs with weight ties, from every vertex, at every budget
-        /// and at caps that do not bind (a search reads under `d²`),
-        /// `local_prim` over a phase's count-free prefix (its list keys)
-        /// selects exactly the edges, in the order, that the count-first
-        /// search selects over the same prefix, a key per slot, with its
-        /// counts.
-        #[test]
-        fn local_prim_reads_the_prefix_without_a_count(
-            n in 2u32..24,
-            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u64..4), 0..80),
-        ) {
-            let triples: Vec<(u32, u32, u64)> =
-                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
-            let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
-            for d in 2..=10usize {
-                let caps = [(d * d) as u64, u64::MAX];
-                let counted = from_every_vertex(n, prefix_with_counts(n, &edges, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| count_first_prim(ctx, scratch, v, d, cap))
-                });
-                let count_free = from_every_vertex(n, prefix(n, &edges, d - 1), |ctx, scratch, v| {
-                    caps.map(|cap| prim(ctx, scratch, v, d, cap))
-                });
-                for (v, (count_free, counted)) in count_free.iter().zip(&counted).enumerate() {
-                    proptest::prop_assert_eq!(count_free, counted, "d {}, from {}", d, v);
-                }
-            }
-        }
-
-        /// One key per list changes nothing but the layout: on random simple
-        /// graphs with weight ties, from every vertex, at every budget and at
-        /// every cap (1, 3, d², ∞), `local_prim` over a phase's list keys
-        /// selects the edges, in the order, and issues exactly the queries
-        /// that the per-slot search selects and issues over the same slots,
-        /// one key each.  All of a machine's starts append to one buffer, as
-        /// in a phase.
-        #[test]
-        fn local_prim_on_one_list_key_selects_what_per_slot_keys_select(
-            n in 2u32..24,
-            raw in proptest::collection::vec((0u32..24, 0u32..24, 0u64..4), 0..80),
-        ) {
-            let triples: Vec<(u32, u32, u64)> =
-                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
-            let edges = contracted_edges(&Graph::from_weighted_edges(n as usize, &triples));
-            for d in 2..=10usize {
-                for cap in [1, 3, (d * d) as u64, u64::MAX] {
-                    let per_slot = from_every_vertex(n, per_slot_prefix(n, &edges, d - 1), |ctx, scratch, v| {
-                        let before = ctx.queries_issued();
-                        let selected = per_slot_prim(ctx, scratch, v, d, cap);
-                        (selected, ctx.queries_issued() - before)
-                    });
-                    let listed = appended_per_start(n, prefix(n, &edges, d - 1), d, cap);
-                    for (v, (listed, per_slot)) in listed.iter().zip(&per_slot).enumerate() {
-                        proptest::prop_assert_eq!(listed, per_slot, "d {}, cap {}, from {}", d, cap, v);
+                    for (cap, selected) in ["d²", "∞"].iter().zip(prefix) {
+                        proptest::prop_assert_eq!(selected, &full[d - 2], "cap {}, d {}, from {}", cap, d, v);
                     }
                 }
             }
@@ -897,9 +698,14 @@ mod tests {
 
     /// A list longer than one flight: from the centre of a 40-leaf star at
     /// `d = 30`, `local_prim` reads the centre's 29 slots in two flights
-    /// (16, then 13 from slot 16), so a flight that starts anywhere but
-    /// where the last one ended selects other edges or issues other
-    /// queries than the per-slot search, at every cap.
+    /// (16, then 13 from slot 16), and the slot-by-slot reference reads the
+    /// same 29 slots one at a time, so a flight that starts anywhere but
+    /// where the last one ended selects other edges than the reference.  At
+    /// every cap the two select the same edges from the centre; at caps
+    /// inside the centre's list `local_prim` debits exactly the cap; and at
+    /// the caps that do not bind, every start selects what the reference
+    /// selects.
+    /// All of a machine's starts append to one buffer, as in a phase.
     #[test]
     fn local_prim_on_one_list_key_reads_a_long_list_in_flights() {
         let leaves = 40u32;
@@ -908,24 +714,27 @@ mod tests {
             .collect();
         let edges = contracted_edges(&Graph::from_weighted_edges(leaves as usize + 1, &star));
         let d = 30;
+        let pairs = prefix(leaves + 1, &edges, d - 1);
         for cap in [1, 3, 16, 17, 20, (d * d) as u64, u64::MAX] {
-            let per_slot = from_every_vertex(
-                leaves + 1,
-                per_slot_prefix(leaves + 1, &edges, d - 1),
-                |ctx, scratch, v| {
-                    let before = ctx.queries_issued();
-                    let selected = per_slot_prim(ctx, scratch, v, d, cap);
-                    (selected, ctx.queries_issued() - before)
-                },
-            );
-            let listed = appended_per_start(leaves + 1, prefix(leaves + 1, &edges, d - 1), d, cap);
-            assert_eq!(listed, per_slot, "cap {cap}");
+            let listed = appended_per_start(leaves + 1, pairs.clone(), d, cap);
+            let single = from_every_vertex(leaves + 1, pairs.clone(), |ctx, _, v| {
+                reference_prim(ctx, v, d, cap, d - 1)
+            });
+            assert_eq!(listed[0].0, single[0], "cap {cap}");
+            if cap < d as u64 {
+                assert_eq!(listed[0].1, cap, "cap {cap}");
+            } else {
+                assert_eq!(listed[0].0.len(), d - 1, "cap {cap}");
+                for (v, ((selected, _), single)) in listed.iter().zip(&single).enumerate() {
+                    assert_eq!(selected, single, "cap {cap}, from {v}");
+                }
+            }
         }
     }
 
     /// The bound is tight: from the centre of a star every tree edge is one
     /// of the centre's own, so with `d − 1` of them published under its list
-    /// key the tree is the one the count-first search selects over full
+    /// key the tree is the one the slot-by-slot reference selects over whole
     /// lists, and with `d − 2` it stops one vertex short.
     #[test]
     fn a_star_needs_d_minus_one_lightest_edges() {
@@ -943,8 +752,8 @@ mod tests {
         };
         let full = from_every_vertex(
             leaves + 1,
-            prefix_with_counts(leaves + 1, &edges, usize::MAX),
-            |ctx, scratch, v| count_first_prim(ctx, scratch, v, d, u64::MAX),
+            prefix(leaves + 1, &edges, usize::MAX),
+            |ctx, _, v| reference_prim(ctx, v, d, u64::MAX, usize::MAX),
         )
         .swap_remove(0);
         assert_eq!(full.len(), d - 1);

@@ -192,9 +192,6 @@ mod tests {
         let mut backend = B::with_shards(4, 2);
         assert_eq!(backend.num_shards(), 4);
         assert_eq!(backend.completed_epochs(), 0);
-        let empty = Snapshot::empty(backend.num_shards());
-        assert!(empty.is_empty());
-        assert_eq!(empty.get(&k(1)), None);
 
         backend.commit_round(
             vec![

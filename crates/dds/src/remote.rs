@@ -672,17 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_view_misses_and_counts() {
-        let backend = ChannelBackend::new(4, 2);
-        let view = Snapshot::empty(backend.num_shards());
-        assert!(view.is_empty());
-        assert_eq!(view.num_shards(), 4);
-        assert_eq!(view.get(&k(1)), None);
-        assert_eq!(view.multiplicity(&k(2)), 0);
-        assert_eq!(view.total_reads(), 2);
-    }
-
-    #[test]
     fn concurrent_clones_share_the_published_epoch() {
         let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i, i)).collect();
         let mut backend = channel_with(&pairs, 8, 4);

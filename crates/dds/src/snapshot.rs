@@ -435,7 +435,10 @@ mod tests {
         assert!(snap.is_empty());
         assert_eq!(snap.len(), 0);
         assert_eq!(snap.get(&k(0)), None);
+        assert_eq!(snap.multiplicity(&k(1)), 0);
         assert_eq!(snap.num_shards(), 4);
+        // Misses on the empty view count as reads too.
+        assert_eq!(snap.total_reads(), 2);
     }
 
     #[test]
