@@ -23,7 +23,10 @@
 //!
 //! Whatever the transport and whichever constructor, an owner this backend
 //! spawns is one thread behind one connection ([`spawn_owner`]), and the
-//! backend joins it when it drops.
+//! backend joins it when it drops.  It starts no other thread: every reply
+//! is received on the calling thread (`fan_out`), so an epoch's replica
+//! shards are allocated by the thread that later frees them, never in the
+//! malloc arena of a thread that lived for one request.
 //!
 //! Every owner holds one contiguous range of the shard space, the one
 //! [`owner_range`] gives it, whoever started it.  The client decides one
@@ -263,18 +266,19 @@ impl<T: Transport> RemoteBackend<T> {
     }
 
     /// The one request/reply pattern of the client: pipeline `requests`
-    /// (owner, request — ascending by owner) to their owners, then collect
-    /// one reply per request in the same order through `accept`.  Every
-    /// failure is harvested.
+    /// (owner, request — ascending by owner) to their owners, then receive
+    /// one reply per request, in the same order and on the calling thread,
+    /// through `accept` — every asked owner's, even after one failed.  Each
+    /// failure is harvested; the first is returned.
     ///
-    /// Replies are collected concurrently, one owner per thread (the last
-    /// on the calling thread): receiving an epoch means decoding its frame
-    /// and rebuilding the replica, which dominates advance latency and is
-    /// independent per owner.
-    fn fan_out<R: Send>(
+    /// A fetcher thread per owner would decode its reply — an epoch frame
+    /// and every replica shard — into a malloc arena of its own, which keeps
+    /// the pages after the caller frees them; with a few owners, the
+    /// concurrent decode bought no time.
+    fn fan_out<R>(
         &mut self,
         requests: impl IntoIterator<Item = (usize, Request)>,
-        accept: impl Fn(usize, ClientReply) -> Result<R, TransportError> + Sync,
+        accept: impl Fn(usize, ClientReply) -> Result<R, TransportError>,
     ) -> Result<Vec<R>, TransportError> {
         let mut asked = vec![false; self.clients.len()];
         for (owner, request) in requests {
@@ -282,42 +286,24 @@ impl<T: Transport> RemoteBackend<T> {
             sent.map_err(|err| self.harvest(err))?;
             asked[owner] = true;
         }
-        let fetch =
-            |(owner, client): (usize, &mut T)| client.recv().and_then(|reply| accept(owner, reply));
-        let replies: Vec<Result<R, TransportError>> = std::thread::scope(|scope| {
-            let mut pending = self
-                .clients
-                .iter_mut()
-                .enumerate()
-                .filter(|(owner, _)| asked[*owner]);
-            let last = pending.next_back();
-            let fetchers: Vec<_> = pending
-                .map(|link| scope.spawn(move || fetch(link)))
-                .collect();
-            let last = last.map(fetch);
-            fetchers
-                .into_iter()
-                // A fetcher only panics on a bug in this client; let it
-                // surface as one.
-                .map(|fetcher| {
-                    fetcher
-                        .join()
-                        .unwrap_or_else(|bug| std::panic::resume_unwind(bug))
-                })
-                .chain(last)
-                .collect()
-        });
-        replies
-            .into_iter()
-            .map(|reply| reply.map_err(|err| self.harvest(err)))
-            .collect()
+        let (mut replies, mut failed) = (Vec::with_capacity(self.clients.len()), None);
+        for owner in (0..self.clients.len()).filter(|&owner| asked[owner]) {
+            let reply = self.clients[owner]
+                .recv()
+                .and_then(|reply| accept(owner, reply));
+            match reply.map_err(|err| self.harvest(err)) {
+                Ok(reply) => replies.push(reply),
+                Err(err) => failed = failed.or(Some(err)),
+            }
+        }
+        failed.map_or(Ok(replies), Err)
     }
 
     /// [`Self::fan_out`] of the same `request` to every owner.
-    fn broadcast<R: Send>(
+    fn broadcast<R>(
         &mut self,
         request: Request,
-        accept: impl Fn(usize, ClientReply) -> Result<R, TransportError> + Sync,
+        accept: impl Fn(usize, ClientReply) -> Result<R, TransportError>,
     ) -> Result<Vec<R>, TransportError> {
         let owners = 0..self.clients.len();
         self.fan_out(owners.map(|owner| (owner, request.clone())), accept)

@@ -122,26 +122,46 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Freeze a writable shard ([`laid_out`]) under the narrowest directory
-    /// that addresses it.
+    /// Freeze a writable shard, its buffers allocated on the calling thread.
     pub(crate) fn freeze(pairs: Pairs) -> Shard {
-        let (pairs, directory) = if pairs.len() <= usize::from(u16::MAX) {
-            let (pairs, directory) = laid_out::<u16>(pairs);
-            (pairs, Directory::Narrow(directory))
-        } else {
-            assert!(
-                u32::try_from(pairs.len()).is_ok(),
-                "a shard's directory addresses at most u32::MAX pairs"
-            );
-            let (pairs, directory) = laid_out::<u32>(pairs);
-            (pairs, Directory::Wide(directory))
-        };
-        let keys = pairs.chunk_by(|(a, _), (b, _)| a == b).count();
-        Shard {
-            pairs,
-            directory,
-            keys,
+        let mut shard = Shard::unfilled(pairs.len());
+        shard.fill(pairs);
+        shard
+    }
+
+    /// A shard of `len` pairs before [`Shard::fill`]: no pairs, and room for
+    /// the `len.next_power_of_two() + 1` offsets of its directory (none for
+    /// no pairs), in the narrowest type that addresses them.
+    fn unfilled(len: usize) -> Shard {
+        assert!(
+            u32::try_from(len).is_ok(),
+            "a shard's directory addresses at most u32::MAX pairs"
+        );
+        if len == 0 {
+            return Shard::default();
         }
+        let offsets = len.next_power_of_two() + 1;
+        let directory = if u16::try_from(len).is_ok() {
+            Directory::Narrow(Vec::with_capacity(offsets))
+        } else {
+            Directory::Wide(Vec::with_capacity(offsets))
+        };
+        Shard {
+            directory,
+            ..Shard::default()
+        }
+    }
+
+    /// Freeze `pairs` into this [`Shard::unfilled`] shard's buffers
+    /// ([`laid_out`]): inside their capacity, so a worker whose caller sized
+    /// them allocates nothing; buffers without room grow on this thread.
+    fn fill(&mut self, pairs: Pairs) {
+        let out = std::mem::take(&mut self.pairs);
+        self.pairs = match &mut self.directory {
+            Directory::Narrow(directory) => laid_out(pairs, out, directory),
+            Directory::Wide(directory) => laid_out(pairs, out, directory),
+        };
+        self.keys = self.pairs.chunk_by(|(a, _), (b, _)| a == b).count();
     }
 
     /// The pairs of the bucket `digest` falls in: the one directory load of
@@ -241,17 +261,18 @@ pub(crate) fn first_in(bucket: &[(Key, Value)], key: &Key) -> Option<Value> {
 }
 
 /// A writable shard's pairs in the frozen layout, and their directory of
-/// `pairs.len().next_power_of_two()` buckets (none for no pairs), offsets in
-/// `T`, which must address `pairs.len()`: count the pairs per bucket, lay
-/// them out in bucket order by a stable counting sort unless they already
-/// are, and sort a bucket's keys (stably, so each key's values keep their
-/// order) only where they are out of order.
-fn laid_out<T: Offset>(pairs: Pairs) -> (Pairs, Vec<T>) {
+/// `pairs.len().next_power_of_two()` buckets (none for no pairs) in the empty
+/// `directory`, offsets in `T`, which must address `pairs.len()`: count the
+/// pairs per bucket, lay them out in bucket order into `out` by a stable
+/// counting sort unless they already are (`out` then goes unused), and sort
+/// a bucket's keys (stably, so each key's values keep their order) only
+/// where they are out of order.
+fn laid_out<T: Offset>(pairs: Pairs, out: Pairs, directory: &mut Vec<T>) -> Pairs {
     let Some((first, _)) = pairs.first() else {
-        return (pairs, Vec::new());
+        return pairs;
     };
     let buckets = pairs.len().next_power_of_two();
-    let mut directory = vec![T::from(0); buckets + 1];
+    directory.resize(buckets + 1, T::from(0));
     // Whether the pairs are in layout order already: buckets ascend, and
     // keys inside a bucket.  Once they are not, the check stops (an
     // unpredictable branch per pair cost twice the counting itself).
@@ -270,18 +291,19 @@ fn laid_out<T: Offset>(pairs: Pairs) -> (Pairs, Vec<T>) {
         directory[b + 1] += start;
     }
     if ordered {
-        (pairs, directory)
+        pairs
     } else {
-        (sorted(pairs, &mut directory), directory)
+        sorted(pairs, out, directory)
     }
 }
 
-/// The counting sort's scatter: `pairs` laid out by bucket, in order within
-/// each bucket, where `directory` holds each bucket's start on entry (and
-/// still does on return); then each bucket sorted by key where it is not.
-fn sorted<T: Offset>(pairs: Pairs, directory: &mut [T]) -> Pairs {
+/// The counting sort's scatter: `pairs` laid out by bucket into `sorted`, in
+/// order within each bucket, where `directory` holds each bucket's start on
+/// entry (and still does on return); then each bucket sorted by key where it
+/// is not.
+fn sorted<T: Offset>(pairs: Pairs, mut sorted: Pairs, directory: &mut [T]) -> Pairs {
     let buckets = directory.len() - 1;
-    let mut sorted = vec![UNFILLED; pairs.len()];
+    sorted.resize(pairs.len(), UNFILLED);
     // `directory[b]` is bucket `b`'s write cursor, and ends at its end.
     for &(key, value) in &pairs {
         let b = bucket(key.digest(), buckets);
@@ -333,13 +355,21 @@ impl ExactSizeIterator for Runs<'_> {}
 /// contiguous run of them, the calling thread the last — the one freeze of
 /// [`crate::ShardedStore`] and of the owners' `Advance` / `FreezeEpoch`
 /// (which pass one thread), so the two epoch pipelines cannot drift apart.
+/// The calling thread sizes every buffer a worker fills
+/// ([`for_each_part_parallel`]); its own run's pairs it allocates as it
+/// goes, each reusing what the shard before freed, as an owner's freeze
+/// (one run) always did.
 pub(crate) fn freeze_all(mut shards: Vec<Pairs>, threads: usize) -> Vec<Shard> {
-    let mut frozen = vec![Shard::default(); shards.len()];
     let run = shards.len().div_ceil(threads.max(1)).max(1);
+    let own = shards.len().saturating_sub(1) / run * run;
+    let mut frozen: Vec<Shard> = shards.iter().map(|p| Shard::unfilled(p.len())).collect();
+    for (shard, pairs) in frozen[..own].iter_mut().zip(&shards) {
+        shard.pairs.reserve_exact(pairs.len());
+    }
     let parts = shards.chunks_mut(run).zip(frozen.chunks_mut(run)).collect();
     for_each_part_parallel(parts, |(pairs, frozen)| {
         for (pairs, frozen) in pairs.iter_mut().zip(frozen) {
-            *frozen = Shard::freeze(std::mem::take(pairs));
+            frozen.fill(std::mem::take(pairs));
         }
     });
     frozen

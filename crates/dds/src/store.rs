@@ -315,11 +315,8 @@ pub(crate) fn partition_by_shard(
         }
     }
 
-    // Fill pass.  A worker writes into slots the calling thread allocated
-    // and never allocates itself: the first allocation on a thread attaches
-    // a glibc arena to it, and buckets grown there keep that arena's pages
-    // (workers that grew their own buckets read `conn-local` peak RSS 200 →
-    // 260 MiB).
+    // Fill pass: into slots the calling thread allocated, as a worker's
+    // must be (see `for_each_part_parallel`).
     let filling = ranges.into_iter().zip(cursors).collect();
     for_each_part_parallel(filling, |(range, mut cursor)| {
         let mut ids = shard_ids[range.clone()].iter();
@@ -336,6 +333,13 @@ pub(crate) fn partition_by_shard(
 
 /// Run `work` on every part, the last on the calling thread and each other
 /// on a scoped thread of its own; one part runs with no thread setup.
+///
+/// The work of a part on a thread of its own must not allocate: the calling
+/// thread sizes every buffer such a part fills, and the work stays inside
+/// their capacity.  The first allocation on a thread attaches a glibc malloc
+/// arena to it, and what a thread of one call allocates there keeps that
+/// arena's pages after the calling thread frees it (workers that grew their
+/// own buckets read `conn-local` peak RSS 200 → 260 MiB).
 pub(crate) fn for_each_part_parallel<T: Send>(mut parts: Vec<T>, work: impl Fn(T) + Sync) {
     let Some(last) = parts.pop() else {
         return;

@@ -1,13 +1,15 @@
-//! A counting `#[global_allocator]` shim: what the calling thread asked the
-//! allocator for, checkable without external tooling.  Shared by
-//! `framing_alloc.rs` (zero allocations on the steady-state wire path) and
-//! the crate's own unit tests (`proto.rs`: no decoder allocates past a fixed
-//! multiple of the bytes it was handed).
+//! A counting `#[global_allocator]` shim: what the calling thread, and the
+//! whole process, asked the allocator for, checkable without external
+//! tooling.  Shared by `framing_alloc.rs` (zero allocations on the
+//! steady-state wire path), `worker_alloc.rs` (freeze workers fill buffers
+//! the caller sized) and the crate's own unit tests (`proto.rs`: no decoder
+//! allocates past a fixed multiple of the bytes it was handed).
 
 #![allow(dead_code, reason = "each test binary reads the counter it needs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     // Const-initialized so reading a counter never itself allocates
@@ -16,14 +18,19 @@ thread_local! {
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Bytes every thread of the process has asked for.
+static PROCESS_BYTES: AtomicU64 = AtomicU64::new(0);
+
 /// Passes every call through to the system allocator, counting the ones
 /// that hand out (or regrow) memory on this thread, and the bytes they
-/// asked for (a regrow counts its whole new size).
+/// asked for (a regrow counts its whole new size), on this thread and in
+/// the process.
 struct CountingAllocator;
 
 fn count(bytes: usize) {
     ALLOCATIONS.with(|count| count.set(count.get() + 1));
     ALLOCATED_BYTES.with(|total| total.set(total.get() + bytes as u64));
+    PROCESS_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -56,4 +63,9 @@ pub fn allocations() -> u64 {
 /// Bytes this thread has asked the allocator for so far.
 pub fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.with(|total| total.get())
+}
+
+/// Bytes every thread of the process has asked the allocator for so far.
+pub fn process_allocated_bytes() -> u64 {
+    PROCESS_BYTES.load(Ordering::Relaxed)
 }
