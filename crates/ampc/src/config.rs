@@ -8,7 +8,6 @@
 //! query/write budgets are enforced.
 
 use crate::error::AmpcError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default space exponent ε used when the caller does not care.
@@ -33,7 +32,7 @@ pub const MAX_SHARDS: usize = 1024;
 /// same driver code runs on either store.  The cross-backend determinism
 /// suite (`tests/backend_determinism.rs`) pins down that the choice is
 /// unobservable in algorithm outputs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DdsBackendKind {
     /// In-process sharded store ([`ampc_dds::LocalBackend`]): shared memory,
     /// lock-free frozen reads.  The default and the fastest.
@@ -94,7 +93,7 @@ impl std::str::FromStr for DdsBackendKind {
 }
 
 /// How budget violations are handled by the runtime.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BudgetMode {
     /// A machine exceeding its per-round query/write budget aborts the run
     /// with [`crate::AmpcError::BudgetExceeded`].
@@ -107,7 +106,7 @@ pub enum BudgetMode {
 }
 
 /// Parameters of an AMPC execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AmpcConfig {
     /// Problem-size parameter the space bound is expressed in (the paper
     /// uses the number of vertices `n` for graph problems).

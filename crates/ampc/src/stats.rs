@@ -7,11 +7,10 @@
 //! assert e.g. "the 2-Cycle algorithm used O(1/ε) rounds and O(n^ε) queries
 //! per machine" and benches can print the same columns as Figure 1.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Statistics of a single AMPC round.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundStats {
     /// Round index (0-based).
     pub round: usize,
@@ -47,7 +46,7 @@ impl RoundStats {
 }
 
 /// Statistics of a whole AMPC execution.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Per-round statistics, in execution order.
     pub rounds: Vec<RoundStats>,

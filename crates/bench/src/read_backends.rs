@@ -12,7 +12,7 @@
 //!   shards the owner threads froze; on `TcpBackend`, the replica fetched
 //!   over the wire at advance time.  The series times that probe alone.
 //! * **batched** — [`ampc_dds::Snapshot::get_many_slice`] flights of
-//!   [`FLIGHT`] keys, the explicit batching algorithms use when a whole key
+//!   `FLIGHT` keys, the explicit batching algorithms use when a whole key
 //!   set is in hand.  A flight overlaps its keys' cache misses, so it must
 //!   read faster per key than **point** does; CI fails the artifact where
 //!   it does not.
@@ -20,13 +20,13 @@
 //!   (`MachineContext::queue_read` / `take_read`), timed through a real
 //!   single-machine round so the ticket bookkeeping is part of the cost.
 //! * **indexed-first** / **indexed-last** — [`ampc_dds::Snapshot::get_indexed`]
-//!   at index 0 and at the last index of one [`RUN`]-value run, in an epoch
+//!   at index 0 and at the last index of one `RUN`-value run, in an epoch
 //!   of the same keys plus the run.  An indexed read finds the run's start
 //!   and checks one slot, so the last index must cost about what the first
 //!   does; CI fails the artifact where it costs twice as much, as it would
 //!   if the read walked the run.
 //! * **indexed-run** — [`ampc_dds::Snapshot::get_indexed_slice`] flights of
-//!   [`RUN_FLIGHT`] consecutive values of the same run, in ns per value: the
+//!   `RUN_FLIGHT` consecutive values of the same run, in ns per value: the
 //!   read connectivity, MSF and MIS make of a vertex's list key.  A flight is one
 //!   lookup and a copy, so a value must cost less than a key of a
 //!   **batched** flight; CI fails the artifact where it does not, as it
@@ -88,7 +88,7 @@ pub struct BackendReadLatencyPoint {
     /// Lookups timed (per pass); values read, for `indexed-run`.
     pub reads: usize,
     /// Mean latency per lookup (per value, for `indexed-run`), nanoseconds
-    /// — minimum over [`PASSES`] timed passes.
+    /// — minimum over `PASSES` timed passes.
     pub ns_per_read: f64,
     /// Checksum of the values read (anti-dead-code; equal across backends,
     /// and across the point, batched and windowed modes).

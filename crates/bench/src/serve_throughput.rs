@@ -11,13 +11,13 @@
 //! `K` leased clients (each its own session, so the server multiplexes `K`
 //! concurrent connections) drive a sustained commit/advance/read load:
 //! commits stream out back-to-back up to the mode's window, every
-//! [`ADVANCE_EVERY`] commits the client drains its pipeline and freezes the
+//! `ADVANCE_EVERY` commits the client drains its pipeline and freezes the
 //! epoch, and a final `TotalWrites` read audits that every commit was
 //! applied exactly once.  Two modes run the identical workload:
 //!
 //! * **one_in_flight** — window 1, the classic lock-step RPC loop (send,
 //!   wait, repeat); every request pays a full round-trip of latency.
-//! * **pipelined** — window [`PIPELINE_WINDOW`]; round-trips overlap and
+//! * **pipelined** — window `PIPELINE_WINDOW`; round-trips overlap and
 //!   the socket, codec, and dispatch stages all stay busy.
 //!
 //! Reported per mode: sustained requests/sec across all clients, plus p50
@@ -214,7 +214,7 @@ fn measure_mode(
 }
 
 /// Run the full experiment: the identical commit/advance/read workload in
-/// lock-step (window 1) and pipelined (window [`PIPELINE_WINDOW`]) modes,
+/// lock-step (window 1) and pipelined (window `PIPELINE_WINDOW`) modes,
 /// `clients` concurrent leased sessions each.
 pub fn serve_throughput(clients: usize, commits_per_client: usize) -> Vec<ServeThroughputPoint> {
     vec![

@@ -13,10 +13,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one weighted balls-into-bins trial.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BallsInBinsReport {
     /// Number of bins (`P`, the DDS machines).
     pub bins: usize,

@@ -14,7 +14,7 @@
 //!
 //! A lookup reads one digest of its [`crate::Key`], [`hash_words`]`(code,
 //! a, b)`, computed once, twice: to pick the key's shard and to pick its
-//! bucket in that shard's directory ([`crate::slot`]).  The two must not
+//! bucket in that shard's directory (`slot`).  The two must not
 //! lean on the same bits.  A shard pick of `digest % 2ᵏ` pins the low `k`
 //! bits of every key of a shard; a directory indexed by those bits would
 //! put all ≈ 576 keys of a shard on one bucket at 1024 shards.  So the
@@ -23,7 +23,7 @@
 //! * **shard** — `digest % num_shards` (the digest's low bits when the
 //!   count is a power of two, some of them when it has a factor of two);
 //!   frozen, see [`crate::Key`]'s golden test;
-//! * **bucket** — the **top** bits of [`fold`]`(digest)`: the high half
+//! * **bucket** — the **top** bits of `fold(digest)`: the high half
 //!   folded onto the low half, times the Fx multiplier.  Every bit of the
 //!   folded word reaches the top of the product, so the bucket varies
 //!   however many bits the shard pick held constant.  `key.rs` pins the

@@ -13,7 +13,6 @@
 //! takes its bucket from the top bits of the folded word, which the shard
 //! pick cannot pin (the split is in [`crate::hashing`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Namespace tag of a [`Key`].
@@ -21,17 +20,19 @@ use std::fmt;
 /// Tags keep the key spaces of different per-round data disjoint, e.g. the
 /// adjacency list of a vertex versus its MIS status.  Algorithms are free to
 /// invent their own tags via [`KeyTag::Custom`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum KeyTag {
     /// Degree of a vertex.
     Degree,
     /// The `i`-th entry of a vertex adjacency list.
     Adjacency,
-    /// Cycle successor/predecessor of a vertex (used by `Shrink`).
+    /// A live cycle vertex's one record (`Shrink`): neighbours and a mark.
     CycleNeighbors,
-    /// "Is this vertex sampled in the current iteration?"
+    /// "Is this vertex sampled in the current iteration?"  No algorithm
+    /// writes it; the variant stays for its frozen wire code.
     Sampled,
-    /// Random priority of a vertex (MIS, cycle connectivity).
+    /// Random priority of a vertex.  No algorithm writes it; the variant
+    /// stays for its frozen wire code.
     Priority,
     /// Settled status of a vertex (MIS).
     Status,
@@ -116,7 +117,7 @@ impl KeyTag {
 /// `v`.  The model's multi-value addressing "(x, 1), …, (x, k)" maps onto the
 /// store's per-key value lists (see [`crate::ShardedStore`]); the `b`
 /// coordinate here is for keys that are *structurally* two-dimensional.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Key {
     /// Namespace of the key.
     pub tag: KeyTag,
@@ -175,7 +176,7 @@ impl fmt::Display for Key {
 ///
 /// Helpers cover the common shapes: a single scalar, a pair, or a
 /// `(vertex, weight)` edge endpoint.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Value {
     /// First word.
     pub x: u64,

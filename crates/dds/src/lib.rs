@@ -37,7 +37,7 @@
 //!
 //! An epoch moves through three stages.  Round *i* only writes `D_i` and
 //! round *i + 1* only reads it, so a shard has one layout for each side
-//! ([`slot`], the one module that knows both):
+//! (`slot`, the one module that knows both):
 //!
 //! 1. **Accumulate = append** — machines buffer writes; the runtime's
 //!    commit partitions them by destination shard into exact-size buckets,

@@ -21,8 +21,8 @@
 //!   [`crate::transport`]).  Its layout is written by one walker and parsed
 //!   by one walker, each with two ends.  The serving path never leaves the
 //!   frozen shards: an owner encodes a [`FrozenEpoch`] straight from its
-//!   shards ([`encode_epoch_into`]) and a client decodes the bytes straight
-//!   into shards ([`decode_reply_as`]) — one pass each way, no
+//!   shards (`encode_epoch_into`) and a client decodes the bytes straight
+//!   into shards (`decode_reply_as`) — one pass each way, no
 //!   allocation per key.  [`EpochFrame`] is the *typed* form of the same
 //!   bytes, for tools and tests that want to look at an epoch as plain data
 //!   ([`encode_reply_into`] / [`decode_reply`]).
@@ -1041,7 +1041,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
 
 /// Decode a [`Reply`] from its wire payload (same contract as
 /// [`decode_request`]).  An epoch payload comes back typed, as an
-/// [`EpochFrame`]; clients that read from it take [`decode_reply_as`].
+/// [`EpochFrame`]; clients that read from it take `decode_reply_as`.
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
     Ok(match decode_reply_as::<EpochFrame>(bytes)? {
         Decoded::Wire(reply) => reply,

@@ -22,7 +22,7 @@
 //!   of a replica, one pass each way.
 //!
 //! Whatever the transport and whichever constructor, an owner this backend
-//! spawns is one thread behind one connection ([`spawn_owner`]), and the
+//! spawns is one thread behind one connection (`spawn_owner`), and the
 //! backend joins it when it drops.  It starts no other thread: every reply
 //! is received on the calling thread (`fan_out`), so an epoch's replica
 //! shards are allocated by the thread that later frees them, never in the

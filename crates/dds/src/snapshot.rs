@@ -22,7 +22,7 @@
 //! lookup is one digest, one modulo and one table index, whatever produced
 //! the groups.
 //!
-//! Each frozen shard is a [`crate::slot::Shard`]: its pairs grouped by key
+//! Each frozen shard is a `slot::Shard`: its pairs grouped by key
 //! and ordered by bucket, under a bucket directory.  A point lookup takes
 //! the key's bucket from the directory, with the digest the shard pick
 //! already computed, and scans the bucket's pairs — one pair on average,
@@ -40,8 +40,8 @@
 //!
 //! A [`FrozenEpoch`] crosses a wire in one pass each way: the owner's
 //! frozen shards are walked in place into bytes, in layout order
-//! ([`FrozenEpoch::walk`] feeds the writer in [`crate::proto`]), and the
-//! client appends the pairs straight from those bytes (the [`EpochSink`]
+//! (`FrozenEpoch::walk` feeds the writer in [`crate::proto`]), and the
+//! client appends the pairs straight from those bytes (the `EpochSink`
 //! impl below) into a buffer sized exactly, freezing each shard as soon as
 //! its entries are read.  Arriving in layout order, they freeze without a
 //! copy: a replica shard's pairs and its directory are its only buffers.
@@ -325,7 +325,7 @@ impl Snapshot {
     ///
     /// This is the read path behind the runtime's batched adaptive reads: a
     /// real deployment would pipeline the batch over the network; here the
-    /// batch overlaps its cache misses (module docs).  It goes [`LANES`]
+    /// batch overlaps its cache misses (module docs).  It goes `LANES`
     /// keys at a time in three passes: locate every key's bucket (the
     /// directory loads, in flight together), scan every bucket (the pair
     /// loads, likewise), then count — one counter update per run of

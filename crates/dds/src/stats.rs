@@ -6,10 +6,8 @@
 //! summary with the max/mean load and the imbalance factor, which the
 //! contention benchmark reports alongside the analytical bound.
 
-use serde::{Deserialize, Serialize};
-
 /// Load observed on a single shard ("DDS machine").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Shard index.
     pub shard: usize,
@@ -30,7 +28,7 @@ impl ShardLoad {
 }
 
 /// Aggregate statistics over all shards of a store or snapshot.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StoreStats {
     /// Number of shards.
     pub num_shards: usize,

@@ -11,7 +11,7 @@
 //!
 //! # Commit paths
 //!
-//! A writable shard is its pairs in commit order ([`crate::slot`]): a commit
+//! A writable shard is its pairs in commit order (`slot`): a commit
 //! neither hashes nor looks up a key, and the grouping by key waits for
 //! [`ShardedStore::freeze`].  Three write paths, all ending in one append:
 //!
@@ -94,7 +94,7 @@ impl ShardedStore {
     }
 
     /// Partition write batches by destination shard on the calling thread,
-    /// preserving order ([`partition_by_shard`] at this store's shard
+    /// preserving order (`partition_by_shard` at this store's shard
     /// count).  `Vec` batches are taken as they are; any other batch is
     /// collected into one first.
     pub fn partition_writes(
@@ -109,7 +109,7 @@ impl ShardedStore {
     }
 
     /// [`ShardedStore::partition_writes`] on up to `threads` workers
-    /// ([`partition_by_shard`]), as one chunk for
+    /// (`partition_by_shard`), as one chunk for
     /// [`ShardedStore::commit_chunked`]; kept for the benchmark's store
     /// probe.
     pub fn partition_writes_parallel(
@@ -162,7 +162,7 @@ impl ShardedStore {
     /// round, consuming the writable store.
     ///
     /// Each shard's pairs are grouped by key in one stable counting sort
-    /// ([`crate::slot`]); shards are frozen in parallel on up to one worker
+    /// (`slot`); shards are frozen in parallel on up to one worker
     /// per available CPU.
     pub fn freeze(self) -> Snapshot {
         self.freeze_with_threads(default_parallelism())

@@ -11,11 +11,11 @@
 //!   Zero steady-state allocations either way.  [`codec::FramePool`]
 //!   recycles encoded-reply buffers between the dispatch and writer stages
 //!   of a pipelined server.
-//! * [`session`] (this module's re-exports) — one *connection* and its
+//! * `session` (this module's re-exports) — one *connection* and its
 //!   lifecycle: the lease handshake, reconnect with capped backoff, and
 //!   in-order replay of outstanding requests ([`TcpTransport`] /
 //!   [`TcpServer`]), plus the in-process [`MpscTransport`].
-//! * [`dispatch`] — request application against the owner state machine
+//! * `dispatch` — request application against the owner state machine
 //!   (`dispatch::Worker`), including the idempotency that makes replay
 //!   safe: commit deduplication over a bounded window of recent sequence
 //!   numbers and advance republication of the already-frozen epoch.

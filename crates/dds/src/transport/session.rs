@@ -908,7 +908,7 @@ impl Conn {
 /// or a vanished stream source.
 ///
 /// Each live connection runs as three stages (reader thread → dispatch →
-/// writer thread, see [`Conn`]): the owner applies request `N` while the
+/// writer thread, see `Conn`): the owner applies request `N` while the
 /// reader decodes `N + 1` and the writer flushes the reply to `N - 1`.
 pub struct TcpServer {
     source: StreamSource,

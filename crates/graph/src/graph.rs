@@ -12,10 +12,8 @@
 //! removed when building a [`Graph`], matching the paper's assumption that
 //! "there are no self-edges or duplicate edges in the graph".
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected, unweighted edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     /// One endpoint.
     pub u: u32,
@@ -44,7 +42,7 @@ impl Edge {
 }
 
 /// An undirected, weighted edge with a stable id into the original edge list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct WeightedEdge {
     /// One endpoint.
     pub u: u32,
@@ -58,7 +56,7 @@ pub struct WeightedEdge {
 }
 
 /// A growable list of undirected edges over vertices `0..n`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EdgeList {
     n: usize,
     edges: Vec<Edge>,
@@ -130,7 +128,7 @@ pub fn dedup_edges(edges: Vec<Edge>) -> Vec<Edge> {
 /// as `u → v` and once as `v → u`.  The `edge_ids` array maps each adjacency
 /// slot back to the id of the undirected edge, so weighted algorithms can
 /// report original edges.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     offsets: Vec<usize>,
     neighbors: Vec<u32>,

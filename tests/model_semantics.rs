@@ -147,13 +147,14 @@ fn per_machine_load_on_the_dds_stays_balanced() {
 fn every_algorithm_reports_zero_budget_violations_on_default_workloads() {
     // The theorems bound per-machine communication by O(S); with the default
     // budget factor the algorithms should never trip the recorder, at any ε.
-    // One run stays out until Shrink's budget tail at ε = 0.25 (ROADMAP) is
-    // mended: 2-Cycle at ε = 0.25.
     let n = 4_096;
     let planted = generators::planted_components(4_000, 8, 1_500, 3);
     let cycle = generators::two_cycle_instance(n, false, 3);
     let small_forest = generators::random_forest(4_000, 8, 3);
     let forest = generators::random_forest(n, 8, 3);
+    // At ε = 0.25 a Shrink that reads two records per hop overruns the
+    // budget here, and on `cycle`.
+    let wide_forest = generators::random_forest(n, 16, 3);
     // The minimum spanning forest of the claimed workload, and the spanning
     // forest that 2-edge connectivity runs on it.
     let gnm = generators::connected_gnm(n, 4 * n, 3);
@@ -189,16 +190,17 @@ fn every_algorithm_reports_zero_budget_violations_on_default_workloads() {
                 "forest connectivity",
                 forest_connectivity(&forest, epsilon, 3).stats,
             ),
+            (
+                "forest connectivity, 16 trees",
+                forest_connectivity(&wide_forest, epsilon, 3).stats,
+            ),
+            ("2-Cycle", two_cycle(&cycle, epsilon, 3).stats),
             ("list ranking", list_ranking(&successor, epsilon, 3).stats),
             ("rooting", root_forest(&forest, None, epsilon, 3).stats),
             ("2-edge", two_edge_connectivity(&gnm, epsilon, 3).stats),
         ];
         for (name, stats) in violations {
             assert_eq!(stats.budget_violations(), 0, "{name} at ε = {epsilon}");
-        }
-        if epsilon > 0.25 {
-            let stats = two_cycle(&cycle, epsilon, 3).stats;
-            assert_eq!(stats.budget_violations(), 0, "2-Cycle at ε = {epsilon}");
         }
     }
 }
