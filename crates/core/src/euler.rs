@@ -16,7 +16,6 @@
 //! values over subtree intervals of the preorder numbering.
 
 use crate::common::AlgorithmResult;
-use ampc_dds::FxHashMap;
 use ampc_graph::{Graph, UnionFind};
 use ampc_runtime::RunStats;
 
@@ -123,7 +122,8 @@ pub struct RootedForest {
     /// Root of each vertex's tree.
     pub root: Vec<u32>,
     /// Globally unique preorder number of each vertex (0-based; trees are
-    /// laid out consecutively in increasing root order).
+    /// laid out consecutively in increasing order of their smallest vertex
+    /// id).
     pub preorder: Vec<u64>,
     /// Number of vertices in each vertex's subtree (inclusive).
     pub subtree_size: Vec<u64>,
@@ -147,9 +147,9 @@ impl RootedForest {
 /// Root every tree of a forest (Theorem 7) and compute preorder numbers
 /// (Lemma 8.8) and subtree sizes (Lemma 8.7) via Euler tours + list ranking.
 ///
-/// `roots` optionally fixes the root of each tree (one entry per vertex,
-/// only the entries of chosen roots are consulted); by default the smallest
-/// vertex id of each tree becomes its root.
+/// `roots` optionally lists candidate roots: every entry is a candidate, and
+/// the first candidate of each tree becomes its root.  A tree with no
+/// candidate (every tree, by default) is rooted at its smallest vertex id.
 pub fn root_forest(
     forest: &Graph,
     roots: Option<&[u32]>,
@@ -179,29 +179,19 @@ pub fn root_forest_with(
     let mut stats = RunStats::default();
 
     // Component roots (driver-side union-find = standard MPC primitive).
+    // A tree's label is its smallest vertex id; the per-tree arrays below
+    // are indexed by it.
     let mut uf = UnionFind::new(n);
     for e in forest.edges() {
         uf.union(e.u, e.v);
     }
     let component = uf.canonical_labels();
-    let chosen_root: Vec<u32> = match roots {
-        Some(r) => {
-            let mut root_of_component: FxHashMap<u32, u32> = FxHashMap::default();
-            for &candidate in r {
-                root_of_component
-                    .entry(component[candidate as usize])
-                    .or_insert(candidate);
-            }
-            (0..n as u32)
-                .map(|v| {
-                    *root_of_component
-                        .get(&component[v as usize])
-                        .unwrap_or(&component[v as usize])
-                })
-                .collect()
-        }
-        None => component.clone(),
-    };
+    // Candidates are written last to first, so each tree keeps its first.
+    let mut root_of: Vec<u32> = (0..n as u32).collect();
+    for &candidate in roots.unwrap_or_default().iter().rev() {
+        root_of[component[candidate as usize] as usize] = candidate;
+    }
+    let chosen_root: Vec<u32> = component.iter().map(|&t| root_of[t as usize]).collect();
 
     if n == 0 {
         let empty = RootedForest {
@@ -215,17 +205,17 @@ pub fn root_forest_with(
 
     // Break each tree's tour at its root's first outgoing arc.
     let mut successor: Vec<u32> = tour.next.clone();
-    let mut first_arc_of_root: FxHashMap<u32, u32> = FxHashMap::default();
+    let mut first_arc = vec![u32::MAX; n];
     for a in 0..num_arcs as u32 {
         let tail = tour.arc_tail[a as usize];
         if tail == chosen_root[tail as usize] {
-            let entry = first_arc_of_root.entry(tail).or_insert(a);
-            if tour.arc_head[a as usize] < tour.arc_head[*entry as usize] {
-                *entry = a;
+            let first = &mut first_arc[component[tail as usize] as usize];
+            if *first == u32::MAX || tour.arc_head[a as usize] < tour.arc_head[*first as usize] {
+                *first = a;
             }
         }
     }
-    for &start in first_arc_of_root.values() {
+    for &start in first_arc.iter().filter(|&&a| a != u32::MAX) {
         let terminal = tour.prev[start as usize];
         successor[terminal as usize] = terminal;
     }
@@ -266,13 +256,13 @@ pub fn root_forest_with(
         }
     }
     // Roots span their whole component.
-    let mut component_size: FxHashMap<u32, u64> = FxHashMap::default();
-    for v in 0..n as u32 {
-        *component_size.entry(component[v as usize]).or_insert(0) += 1;
+    let mut component_size = vec![0u64; n];
+    for &t in &component {
+        component_size[t as usize] += 1;
     }
     for v in 0..n as u32 {
         if parent[v as usize] == v {
-            subtree_size[v as usize] = component_size[&component[v as usize]];
+            subtree_size[v as usize] = component_size[component[v as usize] as usize];
         }
     }
 
@@ -291,33 +281,30 @@ pub fn root_forest_with(
     stats.absorb(weighted.stats.clone());
     let rank_forward = weighted.output;
 
-    // Per-tree preorder, then a global offset per tree (trees laid out in
-    // increasing root-id order).
-    let mut roots_sorted: Vec<u32> = component_size.keys().copied().collect();
-    roots_sorted.sort_unstable();
-    let mut offset_of: FxHashMap<u32, u64> = FxHashMap::default();
+    // Per-tree preorder, then a global offset per tree: trees are laid out
+    // in increasing label order, the sizes' prefix sums in id order (only
+    // labels have a size).
+    let mut offset = vec![0u64; n];
     let mut running = 0u64;
-    for r in roots_sorted {
-        offset_of.insert(r, running);
-        running += component_size[&r];
+    for (t, &size) in component_size.iter().enumerate() {
+        offset[t] = running;
+        running += size;
     }
 
     let mut preorder = vec![0u64; n];
     for v in 0..n as u32 {
-        let comp = component[v as usize];
-        let offset = offset_of[&comp];
+        let t = component[v as usize] as usize;
         preorder[v as usize] = if parent[v as usize] == v {
-            offset
+            offset[t]
         } else {
             let fw = forward_arc[v as usize].expect("non-root must have a forward arc");
-            offset + component_size[&comp] - rank_forward[fw as usize]
+            offset[t] + component_size[t] - rank_forward[fw as usize]
         };
     }
 
-    let root: Vec<u32> = (0..n as u32).map(|v| chosen_root[v as usize]).collect();
     let forest_out = RootedForest {
         parent,
-        root,
+        root: chosen_root,
         preorder,
         subtree_size,
     };

@@ -9,7 +9,7 @@
 
 use crate::common::AlgorithmResult;
 use crate::euler::euler_tour;
-use crate::shrink::{cycle_connectivity_from_neighbors_with, CycleNeighbors};
+use crate::shrink::cycle_connectivity_from_neighbors_with;
 use ampc_graph::{canonicalize_labels, Graph};
 use ampc_runtime::AmpcConfig;
 
@@ -45,11 +45,8 @@ pub fn forest_connectivity_with(forest: &Graph, config: &AmpcConfig) -> Algorith
     // The Euler tour is a successor permutation over arcs whose orbits are
     // exactly the trees; as an undirected cycle graph each arc's neighbours
     // are its predecessor and successor in the tour.
-    let mut nbrs = CycleNeighbors::default();
-    for a in 0..num_arcs as u32 {
-        nbrs.insert(a, (tour.prev[a as usize], tour.next[a as usize]));
-    }
-    let arc_labels = cycle_connectivity_from_neighbors_with(nbrs, num_arcs, config);
+    let nbrs = tour.prev.iter().copied().zip(tour.next.iter().copied());
+    let arc_labels = cycle_connectivity_from_neighbors_with(nbrs.collect(), config);
 
     // Map arc components back to vertex components: a vertex takes the label
     // of any incident arc (all incident arcs share the label: they belong to

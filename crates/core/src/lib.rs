@@ -27,6 +27,15 @@
 //! per-algorithm code paths; `tests/backend_determinism.rs` (workspace root)
 //! proves the outputs are byte-identical across backends and thread counts.
 //!
+//! A driver keeps its state in arrays indexed by id (vertex, arc, edge or
+//! list element ids are dense `0..n`): Shrink's adjacency and contraction
+//! pointers, rooting's per-tree roots, sizes and offsets, list ranking's
+//! links.  So its random draws follow id order, never a hasher's.  A
+//! machine's scratch stays hashed: it has `O(n^ε)` space, and an n-array
+//! per machine would break the model — connectivity's BFS `visited`, MSF's
+//! `in_tree` and MIS's probe memo are hash sets and maps sized by what the
+//! machine touches.
+//!
 //! ```
 //! use ampc_algorithms::{connectivity, maximal_independent_set};
 //! use ampc_graph::{generators, sequential};

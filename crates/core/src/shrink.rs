@@ -31,6 +31,14 @@
 //! communication, and so put 2-Cycle at ε = 0.25 over the round budget by a
 //! constant factor (76 against 64 at n = 4 096), not by an unbounded tail.
 //!
+//! The driver keeps its state in arrays indexed by vertex id, as list
+//! ranking does: the adjacency `nbrs`, `up` (the vertex each was contracted
+//! onto, later its elected parent; a label is the end of the chain) and
+//! `alive`, the live vertices of cycles not yet collapsed, ascending.
+//! Samples and election priorities are drawn in `alive` order.  A cycle that
+//! collapsed onto one vertex retires: it is never published, walked or
+//! elected again, and costs no more rounds.
+//!
 //! One practical deviation from the paper: a cycle that receives
 //! no sample in an iteration is passed through to the next iteration
 //! unchanged instead of being lost.  The paper's analysis makes this a
@@ -38,8 +46,8 @@
 //! pass-through keeps the algorithm *always* correct, also for the short
 //! cycles that arise when forest connectivity feeds Euler tours in.
 
-use crate::common::AlgorithmResult;
-use ampc_dds::{FxHashMap, FxHashSet, Key, KeyTag, Value};
+use crate::common::{round_robin_assign, AlgorithmResult};
+use ampc_dds::{Key, KeyTag, Value};
 use ampc_graph::{canonicalize_labels, Graph};
 use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
 use rand::rngs::StdRng;
@@ -54,28 +62,45 @@ pub enum TwoCycleAnswer {
     TwoCycles,
 }
 
-/// Adjacency of a union of cycles: every live vertex has exactly two
-/// incident cycle edges (which may coincide after contraction, or point back
-/// to the vertex itself once a whole cycle has collapsed onto it).
-pub type CycleNeighbors = FxHashMap<u32, (u32, u32)>;
+/// Adjacency of a union of cycles, indexed by vertex id: every vertex has
+/// exactly two incident cycle edges (which may coincide after contraction,
+/// or point back to the vertex itself once a whole cycle has collapsed onto
+/// it).
+pub type CycleNeighbors = Vec<(u32, u32)>;
 
 /// Extract the cycle adjacency of a graph whose every vertex has degree 2.
 ///
 /// # Panics
 /// If some vertex does not have degree exactly 2.
 pub fn cycle_neighbors_of(graph: &Graph) -> CycleNeighbors {
-    let mut nbrs = CycleNeighbors::default();
-    for v in 0..graph.num_vertices() as u32 {
-        let adjacent = graph.neighbors(v);
-        assert_eq!(
-            adjacent.len(),
-            2,
-            "vertex {v} has degree {} (cycle graphs need degree 2)",
-            adjacent.len()
-        );
-        nbrs.insert(v, (adjacent[0], adjacent[1]));
+    (0..graph.num_vertices() as u32)
+        .map(|v| {
+            let adjacent = graph.neighbors(v);
+            assert_eq!(
+                adjacent.len(),
+                2,
+                "vertex {v} has degree {} (cycle graphs need degree 2)",
+                adjacent.len()
+            );
+            (adjacent[0], adjacent[1])
+        })
+        .collect()
+}
+
+/// Panics unless `nbrs` is a union of cycles as far as the walks rely on:
+/// every neighbour is a vertex, and lists its neighbour back.
+fn assert_cycles(nbrs: &[(u32, u32)]) {
+    let n = nbrs.len();
+    for (v, &(a, b)) in nbrs.iter().enumerate() {
+        for u in [a, b] {
+            assert!((u as usize) < n, "neighbour {u} of vertex {v} out of range");
+            let (c, d) = nbrs[u as usize];
+            assert!(
+                c as usize == v || d as usize == v,
+                "vertex {u}, a neighbour of {v}, does not list {v} back"
+            );
+        }
     }
-    nbrs
 }
 
 fn cycle_key(v: u32) -> Key {
@@ -83,7 +108,7 @@ fn cycle_key(v: u32) -> Key {
 }
 
 /// A live vertex's record: its neighbours `a` and `b` in `x`, `mark` in `y`.
-fn record(a: u32, b: u32, mark: u64) -> Value {
+fn record((a, b): (u32, u32), mark: u64) -> Value {
     Value::pair(u64::from(a) | u64::from(b) << 32, mark)
 }
 
@@ -95,11 +120,15 @@ fn read_record(ctx: &mut MachineContext, v: u32) -> (u32, u32, u64) {
     (record.x as u32, (record.x >> 32) as u32, record.y)
 }
 
-/// One [`record`] per live vertex, marked by `mark`, which is called in
-/// `nbrs` order.
-fn records(nbrs: &CycleNeighbors, mut mark: impl FnMut(u32) -> u64) -> Vec<(Key, Value)> {
-    (nbrs.iter())
-        .map(|(&v, &(a, b))| (cycle_key(v), record(a, b, mark(v))))
+/// One [`record`] per vertex of `alive`, marked by `mark`, which is called
+/// in `alive` order.
+fn records(
+    nbrs: &CycleNeighbors,
+    alive: &[u32],
+    mut mark: impl FnMut(u32) -> u64,
+) -> Vec<(Key, Value)> {
+    (alive.iter())
+        .map(|&v| (cycle_key(v), record(nbrs[v as usize], mark(v))))
         .collect()
 }
 
@@ -168,57 +197,89 @@ fn traverse(ctx: &mut MachineContext, v: u32, limit: usize) -> Traversal {
 }
 
 /// Internal driver state shared by the 2-Cycle and cycle-connectivity
-/// algorithms: the live cycle adjacency plus, for connectivity, the mapping
-/// from original vertices to their current live representative.
+/// algorithms, every array indexed by vertex id.
 pub(crate) struct ShrinkState {
-    /// Adjacency of the live (contracted) cycle graph.
+    /// Adjacency of the contracted cycle graph; only the entries of
+    /// representatives are current.
     pub nbrs: CycleNeighbors,
-    /// `assign[v]` = live vertex currently representing original vertex `v`.
-    pub assign: Vec<u32>,
+    /// The live vertices of cycles that have not collapsed, ascending.
+    pub alive: Vec<u32>,
+    /// The vertex `v` was contracted onto (after the election, its parent),
+    /// or `v` itself while it represents itself.
+    pub up: Vec<u32>,
 }
 
-/// Run `Shrink(G, ε/2, ·)` until at most `target` vertices remain (or the
-/// iteration cap is reached).  Returns the contracted state.
+impl ShrinkState {
+    /// Every vertex its own representative, and live unless a self-loop.
+    pub fn new(nbrs: CycleNeighbors) -> Self {
+        let n = nbrs.len() as u32;
+        let alive = (0..n).filter(|&v| nbrs[v as usize] != (v, v)).collect();
+        let up = (0..n).collect();
+        ShrinkState { nbrs, alive, up }
+    }
+
+    /// Drop from `alive` the vertices contracted away and the cycles that
+    /// collapsed onto one vertex.
+    fn retire(&mut self) {
+        let (nbrs, up) = (&self.nbrs, &self.up);
+        (self.alive).retain(|&v| up[v as usize] == v && nbrs[v as usize] != (v, v));
+    }
+
+    /// Representatives of collapsed cycles: the cycles `alive` no longer has.
+    fn collapsed(&self) -> usize {
+        (0..self.nbrs.len() as u32)
+            .filter(|&v| self.up[v as usize] == v && self.nbrs[v as usize] == (v, v))
+            .count()
+    }
+}
+
+/// Run `Shrink(G, ε/2, ·)` until at most `target` vertices remain alive (or
+/// a sample would keep every one, or the iteration cap is reached).
+/// Returns the contracted state.
 pub(crate) fn shrink_cycles<B: DdsBackend>(
     runtime: &mut AmpcRuntime<B>,
     mut state: ShrinkState,
-    n_original: usize,
     epsilon: f64,
     target: usize,
     seed: u64,
 ) -> ShrinkState {
+    let n = state.nbrs.len();
     let mut rng = StdRng::seed_from_u64(seed);
-    let sample_probability = (n_original.max(2) as f64).powf(-epsilon / 2.0);
+    let sample_probability = (n.max(2) as f64).powf(-epsilon / 2.0);
     let max_iterations = (4.0 / epsilon).ceil() as usize + 4;
+    let mut sampled = vec![false; n];
 
     for _iteration in 0..max_iterations {
-        let alive: Vec<u32> = state.nbrs.keys().copied().collect();
-        if alive.len() <= target {
+        if state.alive.len() <= target {
             break;
         }
-
-        // Sample the contraction targets for this iteration.
-        // Drawn in `state.nbrs` order: a rewrite keeps the counts only if it keeps this order.
-        let sampled: FxHashSet<u32> = alive
-            .iter()
-            .copied()
+        let samples: Vec<u32> = (state.alive.iter().copied())
             .filter(|_| rng.gen_bool(sample_probability))
             .collect();
-        if sampled.is_empty() {
+        if samples.is_empty() {
             // Nothing to contract onto; retry with a fresh sample.
             continue;
+        }
+        if samples.len() == state.alive.len() {
+            break; // contraction would be a no-op
         }
 
         // Publish the live cycle graph, each vertex's record marked with its
         // sample bit (one round of MPC-style scatter), then run the adaptive
         // traversal round.
-        runtime.scatter(records(&state.nbrs, |v| u64::from(sampled.contains(&v))));
+        for &v in &samples {
+            sampled[v as usize] = true;
+        }
+        runtime.scatter(records(&state.nbrs, &state.alive, |v| {
+            u64::from(sampled[v as usize])
+        }));
+        for &v in &samples {
+            sampled[v as usize] = false;
+        }
 
-        // Handed out in `sampled` order: a rewrite keeps the counts only if it keeps this order.
-        let sampled_list: Vec<u32> = sampled.iter().copied().collect();
         let machines = runtime.config().num_machines();
-        let assignments = crate::common::round_robin_assign(&sampled_list, machines);
-        let limit = alive.len() + 2;
+        let assignments = round_robin_assign(&samples, machines);
+        let limit = state.alive.len() + 2;
         let traversals: Vec<Vec<Traversal>> = runtime
             .run_round(machines, |ctx| {
                 assignments[ctx.machine_id()]
@@ -228,55 +289,34 @@ pub(crate) fn shrink_cycles<B: DdsBackend>(
             })
             .expect("shrink round failed");
 
-        // Driver side: rebuild the contracted graph (standard MPC primitives).
-        let mut redirect: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut new_nbrs = CycleNeighbors::default();
-        let mut covered_any: FxHashSet<u32> = FxHashSet::default();
+        // Driver side: contract each covered path onto its sample (standard
+        // MPC primitives).  Cycles without a sample pass through unchanged.
         for t in traversals.into_iter().flatten() {
-            new_nbrs.insert(t.vertex, (t.left_end, t.right_end));
-            covered_any.insert(t.vertex);
+            state.nbrs[t.vertex as usize] = (t.left_end, t.right_end);
             for u in t.covered {
-                covered_any.insert(u);
-                redirect.insert(u, t.vertex);
+                state.up[u as usize] = t.vertex;
             }
         }
-        // Cycles without a single sampled vertex pass through unchanged.
-        for (&v, &nbrs) in &state.nbrs {
-            if !covered_any.contains(&v) {
-                new_nbrs.insert(v, nbrs);
-            }
-        }
-
-        if !redirect.is_empty() {
-            for label in state.assign.iter_mut() {
-                if let Some(&to) = redirect.get(label) {
-                    *label = to;
-                }
-            }
-        }
-        let shrank = new_nbrs.len() < state.nbrs.len();
-        state.nbrs = new_nbrs;
-        if !shrank && state.nbrs.len() <= target.max(sampled.len()) {
-            break;
-        }
+        state.retire();
     }
     state
 }
 
-/// Count the cycles of a small cycle graph on a single machine.
-fn count_cycles(nbrs: &CycleNeighbors) -> usize {
-    let mut visited: FxHashSet<u32> = FxHashSet::default();
+/// Count the cycles through `alive` of a small cycle graph on a single
+/// machine.
+fn count_cycles(nbrs: &CycleNeighbors, alive: &[u32]) -> usize {
+    let mut visited = vec![false; nbrs.len()];
     let mut cycles = 0usize;
-    for (&start, _) in nbrs.iter() {
-        if visited.contains(&start) {
+    for &start in alive {
+        if visited[start as usize] {
             continue;
         }
         cycles += 1;
         let mut prev = start;
         let mut cur = start;
         loop {
-            visited.insert(cur);
-            let &(a, b) = nbrs.get(&cur).expect("dangling cycle pointer");
+            visited[cur as usize] = true;
+            let (a, b) = nbrs[cur as usize];
             // First step from `start` picks an arbitrary direction (`a`);
             // afterwards keep moving away from `prev`.
             let next = if (cur == start && prev == start) || a != prev {
@@ -344,21 +384,10 @@ fn two_cycle_impl<B: DdsBackend>(
     let n = graph.num_vertices();
     let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
-    let nbrs = cycle_neighbors_of(graph);
     let target = (n as f64).powf(epsilon).ceil() as usize;
-    let state = ShrinkState {
-        nbrs,
-        assign: (0..n as u32).collect(),
-    };
-    let state = shrink_cycles(
-        &mut runtime,
-        state,
-        n,
-        epsilon,
-        target.max(4),
-        seed ^ 0xc0ffee,
-    );
-    let answer = match count_cycles(&state.nbrs) {
+    let state = ShrinkState::new(cycle_neighbors_of(graph));
+    let state = shrink_cycles(&mut runtime, state, epsilon, target.max(4), seed ^ 0xc0ffee);
+    let answer = match state.collapsed() + count_cycles(&state.nbrs, &state.alive) {
         1 => TwoCycleAnswer::OneCycle,
         2 => TwoCycleAnswer::TwoCycles,
         k => panic!("2-Cycle instance resolved to {k} cycles"),
@@ -367,70 +396,58 @@ fn two_cycle_impl<B: DdsBackend>(
 }
 
 /// Algorithm 10: connected components of a union of cycles in `O(1/ε)`
-/// AMPC rounds, given directly as a cycle adjacency over vertex ids
-/// `0..n_original` (only live ids need entries).
+/// AMPC rounds, given directly as the cycle adjacency of vertex ids
+/// `0..nbrs.len()`.
+///
+/// # Panics
+/// If a neighbour is out of range, or does not list its neighbour back.
 pub fn cycle_connectivity_from_neighbors(
     nbrs: CycleNeighbors,
-    n_original: usize,
     epsilon: f64,
     seed: u64,
 ) -> AlgorithmResult<Vec<u32>> {
-    let m = nbrs.len();
+    let n = nbrs.len();
     cycle_connectivity_from_neighbors_with(
         nbrs,
-        n_original,
-        &AmpcConfig::for_graph(n_original.max(1), m, epsilon).with_seed(seed),
+        &AmpcConfig::for_graph(n.max(1), n, epsilon).with_seed(seed),
     )
 }
 
 /// [`cycle_connectivity_from_neighbors`] with an explicit [`AmpcConfig`].
+///
+/// # Panics
+/// If a neighbour is out of range, or does not list its neighbour back.
 pub fn cycle_connectivity_from_neighbors_with(
     nbrs: CycleNeighbors,
-    n_original: usize,
     config: &AmpcConfig,
 ) -> AlgorithmResult<Vec<u32>> {
-    let m = nbrs.len();
-    let config = config.derive(n_original.max(1), n_original.max(1) + m);
-    with_dds_backend!(config, |runtime| cycle_connectivity_impl(
-        nbrs, n_original, runtime
-    ))
+    assert_cycles(&nbrs);
+    let n = nbrs.len();
+    let config = config.derive(n.max(1), n.max(1) + n);
+    with_dds_backend!(config, |runtime| cycle_connectivity_impl(nbrs, runtime))
 }
 
 fn cycle_connectivity_impl<B: DdsBackend>(
     nbrs: CycleNeighbors,
-    n_original: usize,
     mut runtime: AmpcRuntime<B>,
 ) -> AlgorithmResult<Vec<u32>> {
     let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
-    let target = (n_original.max(2) as f64).powf(epsilon).ceil() as usize;
-    let state = ShrinkState {
-        nbrs,
-        assign: (0..n_original as u32).collect(),
-    };
-    let state = shrink_cycles(
-        &mut runtime,
-        state,
-        n_original.max(1),
-        epsilon,
-        target.max(4),
-        seed ^ 0xbeef,
-    );
+    let target = (nbrs.len().max(2) as f64).powf(epsilon).ceil() as usize;
+    let state = ShrinkState::new(nbrs);
+    let mut state = shrink_cycles(&mut runtime, state, epsilon, target.max(4), seed ^ 0xbeef);
 
-    // Final phase (Algorithm 10, steps 2–3): a random priority per surviving
-    // vertex; each vertex walks one direction until it meets a smaller
+    // Final phase (Algorithm 10, steps 2–3): a random priority per vertex
+    // still alive; each walks one direction until it meets a smaller
     // priority or wraps.  The minimum-priority vertex of every cycle becomes
     // its representative.
-    let alive: Vec<u32> = state.nbrs.keys().copied().collect();
-    let mut parent: FxHashMap<u32, u32> = FxHashMap::default();
-    if !alive.is_empty() {
+    if !state.alive.is_empty() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
-        // Drawn in `alive` (map) order: a rewrite keeps the counts only if it keeps this order.
-        runtime.scatter(records(&state.nbrs, |_| rng.gen()));
+        runtime.scatter(records(&state.nbrs, &state.alive, |_| rng.gen()));
 
         let machines = runtime.config().num_machines();
-        let assignments = crate::common::round_robin_assign(&alive, machines);
-        let limit = alive.len() + 2;
+        let assignments = round_robin_assign(&state.alive, machines);
+        let limit = state.alive.len() + 2;
         let results: Vec<Vec<(u32, u32)>> = runtime
             .run_round(machines, |ctx| {
                 assignments[ctx.machine_id()]
@@ -439,41 +456,36 @@ fn cycle_connectivity_impl<B: DdsBackend>(
                     .collect()
             })
             .expect("cycle connectivity round failed");
-        for pair in results.into_iter().flatten() {
-            parent.insert(pair.0, pair.1);
+        for (v, parent) in results.into_iter().flatten() {
+            state.up[v as usize] = parent;
         }
     }
 
-    // Resolve the parent chains (each hop strictly decreases the priority,
-    // so chains terminate at the cycle minimum) — driver-side bookkeeping.
-    fn resolve(v: u32, parent: &FxHashMap<u32, u32>, memo: &mut FxHashMap<u32, u32>) -> u32 {
-        if let Some(&r) = memo.get(&v) {
-            return r;
-        }
-        let p = *parent.get(&v).unwrap_or(&v);
-        let root = if p == v { v } else { resolve(p, parent, memo) };
-        memo.insert(v, root);
-        root
-    }
-    let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
-    let labels: Vec<u32> = state
-        .assign
-        .iter()
-        .map(|&live| resolve(live, &parent, &mut memo))
+    // A label is the end of the vertex's `up` chain (each election hop
+    // strictly decreases the priority, so chains end) — driver-side
+    // bookkeeping, halving the chains it walks.
+    let up = &mut state.up;
+    let labels: Vec<u32> = (0..up.len() as u32)
+        .map(|v| {
+            let mut r = v;
+            while up[r as usize] != r {
+                up[r as usize] = up[up[r as usize] as usize];
+                r = up[r as usize];
+            }
+            r
+        })
         .collect();
     AlgorithmResult::new(canonicalize_labels(&labels), runtime.into_stats())
 }
 
 /// Algorithm 10 applied to a [`Graph`] that is a disjoint union of cycles.
 pub fn cycle_connectivity(graph: &Graph, epsilon: f64, seed: u64) -> AlgorithmResult<Vec<u32>> {
-    let nbrs = cycle_neighbors_of(graph);
-    cycle_connectivity_from_neighbors(nbrs, graph.num_vertices(), epsilon, seed)
+    cycle_connectivity_from_neighbors(cycle_neighbors_of(graph), epsilon, seed)
 }
 
 /// [`cycle_connectivity`] with an explicit [`AmpcConfig`].
 pub fn cycle_connectivity_with(graph: &Graph, config: &AmpcConfig) -> AlgorithmResult<Vec<u32>> {
-    let nbrs = cycle_neighbors_of(graph);
-    cycle_connectivity_from_neighbors_with(nbrs, graph.num_vertices(), config)
+    cycle_connectivity_from_neighbors_with(cycle_neighbors_of(graph), config)
 }
 
 #[cfg(test)]
@@ -493,6 +505,9 @@ mod tests {
 
     /// Rounds of one `Shrink` iteration: its scatter and its walk round.
     const ROUNDS_PER_ITERATION: usize = 2;
+
+    /// Rounds of the election: its scatter and its walk round.
+    const ELECTION_ROUNDS: usize = 2;
 
     #[test]
     fn two_cycle_round_count_is_constant_in_n() {
@@ -559,34 +574,75 @@ mod tests {
     }
 
     #[test]
+    fn forest_rounds_do_not_grow_with_the_tree_count() {
+        // A collapsed cycle retires, so the iterations stop once the cycles
+        // left fit the target, however many trees collapsed before: ⌈2/ε⌉
+        // iterations shrink a tour to one machine, one more absorbs an
+        // unlucky draw.  Running on to the iteration cap took 42 rounds at
+        // ε = 0.25 with 12 or 64 trees.
+        for epsilon in [0.25f64, 0.5] {
+            let bound =
+                ROUNDS_PER_ITERATION * ((2.0 / epsilon).ceil() as usize + 1) + ELECTION_ROUNDS;
+            for trees in [1, 12, 64] {
+                let forest = generators::random_forest(4096, trees, 3);
+                let result = crate::forest_connectivity(&forest, epsilon, 3);
+                assert_eq!(result.output, sequential::connected_components(&forest));
+                let rounds = result.rounds();
+                assert!(
+                    rounds <= bound,
+                    "ε = {epsilon}, {trees} trees: {rounds} rounds > {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour 9 of vertex 0 out of range")]
+    fn out_of_range_neighbour_rejected() {
+        let nbrs = vec![(1, 9), (0, 0)];
+        let _ = cycle_connectivity_from_neighbors(nbrs, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 2, a neighbour of 0, does not list 0 back")]
+    fn one_sided_neighbour_rejected() {
+        // 0 and 1 form a 2-cycle; 0 also names 2, which does not name 0.
+        let nbrs = vec![(1, 2), (0, 0), (2, 2)];
+        let _ = cycle_connectivity_from_neighbors(nbrs, 0.5, 0);
+    }
+
+    #[test]
     fn shrink_reduces_vertex_count() {
         let g = generators::cycle(4000);
         let n = g.num_vertices();
         let mut runtime = AmpcRuntime::new(AmpcConfig::for_graph(n, n, 0.5).with_seed(9));
-        let state = ShrinkState {
-            nbrs: cycle_neighbors_of(&g),
-            assign: (0..n as u32).collect(),
-        };
-        let shrunk = shrink_cycles(&mut runtime, state, n, 0.5, 64, 9);
+        let state = ShrinkState::new(cycle_neighbors_of(&g));
+        let shrunk = shrink_cycles(&mut runtime, state, 0.5, 64, 9);
         assert!(
-            shrunk.nbrs.len() <= 200,
+            shrunk.alive.len() <= 200,
             "still {} vertices alive",
-            shrunk.nbrs.len()
+            shrunk.alive.len()
         );
-        // Every original vertex maps to a live vertex.
-        for &rep in &shrunk.assign {
-            assert!(shrunk.nbrs.contains_key(&rep));
+        // Every vertex's `up` chain ends at a live vertex.
+        for v in 0..n as u32 {
+            let mut r = v;
+            while shrunk.up[r as usize] != r {
+                r = shrunk.up[r as usize];
+            }
+            assert!(shrunk.alive.binary_search(&r).is_ok(), "{v} ends at {r}");
         }
     }
 
     #[test]
     fn count_cycles_handles_contracted_forms() {
         // Self-loop (fully contracted cycle) plus a 2-vertex contracted cycle.
-        let mut nbrs = CycleNeighbors::default();
-        nbrs.insert(7, (7, 7));
-        nbrs.insert(1, (2, 2));
-        nbrs.insert(2, (1, 1));
-        assert_eq!(count_cycles(&nbrs), 2);
+        let state = ShrinkState::new(vec![(0, 0), (2, 2), (1, 1)]);
+        assert_eq!(state.alive, [1, 2]);
+        assert_eq!(
+            state.collapsed() + count_cycles(&state.nbrs, &state.alive),
+            2
+        );
+        assert_eq!(count_cycles(&state.nbrs, &[0, 1, 2]), 2);
     }
 
     #[test]
@@ -600,7 +656,8 @@ mod tests {
     fn model_cost_of_shrink_paths_is_pinned() {
         // `(rounds, queries, writes, busiest machine)` of every Shrink path
         // on fixed instances.  The walks' reads are part of the cost, and so
-        // is the order the samples and priorities are drawn in.
+        // is the order the samples and priorities are drawn in: ascending id
+        // order of the vertices still alive.
         let cost = |stats: &ampc_runtime::RunStats| {
             (
                 stats.num_rounds(),
@@ -611,14 +668,14 @@ mod tests {
         };
         let one = generators::two_cycle_instance(4096, false, 3);
         let two = generators::two_cycle_instance(4096, true, 4);
-        assert_eq!(cost(&two_cycle(&one, 0.5, 3).stats), (6, 9926, 4672, 182));
-        assert_eq!(cost(&two_cycle(&two, 0.5, 4).stats), (4, 9764, 4599, 137));
+        assert_eq!(cost(&two_cycle(&one, 0.5, 3).stats), (6, 9926, 4672, 150));
+        assert_eq!(cost(&two_cycle(&two, 0.5, 4).stats), (4, 9764, 4599, 138));
         let cycles = union_of_cycles(&[3, 5, 17, 50, 120, 500, 1000, 2400]);
         let connectivity = cycle_connectivity(&cycles, 0.5, 5);
-        assert_eq!(cost(&connectivity.stats), (8, 9765, 4671, 147));
+        assert_eq!(cost(&connectivity.stats), (8, 9844, 4702, 137));
         let forest = generators::random_forest(4096, 8, 7);
         let forest_connectivity = crate::forest_connectivity(&forest, 0.5, 7);
-        assert_eq!(cost(&forest_connectivity.stats), (6, 19351, 9128, 205));
+        assert_eq!(cost(&forest_connectivity.stats), (6, 19363, 9128, 236));
     }
 
     #[test]
@@ -650,7 +707,8 @@ mod tests {
     ) -> Vec<T> {
         let n = nbrs.len();
         let mut runtime = AmpcRuntime::new(AmpcConfig::for_graph(n, n, 0.5).with_seed(5));
-        runtime.scatter(records(nbrs, mark));
+        let all: Vec<u32> = (0..n as u32).collect();
+        runtime.scatter(records(nbrs, &all, mark));
         let mut machines = runtime
             .run_round(1, |ctx| from.iter().map(|&v| search(ctx, v)).collect())
             .unwrap();
@@ -661,10 +719,10 @@ mod tests {
     /// vertex before, up to the vertex before `v` again.
     fn cycle_from(nbrs: &CycleNeighbors, v: u32) -> Vec<u32> {
         let mut order = vec![v];
-        let (mut prev, mut cur) = (v, nbrs[&v].0);
+        let (mut prev, mut cur) = (v, nbrs[v as usize].0);
         while cur != v {
             order.push(cur);
-            let (a, b) = nbrs[&cur];
+            let (a, b) = nbrs[cur as usize];
             (prev, cur) = (cur, if a != prev { a } else { b });
         }
         order
@@ -684,13 +742,13 @@ mod tests {
                 lengths.push(rng.gen_range(1..=40usize));
             }
             let ids = ampc_graph::permutation::random_permutation(lengths.iter().sum(), seed);
-            let mut nbrs = CycleNeighbors::default();
+            let mut nbrs = vec![(0, 0); ids.len()];
             let mut rest = &ids[..];
             for len in lengths {
                 let (cycle, tail) = rest.split_at(len);
                 for (i, &v) in cycle.iter().enumerate() {
                     let (a, b) = (cycle[(i + len - 1) % len], cycle[(i + 1) % len]);
-                    nbrs.insert(v, if rng.gen_bool(0.5) { (a, b) } else { (b, a) });
+                    nbrs[v as usize] = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
                 }
                 rest = tail;
             }
@@ -698,17 +756,9 @@ mod tests {
         }
         for (n, trees, seed) in [(300, 16, 1), (300, 150, 2), (500, 3, 3), (64, 32, 4)] {
             let tour = crate::euler::euler_tour(&generators::random_forest(n, trees, seed));
-            let arcs = 0..tour.num_arcs() as u32;
-            instances.push(
-                arcs.map(|a| (a, (tour.prev[a as usize], tour.next[a as usize])))
-                    .collect(),
-            );
+            instances.push(tour.prev.into_iter().zip(tour.next).collect());
         }
-        instances.push(
-            [(7, (7, 7)), (1, (2, 2)), (2, (1, 1))]
-                .into_iter()
-                .collect(),
-        );
+        instances.push(vec![(0, 0), (2, 2), (1, 1)]);
         instances
     }
 
@@ -717,17 +767,13 @@ mod tests {
         for (i, nbrs) in cycle_instances().iter().enumerate() {
             for probability in [0.05, 0.3, 0.9, 1.0] {
                 let mut rng = StdRng::seed_from_u64(i as u64);
-                let mut vertices: Vec<u32> = nbrs.keys().copied().collect();
-                vertices.sort_unstable();
-                let sampled: FxHashSet<u32> = (vertices.iter().copied())
-                    .filter(|_| rng.gen_bool(probability))
-                    .collect();
-                let from: Vec<u32> = vertices
-                    .into_iter()
-                    .filter(|v| sampled.contains(v))
+                let sampled: Vec<bool> =
+                    (0..nbrs.len()).map(|_| rng.gen_bool(probability)).collect();
+                let from: Vec<u32> = (0..nbrs.len() as u32)
+                    .filter(|&v| sampled[v as usize])
                     .collect();
                 let limit = nbrs.len() + 2;
-                let mark = |v| u64::from(sampled.contains(&v));
+                let mark = |v: u32| u64::from(sampled[v as usize]);
                 let found = on_one_machine(nbrs, mark, &from, |ctx, v| {
                     let t = traverse(ctx, v, limit);
                     (t.vertex, t.left_end, t.right_end, t.covered)
@@ -737,10 +783,10 @@ mod tests {
                     // sample; the walk towards `b`, backwards from its end to
                     // its last one.  No sample but `v` covers the whole cycle.
                     let rest = &cycle_from(nbrs, *v)[1..];
-                    let expected = match rest.iter().position(|u| sampled.contains(u)) {
+                    let expected = match rest.iter().position(|&u| sampled[u as usize]) {
                         None => (*v, *v, *v, rest.to_vec()),
                         Some(first) => {
-                            let last = rest.iter().rposition(|u| sampled.contains(u)).unwrap();
+                            let last = rest.iter().rposition(|&u| sampled[u as usize]).unwrap();
                             let before = rest[..first].iter();
                             let covered = before.chain(rest[last + 1..].iter().rev()).copied();
                             (*v, rest[first], rest[last], covered.collect())
@@ -760,18 +806,15 @@ mod tests {
     fn elect_equals_a_sequential_walk_over_the_priorities() {
         for (i, nbrs) in cycle_instances().iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(i as u64);
-            let mut vertices: Vec<u32> = nbrs.keys().copied().collect();
-            vertices.sort_unstable();
+            let vertices: Vec<u32> = (0..nbrs.len() as u32).collect();
             // Wide priorities, and narrow ones, whose ties a strict `<` passes.
             for range in [u64::MAX, 4] {
-                let priority: FxHashMap<u32, u64> = vertices
-                    .iter()
-                    .map(|&v| (v, rng.gen_range(0..range)))
-                    .collect();
+                let priority: Vec<u64> =
+                    (vertices.iter()).map(|_| rng.gen_range(0..range)).collect();
                 let limit = nbrs.len() + 2;
                 let parents = on_one_machine(
                     nbrs,
-                    |v| priority[&v],
+                    |v| priority[v as usize],
                     &vertices,
                     |ctx, v| elect(ctx, v, limit),
                 );
@@ -781,7 +824,7 @@ mod tests {
                     let expected = cycle_from(nbrs, v)[1..]
                         .iter()
                         .copied()
-                        .find(|u| priority[u] < priority[&v])
+                        .find(|&u| priority[u as usize] < priority[v as usize])
                         .unwrap_or(v);
                     assert_eq!(parent, expected, "instance {i}, range {range}, vertex {v}");
                 }

@@ -23,7 +23,6 @@ use crate::common::AlgorithmResult;
 use crate::connectivity::connectivity_with;
 use crate::euler::{root_forest_with, SparseTableRmq};
 use crate::msf::spanning_forest_with;
-use ampc_dds::FxHashSet;
 use ampc_graph::{Edge, Graph};
 use ampc_runtime::{AmpcConfig, RunStats};
 
@@ -100,7 +99,10 @@ pub fn two_edge_connectivity_with(
     // Step 1: spanning forest (Corollary 7.2).
     let sf = spanning_forest_with(graph, config);
     stats.absorb(sf.stats.clone());
-    let forest_edge_ids: FxHashSet<u32> = sf.output.edges.iter().map(|e| e.id).collect();
+    let mut in_forest = vec![false; graph.num_edges()];
+    for e in &sf.output.edges {
+        in_forest[e.id as usize] = true;
+    }
     let forest_edges: Vec<Edge> = sf
         .output
         .edges
@@ -123,7 +125,7 @@ pub fn two_edge_connectivity_with(
         let mut vlo = pv;
         let mut vhi = pv;
         for (u, edge_id) in graph.neighbors_with_ids(v) {
-            if forest_edge_ids.contains(&edge_id) {
+            if in_forest[edge_id as usize] {
                 continue;
             }
             let pu = rooted.preorder[u as usize];
@@ -161,11 +163,10 @@ pub fn two_edge_connectivity_with(
 
     // Step 5: remove the bridges and rerun connectivity for the
     // 2-edge-connected components.
-    let bridge_set: FxHashSet<Edge> = bridges.iter().copied().collect();
     let remaining: Vec<Edge> = graph
         .edges()
         .iter()
-        .filter(|e| !bridge_set.contains(&e.normalized()))
+        .filter(|e| bridges.binary_search(&e.normalized()).is_err())
         .copied()
         .collect();
     let stripped = Graph::from_edges(n, &remaining);
