@@ -27,11 +27,10 @@ pub const MAX_SHARDS: usize = 1024;
 
 /// Which [`ampc_dds::DdsBackend`] implementation a runtime uses.
 ///
-/// Algorithms never branch on this: the runtime is generic over the backend
-/// and the `with_dds_backend!` macro instantiates it from the config, so the
-/// same driver code runs on either store.  The cross-backend determinism
-/// suite (`tests/backend_determinism.rs`) pins down that the choice is
-/// unobservable in algorithm outputs.
+/// Algorithms never branch on this: [`crate::AmpcRuntime::new`] opens the
+/// backend the config names, so the same driver code runs on every store.
+/// The cross-backend determinism suite (`tests/backend_determinism.rs`)
+/// pins down that the choice is unobservable in algorithm outputs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DdsBackendKind {
     /// In-process sharded store ([`ampc_dds::LocalBackend`]): shared memory,
@@ -126,7 +125,7 @@ pub struct AmpcConfig {
     /// Seed for all randomness the runtime itself draws (machine assignment,
     /// per-machine RNG streams).
     pub seed: u64,
-    /// Which DDS backend the runtime instantiates.
+    /// Which DDS backend [`crate::AmpcRuntime::new`] opens.
     pub backend: DdsBackendKind,
     /// Explicit shard count, overriding the `min(P, MAX_SHARDS)` derivation.
     /// Set through [`AmpcConfig::with_num_shards`], which validates the

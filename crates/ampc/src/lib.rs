@@ -9,14 +9,12 @@
 //! * [`AmpcRuntime`] executes rounds: every virtual machine runs a closure
 //!   against a [`MachineContext`] which gives *adaptive* random-read access
 //!   to the previous round's distributed data store and buffered writes into
-//!   the next one.  Machines run in parallel on worker threads.  The runtime
-//!   is generic over the [`DdsBackend`] serving the stores; the
-//!   [`with_dds_backend!`] macro instantiates it from
-//!   [`AmpcConfig::backend`](config::AmpcConfig), so the backend (in-process
-//!   [`LocalBackend`], or the one wire client over channels —
-//!   [`ChannelBackend`] — or over sockets to any number of owners —
-//!   [`TcpBackend`]) is purely a configuration choice — and parseable from
-//!   CLI/env strings via `DdsBackendKind::from_str`.
+//!   the next one.  Machines run in parallel on worker threads.
+//!   [`AmpcRuntime::new`] opens the store [`AmpcConfig::backend`] names
+//!   (in-process, or the one wire client over channels or over sockets to
+//!   any number of owners), so the backend is a run-time configuration
+//!   value — parseable from CLI/env strings via `DdsBackendKind::from_str`
+//!   — and algorithms are plain functions of the runtime.
 //! * [`RunStats`] / [`RoundStats`] record the quantities the paper's theorems
 //!   bound: number of rounds, queries and writes in total and per machine,
 //!   budget violations and fault-injection restarts.
@@ -92,7 +90,3 @@ pub use error::AmpcError;
 pub use fault::FaultPlan;
 pub use runtime::AmpcRuntime;
 pub use stats::{RoundStats, RunStats};
-
-// Backend surface, re-exported so the `with_dds_backend!` macro (and
-// algorithm crates) can name everything through `ampc_runtime`.
-pub use ampc_dds::{ChannelBackend, DdsBackend, LocalBackend, RemoteBackend, Snapshot, TcpBackend};

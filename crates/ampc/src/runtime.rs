@@ -17,21 +17,21 @@ use crate::context::MachineContext;
 use crate::error::AmpcError;
 use crate::fault::FaultPlan;
 use crate::stats::{RoundStats, RunStats};
-use ampc_dds::{DdsBackend, Key, LocalBackend, Snapshot, TcpBackend, Value};
+use ampc_dds::{ChannelBackend, DdsBackend, Key, LocalBackend, Snapshot, TcpBackend, Value};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Executes AMPC rounds against a chain of distributed data stores.
 ///
-/// Generic over the [`DdsBackend`] serving the stores; `B` defaults to the
-/// in-process [`LocalBackend`].  Use [`AmpcRuntime::new`] for the default
-/// backend or [`AmpcRuntime::with_backend`] (usually through the
-/// [`crate::with_dds_backend!`] macro, which dispatches on
-/// [`crate::DdsBackendKind`]) to instantiate a specific one.  Everything the
-/// runtime observes — reads, multi-value order, budget accounting — is
-/// backend-independent: every backend hands out the same [`Snapshot`].
-pub struct AmpcRuntime<B: DdsBackend = LocalBackend> {
+/// Machine code only ever reads a [`Snapshot`], the same type whatever
+/// backend froze it; the backend is touched only when a round commits and
+/// advances.  So the backend is a run-time value: [`AmpcRuntime::new`]
+/// opens the one [`AmpcConfig::backend`] names behind a
+/// `Box<dyn DdsBackend>`, and algorithms are plain functions of an
+/// `&mut AmpcRuntime`.  [`AmpcRuntime::from_backend`] wraps a backend the
+/// caller built (a test's fake, or a cluster it already connected).
+pub struct AmpcRuntime<B: DdsBackend = Box<dyn DdsBackend>> {
     config: AmpcConfig,
     backend: B,
     stats: RunStats,
@@ -42,30 +42,68 @@ pub struct AmpcRuntime<B: DdsBackend = LocalBackend> {
     rounds_executed: usize,
 }
 
-impl AmpcRuntime<LocalBackend> {
-    /// Create a runtime on the default in-process backend with an empty
-    /// `D_0`.
+impl AmpcRuntime {
+    /// Create a runtime with an empty `D_0` on the backend
+    /// [`AmpcConfig::backend`] names: the in-process store, owner threads
+    /// over channels, or the TCP client — to owner threads of this
+    /// process, one external serving process
+    /// ([`AmpcConfig::remote_endpoint`]), running cluster owners
+    /// ([`AmpcConfig::cluster_endpoints`]) or a locally spawned cluster of
+    /// [`AmpcConfig::cluster_owners`] owner threads.
+    ///
+    /// ```
+    /// use ampc_dds::DdsBackend;
+    /// use ampc_runtime::{AmpcConfig, AmpcRuntime, DdsBackendKind};
+    ///
+    /// let config = AmpcConfig::for_graph(100, 100, 0.5).with_backend(DdsBackendKind::Channel);
+    /// let runtime = AmpcRuntime::new(config);
+    /// assert_eq!(runtime.backend().backend_name(), "channel");
+    /// ```
+    ///
+    /// # Panics
+    /// If the owners cannot be reached: a connection failure here has no
+    /// round boundary to surface through yet, so it is a loud construction
+    /// panic carrying the typed transport error.
     pub fn new(config: AmpcConfig) -> Self {
-        AmpcRuntime::with_backend(config)
+        let shards = config.num_shards();
+        let backend: Box<dyn DdsBackend> = match config.backend {
+            DdsBackendKind::Local => Box::new(LocalBackend::new(shards)),
+            DdsBackendKind::Channel => {
+                Box::new(ChannelBackend::new(shards, config.effective_threads()))
+            }
+            DdsBackendKind::Remote | DdsBackendKind::Cluster => {
+                let connected = match (config.backend, &config.cluster_endpoints) {
+                    (DdsBackendKind::Cluster, Some(endpoints)) => {
+                        TcpBackend::connect_cluster(endpoints, shards)
+                    }
+                    (DdsBackendKind::Cluster, None) => {
+                        TcpBackend::spawn_local(config.cluster_owners, shards)
+                    }
+                    _ => match &config.remote_endpoint {
+                        Some(endpoint) => TcpBackend::connect_remote(
+                            endpoint.as_str(),
+                            shards,
+                            config.effective_threads(),
+                        ),
+                        None => Ok(TcpBackend::new(shards, config.effective_threads())),
+                    },
+                };
+                #[allow(
+                    clippy::panic,
+                    reason = "construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing store as fatal"
+                )]
+                let tcp = connected.unwrap_or_else(|err| panic!("DDS transport failure: {err}"));
+                Box::new(tcp)
+            }
+        };
+        AmpcRuntime::from_backend(config, backend)
     }
 }
 
 impl<B: DdsBackend> AmpcRuntime<B> {
-    /// Create a runtime on backend `B` with an empty `D_0`.
-    ///
-    /// Algorithm drivers should not call this with a concrete `B`; they go
-    /// through [`crate::with_dds_backend!`] so the backend stays a pure
-    /// configuration choice.
-    pub fn with_backend(config: AmpcConfig) -> Self {
-        let backend = B::with_shards(config.num_shards(), config.effective_threads());
-        AmpcRuntime::from_backend(config, backend)
-    }
-
-    /// Create a runtime around an already-constructed backend — how a
-    /// runtime attaches to a DDS it did not spawn, e.g. a
-    /// [`ampc_dds::TcpBackend`] whose leased sessions live in an external
-    /// `ampc_dds::serve` process ([`crate::with_dds_backend!`] does this
-    /// when [`AmpcConfig::remote_endpoint`] is set).
+    /// Create a runtime with an empty `D_0` around an already-constructed
+    /// backend — how a test substitutes a fake store, or a caller hands in
+    /// a backend it built itself; [`AmpcRuntime::new`] is the usual way in.
     pub fn from_backend(config: AmpcConfig, backend: B) -> Self {
         // `D_{-1}`: before any epoch completed, every lookup misses.
         let snapshot = Snapshot::empty(backend.num_shards());
@@ -360,93 +398,21 @@ impl<B: DdsBackend> std::fmt::Debug for AmpcRuntime<B> {
     }
 }
 
-/// The [`TcpBackend`] a config selects: in-process owner threads, one
-/// external serving process ([`AmpcConfig::remote_endpoint`]), running
-/// cluster owners ([`AmpcConfig::cluster_endpoints`]) or a locally spawned
-/// cluster of [`AmpcConfig::cluster_owners`] owner threads.
+/// Open the runtime a config names and run a block against it: the same
+/// as `let mut runtime = AmpcRuntime::new(config); body`.
 ///
-/// An implementation detail of [`crate::with_dds_backend!`] — not part of
-/// the public surface.
-///
-/// # Panics
-/// If the owners cannot be reached: a connection failure here has no round
-/// boundary to surface through yet, so it is a loud construction panic
-/// carrying the typed transport error.
+/// Kept only because the benchmark's `crates/bench/src/bin/e2e/probes.rs`
+/// imports it; everything else calls [`AmpcRuntime::new`].
 #[doc(hidden)]
-pub fn tcp_backend(config: &AmpcConfig) -> TcpBackend {
-    let shards = config.num_shards();
-    let connected = match (config.backend, &config.cluster_endpoints) {
-        (DdsBackendKind::Cluster, Some(endpoints)) => {
-            TcpBackend::connect_cluster(endpoints, shards)
-        }
-        (DdsBackendKind::Cluster, None) => TcpBackend::spawn_local(config.cluster_owners, shards),
-        _ => match &config.remote_endpoint {
-            Some(endpoint) => {
-                TcpBackend::connect_remote(endpoint.as_str(), shards, config.effective_threads())
-            }
-            None => Ok(TcpBackend::new(shards, config.effective_threads())),
-        },
-    };
-    #[allow(
-        clippy::panic,
-        reason = "construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing store as fatal"
-    )]
-    connected.unwrap_or_else(|err| panic!("DDS transport failure: {err}"))
-}
-
-/// Instantiate an [`AmpcRuntime`] on the backend selected by a config and
-/// run a block against it.
-///
-/// ```
-/// use ampc_runtime::{with_dds_backend, AmpcConfig, DdsBackendKind};
-///
-/// let config = AmpcConfig::for_graph(100, 100, 0.5).with_backend(DdsBackendKind::Channel);
-/// let rounds = with_dds_backend!(config, |runtime| {
-///     runtime.load_input(std::iter::empty());
-///     runtime.rounds_executed()
-/// });
-/// assert_eq!(rounds, 0);
-/// ```
-///
-/// The block is monomorphised once per runtime type — local, channel, TCP —
-/// so algorithm drivers stay free of per-backend code paths: they write one
-/// generic body and let the configuration pick the instantiation.  How many
-/// owners serve a TCP store, and where, is decided when the backend is
-/// built, not by a type.
 #[macro_export]
 macro_rules! with_dds_backend {
     ($config:expr, |$runtime:ident| $body:expr) => {{
-        let __config: $crate::AmpcConfig = $config;
-        match __config.backend {
-            $crate::DdsBackendKind::Local => {
-                #[allow(
-                    unused_mut,
-                    reason = "whether the body mutates the runtime is the caller's business"
-                )]
-                let mut $runtime =
-                    $crate::AmpcRuntime::<$crate::LocalBackend>::with_backend(__config);
-                $body
-            }
-            $crate::DdsBackendKind::Channel => {
-                #[allow(
-                    unused_mut,
-                    reason = "whether the body mutates the runtime is the caller's business"
-                )]
-                let mut $runtime =
-                    $crate::AmpcRuntime::<$crate::ChannelBackend>::with_backend(__config);
-                $body
-            }
-            $crate::DdsBackendKind::Remote | $crate::DdsBackendKind::Cluster => {
-                let __backend = $crate::runtime::tcp_backend(&__config);
-                #[allow(
-                    unused_mut,
-                    reason = "whether the body mutates the runtime is the caller's business"
-                )]
-                let mut $runtime =
-                    $crate::AmpcRuntime::<$crate::TcpBackend>::from_backend(__config, __backend);
-                $body
-            }
-        }
+        #[allow(
+            unused_mut,
+            reason = "whether the body mutates the runtime is the caller's business"
+        )]
+        let mut $runtime = $crate::AmpcRuntime::new($config);
+        $body
     }};
 }
 
@@ -734,40 +700,39 @@ mod tests {
         // only; outputs, stats and multi-value order must coincide.
         let run = |backend: DdsBackendKind| {
             let config = config(100).with_backend(backend);
-            crate::with_dds_backend!(config, |rt| {
-                rt.load_input((0..10u64).map(|i| (key(i), Value::scalar(i * 2))));
-                let results = rt
-                    .run_round(10, |ctx| {
-                        let id = ctx.machine_id() as u64;
-                        let value = ctx.read(key(id)).unwrap();
-                        ctx.write(key(7), Value::scalar(id));
-                        ctx.write(key(100 + id), Value::scalar(value.x * value.x));
-                        value.x
-                    })
-                    .unwrap();
-                let echoed = rt
-                    .run_round(10, |ctx| {
-                        let id = ctx.machine_id() as u64;
-                        let keys = [key(100 + id), key(id)];
-                        let mut batch = [None; 2];
-                        ctx.read_many_slice(&keys, &mut batch);
-                        // key(7) was written by every machine in round 1, so
-                        // round 2 sees the full multi-value list: index
-                        // order must be machine-id order on every backend.
-                        let multi: Vec<Option<u64>> = (0..10)
-                            .map(|i| ctx.read_indexed(key(7), i).map(|v| v.x))
-                            .collect();
-                        (batch[0].map(|v| v.x), batch[1].map(|v| v.x), multi)
-                    })
-                    .unwrap();
-                let queries: Vec<u64> = rt
-                    .stats()
-                    .rounds
-                    .iter()
-                    .map(|round| round.total_queries)
-                    .collect();
-                (results, echoed, queries)
-            })
+            let mut rt = AmpcRuntime::new(config);
+            rt.load_input((0..10u64).map(|i| (key(i), Value::scalar(i * 2))));
+            let results = rt
+                .run_round(10, |ctx| {
+                    let id = ctx.machine_id() as u64;
+                    let value = ctx.read(key(id)).unwrap();
+                    ctx.write(key(7), Value::scalar(id));
+                    ctx.write(key(100 + id), Value::scalar(value.x * value.x));
+                    value.x
+                })
+                .unwrap();
+            let echoed = rt
+                .run_round(10, |ctx| {
+                    let id = ctx.machine_id() as u64;
+                    let keys = [key(100 + id), key(id)];
+                    let mut batch = [None; 2];
+                    ctx.read_many_slice(&keys, &mut batch);
+                    // key(7) was written by every machine in round 1, so
+                    // round 2 sees the full multi-value list: index
+                    // order must be machine-id order on every backend.
+                    let multi: Vec<Option<u64>> = (0..10)
+                        .map(|i| ctx.read_indexed(key(7), i).map(|v| v.x))
+                        .collect();
+                    (batch[0].map(|v| v.x), batch[1].map(|v| v.x), multi)
+                })
+                .unwrap();
+            let queries: Vec<u64> = rt
+                .stats()
+                .rounds
+                .iter()
+                .map(|round| round.total_queries)
+                .collect();
+            (results, echoed, queries)
         };
         let local = run(DdsBackendKind::Local);
         let channel = run(DdsBackendKind::Channel);
@@ -793,16 +758,15 @@ mod tests {
             config(100).with_cluster_owners(3).unwrap(),
         ] {
             let (shards, backend) = (config.num_shards(), config.backend);
-            crate::with_dds_backend!(config, |rt| {
-                let before = rt.snapshot();
-                assert_eq!(before.num_shards(), shards, "{backend:?}");
-                assert!(before.is_empty(), "{backend:?}");
-                let reads = rt
-                    .run_round(5, |ctx| ctx.read(key(ctx.machine_id() as u64)))
-                    .unwrap();
-                assert_eq!(reads, vec![None; 5], "{backend:?}");
-                assert_eq!(before.total_reads(), 5, "{backend:?}");
-            });
+            let mut rt = AmpcRuntime::new(config);
+            let before = rt.snapshot();
+            assert_eq!(before.num_shards(), shards, "{backend:?}");
+            assert!(before.is_empty(), "{backend:?}");
+            let reads = rt
+                .run_round(5, |ctx| ctx.read(key(ctx.machine_id() as u64)))
+                .unwrap();
+            assert_eq!(reads, vec![None; 5], "{backend:?}");
+            assert_eq!(before.total_reads(), 5, "{backend:?}");
         }
     }
 
@@ -814,33 +778,32 @@ mod tests {
         // results and every per-round statistic must coincide.
         let run = |backend: DdsBackendKind, windowed: bool| {
             let config = config(10_000).with_backend(backend);
-            crate::with_dds_backend!(config, |rt| {
-                rt.load_input((0..400u64).map(|i| (key(i), Value::scalar(i * 2))));
-                let sums = rt
-                    .run_round(4, move |ctx| {
-                        let base = ctx.machine_id() as u64 * 100;
-                        if windowed {
-                            let tickets: Vec<_> =
-                                (0..100u64).map(|i| ctx.queue_read(key(base + i))).collect();
-                            tickets
-                                .into_iter()
-                                .map(|t| ctx.take_read(t).unwrap().x)
-                                .sum::<u64>()
-                        } else {
-                            (0..100u64)
-                                .map(|i| ctx.read(key(base + i)).unwrap().x)
-                                .sum::<u64>()
-                        }
-                    })
-                    .unwrap();
-                let round = rt.stats().rounds[0].clone();
-                (
-                    sums,
-                    round.total_queries,
-                    round.max_queries_per_machine,
-                    round.budget_violations,
-                )
-            })
+            let mut rt = AmpcRuntime::new(config);
+            rt.load_input((0..400u64).map(|i| (key(i), Value::scalar(i * 2))));
+            let sums = rt
+                .run_round(4, move |ctx| {
+                    let base = ctx.machine_id() as u64 * 100;
+                    if windowed {
+                        let tickets: Vec<_> =
+                            (0..100u64).map(|i| ctx.queue_read(key(base + i))).collect();
+                        tickets
+                            .into_iter()
+                            .map(|t| ctx.take_read(t).unwrap().x)
+                            .sum::<u64>()
+                    } else {
+                        (0..100u64)
+                            .map(|i| ctx.read(key(base + i)).unwrap().x)
+                            .sum::<u64>()
+                    }
+                })
+                .unwrap();
+            let round = rt.stats().rounds[0].clone();
+            (
+                sums,
+                round.total_queries,
+                round.max_queries_per_machine,
+                round.budget_violations,
+            )
         };
         let baseline = run(DdsBackendKind::Local, false);
         for backend in [
@@ -859,17 +822,15 @@ mod tests {
         use rand::Rng;
         let run = |backend: DdsBackendKind| {
             let config = config(100).with_backend(backend);
-            crate::with_dds_backend!(config, |rt| {
-                let mut rt = rt.with_fault_plan(FaultPlan::none().fail(0, 2));
-                rt.load_input((0..4u64).map(|i| (key(i), Value::scalar(i))));
-                let results = rt
-                    .run_round(4, |ctx| {
-                        let id = ctx.machine_id() as u64;
-                        ctx.read(key(id)).unwrap().x + ctx.rng().gen::<u64>() % 1000
-                    })
-                    .unwrap();
-                (results, rt.stats().restarts())
-            })
+            let mut rt = AmpcRuntime::new(config).with_fault_plan(FaultPlan::none().fail(0, 2));
+            rt.load_input((0..4u64).map(|i| (key(i), Value::scalar(i))));
+            let results = rt
+                .run_round(4, |ctx| {
+                    let id = ctx.machine_id() as u64;
+                    ctx.read(key(id)).unwrap().x + ctx.rng().gen::<u64>() % 1000
+                })
+                .unwrap();
+            (results, rt.stats().restarts())
         };
         let local = run(DdsBackendKind::Local);
         let channel = run(DdsBackendKind::Channel);
@@ -889,33 +850,31 @@ mod tests {
         // r + 1.
         let run = |backend: DdsBackendKind, plan: FaultPlan| {
             let config = config(1_000).with_backend(backend);
-            crate::with_dds_backend!(config, |rt| {
-                let mut rt = rt.with_fault_plan(plan);
-                rt.load_input((0..100u64).map(|i| (key(i), Value::scalar(i))));
-                let sums = rt
-                    .run_round(8, |ctx| {
-                        let id = ctx.machine_id() as u64;
-                        let mut sum = 0;
-                        for i in 0..8u64 {
-                            let k = id * 8 + i;
-                            sum += ctx.read(key(k)).map_or(0, |v| v.x);
-                            ctx.write(key(1_000 + k), Value::scalar(k * 3));
-                        }
-                        sum
-                    })
-                    .unwrap();
-                let echoed = rt
-                    .run_round(8, |ctx| {
-                        let id = ctx.machine_id() as u64;
-                        (0..8u64)
-                            .map(|i| ctx.read(key(1_000 + id * 8 + i)).map(|v| v.x))
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap();
-                let mut entries = rt.snapshot().entries();
-                entries.sort_by_key(|&(key, _)| key);
-                (sums, echoed, entries, rt.dropped_requests())
-            })
+            let mut rt = AmpcRuntime::new(config).with_fault_plan(plan);
+            rt.load_input((0..100u64).map(|i| (key(i), Value::scalar(i))));
+            let sums = rt
+                .run_round(8, |ctx| {
+                    let id = ctx.machine_id() as u64;
+                    let mut sum = 0;
+                    for i in 0..8u64 {
+                        let k = id * 8 + i;
+                        sum += ctx.read(key(k)).map_or(0, |v| v.x);
+                        ctx.write(key(1_000 + k), Value::scalar(k * 3));
+                    }
+                    sum
+                })
+                .unwrap();
+            let echoed = rt
+                .run_round(8, |ctx| {
+                    let id = ctx.machine_id() as u64;
+                    (0..8u64)
+                        .map(|i| ctx.read(key(1_000 + id * 8 + i)).map(|v| v.x))
+                        .collect::<Vec<_>>()
+                })
+                .unwrap();
+            let mut entries = rt.snapshot().entries();
+            entries.sort_by_key(|&(key, _)| key);
+            (sums, echoed, entries, rt.dropped_requests())
         };
         for backend in [DdsBackendKind::Channel, DdsBackendKind::Remote] {
             let (sums, echoed, entries, dropped) = run(backend, FaultPlan::none());
@@ -947,9 +906,6 @@ mod tests {
         /// failure panics out of the infallible `DdsBackend` surface.
         struct PanickyBackend;
         impl DdsBackend for PanickyBackend {
-            fn with_shards(_: usize, _: usize) -> Self {
-                PanickyBackend
-            }
             fn num_shards(&self) -> usize {
                 1
             }
@@ -970,7 +926,7 @@ mod tests {
             }
         }
 
-        let mut rt = AmpcRuntime::<PanickyBackend>::with_backend(config(100));
+        let mut rt = AmpcRuntime::from_backend(config(100), PanickyBackend);
         let err = rt.run_round(2, |ctx| ctx.machine_id()).unwrap_err();
         match err {
             AmpcError::Backend { message } => {

@@ -103,15 +103,14 @@ fn probes(keys: usize, reads: usize, seed: u64) -> Vec<Key> {
 }
 
 /// Measure the point and batched modes of one backend's view.
-fn measure_view<B: DdsBackend>(
+fn measure_view(
     name: &'static str,
+    mut backend: Box<dyn DdsBackend>,
     keys: usize,
     reads: usize,
-    shards: usize,
     threads: usize,
     seed: u64,
 ) -> Vec<BackendReadLatencyPoint> {
-    let mut backend = B::with_shards(shards, threads);
     backend.commit_round(vec![workload(keys, seed)], threads);
     let view = backend.advance(threads);
     let probes = probes(keys, reads, seed);
@@ -172,18 +171,17 @@ fn measure_view<B: DdsBackend>(
 /// run, and `get_indexed_slice` flights of [`RUN_FLIGHT`] values of it, in
 /// an epoch of the workload's keys plus the run.  The three take turns,
 /// pass by pass, like the modes of [`measure_view`].
-fn measure_indexed<B: DdsBackend>(
+fn measure_indexed(
     name: &'static str,
+    mut backend: Box<dyn DdsBackend>,
     keys: usize,
     reads: usize,
-    shards: usize,
     threads: usize,
     seed: u64,
 ) -> Vec<BackendReadLatencyPoint> {
     let run_key = Key::of(KeyTag::Custom(0), 0);
     let mut pairs = workload(keys, seed);
     pairs.extend((0..RUN as u64).map(|i| (run_key, Value::scalar(i))));
-    let mut backend = B::with_shards(shards, threads);
     backend.commit_round(vec![pairs], threads);
     let view = backend.advance(threads);
 
@@ -235,20 +233,20 @@ fn measure_indexed<B: DdsBackend>(
 }
 
 /// Measure the auto-batching window through a real single-machine round.
-fn measure_windowed<B: DdsBackend>(
+fn measure_windowed(
     name: &'static str,
+    backend: Box<dyn DdsBackend>,
     keys: usize,
     reads: usize,
-    shards: usize,
     threads: usize,
     seed: u64,
 ) -> BackendReadLatencyPoint {
     let config = AmpcConfig::for_graph(keys.max(4), 0, 0.5)
-        .with_num_shards(shards)
+        .with_num_shards(backend.num_shards())
         .expect("bench shard counts are in range")
         .with_threads(threads)
         .with_seed(seed);
-    let mut runtime = AmpcRuntime::<B>::with_backend(config);
+    let mut runtime = AmpcRuntime::from_backend(config, backend);
     runtime.load_input(workload(keys, seed));
     let probes = probes(keys, reads, seed);
     let probes = &probes;
@@ -307,31 +305,23 @@ pub fn backend_read_latency(
     } else {
         threads
     };
-    let mut points = measure_view::<LocalBackend>("local", keys, reads, shards, threads, seed);
-    points.push(measure_windowed::<LocalBackend>(
-        "local", keys, reads, shards, threads, seed,
-    ));
-    points.extend(measure_indexed::<LocalBackend>(
-        "local", keys, reads, shards, threads, seed,
-    ));
-    points.extend(measure_view::<ChannelBackend>(
-        "channel", keys, reads, shards, threads, seed,
-    ));
-    points.push(measure_windowed::<ChannelBackend>(
-        "channel", keys, reads, shards, threads, seed,
-    ));
-    points.extend(measure_indexed::<ChannelBackend>(
-        "channel", keys, reads, shards, threads, seed,
-    ));
-    points.extend(measure_view::<TcpBackend>(
-        "remote", keys, reads, shards, threads, seed,
-    ));
-    points.push(measure_windowed::<TcpBackend>(
-        "remote", keys, reads, shards, threads, seed,
-    ));
-    points.extend(measure_indexed::<TcpBackend>(
-        "remote", keys, reads, shards, threads, seed,
-    ));
+    type Open = fn(usize, usize) -> Box<dyn DdsBackend>;
+    let backends: [(&str, Open); 3] = [
+        ("local", |shards, _| Box::new(LocalBackend::new(shards))),
+        ("channel", |shards, threads| {
+            Box::new(ChannelBackend::new(shards, threads))
+        }),
+        ("remote", |shards, threads| {
+            Box::new(TcpBackend::new(shards, threads))
+        }),
+    ];
+    let mut points = Vec::new();
+    for (name, open) in backends {
+        let open = || open(shards, threads);
+        points.extend(measure_view(name, open(), keys, reads, threads, seed));
+        points.push(measure_windowed(name, open(), keys, reads, threads, seed));
+        points.extend(measure_indexed(name, open(), keys, reads, threads, seed));
+    }
     let checksum = points[0].checksum;
     assert!(
         (points.iter())

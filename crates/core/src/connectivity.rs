@@ -48,7 +48,7 @@ use crate::common::{adjacency_list_key, round_robin_assign, AlgorithmResult};
 use crate::contract::{phase_budgets, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind};
-use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
+use ampc_runtime::{AmpcConfig, AmpcRuntime, MachineContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,16 +178,7 @@ pub fn connectivity(graph: &Graph, epsilon: f64, seed: u64) -> AlgorithmResult<V
 pub fn connectivity_with(graph: &Graph, config: &AmpcConfig) -> AlgorithmResult<Vec<u32>> {
     let n = graph.num_vertices();
     let m = graph.num_edges();
-    let config = config.derive(n.max(1), n.max(1) + m);
-    with_dds_backend!(config, |runtime| connectivity_impl(graph, runtime))
-}
-
-fn connectivity_impl<B: DdsBackend>(
-    graph: &Graph,
-    mut runtime: AmpcRuntime<B>,
-) -> AlgorithmResult<Vec<u32>> {
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
+    let mut runtime = AmpcRuntime::new(config.derive(n.max(1), n.max(1) + m));
     let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1234_5678);

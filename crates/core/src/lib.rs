@@ -21,11 +21,11 @@
 //! Every algorithm also ships a `*_with(…, &AmpcConfig)` variant: the config
 //! carries ε, the seed, thread caps and — through
 //! [`ampc_runtime::AmpcConfig::backend`](ampc_runtime::config::AmpcConfig) —
-//! the DDS backend selection.  The drivers are generic over
-//! `ampc_dds::DdsBackend`, so the same code runs against the in-process
-//! store or the message-passing [`ampc_dds::ChannelBackend`] with no
-//! per-algorithm code paths; `tests/backend_determinism.rs` (workspace root)
-//! proves the outputs are byte-identical across backends and thread counts.
+//! the DDS backend selection.  A driver opens its runtime with
+//! `AmpcRuntime::new(config)`, so the same code runs against every store
+//! with no per-algorithm code paths; `tests/backend_determinism.rs`
+//! (workspace root) proves the outputs are byte-identical across backends
+//! and thread counts.
 //!
 //! A driver keeps its state in arrays indexed by id (vertex, arc, edge or
 //! list element ids are dense `0..n`): Shrink's adjacency and contraction

@@ -31,7 +31,7 @@
 
 use crate::common::{round_robin_assign, AlgorithmResult};
 use ampc_dds::{Key, KeyTag, Value};
-use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
+use ampc_runtime::{AmpcConfig, AmpcRuntime, MachineContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,18 +178,7 @@ pub fn list_ranking_weighted_with(
         assert!((s as usize) < n, "successor of {v} out of range");
     }
     assert_acyclic(successor);
-    let config = config.derive(n.max(1), n.max(1) + n);
-    with_dds_backend!(config, |runtime| list_ranking_impl(
-        successor, weights, runtime
-    ))
-}
-
-fn list_ranking_impl<B: DdsBackend>(
-    successor: &[u32],
-    weights: &[u64],
-    mut runtime: AmpcRuntime<B>,
-) -> AlgorithmResult<Vec<u64>> {
-    let n = successor.len();
+    let mut runtime = AmpcRuntime::new(config.derive(n.max(1), n.max(1) + n));
     let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
     if n == 0 {

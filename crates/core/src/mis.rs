@@ -29,7 +29,7 @@
 use crate::common::{adjacency_list_key, round_robin_assign, AlgorithmResult};
 use ampc_dds::{FxHashMap, Key, Value};
 use ampc_graph::{permutation, Graph};
-use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
+use ampc_runtime::{AmpcConfig, AmpcRuntime, MachineContext};
 
 /// Outcome of one truncated query for a vertex in the current iteration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -143,15 +143,7 @@ pub fn maximal_independent_set_with(
 ) -> AlgorithmResult<Vec<bool>> {
     let n = graph.num_vertices();
     let m = graph.num_edges();
-    let config = config.derive(n.max(1), n.max(1) + m);
-    with_dds_backend!(config, |runtime| mis_impl(graph, runtime))
-}
-
-fn mis_impl<B: DdsBackend>(
-    graph: &Graph,
-    mut runtime: AmpcRuntime<B>,
-) -> AlgorithmResult<Vec<bool>> {
-    let n = graph.num_vertices();
+    let mut runtime = AmpcRuntime::new(config.derive(n.max(1), n.max(1) + m));
     let seed = runtime.config().seed;
     let priorities = permutation::random_priorities(n, seed ^ 0x4d_49_53);
     let rank = |u: u32| (priorities[u as usize], u);

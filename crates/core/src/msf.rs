@@ -44,7 +44,7 @@ use crate::common::{
 use crate::contract::{phase_budgets, ContractEdge, LiveSet};
 use ampc_dds::{FxHashSet, Key, Value};
 use ampc_graph::{canonicalize_labels, Graph, UnionFind, WeightedEdge};
-use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
+use ampc_runtime::{AmpcConfig, AmpcRuntime, MachineContext};
 use std::collections::BinaryHeap;
 
 /// Output of the minimum spanning forest algorithm.
@@ -269,17 +269,7 @@ fn msf_dispatch(
 ) -> AlgorithmResult<MsfOutput> {
     let n = graph.num_vertices();
     let m = all_edges.len();
-    let config = config.derive(n.max(1), n.max(1) + m);
-    with_dds_backend!(config, |runtime| msf_impl(graph, all_edges, runtime))
-}
-
-fn msf_impl<B: DdsBackend>(
-    graph: &Graph,
-    all_edges: &[WeightedEdge],
-    mut runtime: AmpcRuntime<B>,
-) -> AlgorithmResult<MsfOutput> {
-    let n = graph.num_vertices();
-    let m = all_edges.len();
+    let mut runtime = AmpcRuntime::new(config.derive(n.max(1), n.max(1) + m));
     let epsilon = runtime.config().epsilon;
 
     if n == 0 {

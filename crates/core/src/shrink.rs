@@ -49,7 +49,7 @@
 use crate::common::{round_robin_assign, AlgorithmResult};
 use ampc_dds::{Key, KeyTag, Value};
 use ampc_graph::{canonicalize_labels, Graph};
-use ampc_runtime::{with_dds_backend, AmpcConfig, AmpcRuntime, DdsBackend, MachineContext};
+use ampc_runtime::{AmpcConfig, AmpcRuntime, MachineContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -236,8 +236,8 @@ impl ShrinkState {
 /// Run `Shrink(G, ε/2, ·)` until at most `target` vertices remain alive (or
 /// a sample would keep every one, or the iteration cap is reached).
 /// Returns the contracted state.
-pub(crate) fn shrink_cycles<B: DdsBackend>(
-    runtime: &mut AmpcRuntime<B>,
+pub(crate) fn shrink_cycles(
+    runtime: &mut AmpcRuntime,
     mut state: ShrinkState,
     epsilon: f64,
     target: usize,
@@ -373,15 +373,7 @@ pub fn two_cycle(graph: &Graph, epsilon: f64, seed: u64) -> AlgorithmResult<TwoC
 pub fn two_cycle_with(graph: &Graph, config: &AmpcConfig) -> AlgorithmResult<TwoCycleAnswer> {
     let n = graph.num_vertices();
     let m = graph.num_edges();
-    let config = config.derive(n, n + m);
-    with_dds_backend!(config, |runtime| two_cycle_impl(graph, runtime))
-}
-
-fn two_cycle_impl<B: DdsBackend>(
-    graph: &Graph,
-    mut runtime: AmpcRuntime<B>,
-) -> AlgorithmResult<TwoCycleAnswer> {
-    let n = graph.num_vertices();
+    let mut runtime = AmpcRuntime::new(config.derive(n, n + m));
     let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
     let target = (n as f64).powf(epsilon).ceil() as usize;
@@ -423,14 +415,7 @@ pub fn cycle_connectivity_from_neighbors_with(
 ) -> AlgorithmResult<Vec<u32>> {
     assert_cycles(&nbrs);
     let n = nbrs.len();
-    let config = config.derive(n.max(1), n.max(1) + n);
-    with_dds_backend!(config, |runtime| cycle_connectivity_impl(nbrs, runtime))
-}
-
-fn cycle_connectivity_impl<B: DdsBackend>(
-    nbrs: CycleNeighbors,
-    mut runtime: AmpcRuntime<B>,
-) -> AlgorithmResult<Vec<u32>> {
+    let mut runtime = AmpcRuntime::new(config.derive(n.max(1), n.max(1) + n));
     let epsilon = runtime.config().epsilon;
     let seed = runtime.config().seed;
     let target = (nbrs.len().max(2) as f64).powf(epsilon).ceil() as usize;

@@ -37,9 +37,10 @@
 //!   deployable shape of the store, whether the owners are threads of this
 //!   process, one serving process, or a cluster of N.
 //!
-//! Backend selection is a *configuration* concern: the runtime is generic
-//! over `B: DdsBackend` and `ampc_runtime::AmpcConfig` picks the
-//! instantiation, so algorithm code never mentions a concrete backend.
+//! Backend selection is a *configuration* concern: the trait is
+//! dyn-compatible, `ampc_runtime::AmpcRuntime::new` opens the backend its
+//! config names as a `Box<dyn DdsBackend>`, and algorithm code never
+//! mentions a backend at all.
 //! The conformance suite (`tests/backend_conformance.rs` at the workspace
 //! root) holds every backend to observational equivalence against a plain
 //! `BTreeMap<Key, Vec<Value>>` model of the store.
@@ -57,12 +58,11 @@ use crate::transport::RequestFaults;
 /// multi-value order is the concatenation order of the committed batches
 /// (for the runtime: machine id, then write order) — every backend must
 /// preserve it, which is what the cross-backend determinism tests pin down.
+///
+/// Each backend has its own constructor ([`LocalBackend::new`],
+/// [`crate::RemoteBackend::new`] and the connect / spawn constructors of
+/// [`crate::TcpBackend`]), so the trait is dyn-compatible.
 pub trait DdsBackend: Send + 'static {
-    /// Create a backend with `num_shards` shards.  `threads` caps whatever
-    /// internal parallelism the backend uses (commit workers for
-    /// [`LocalBackend`], owner threads for [`crate::ChannelBackend`]).
-    fn with_shards(num_shards: usize, threads: usize) -> Self;
-
     /// Number of shards ("DDS machines").
     fn num_shards(&self) -> usize;
 
@@ -132,15 +132,18 @@ pub struct LocalBackend {
     writes: u64,
 }
 
-impl DdsBackend for LocalBackend {
-    fn with_shards(num_shards: usize, _threads: usize) -> Self {
+impl LocalBackend {
+    /// An empty store of `num_shards` shards.
+    pub fn new(num_shards: usize) -> Self {
         LocalBackend {
             current: ShardedStore::new(num_shards),
             completed: 0,
             writes: 0,
         }
     }
+}
 
+impl DdsBackend for LocalBackend {
     fn num_shards(&self) -> usize {
         self.current.num_shards()
     }
@@ -176,6 +179,46 @@ impl DdsBackend for LocalBackend {
     }
 }
 
+/// A boxed backend is a backend: `ampc_runtime::AmpcRuntime::new` drives a
+/// `Box<dyn DdsBackend>`, so the config, not a type, picks the store.
+impl<B: DdsBackend + ?Sized> DdsBackend for Box<B> {
+    fn num_shards(&self) -> usize {
+        (**self).num_shards()
+    }
+
+    fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
+        (**self).commit_round(batches, threads);
+    }
+
+    fn advance(&mut self, threads: usize) -> Snapshot {
+        (**self).advance(threads)
+    }
+
+    fn completed_epochs(&self) -> usize {
+        (**self).completed_epochs()
+    }
+
+    fn total_writes(&mut self) -> u64 {
+        (**self).total_writes()
+    }
+
+    fn backend_name(&self) -> &'static str {
+        (**self).backend_name()
+    }
+
+    fn install_request_faults(&mut self, faults: RequestFaults) {
+        (**self).install_request_faults(faults);
+    }
+
+    fn dropped_requests(&self) -> u64 {
+        (**self).dropped_requests()
+    }
+
+    fn severed_connections(&self) -> u64 {
+        (**self).severed_connections()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,8 +231,7 @@ mod tests {
     /// Drive any backend through a tiny two-epoch script and check the
     /// trait-level observables.  The cross-backend conformance suite at the
     /// workspace root does this exhaustively; this is the in-crate smoke.
-    fn exercise<B: DdsBackend>() {
-        let mut backend = B::with_shards(4, 2);
+    fn exercise(mut backend: impl DdsBackend) {
         assert_eq!(backend.num_shards(), 4);
         assert_eq!(backend.completed_epochs(), 0);
 
@@ -228,22 +270,22 @@ mod tests {
 
     #[test]
     fn local_backend_satisfies_the_trait_surface() {
-        exercise::<LocalBackend>();
+        exercise(LocalBackend::new(4));
     }
 
     #[test]
     fn channel_backend_satisfies_the_trait_surface() {
-        exercise::<crate::ChannelBackend>();
+        exercise(crate::ChannelBackend::new(4, 2));
     }
 
     #[test]
     fn tcp_backend_satisfies_the_trait_surface() {
-        exercise::<crate::TcpBackend>();
+        exercise(crate::TcpBackend::new(4, 2));
     }
 
     #[test]
     fn local_totals_span_every_epoch_and_an_empty_advance_is_empty() {
-        let mut backend = LocalBackend::with_shards(3, 1);
+        let mut backend = LocalBackend::new(3);
         assert!(backend.advance(1).is_empty());
         assert_eq!(backend.completed_epochs(), 1);
         backend.commit_round(
@@ -263,7 +305,7 @@ mod tests {
 
     #[test]
     fn snapshot_view_batched_reads_match_point_reads() {
-        let mut backend = LocalBackend::with_shards(8, 1);
+        let mut backend = LocalBackend::new(8);
         backend.commit_round(
             vec![(0..50u64).map(|i| (k(i), Value::scalar(i * 2))).collect()],
             1,

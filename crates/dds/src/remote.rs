@@ -469,10 +469,6 @@ pub(crate) fn expect_transport<V>(result: Result<V, TransportError>) -> V {
 }
 
 impl<T: Transport> DdsBackend for RemoteBackend<T> {
-    fn with_shards(num_shards: usize, threads: usize) -> Self {
-        RemoteBackend::new(num_shards, threads)
-    }
-
     fn num_shards(&self) -> usize {
         self.routing.num_shards()
     }

@@ -113,9 +113,9 @@ fn assert_reads_the_model(snapshot: &Snapshot, model: &BTreeMap<Key, Vec<Value>>
     }
 }
 
-/// Commit `batches` as one round on a fresh `B` and return the view of it.
-fn committed_view<B: DdsBackend>(shards: usize, threads: usize, batches: Batches) -> Snapshot {
-    let mut backend = B::with_shards(shards, threads);
+/// Commit `batches` as one round on a fresh `backend` and return the view
+/// of it.
+fn committed_view(mut backend: impl DdsBackend, threads: usize, batches: Batches) -> Snapshot {
     backend.commit_round(batches, threads);
     backend.advance(threads)
 }
@@ -169,7 +169,7 @@ proptest! {
     ) {
         // The backend keeps no frozen epoch; the snapshots `advance` handed
         // out are the views a caller keeps.
-        let mut backend = LocalBackend::with_shards(shards, 1);
+        let mut backend = LocalBackend::new(shards);
         let mut snapshots = Vec::new();
         for pairs in &rounds {
             let batch = pairs.iter().map(|&(k, v)| (Key::of(KeyTag::Scalar, k), Value::scalar(v)));
@@ -312,9 +312,10 @@ proptest! {
         // each partition on up to `threads` workers; all must store what
         // pushing in order would.
         let model = multimap(batches.iter().flatten());
-        let local = committed_view::<LocalBackend>(shards, threads, batches.clone());
-        let channel = committed_view::<ChannelBackend>(shards, threads, batches.clone());
-        let tcp = committed_view::<TcpBackend>(shards, threads, batches);
+        let local = committed_view(LocalBackend::new(shards), threads, batches.clone());
+        let channel =
+            committed_view(ChannelBackend::new(shards, threads), threads, batches.clone());
+        let tcp = committed_view(TcpBackend::new(shards, threads), threads, batches);
         for view in [&local, &channel, &tcp] {
             prop_assert_eq!(view.len(), model.len());
             for (key, values) in &model {

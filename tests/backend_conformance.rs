@@ -147,19 +147,15 @@ fn conformance_battery(script: Script, shards: usize, threads: usize) {
     let mut legs: Vec<(String, Vec<Snapshot>)> = vec![
         (
             "local".into(),
-            run_script(LocalBackend::with_shards(shards, threads), &script, threads),
+            run_script(LocalBackend::new(shards), &script, threads),
         ),
         (
             "channel".into(),
-            run_script(
-                ChannelBackend::with_shards(shards, threads),
-                &script,
-                threads,
-            ),
+            run_script(ChannelBackend::new(shards, threads), &script, threads),
         ),
         (
             "remote".into(),
-            run_script(TcpBackend::with_shards(shards, threads), &script, threads),
+            run_script(TcpBackend::new(shards, threads), &script, threads),
         ),
     ];
     // Owner counts are run-time numbers: one owner, counts that do not
@@ -322,18 +318,12 @@ fn indexed_slices_equal_indexed_reads_on_every_backend() {
     let mut legs: Vec<(String, Snapshot)> = Vec::new();
     for shards in [1usize, 8, 64] {
         let views = [
-            (
-                "local",
-                run_script(LocalBackend::with_shards(shards, 2), &script, 2),
-            ),
+            ("local", run_script(LocalBackend::new(shards), &script, 2)),
             (
                 "channel",
-                run_script(ChannelBackend::with_shards(shards, 2), &script, 2),
+                run_script(ChannelBackend::new(shards, 2), &script, 2),
             ),
-            (
-                "remote",
-                run_script(TcpBackend::with_shards(shards, 2), &script, 2),
-            ),
+            ("remote", run_script(TcpBackend::new(shards, 2), &script, 2)),
             ("cluster(3)", run_script(cluster(3, shards), &script, 2)),
         ];
         for (name, mut views) in views {
@@ -381,28 +371,27 @@ fn machine_context_budget_accounting_is_backend_independent() {
             .with_seed(11)
             .with_threads(2)
             .with_backend(*backend);
-        ampc_runtime::with_dds_backend!(config, |rt| {
-            rt.load_input((0..100u64).map(|i| (k(i), Value::scalar(i))));
-            rt.run_round(4, |ctx| {
-                let id = ctx.machine_id() as u64;
-                let single = ctx.read(k(id)).map(|v| v.x);
-                let keys: Vec<Key> = (0..10u64).map(|i| k(id * 10 + i)).collect();
-                let mut found = [None; 10];
-                ctx.read_many_slice(&keys, &mut found);
-                let batch: Vec<Option<u64>> = found.iter().map(|v| v.map(|v| v.x)).collect();
-                let indexed = ctx.read_indexed(k(id), 0).map(|v| v.x);
-                let mult = ctx.multiplicity(k(id));
-                (
-                    single,
-                    batch,
-                    indexed,
-                    mult,
-                    ctx.queries_issued(),
-                    ctx.remaining_budget(),
-                )
-            })
-            .unwrap()
+        let mut rt = AmpcRuntime::new(config);
+        rt.load_input((0..100u64).map(|i| (k(i), Value::scalar(i))));
+        rt.run_round(4, |ctx| {
+            let id = ctx.machine_id() as u64;
+            let single = ctx.read(k(id)).map(|v| v.x);
+            let keys: Vec<Key> = (0..10u64).map(|i| k(id * 10 + i)).collect();
+            let mut found = [None; 10];
+            ctx.read_many_slice(&keys, &mut found);
+            let batch: Vec<Option<u64>> = found.iter().map(|v| v.map(|v| v.x)).collect();
+            let indexed = ctx.read_indexed(k(id), 0).map(|v| v.x);
+            let mult = ctx.multiplicity(k(id));
+            (
+                single,
+                batch,
+                indexed,
+                mult,
+                ctx.queries_issued(),
+                ctx.remaining_budget(),
+            )
         })
+        .unwrap()
     };
     let reference = run(&DdsBackendKind::Local);
     for backend in &ALL_BACKENDS[1..] {
@@ -417,10 +406,9 @@ fn explicit_shard_override_flows_to_every_backend() {
             .with_backend(backend)
             .with_num_shards(13)
             .unwrap();
-        ampc_runtime::with_dds_backend!(config, |rt| {
-            rt.load_input((0..10u64).map(|i| (k(i), Value::scalar(i))));
-            assert_eq!(rt.snapshot().num_shards(), 13);
-        });
+        let mut rt = AmpcRuntime::new(config);
+        rt.load_input((0..10u64).map(|i| (k(i), Value::scalar(i))));
+        assert_eq!(rt.snapshot().num_shards(), 13);
     }
 }
 
@@ -430,30 +418,29 @@ type EntriesAndStats = (Vec<(Key, Vec<Value>)>, Vec<[u64; 7]>);
 /// `entries()` exactly as the view yields them, and the run's statistics
 /// (minus wall time, the one field that is not a function of the program).
 fn entries_and_stats(config: AmpcConfig) -> EntriesAndStats {
-    ampc_runtime::with_dds_backend!(config, |rt| {
-        rt.load_input((0..64u64).map(|i| (k(i), Value::scalar(i))));
-        rt.run_round(8, |ctx| {
-            let id = ctx.machine_id() as u64;
-            for i in 0..8u64 {
-                let x = ctx.read(k(id * 8 + i)).map_or(0, |v| v.x);
-                ctx.write(k(x % 12), Value::pair(id, x));
-            }
-        })
-        .unwrap();
-        rt.scatter((0..20u64).map(|i| (k(i % 5), Value::scalar(i))).collect());
-        let stats = rt.stats().rounds.iter().map(|r| {
-            [
-                r.round as u64,
-                r.machines as u64,
-                r.total_queries,
-                r.max_queries_per_machine,
-                r.total_writes,
-                r.max_writes_per_machine,
-                r.budget_violations,
-            ]
-        });
-        (rt.snapshot().entries(), stats.collect())
+    let mut rt = AmpcRuntime::new(config);
+    rt.load_input((0..64u64).map(|i| (k(i), Value::scalar(i))));
+    rt.run_round(8, |ctx| {
+        let id = ctx.machine_id() as u64;
+        for i in 0..8u64 {
+            let x = ctx.read(k(id * 8 + i)).map_or(0, |v| v.x);
+            ctx.write(k(x % 12), Value::pair(id, x));
+        }
     })
+    .unwrap();
+    rt.scatter((0..20u64).map(|i| (k(i % 5), Value::scalar(i))).collect());
+    let stats = rt.stats().rounds.iter().map(|r| {
+        [
+            r.round as u64,
+            r.machines as u64,
+            r.total_queries,
+            r.max_queries_per_machine,
+            r.total_writes,
+            r.max_writes_per_machine,
+            r.budget_violations,
+        ]
+    });
+    (rt.snapshot().entries(), stats.collect())
 }
 
 #[test]
@@ -486,14 +473,13 @@ fn more_cluster_owners_than_shards_run_like_local() {
     assert_eq!(local, wide);
 }
 
-/// End-to-end smoke through `AmpcRuntime<B>` directly (not via the macro):
-/// adaptive pointer chasing, exactly as the model demands.
-fn runtime_program_smoke<B: DdsBackend>() {
-    let config = AmpcConfig::for_graph(10_000, 0, 0.5).with_threads(3);
-    runtime_program_smoke_on(AmpcRuntime::<B>::with_backend(config));
+fn smoke_config() -> AmpcConfig {
+    AmpcConfig::for_graph(10_000, 0, 0.5).with_threads(3)
 }
 
-fn runtime_program_smoke_on<B: DdsBackend>(mut runtime: AmpcRuntime<B>) {
+/// End-to-end smoke through a runtime: adaptive pointer chasing, exactly as
+/// the model demands.
+fn runtime_program_smoke<B: DdsBackend>(mut runtime: AmpcRuntime<B>) {
     runtime.load_input((0..100u64).map(|x| (Key::of(KeyTag::Successor, x), Value::scalar(x + 1))));
     let reached = runtime
         .run_round(1, |ctx| {
@@ -510,19 +496,41 @@ fn runtime_program_smoke_on<B: DdsBackend>(mut runtime: AmpcRuntime<B>) {
 
 #[test]
 fn channel_backend_runs_a_full_runtime_program() {
-    runtime_program_smoke::<ChannelBackend>();
+    let config = smoke_config().with_backend(DdsBackendKind::Channel);
+    runtime_program_smoke(AmpcRuntime::new(config));
 }
 
 #[test]
 fn tcp_backend_runs_a_full_runtime_program() {
-    runtime_program_smoke::<TcpBackend>();
+    let config = smoke_config().with_backend(DdsBackendKind::Remote);
+    runtime_program_smoke(AmpcRuntime::new(config));
 }
 
 #[test]
 fn cluster_backend_runs_a_full_runtime_program() {
-    let config = AmpcConfig::for_graph(10_000, 0, 0.5).with_threads(3);
+    // A backend built by hand, handed to the runtime as it is.
+    let config = smoke_config();
     let backend = cluster(2, config.num_shards());
-    runtime_program_smoke_on(AmpcRuntime::from_backend(config, backend));
+    runtime_program_smoke(AmpcRuntime::from_backend(config, backend));
+}
+
+#[test]
+fn runtime_new_opens_the_backend_the_config_names() {
+    // The config alone picks the store: each kind must come back under its
+    // own name, and serve a round that reads D_0 back.
+    for &kind in ALL_BACKENDS {
+        let config = AmpcConfig::for_graph(100, 100, 0.5)
+            .with_threads(2)
+            .with_backend(kind);
+        let mut rt = AmpcRuntime::new(config);
+        assert_eq!(rt.backend().backend_name(), kind.to_string());
+        rt.load_input((0..8u64).map(|i| (k(i), Value::scalar(i * 7))));
+        let read = rt
+            .run_round(8, |ctx| ctx.read(k(ctx.machine_id() as u64)))
+            .unwrap();
+        let expected: Vec<_> = (0..8u64).map(|i| Some(Value::scalar(i * 7))).collect();
+        assert_eq!(read, expected, "{kind}");
+    }
 }
 
 /// Everything a view can tell us about an epoch: key count, sorted entry
@@ -552,11 +560,7 @@ fn observe(view: &Snapshot, probe: &[Key]) -> EpochObservation {
 /// Snapshot lifetime: a view taken at one epoch must stay valid — and
 /// byte-identical — while later epochs commit and advance, and after the
 /// backend itself is dropped.
-fn snapshot_lifetime_battery<B: DdsBackend>(shards: usize, threads: usize) {
-    snapshot_lifetime_battery_on(B::with_shards(shards, threads), threads);
-}
-
-fn snapshot_lifetime_battery_on<B: DdsBackend>(mut backend: B, threads: usize) {
+fn snapshot_lifetime_battery(mut backend: impl DdsBackend, threads: usize) {
     backend.commit_round(
         vec![
             (0..120u64).map(|i| (k(i % 40), Value::scalar(i))).collect(),
@@ -598,26 +602,26 @@ fn snapshot_lifetime_battery_on<B: DdsBackend>(mut backend: B, threads: usize) {
 
 #[test]
 fn local_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<LocalBackend>(8, 2);
-    snapshot_lifetime_battery::<LocalBackend>(1, 1);
+    snapshot_lifetime_battery(LocalBackend::new(8), 2);
+    snapshot_lifetime_battery(LocalBackend::new(1), 1);
 }
 
 #[test]
 fn channel_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<ChannelBackend>(8, 3);
-    snapshot_lifetime_battery::<ChannelBackend>(16, 1);
+    snapshot_lifetime_battery(ChannelBackend::new(8, 3), 3);
+    snapshot_lifetime_battery(ChannelBackend::new(16, 1), 1);
 }
 
 #[test]
 fn tcp_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<TcpBackend>(8, 3);
-    snapshot_lifetime_battery::<TcpBackend>(16, 1);
+    snapshot_lifetime_battery(TcpBackend::new(8, 3), 3);
+    snapshot_lifetime_battery(TcpBackend::new(16, 1), 1);
 }
 
 #[test]
 fn cluster_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery_on(cluster(2, 8), 3);
-    snapshot_lifetime_battery_on(cluster(4, 16), 1);
+    snapshot_lifetime_battery(cluster(2, 8), 3);
+    snapshot_lifetime_battery(cluster(4, 16), 1);
 }
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {

@@ -17,7 +17,6 @@
 
 use ampc_suite::dds::{serve, Key, KeyTag, Value};
 use ampc_suite::prelude::*;
-use ampc_suite::runtime::with_dds_backend;
 
 fn key(v: u64) -> Key {
     Key::of(KeyTag::Scalar, v)
@@ -35,39 +34,37 @@ type Observed = (
 );
 
 fn run_workload(config: AmpcConfig, plan: FaultPlan) -> Observed {
-    with_dds_backend!(config, |rt| {
-        let mut rt = rt.with_fault_plan(plan);
-        rt.load_input((0..100u64).map(|i| (key(i), Value::scalar(i))));
-        let sums = rt
-            .run_round(8, |ctx| {
-                let id = ctx.machine_id() as u64;
-                let mut sum = 0;
-                for i in 0..8u64 {
-                    let k = id * 8 + i;
-                    sum += ctx.read(key(k)).map_or(0, |v| v.x);
-                    ctx.write(key(1_000 + k), Value::scalar(k * 3));
-                }
-                sum
-            })
-            .unwrap();
-        let echoed = rt
-            .run_round(8, |ctx| {
-                let id = ctx.machine_id() as u64;
-                (0..8u64)
-                    .map(|i| ctx.read(key(1_000 + id * 8 + i)).map(|v| v.x))
-                    .collect::<Vec<_>>()
-            })
-            .unwrap();
-        let mut entries = rt.snapshot().entries();
-        entries.sort_by_key(|&(key, _)| key);
-        let queries: Vec<u64> = rt
-            .stats()
-            .rounds
-            .iter()
-            .map(|round| round.total_queries)
-            .collect();
-        (sums, echoed, entries, queries, rt.severed_connections())
-    })
+    let mut rt = AmpcRuntime::new(config).with_fault_plan(plan);
+    rt.load_input((0..100u64).map(|i| (key(i), Value::scalar(i))));
+    let sums = rt
+        .run_round(8, |ctx| {
+            let id = ctx.machine_id() as u64;
+            let mut sum = 0;
+            for i in 0..8u64 {
+                let k = id * 8 + i;
+                sum += ctx.read(key(k)).map_or(0, |v| v.x);
+                ctx.write(key(1_000 + k), Value::scalar(k * 3));
+            }
+            sum
+        })
+        .unwrap();
+    let echoed = rt
+        .run_round(8, |ctx| {
+            let id = ctx.machine_id() as u64;
+            (0..8u64)
+                .map(|i| ctx.read(key(1_000 + id * 8 + i)).map(|v| v.x))
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+    let mut entries = rt.snapshot().entries();
+    entries.sort_by_key(|&(key, _)| key);
+    let queries: Vec<u64> = rt
+        .stats()
+        .rounds
+        .iter()
+        .map(|round| round.total_queries)
+        .collect();
+    (sums, echoed, entries, queries, rt.severed_connections())
 }
 
 #[test]
@@ -387,14 +384,13 @@ fn concurrent_runtimes_hold_isolated_sessions_against_one_server() {
         let config = AmpcConfig::for_graph(500, 500, 0.5)
             .with_threads(2)
             .with_remote_endpoint(endpoint);
-        with_dds_backend!(config, |rt| {
-            rt.load_input((0..50u64).map(|i| (key(i), Value::scalar(i + offset))));
-            rt.run_round(4, |ctx| {
-                let id = ctx.machine_id() as u64;
-                ctx.read(key(id)).map(|v| v.x)
-            })
-            .unwrap()
+        let mut rt = AmpcRuntime::new(config);
+        rt.load_input((0..50u64).map(|i| (key(i), Value::scalar(i + offset))));
+        rt.run_round(4, |ctx| {
+            let id = ctx.machine_id() as u64;
+            ctx.read(key(id)).map(|v| v.x)
         })
+        .unwrap()
     };
     let (alpha, beta) = std::thread::scope(|scope| {
         let a = scope.spawn(|| run(0, endpoint.clone()));
