@@ -435,6 +435,112 @@ mod tests {
         size
     }
 
+    /// Sequential reference for [`root_forest`], built from the same
+    /// [`euler_tour`]: trees in order of their smallest vertex, each rooted
+    /// at its first candidate in `roots` (else that smallest vertex).  Each
+    /// tour is broken at its root's first arc, the one to its smallest
+    /// neighbour, and walked once: an arc into a vertex not seen yet is that
+    /// vertex's forward arc, and its number in walk order is the vertex's
+    /// preorder number.  Subtree sizes are summed up in reverse preorder.
+    fn walk_the_tours(forest: &Graph, roots: &[u32]) -> RootedForest {
+        let n = forest.num_vertices();
+        let tour = euler_tour(forest);
+        // Trees by smallest vertex, found by a search from each in id order.
+        let mut tree_of = vec![u32::MAX; n];
+        let mut smallest: Vec<u32> = Vec::new();
+        for s in 0..n as u32 {
+            if tree_of[s as usize] != u32::MAX {
+                continue;
+            }
+            let t = smallest.len() as u32;
+            smallest.push(s);
+            tree_of[s as usize] = t;
+            let mut stack = vec![s];
+            while let Some(v) = stack.pop() {
+                for &u in forest.neighbors(v) {
+                    if tree_of[u as usize] == u32::MAX {
+                        tree_of[u as usize] = t;
+                        stack.push(u);
+                    }
+                }
+            }
+        }
+        let mut tree_root: Vec<Option<u32>> = vec![None; smallest.len()];
+        for &c in roots {
+            tree_root[tree_of[c as usize] as usize].get_or_insert(c);
+        }
+
+        let mut out = RootedForest {
+            parent: (0..n as u32).collect(),
+            root: vec![0; n],
+            preorder: vec![0; n],
+            subtree_size: vec![1; n],
+        };
+        let mut walk_order: Vec<u32> = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        for (t, &s) in smallest.iter().enumerate() {
+            let r = tree_root[t].unwrap_or(s);
+            seen[r as usize] = true;
+            walk_order.push(r);
+            let first = (0..tour.num_arcs() as u32)
+                .filter(|&a| tour.arc_tail[a as usize] == r)
+                .min_by_key(|&a| tour.arc_head[a as usize]);
+            let Some(first) = first else { continue };
+            let mut a = first;
+            loop {
+                let (tail, head) = (tour.arc_tail[a as usize], tour.arc_head[a as usize]);
+                if !seen[head as usize] {
+                    seen[head as usize] = true;
+                    out.parent[head as usize] = tail;
+                    walk_order.push(head);
+                }
+                a = tour.next[a as usize];
+                if a == first {
+                    break;
+                }
+            }
+        }
+        for (number, &v) in walk_order.iter().enumerate() {
+            out.preorder[v as usize] = number as u64;
+            let r = tree_root[tree_of[v as usize] as usize];
+            out.root[v as usize] = r.unwrap_or(smallest[tree_of[v as usize] as usize]);
+        }
+        for &v in walk_order.iter().rev() {
+            let p = out.parent[v as usize];
+            if p != v {
+                out.subtree_size[p as usize] += out.subtree_size[v as usize];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rooting_equals_a_sequential_walk_of_the_tour() {
+        use rand::{Rng, SeedableRng};
+        let check = |forest: &Graph, roots: Option<&[u32]>, seed: u64, what: &str| {
+            let rooted = root_forest(forest, roots, 0.5, seed).output;
+            let expected = walk_the_tours(forest, roots.unwrap_or_default());
+            assert_eq!(rooted.parent, expected.parent, "{what}: parent");
+            assert_eq!(rooted.root, expected.root, "{what}: root");
+            assert_eq!(rooted.preorder, expected.preorder, "{what}: preorder");
+            let sizes = (&rooted.subtree_size, &expected.subtree_size);
+            assert_eq!(sizes.0, sizes.1, "{what}: subtree_size");
+        };
+        for (trees, seed) in [(1, 21), (64, 22), (2048, 23)] {
+            let forest = generators::random_forest(4096, trees, seed);
+            check(&forest, None, seed, &format!("{trees} trees"));
+        }
+        // 3 000 trees of 4 096 vertices: 1 904 of them are isolated.
+        let sparse = generators::random_forest(4096, 3000, 24);
+        check(&sparse, None, 24, "isolated vertices");
+        // Candidates drawn at random, several per tree: each tree's first
+        // one is its root.
+        let forest = generators::random_forest(4096, 64, 25);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let roots: Vec<u32> = (0..200).map(|_| rng.gen_range(0..4096)).collect();
+        check(&forest, Some(&roots), 25, "explicit roots");
+    }
+
     #[test]
     fn euler_tour_is_a_permutation_covering_all_arcs() {
         let g = generators::random_tree(50, 3);
