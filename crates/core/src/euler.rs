@@ -5,11 +5,15 @@
 //! forest into a cycle of directed arcs; breaking the cycle at the root and
 //! *list ranking* the arcs (Algorithm 11, [`crate::listrank`]) yields the
 //! position of every arc in the tour, from which parents, subtree sizes and
-//! preorder numbers all follow with O(1) extra work per vertex.  The list
-//! ranking is the only part that needs AMPC rounds — its walks read one
-//! record per hop — everything else is the per-key arithmetic the paper
-//! attributes to "standard MPC primitives", with the tour stitched
-//! driver-side by sorted-out-list binary search (no per-arc hash map).
+//! preorder numbers all follow.  Rooting runs that ranking once, with unit
+//! weights, and it is the only part that needs AMPC rounds — its walks read
+//! one record per hop.  Everything else is what the paper attributes to
+//! "standard MPC primitives", run by the driver: the tour stitched by
+//! sorted-out-list binary search (no per-arc hash map), the union-find that
+//! labels the trees, the per-tree offsets' prefix sum, and the preorder
+//! pass — the arcs laid out by their known tour positions (a sort) and each
+//! tree's forward arcs counted in that order (a prefix sum).  These driver
+//! steps are not charged rounds yet.
 //!
 //! [`SparseTableRmq`] is the range-minimum/maximum structure of Lemma 8.9,
 //! used by the 2-edge-connectivity algorithm to aggregate `Low`/`High`
@@ -167,7 +171,7 @@ pub fn root_forest(
 
 /// [`root_forest`] with an explicit [`ampc_runtime::AmpcConfig`]: ε and seed
 /// come from the config, which also selects the DDS backend for the list
-/// rankings underneath.
+/// ranking underneath.
 pub fn root_forest_with(
     forest: &Graph,
     roots: Option<&[u32]>,
@@ -176,7 +180,6 @@ pub fn root_forest_with(
     let n = forest.num_vertices();
     let tour = euler_tour(forest);
     let num_arcs = tour.num_arcs();
-    let mut stats = RunStats::default();
 
     // Component roots (driver-side union-find = standard MPC primitive).
     // A tree's label is its smallest vertex id; the per-tree arrays below
@@ -200,7 +203,7 @@ pub fn root_forest_with(
             preorder: vec![],
             subtree_size: vec![],
         };
-        return AlgorithmResult::new(empty, stats);
+        return AlgorithmResult::new(empty, RunStats::default());
     }
 
     // Break each tree's tour at its root's first outgoing arc.
@@ -220,86 +223,68 @@ pub fn root_forest_with(
         successor[terminal as usize] = terminal;
     }
 
-    // Unit-weight ranking gives arc positions; forward-weight ranking gives
-    // preorder numbers.  Both are AMPC list rankings over the arcs, running
-    // on whatever DDS backend the config selects.
-    let unit = crate::listrank::list_ranking_with(&successor, config);
-    stats.absorb(unit.stats.clone());
-    let rank_unit = unit.output;
+    // One unit-weight AMPC list ranking over the arcs, on whatever DDS
+    // backend the config selects: an arc's rank is its distance to its
+    // tree's terminal arc.
+    let ranked = crate::listrank::list_ranking_with(&successor, config);
+    let rank = &ranked.output;
 
-    // Parents: the arc of an edge that appears earlier in the tour (larger
-    // distance to the terminal) is the forward arc.
+    // Parents and subtree sizes (Lemma 8.7): of an edge's two arcs, the one
+    // earlier in the tour (larger rank) is the forward arc, into the child;
+    // the arcs between the two are the child's subtree, two per vertex.
     let mut parent: Vec<u32> = (0..n as u32).collect();
-    let mut forward_arc: Vec<Option<u32>> = vec![None; n];
-    let mut backward_arc: Vec<Option<u32>> = vec![None; n];
-    for edge_id in 0..num_arcs / 2 {
-        let a = (2 * edge_id) as u32;
-        let b = a + 1;
-        let (fw, bw) = if rank_unit[a as usize] > rank_unit[b as usize] {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let child = tour.arc_head[fw as usize];
-        let par = tour.arc_tail[fw as usize];
-        parent[child as usize] = par;
-        forward_arc[child as usize] = Some(fw);
-        backward_arc[child as usize] = Some(bw);
-    }
-
-    // Subtree sizes from arc positions (Lemma 8.7).
     let mut subtree_size = vec![1u64; n];
-    for v in 0..n as u32 {
-        if let (Some(fw), Some(bw)) = (forward_arc[v as usize], backward_arc[v as usize]) {
-            subtree_size[v as usize] =
-                (rank_unit[fw as usize] - rank_unit[bw as usize]).div_ceil(2);
+    for fw in 0..num_arcs as u32 {
+        let bw = tour.twin(fw);
+        if rank[fw as usize] > rank[bw as usize] {
+            let child = tour.arc_head[fw as usize] as usize;
+            parent[child] = tour.arc_tail[fw as usize];
+            subtree_size[child] = (rank[fw as usize] - rank[bw as usize]).div_ceil(2);
         }
     }
-    // Roots span their whole component.
+
+    // Trees are laid out in increasing label order: `next[t]` starts at the
+    // tree's first preorder number (the sizes' prefix sum in id order; only
+    // labels have a size), and `arc_end[t]` is one past its last arc in the
+    // concatenated tours.  A tree of `size` vertices has `2·(size − 1)` arcs.
     let mut component_size = vec![0u64; n];
     for &t in &component {
         component_size[t as usize] += 1;
     }
-    for v in 0..n as u32 {
-        if parent[v as usize] == v {
-            subtree_size[v as usize] = component_size[component[v as usize] as usize];
-        }
+    let (mut next, mut arc_end) = (vec![0u64; n], vec![0u64; n]);
+    let (mut vertices, mut arcs) = (0u64, 0u64);
+    for (t, &size) in component_size.iter().enumerate().filter(|(_, &s)| s > 0) {
+        next[t] = vertices;
+        vertices += size;
+        arcs += 2 * (size - 1);
+        arc_end[t] = arcs;
     }
-
-    // Preorder numbers (Lemma 8.8): rank with weight 1 on forward arcs.
-    let forward_weights: Vec<u64> = (0..num_arcs as u32)
-        .map(|a| {
-            let head = tour.arc_head[a as usize];
-            u64::from(forward_arc[head as usize] == Some(a))
-        })
-        .collect();
-    let weighted = crate::listrank::list_ranking_weighted_with(
-        &successor,
-        &forward_weights,
-        &config.clone().with_seed(config.seed ^ 0x9e37),
-    );
-    stats.absorb(weighted.stats.clone());
-    let rank_forward = weighted.output;
-
-    // Per-tree preorder, then a global offset per tree: trees are laid out
-    // in increasing label order, the sizes' prefix sums in id order (only
-    // labels have a size).
-    let mut offset = vec![0u64; n];
-    let mut running = 0u64;
-    for (t, &size) in component_size.iter().enumerate() {
-        offset[t] = running;
-        running += size;
-    }
-
+    // Roots span their whole component and come first in its preorder.
     let mut preorder = vec![0u64; n];
-    for v in 0..n as u32 {
-        let t = component[v as usize] as usize;
-        preorder[v as usize] = if parent[v as usize] == v {
-            offset[t]
-        } else {
-            let fw = forward_arc[v as usize].expect("non-root must have a forward arc");
-            offset[t] + component_size[t] - rank_forward[fw as usize]
-        };
+    for v in (0..n).filter(|&v| parent[v] == v as u32) {
+        let t = component[v] as usize;
+        subtree_size[v] = component_size[t];
+        preorder[v] = next[t];
+    }
+
+    // Preorder numbers (Lemma 8.8) from the tour positions the ranking
+    // gave: arc `a` sits at `arc_end[t] − 1 − rank[a]` of the concatenated
+    // tours.  One pass in position order numbers each tree's forward arcs,
+    // and a forward arc's number is its head's.  Laying the arcs out by a
+    // known position and the per-tree count are a sort and a prefix sum,
+    // the "standard MPC primitives", not a second ranking.
+    let mut by_position = vec![0u32; num_arcs];
+    for a in 0..num_arcs {
+        let t = component[tour.arc_tail[a] as usize] as usize;
+        by_position[(arc_end[t] - 1 - rank[a]) as usize] = a as u32;
+    }
+    for a in by_position {
+        if rank[a as usize] > rank[tour.twin(a) as usize] {
+            let head = tour.arc_head[a as usize] as usize;
+            let t = component[head] as usize;
+            next[t] += 1;
+            preorder[head] = next[t];
+        }
     }
 
     let forest_out = RootedForest {
@@ -308,7 +293,7 @@ pub fn root_forest_with(
         preorder,
         subtree_size,
     };
-    AlgorithmResult::new(forest_out, stats)
+    AlgorithmResult::new(forest_out, ranked.stats)
 }
 
 /// Lemma 8.7: subtree sizes of a rooted forest (roots chosen as the minimum
@@ -442,7 +427,9 @@ mod tests {
     /// neighbour, and walked once: an arc into a vertex not seen yet is that
     /// vertex's forward arc, and its number in walk order is the vertex's
     /// preorder number.  Subtree sizes are summed up in reverse preorder.
-    fn walk_the_tours(forest: &Graph, roots: &[u32]) -> RootedForest {
+    /// Also returns the broken tour: the successors, each tree's last arc a
+    /// terminal.
+    fn walk_the_tours(forest: &Graph, roots: &[u32]) -> (RootedForest, Vec<u32>) {
         let n = forest.num_vertices();
         let tour = euler_tour(forest);
         // Trees by smallest vertex, found by a search from each in id order.
@@ -476,6 +463,7 @@ mod tests {
             preorder: vec![0; n],
             subtree_size: vec![1; n],
         };
+        let mut successor = tour.next.clone();
         let mut walk_order: Vec<u32> = Vec::with_capacity(n);
         let mut seen = vec![false; n];
         for (t, &s) in smallest.iter().enumerate() {
@@ -486,6 +474,8 @@ mod tests {
                 .filter(|&a| tour.arc_tail[a as usize] == r)
                 .min_by_key(|&a| tour.arc_head[a as usize]);
             let Some(first) = first else { continue };
+            let terminal = tour.prev[first as usize];
+            successor[terminal as usize] = terminal;
             let mut a = first;
             loop {
                 let (tail, head) = (tour.arc_tail[a as usize], tour.arc_head[a as usize]);
@@ -511,7 +501,7 @@ mod tests {
                 out.subtree_size[p as usize] += out.subtree_size[v as usize];
             }
         }
-        out
+        (out, successor)
     }
 
     #[test]
@@ -519,7 +509,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let check = |forest: &Graph, roots: Option<&[u32]>, seed: u64, what: &str| {
             let rooted = root_forest(forest, roots, 0.5, seed).output;
-            let expected = walk_the_tours(forest, roots.unwrap_or_default());
+            let (expected, _) = walk_the_tours(forest, roots.unwrap_or_default());
             assert_eq!(rooted.parent, expected.parent, "{what}: parent");
             assert_eq!(rooted.root, expected.root, "{what}: root");
             assert_eq!(rooted.preorder, expected.preorder, "{what}: preorder");
@@ -539,6 +529,25 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(25);
         let roots: Vec<u32> = (0..200).map(|_| rng.gen_range(0..4096)).collect();
         check(&forest, Some(&roots), 25, "explicit roots");
+    }
+
+    #[test]
+    fn rooting_costs_one_list_ranking_of_the_broken_tour() {
+        let cost = |stats: &RunStats| {
+            let (rounds, queries) = (stats.num_rounds(), stats.total_queries());
+            (rounds, queries, stats.total_writes())
+        };
+        for (trees, seed) in [(1, 26), (64, 27)] {
+            let forest = generators::random_forest(4096, trees, seed);
+            let arcs = 2 * forest.num_edges();
+            let config = ampc_runtime::AmpcConfig::for_graph(4096, arcs, 0.5).with_seed(seed);
+            let rooted = root_forest_with(&forest, None, &config);
+            let (_, successor) = walk_the_tours(&forest, &[]);
+            let ranked = crate::listrank::list_ranking_with(&successor, &config);
+            assert_eq!(cost(&rooted.stats), cost(&ranked.stats), "{trees} trees");
+            let cap = 4 * crate::listrank::max_levels(0.5);
+            assert!(rooted.rounds() <= cap, "{trees} trees: {}", rooted.rounds());
+        }
     }
 
     #[test]

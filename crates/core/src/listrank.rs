@@ -125,6 +125,12 @@ fn walk(
     panic!("list-ranking walk from {v} passed {limit} elements: the successor array has a cycle");
 }
 
+/// The level cap, `⌈4/ε⌉ + 4`.  A level costs 4 rounds (a scatter and a
+/// walk round to contract, the same to expand) and the base solve none.
+pub(crate) fn max_levels(epsilon: f64) -> usize {
+    (4.0 / epsilon).ceil() as usize + 4
+}
+
 /// Panics unless every element reaches a terminal, i.e. the successor array
 /// has no cycle besides the terminals' self-loops.  One pass, `O(n)`: each
 /// walk stops at the first element an earlier walk (or itself) reached.
@@ -200,7 +206,6 @@ pub fn list_ranking_weighted_with(
     let mut rng = StdRng::seed_from_u64(seed ^ 0x11_57);
     let sample_probability = (n.max(2) as f64).powf(-epsilon / 2.0);
     let target = ((n.max(2) as f64).powf(epsilon).ceil() as usize).max(4);
-    let max_levels = (4.0 / epsilon).ceil() as usize + 4;
 
     // The current level: its alive elements, and the links of every element
     // by id (entries of elements no longer alive are stale).
@@ -211,7 +216,7 @@ pub fn list_ranking_weighted_with(
     let mut levels: Vec<Level> = Vec::new();
 
     // ---- Contraction phase -------------------------------------------------
-    while alive.len() > target && levels.len() < max_levels {
+    while alive.len() > target && levels.len() < max_levels(epsilon) {
         let samples: Vec<u32> = alive
             .iter()
             .copied()
@@ -322,14 +327,12 @@ pub fn list_ranking_weighted_with(
 /// Unweighted list ranking (Theorem 6): every link has weight 1, so the rank
 /// of an element is its distance to the terminal of its list.
 pub fn list_ranking(successor: &[u32], epsilon: f64, seed: u64) -> AlgorithmResult<Vec<u64>> {
-    let weights = unit_weights(successor);
-    list_ranking_weighted(successor, &weights, epsilon, seed)
+    list_ranking_weighted(successor, &unit_weights(successor), epsilon, seed)
 }
 
 /// [`list_ranking`] with an explicit [`AmpcConfig`].
 pub fn list_ranking_with(successor: &[u32], config: &AmpcConfig) -> AlgorithmResult<Vec<u64>> {
-    let weights = unit_weights(successor);
-    list_ranking_weighted_with(successor, &weights, config)
+    list_ranking_weighted_with(successor, &unit_weights(successor), config)
 }
 
 fn unit_weights(successor: &[u32]) -> Vec<u64> {
@@ -441,13 +444,10 @@ mod tests {
 
     #[test]
     fn round_count_is_constant_in_list_length() {
-        let small = shuffled_list(200, 1);
-        let large = shuffled_list(5000, 1);
-        let small_rounds = list_ranking(&small, 0.5, 1).rounds();
-        let large_rounds = list_ranking(&large, 0.5, 1).rounds();
-        let cap = 4 * ((4.0 / 0.5) as usize + 5);
-        assert!(small_rounds <= cap, "small rounds {small_rounds}");
-        assert!(large_rounds <= cap, "large rounds {large_rounds}");
+        for n in [200, 5000] {
+            let rounds = list_ranking(&shuffled_list(n, 1), 0.5, 1).rounds();
+            assert!(rounds <= 4 * max_levels(0.5), "{n} elements: {rounds}");
+        }
     }
 
     #[test]
@@ -498,8 +498,8 @@ mod tests {
 
     #[test]
     fn model_cost_of_list_ranking_and_rooting_is_pinned() {
-        // `(rounds, queries, writes, busiest machine)` on fixed instances:
-        // one record per element per level, one read per hop.
+        // `(rounds, queries, writes, busiest machine)`: one record per element
+        // per level, one read per hop, and one ranking per rooted tour.
         let cost = |stats: &ampc_runtime::RunStats| {
             (
                 stats.num_rounds(),
@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(cost(&weighted.stats), (12, 11271, 10065, 78));
         let forest = generators::random_forest(4096, 8, 7);
         let rooted = crate::root_forest(&forest, None, 0.5, 7);
-        assert_eq!(cost(&rooted.stats), (24, 42582, 38674, 138));
+        assert_eq!(cost(&rooted.stats), (12, 21483, 19449, 138));
     }
 
     proptest! {

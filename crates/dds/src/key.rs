@@ -20,52 +20,57 @@ use std::fmt;
 /// Tags keep the key spaces of different per-round data disjoint, e.g. the
 /// adjacency list of a vertex versus its MIS status.  Algorithms are free to
 /// invent their own tags via [`KeyTag::Custom`].
+///
+/// A named tag's discriminant is its [`KeyTag::code`], so the code every key
+/// digest starts from is read off the tag, not looked up.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum KeyTag {
     /// Degree of a vertex.
-    Degree,
+    Degree = 0,
     /// The `i`-th entry of a vertex adjacency list.
-    Adjacency,
+    Adjacency = 1,
     /// A live cycle vertex's one record (`Shrink`): neighbours and a mark.
-    CycleNeighbors,
-    /// "Is this vertex sampled in the current iteration?"  No algorithm
-    /// writes it; the variant stays for its frozen wire code.
-    Sampled,
-    /// Random priority of a vertex.  No algorithm writes it; the variant
-    /// stays for its frozen wire code.
-    Priority,
+    CycleNeighbors = 2,
     /// Settled status of a vertex (MIS).
-    Status,
+    Status = 5,
     /// A list element's record (list ranking): its successor and sample
     /// mark in `x`, the weight of its outgoing link in `y`.
-    Successor,
-    /// Accumulated weight of a list element.  List ranking no longer uses
-    /// it (the weight rides in the `Successor` record); the variant stays
-    /// for its frozen wire code.
-    Weight,
+    Successor = 6,
     /// Component / leader label of a vertex.
-    Label,
+    Label = 8,
     /// Weighted adjacency entry (minimum spanning forest).
-    WeightedAdjacency,
+    WeightedAdjacency = 9,
     /// Generic per-vertex scalar.
-    Scalar,
+    Scalar = 10,
     /// User-defined namespace.
-    Custom(u16),
+    Custom(u16) = 11,
 }
 
 impl KeyTag {
-    /// Stable numeric encoding used by hashing and the byte codec.
+    /// Every tag but `Custom`, in code order.
+    pub const NAMED: [KeyTag; 8] = [
+        KeyTag::Degree,
+        KeyTag::Adjacency,
+        KeyTag::CycleNeighbors,
+        KeyTag::Status,
+        KeyTag::Successor,
+        KeyTag::Label,
+        KeyTag::WeightedAdjacency,
+        KeyTag::Scalar,
+    ];
+
+    /// Stable numeric encoding used by hashing and the byte codec.  Codes
+    /// 3, 4 and 7 named tags no algorithm writes any more (a sample mark, a
+    /// priority, a list weight); they stay reserved and are never reused.
     #[inline]
     pub fn code(self) -> u32 {
         match self {
             KeyTag::Degree => 0,
             KeyTag::Adjacency => 1,
             KeyTag::CycleNeighbors => 2,
-            KeyTag::Sampled => 3,
-            KeyTag::Priority => 4,
             KeyTag::Status => 5,
             KeyTag::Successor => 6,
-            KeyTag::Weight => 7,
             KeyTag::Label => 8,
             KeyTag::WeightedAdjacency => 9,
             KeyTag::Scalar => 10,
@@ -84,11 +89,8 @@ impl KeyTag {
             0 => KeyTag::Degree,
             1 => KeyTag::Adjacency,
             2 => KeyTag::CycleNeighbors,
-            3 => KeyTag::Sampled,
-            4 => KeyTag::Priority,
             5 => KeyTag::Status,
             6 => KeyTag::Successor,
-            7 => KeyTag::Weight,
             8 => KeyTag::Label,
             9 => KeyTag::WeightedAdjacency,
             10 => KeyTag::Scalar,
@@ -228,32 +230,30 @@ mod tests {
     use crate::hashing::hash_words;
 
     /// Every named tag and the corners of the `Custom` namespace.
-    const TAGS: [KeyTag; 14] = [
-        KeyTag::Degree,
-        KeyTag::Adjacency,
-        KeyTag::CycleNeighbors,
-        KeyTag::Sampled,
-        KeyTag::Priority,
-        KeyTag::Status,
-        KeyTag::Successor,
-        KeyTag::Weight,
-        KeyTag::Label,
-        KeyTag::WeightedAdjacency,
-        KeyTag::Scalar,
-        KeyTag::Custom(0),
-        KeyTag::Custom(42),
-        KeyTag::Custom(u16::MAX),
-    ];
+    fn tags() -> impl Iterator<Item = KeyTag> {
+        let customs = [0, 42, u16::MAX].map(KeyTag::Custom);
+        KeyTag::NAMED.into_iter().chain(customs)
+    }
 
     #[test]
     fn key_tag_codes_round_trip() {
-        for tag in TAGS {
+        for tag in tags() {
             assert_eq!(KeyTag::from_code(tag.code()), tag);
+        }
+        for pair in KeyTag::NAMED.windows(2) {
+            assert!(pair[0].code() < pair[1].code(), "{pair:?}");
         }
         // No second spelling: codes in the gap or past the `Custom`
         // namespace name nothing (they once wrapped onto `Custom(c as u16)`).
         for code in [11, 0xFFFF, 0x2_0000, 0x2_000A, u32::MAX] {
             assert_eq!(KeyTag::try_from_code(code), None, "{code:#x}");
+        }
+    }
+
+    #[test]
+    fn retired_tag_codes_stay_reserved() {
+        for code in [3, 4, 7] {
+            assert_eq!(KeyTag::try_from_code(code), None, "code {code}");
         }
     }
 
@@ -291,7 +291,7 @@ mod tests {
     fn digest_is_a_pure_function_of_code_and_coordinates() {
         let coordinates = [0u64, 1, 42, u64::MAX];
         let mut keys = Vec::new();
-        for tag in TAGS {
+        for tag in tags() {
             for a in coordinates {
                 for b in coordinates {
                     let key = Key::with_index(tag, a, b);

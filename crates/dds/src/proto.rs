@@ -1630,8 +1630,8 @@ mod tests {
     }
 
     fn arbitrary_shards() -> impl Strategy<Value = Vec<ShardFrame>> {
-        let key = (0u32..8, any::<u64>(), 0u64..4).prop_map(|(tag, a, b)| Key {
-            tag: KeyTag::from_code(tag),
+        let key = (0usize..8, any::<u64>(), 0u64..4).prop_map(|(tag, a, b)| Key {
+            tag: KeyTag::NAMED[tag],
             a: a % 24, // few enough keys that shards repeat some
             b,
         });

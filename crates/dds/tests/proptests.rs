@@ -122,8 +122,8 @@ fn committed_view(mut backend: impl DdsBackend, threads: usize, batches: Batches
 
 /// Keys from a pool of 720, so a few hundred writes repeat many of them.
 fn arbitrary_key() -> impl Strategy<Value = Key> {
-    (0u32..6, 0u64..40, 0u64..3).prop_map(|(tag, a, b)| Key {
-        tag: KeyTag::from_code(tag),
+    (0usize..6, 0u64..40, 0u64..3).prop_map(|(tag, a, b)| Key {
+        tag: KeyTag::NAMED[tag],
         a,
         b,
     })

@@ -14,8 +14,8 @@ use ampc_dds::{Key, KeyTag, ShardLoad, Value};
 use proptest::prelude::*;
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {
-    (0u32..8, any::<u64>(), 0u64..16).prop_map(|(tag, a, b)| Key {
-        tag: KeyTag::from_code(tag),
+    (0usize..8, any::<u64>(), 0u64..16).prop_map(|(tag, a, b)| Key {
+        tag: KeyTag::NAMED[tag],
         a,
         b,
     })

@@ -229,18 +229,10 @@ fn battery_machine_order_defines_multivalue_indices() {
 
 #[test]
 fn battery_covers_every_key_tag() {
-    let tags = [
-        KeyTag::Degree,
-        KeyTag::Adjacency,
-        KeyTag::CycleNeighbors,
-        KeyTag::Sampled,
-        KeyTag::Priority,
-        KeyTag::Successor,
-        KeyTag::Weight,
-        KeyTag::WeightedAdjacency,
-        KeyTag::Scalar,
-        KeyTag::Custom(3),
-    ];
+    let tags: Vec<KeyTag> = KeyTag::NAMED
+        .into_iter()
+        .chain([KeyTag::Custom(3)])
+        .collect();
     let script: Script = vec![vec![tags
         .iter()
         .enumerate()
@@ -625,8 +617,8 @@ fn cluster_views_stay_valid_across_epochs_and_backend_drop() {
 }
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {
-    (0u32..6, 0u64..40, 0u64..4).prop_map(|(tag, a, b)| Key {
-        tag: KeyTag::from_code(tag),
+    (0usize..6, 0u64..40, 0u64..4).prop_map(|(tag, a, b)| Key {
+        tag: KeyTag::NAMED[tag],
         a,
         b,
     })
