@@ -67,9 +67,31 @@ struct BfsScratch {
     queue: std::collections::VecDeque<u32>,
 }
 
+/// The balls one machine of the `IncreaseDegrees` round found, in the order
+/// of its starts, in one buffer: ball `i` is `members[ends[i − 1]..ends[i]]`
+/// (from 0 for the first), and its first member is its start.  A machine
+/// hands back this one buffer, not a list per start.
+struct Balls {
+    ends: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Balls {
+    /// Each ball as a slice of `members`, in start order.
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        let mut from = 0;
+        self.ends.iter().map(move |&end| {
+            let ball = &self.members[from..end as usize];
+            from = end as usize;
+            ball
+        })
+    }
+}
+
 /// Algorithm 6 (`IncreaseDegrees`) for a single vertex: a BFS from `v` by
 /// adaptive reads that stops after visiting `d` vertices (or the whole
-/// component) and at most `query_cap` reads.
+/// component) and at most `query_cap` reads.  Appends the ball to `members`
+/// in visiting order, `v` first.
 ///
 /// The frontier expansion reads each vertex's adjacency list in batches of
 /// up to [`BFS_READ_BATCH`] slots, each one
@@ -80,26 +102,27 @@ struct BfsScratch {
 /// the result) is that of a slot-by-slot loop.  Query accounting is not
 /// quite: a batch is counted whole, so when the ball fills or the list ends
 /// mid-batch, the rest of that batch is still counted — a bounded over-read
-/// (each batch is clamped to the `d - order.len()` discoveries still
-/// acceptable, so the waste per BFS is less than one batch per expanded
-/// vertex).
+/// (each batch is clamped to the discoveries the ball can still accept, so
+/// the waste per BFS is less than one batch per expanded vertex).
 fn bounded_bfs(
     ctx: &mut MachineContext,
     scratch: &mut BfsScratch,
     v: u32,
     d: usize,
     query_cap: u64,
-) -> Vec<u32> {
+    members: &mut Vec<u32>,
+) {
     scratch.visited.clear();
     scratch.queue.clear();
-    let mut order: Vec<u32> = Vec::with_capacity(d);
+    // The ball is full once `members` holds `d` more vertices than it did.
+    let full = members.len() + d;
     scratch.visited.insert(v);
-    order.push(v);
+    members.push(v);
     scratch.queue.push_back(v);
     let start_queries = ctx.queries_issued();
     let mut entries: [Option<Value>; BFS_READ_BATCH] = [None; BFS_READ_BATCH];
     'outer: while let Some(x) = scratch.queue.pop_front() {
-        if order.len() >= d {
+        if members.len() >= full {
             break;
         }
         if ctx.queries_issued() - start_queries >= query_cap {
@@ -115,7 +138,7 @@ fn bounded_bfs(
             // Clamp the batch to the query cap, to the discoveries the ball
             // can still accept and to the slots a phase publishes, so an
             // early exit wastes at most the tail of one small batch.
-            let remaining_ball = d.saturating_sub(order.len()).max(1);
+            let remaining_ball = full.saturating_sub(members.len()).max(1);
             let batch = BFS_READ_BATCH
                 .min(remaining_budget as usize)
                 .min(remaining_ball)
@@ -126,9 +149,9 @@ fn bounded_bfs(
                 let Some(entry) = entry else { continue 'outer };
                 let u = entry.x as u32;
                 if scratch.visited.insert(u) {
-                    order.push(u);
+                    members.push(u);
                     scratch.queue.push_back(u);
-                    if order.len() >= d {
+                    if members.len() >= full {
                         break 'outer;
                     }
                 }
@@ -136,7 +159,6 @@ fn bounded_bfs(
             next_slot += batch;
         }
     }
-    order
 }
 
 /// The scatter publishing each live vertex's `keep` smallest neighbours, in
@@ -205,16 +227,23 @@ pub fn connectivity_with(graph: &Graph, config: &AmpcConfig) -> AlgorithmResult<
 
         // Round 2: IncreaseDegrees — bounded BFS from every live vertex with
         // an edge; the ball of any other is itself, which hooks it nowhere.
+        // A machine appends its balls to one buffer.
         let machines = runtime.config().num_machines();
         let assignments = round_robin_assign(&searchers, machines);
         let query_cap = (space as u64).max((d * d) as u64);
-        let balls: Vec<Vec<(u32, Vec<u32>)>> = runtime
+        let balls: Vec<Balls> = runtime
             .run_round(machines, |ctx| {
+                let starts = &assignments[ctx.machine_id()];
                 let mut scratch = BfsScratch::default();
-                assignments[ctx.machine_id()]
-                    .iter()
-                    .map(|&v| (v, bounded_bfs(ctx, &mut scratch, v, d, query_cap)))
-                    .collect()
+                let mut balls = Balls {
+                    ends: Vec::with_capacity(starts.len()),
+                    members: Vec::new(),
+                };
+                for &v in starts {
+                    bounded_bfs(ctx, &mut scratch, v, d, query_cap, &mut balls.members);
+                    balls.ends.push(balls.members.len() as u32);
+                }
+                balls
             })
             .expect("IncreaseDegrees round failed");
 
@@ -227,13 +256,14 @@ pub fn connectivity_with(graph: &Graph, config: &AmpcConfig) -> AlgorithmResult<
         let is_leader = |v: u32| leaders[live.index(v) as usize];
 
         let mut uf = UnionFind::new(live.len());
-        for (v, ball) in balls.iter().flatten() {
+        for ball in balls.iter().flat_map(Balls::iter) {
+            let v = ball[0];
             if ball.len() <= 1 {
                 continue; // isolated vertex
             }
             let ball_min = || ball.iter().copied().min();
             let target = if use_leaders {
-                if is_leader(*v) {
+                if is_leader(v) {
                     continue; // leaders stay put
                 }
                 match ball.iter().copied().filter(|&u| is_leader(u)).min() {
@@ -250,18 +280,19 @@ pub fn connectivity_with(graph: &Graph, config: &AmpcConfig) -> AlgorithmResult<
                 ball_min()
             };
             if let Some(t) = target {
-                uf.union(live.index(*v), live.index(t));
+                uf.union(live.index(v), live.index(t));
             }
         }
 
-        // Contract the edge list (including the edges discovered by the BFS,
-        // as the paper's step (a) adds them to G).
-        let discovered = balls
-            .iter()
-            .flatten()
-            .flat_map(|(v, ball)| ball.iter().map(move |&u| (*v, u)));
-        let all = edges.iter().copied().chain(discovered);
-        edges = live.contract(&mut uf, &mut labels, all);
+        // Contract the edge list and the edges the BFS discovered, as the
+        // paper's step (a) adds them to G: one pair per member of a ball but
+        // its start, whose `(v, v)` would be a self-loop.
+        let discovered: usize = balls.iter().map(|b| b.members.len() - b.ends.len()).sum();
+        edges.reserve_exact(discovered);
+        for ball in balls.iter().flat_map(Balls::iter) {
+            edges.extend(ball[1..].iter().map(|&u| (ball[0], u)));
+        }
+        edges = live.contract(&mut uf, &mut labels, edges);
     }
 
     // Anything still carrying edges at this point (only possible if the
@@ -382,6 +413,20 @@ mod tests {
         order
     }
 
+    /// [`bounded_bfs`]'s ball from `v`, appended to a buffer that already
+    /// holds another ball, as a machine's later starts append theirs.
+    fn ball_of(
+        ctx: &mut MachineContext,
+        scratch: &mut BfsScratch,
+        v: u32,
+        d: usize,
+        query_cap: u64,
+    ) -> Vec<u32> {
+        let mut members = vec![u32::MAX; 3];
+        bounded_bfs(ctx, scratch, v, d, query_cap, &mut members);
+        members.split_off(3)
+    }
+
     /// A bounded BFS: the list-key one or its full-list reference.
     type Search = fn(&mut MachineContext, &mut BfsScratch, u32, usize, u64) -> Vec<u32>;
 
@@ -418,7 +463,7 @@ mod tests {
                 let searched = from_every_vertex(&graph, prefix(&graph, d - 1), |ctx, scratch, v| {
                     caps(d).map(|cap| {
                         let before = ctx.queries_issued();
-                        let ball = bounded_bfs(ctx, scratch, v, d, cap);
+                        let ball = ball_of(ctx, scratch, v, d, cap);
                         (ball, ctx.queries_issued() - before)
                     })
                 });
@@ -455,8 +500,8 @@ mod tests {
         };
         let full = from_centre(full_lists(&graph), full_list_bfs);
         assert_eq!(full, [0, 1, 2, 3]);
-        assert_eq!(from_centre(prefix(&graph, d - 1), bounded_bfs), full);
-        assert_eq!(from_centre(prefix(&graph, d - 2), bounded_bfs), [0, 1, 2]);
+        assert_eq!(from_centre(prefix(&graph, d - 1), ball_of), full);
+        assert_eq!(from_centre(prefix(&graph, d - 2), ball_of), [0, 1, 2]);
     }
 
     #[test]

@@ -192,8 +192,10 @@ impl LiveSet {
     /// without self-loops, and with only the `Ord`-least edge of each
     /// parallel bundle.
     ///
-    /// Relabel + two stable counting sorts + min-fold dedup:
+    /// Relabel in place + two stable counting sorts + min-fold dedup:
     ///
+    /// * the caller builds `edges` once, at its size, and they are relabelled
+    ///   and their self-loops dropped in that buffer, in order;
     /// * the live set is compacted first, and every vertex of the old set
     ///   gets its super-vertex's index in the *next* set in `index_of`: only
     ///   then is each end of a relabelled edge a dense key in `0..k` (`k`
@@ -209,7 +211,7 @@ impl LiveSet {
         &mut self,
         uf: &mut UnionFind,
         labels: &mut [u32],
-        edges: impl IntoIterator<Item = E>,
+        mut edges: Vec<E>,
     ) -> Vec<E> {
         debug_assert_eq!(uf.len(), self.len());
         // `next[i]` starts as the smallest live index of `i`'s group — its
@@ -235,28 +237,20 @@ impl LiveSet {
 
         let (vertices, index_of) = (&self.vertices, &self.index_of);
         let dense = |v: u32| index_of[v as usize];
-        let mut contracted: Vec<E> = edges
-            .into_iter()
-            .filter_map(|e| {
-                let (u, v) = e.ends();
-                let (iu, iv) = (dense(u), dense(v));
-                (iu != iv).then(|| {
-                    let (iu, iv) = (iu.min(iv), iu.max(iv));
-                    e.with_ends(vertices[iu as usize], vertices[iv as usize])
-                })
-            })
-            .collect();
-        if contracted.len() > 1 {
-            let mut scratch = contracted.clone();
+        edges.retain_mut(|e| {
+            let (u, v) = e.ends();
+            let (iu, iv) = (dense(u), dense(v));
+            let (iu, iv) = (iu.min(iv), iu.max(iv));
+            *e = e.with_ends(vertices[iu as usize], vertices[iv as usize]);
+            iu != iv
+        });
+        if edges.len() > 1 {
+            let mut scratch = edges.clone();
             let mut offsets = vec![0u32; kept + 1];
-            counting_sort(&contracted, &mut scratch, &mut offsets, |e| {
-                dense(e.ends().1)
-            });
-            counting_sort(&scratch, &mut contracted, &mut offsets, |e| {
-                dense(e.ends().0)
-            });
+            counting_sort(&edges, &mut scratch, &mut offsets, |e| dense(e.ends().1));
+            counting_sort(&scratch, &mut edges, &mut offsets, |e| dense(e.ends().0));
         }
-        contracted.dedup_by(|later, first| {
+        edges.dedup_by(|later, first| {
             let parallel = later.ends() == first.ends();
             if parallel {
                 *first = (*first).min(*later);
@@ -266,7 +260,7 @@ impl LiveSet {
         for label in labels.iter_mut() {
             *label = vertices[dense(*label) as usize];
         }
-        contracted
+        edges
     }
 }
 
@@ -673,7 +667,7 @@ mod tests {
                 let pairs: Vec<(u32, u32)> = unweighted.contract(
                     &mut uf,
                     &mut scratch_labels,
-                    edges.iter().map(|e| e.ends()),
+                    edges.iter().map(|e| e.ends()).collect(),
                 );
                 prop_assert_eq!(&pairs, &best.keys().copied().collect::<Vec<_>>());
 
@@ -799,9 +793,9 @@ mod tests {
             }
 
             let ends = || edges.iter().map(|e| e.ends());
-            let unweighted = live
-                .clone()
-                .contract(&mut uf.clone(), &mut labels.clone(), ends());
+            let unweighted =
+                live.clone()
+                    .contract(&mut uf.clone(), &mut labels.clone(), ends().collect());
             let expected = (reference.clone()).reference_contract(
                 &mut uf.clone(),
                 &mut labels.clone(),
@@ -809,7 +803,7 @@ mod tests {
             );
             assert_eq!(unweighted, expected, "phase {phase}: unweighted edges");
 
-            let contracted = live.contract(&mut uf.clone(), &mut labels, edges.iter().copied());
+            let contracted = live.contract(&mut uf.clone(), &mut labels, edges.clone());
             let expected =
                 reference.reference_contract(&mut uf, &mut reference_labels, edges.iter().copied());
             assert_eq!(contracted, expected, "phase {phase}: weighted edges");

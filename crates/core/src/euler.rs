@@ -9,7 +9,7 @@
 //! weights, and it is the only part that needs AMPC rounds — its walks read
 //! one record per hop.  Everything else is what the paper attributes to
 //! "standard MPC primitives", run by the driver: the tour stitched by
-//! sorted-out-list binary search (no per-arc hash map), the union-find that
+//! one pass over the forest's adjacency (no per-arc hash map), the union-find that
 //! labels the trees, the per-tree offsets' prefix sum, and the preorder
 //! pass — the arcs laid out by their known tour positions (a sort) and each
 //! tree's forward arcs counted in that order (a prefix sum).  These driver
@@ -80,28 +80,21 @@ pub fn euler_tour(forest: &Graph) -> EulerTour {
         arc_head[2 * id + 1] = e.u;
     }
 
-    // out[v] = arcs leaving v, sorted by head vertex.  The successor of arc
-    // u→v is the arc leaving v towards the head that follows u in v's
-    // sorted out-list; since the forest has no parallel edges the heads in
-    // out[v] are distinct, so the position of v→u is found by binary search
-    // instead of a per-arc (v, u) → index hash map — the tour stitching is
-    // two cache-friendly passes over the arc arrays.
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for a in 0..2 * m as u32 {
-        out[arc_tail[a as usize] as usize].push(a);
-    }
-    for list in out.iter_mut() {
-        list.sort_unstable_by_key(|&a| arc_head[a as usize]);
-    }
-
+    // The arcs leaving `v`, by head, are `v`'s slots in the graph's CSR,
+    // which ascend by neighbour id.  The successor of arc u→v is the arc
+    // leaving `v` towards the head that follows `u` in that cyclic order, so
+    // walking each vertex's slots stitches every arc's twin to the next slot:
+    // no list per vertex, no sort and no search.
     let mut next = vec![0u32; 2 * m];
-    for a in 0..2 * m {
-        let (u, v) = (arc_tail[a], arc_head[a]);
-        let list = &out[v as usize];
-        let idx = list
-            .binary_search_by_key(&u, |&arc| arc_head[arc as usize])
-            .expect("twin arc v->u must exist in v's out-list");
-        next[a] = list[(idx + 1) % list.len()];
+    for v in 0..n as u32 {
+        let leaving = |(_, id): (u32, u32)| 2 * id + u32::from(forest.edge(id).u != v);
+        let mut arcs = forest.neighbors_with_ids(v).map(leaving);
+        let Some(first) = arcs.next() else { continue };
+        let last = arcs.fold(first, |before, a| {
+            next[(before ^ 1) as usize] = a;
+            a
+        });
+        next[(last ^ 1) as usize] = first;
     }
     let mut prev = vec![0u32; 2 * m];
     for a in 0..2 * m as u32 {
@@ -310,61 +303,51 @@ pub fn preorder_numbers(forest: &Graph, epsilon: f64, seed: u64) -> AlgorithmRes
     AlgorithmResult::new(result.output.preorder, result.stats)
 }
 
-/// Lemma 8.9: a sparse-table range-minimum/maximum structure over an array,
-/// answering queries in O(1) after O(n log n) preprocessing.
+/// Lemma 8.9: a sparse-table range-minimum (or range-maximum) structure over
+/// an array, answering queries in O(1) after O(n log n) preprocessing.  One
+/// table answers one aggregate: [`SparseTableRmq::min`] builds the minima,
+/// [`SparseTableRmq::max`] the maxima.
 #[derive(Clone, Debug)]
 pub struct SparseTableRmq {
-    mins: Vec<Vec<u64>>,
-    maxs: Vec<Vec<u64>>,
-    len: usize,
+    /// Row `k` holds the aggregate of every window of `2^k` values.
+    rows: Vec<Vec<u64>>,
+    pick: fn(u64, u64) -> u64,
 }
 
 impl SparseTableRmq {
-    /// Build the structure over `values`.
-    pub fn new(values: &[u64]) -> Self {
-        let len = values.len();
-        let levels = if len <= 1 {
-            1
-        } else {
-            len.ilog2() as usize + 1
-        };
-        let mut mins: Vec<Vec<u64>> = Vec::with_capacity(levels);
-        let mut maxs: Vec<Vec<u64>> = Vec::with_capacity(levels);
-        mins.push(values.to_vec());
-        maxs.push(values.to_vec());
+    /// The range-minimum structure over `values`.
+    pub fn min(values: &[u64]) -> Self {
+        Self::build(values, u64::min)
+    }
+
+    /// The range-maximum structure over `values`.
+    pub fn max(values: &[u64]) -> Self {
+        Self::build(values, u64::max)
+    }
+
+    fn build(values: &[u64], pick: fn(u64, u64) -> u64) -> Self {
+        let levels = values.len().max(1).ilog2() as usize + 1;
+        let mut rows: Vec<Vec<u64>> = Vec::with_capacity(levels);
+        rows.push(values.to_vec());
         for k in 1..levels {
-            let half = 1usize << (k - 1);
-            let size = len.saturating_sub((1 << k) - 1);
-            let mut min_row = Vec::with_capacity(size);
-            let mut max_row = Vec::with_capacity(size);
-            for i in 0..size {
-                min_row.push(mins[k - 1][i].min(mins[k - 1][i + half]));
-                max_row.push(maxs[k - 1][i].max(maxs[k - 1][i + half]));
-            }
-            mins.push(min_row);
-            maxs.push(max_row);
+            let (row, half) = (&rows[k - 1], 1usize << (k - 1));
+            let next = row.iter().zip(&row[half..]).map(|(&a, &b)| pick(a, b));
+            rows.push(next.collect());
         }
-        SparseTableRmq { mins, maxs, len }
+        SparseTableRmq { rows, pick }
     }
 
-    /// Minimum of `values[lo..=hi]`.
+    /// The minimum (or maximum) of `values[lo..=hi]`.
     ///
     /// # Panics
     /// If the range is empty or out of bounds.
-    pub fn query_min(&self, lo: usize, hi: usize) -> u64 {
-        assert!(lo <= hi && hi < self.len, "invalid RMQ range [{lo}, {hi}]");
+    pub fn query(&self, lo: usize, hi: usize) -> u64 {
+        assert!(
+            lo <= hi && hi < self.rows[0].len(),
+            "invalid RMQ range [{lo}, {hi}]"
+        );
         let k = (hi - lo + 1).ilog2() as usize;
-        self.mins[k][lo].min(self.mins[k][hi + 1 - (1 << k)])
-    }
-
-    /// Maximum of `values[lo..=hi]`.
-    ///
-    /// # Panics
-    /// If the range is empty or out of bounds.
-    pub fn query_max(&self, lo: usize, hi: usize) -> u64 {
-        assert!(lo <= hi && hi < self.len, "invalid RMQ range [{lo}, {hi}]");
-        let k = (hi - lo + 1).ilog2() as usize;
-        self.maxs[k][lo].max(self.maxs[k][hi + 1 - (1 << k)])
+        (self.pick)(self.rows[k][lo], self.rows[k][hi + 1 - (1 << k)])
     }
 }
 
@@ -688,28 +671,27 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let values: Vec<u64> = (0..200).map(|_| rng.gen_range(0..1000)).collect();
-        let rmq = SparseTableRmq::new(&values);
+        let (mins, maxs) = (SparseTableRmq::min(&values), SparseTableRmq::max(&values));
         for _ in 0..500 {
             let lo = rng.gen_range(0..values.len());
             let hi = rng.gen_range(lo..values.len());
             let naive_min = *values[lo..=hi].iter().min().unwrap();
             let naive_max = *values[lo..=hi].iter().max().unwrap();
-            assert_eq!(rmq.query_min(lo, hi), naive_min);
-            assert_eq!(rmq.query_max(lo, hi), naive_max);
+            assert_eq!(mins.query(lo, hi), naive_min);
+            assert_eq!(maxs.query(lo, hi), naive_max);
         }
     }
 
     #[test]
     fn sparse_table_single_element() {
-        let rmq = SparseTableRmq::new(&[42]);
-        assert_eq!(rmq.query_min(0, 0), 42);
-        assert_eq!(rmq.query_max(0, 0), 42);
+        assert_eq!(SparseTableRmq::min(&[42]).query(0, 0), 42);
+        assert_eq!(SparseTableRmq::max(&[42]).query(0, 0), 42);
     }
 
     #[test]
     #[should_panic(expected = "invalid RMQ range")]
     fn sparse_table_rejects_bad_ranges() {
-        let rmq = SparseTableRmq::new(&[1, 2, 3]);
-        let _ = rmq.query_min(2, 5);
+        let rmq = SparseTableRmq::min(&[1, 2, 3]);
+        let _ = rmq.query(2, 5);
     }
 }

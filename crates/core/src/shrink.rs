@@ -132,12 +132,14 @@ fn records(
         .collect()
 }
 
-/// Result of one sampled vertex's bidirectional traversal.
+/// Result of one sampled vertex's bidirectional traversal.  The vertices it
+/// covered are in its machine's one `covered` buffer, after the previous
+/// traversal's and up to `covered_end`.
 struct Traversal {
     vertex: u32,
     left_end: u32,
     right_end: u32,
-    covered: Vec<u32>,
+    covered_end: usize,
 }
 
 /// Walk the cycle from `start` through its neighbour `first`, away from
@@ -178,21 +180,21 @@ fn walk(
 }
 
 /// The bidirectional traversal of sampled vertex `v`: one [`walk`] per
-/// direction, or one only, when the first wraps the whole cycle.
-fn traverse(ctx: &mut MachineContext, v: u32, limit: usize) -> Traversal {
+/// direction, or one only, when the first wraps the whole cycle.  Appends
+/// the vertices it covers to `covered`, the machine's buffer.
+fn traverse(ctx: &mut MachineContext, v: u32, limit: usize, covered: &mut Vec<u32>) -> Traversal {
     let (a, b, _) = read_record(ctx, v);
-    let mut covered = Vec::new();
-    let left_end = walk(ctx, v, a, limit, &mut covered);
+    let left_end = walk(ctx, v, a, limit, covered);
     let right_end = if left_end == v {
         v
     } else {
-        walk(ctx, v, b, limit, &mut covered)
+        walk(ctx, v, b, limit, covered)
     };
     Traversal {
         vertex: v,
         left_end,
         right_end,
-        covered,
+        covered_end: covered.len(),
     }
 }
 
@@ -280,21 +282,26 @@ pub(crate) fn shrink_cycles(
         let machines = runtime.config().num_machines();
         let assignments = round_robin_assign(&samples, machines);
         let limit = state.alive.len() + 2;
-        let traversals: Vec<Vec<Traversal>> = runtime
+        let traversals: Vec<(Vec<Traversal>, Vec<u32>)> = runtime
             .run_round(machines, |ctx| {
-                assignments[ctx.machine_id()]
-                    .iter()
-                    .map(|&v| traverse(ctx, v, limit))
-                    .collect()
+                let mut covered = Vec::new();
+                let walks = (assignments[ctx.machine_id()].iter())
+                    .map(|&v| traverse(ctx, v, limit, &mut covered))
+                    .collect();
+                (walks, covered)
             })
             .expect("shrink round failed");
 
         // Driver side: contract each covered path onto its sample (standard
         // MPC primitives).  Cycles without a sample pass through unchanged.
-        for t in traversals.into_iter().flatten() {
-            state.nbrs[t.vertex as usize] = (t.left_end, t.right_end);
-            for u in t.covered {
-                state.up[u as usize] = t.vertex;
+        for (walks, covered) in &traversals {
+            let mut from = 0;
+            for t in walks {
+                state.nbrs[t.vertex as usize] = (t.left_end, t.right_end);
+                for &u in &covered[from..t.covered_end] {
+                    state.up[u as usize] = t.vertex;
+                }
+                from = t.covered_end;
             }
         }
         state.retire();
@@ -760,8 +767,10 @@ mod tests {
                 let limit = nbrs.len() + 2;
                 let mark = |v: u32| u64::from(sampled[v as usize]);
                 let found = on_one_machine(nbrs, mark, &from, |ctx, v| {
-                    let t = traverse(ctx, v, limit);
-                    (t.vertex, t.left_end, t.right_end, t.covered)
+                    let mut covered = vec![u32::MAX; 3];
+                    let t = traverse(ctx, v, limit, &mut covered);
+                    assert_eq!(t.covered_end, covered.len());
+                    (t.vertex, t.left_end, t.right_end, covered.split_off(3))
                 });
                 for (v, (vertex, left_end, right_end, covered)) in from.iter().zip(found) {
                     // The walk towards `a` runs along the cycle to its first

@@ -142,8 +142,8 @@ pub fn two_edge_connectivity_with(
         lo_by_pre[rooted.preorder[v] as usize] = lo[v];
         hi_by_pre[rooted.preorder[v] as usize] = hi[v];
     }
-    let rmq_lo = SparseTableRmq::new(&lo_by_pre);
-    let rmq_hi = SparseTableRmq::new(&hi_by_pre);
+    let rmq_lo = SparseTableRmq::min(&lo_by_pre);
+    let rmq_hi = SparseTableRmq::max(&hi_by_pre);
 
     // Step 4: critical tree edges = bridges.
     let mut bridges: Vec<Edge> = Vec::new();
@@ -153,8 +153,8 @@ pub fn two_edge_connectivity_with(
             continue; // roots have no parent edge
         }
         let (lo_bound, hi_bound) = rooted.subtree_interval(v);
-        let low = rmq_lo.query_min(lo_bound as usize, hi_bound as usize);
-        let high = rmq_hi.query_max(lo_bound as usize, hi_bound as usize);
+        let low = rmq_lo.query(lo_bound as usize, hi_bound as usize);
+        let high = rmq_hi.query(lo_bound as usize, hi_bound as usize);
         if low >= lo_bound && high <= hi_bound {
             bridges.push(Edge::new(v, p).normalized());
         }

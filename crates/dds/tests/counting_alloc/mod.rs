@@ -2,8 +2,10 @@
 //! whole process, asked the allocator for, checkable without external
 //! tooling.  Shared by `framing_alloc.rs` (zero allocations on the
 //! steady-state wire path), `worker_alloc.rs` (freeze workers fill buffers
-//! the caller sized) and the crate's own unit tests (`proto.rs`: no decoder
-//! allocates past a fixed multiple of the bytes it was handed).
+//! the caller sized), the crate's own unit tests (`proto.rs`: no decoder
+//! allocates past a fixed multiple of the bytes it was handed) and
+//! `ampc-algorithms`' `machine_alloc.rs` (a round's machines hand back one
+//! buffer each, not a list per start).
 
 #![allow(dead_code, reason = "each test binary reads the counter it needs")]
 
@@ -18,7 +20,9 @@ thread_local! {
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Bytes every thread of the process has asked for.
+/// Allocator calls every thread of the process has made, and the bytes
+/// they asked for.
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Passes every call through to the system allocator, counting the ones
@@ -30,6 +34,7 @@ struct CountingAllocator;
 fn count(bytes: usize) {
     ALLOCATIONS.with(|count| count.set(count.get() + 1));
     ALLOCATED_BYTES.with(|total| total.set(total.get() + bytes as u64));
+    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     PROCESS_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
@@ -63,6 +68,11 @@ pub fn allocations() -> u64 {
 /// Bytes this thread has asked the allocator for so far.
 pub fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.with(|total| total.get())
+}
+
+/// Allocator calls every thread of the process has made so far.
+pub fn process_allocations() -> u64 {
+    PROCESS_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Bytes every thread of the process has asked the allocator for so far.
