@@ -52,8 +52,8 @@ pub enum DdsBackendKind {
     Remote,
     /// The same [`ampc_dds::TcpBackend`] over N owners, each owning a
     /// contiguous shard range discovered through the shard map in every
-    /// lease grant; epoch advance is the client-coordinated two-phase
-    /// freeze/publish barrier.  N is a run-time number: spawns a local
+    /// lease grant; epochs advance with one `Advance` per owner, as on
+    /// every wire backend.  N is a run-time number: spawns a local
     /// cluster of [`AmpcConfig::cluster_owners`] owner threads, or connects
     /// to the serving owners at [`AmpcConfig::cluster_endpoints`] when set.
     Cluster,

@@ -16,13 +16,15 @@
 //!   entries.
 //! * **Connection severs** at chosen `(epoch, worker)` coordinates — the
 //!   TCP connection to an owner is cut mid-round, right before the commit
-//!   targeting that epoch goes out.  The socket transport must reconnect
-//!   (capped exponential backoff), replay its lease handshake and the
-//!   outstanding requests idempotently, and leave the run byte-identical.
-//!   Only the socket backend has a connection to cut; other backends leave
-//!   sever entries untouched.
+//!   targeting that epoch, or the `Advance` freezing it, goes out.  The
+//!   socket transport must reconnect (capped exponential backoff), replay
+//!   its lease handshake and the outstanding requests idempotently, and
+//!   leave the run byte-identical.  Every socket backend advances with the
+//!   one `Advance`, a cluster's owners too, so these two hooks reach every
+//!   write-side request.  Only the socket backends have a connection to
+//!   cut; other backends leave sever entries untouched.
 //!
-//! In both cases the accompanying tests assert results are byte-identical
+//! In every case the accompanying tests assert results are byte-identical
 //! to a fault-free run — the immutable-epoch property that makes restarts
 //! and retries safe.
 
@@ -94,34 +96,12 @@ impl FaultPlan {
 
     /// Like [`FaultPlan::sever_connection`], but cutting the connection
     /// right before the `Advance` freezing `epoch` — the other mid-round
-    /// write-side request.  Advances go to every owner, so this fires
-    /// unconditionally on the socket backend.
+    /// write-side request.  Advances go to every owner, in owner order, so
+    /// this fires unconditionally on the socket backends, and on a
+    /// cluster owner `worker > 0` after the lower owners' advances of the
+    /// same epoch have gone out.
     pub fn sever_before_advance(mut self, epoch: usize, worker: usize) -> Self {
         self.severs.insert((RequestKind::Advance, epoch, worker));
-        self
-    }
-
-    /// Schedule cluster owner `owner`'s connection to be cut right before
-    /// the `FreezeEpoch` freezing `epoch` goes out — phase 1 of the cluster
-    /// backend's two-phase advance barrier.  The client must reconnect,
-    /// replay the freeze, and collect every owner's ack before publishing
-    /// anything; results must stay byte-identical (pinned by
-    /// `tests/reconnect.rs`).  Only the cluster backend sends barrier
-    /// requests, so other backends ignore it.
-    pub fn sever_owner(mut self, epoch: usize, owner: usize) -> Self {
-        self.severs.insert((RequestKind::FreezeEpoch, epoch, owner));
-        self
-    }
-
-    /// Schedule cluster owner `owner`'s connection to be cut *between* the
-    /// barrier's phases: after its `FreezeEpoch` for `epoch` was acked,
-    /// right before the `PublishEpoch` goes out.  The owner is left holding
-    /// a prepared-but-unpublished epoch across the reconnect, and the
-    /// replayed publish must republish it idempotently — the hardest spot
-    /// to sever, since every *other* owner may have published already.
-    pub fn sever_between_freeze_and_publish(mut self, epoch: usize, owner: usize) -> Self {
-        self.severs
-            .insert((RequestKind::PublishEpoch, epoch, owner));
         self
     }
 
@@ -219,21 +199,6 @@ mod tests {
         // The plan is a pure schedule: converting again starts fresh.
         assert_eq!(plan.request_faults().dropped(), 0);
         assert!(!plan.request_faults().is_empty());
-    }
-
-    #[test]
-    fn barrier_severs_translate_to_a_transport_schedule() {
-        let plan = FaultPlan::none()
-            .sever_owner(1, 0)
-            .sever_between_freeze_and_publish(2, 1);
-        assert_eq!(plan.len(), 2);
-        let faults = plan.request_faults();
-        assert!(!faults.should_sever(RequestKind::FreezeEpoch, 1, 1));
-        assert!(!faults.should_sever(RequestKind::PublishEpoch, 1, 0));
-        assert!(faults.should_sever(RequestKind::FreezeEpoch, 1, 0));
-        assert!(!faults.should_sever(RequestKind::FreezeEpoch, 1, 0));
-        assert!(faults.should_sever(RequestKind::PublishEpoch, 2, 1));
-        assert_eq!(faults.severed(), 2);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! the commit path fast?
 //!
 //! The cluster backend routes each round's writes to the owner holding the
-//! destination shard and runs the two-phase advance barrier across all
-//! owners.  This experiment commits the same workload over the same total
-//! shard count at `owners = 1` and `owners = 2` of a local cluster (owner
-//! threads behind loopback sockets, `TcpBackend::spawn_local`) and reports
-//! commit-request throughput, so a regression in the routing/barrier
+//! destination shard and advances every owner with one `Advance` each.
+//! This experiment commits the same workload over the same total shard
+//! count at `owners = 1` and `owners = 2` of a local cluster (owner threads
+//! behind loopback sockets, `TcpBackend::spawn_local`) and reports
+//! commit-request throughput, so a regression in the routing/advance
 //! overhead shows up as a trajectory change in `BENCH_commit.json` rather
 //! than going unnoticed.
 
@@ -27,7 +27,7 @@ pub struct ClusterCommitPoint {
     pub rounds: usize,
     /// Wall time of the `commit_round` calls alone, nanoseconds.
     pub commit_ns: u64,
-    /// Wall time of the full rounds (commit + two-phase advance),
+    /// Wall time of the full rounds (commit + advance),
     /// nanoseconds.
     pub round_ns: u64,
 }
@@ -43,7 +43,7 @@ impl ClusterCommitPoint {
         (self.rounds * self.pairs_per_round) as f64 * 1e3 / self.commit_ns.max(1) as f64
     }
 
-    /// Full rounds (commit + barrier advance) per second.
+    /// Full rounds (commit + advance) per second.
     pub fn rounds_per_sec(&self) -> f64 {
         self.rounds as f64 * 1e9 / self.round_ns.max(1) as f64
     }

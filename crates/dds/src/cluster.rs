@@ -24,35 +24,31 @@
 //! * **Placement follows the lease, not the map** — connection `i` of `N`
 //!   leases as owner `i` of `N`, and the owner behind it holds
 //!   `owner_range(i, N, S)`, so the endpoints may be listed in any order.
-//!   Owners that advertised a map advance through the two-phase barrier
-//!   below; owners that advertised none (one plain [`crate::serve()`]
-//!   process reached through [`TcpBackend::connect_remote`]) take the
-//!   one-shot `Advance`.  Commits, reads, `Loads` / `TotalWrites` / `Dump`
-//!   fan-out and failure harvesting are the client's one code path either
-//!   way.
+//!   Commits, the one-shot `Advance`, reads, `Loads` / `TotalWrites` /
+//!   `Dump` fan-out and failure harvesting are the client's one code path,
+//!   whether or not the owners advertised a map (one plain
+//!   [`crate::serve()`] process reached through
+//!   [`TcpBackend::connect_remote`] advertises none).
 //!
-//! # The two-phase advance barrier
+//! # One advance
 //!
-//! ```text
-//!  phase 1: FreezeEpoch(e) ──► every owner      (all must ack…)
-//!                 owner: park writable epoch e as `prepared`
-//!                        — invisible to Loads/Dump, commits for e+1 accepted
-//!  phase 2: PublishEpoch(e) ──► every owner     (…before any publish)
-//!                 owner: prepared → published, reply with the epoch frame
-//! ```
+//! A cluster advances like any owner set: the client sends `Advance(e)` to
+//! every owner and builds the [`crate::Snapshot`] of `e` only from all of
+//! their replies.  Owners publish independently, so one may have published
+//! `e` while another has not frozen it yet, or is being reconnected.  No
+//! round can observe that mixed state:
 //!
-//! With one owner, `Advance` freezes and publishes atomically inside the
-//! owner; across processes that atomicity has to be built.  No
-//! `PublishEpoch` is sent until **every** owner has acked its freeze, so a
-//! client can never observe a mixed epoch: either no owner has published
-//! `e` (any failure before the last freeze ack aborts the advance with a
-//! typed error and nothing published), or every owner is guaranteed to
-//! publish `e` eventually — `FreezeEpoch` and `PublishEpoch` are both
-//! idempotent under replay, so an owner severed mid-barrier reconnects,
-//! replays, and re-acks/re-publishes the identical frozen data.  A
-//! prepared-but-unpublished epoch survives reconnection inside the owner's
-//! session state and is re-publishable exactly once-semantically, however
-//! many times the publish is retransmitted.
+//! * a snapshot exists only once every owner has answered;
+//! * every owner serves one `(session, worker)` alone (a serving process
+//!   keeps per-session owners), so no other client reads this session's
+//!   epochs;
+//! * `Advance` is idempotent under replay — an owner severed before its
+//!   `Advance` reconnects, the replayed request freezes its writable epoch,
+//!   and one replayed after the publish re-sends the same frozen epoch.
+//!
+//! A two-phase `FreezeEpoch` / `PublishEpoch` barrier once made the
+//! freeze atomic across owners.  It guarded against a mixed epoch nobody
+//! can read, so it is retired: every owner refuses both requests.
 
 use crate::proto::ShardMap;
 use crate::remote::{owner_range, spawn_owner, TcpBackend};
@@ -146,7 +142,7 @@ impl TcpBackend {
     /// plus the client connected to all of them.  The owners are started
     /// like [`crate::RemoteBackend::new`]'s and joined when the backend
     /// drops; the only difference is the shard map their grants advertise,
-    /// from which the client picks the two-phase barrier.
+    /// which the client validates like a serving cluster's.
     pub fn spawn_local(owners: usize, num_shards: usize) -> Result<Self, TransportError> {
         let num_shards = num_shards.max(1);
         let options = TcpOptions::fresh().with_topology(num_shards, owners);
@@ -235,6 +231,7 @@ mod tests {
     use crate::serve::{serve_cluster, serve_cluster_listener};
     use crate::snapshot::Snapshot;
     use crate::transport::{RequestFaults, Transport};
+    use std::collections::BTreeMap;
     use std::net::TcpListener;
     use std::ops::Range;
 
@@ -302,15 +299,17 @@ mod tests {
     }
 
     #[test]
-    fn owners_severed_mid_barrier_heal_without_a_mixed_epoch() {
+    fn owners_severed_around_a_published_epoch_heal_byte_identically() {
         let run = |faulted: bool| {
             let mut cluster = TcpBackend::spawn_local(2, 8).unwrap();
             let faults = RequestFaults::none();
             if faulted {
-                // Epoch 0's freeze on owner 0, epoch 1's publish on owner 1:
-                // both phases of the barrier lose a connection mid-flight.
-                faults.schedule_sever(RequestKind::FreezeEpoch, 0, 0);
-                faults.schedule_sever(RequestKind::PublishEpoch, 1, 1);
+                // Owner 0 is cut before epoch 0's advance.  For epoch 1,
+                // owner 0's reply is lost and its advance resent, so it has
+                // published epoch 1 before owner 1 is cut ahead of its own.
+                faults.schedule_sever(RequestKind::Advance, 0, 0);
+                faults.schedule_drop(RequestKind::Advance, 1, 0);
+                faults.schedule_sever(RequestKind::Advance, 1, 1);
             }
             cluster.install_request_faults(faults.clone());
             let d0 = full_round(&mut cluster);
@@ -323,15 +322,97 @@ mod tests {
             let mut entries1 = d1.entries();
             entries0.sort_by_key(|&(key, _)| key);
             entries1.sort_by_key(|&(key, _)| key);
-            (entries0, entries1, cluster.total_writes(), faults.severed())
+            let fired = (faults.severed(), faults.dropped());
+            (entries0, entries1, cluster.total_writes(), fired)
         };
-        let (clean0, clean1, clean_writes, clean_severed) = run(false);
-        let (fault0, fault1, fault_writes, fault_severed) = run(true);
-        assert_eq!(clean_severed, 0);
-        assert_eq!(fault_severed, 2, "both scheduled severs must fire");
+        let (clean0, clean1, clean_writes, clean_fired) = run(false);
+        let (fault0, fault1, fault_writes, fault_fired) = run(true);
+        assert_eq!(clean_fired, (0, 0));
+        assert_eq!(fault_fired, (2, 1), "every scheduled fault must fire");
         assert_eq!(clean0, fault0);
         assert_eq!(clean1, fault1);
         assert_eq!(clean_writes, fault_writes);
+    }
+
+    /// Why one `Advance` per owner is enough: an owner's epochs belong to
+    /// one session.  Two leased sessions on the same two serving owners
+    /// interleave their commits and advances — each session's advances
+    /// land between the other's commits, and the two sessions stand on
+    /// different epoch numbers — and each reads back only its own pairs,
+    /// through every snapshot and through `TotalWrites`.
+    #[test]
+    fn interleaved_sessions_on_one_cluster_read_only_their_own_pairs() {
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
+            .collect();
+        let peers: Vec<String> = listeners
+            .iter()
+            .map(|listener| listener.local_addr().unwrap().to_string())
+            .collect();
+        let nodes: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(node, listener)| serve_cluster_listener(listener, node, peers.clone()).unwrap())
+            .collect();
+        /// One leased session and what it wrote since its last advance.
+        struct Session {
+            backend: TcpBackend,
+            pending: BTreeMap<Key, Vec<Value>>,
+            written: u64,
+            advances: usize,
+        }
+        impl Session {
+            /// Commit the same 24 keys as the other session; the value
+            /// names the writer.
+            fn commit(&mut self, writer: u64, step: u64) {
+                let batch: Vec<(Key, Value)> = (0..24u64)
+                    .map(|i| (k(i), Value::pair(writer, step * 100 + i)))
+                    .collect();
+                for &(key, value) in &batch {
+                    self.pending.entry(key).or_default().push(value);
+                }
+                self.written += batch.len() as u64;
+                self.backend.commit_round(vec![batch], 1);
+            }
+
+            fn advance_and_check(&mut self, writer: u64) {
+                let mut entries = self.backend.advance(1).entries();
+                entries.sort_by_key(|&(key, _)| key);
+                let expected: Vec<_> = std::mem::take(&mut self.pending).into_iter().collect();
+                let context = format!("session {writer}, epoch {}", self.advances);
+                assert_eq!(entries, expected, "{context}");
+                self.advances += 1;
+            }
+        }
+        let mut sessions: Vec<Session> = (0..2)
+            .map(|_| Session {
+                backend: TcpBackend::connect_cluster(&peers, 8).unwrap(),
+                pending: BTreeMap::new(),
+                written: 0,
+                advances: 0,
+            })
+            .collect();
+        for step in 0..6u64 {
+            sessions[0].commit(0, step);
+            sessions[1].commit(1, step);
+            // Session 0 advances every step, session 1 every other step,
+            // each between two commits of the other.
+            let order: &[usize] = if step % 2 == 0 { &[0] } else { &[1, 0] };
+            for &id in order {
+                sessions[id].advance_and_check(id as u64);
+                sessions[1 - id].commit(1 - id as u64, step + 50);
+            }
+            for (id, session) in sessions.iter_mut().enumerate() {
+                let total = session.backend.total_writes();
+                assert_eq!(total, session.written, "session {id}, step {step}");
+            }
+        }
+        let advances: Vec<usize> = sessions.iter().map(|session| session.advances).collect();
+        assert_eq!(advances, [6, 3]);
+        drop(sessions);
+        for node in nodes {
+            node.shutdown();
+        }
     }
 
     /// Owner-served loads label every shard as the view places it, on

@@ -175,26 +175,25 @@
 //! map; `N = 1` is the remote backend.  The client is the same
 //! [`RemoteBackend`] that talks to owner threads: commits route through one
 //! shard → (owner, local shard) table, `Loads` / `TotalWrites` / `Dump` fan
-//! out and aggregate, and what the grants carried decides the advance —
-//! owners that advertised a map go through the barrier below, owners that
-//! advertised none take the one-shot `Advance`.
+//! out and aggregate, and every owner advances with the one-shot `Advance`,
+//! whether or not its grant carried a map.
 //!
-//! Epoch advance is the one step that must be atomic *across* processes,
-//! and becomes a client-coordinated **two-phase barrier**: phase 1 sends
-//! [`proto::Request::FreezeEpoch`] to every owner — each parks its
-//! writable epoch as *prepared*, invisible to `Loads`/`Dump`, while
-//! already accepting the next epoch's commits — and only after **all**
-//! freeze acks does phase 2 send [`proto::Request::PublishEpoch`], so no
-//! client can ever observe a mixed epoch.  Both phases follow the same
-//! **per-owner replay rules** as every other request: a freeze replayed
-//! after reconnect re-acks the prepared epoch, a publish replayed after
-//! reconnect re-publishes the identical frozen data (a
-//! prepared-but-unpublished epoch survives in the owner's session state),
-//! and commit retransmissions are deduplicated per `(session, worker)`
-//! window so concurrent clients of one owner cannot evict each other's
-//! replay state.  `cluster(n)` legs of the conformance, determinism, and
-//! reconnect suites hold the whole construction byte-identical to the
-//! single-process backends, including with an owner severed mid-barrier.
+//! An advance needs no barrier across processes.  Owners freeze and publish
+//! independently, so for a moment one owner may have published epoch `e`
+//! while another has not frozen it, but no round can read that: the client
+//! builds the [`Snapshot`] of `e` only from every owner's reply, every owner
+//! serves one `(session, worker)` alone, and `Advance` is idempotent under
+//! replay — an owner severed before its `Advance` reconnects and freezes on
+//! the replay, one severed after it re-sends the epoch it froze.  Commit
+//! retransmissions are deduplicated per `(session, worker)` window, so
+//! concurrent clients of one owner cannot evict each other's replay state.
+//! The two-phase `FreezeEpoch` / `PublishEpoch` barrier that once made the
+//! freeze atomic across owners is retired: every owner refuses both
+//! requests, and their tags (requests 7 and 8, reply 6) stay reserved.
+//! `cluster(n)` legs of the conformance, determinism, and reconnect suites
+//! hold the whole construction byte-identical to the single-process
+//! backends, including with owner 1 severed before the `Advance` of an
+//! epoch owner 0 has already published.
 //!
 //! # Machine-checked invariants
 //!
@@ -205,7 +204,7 @@
 //!
 //! | invariant | checker |
 //! |---|---|
-//! | every [`proto::Request`] has a dispatch arm, a kind, a declared [`proto::ReplayPolicy`], an encoder arm, a decoder arm, and says whether the fault schedule can address it | **E0004** (non-exhaustive patterns): `Worker::handle`, `Request::kind`, [`proto::RequestKind::replay_policy`], `encode_request_into`, `decode_request`, `decode_reply_as` and `Request::epoch` (which `fault_coordinates` reads, with the replay policy) are `match`es without a wildcard, and `#[deny(unreachable_patterns, clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]` on exactly those functions keeps one from being added (clippy files a wildcard that hides exactly one variant under the third name, any other under the second) |
+//! | every [`proto::Request`] has a dispatch arm (the lifecycle requests and the retired barrier pair share one refusing arm), a kind, a declared [`proto::ReplayPolicy`], an encoder arm, a decoder arm, and says whether the fault schedule can address it | **E0004** (non-exhaustive patterns): `Worker::handle`, `Request::kind`, [`proto::RequestKind::replay_policy`], `encode_request_into`, `decode_request`, `decode_reply_as` and `Request::epoch` (which `fault_coordinates` reads, with the replay policy) are `match`es without a wildcard, and `#[deny(unreachable_patterns, clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]` on exactly those functions keeps one from being added (clippy files a wildcard that hides exactly one variant under the third name, any other under the second) |
 //! | wire tags are unique per direction, and a request cannot exist without one | **E0081** (duplicate discriminant): the tags *are* the discriminants of `#[repr(u8)]` [`proto::RequestKind`] and of the private `ReplyTag`; the encoder writes `request.kind() as u8` |
 //! | a kind is classified exactly once, under a policy that exists | E0004 / unreachable pattern / E0599 on `RequestKind::replay_policy` — "every request is idempotent at the owner" is a checked claim, not a comment |
 //! | no reply layout is written or parsed outside `proto.rs` | **E0603** (private item): `ReplyTag` cannot be named from another module |

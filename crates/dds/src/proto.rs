@@ -88,9 +88,9 @@ pub enum RequestKind {
     Lease = 5,
     /// [`Request::Goodbye`].
     Goodbye = 6,
-    /// [`Request::FreezeEpoch`].
+    /// [`Request::FreezeEpoch`] (retired; every owner refuses it).
     FreezeEpoch = 7,
-    /// [`Request::PublishEpoch`].
+    /// [`Request::PublishEpoch`] (retired; every owner refuses it).
     PublishEpoch = 8,
 }
 
@@ -185,25 +185,18 @@ pub enum Request {
         /// Index of the epoch being frozen.
         epoch: usize,
     },
-    /// Phase 1 of the cluster's two-phase epoch barrier: freeze the
-    /// writable epoch and hold it *prepared but unpublished*.
-    /// Acknowledged with [`Reply::EpochFrozen`]; the coordinator must
-    /// collect this ack from **every** owner before any
-    /// [`Request::PublishEpoch`] goes out, so no client can observe a
-    /// mixed epoch even if an owner dies mid-barrier.  Idempotent: a
-    /// replayed freeze of an already-prepared (or already-published)
-    /// epoch is re-acknowledged without re-freezing.
+    /// Retired: phase 1 of the two-phase advance barrier that clusters
+    /// once used instead of [`Request::Advance`].  Every owner refuses it
+    /// and ends the session.  The variant and its tag 7 stay only because
+    /// tools that tap the wire still decode it.
     FreezeEpoch {
         /// Index of the epoch being frozen.
         epoch: usize,
     },
-    /// Phase 2 of the two-phase barrier: publish the epoch prepared by
-    /// [`Request::FreezeEpoch`] and answer with its [`Reply::Epoch`].
-    /// Idempotent: a replayed publish of an already-published epoch
-    /// re-encodes the same frozen shards, which is what makes a sever between
-    /// freeze and publish recoverable.
+    /// Retired: phase 2 of the two-phase barrier, refused like
+    /// [`Request::FreezeEpoch`].  Its tag 8 stays for the same reason.
     PublishEpoch {
-        /// Index of the prepared epoch being published.
+        /// Index of the epoch being published.
         epoch: usize,
     },
     /// Report per-shard loads of a completed epoch (keyed by global shard
@@ -306,9 +299,10 @@ pub enum ReplayPolicy {
     /// (`Commit`, keyed by its per-session sequence number).
     Deduped,
     /// Re-applying converges: the owner re-acknowledges with the same
-    /// observable result (`Advance` / `FreezeEpoch` / `PublishEpoch`
-    /// republish the already-frozen epoch; the session-layer `Lease` and
-    /// `Goodbye` lifecycle re-attaches or re-releases).
+    /// observable result (`Advance` republishes the already-frozen epoch;
+    /// the session-layer `Lease` and `Goodbye` lifecycle re-attaches or
+    /// re-releases; the retired `FreezeEpoch` / `PublishEpoch` are refused
+    /// every time).
     Idempotent,
     /// A pure read of completed state with no owner-side effect
     /// (`Loads`, `Dump`, `TotalWrites`).
@@ -325,8 +319,7 @@ pub enum Reply {
         /// Number of pairs accepted by this owner.
         accepted: u64,
     },
-    /// [`Request::Advance`] / [`Request::PublishEpoch`] answered with the
-    /// frozen epoch's contents.  This is the *typed* form of the payload,
+    /// [`Request::Advance`] answered with the frozen epoch's contents.  This is the *typed* form of the payload,
     /// for tools and tests: owners encode it from their frozen shards and
     /// clients decode it into shards ([`crate::transport::ClientReply::SharedEpoch`])
     /// without ever materializing this variant, and in-process transports
@@ -359,12 +352,6 @@ pub enum Reply {
         /// the map epoch, so a freshly leased client learns the whole
         /// topology from any single node's handshake.
         shard_map: Option<ShardMap>,
-    },
-    /// [`Request::FreezeEpoch`] acknowledged: the epoch is frozen and held
-    /// prepared, awaiting [`Request::PublishEpoch`].
-    EpochFrozen {
-        /// The epoch that is now prepared (echoed back).
-        epoch: usize,
     },
 }
 
@@ -486,7 +473,8 @@ impl std::error::Error for ProtoError {}
 /// The first byte of an encoded [`Reply`].  Private to this module, so the
 /// reply layout cannot be written or parsed anywhere else (E0603); two tags
 /// sharing a value do not compile (E0081).  Requests need no second enum:
-/// their tag is `RequestKind as u8`.
+/// their tag is `RequestKind as u8`.  Tag 6 was the retired barrier's
+/// freeze ack; it stays reserved and is never reused.
 #[derive(Clone, Copy)]
 #[repr(u8)]
 enum ReplyTag {
@@ -496,19 +484,17 @@ enum ReplyTag {
     Dump = 3,
     TotalWrites = 4,
     LeaseGranted = 5,
-    EpochFrozen = 6,
 }
 
 impl ReplyTag {
     /// Every tag, for reading the byte back — see [`RequestKind::ALL`].
-    const ALL: [ReplyTag; 7] = [
+    const ALL: [ReplyTag; 6] = [
         ReplyTag::Committed,
         ReplyTag::Epoch,
         ReplyTag::Loads,
         ReplyTag::Dump,
         ReplyTag::TotalWrites,
         ReplyTag::LeaseGranted,
-        ReplyTag::EpochFrozen,
     ];
 
     fn from_tag(tag: u8) -> Option<ReplyTag> {
@@ -742,10 +728,6 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
                     }
                 }
             }
-        }
-        Reply::EpochFrozen { epoch } => {
-            buf.push(ReplyTag::EpochFrozen as u8);
-            put_u64(buf, *epoch as u64);
         }
     }
 }
@@ -1129,9 +1111,6 @@ pub(crate) fn decode_reply_as<S: EpochSink>(bytes: &[u8]) -> Result<Decoded<S>, 
                 tag => return Err(ProtoError::UnknownTag { kind: "reply", tag }),
             },
         },
-        ReplyTag::EpochFrozen => Reply::EpochFrozen {
-            epoch: cursor.u64("frozen epoch")? as usize,
-        },
     };
     cursor.finish()?;
     Ok(Decoded::Wire(reply))
@@ -1349,7 +1328,6 @@ mod tests {
                     }),
                 ),
             ],
-            ReplyTag::EpochFrozen => vec![Reply::EpochFrozen { epoch: 11 }],
         }
     }
 
@@ -1384,7 +1362,6 @@ mod tests {
             (ReplyTag::Dump, 3),
             (ReplyTag::TotalWrites, 4),
             (ReplyTag::LeaseGranted, 5),
-            (ReplyTag::EpochFrozen, 6),
         ];
         assert_eq!(replies.len(), ReplyTag::ALL.len());
         for (tag, byte) in replies {
@@ -1392,6 +1369,15 @@ mod tests {
                 assert_eq!(encode_reply(&reply)[0], byte, "{reply:?}");
             }
         }
+        // Reply tag 6, the retired barrier's freeze ack, stays reserved:
+        // the frame it framed decodes as no reply at all.
+        assert_eq!(
+            decode_reply(&[6, 0, 0, 0, 0, 0, 0, 0, 0]),
+            Err(ProtoError::UnknownTag {
+                kind: "reply",
+                tag: 6
+            })
+        );
     }
 
     /// The one rule no type carries: inside this file the epoch payload has
@@ -1402,8 +1388,7 @@ mod tests {
     fn the_epoch_payload_has_one_writer_and_one_parser() {
         let source = include_str!("proto.rs");
         let code = &source[..source.find("#[cfg(test)]").expect("tests follow the code")];
-        let named = code.split("ReplyTag::Epoch").skip(1);
-        let uses = named.filter(|rest| !rest.starts_with("Frozen")).count();
+        let uses = code.matches("ReplyTag::Epoch").count();
         // Its entry in `ReplyTag::ALL`, the push in `put_epoch`, the arm in
         // `decode_reply_as` — and nothing else.
         assert_eq!(uses, 3, "the epoch tag is named at a new site");

@@ -29,20 +29,18 @@
 //! malloc arena of a thread that lived for one request.
 //!
 //! Every owner holds one contiguous range of the shard space, the one
-//! [`owner_range`] gives it, whoever started it.  The client decides one
-//! thing from what the owners tell it, never from an option: owners whose
-//! lease grants carried a [`ShardMap`] advance through the **two-phase
-//! `FreezeEpoch` / `PublishEpoch` barrier**, owners without one with the
-//! one-shot `Advance`.  Everything else — placement, commit partitioning,
-//! fan-out, reply collection, failure harvesting — is one code path.
+//! [`owner_range`] gives it, whoever started it, and every owner advances
+//! with the one-shot `Advance`.  Placement, commit partitioning, fan-out,
+//! reply collection and failure harvesting are one code path; the
+//! [`ShardMap`] a cluster's lease grants carry is checked at connect time
+//! and names the backend `cluster`, nothing more.
 //!
-//! Either way, a round's reads resolve **locally and lock-free**: every
-//! transport answers an advance with a ready-to-read
-//! [`crate::FrozenEpoch`], and every advance returns a plain [`Snapshot`]
-//! holding one per owner (shared or replicated — neither this client nor
-//! machine code can tell).  Only the write-side protocol (`Commit`,
-//! `Advance` or the barrier pair) and the driver-side requests (`Loads`,
-//! `Dump`, `TotalWrites`) cross the transport.
+//! A round's reads resolve **locally and lock-free**: every transport
+//! answers an advance with a ready-to-read [`crate::FrozenEpoch`], and
+//! every advance returns a plain [`Snapshot`] holding one per owner
+//! (shared or replicated — neither this client nor machine code can tell).
+//! Only the write-side protocol (`Commit`, `Advance`) and the driver-side
+//! requests (`Loads`, `Dump`, `TotalWrites`) cross the transport.
 //!
 //! Owner failures surface as typed [`TransportError`]s: every send and
 //! receive goes through one harvest, which joins the dead owner's thread
@@ -139,7 +137,6 @@ pub struct RemoteBackend<T: Transport> {
     handles: Vec<Option<JoinHandle<()>>>,
     routing: Routing,
     /// The topology every owner advertised in its lease grant, if any.
-    /// Owners that advertise one advance through the two-phase barrier.
     map: Option<ShardMap>,
     completed: usize,
     faults: RequestFaults,
@@ -354,37 +351,22 @@ impl<T: Transport> RemoteBackend<T> {
     }
 
     /// Fallible [`DdsBackend::advance`]: freeze the writable epoch on every
-    /// owner and collect each frozen group — the owner's own allocation or
-    /// a replica decoded from its payload, as the transport delivers it —
-    /// checked to hold exactly the owner's share of the routing table, so a
-    /// short epoch fails the advance instead of a machine's lookup.
+    /// owner with one `Advance` each and collect each frozen group — the
+    /// owner's own allocation or a replica decoded from its payload, as the
+    /// transport delivers it — checked to hold exactly the owner's share of
+    /// the routing table, so a short epoch fails the advance instead of a
+    /// machine's lookup.
     ///
-    /// Owners that advertised a shard map are separate processes, so the
-    /// freeze must be made atomic *across* them: phase 1 sends
-    /// `FreezeEpoch` everywhere and waits for **all** acks, and only then
-    /// does phase 2 send `PublishEpoch` — a failure before the last ack
-    /// aborts with nothing published anywhere, so no mixed epoch is ever
-    /// observable (see [`crate::cluster`]).  Owners without a map take the
-    /// one-shot `Advance`, which is the same two steps inside one owner.
+    /// One owner may publish the epoch before another has frozen it; if
+    /// the advance then fails, the owners stand on different epochs.  No
+    /// round can read that: the [`Snapshot`] is built only once every owner
+    /// has replied, an owner's state belongs to this client's session
+    /// alone, and a retransmitted `Advance` republishes the epoch the owner
+    /// already froze.
     pub fn try_advance(&mut self) -> Result<Snapshot, TransportError> {
         let epoch = self.completed;
-        let publish = if self.map.is_some() {
-            self.broadcast(Request::FreezeEpoch { epoch }, |owner, reply| {
-                match wire(owner, reply)? {
-                    Reply::EpochFrozen { epoch: acked } if acked == epoch => Ok(()),
-                    Reply::EpochFrozen { epoch: acked } => Err(TransportError::Protocol {
-                        worker: owner,
-                        message: format!("froze epoch {acked}, expected {epoch}"),
-                    }),
-                    other => Err(unexpected(owner, "a freeze ack", &other)),
-                }
-            })?;
-            Request::PublishEpoch { epoch }
-        } else {
-            Request::Advance { epoch }
-        };
         let owner_shards = self.routing.owner_shards.clone();
-        let groups = self.broadcast(publish, |owner, reply| match reply {
+        let groups = self.broadcast(Request::Advance { epoch }, |owner, reply| match reply {
             ClientReply::SharedEpoch(epoch) if epoch.shards.len() == owner_shards[owner] => {
                 Ok(epoch)
             }
@@ -806,5 +788,68 @@ mod tests {
     #[test]
     fn tcp_retransmitted_requests_apply_exactly_once() {
         retransmitted_requests_apply_exactly_once::<TcpTransport>();
+    }
+
+    /// The retired barrier requests still round-trip through the codec
+    /// (tools that tap the wire decode them), and whichever owner gets one
+    /// refuses it and ends the session: an in-process owner's panic reaches
+    /// the client naming the request, a serving process's session is gone
+    /// when the client reconnects.
+    #[test]
+    fn retired_barrier_requests_end_the_session_on_every_owner() {
+        use crate::proto::{decode_request, encode_request};
+        use crate::serve::serve;
+
+        let server = serve(("127.0.0.1", 0)).unwrap();
+        for request in [
+            Request::FreezeEpoch { epoch: 1 },
+            Request::PublishEpoch { epoch: 1 },
+        ] {
+            let kind = request.kind();
+            assert_eq!(
+                decode_request(&encode_request(&request)),
+                Ok(request.clone())
+            );
+
+            let in_process = TcpBackend::new(4, 1);
+            let serving = TcpBackend::connect_remote(server.local_addr(), 4, 1).unwrap();
+            for (host, mut backend) in [("in-process", in_process), ("serving", serving)] {
+                backend.commit_round(vec![vec![(k(1), Value::scalar(1))]], 1);
+                let _ = backend.advance(1);
+                let refused = backend.broadcast(request.clone(), |_, reply| Ok(reply));
+                match (host, refused) {
+                    (
+                        "in-process",
+                        Err(TransportError::PeerClosed {
+                            panic: Some(message),
+                            ..
+                        }),
+                    ) => assert!(
+                        message.contains(&format!("refuses a {kind} request")),
+                        "{message}"
+                    ),
+                    (
+                        "serving",
+                        Err(
+                            TransportError::LeaseLost { .. }
+                            | TransportError::PeerClosed { panic: None, .. },
+                        ),
+                    ) => {}
+                    (host, other) => panic!("{host} owner answered {kind} with {other:?}"),
+                }
+            }
+        }
+        // Every session the refusals touched has ended, the sessions a
+        // reconnect opened afresh included.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.active_sessions() > 0 && std::time::Instant::now() < deadline {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "test polling a serving process's session count, bounded by the deadline"
+            )]
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(server.active_sessions(), 0);
+        server.shutdown();
     }
 }

@@ -353,8 +353,8 @@ impl ExactSizeIterator for Runs<'_> {}
 
 /// Freeze writable shards on up to `threads` threads, each taking one
 /// contiguous run of them, the calling thread the last — the one freeze of
-/// [`crate::ShardedStore`] and of the owners' `Advance` / `FreezeEpoch`
-/// (which pass one thread), so the two epoch pipelines cannot drift apart.
+/// [`crate::ShardedStore`] and of the owners' `Advance` (which passes one
+/// thread), so the two epoch pipelines cannot drift apart.
 /// The calling thread sizes every buffer a worker fills
 /// ([`for_each_part_parallel`]); its own run's pairs it allocates as it
 /// goes, each reusing what the shard before freed, as an owner's freeze

@@ -20,15 +20,13 @@
 //!   epoch is retired the moment its successor is published (a view a
 //!   client holds stays valid through its own `Arc`), so a session of any
 //!   length holds one frozen epoch, not all of them.
-//! * `FreezeEpoch` / `PublishEpoch` — the cluster's two-phase barrier —
-//!   are each idempotent: a replayed freeze of a prepared (or published)
-//!   epoch is re-acked, a replayed publish re-sends the published frame,
-//!   and a prepared-but-unpublished epoch survives a reconnect and is
-//!   publishable afterwards.
 //! * `Loads` / `Dump` / `TotalWrites` are pure reads.
 //!
 //! Connection-lifecycle requests (`Lease`, `Goodbye`) are consumed entirely
-//! by the session layer and never reach dispatch.
+//! by the session layer and never reach dispatch.  `FreezeEpoch` /
+//! `PublishEpoch`, the retired two-phase barrier, are refused: an owner
+//! that receives one ends its session like on any other protocol
+//! violation.
 
 use crate::hashing::FxHashMap;
 use crate::proto::{Reply, Request};
@@ -65,15 +63,9 @@ pub(crate) struct Worker {
     /// Epochs published so far.
     published: usize,
     /// The newest published epoch (`published - 1`): what a retransmitted
-    /// `Advance` / `PublishEpoch` re-sends and what `Loads` / `Dump` serve.
-    /// Publishing its successor drops the owner's handle on it.
+    /// `Advance` re-sends and what `Loads` / `Dump` serve.  Publishing its
+    /// successor drops the owner's handle on it.
     latest: Option<Arc<FrozenEpoch>>,
-    /// An epoch frozen by `FreezeEpoch` but not yet released by
-    /// `PublishEpoch` — phase 1 of the two-phase barrier parks it here, so
-    /// it is never observable through `Loads` / `Dump` (which only see
-    /// `latest`) until every owner has acked its freeze and the coordinator
-    /// publishes.
-    prepared: Option<Arc<FrozenEpoch>>,
     /// Total writes accepted across all epochs.
     total_writes: u64,
     /// `(seq, accepted)` of recently applied commits, oldest first, bounded
@@ -93,7 +85,6 @@ impl Worker {
             shards,
             published: 0,
             latest: None,
-            prepared: None,
             total_writes: 0,
             recent_commits: FxHashMap::default(),
         }
@@ -139,33 +130,9 @@ impl Worker {
     }
 
     /// The newest published epoch, if `epoch` names it — the one a
-    /// retransmitted `Advance` / `PublishEpoch` is answered with again.
+    /// retransmitted `Advance` is answered with again.
     fn newest(&self, epoch: usize) -> Option<&Arc<FrozenEpoch>> {
         self.latest.as_ref().filter(|_| epoch + 1 == self.published)
-    }
-
-    /// Publish `epoch` as the newest completed one, retiring its
-    /// predecessor.
-    fn publish(&mut self, epoch: Arc<FrozenEpoch>) -> OwnerReply {
-        self.published += 1;
-        self.latest = Some(epoch.clone());
-        OwnerReply::Epoch(epoch)
-    }
-
-    /// Freeze the writable shards and hand them over as one epoch; shared
-    /// by `Advance` (freeze + publish in one step) and `FreezeEpoch`
-    /// (phase 1 of the barrier, which parks the result).
-    fn freeze_writable(&mut self) -> Arc<FrozenEpoch> {
-        let fresh = vec![Vec::new(); self.shards.len()];
-        let shards = std::mem::replace(&mut self.writable, fresh);
-        Arc::new(FrozenEpoch::freeze(shards, 1))
-    }
-
-    /// Index of the epoch commits currently build: the published count,
-    /// plus one if an epoch is frozen-but-unpublished (its successor is
-    /// already accepting writes while the barrier completes).
-    fn writable_epoch(&self) -> usize {
-        self.published + usize::from(self.prepared.is_some())
     }
 
     #[deny(
@@ -188,8 +155,7 @@ impl Worker {
                     return OwnerReply::Wire(Reply::Committed { epoch, accepted });
                 }
                 assert_eq!(
-                    epoch,
-                    self.writable_epoch(),
+                    epoch, self.published,
                     "commit must target the writable epoch"
                 );
                 let mut accepted = 0u64;
@@ -213,12 +179,6 @@ impl Worker {
                 OwnerReply::Wire(Reply::Committed { epoch, accepted })
             }
             Request::Advance { epoch } => {
-                assert!(
-                    self.prepared.is_none(),
-                    "advance while an epoch is prepared: a connection must \
-                     speak either the one-shot advance or the two-phase \
-                     barrier, not both"
-                );
                 // Retransmission of the advance that froze the last epoch
                 // (its reply was lost): republish it unchanged.
                 if let Some(replay) = self.newest(epoch) {
@@ -228,51 +188,12 @@ impl Worker {
                     epoch, self.published,
                     "advance must freeze the writable epoch"
                 );
-                let epoch = self.freeze_writable();
-                self.publish(epoch)
-            }
-            Request::FreezeEpoch { epoch } => {
-                if self.prepared.is_some() {
-                    // A replayed freeze of the epoch already parked: re-ack
-                    // without touching the writable shards (which now
-                    // belong to the next epoch).
-                    assert_eq!(
-                        epoch, self.published,
-                        "freeze replay must name the prepared epoch"
-                    );
-                    return OwnerReply::Wire(Reply::EpochFrozen { epoch });
-                }
-                if epoch + 1 == self.published {
-                    // Freeze and publish both completed before the replay
-                    // arrived (the sever hit after the barrier finished).
-                    return OwnerReply::Wire(Reply::EpochFrozen { epoch });
-                }
-                assert_eq!(
-                    epoch, self.published,
-                    "freeze must target the writable epoch"
-                );
-                self.prepared = Some(self.freeze_writable());
-                OwnerReply::Wire(Reply::EpochFrozen { epoch })
-            }
-            Request::PublishEpoch { epoch } => {
-                // Retransmission of a publish whose reply was lost: re-send
-                // the identical frame.
-                if let Some(replay) = self.newest(epoch) {
-                    return OwnerReply::Epoch(replay.clone());
-                }
-                assert_eq!(
-                    epoch, self.published,
-                    "publish must name the prepared epoch"
-                );
-                #[allow(
-                    clippy::expect_used,
-                    reason = "owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary"
-                )]
-                let prepared = self
-                    .prepared
-                    .take()
-                    .expect("publish without a prepared freeze");
-                self.publish(prepared)
+                let fresh = vec![Vec::new(); self.shards.len()];
+                let shards = std::mem::replace(&mut self.writable, fresh);
+                let frozen = Arc::new(FrozenEpoch::freeze(shards, 1));
+                self.published += 1;
+                self.latest = Some(frozen.clone());
+                OwnerReply::Epoch(frozen)
             }
             Request::Loads { epoch } => {
                 let epoch = self.completed(epoch, "report loads of");
@@ -297,15 +218,25 @@ impl Worker {
             }
             Request::TotalWrites => OwnerReply::Wire(Reply::TotalWrites(self.total_writes)),
             // Connection-lifecycle requests are consumed by the transport /
-            // serve layer and must never reach the owner state machine; one
-            // arriving here is a protocol bug, surfaced like any other
-            // owner-side violation (panic, harvested into a typed error).
+            // serve layer and must never reach the owner state machine, and
+            // the two-phase barrier's requests are retired (their tags stay
+            // reserved because tools still decode them).  Either arriving
+            // here is a protocol violation, surfaced like any other
+            // owner-side one (panic, harvested into a typed error).
             #[allow(
                 clippy::panic,
                 reason = "owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary"
             )]
-            Request::Lease { .. } | Request::Goodbye => {
-                panic!("connection-lifecycle request leaked into the owner state machine")
+            request @ (Request::Lease { .. }
+            | Request::Goodbye
+            | Request::FreezeEpoch { .. }
+            | Request::PublishEpoch { .. }) => {
+                panic!(
+                    "owner refuses a {} request: connection-lifecycle requests end at the \
+                     session layer, and the two-phase barrier is retired (owners advance \
+                     with the one-shot advance)",
+                    request.kind()
+                )
             }
         }
     }
@@ -419,59 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn freeze_then_publish_equals_advance_and_is_idempotent() {
-        let mut worker = Worker::new(0..1);
-        assert_eq!(accepted(worker.handle(0, commit(0, 0, 3))), 3);
-
-        // Phase 1: the epoch freezes but stays unpublished — Loads/Dump
-        // must not see it yet (no mixed epoch is ever observable).
-        let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
-            worker.handle(0, Request::FreezeEpoch { epoch: 0 })
-        else {
-            panic!("freeze must be acked");
-        };
-        assert_eq!(worker.published, 0, "prepared epochs are not published");
-
-        // A replayed freeze (reply lost, connection replayed) re-acks.
-        let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
-            worker.handle(0, Request::FreezeEpoch { epoch: 0 })
-        else {
-            panic!("freeze replay must be re-acked");
-        };
-        assert_eq!(worker.published, 0);
-
-        // Commits for the *next* epoch are already accepted while the
-        // barrier is still completing.
-        assert_eq!(accepted(worker.handle(0, commit(1, 1, 2))), 2);
-
-        // Phase 2 publishes the prepared epoch…
-        let OwnerReply::Epoch(published) = worker.handle(0, Request::PublishEpoch { epoch: 0 })
-        else {
-            panic!("publish must answer with the epoch");
-        };
-        assert_eq!(published.writes, vec![3]);
-        assert_eq!(worker.published, 1);
-
-        // …and a replayed publish after a reconnect re-sends the same
-        // frame (a prepared-but-unpublished epoch must be re-publishable
-        // idempotently; an already-published one re-publishes).
-        let OwnerReply::Epoch(replayed) = worker.handle(0, Request::PublishEpoch { epoch: 0 })
-        else {
-            panic!("publish replay must answer with the epoch");
-        };
-        assert!(Arc::ptr_eq(&published, &replayed));
-        assert_eq!(worker.published, 1, "replay must not double-publish");
-
-        // A replayed freeze of the now-published epoch is also re-acked.
-        let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
-            worker.handle(0, Request::FreezeEpoch { epoch: 0 })
-        else {
-            panic!("freeze replay after publish must be re-acked");
-        };
-        assert_eq!(worker.published, 1);
-    }
-
-    #[test]
     fn a_thousand_advances_retain_one_epoch_and_every_write() {
         let mut worker = Worker::new(0..1);
         let mut views = Vec::new();
@@ -525,12 +403,5 @@ mod tests {
         worker.handle(0, Request::Advance { epoch: 0 });
         worker.handle(0, Request::Advance { epoch: 1 });
         worker.handle(0, Request::Dump { epoch: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "publish without a prepared freeze")]
-    fn publish_without_freeze_is_a_protocol_violation() {
-        let mut worker = Worker::new(0..1);
-        worker.handle(0, Request::PublishEpoch { epoch: 0 });
     }
 }

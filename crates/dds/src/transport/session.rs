@@ -411,7 +411,7 @@ impl TcpTransport {
     ///
     /// 1. at once, when the request just queued is the only one outstanding:
     ///    an idle pipe has nothing to coalesce with, so a lock-step caller
-    ///    (window 1, a barrier's fan-out) pays no added latency;
+    ///    (window 1, an advance's fan-out) pays no added latency;
     /// 2. when the buffer fills (inside [`FrameWriter::queue`]);
     /// 3. always before a read that would block ([`Self::next_reply`]).
     ///

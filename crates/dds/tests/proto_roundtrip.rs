@@ -125,7 +125,7 @@ fn arbitrary_frame() -> impl Strategy<Value = EpochFrame> {
 
 fn arbitrary_reply() -> impl Strategy<Value = Reply> {
     (
-        0u32..7,
+        0u32..6,
         0u64..1_000_000,
         any::<u64>(),
         arbitrary_frame(),
@@ -146,9 +146,6 @@ fn arbitrary_reply() -> impl Strategy<Value = Reply> {
                     ttl_ms: epoch,
                     resumed: count % 2 == 0,
                     shard_map: shard_map_from(count),
-                },
-                5 => Reply::EpochFrozen {
-                    epoch: epoch as usize,
                 },
                 _ => Reply::TotalWrites(count),
             },

@@ -33,8 +33,8 @@
 //! # Cluster mode
 //!
 //! The store can also be *sharded across several owners*, each holding a
-//! contiguous shard range and coordinated through the two-phase advance
-//! barrier:
+//! contiguous shard range; the client advances every owner with one
+//! `Advance` and reads the round's snapshot once all have replied:
 //!
 //! ```text
 //! cargo run --release --example quickstart -- --cluster 3

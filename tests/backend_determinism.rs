@@ -17,8 +17,8 @@ use ampc_runtime::{AmpcConfig, DdsBackendKind};
 /// down.  `Remote` runs the full algorithm suite over localhost TCP sockets
 /// speaking the `ampc_dds::proto` wire format — the acceptance test the
 /// ROADMAP set for the networked backend.  `Cluster` shards the same suite
-/// across local clusters of 2, 4 and 5 range owners behind the two-phase
-/// advance barrier (5 does not divide the shard counts, and exceeds them in
+/// across local clusters of 2, 4 and 5 range owners, each advanced with
+/// its own `Advance` (5 does not divide the shard counts, and exceeds them in
 /// the small late stages); the owners column is ignored by every other
 /// backend.
 const SHAPES: &[(DdsBackendKind, usize, usize)] = &[

@@ -24,12 +24,14 @@ fn key(v: u64) -> Key {
 
 /// A two-round adaptive workload with enough writes that every owner
 /// receives commit traffic; returns everything observable (results, echoed
-/// reads, the sorted final store, stats, and the fault counters).
+/// reads, the sorted final store, stats, and the fault counters: severed
+/// connections, then dropped replies).
 type Observed = (
     Vec<u64>,
     Vec<Vec<Option<u64>>>,
     Vec<(Key, Vec<Value>)>,
     Vec<u64>,
+    u64,
     u64,
 );
 
@@ -51,9 +53,14 @@ fn run_workload(config: AmpcConfig, plan: FaultPlan) -> Observed {
     let echoed = rt
         .run_round(8, |ctx| {
             let id = ctx.machine_id() as u64;
-            (0..8u64)
+            let echoed: Vec<_> = (0..8u64)
                 .map(|i| ctx.read(key(1_000 + id * 8 + i)).map(|v| v.x))
-                .collect::<Vec<_>>()
+                .collect();
+            // The final store is this round's epoch: write into it, or the
+            // store compared below is empty.
+            let sum = echoed.iter().flatten().sum();
+            ctx.write(key(2_000 + id), Value::scalar(sum));
+            echoed
         })
         .unwrap();
     let mut entries = rt.snapshot().entries();
@@ -64,7 +71,14 @@ fn run_workload(config: AmpcConfig, plan: FaultPlan) -> Observed {
         .iter()
         .map(|round| round.total_queries)
         .collect();
-    (sums, echoed, entries, queries, rt.severed_connections())
+    (
+        sums,
+        echoed,
+        entries,
+        queries,
+        rt.severed_connections(),
+        rt.dropped_requests(),
+    )
 }
 
 #[test]
@@ -97,17 +111,25 @@ fn severed_connections_reconnect_and_replay_byte_identically() {
     }
 }
 
+/// The cluster's hardest sever: owner 1 is cut before the `Advance` of an
+/// epoch that owner 0 has already published.  Cluster epoch coordinates:
+/// the advance after `load_input` freezes epoch 0, round 0's epoch 1 (the
+/// pairs round 1 echoes), round 1's epoch 2.  In round 0, owner 0's reply
+/// to its `Advance` is lost and the request resent, so owner 0 has
+/// published epoch 1 by the time owner 1's connection is cut ahead of its
+/// own `Advance` (the client sends an advance to the owners in order).
+/// Owner 0 is then cut before round 1's `Advance`.
+fn published_epoch_severs() -> FaultPlan {
+    FaultPlan::none()
+        .drop_advance(1, 0)
+        .sever_before_advance(1, 1)
+        .sever_before_advance(2, 0)
+}
+
 #[test]
-fn owners_severed_mid_barrier_replay_the_two_phase_advance_byte_identically() {
-    // Cluster epoch coordinates: the advance after `load_input` runs the
-    // freeze/publish barrier for epoch 0, round 0's advance for epoch 1,
-    // round 1's for epoch 2.  The plan cuts owner 0's connection right
-    // before round 0's `FreezeEpoch` goes out, and owner 1's *between* the
-    // phases of round 1's barrier — after its freeze was acked, before the
-    // publish — so one owner holds a prepared-but-unpublished epoch across
-    // a reconnect while the other may already have published.  Both heals
-    // must leave every observable byte identical to a fault-free cluster
-    // run, on every thread count.
+fn cluster_owners_severed_around_a_published_epoch_heal_byte_identically() {
+    // Both heals must leave every observable byte identical to a
+    // fault-free cluster run, on every thread count.
     for threads in [1usize, 2, 8] {
         let config = || {
             AmpcConfig::for_graph(1_000, 1_000, 0.5)
@@ -116,20 +138,18 @@ fn owners_severed_mid_barrier_replay_the_two_phase_advance_byte_identically() {
                 .expect("two owners are in range")
         };
         let clean = run_workload(config(), FaultPlan::none());
-        assert_eq!(clean.4, 0, "fault-free cluster runs sever nothing");
+        assert_eq!((clean.4, clean.5), (0, 0), "fault-free runs fault nothing");
 
-        let plan = FaultPlan::none()
-            .sever_owner(1, 0)
-            .sever_between_freeze_and_publish(2, 1);
-        let severed = run_workload(config(), plan);
+        let severed = run_workload(config(), published_epoch_severs());
         assert_eq!(
-            severed.4, 2,
-            "both mid-barrier severs must fire with {threads} threads"
+            (severed.4, severed.5),
+            (2, 1),
+            "both severs and the lost reply must fire with {threads} threads"
         );
         assert_eq!(
             (&clean.0, &clean.1, &clean.2, &clean.3),
             (&severed.0, &severed.1, &severed.2, &severed.3),
-            "a cluster severed mid-barrier must heal byte-identically with {threads} threads"
+            "a cluster severed around a published epoch must heal byte-identically with {threads} threads"
         );
     }
 }
@@ -303,7 +323,7 @@ fn runtimes_serve_rounds_from_external_cluster_owners() {
     // `--serve-cluster` runs as separate processes.  A local cluster's
     // owners are threads behind private connections, so this is where the
     // acceptor's lease routing, the session hand-off and the advertised
-    // shard map meet the two-phase barrier and its faults.
+    // shard map meet the advance and its faults.
     let listeners: Vec<TcpListener> = (0..2)
         .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("binding a cluster owner"))
         .collect();
@@ -334,18 +354,19 @@ fn runtimes_serve_rounds_from_external_cluster_owners() {
         "serving cluster owners must be observationally identical to local"
     );
 
-    // Owner 0 cut before round 0's freeze, owner 1 between the phases of
-    // round 1's barrier: both reconnect through the acceptor, which hands
-    // each back to its session with the prepared epoch intact.
-    let plan = FaultPlan::none()
-        .sever_owner(1, 0)
-        .sever_between_freeze_and_publish(2, 1);
-    let severed = run_workload(on_owners(config()), plan);
-    assert_eq!(severed.4, 2, "both mid-barrier severs must fire");
+    // The same severs as the local cluster's: both owners reconnect
+    // through the acceptor, which hands each back to its session — owner 1
+    // with its writable epoch intact while owner 0 has already published.
+    let severed = run_workload(on_owners(config()), published_epoch_severs());
+    assert_eq!(
+        (severed.4, severed.5),
+        (2, 1),
+        "every scheduled fault must fire"
+    );
     assert_eq!(
         (&local.0, &local.1, &local.2, &local.3),
         (&severed.0, &severed.1, &severed.2, &severed.3),
-        "cluster owners severed mid-barrier must heal byte-identically to local"
+        "cluster owners severed around a published epoch must heal byte-identically to local"
     );
 
     // A full algorithm driver — three stages, each a fresh leased session
